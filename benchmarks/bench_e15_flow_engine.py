@@ -10,9 +10,10 @@ by ≥5x on both hot workloads.
 
 Printed tables: per workload config the reference and incremental wall
 times, the speedup, and the engine counters (probes, repaired units).
-A differential sweep re-runs every probe through both backends on
-seeded laminar/general/tight instances and counts disagreements (must
-be zero).  Runnable standalone for CI::
+A differential sweep re-runs every probe through both probers
+(:class:`repro.verify.reference.DifferentialFlowProber`) on seeded
+laminar/general/tight instances and counts disagreements (must be
+zero).  Runnable standalone for CI::
 
     python benchmarks/bench_e15_flow_engine.py --smoke [--json OUT]
 """
@@ -30,15 +31,20 @@ from repro.baselines.exact import BudgetExceeded, solve_exact
 from repro.baselines.minimal_feasible import minimal_feasible_slots
 from repro.benchkit import bench_main, register
 from repro.flow.incremental import (
+    ClassFlowProber,
     flow_stats,
     flow_stats_delta,
-    set_flow_backend,
 )
 from repro.instances.generators import random_laminar
 from repro.util.errors import InfeasibleInstanceError
 from repro.verify.fuzz import FuzzConfig, sample_instance
+from repro.verify.reference import (
+    DifferentialFlowProber,
+    ReferenceFlowProber,
+    flow_prober,
+)
 
-#: Timing repetitions per backend; the per-config wall is the best of
+#: Timing repetitions per prober; the per-config wall is the best of
 #: these, which stabilises the speedup ratio on noisy CI runners.
 _REPS = 3
 
@@ -58,14 +64,13 @@ _SWEEP_SMOKE = 40
 _SWEEP_FAMILIES = ("laminar", "general", "tight")
 
 
-def _timed(backend: str, fn):
-    """Best-of-``_REPS`` wall time of ``fn()`` under a pinned backend.
+def _timed(prober: type, fn):
+    """Best-of-``_REPS`` wall time of ``fn()`` with every probe on ``prober``.
 
     Returns ``(wall_s, result, stats_delta)`` where the stats delta
-    covers the final (timed-best) repetition only.
+    covers the timed-best repetition only.
     """
-    previous = set_flow_backend(backend)
-    try:
+    with flow_prober(prober):
         best = float("inf")
         result = None
         delta: dict = {}
@@ -78,12 +83,10 @@ def _timed(backend: str, fn):
                 best = wall
                 delta = flow_stats_delta(flow_stats(), before)
         return best, result, delta
-    finally:
-        set_flow_backend(previous)
 
 
 def run_greedy_workload(configs=_GREEDY_FULL, seed_shift: int = 0):
-    """Greedy deactivation under both backends; returns per-config rows
+    """Greedy deactivation on both probers; returns per-config rows
     plus the (reference, incremental) total walls and the slot sets."""
     rows = []
     ref_total = inc_total = 0.0
@@ -94,8 +97,8 @@ def run_greedy_workload(configs=_GREEDY_FULL, seed_shift: int = 0):
             n, g, seed=seed + seed_shift, horizon=horizon
         )
         run = lambda: minimal_feasible_slots(instance, order="right_to_left")
-        ref_wall, ref_result, _ = _timed("reference", run)
-        inc_wall, inc_result, delta = _timed("incremental", run)
+        ref_wall, ref_result, _ = _timed(ReferenceFlowProber, run)
+        inc_wall, inc_result, delta = _timed(ClassFlowProber, run)
         ref_total += ref_wall
         inc_total += inc_wall
         ref_slots.append(tuple(ref_result))
@@ -114,7 +117,7 @@ def run_greedy_workload(configs=_GREEDY_FULL, seed_shift: int = 0):
 
 
 def run_exact_workload(configs=_EXACT_FULL, seed_shift: int = 0):
-    """Branch-and-bound under both backends; returns per-config rows,
+    """Branch-and-bound on both probers; returns per-config rows,
     total walls, and the (optimum, nodes_explored) outcome pairs."""
     rows = []
     ref_total = inc_total = 0.0
@@ -132,8 +135,8 @@ def run_exact_workload(configs=_EXACT_FULL, seed_shift: int = 0):
                 result = exc.incumbent()
             return (result.optimum, result.nodes_explored)
 
-        ref_wall, ref_result, _ = _timed("reference", run)
-        inc_wall, inc_result, delta = _timed("incremental", run)
+        ref_wall, ref_result, _ = _timed(ReferenceFlowProber, run)
+        inc_wall, inc_result, delta = _timed(ClassFlowProber, run)
         ref_total += ref_wall
         inc_total += inc_wall
         ref_outcomes.append(ref_result)
@@ -153,37 +156,35 @@ def run_exact_workload(configs=_EXACT_FULL, seed_shift: int = 0):
 
 def run_agreement_sweep(per_family=_SWEEP_FULL, seed: int = 2022):
     """Every probe cross-checked: greedy (and exact on small instances)
-    under the ``differential`` backend, which raises on any verdict
+    on the differential prober, which raises on any verdict
     disagreement between the incremental engine and the from-scratch
     reference.  Returns (instances checked, probe count, mismatches)."""
-    previous = set_flow_backend("differential")
     before = flow_stats()
     checked = 0
     mismatches = 0
     try:
-        for family in _SWEEP_FAMILIES:
-            config = FuzzConfig(
-                n_instances=per_family,
-                seed=seed,
-                family=family,
-                max_jobs=10,
-            )
-            for index in range(per_family):
-                instance = sample_instance(config, index)
-                try:
-                    minimal_feasible_slots(instance, order="given")
-                    if instance.n <= 8:
-                        solve_exact(instance, node_budget=2000)
-                except InfeasibleInstanceError:
-                    pass  # the probes still ran (and were cross-checked)
-                except BudgetExceeded:
-                    pass
-                checked += 1
+        with flow_prober(DifferentialFlowProber):
+            for family in _SWEEP_FAMILIES:
+                config = FuzzConfig(
+                    n_instances=per_family,
+                    seed=seed,
+                    family=family,
+                    max_jobs=10,
+                )
+                for index in range(per_family):
+                    instance = sample_instance(config, index)
+                    try:
+                        minimal_feasible_slots(instance, order="given")
+                        if instance.n <= 8:
+                            solve_exact(instance, node_budget=2000)
+                    except InfeasibleInstanceError:
+                        pass  # the probes still ran (and were cross-checked)
+                    except BudgetExceeded:
+                        pass
+                    checked += 1
     except Exception:
         mismatches += 1
         raise
-    finally:
-        set_flow_backend(previous)
     delta = flow_stats_delta(flow_stats(), before)
     return checked, delta.get("probes", 0), mismatches
 
@@ -287,16 +288,12 @@ class TestFlowEngine:
 
     def test_incremental_workload_benchmark(self, benchmark):
         instance = random_laminar(30, 3, seed=101, horizon=80)
-        previous = set_flow_backend("incremental")
-        try:
-            run_once(
-                benchmark,
-                minimal_feasible_slots,
-                instance,
-                order="right_to_left",
-            )
-        finally:
-            set_flow_backend(previous)
+        run_once(
+            benchmark,
+            minimal_feasible_slots,
+            instance,
+            order="right_to_left",
+        )
 
 
 if __name__ == "__main__":

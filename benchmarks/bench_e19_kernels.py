@@ -2,22 +2,24 @@
 
 Not a paper table; this measures the PR 9 raw-speed claims:
 
-* the ``csr`` max-flow kernel (scipy's C Dinic on numpy adjacency
-  arrays) beats the pure-Python ``object`` kernel by ≥5x on the
-  flow-heavy feasibility workloads at the E9 large tier;
+* the ``csr`` max-flow kernel (:class:`repro.flow.csr.CSRMaxFlow`,
+  scipy's C Dinic on numpy adjacency arrays) beats the pure-Python
+  ``object`` kernel (:class:`repro.flow.dinic.MaxFlow`) by ≥5x on the
+  full-horizon slot network at the E9 large tier — both kernels load
+  the same edge arrays and solve the same max-flow;
 * the bulk-CSR LP builders (:func:`repro.lp.nested_lp.build_nested_lp`
-  / :func:`repro.lp.cw_lp.build_cw_lp` with ``vectorized=True``) build
-  + compile ≥5x faster than the historical per-row reference builds,
-  while compiling to bit-identical models;
+  / :func:`repro.lp.cw_lp.build_cw_lp`) build + compile ≥5x faster than
+  the per-row reference builds of :mod:`repro.verify.reference`, while
+  compiling to bit-identical models;
 * the warm-started simplex (parent-basis reuse keyed by
   :func:`repro.solver.cache.structural_fingerprint`) hits on every
   structural re-solve and returns the cold optimum.
 
-A differential sweep re-runs 500 fuzz-corpus instances with the old
-object Dinic as the reference side of every flow probe (the
-``differential`` backend builds its reference networks on
-:class:`repro.flow.dinic.MaxFlow` directly), cross-checks the
-legacy-vs-vectorized nested-LP fingerprints, and solves each instance
+A differential sweep re-runs 500 fuzz-corpus instances with the object
+Dinic as the reference side of every flow probe
+(:class:`repro.verify.reference.DifferentialFlowProber` builds its
+reference networks on :class:`repro.flow.dinic.MaxFlow`), cross-checks
+the reference-vs-vectorized LP fingerprints, and solves each instance
 cold-then-warm on the simplex backend — all three must agree with zero
 mismatches.  Runnable standalone for CI::
 
@@ -29,19 +31,17 @@ from __future__ import annotations
 from time import perf_counter
 
 import _bench_path  # noqa: F401
+import numpy as np
 import pytest
 
 from repro.analysis.tables import print_table
 from repro.baselines.exact import BudgetExceeded, solve_exact
 from repro.baselines.minimal_feasible import minimal_feasible_slots
 from repro.benchkit import bench_main, register
-from repro.flow.csr import set_flow_kernel
-from repro.flow.feasibility import extract_schedule, slot_feasible
-from repro.flow.incremental import (
-    flow_stats,
-    flow_stats_delta,
-    set_flow_backend,
-)
+from repro.flow.csr import CSRMaxFlow
+from repro.flow.dinic import MaxFlow
+from repro.flow.feasibility import _slot_network
+from repro.flow.incremental import flow_stats, flow_stats_delta
 from repro.instances.generators import (
     deep_chain,
     random_general,
@@ -58,6 +58,12 @@ from repro.solver.service import clear_solver_cache
 from repro.tree.canonical import canonicalize
 from repro.util.errors import InfeasibleInstanceError
 from repro.verify.fuzz import FuzzConfig, sample_instance
+from repro.verify.reference import (
+    DifferentialFlowProber,
+    flow_prober,
+    reference_cw_lp,
+    reference_nested_lp,
+)
 
 #: Timing repetitions per kernel/path; the per-config wall is the best
 #: of these, which stabilises speedup ratios on noisy CI runners.
@@ -94,22 +100,6 @@ _SWEEP_SMOKE = 15
 _SWEEP_FAMILIES = ("laminar", "general", "tight", "mixed")
 
 
-def _timed_kernel(kernel: str, fn):
-    """Best-of-``_REPS`` wall time of ``fn()`` under a pinned kernel."""
-    previous = set_flow_kernel(kernel)
-    try:
-        best = float("inf")
-        result = None
-        for _ in range(_REPS):
-            t0 = perf_counter()
-            result = fn()
-            wall = perf_counter() - t0
-            best = min(best, wall)
-        return best, result
-    finally:
-        set_flow_kernel(previous)
-
-
 def _timed(fn):
     """Best-of-``_REPS`` wall time of ``fn()``; returns (wall, result)."""
     best = float("inf")
@@ -123,10 +113,15 @@ def _timed(fn):
 
 
 def run_flow_workloads(configs=_FLOW_FULL, seed_shift: int = 0):
-    """Full-horizon feasibility + schedule extraction on both kernels.
+    """Full-horizon slot-network feasibility + extraction on both kernels.
 
-    Returns per-config rows, the (object, csr) total walls, and the
-    per-config (object verdicts, csr verdicts) outcome lists.
+    The job/slot network's edge arrays — the int64 arrays the
+    feasibility builder hands to ``add_edges`` — are read off one build
+    and loaded into a fresh :class:`MaxFlow` and :class:`CSRMaxFlow` per
+    repetition; build, max-flow and reading the job→slot flows are
+    timed.  Returns per-config rows, the (object, csr) total walls, and
+    the per-config (object, csr) ``(feasible, busy job→slot edges)``
+    outcome lists.
     """
     rows = []
     obj_total = csr_total = 0.0
@@ -141,15 +136,25 @@ def run_flow_workloads(configs=_FLOW_FULL, seed_shift: int = 0):
             unit_fraction=0.5,
             n_windows=n_windows,
         )
-        active = list(instance.slots())
+        net, (slot_eids, _, _), source, sink = _slot_network(
+            instance, list(instance.slots())
+        )
+        edges = (
+            net.to[1::2].astype(np.int64),
+            net.to[0::2].astype(np.int64),
+            net._initial_cap[0::2].astype(np.int64),
+        )
 
-        def run():
-            feasible = slot_feasible(instance, active)
-            schedule = extract_schedule(instance, active)
-            return (feasible, schedule is not None)
+        def run(kernel):
+            flow = kernel(net.n)
+            flow.add_edges(*edges)
+            feasible = flow.max_flow(source, sink) == instance.total_volume
+            icap = np.asarray(flow._initial_cap, dtype=float)[slot_eids]
+            used = icap - np.asarray(flow.cap, dtype=float)[slot_eids]
+            return (feasible, int(np.count_nonzero(used > 0.5)))
 
-        obj_wall, obj_result = _timed_kernel("object", run)
-        csr_wall, csr_result = _timed_kernel("csr", run)
+        obj_wall, obj_result = _timed(lambda: run(MaxFlow))
+        csr_wall, csr_result = _timed(lambda: run(CSRMaxFlow))
         obj_total += obj_wall
         csr_total += csr_wall
         obj_out.append(obj_result)
@@ -167,29 +172,30 @@ def run_flow_workloads(configs=_FLOW_FULL, seed_shift: int = 0):
 
 
 def run_lp_builds(nested_depth=_NESTED_FULL, cw_config=_CW_FULL):
-    """Legacy vs vectorized LP build+compile; fingerprints must match.
+    """Reference vs vectorized LP build+compile; fingerprints must match.
 
-    Returns per-family rows, the (legacy, vectorized) total walls, and
+    Returns per-family rows, the (reference, vectorized) total walls, and
     the number of fingerprint-identical families.
     """
     rows = []
-    legacy_total = vec_total = 0.0
+    ref_total = vec_total = 0.0
     identical = 0
 
     can = canonicalize(deep_chain(nested_depth, 3, seed=7))
-    _, thresholds = build_nested_lp(can, vectorized=True)
+    _, thresholds = build_nested_lp(can)
 
     def nested(vectorized):
-        lp, _ = build_nested_lp(
-            can, vectorized=vectorized, thresholds=thresholds
-        )
+        if vectorized:
+            lp, _ = build_nested_lp(can, thresholds=thresholds)
+        else:
+            lp = reference_nested_lp(can, thresholds)
         return lp, lp.compile()
 
     cw_jobs, cw_g, cw_h = cw_config
     cw_inst = random_general(cw_jobs, cw_g, horizon=cw_h, seed=5)
 
     def cw(vectorized):
-        lp = build_cw_lp(cw_inst, vectorized=vectorized)
+        lp = build_cw_lp(cw_inst) if vectorized else reference_cw_lp(cw_inst)
         return lp, lp.compile()
 
     families = (
@@ -197,9 +203,9 @@ def run_lp_builds(nested_depth=_NESTED_FULL, cw_config=_CW_FULL):
         (f"cw general({cw_jobs},{cw_g},h={cw_h})", cw),
     )
     for label, build in families:
-        legacy_wall, (lp_ref, parts_ref) = _timed(lambda: build(False))
+        ref_wall, (lp_ref, parts_ref) = _timed(lambda: build(False))
         vec_wall, (lp_vec, parts_vec) = _timed(lambda: build(True))
-        legacy_total += legacy_wall
+        ref_total += ref_wall
         vec_total += vec_wall
         match = model_fingerprint(
             lp_vec, parts_vec, ("chain",)
@@ -208,13 +214,13 @@ def run_lp_builds(nested_depth=_NESTED_FULL, cw_config=_CW_FULL):
         rows.append(
             [
                 label,
-                f"{legacy_wall * 1e3:.1f}",
+                f"{ref_wall * 1e3:.1f}",
                 f"{vec_wall * 1e3:.1f}",
-                f"{legacy_wall / vec_wall:.1f}x",
+                f"{ref_wall / vec_wall:.1f}x",
                 "yes" if match else "NO",
             ]
         )
-    return rows, (legacy_total, vec_total), identical
+    return rows, (ref_total, vec_total), identical
 
 
 def run_warm_battery(seeds=_WARM_FULL):
@@ -255,16 +261,15 @@ def run_warm_battery(seeds=_WARM_FULL):
 
 
 def run_differential_sweep(per_family=_SWEEP_FULL, seed: int = 2022):
-    """Every instance cross-checked three ways: flow probes under the
-    ``differential`` backend (object-Dinic reference vs csr-kernel
-    incremental engine), legacy-vs-vectorized LP fingerprints (nested
+    """Every instance cross-checked three ways: flow probes through the
+    differential prober (object-Dinic reference vs csr-kernel
+    incremental engine), reference-vs-vectorized LP fingerprints (nested
     LP on laminar instances, CW LP otherwise), and cold-vs-warm simplex
     optima on the laminar side.
 
     Returns (instances, probe count, fingerprint matches, warm solves,
     warm value agreements, mismatches).
     """
-    previous = set_flow_backend("differential")
     before = flow_stats()
     checked = 0
     fingerprints = 0
@@ -272,48 +277,45 @@ def run_differential_sweep(per_family=_SWEEP_FULL, seed: int = 2022):
     warm_agree = 0
     mismatches = 0
     try:
-        for family in _SWEEP_FAMILIES:
-            config = FuzzConfig(
-                n_instances=per_family,
-                seed=seed,
-                family=family,
-                max_jobs=10,
-            )
-            for index in range(per_family):
-                instance = sample_instance(config, index)
-                try:
-                    minimal_feasible_slots(instance, order="given")
-                    if instance.n <= 8:
-                        solve_exact(instance, node_budget=2000)
-                except InfeasibleInstanceError:
-                    pass  # the probes still ran (and were cross-checked)
-                except BudgetExceeded:
-                    pass
-                if instance.is_laminar:
-                    can = canonicalize(instance)
-                    lp_vec, thresholds = build_nested_lp(can)
-                    lp_ref, _ = build_nested_lp(
-                        can, vectorized=False, thresholds=thresholds
-                    )
-                else:
-                    lp_vec = build_cw_lp(instance)
-                    lp_ref = build_cw_lp(instance, vectorized=False)
-                fingerprints += int(
-                    model_fingerprint(lp_vec, lp_vec.compile(), ("chain",))
-                    == model_fingerprint(lp_ref, lp_ref.compile(), ("chain",))
+        with flow_prober(DifferentialFlowProber):
+            for family in _SWEEP_FAMILIES:
+                config = FuzzConfig(
+                    n_instances=per_family,
+                    seed=seed,
+                    family=family,
+                    max_jobs=10,
                 )
-                if instance.is_laminar:
-                    cold = lp_vec.solve(backend="simplex").value
-                    clear_solver_cache()
-                    warm = lp_ref.solve(backend="simplex").value
-                    warm_solved += 1
-                    warm_agree += int(abs(cold - warm) <= 1e-9)
-                checked += 1
+                for index in range(per_family):
+                    instance = sample_instance(config, index)
+                    try:
+                        minimal_feasible_slots(instance, order="given")
+                        if instance.n <= 8:
+                            solve_exact(instance, node_budget=2000)
+                    except InfeasibleInstanceError:
+                        pass  # the probes still ran (and were cross-checked)
+                    except BudgetExceeded:
+                        pass
+                    if instance.is_laminar:
+                        can = canonicalize(instance)
+                        lp_vec, thresholds = build_nested_lp(can)
+                        lp_ref = reference_nested_lp(can, thresholds)
+                    else:
+                        lp_vec = build_cw_lp(instance)
+                        lp_ref = reference_cw_lp(instance)
+                    fingerprints += int(
+                        model_fingerprint(lp_vec, lp_vec.compile(), ("chain",))
+                        == model_fingerprint(lp_ref, lp_ref.compile(), ("chain",))
+                    )
+                    if instance.is_laminar:
+                        cold = lp_vec.solve(backend="simplex").value
+                        clear_solver_cache()
+                        warm = lp_ref.solve(backend="simplex").value
+                        warm_solved += 1
+                        warm_agree += int(abs(cold - warm) <= 1e-9)
+                    checked += 1
     except Exception:
         mismatches += 1
         raise
-    finally:
-        set_flow_backend(previous)
     delta = flow_stats_delta(flow_stats(), before)
     return (
         checked,
@@ -326,7 +328,7 @@ def run_differential_sweep(per_family=_SWEEP_FULL, seed: int = 2022):
 
 
 _FLOW_HEADERS = ["workload", "object [ms]", "csr [ms]", "speedup", "feasible"]
-_LP_HEADERS = ["LP family", "legacy [ms]", "vectorized [ms]", "speedup", "identical"]
+_LP_HEADERS = ["LP family", "reference [ms]", "vectorized [ms]", "speedup", "identical"]
 
 
 @register(
@@ -354,7 +356,7 @@ def run_bench(ctx):
         "lp_build",
         _LP_HEADERS,
         lp_rows,
-        title="E19 — LP build+compile, per-row legacy vs bulk CSR",
+        title="E19 — LP build+compile, per-row reference vs bulk CSR",
     )
     seeds = ctx.pick(_WARM_FULL, _WARM_SMOKE)
     cold_wall, warm_wall, warm_delta, agreements = run_warm_battery(seeds)
@@ -387,7 +389,7 @@ def run_bench(ctx):
     ctx.add_timing("flow_object_s", f_obj)
     ctx.add_timing("flow_csr_s", f_csr)
     ctx.add_timing("flow_speedup_x", f_obj / f_csr)
-    ctx.add_timing("lp_legacy_s", l_ref)
+    ctx.add_timing("lp_reference_s", l_ref)
     ctx.add_timing("lp_vectorized_s", l_vec)
     ctx.add_timing("lp_speedup_x", l_ref / l_vec)
     ctx.add_timing("warm_cold_s", cold_wall)
@@ -422,7 +424,7 @@ def e19_tables():
     )
     print_table(
         _LP_HEADERS, lp_rows,
-        title="E19 — LP build+compile, per-row legacy vs bulk CSR",
+        title="E19 — LP build+compile, per-row reference vs bulk CSR",
     )
     return flow_walls, flow_outs, lp_walls, identical, len(lp_rows)
 

@@ -24,7 +24,7 @@ from math import ceil
 from repro.baselines.minimal_feasible import minimal_feasible_slots
 from repro.core.schedule import Schedule
 from repro.flow.feasibility import extract_schedule
-from repro.flow.incremental import make_prober, reference_probe
+from repro.flow.incremental import make_prober
 from repro.instances.jobs import Instance
 from repro.util.errors import InfeasibleInstanceError, SolverError
 
@@ -66,40 +66,16 @@ def _class_buckets(
     return [[pos[jid] for jid in cls.jobs] for cls in classes]
 
 
-def class_prober(
-    instance: Instance,
-    classes: list[SlotClass],
-    *,
-    backend: str | None = None,
-):
+def class_prober(instance: Instance, classes: list[SlotClass]):
     """A warm-started feasibility prober over the slot-class network.
 
-    Returns an object with ``probe(counts) -> bool`` — the incremental
-    replacement for calling :func:`_class_flow_feasible` in a loop (see
-    :mod:`repro.flow.incremental` for backends and the repair invariant).
+    Returns an object with ``probe(counts) -> bool`` (see
+    :mod:`repro.flow.incremental` for the repair invariant).
     """
     return make_prober(
         [job.processing for job in instance.jobs],
         _class_buckets(instance, classes),
         instance.g,
-        backend=backend,
-    )
-
-
-def _class_flow_feasible(
-    instance: Instance, classes: list[SlotClass], counts: list[int]
-) -> bool:
-    """Lemma 4.1-style aggregated feasibility for per-class counts.
-
-    From-scratch reference path: builds a fresh network per call.  The
-    hot consumers hold a :func:`class_prober` instead; this stays as the
-    pinnable reference the incremental engine is verified against.
-    """
-    return reference_probe(
-        [job.processing for job in instance.jobs],
-        _class_buckets(instance, classes),
-        instance.g,
-        counts,
     )
 
 

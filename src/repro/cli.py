@@ -231,7 +231,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         exact_max_jobs=args.exact_max_jobs,
         shrink=args.shrink,
         backend=args.backend,
-        flow_backend=args.flow_backend,
+        cross_check_flow=args.cross_check_flow,
         corpus=args.corpus,
         shard_index=shard_index,
         shard_count=shard_count,
@@ -586,11 +586,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="pin the LP backend (default: service fallback chain)",
     )
     fuzz.add_argument(
-        "--flow-backend",
-        default=None,
-        choices=["incremental", "reference", "differential"],
-        help="pin the flow probe backend; 'differential' cross-checks the "
-        "incremental engine against the from-scratch path on every probe",
+        "--cross-check-flow",
+        action="store_true",
+        help="cross-check the incremental flow engine against the "
+        "from-scratch reference on every probe",
     )
     fuzz.add_argument(
         "--out",

@@ -20,18 +20,14 @@ appends to the flat arrays in bulk and only materializes ``head``
 (needed by the Python BFS/DFS fallback, min-cut extraction and the
 incremental repair walk) on first access.
 
-Kernel selection mirrors the probe-backend machinery in
-:mod:`repro.flow.incremental`: :func:`set_flow_kernel` /
-``$REPRO_FLOW_KERNEL`` pick between ``"csr"`` (default) and
-``"object"`` (the pure-Python reference kernel), and
-:func:`flow_network` builds a network on the active kernel.  The
-differential probe backend therefore proves old-vs-new kernel agreement
-on every probe, exactly as it proved rebuild-vs-repair agreement.
+The feasibility networks and :class:`~repro.flow.incremental.ClassFlowProber`
+build on this kernel; the pure-Python :class:`~repro.flow.dinic.MaxFlow`
+stays as its fallback, as the twin's kernel and as the reference that
+tests and :mod:`repro.verify` compare it against.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Sequence
 
 import numpy as np
@@ -39,14 +35,6 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
 from repro.flow.dinic import MaxFlow
-
-#: Environment override for the max-flow kernel (lowest priority).
-FLOW_KERNEL_ENV = "REPRO_FLOW_KERNEL"
-
-#: Known kernels: vectorized CSR (scipy Dinic) and the Python reference.
-FLOW_KERNELS = ("csr", "object")
-
-DEFAULT_FLOW_KERNEL = "csr"
 
 #: scipy's maximum_flow takes int32 capacities; anything at or above
 #: this (or fractional) falls back to the Python kernel transparently.
@@ -281,55 +269,3 @@ class CSRMaxFlow(MaxFlow):
             cap[arcs_taking ^ 1] += units
         return float(pushed)
 
-
-# ---------------------------------------------------------------------------
-# Kernel selection
-# ---------------------------------------------------------------------------
-
-_KERNEL_OVERRIDE: str | None = None
-
-_KERNEL_CLASSES = {"csr": CSRMaxFlow, "object": MaxFlow}
-
-
-def get_flow_kernel() -> str:
-    """The active max-flow kernel: override > environment > default."""
-    if _KERNEL_OVERRIDE is not None:
-        return _KERNEL_OVERRIDE
-    env = os.environ.get(FLOW_KERNEL_ENV)
-    if env:
-        name = env.strip().lower()
-        if name not in FLOW_KERNELS:
-            raise ValueError(
-                f"${FLOW_KERNEL_ENV}={env!r} is not one of {FLOW_KERNELS}"
-            )
-        return name
-    return DEFAULT_FLOW_KERNEL
-
-
-def set_flow_kernel(name: str | None) -> str | None:
-    """Pin the max-flow kernel process-wide; returns the previous override.
-
-    ``None`` clears the pin (environment/default apply again)::
-
-        previous = set_flow_kernel("object")
-        try:
-            ...
-        finally:
-            set_flow_kernel(previous)
-    """
-    global _KERNEL_OVERRIDE
-    if name is not None and name not in FLOW_KERNELS:
-        raise ValueError(f"kernel {name!r} not one of {FLOW_KERNELS}")
-    previous = _KERNEL_OVERRIDE
-    _KERNEL_OVERRIDE = name
-    return previous
-
-
-def flow_network(n: int, *, kernel: str | None = None) -> MaxFlow:
-    """A fresh max-flow network on the requested (or active) kernel."""
-    name = kernel or get_flow_kernel()
-    try:
-        cls = _KERNEL_CLASSES[name]
-    except KeyError:
-        raise ValueError(f"kernel {name!r} not one of {FLOW_KERNELS}") from None
-    return cls(n)

@@ -14,11 +14,10 @@ Two levels of granularity:
   interchangeable, and much smaller.
 
 Both builders assemble their edge lists as flat arrays and add them in
-one :meth:`~repro.flow.dinic.MaxFlow.add_edges` call, in the same
-global order the historical per-edge loops used — so edge ids are
-identical across the ``csr`` and ``object`` kernels
-(:mod:`repro.flow.csr`) and flow extraction vectorizes over the
-resulting id arrays.
+one :meth:`~repro.flow.dinic.MaxFlow.add_edges` call on the
+:class:`~repro.flow.csr.CSRMaxFlow` kernel, in the same global order the
+historical per-edge loops used — so edge ids match the object-kernel
+reference and flow extraction vectorizes over the resulting id arrays.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.core.schedule import Schedule
-from repro.flow.csr import flow_network
+from repro.flow.csr import CSRMaxFlow
 from repro.flow.dinic import MaxFlow
 from repro.instances.jobs import Instance
 from repro.tree.node import WindowForest
@@ -42,7 +41,7 @@ from repro.tree.node import WindowForest
 def _slot_network(
     instance: Instance, active: Sequence[int]
 ) -> tuple[MaxFlow, tuple[np.ndarray, np.ndarray, np.ndarray], int, int]:
-    """Build the job/slot network on the active kernel.
+    """Build the job/slot network.
 
     Returns ``(net, (edge_ids, job_pos, slot), source, sink)`` where the
     three parallel arrays describe the job→slot edges: ``edge_ids[k]``
@@ -53,7 +52,7 @@ def _slot_network(
     n_slots = int(slots.size)
     source = n_jobs + n_slots
     sink = source + 1
-    net = flow_network(sink + 1)
+    net = CSRMaxFlow(sink + 1)
     rels = np.fromiter(
         (j.release for j in instance.jobs), dtype=np.int64, count=n_jobs
     )
@@ -156,7 +155,7 @@ def _node_network(
     m = forest.m
     source = n_jobs + m
     sink = source + 1
-    net = flow_network(sink + 1)
+    net = CSRMaxFlow(sink + 1)
     us: list[int] = []
     vs: list[int] = []
     caps: list[float] = []
@@ -189,8 +188,6 @@ def node_prober(
     instance: Instance,
     forest: WindowForest,
     job_node: Mapping[int, int],
-    *,
-    backend: str | None = None,
 ):
     """Reusable Lemma 4.1 prober: build the node network once, probe many x̃.
 
@@ -209,7 +206,6 @@ def node_prober(
         [job.processing for job in instance.jobs],
         buckets,
         instance.g,
-        backend=backend,
     )
 
 

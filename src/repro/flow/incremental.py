@@ -32,11 +32,12 @@ probes:
   ``g`` units and the re-augmentation pushes at most ``g`` units back —
   independent of ``Σ p_j``.
 
-The from-scratch path stays available as a pinnable *reference backend*
-(:func:`set_flow_backend` / ``REPRO_FLOW_BACKEND``), and a *differential
-backend* runs both on every probe and raises :class:`FlowMismatchError`
-on any disagreement — the fuzz campaigns and the E15 agreement sweep pin
-that one.
+The from-scratch path is a test oracle and lives in
+:mod:`repro.verify.reference`.  :func:`make_prober` builds the class held
+by :data:`PROBER_CLASS` — :class:`ClassFlowProber` unless
+:func:`repro.verify.reference.flow_prober` swaps in the reference or the
+differential prober for the current context (a fuzz campaign, E15), so
+the swap never reaches another thread.
 
 Instrumentation mirrors the solver service: module-level counters
 (networks built, probes answered warm, augmenting paths, units repaired)
@@ -45,51 +46,13 @@ are exposed through :func:`flow_stats` and the CLI ``--stats`` flag.
 
 from __future__ import annotations
 
-import os
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from repro.flow.csr import flow_network
+from repro.flow.csr import CSRMaxFlow
 from repro.flow.dinic import MaxFlow
 from repro.util.errors import SolverError
-
-#: Environment override for the probe backend (lowest priority).
-FLOW_BACKEND_ENV = "REPRO_FLOW_BACKEND"
-
-#: Known probe backends, in the order the docs list them.
-FLOW_BACKENDS = ("incremental", "reference", "differential")
-
-DEFAULT_FLOW_BACKEND = "incremental"
-
-
-class FlowMismatchError(SolverError):
-    """The incremental engine and the reference path disagreed on a probe.
-
-    Raised only under the ``differential`` backend; carries the count
-    vector so the failing probe can be replayed in isolation.
-
-    Attributes
-    ----------
-    counts:
-        The probed per-bucket count vector.
-    incremental / reference:
-        The two verdicts (always differing).
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        counts: tuple[int, ...] = (),
-        incremental: bool | None = None,
-        reference: bool | None = None,
-        **kwargs,
-    ) -> None:
-        kwargs.setdefault("kind", "numerical")
-        super().__init__(message, **kwargs)
-        self.counts = tuple(counts)
-        self.incremental = incremental
-        self.reference = reference
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +67,6 @@ class FlowEngineStats:
     networks_built: int = 0  # incremental networks constructed
     probes: int = 0  # feasibility probes answered by the engine
     rebuilds_avoided: int = 0  # probes answered warm (no fresh network)
-    reference_probes: int = 0  # from-scratch probes (reference backend)
     augmenting_paths: int = 0  # paths pushed while re-augmenting
     units_repaired: int = 0  # flow units cancelled by capacity drops
     units_augmented: int = 0  # flow units pushed by re-augmentation
@@ -115,7 +77,6 @@ class FlowEngineStats:
             "networks_built": self.networks_built,
             "probes": self.probes,
             "rebuilds_avoided": self.rebuilds_avoided,
-            "reference_probes": self.reference_probes,
             "augmenting_paths": self.augmenting_paths,
             "units_repaired": self.units_repaired,
             "units_augmented": self.units_augmented,
@@ -125,7 +86,6 @@ class FlowEngineStats:
         self.networks_built = 0
         self.probes = 0
         self.rebuilds_avoided = 0
-        self.reference_probes = 0
         self.augmenting_paths = 0
         self.units_repaired = 0
         self.units_augmented = 0
@@ -157,7 +117,6 @@ def render_flow_stats(snap: Mapping[str, Any]) -> str:
         ("networks built", snap.get("networks_built", 0)),
         ("probes", snap.get("probes", 0)),
         ("rebuilds avoided", snap.get("rebuilds_avoided", 0)),
-        ("reference probes", snap.get("reference_probes", 0)),
         ("augmenting paths", snap.get("augmenting_paths", 0)),
         ("flow units repaired", snap.get("units_repaired", 0)),
         ("flow units augmented", snap.get("units_augmented", 0)),
@@ -170,48 +129,6 @@ def render_flow_stats(snap: Mapping[str, Any]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Backend selection
-# ---------------------------------------------------------------------------
-
-_BACKEND_OVERRIDE: str | None = None
-
-
-def get_flow_backend() -> str:
-    """The active probe backend: override > environment > default."""
-    if _BACKEND_OVERRIDE is not None:
-        return _BACKEND_OVERRIDE
-    env = os.environ.get(FLOW_BACKEND_ENV)
-    if env:
-        name = env.strip().lower()
-        if name not in FLOW_BACKENDS:
-            raise ValueError(
-                f"${FLOW_BACKEND_ENV}={env!r} is not one of {FLOW_BACKENDS}"
-            )
-        return name
-    return DEFAULT_FLOW_BACKEND
-
-
-def set_flow_backend(name: str | None) -> str | None:
-    """Pin the probe backend process-wide; returns the previous override.
-
-    ``None`` clears the pin (environment/default apply again).  Typical
-    use is a try/finally pair in benchmarks and tests::
-
-        previous = set_flow_backend("reference")
-        try:
-            ...
-        finally:
-            set_flow_backend(previous)
-    """
-    global _BACKEND_OVERRIDE
-    if name is not None and name not in FLOW_BACKENDS:
-        raise ValueError(f"backend {name!r} not one of {FLOW_BACKENDS}")
-    previous = _BACKEND_OVERRIDE
-    _BACKEND_OVERRIDE = name
-    return previous
-
-
-# ---------------------------------------------------------------------------
 # The engine
 # ---------------------------------------------------------------------------
 
@@ -219,8 +136,10 @@ def set_flow_backend(name: str | None) -> str | None:
 class IncrementalFlow:
     """A :class:`MaxFlow` whose edge capacities may change between solves.
 
-    The wrapped network must be *acyclic* (every network in this library
-    is a layered ``s → jobs → buckets → t`` DAG); flow decomposition on a
+    Wraps a flow-free network on either kernel (:class:`MaxFlow` or
+    :class:`~repro.flow.csr.CSRMaxFlow`).  It must be *acyclic* (every
+    network in this library is a layered ``s → jobs → buckets → t``
+    DAG); flow decomposition on a
     DAG has no cycles, so cancelling excess along flow-carrying residual
     paths always terminates and always reaches the source/sink.
 
@@ -229,10 +148,8 @@ class IncrementalFlow:
     :attr:`value`, with ``flow(e) ≤ capacity(e)`` on every edge.
     """
 
-    def __init__(
-        self, n: int, source: int, sink: int, *, kernel: str | None = None
-    ) -> None:
-        self.net = flow_network(n, kernel=kernel)
+    def __init__(self, net: MaxFlow, source: int, sink: int) -> None:
+        self.net = net
         self.source = source
         self.sink = sink
         self.value = 0.0
@@ -393,8 +310,6 @@ class ClassFlowProber:
     repairs/augments between probes instead of rebuilding.
     """
 
-    backend = "incremental"
-
     def __init__(
         self,
         processings: Sequence[int],
@@ -407,7 +322,7 @@ class ClassFlowProber:
         self.g = g
         source = n_jobs + len(buckets)
         sink = source + 1
-        engine = IncrementalFlow(sink + 1, source, sink)
+        engine = IncrementalFlow(CSRMaxFlow(sink + 1), source, sink)
         self._buckets = [list(b) for b in buckets]
         # One bulk append (source edges, then per bucket its job edges
         # and sink edge) — same edge ids as the per-edge loop, but the
@@ -515,8 +430,6 @@ class DynamicFlowProber:
     from-scratch path.
     """
 
-    backend = "incremental"
-
     def __init__(self, g: int, start: int, end: int) -> None:
         if g < 1:
             raise ValueError(f"capacity g must be >= 1, got {g}")
@@ -528,8 +441,8 @@ class DynamicFlowProber:
         self.total = 0
         # The twin's workload is add_node/drop_edge-heavy with tiny
         # per-event repairs; the object kernel's eager adjacency lists
-        # win there, and pinning it keeps replay flows deterministic.
-        engine = IncrementalFlow(2, 0, 1, kernel="object")
+        # win there, and using it keeps replay flows deterministic.
+        engine = IncrementalFlow(MaxFlow(2), 0, 1)
         self.engine = engine
         self._slot_node: dict[int, int] = {}
         self._slot_sink: dict[int, int] = {}  # slot -> slot→sink edge id
@@ -719,116 +632,24 @@ class DynamicFlowProber:
         return {handle: self.job_slots(handle) for handle in self._jobs}
 
 
-class ReferenceFlowProber:
-    """The pre-engine behaviour: fresh network + from-scratch solve."""
-
-    backend = "reference"
-
-    def __init__(
-        self,
-        processings: Sequence[int],
-        buckets: Sequence[Sequence[int]],
-        g: int,
-    ) -> None:
-        self.processings = list(processings)
-        self.buckets = [list(b) for b in buckets]
-        self.g = g
-        self.total = sum(processings)
-
-    def probe(self, counts: Sequence[int]) -> bool:
-        _STATS.reference_probes += 1
-        return reference_probe(
-            self.processings, self.buckets, self.g, counts
-        )
-
-
-class DifferentialFlowProber:
-    """Run *both* probers on every probe; scream on any disagreement.
-
-    The fuzz campaigns and the E15 agreement sweep pin this backend so a
-    flow-repair bug can never hide behind a plausible verdict.
-    """
-
-    backend = "differential"
-
-    def __init__(
-        self,
-        processings: Sequence[int],
-        buckets: Sequence[Sequence[int]],
-        g: int,
-    ) -> None:
-        self.incremental = ClassFlowProber(processings, buckets, g)
-        self.reference = ReferenceFlowProber(processings, buckets, g)
-        self.probes = 0
-
-    def probe(self, counts: Sequence[int]) -> bool:
-        fast = self.incremental.probe(counts)
-        slow = self.reference.probe(counts)
-        self.probes += 1
-        if fast != slow:
-            raise FlowMismatchError(
-                f"incremental={fast} vs reference={slow} on counts "
-                f"{tuple(counts)} (g={self.reference.g})",
-                counts=tuple(counts),
-                incremental=fast,
-                reference=slow,
-            )
-        return fast
-
-
-def reference_probe(
-    processings: Sequence[int],
-    buckets: Sequence[Sequence[int]],
-    g: int,
-    counts: Sequence[int],
-) -> bool:
-    """One from-scratch feasibility test (the Lemma 4.1 aggregation).
-
-    This *is* the reference semantics the incremental engine must match:
-    buckets with a non-positive count contribute no edges at all.
-    """
-    n_jobs = len(processings)
-    source = n_jobs + len(buckets)
-    sink = source + 1
-    net = MaxFlow(sink + 1)
-    total = 0
-    for k, p in enumerate(processings):
-        net.add_edge(source, k, p)
-        total += p
-    for ci, bucket in enumerate(buckets):
-        if counts[ci] <= 0:
-            continue
-        node = n_jobs + ci
-        for k in bucket:
-            net.add_edge(k, node, counts[ci])
-        net.add_edge(node, sink, g * counts[ci])
-    return net.max_flow(source, sink) == total
-
-
-_PROBERS = {
-    "incremental": ClassFlowProber,
-    "reference": ReferenceFlowProber,
-    "differential": DifferentialFlowProber,
-}
+#: The prober class :func:`make_prober` builds.  Production code never
+#: sets it; :func:`repro.verify.reference.flow_prober` rebinds it for one
+#: context so the verify layer can run the reference or differential
+#: prober without touching other threads.
+PROBER_CLASS: ContextVar[type] = ContextVar(
+    "repro_flow_prober_class", default=ClassFlowProber
+)
 
 
 def make_prober(
     processings: Sequence[int],
     buckets: Sequence[Sequence[int]],
     g: int,
-    *,
-    backend: str | None = None,
 ):
     """Build a feasibility prober for the given bucket network.
 
-    ``backend`` overrides the process-wide selection (see
-    :func:`set_flow_backend`); ``None`` uses the active backend.
+    Returns an object with ``probe(counts) -> bool``: a
+    :class:`ClassFlowProber` unless the current context rebinds
+    :data:`PROBER_CLASS`.
     """
-    name = backend or get_flow_backend()
-    try:
-        cls = _PROBERS[name]
-    except KeyError:
-        raise ValueError(
-            f"backend {name!r} not one of {FLOW_BACKENDS}"
-        ) from None
-    return cls(processings, buckets, g)
+    return PROBER_CLASS.get()(processings, buckets, g)

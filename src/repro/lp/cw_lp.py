@@ -16,8 +16,6 @@ intended for the moderate instances of the gap experiments (E3/E4).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.instances.jobs import Instance, Job
@@ -41,41 +39,22 @@ def forced_occupancy(job: Job, interval: Interval) -> int:
     return max(0, job.processing - outside)
 
 
-def build_cw_lp(instance: Instance, *, vectorized: bool = True) -> LinearProgram:
+def build_cw_lp(instance: Instance) -> LinearProgram:
     """Natural LP plus all interval ceiling constraints.
 
-    ``vectorized=True`` (default) evaluates the forced-occupancy sums on
-    a broadcast ``(t1, t2)`` grid and appends all ceiling rows as one
-    CSR block; ``False`` keeps the historical per-interval loop.  Both
-    compile to the same model bit-for-bit.
+    The forced-occupancy sums are evaluated on a broadcast ``(t1, t2)``
+    grid and all ceiling rows are appended as one CSR block; the model
+    compiles bit-for-bit like the per-interval reference build
+    :func:`repro.verify.reference.reference_cw_lp`.
     """
     lp = build_natural_lp(instance)
     lp.name = f"cw_lp({instance.name})"
-    horizon = instance.horizon
-    if vectorized:
-        _add_ceiling_block(lp, instance)
-        return lp
-    for t1 in range(horizon.start, horizon.end):
-        for t2 in range(t1 + 1, horizon.end + 1):
-            interval = Interval(t1, t2)
-            forced = sum(forced_occupancy(job, interval) for job in instance.jobs)
-            if forced <= 0:
-                continue
-            rhs = math.ceil(forced / instance.g)
-            # Skip constraints implied by per-slot volume alone.
-            if rhs <= 0:
-                continue
-            lp.add_constraint(
-                {_xname(t): 1.0 for t in range(t1, t2)},
-                ">=",
-                float(rhs),
-                label=f"ceil[{t1},{t2})>={rhs}",
-            )
+    _add_ceiling_block(lp, instance)
     return lp
 
 
 def _add_ceiling_block(lp: LinearProgram, instance: Instance) -> None:
-    """Vectorized interval-ceiling rows, in (t1 asc, t2 asc) legacy order.
+    """Vectorized interval-ceiling rows, in (t1 asc, t2 asc) order.
 
     ``q_j([t1,t2)) = max(0, p_j - w_j + overlap)`` broadcasts over the
     interval grid; the grid is evaluated in t1 chunks to bound the

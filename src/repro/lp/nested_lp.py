@@ -52,7 +52,6 @@ def build_nested_lp(
     *,
     ceiling: bool = True,
     thresholds: OptThresholds | None = None,
-    vectorized: bool = True,
 ) -> tuple[LinearProgram, OptThresholds]:
     """Build LP (1) for a canonical instance.
 
@@ -63,13 +62,12 @@ def build_nested_lp(
         relaxation (used by the E10 ablation).
     thresholds:
         Precomputed ``OPT_i`` thresholds (computed on demand otherwise).
-    vectorized:
-        Assemble the constraint families as bulk CSR blocks
-        (:meth:`~repro.lp.backend.LinearProgram.add_constraint_block`)
-        instead of one coefficient dict per row.  Both paths compile to
-        the same model bit-for-bit (identical
-        :func:`~repro.solver.cache.model_fingerprint`); ``False`` keeps
-        the historical per-row reference build for cross-checks.
+
+    The constraint families are assembled as bulk CSR blocks
+    (:meth:`~repro.lp.backend.LinearProgram.add_constraint_block`); the
+    model compiles bit-for-bit like the per-row reference build
+    :func:`repro.verify.reference.reference_nested_lp` (identical
+    :func:`~repro.solver.cache.model_fingerprint`).
     """
     inst = canonical.instance
     forest = canonical.forest
@@ -77,76 +75,14 @@ def build_nested_lp(
     jobs_by_id = {j.id: j for j in inst.jobs}
     if thresholds is None:
         thresholds = compute_thresholds(forest, job_node, jobs_by_id, inst.g)
-    build = _build_vectorized if vectorized else _build_legacy
-    return build(inst, forest, job_node, thresholds, ceiling), thresholds
+    return _build(inst, forest, job_node, thresholds, ceiling), thresholds
 
 
-def _build_legacy(inst, forest, job_node, thresholds, ceiling) -> LinearProgram:
-    """Historical per-row build — the reference the vectorized path must match."""
-    lp = LinearProgram(name=f"nested_lp({inst.name})")
-    for i in range(forest.m):
-        lp.add_var(_xname(i), objective=1.0)
-    admissible: dict[int, list[int]] = {}  # job id -> nodes it may use
-    for job in inst.jobs:
-        nodes = forest.descendants(job_node[job.id])
-        admissible[job.id] = nodes
-        for i in nodes:
-            lp.add_var(_yname(i, job.id))
-
-    # (2) every job fully scheduled.
-    for job in inst.jobs:
-        lp.add_constraint(
-            {_yname(i, job.id): 1.0 for i in admissible[job.id]},
-            ">=",
-            job.processing,
-            label=f"volume[{job.id}]",
-        )
-    # (3) node capacity g·x(i); (4) length cap; (5) per-job cap x(i).
-    per_node_jobs: dict[int, list[int]] = {i: [] for i in range(forest.m)}
-    for jid, nodes in admissible.items():
-        for i in nodes:
-            per_node_jobs[i].append(jid)
-    for i in range(forest.m):
-        coeffs = {_yname(i, jid): 1.0 for jid in per_node_jobs[i]}
-        coeffs[_xname(i)] = -float(inst.g)
-        lp.add_constraint(coeffs, "<=", 0.0, label=f"capacity[{i}]")
-        lp.add_constraint(
-            {_xname(i): 1.0}, "<=", float(forest.length(i)), label=f"length[{i}]"
-        )
-        for jid in per_node_jobs[i]:
-            lp.add_constraint(
-                {_yname(i, jid): 1.0, _xname(i): -1.0},
-                "<=",
-                0.0,
-                label=f"spread[{i},{jid}]",
-            )
-    _add_ceiling_rows(lp, forest, thresholds, ceiling)
-    return lp
-
-
-def _add_ceiling_rows(lp, forest, thresholds, ceiling) -> None:
-    # (7)-(8) ceiling constraints from OPT_i thresholds.  Few rows (at
-    # most one per node) over descendant sets — not worth vectorizing.
-    if not ceiling:
-        return
-    for i in range(forest.m):
-        omega = thresholds.value(i)
-        if omega >= 2:
-            lp.add_constraint(
-                {_xname(k): 1.0 for k in forest.descendants(i)},
-                ">=",
-                float(omega),
-                label=f"ceiling[{i}]>={omega}",
-            )
-
-
-def _build_vectorized(
-    inst, forest, job_node, thresholds, ceiling
-) -> LinearProgram:
+def _build(inst, forest, job_node, thresholds, ceiling) -> LinearProgram:
     """Bulk-array build of LP (1).
 
-    Emits the same variables, rows and nonzeros in the same order as
-    :func:`_build_legacy` — the x columns come first, then the y columns
+    Emits the same variables, rows and nonzeros in the same order as the
+    per-row reference build — the x columns come first, then the y columns
     job-major; the volume family is one ``>=`` block; the interleaved
     capacity/length/spread family is one ``<=`` block whose per-node
     segment is laid out ``[capacity (nj y's + x), length, spread×nj]``.
@@ -180,7 +116,7 @@ def _build_vectorized(
     )
 
     # (2) volume block: one >= row per job over its y columns (which are
-    # contiguous, in admissible-node order — exactly the legacy dicts).
+    # contiguous, in admissible-node order — exactly the reference dicts).
     if n_jobs:
         lp.add_constraint_block(
             np.ones(total_y),
@@ -196,7 +132,7 @@ def _build_vectorized(
         )
 
     # (3)-(5) one <= block, node-major.  Stable sort by node keeps the
-    # job-scan order within each node (the legacy per_node_jobs order).
+    # job-scan order within each node (the reference per_node_jobs order).
     if m:
         order = np.argsort(node_of, kind="stable")
         s_node = node_of[order]
@@ -257,7 +193,7 @@ def _build_vectorized(
         )
 
     # (7)-(8) as one >= block over descendant x columns, same row and
-    # column order as the legacy dict loop.
+    # column order as the reference dict loop.
     if ceiling:
         omegas = [thresholds.value(i) for i in range(m)]
         sel = [i for i in range(m) if omegas[i] >= 2]

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -385,6 +386,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-scheduling"
+    # Headers and body go out as two small writes; with Nagle on, the
+    # body waits for the client's delayed ACK (~40 ms) on keep-alive
+    # connections.
+    disable_nagle_algorithm = True
 
     # The default handler logs every request to stderr; the service
     # exposes counters instead, so keep the console quiet unless the
@@ -622,7 +627,7 @@ def serve(
 
     Prints the bound address on stdout (flushed) before blocking, so
     supervisors — and the CI smoke script — can discover an ephemeral
-    port.  Ctrl-C shuts down cleanly.
+    port.  Ctrl-C and SIGTERM shut down cleanly, pool workers included.
     """
     service = SchedulingService(
         workers=workers, max_body=max_body, split_jobs=split_jobs
@@ -635,11 +640,19 @@ def serve(
         f"max_body={max_body})",
         flush=True,
     )
+
+    # SIGTERM takes the Ctrl-C path; its default action would kill this
+    # process and leave the pool workers running.
+    def _terminate(signum: int, frame: Any) -> None:
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
+        signal.signal(signal.SIGTERM, previous)
         server.shutdown()
         service.shutdown()
     return 0

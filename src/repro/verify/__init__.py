@@ -9,6 +9,9 @@ Three layers, consumed by tests, the ``active-time fuzz`` CLI, and CI:
   applies every property, cross-checking against the exact baseline;
 * :mod:`repro.verify.fuzz` + :mod:`repro.verify.shrinker` — randomized
   campaigns that minimize any failure to a committable counterexample.
+
+:mod:`repro.verify.reference` holds the from-scratch flow probers and
+per-row LP builds the production fast paths are checked against.
 """
 
 from repro.verify.fuzz import (

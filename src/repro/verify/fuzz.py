@@ -52,6 +52,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
@@ -68,7 +69,8 @@ from repro.verify.shrinker import shrink_instance
 #: Schema marker for fuzz reports (separate from BenchResult's schema —
 #: fuzz campaigns are not benchmarks and carry no ``bench_id``).
 #: v2: config block gained ``corpus`` / ``shard_index`` / ``shard_count``.
-FUZZ_SCHEMA_VERSION = 2
+#: v3: config block's ``flow_backend`` replaced by ``cross_check_flow``.
+FUZZ_SCHEMA_VERSION = 3
 
 #: Schema marker for resume checkpoints written by :func:`run_fuzz` /
 #: :func:`run_twin_fuzz`.
@@ -88,12 +90,11 @@ class FuzzConfig:
     exact_max_jobs: int = DEFAULT_EXACT_MAX_JOBS
     shrink: bool = True
     backend: str | None = None
-    #: Flow probe backend pinned for the campaign (``incremental`` /
-    #: ``reference`` / ``differential``); ``None`` keeps the process
-    #: default.  ``differential`` turns every greedy/exact probe into a
-    #: cross-check of the incremental engine against the from-scratch
-    #: path — any disagreement surfaces as a ``crash`` violation.
-    flow_backend: str | None = None
+    #: Cross-check every greedy/exact flow probe of the campaign: the
+    #: incremental engine against the from-scratch reference
+    #: (:class:`~repro.verify.reference.DifferentialFlowProber`).  Any
+    #: disagreement surfaces as a ``crash`` violation.
+    cross_check_flow: bool = False
     #: Path to a :mod:`repro.corpus` directory to stream instances from
     #: instead of regenerating them; ``None`` keeps on-the-fly sampling.
     corpus: str | None = None
@@ -104,18 +105,9 @@ class FuzzConfig:
     shard_count: int = 1
 
     def __post_init__(self) -> None:
-        from repro.flow.incremental import FLOW_BACKENDS
-
         if self.family not in FAMILIES:
             raise ValueError(
                 f"unknown family {self.family!r}; pick one of {FAMILIES}"
-            )
-        if self.flow_backend is not None and (
-            self.flow_backend not in FLOW_BACKENDS
-        ):
-            raise ValueError(
-                f"unknown flow backend {self.flow_backend!r}; "
-                f"pick one of {FLOW_BACKENDS}"
             )
         if self.n_instances < 1:
             raise ValueError("n_instances must be >= 1")
@@ -326,31 +318,25 @@ def run_fuzz(
     to rebuild their reports — so a rerun after a mid-campaign kill
     produces the identical :class:`FuzzResult`.
     """
-    from repro.flow.incremental import (
-        flow_stats,
-        flow_stats_delta,
-        set_flow_backend,
-    )
+    from repro.flow.incremental import flow_stats, flow_stats_delta
     from repro.instances.io import dump_instance
     from repro.solver.service import solver_stats
     from repro.solver.stats import stats_delta
+    from repro.verify.reference import DifferentialFlowProber, flow_prober
 
     result = FuzzResult(config=config)
     before = solver_stats()
     flow_before = flow_stats()
-    previous_flow_backend = (
-        set_flow_backend(config.flow_backend)
-        if config.flow_backend is not None
-        else None
+    scope = (
+        flow_prober(DifferentialFlowProber)
+        if config.cross_check_flow
+        else nullcontext()
     )
     t0 = time.perf_counter()
-    try:
+    with scope:
         _run_campaign(
             config, result, verify, progress, checkpoint, checkpoint_every
         )
-    finally:
-        if config.flow_backend is not None:
-            set_flow_backend(previous_flow_backend)
     result.wall_time_s = time.perf_counter() - t0
     result.solver = stats_delta(solver_stats(), before)
     result.flow = flow_stats_delta(flow_stats(), flow_before)
@@ -378,7 +364,7 @@ def _config_dict(config: FuzzConfig) -> dict[str, Any]:
         "exact_max_jobs": config.exact_max_jobs,
         "shrink": config.shrink,
         "backend": config.backend,
-        "flow_backend": config.flow_backend,
+        "cross_check_flow": config.cross_check_flow,
         "corpus": config.corpus,
         "shard_index": config.shard_index,
         "shard_count": config.shard_count,
@@ -493,7 +479,7 @@ def _run_campaign(
     checkpoint: str | Path | None = None,
     checkpoint_every: int = 50,
 ) -> None:
-    """The campaign loop proper (backend pinning handled by the caller).
+    """The campaign loop proper (the flow cross-check scope is the caller's).
 
     One pass over :func:`campaign_instances` covers both the fresh and
     the resumed case: indices below the checkpoint's ``next_index`` are

@@ -1,0 +1,253 @@
+"""From-scratch reference implementations the fast paths are checked against.
+
+Production code has one path per layer; the implementations those paths
+replaced live here as test oracles: the from-scratch flow probers
+(:class:`ReferenceFlowProber`, and :class:`DifferentialFlowProber`,
+which runs both and raises :class:`FlowMismatchError` on disagreement)
+and the per-row LP builds, which must compile to the same model as
+:func:`~repro.lp.nested_lp.build_nested_lp` /
+:func:`~repro.lp.cw_lp.build_cw_lp`.  :func:`flow_prober` puts a
+reference prober under the real consumers for the current context only.
+"""
+
+from __future__ import annotations
+
+import math
+from contextlib import contextmanager
+from typing import Iterator, Sequence
+
+from repro.core.opt_thresholds import OptThresholds
+from repro.flow.dinic import MaxFlow
+from repro.flow.incremental import PROBER_CLASS, ClassFlowProber
+from repro.instances.jobs import Instance
+from repro.lp.backend import LinearProgram
+from repro.lp.cw_lp import forced_occupancy
+from repro.lp.natural_lp import build_natural_lp
+from repro.lp.natural_lp import _xname as _slot_xname
+from repro.lp.nested_lp import _xname, _yname
+from repro.tree.canonical import CanonicalInstance
+from repro.util.errors import SolverError
+from repro.util.intervals import Interval
+
+
+@contextmanager
+def flow_prober(cls: type) -> Iterator[None]:
+    """Build every feasibility prober in this context as a ``cls``.
+
+    ``cls`` takes ``(processings, buckets, g)`` and answers
+    ``probe(counts)`` — :class:`ReferenceFlowProber` or
+    :class:`DifferentialFlowProber`.  The binding is per context, so a
+    campaign running under it never changes the prober another thread
+    gets.
+    """
+    token = PROBER_CLASS.set(cls)
+    try:
+        yield
+    finally:
+        PROBER_CLASS.reset(token)
+
+
+# ---------------------------------------------------------------------------
+# Flow probes
+# ---------------------------------------------------------------------------
+
+
+class FlowMismatchError(SolverError):
+    """The incremental engine and the reference path disagreed on a probe.
+
+    Raised only by :class:`DifferentialFlowProber`; carries the count
+    vector so the failing probe can be replayed in isolation.
+
+    Attributes
+    ----------
+    counts:
+        The probed per-bucket count vector.
+    incremental / reference:
+        The two verdicts (always differing).
+    """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        counts: tuple[int, ...] = (),
+        incremental: bool | None = None,
+        reference: bool | None = None,
+        **kwargs,
+    ) -> None:
+        kwargs.setdefault("kind", "numerical")
+        super().__init__(message, **kwargs)
+        self.counts = tuple(counts)
+        self.incremental = incremental
+        self.reference = reference
+
+
+def reference_probe(
+    processings: Sequence[int],
+    buckets: Sequence[Sequence[int]],
+    g: int,
+    counts: Sequence[int],
+) -> bool:
+    """One from-scratch feasibility test (the Lemma 4.1 aggregation).
+
+    This *is* the reference semantics the incremental engine must match:
+    buckets with a non-positive count contribute no edges at all.
+    """
+    n_jobs = len(processings)
+    source = n_jobs + len(buckets)
+    sink = source + 1
+    net = MaxFlow(sink + 1)
+    total = 0
+    for k, p in enumerate(processings):
+        net.add_edge(source, k, p)
+        total += p
+    for ci, bucket in enumerate(buckets):
+        if counts[ci] <= 0:
+            continue
+        node = n_jobs + ci
+        for k in bucket:
+            net.add_edge(k, node, counts[ci])
+        net.add_edge(node, sink, g * counts[ci])
+    return net.max_flow(source, sink) == total
+
+
+class ReferenceFlowProber:
+    """The pre-engine behaviour: fresh network + from-scratch solve."""
+
+    def __init__(
+        self,
+        processings: Sequence[int],
+        buckets: Sequence[Sequence[int]],
+        g: int,
+    ) -> None:
+        self.processings = list(processings)
+        self.buckets = [list(b) for b in buckets]
+        self.g = g
+
+    def probe(self, counts: Sequence[int]) -> bool:
+        return reference_probe(
+            self.processings, self.buckets, self.g, counts
+        )
+
+
+class DifferentialFlowProber:
+    """Run *both* probers on every probe; scream on any disagreement.
+
+    Fuzz campaigns with ``cross_check_flow`` and the E15 agreement sweep
+    build this prober so a flow-repair bug can never hide behind a
+    plausible verdict.
+    """
+
+    def __init__(
+        self,
+        processings: Sequence[int],
+        buckets: Sequence[Sequence[int]],
+        g: int,
+    ) -> None:
+        self.incremental = ClassFlowProber(processings, buckets, g)
+        self.reference = ReferenceFlowProber(processings, buckets, g)
+        self.probes = 0
+
+    def probe(self, counts: Sequence[int]) -> bool:
+        fast = self.incremental.probe(counts)
+        slow = self.reference.probe(counts)
+        self.probes += 1
+        if fast != slow:
+            raise FlowMismatchError(
+                f"incremental={fast} vs reference={slow} on counts "
+                f"{tuple(counts)} (g={self.reference.g})",
+                counts=tuple(counts),
+                incremental=fast,
+                reference=slow,
+            )
+        return fast
+
+
+# ---------------------------------------------------------------------------
+# LP builds
+# ---------------------------------------------------------------------------
+
+
+def reference_nested_lp(
+    canonical: CanonicalInstance, thresholds: OptThresholds
+) -> LinearProgram:
+    """Per-row build of LP (1), one coefficient dict per constraint.
+
+    :func:`~repro.lp.nested_lp.build_nested_lp` must compile to the same
+    model (pass it the same ``thresholds``).
+    """
+    inst = canonical.instance
+    forest = canonical.forest
+    job_node = canonical.job_node
+    lp = LinearProgram(name=f"nested_lp({inst.name})")
+    for i in range(forest.m):
+        lp.add_var(_xname(i), objective=1.0)
+    admissible: dict[int, list[int]] = {}  # job id -> nodes it may use
+    for job in inst.jobs:
+        nodes = forest.descendants(job_node[job.id])
+        admissible[job.id] = nodes
+        for i in nodes:
+            lp.add_var(_yname(i, job.id))
+
+    # (2) every job fully scheduled.
+    for job in inst.jobs:
+        lp.add_constraint(
+            {_yname(i, job.id): 1.0 for i in admissible[job.id]},
+            ">=",
+            job.processing,
+            label=f"volume[{job.id}]",
+        )
+    # (3) node capacity g·x(i); (4) length cap; (5) per-job cap x(i).
+    per_node_jobs: dict[int, list[int]] = {i: [] for i in range(forest.m)}
+    for jid, nodes in admissible.items():
+        for i in nodes:
+            per_node_jobs[i].append(jid)
+    for i in range(forest.m):
+        coeffs = {_yname(i, jid): 1.0 for jid in per_node_jobs[i]}
+        coeffs[_xname(i)] = -float(inst.g)
+        lp.add_constraint(coeffs, "<=", 0.0, label=f"capacity[{i}]")
+        lp.add_constraint(
+            {_xname(i): 1.0}, "<=", float(forest.length(i)), label=f"length[{i}]"
+        )
+        for jid in per_node_jobs[i]:
+            lp.add_constraint(
+                {_yname(i, jid): 1.0, _xname(i): -1.0},
+                "<=",
+                0.0,
+                label=f"spread[{i},{jid}]",
+            )
+    # (7)-(8) ceiling constraints from OPT_i thresholds.
+    for i in range(forest.m):
+        omega = thresholds.value(i)
+        if omega >= 2:
+            lp.add_constraint(
+                {_xname(k): 1.0 for k in forest.descendants(i)},
+                ">=",
+                float(omega),
+                label=f"ceiling[{i}]>={omega}",
+            )
+    return lp
+
+
+def reference_cw_lp(instance: Instance) -> LinearProgram:
+    """Per-interval build of the Călinescu–Wang LP.
+
+    :func:`~repro.lp.cw_lp.build_cw_lp` must compile to the same model.
+    """
+    lp = build_natural_lp(instance)
+    lp.name = f"cw_lp({instance.name})"
+    horizon = instance.horizon
+    for t1 in range(horizon.start, horizon.end):
+        for t2 in range(t1 + 1, horizon.end + 1):
+            interval = Interval(t1, t2)
+            forced = sum(forced_occupancy(job, interval) for job in instance.jobs)
+            if forced <= 0:
+                continue
+            rhs = math.ceil(forced / instance.g)
+            lp.add_constraint(
+                {_slot_xname(t): 1.0 for t in range(t1, t2)},
+                ">=",
+                float(rhs),
+                label=f"ceil[{t1},{t2})>={rhs}",
+            )
+    return lp

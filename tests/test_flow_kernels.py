@@ -5,8 +5,9 @@ Four contracts:
 * the ``csr`` and ``object`` max-flow kernels agree exactly — values,
   per-edge flows, misuse guards — on random networks and on the real
   feasibility reductions;
-* the vectorized LP builders compile bit-identically to the historical
-  per-row reference builds (same :func:`model_fingerprint`);
+* the vectorized LP builders compile bit-identically to the per-row
+  reference builds in :mod:`repro.verify.reference` (same
+  :func:`model_fingerprint`);
 * the warm-started simplex returns the same optimum as a cold solve and
   records its hit-rate counters in ``solver_stats()``;
 * the misuse guards introduced in PR 4 survive the CSR migration with
@@ -20,16 +21,11 @@ import random
 import numpy as np
 import pytest
 
-from repro.flow.csr import (
-    DEFAULT_FLOW_KERNEL,
-    FLOW_KERNELS,
-    CSRMaxFlow,
-    flow_network,
-    get_flow_kernel,
-    set_flow_kernel,
-)
+from repro.flow import feasibility
+from repro.flow.csr import CSRMaxFlow
 from repro.flow.dinic import MaxFlow
 from repro.flow.feasibility import extract_schedule, slot_feasible
+from repro.flow.incremental import ClassFlowProber, DynamicFlowProber
 from repro.instances.generators import (
     deep_chain,
     random_general,
@@ -51,6 +47,12 @@ from repro.solver.service import (
     solver_stats,
 )
 from repro.tree.canonical import canonicalize
+from repro.verify.reference import reference_cw_lp, reference_nested_lp
+
+#: Both kernels, with the ids the guard-parity tests are reported under.
+KERNELS = pytest.mark.parametrize(
+    "kernel", [CSRMaxFlow, MaxFlow], ids=["csr", "object"]
+)
 
 
 def random_network(seed: int, n: int = 12, n_edges: int = 30):
@@ -66,24 +68,12 @@ def random_network(seed: int, n: int = 12, n_edges: int = 30):
 
 class TestKernelSelector:
     def test_default_is_csr(self):
-        assert DEFAULT_FLOW_KERNEL == "csr"
-        assert set(FLOW_KERNELS) == {"csr", "object"}
-
-    def test_set_and_restore(self):
-        prev = set_flow_kernel("object")
-        try:
-            assert get_flow_kernel() == "object"
-            assert isinstance(flow_network(2), MaxFlow)
-            assert not isinstance(flow_network(2), CSRMaxFlow)
-        finally:
-            set_flow_kernel(prev)
-        assert isinstance(flow_network(2, kernel="csr"), CSRMaxFlow)
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            set_flow_kernel("gpu")
-        with pytest.raises(ValueError):
-            flow_network(2, kernel="gpu")
+        inst = random_general(5, 2, horizon=12, seed=1)
+        net, *_ = feasibility._slot_network(inst, list(inst.slots()))
+        assert type(net) is CSRMaxFlow
+        assert type(ClassFlowProber([1], [[0]], 1).engine.net) is CSRMaxFlow
+        # The twin's prober stays on the object kernel.
+        assert type(DynamicFlowProber(1, 0, 1).engine.net) is MaxFlow
 
 
 class TestKernelEquivalence:
@@ -117,12 +107,10 @@ class TestKernelEquivalence:
     def test_feasibility_agrees_across_kernels(self, seed):
         inst = random_general(3 + seed, 1 + seed % 3, horizon=15, seed=seed)
         slots = list(inst.slots())[:: 1 + seed % 2]
-        prev = set_flow_kernel("object")
-        try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(feasibility, "CSRMaxFlow", MaxFlow)
             verdict_obj = slot_feasible(inst, slots)
             sched_obj = extract_schedule(inst, slots)
-        finally:
-            set_flow_kernel(prev)
         verdict_csr = slot_feasible(inst, slots)
         sched_csr = extract_schedule(inst, slots)
         assert verdict_obj == verdict_csr
@@ -134,9 +122,9 @@ class TestKernelEquivalence:
 class TestGuardParity:
     """PR 4's misuse guards must behave identically on both kernels."""
 
-    @pytest.mark.parametrize("kernel", FLOW_KERNELS)
+    @KERNELS
     def test_second_max_flow_raises(self, kernel):
-        net = flow_network(3, kernel=kernel)
+        net = kernel(3)
         net.add_edge(0, 1, 2)
         net.add_edge(1, 2, 2)
         assert net.max_flow(0, 2) == 2
@@ -145,26 +133,26 @@ class TestGuardParity:
         net.reset()
         assert net.max_flow(0, 2) == 2
 
-    @pytest.mark.parametrize("kernel", FLOW_KERNELS)
+    @KERNELS
     def test_odd_edge_flow_rejected(self, kernel):
-        net = flow_network(3, kernel=kernel)
+        net = kernel(3)
         eid = net.add_edge(0, 1, 2)
         net.max_flow(0, 1)
         with pytest.raises(ValueError, match="reverse edge"):
             net.edge_flow(eid + 1)
         assert net.edge_flow(eid) == 2
 
-    @pytest.mark.parametrize("kernel", FLOW_KERNELS)
+    @KERNELS
     def test_negative_capacity_rejected(self, kernel):
-        net = flow_network(3, kernel=kernel)
+        net = kernel(3)
         with pytest.raises(ValueError, match="negative capacity"):
             net.add_edge(0, 1, -1)
         with pytest.raises(ValueError, match="negative capacity"):
             net.add_edges([0, 1], [1, 2], [1, -4])
 
-    @pytest.mark.parametrize("kernel", FLOW_KERNELS)
+    @KERNELS
     def test_source_equals_sink_rejected(self, kernel):
-        net = flow_network(3, kernel=kernel)
+        net = kernel(3)
         with pytest.raises(ValueError, match="source equals sink"):
             net.max_flow(1, 1)
 
@@ -186,8 +174,8 @@ class TestVectorizedLPBuilds:
             4 + 2 * seed, 1 + seed % 3, horizon=30 + 5 * seed, seed=seed
         )
         can = canonicalize(inst)
-        lp_vec, th = build_nested_lp(can, vectorized=True)
-        lp_ref, _ = build_nested_lp(can, thresholds=th, vectorized=False)
+        lp_vec, th = build_nested_lp(can)
+        lp_ref = reference_nested_lp(can, th)
         fp_vec = model_fingerprint(lp_vec, lp_vec.compile(), ("chain",))
         fp_ref = model_fingerprint(lp_ref, lp_ref.compile(), ("chain",))
         assert fp_vec == fp_ref
@@ -196,8 +184,8 @@ class TestVectorizedLPBuilds:
 
     def test_nested_lp_fingerprint_identical_deep_chain(self):
         can = canonicalize(deep_chain(25, 2, seed=3))
-        lp_vec, th = build_nested_lp(can, vectorized=True)
-        lp_ref, _ = build_nested_lp(can, thresholds=th, vectorized=False)
+        lp_vec, th = build_nested_lp(can)
+        lp_ref = reference_nested_lp(can, th)
         assert model_fingerprint(
             lp_vec, lp_vec.compile(), ("chain",)
         ) == model_fingerprint(lp_ref, lp_ref.compile(), ("chain",))
@@ -207,8 +195,8 @@ class TestVectorizedLPBuilds:
         inst = random_general(
             3 + seed, 1 + seed % 2, horizon=10 + 3 * seed, seed=seed
         )
-        lp_vec = build_cw_lp(inst, vectorized=True)
-        lp_ref = build_cw_lp(inst, vectorized=False)
+        lp_vec = build_cw_lp(inst)
+        lp_ref = reference_cw_lp(inst)
         assert model_fingerprint(
             lp_vec, lp_vec.compile(), ("chain",)
         ) == model_fingerprint(lp_ref, lp_ref.compile(), ("chain",))

@@ -5,46 +5,50 @@ Covers the three layers of :mod:`repro.flow.incremental`:
 * :class:`IncrementalFlow` — capacity rebasing with flow repair on the
   raw network (the invariant: a valid flow of value ``value`` with
   ``flow ≤ capacity`` survives every mutation);
-* :class:`ClassFlowProber` and friends — bucket-level probing, backend
-  selection, and the differential cross-check;
-* a seeded fuzz sweep that pins the ``differential`` backend under the
+* :class:`ClassFlowProber` and friends — bucket-level probing, the
+  prober seam, and the differential cross-check;
+* a seeded fuzz sweep that builds the differential prober under the
   real consumers (greedy deactivation + exact search), so every probe
   the algorithms make is checked against the from-scratch reference.
 """
 
+import threading
+
 import pytest
 
-from repro.baselines.exact import BudgetExceeded, solve_exact
+from repro.baselines.exact import (
+    BudgetExceeded,
+    class_prober,
+    slot_classes,
+    solve_exact,
+)
 from repro.baselines.minimal_feasible import minimal_feasible_slots
+from repro.flow.csr import CSRMaxFlow
 from repro.flow.incremental import (
-    FLOW_BACKEND_ENV,
-    DifferentialFlowProber,
+    ClassFlowProber,
     DynamicFlowProber,
-    FlowMismatchError,
     IncrementalFlow,
-    get_flow_backend,
     flow_stats,
     flow_stats_delta,
     make_prober,
-    reference_probe,
     render_flow_stats,
-    set_flow_backend,
 )
+from repro.instances.generators import random_laminar
 from repro.util.errors import InfeasibleInstanceError
-from repro.verify.fuzz import FuzzConfig, sample_instance
-
-
-@pytest.fixture(autouse=True)
-def _unpinned_backend():
-    """Keep backend pins from leaking between tests."""
-    previous = set_flow_backend(None)
-    yield
-    set_flow_backend(previous)
+from repro.verify.fuzz import FuzzConfig, run_fuzz, sample_instance
+from repro.verify.oracle import verify_instance
+from repro.verify.reference import (
+    DifferentialFlowProber,
+    FlowMismatchError,
+    ReferenceFlowProber,
+    flow_prober,
+    reference_probe,
+)
 
 
 def _diamond():
     """s=0 → {1,2} → t=3 with unit-ish capacities; returns (engine, ids)."""
-    engine = IncrementalFlow(4, 0, 3)
+    engine = IncrementalFlow(CSRMaxFlow(4), 0, 3)
     ids = {
         "s1": engine.add_edge(0, 1, 2),
         "s2": engine.add_edge(0, 2, 2),
@@ -97,7 +101,7 @@ class TestIncrementalFlow:
         assert engine.value == 4
 
     def test_repair_to_zero_drains_everything(self):
-        engine = IncrementalFlow(3, 0, 2)
+        engine = IncrementalFlow(CSRMaxFlow(3), 0, 2)
         e1 = engine.add_edge(0, 1, 5)
         e2 = engine.add_edge(1, 2, 5)
         engine.augment()
@@ -223,37 +227,54 @@ class TestDynamicFlowProber:
 
 
 class TestBackendSelection:
-    def test_default_backend(self, monkeypatch):
-        monkeypatch.delenv(FLOW_BACKEND_ENV, raising=False)
-        assert get_flow_backend() == "incremental"
+    def test_default_backend(self):
+        assert type(make_prober([1], [[0]], 1)) is ClassFlowProber
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(FLOW_BACKEND_ENV, "reference")
-        assert get_flow_backend() == "reference"
-        assert make_prober([1], [[0]], 1).backend == "reference"
+    def test_flow_prober_scope_restores_default(self):
+        with flow_prober(ReferenceFlowProber):
+            assert type(make_prober([1], [[0]], 1)) is ReferenceFlowProber
+            with flow_prober(DifferentialFlowProber):
+                assert isinstance(
+                    make_prober([1], [[0]], 1), DifferentialFlowProber
+                )
+            assert type(make_prober([1], [[0]], 1)) is ReferenceFlowProber
+        assert type(make_prober([1], [[0]], 1)) is ClassFlowProber
 
-    def test_bad_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(FLOW_BACKEND_ENV, "bogus")
-        with pytest.raises(ValueError, match="bogus"):
-            get_flow_backend()
+    def test_cross_checked_fuzz_does_not_leak_into_other_threads(self):
+        """A campaign's cross-check scope stays in the campaign's thread.
 
-    def test_pin_beats_env(self, monkeypatch):
-        monkeypatch.setenv(FLOW_BACKEND_ENV, "reference")
-        previous = set_flow_backend("differential")
+        Thread A runs a cross-checked ``run_fuzz`` whose oracle blocks
+        mid-campaign; meanwhile this thread builds a prober and must get
+        the production :class:`ClassFlowProber`.
+        """
+        entered = threading.Event()
+        release = threading.Event()
+        seen: list[type] = []
+
+        def blocking_verify(instance, **kwargs):
+            seen.append(type(class_prober(instance, slot_classes(instance))))
+            entered.set()
+            assert release.wait(timeout=30)
+            return verify_instance(instance, **kwargs)
+
+        config = FuzzConfig(
+            n_instances=1, seed=3, family="laminar", max_jobs=5,
+            cross_check_flow=True,
+        )
+        campaign = threading.Thread(
+            target=run_fuzz, args=(config,), kwargs={"verify": blocking_verify}
+        )
+        campaign.start()
         try:
-            assert get_flow_backend() == "differential"
+            assert entered.wait(timeout=30)
+            instance = random_laminar(6, 2, seed=1)
+            prober = class_prober(instance, slot_classes(instance))
         finally:
-            set_flow_backend(previous)
-
-    def test_set_returns_previous_pin(self):
-        assert set_flow_backend("reference") is None
-        assert set_flow_backend(None) == "reference"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            set_flow_backend("bogus")
-        with pytest.raises(ValueError):
-            make_prober([1], [[0]], 1, backend="bogus")
+            release.set()
+            campaign.join(timeout=60)
+        assert not campaign.is_alive()
+        assert seen == [DifferentialFlowProber]
+        assert type(prober) is ClassFlowProber
 
     def test_render_flow_stats_mentions_counters(self):
         text = render_flow_stats(flow_stats())
@@ -267,8 +288,8 @@ class TestClassFlowProber:
     G = 2
 
     def _probers(self):
-        inc = make_prober(self.P, self.BUCKETS, self.G, backend="incremental")
-        ref = make_prober(self.P, self.BUCKETS, self.G, backend="reference")
+        inc = ClassFlowProber(self.P, self.BUCKETS, self.G)
+        ref = ReferenceFlowProber(self.P, self.BUCKETS, self.G)
         return inc, ref
 
     @pytest.mark.parametrize(
@@ -302,14 +323,13 @@ class TestClassFlowProber:
         assert delta["rebuilds_avoided"] == 2  # first probe builds
 
     def test_differential_prober_agrees_silently(self):
-        diff = make_prober(self.P, self.BUCKETS, self.G, backend="differential")
-        assert isinstance(diff, DifferentialFlowProber)
+        diff = DifferentialFlowProber(self.P, self.BUCKETS, self.G)
         for counts in [(2, 3), (1, 1), (0, 3)]:
             diff.probe(counts)
         assert diff.probes == 3
 
     def test_differential_prober_raises_on_disagreement(self, monkeypatch):
-        diff = make_prober(self.P, self.BUCKETS, self.G, backend="differential")
+        diff = DifferentialFlowProber(self.P, self.BUCKETS, self.G)
         monkeypatch.setattr(
             type(diff.reference), "probe", lambda self, counts: False
         )
@@ -337,12 +357,19 @@ def _sweep_instances(per_family: int):
 
 class TestDifferentialSweep:
     def test_consumers_agree_with_reference_on_every_probe(self):
-        """Greedy + exact under the differential backend: any verdict
+        """Greedy + exact under the differential prober: any verdict
         disagreement between the engines raises FlowMismatchError."""
-        previous = set_flow_backend("differential")
+        cross_checked = 0
+
+        class CountingProber(DifferentialFlowProber):
+            def probe(self, counts):
+                nonlocal cross_checked
+                cross_checked += 1
+                return super().probe(counts)
+
         before = flow_stats()
         checked = 0
-        try:
+        with flow_prober(CountingProber):
             for instance in _sweep_instances(40):
                 try:
                     minimal_feasible_slots(instance, order="densest_first")
@@ -351,44 +378,38 @@ class TestDifferentialSweep:
                 except (InfeasibleInstanceError, BudgetExceeded):
                     pass
                 checked += 1
-        finally:
-            set_flow_backend(previous)
         delta = flow_stats_delta(flow_stats(), before)
         assert checked == 120
-        assert delta["probes"] > 500  # every one cross-checked
-        assert delta["probes"] == delta["reference_probes"]
+        assert delta["probes"] > 500
+        assert cross_checked == delta["probes"]  # every one cross-checked
 
     def test_greedy_slots_identical_across_backends(self):
         for instance in _sweep_instances(10):
             results = {}
-            for backend in ("incremental", "reference"):
-                previous = set_flow_backend(backend)
-                try:
-                    results[backend] = minimal_feasible_slots(
-                        instance, order="right_to_left"
-                    )
-                except InfeasibleInstanceError:
-                    results[backend] = "infeasible"
-                finally:
-                    set_flow_backend(previous)
-            assert results["incremental"] == results["reference"]
+            for backend in (ClassFlowProber, ReferenceFlowProber):
+                with flow_prober(backend):
+                    try:
+                        results[backend] = minimal_feasible_slots(
+                            instance, order="right_to_left"
+                        )
+                    except InfeasibleInstanceError:
+                        results[backend] = "infeasible"
+            assert results[ClassFlowProber] == results[ReferenceFlowProber]
 
     def test_exact_outcome_identical_across_backends(self):
         for instance in _sweep_instances(6):
             if instance.n > 8:
                 continue
             outcomes = {}
-            for backend in ("incremental", "reference"):
-                previous = set_flow_backend(backend)
-                try:
-                    result = solve_exact(instance, node_budget=5000)
-                    outcomes[backend] = (
-                        result.optimum, result.nodes_explored
-                    )
-                except BudgetExceeded:
-                    outcomes[backend] = "budget"
-                except InfeasibleInstanceError:
-                    outcomes[backend] = "infeasible"
-                finally:
-                    set_flow_backend(previous)
-            assert outcomes["incremental"] == outcomes["reference"]
+            for backend in (ClassFlowProber, ReferenceFlowProber):
+                with flow_prober(backend):
+                    try:
+                        result = solve_exact(instance, node_budget=5000)
+                        outcomes[backend] = (
+                            result.optimum, result.nodes_explored
+                        )
+                    except BudgetExceeded:
+                        outcomes[backend] = "budget"
+                    except InfeasibleInstanceError:
+                        outcomes[backend] = "infeasible"
+            assert outcomes[ClassFlowProber] == outcomes[ReferenceFlowProber]

@@ -8,11 +8,21 @@ calls.  A separate fixture covers the process-pool path.
 
 from __future__ import annotations
 
+import http.client
 import json
+import os
+import re
+import signal
+import statistics
+import subprocess
+import sys
+import time
 import urllib.request
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis.parallel import WorkerPool
 from repro.core.algorithm import solve_nested
 from repro.instances.generators import random_general, random_laminar
@@ -339,6 +349,34 @@ class TestHttpContract:
             server.service.shutdown()
             thread.join(timeout=10)
 
+    def test_keep_alive_solves_do_not_stall(self, client, service):
+        # Headers and body are two small writes; with Nagle's algorithm
+        # on, every response after the first on one connection waited
+        # for the client's delayed ACK (~40 ms).
+        _, server = service
+        instance = Instance(
+            jobs=(Job(id=0, release=0, deadline=4, processing=2),
+                  Job(id=1, release=1, deadline=3, processing=1)),
+            g=2,
+            name="keep-alive",
+        )
+        body = json.dumps({"instance": instance_to_dict(instance)})
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+        elapsed = []
+        try:
+            for _ in range(10):
+                t0 = time.perf_counter()
+                conn.request(
+                    "POST", "/solve", body, {"Content-Type": "application/json"}
+                )
+                response = conn.getresponse()
+                response.read()
+                elapsed.append(time.perf_counter() - t0)
+                assert response.status == 200
+        finally:
+            conn.close()
+        assert statistics.median(elapsed) < 0.020
+
     def test_errors_are_counted_in_metrics(self, client):
         with pytest.raises(ClientError):
             client._request("GET", "/definitely-not-a-route")
@@ -516,6 +554,63 @@ class TestWorkerPoolPath:
             split=False,
         )
         assert served["degraded"] is True
+
+
+def _child_pids(pid: int) -> list[int]:
+    """Direct children of ``pid``, whichever of its threads forked them."""
+    return [
+        int(child)
+        for task in Path(f"/proc/{pid}/task").iterdir()
+        for child in (task / "children").read_text().split()
+    ]
+
+
+def _pid_alive(pid: int) -> bool:
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/task").exists(), reason="needs Linux /proc"
+)
+class TestServeProcess:
+    """The foreground ``active-time serve`` process and its pool."""
+
+    def test_sigterm_stops_pool_workers(self):
+        src = Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--workers", "2"],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        workers: list[int] = []
+        try:
+            port = int(re.search(r":(\d+) ", proc.stdout.readline()).group(1))
+            client = ServiceClient(f"http://127.0.0.1:{port}", timeout=120.0)
+            client.wait_healthy(timeout=30)
+            client.solve(random_laminar(6, 2, seed=1))  # starts the pool
+            workers = _child_pids(proc.pid)
+            assert workers, "the pooled solve started no worker process"
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline and any(map(_pid_alive, workers)):
+                time.sleep(0.05)
+            assert not [pid for pid in workers if _pid_alive(pid)]
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+            for pid in workers:
+                if _pid_alive(pid):
+                    os.kill(pid, signal.SIGKILL)
 
 
 class TestWorkerPool:
