@@ -20,16 +20,12 @@ import _bench_path  # noqa: F401
 import pytest
 
 from _bench_util import run_once
+from repro import obs
 from repro.analysis.parallel import run_battery
 from repro.analysis.tables import print_table
 from repro.benchkit import bench_main, register
 from repro.instances.generators import laminar_suite
-from repro.solver import (
-    SolverService,
-    set_service,
-    solver_stats,
-    stats_delta,
-)
+from repro.solver import SolverService, set_service, solver_stats
 
 _FULL_SIZES = (6, 10, 16, 24)
 _SMOKE_SIZES = (5, 8)
@@ -63,7 +59,7 @@ def run_cold_warm(sizes=_FULL_SIZES, seed=2022, task="solve_nested"):
             t0 = perf_counter()
             run_battery(instances, task, max_workers=1)
             wall = perf_counter() - t0
-            delta = stats_delta(solver_stats(), before)
+            delta = obs.delta(solver_stats(), before)
             rows.append(_phase_row(phase, wall, delta))
             deltas.append(delta)
             walls.append(wall)

@@ -26,15 +26,12 @@ import _bench_path  # noqa: F401
 import pytest
 
 from _bench_util import run_once
+from repro import obs
 from repro.analysis.tables import print_table
 from repro.baselines.exact import BudgetExceeded, solve_exact
 from repro.baselines.minimal_feasible import minimal_feasible_slots
 from repro.benchkit import bench_main, register
-from repro.flow.incremental import (
-    ClassFlowProber,
-    flow_stats,
-    flow_stats_delta,
-)
+from repro.flow.incremental import ClassFlowProber, flow_stats
 from repro.instances.generators import random_laminar
 from repro.util.errors import InfeasibleInstanceError
 from repro.verify.fuzz import FuzzConfig, sample_instance
@@ -67,7 +64,7 @@ _SWEEP_FAMILIES = ("laminar", "general", "tight")
 def _timed(prober: type, fn):
     """Best-of-``_REPS`` wall time of ``fn()`` with every probe on ``prober``.
 
-    Returns ``(wall_s, result, stats_delta)`` where the stats delta
+    Returns ``(wall_s, result, delta)`` where the counter delta
     covers the timed-best repetition only.
     """
     with flow_prober(prober):
@@ -81,7 +78,7 @@ def _timed(prober: type, fn):
             wall = perf_counter() - t0
             if wall < best:
                 best = wall
-                delta = flow_stats_delta(flow_stats(), before)
+                delta = obs.delta(flow_stats(), before)
         return best, result, delta
 
 
@@ -185,7 +182,7 @@ def run_agreement_sweep(per_family=_SWEEP_FULL, seed: int = 2022):
     except Exception:
         mismatches += 1
         raise
-    delta = flow_stats_delta(flow_stats(), before)
+    delta = obs.delta(flow_stats(), before)
     return checked, delta.get("probes", 0), mismatches
 
 

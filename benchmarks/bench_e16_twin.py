@@ -28,9 +28,10 @@ import _bench_path  # noqa: F401
 import pytest
 
 from _bench_util import run_once
+from repro import obs
 from repro.analysis.tables import print_table
 from repro.benchkit import bench_main, register
-from repro.flow.incremental import flow_stats, flow_stats_delta
+from repro.flow.incremental import flow_stats
 from repro.simulate.machine import BatchMachine
 from repro.twin import TwinSession, random_trace, twin_fingerprint
 from repro.verify.fuzz import TwinFuzzConfig, run_twin_fuzz
@@ -82,7 +83,7 @@ def _timed_replay(trace, backend: str):
         if wall < best:
             best = wall
             session = fresh
-            delta = flow_stats_delta(flow_stats(), before)
+            delta = obs.delta(flow_stats(), before)
     return best, session, delta
 
 

@@ -34,6 +34,7 @@ import _bench_path  # noqa: F401
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.analysis.tables import print_table
 from repro.baselines.exact import BudgetExceeded, solve_exact
 from repro.baselines.minimal_feasible import minimal_feasible_slots
@@ -41,7 +42,7 @@ from repro.benchkit import bench_main, register
 from repro.flow.csr import CSRMaxFlow
 from repro.flow.dinic import MaxFlow
 from repro.flow.feasibility import _slot_network
-from repro.flow.incremental import flow_stats, flow_stats_delta
+from repro.flow.incremental import flow_stats
 from repro.instances.generators import (
     deep_chain,
     random_general,
@@ -252,8 +253,7 @@ def run_warm_battery(seeds=_WARM_FULL):
         warm_values.append(lp.solve(backend="simplex").value)
     warm_wall = perf_counter() - t0
 
-    after = basis_cache_stats()
-    delta = {k: after[k] - before.get(k, 0) for k in after}
+    delta = obs.delta(basis_cache_stats(), before)
     agreements = sum(
         abs(c - w) <= 1e-9 for c, w in zip(cold_values, warm_values)
     )
@@ -316,7 +316,7 @@ def run_differential_sweep(per_family=_SWEEP_FULL, seed: int = 2022):
     except Exception:
         mismatches += 1
         raise
-    delta = flow_stats_delta(flow_stats(), before)
+    delta = obs.delta(flow_stats(), before)
     return (
         checked,
         delta.get("probes", 0),

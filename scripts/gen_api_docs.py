@@ -10,10 +10,10 @@ from pathlib import Path
 
 PACKAGES = [
     "repro", "repro.instances", "repro.tree", "repro.flow", "repro.lp",
-    "repro.solver", "repro.core", "repro.baselines", "repro.hardness",
-    "repro.analysis", "repro.corpus", "repro.simulate", "repro.twin",
-    "repro.multiinterval", "repro.online", "repro.policies", "repro.busytime",
-    "repro.verify", "repro.service", "repro.util",
+    "repro.solver", "repro.obs", "repro.core", "repro.baselines",
+    "repro.hardness", "repro.analysis", "repro.corpus", "repro.simulate",
+    "repro.twin", "repro.multiinterval", "repro.online", "repro.policies",
+    "repro.busytime", "repro.verify", "repro.service", "repro.util",
 ]
 
 

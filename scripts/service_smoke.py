@@ -3,7 +3,9 @@
 Boots ``active-time serve`` as a real subprocess on an ephemeral port,
 drives every endpoint through :class:`repro.service.client.ServiceClient`
 and asserts the served ``/solve`` answer round-trips *bit-identically*
-with ``active-time solve`` on the same instance.  Exits non-zero on any
+with ``active-time solve`` on the same instance, and that the pooled
+``/metrics`` solver/flow counters equal the sum of the ``solver``/``flow``
+deltas in the responses received.  Exits non-zero on any
 failure; the boot itself is bounded by ``--boot-timeout`` (CI uses the
 default 60s).
 
@@ -159,6 +161,25 @@ def main() -> int:
             failures.append(f"served fuzz campaign failed: {fuzz}")
 
         metrics = client.metrics()
+        # Every solve ran in a pool worker, so the server's counters are
+        # exactly the fold of the worker deltas its responses carried.
+        for family, counter in (("solver", "solves"), ("flow", "probes")):
+            name = f'repro_{family}_stats{{counter="{counter}"}}'
+            served_total = sum(
+                r[family][counter] for r in (served, verify, fuzz)
+            )
+            scraped = [
+                int(line.rpartition(" ")[2])
+                for line in metrics.splitlines()
+                if line.startswith(name + " ")
+            ]
+            if scraped != [served_total]:
+                failures.append(
+                    f"/metrics {name} reads {scraped}, but the responses' "
+                    f"{family} deltas sum to {served_total}"
+                )
+            else:
+                print(f"metrics: {name} = {served_total} (sum of deltas)")
         for needle in (
             'repro_requests_total{endpoint="solve"}',
             "repro_request_latency_seconds",

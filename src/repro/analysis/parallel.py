@@ -21,9 +21,7 @@ Two fan-out shapes:
 A failing task raises :class:`~repro.util.errors.BatteryTaskError`
 naming the task and the offending instance (name and battery index), so
 a crash in a large sweep is attributable; the original exception is
-chained.  Pass ``collect_stats=True`` to attach a per-instance solver
-service delta (solves, cache hits, backend counts, wall time) to each
-result dict under ``"solver_stats"``.
+chained.
 """
 
 from __future__ import annotations
@@ -109,16 +107,11 @@ def _task_profile(instance: Instance) -> dict[str, Any]:
 
 
 def _run_task(
-    task_name: str, instance: Instance, index: int, collect_stats: bool
+    task_name: str, instance: Instance, index: int
 ) -> dict[str, Any]:
-    """Run one task with failure context and optional stats delta."""
-    if collect_stats:
-        from repro.solver import solver_stats
-        from repro.solver.stats import stats_delta
-
-        before = solver_stats()
+    """Run one task, naming the instance if it fails."""
     try:
-        result = _TASKS[task_name](instance)
+        return _TASKS[task_name](instance)
     except BatteryTaskError:
         raise
     except Exception as exc:
@@ -129,24 +122,20 @@ def _run_task(
             instance=instance.name,
             index=index,
         ) from exc
-    if collect_stats:
-        result = dict(result)
-        result["solver_stats"] = stats_delta(solver_stats(), before)
-    return result
 
 
-def _worker(payload: tuple[str, dict, int, bool]) -> dict[str, Any]:
-    task_name, doc, index, collect_stats = payload
-    return _run_task(task_name, instance_from_dict(doc), index, collect_stats)
+def _worker(payload: tuple[str, dict, int]) -> dict[str, Any]:
+    task_name, doc, index = payload
+    return _run_task(task_name, instance_from_dict(doc), index)
 
 
 def _chunk_worker(
-    payload: tuple[str, list[tuple[dict, int]], bool]
+    payload: tuple[str, list[tuple[dict, int]]]
 ) -> list[dict[str, Any]]:
     """Process one chunk of (doc, index) pairs in a single round-trip."""
-    task_name, chunk, collect_stats = payload
+    task_name, chunk = payload
     return [
-        _run_task(task_name, instance_from_dict(doc), index, collect_stats)
+        _run_task(task_name, instance_from_dict(doc), index)
         for doc, index in chunk
     ]
 
@@ -158,17 +147,15 @@ def run_battery(
     max_workers: int | None = None,
     chunksize: int = 1,
     chunk_instances: int | None = None,
-    collect_stats: bool = False,
 ) -> list[dict[str, Any]]:
     """Run a registered task over instances with a process pool.
 
     Results come back in input order.  ``max_workers=1`` short-circuits
     to in-process execution (useful under debuggers and on single-core
     CI) without any serialization round-trip, keeping behaviour
-    identical.  With ``collect_stats=True`` every result dict carries a
-    ``"solver_stats"`` key: the solver service counters attributable to
-    that instance (a snapshot delta, valid both in-process and per
-    worker process).
+    identical.  To attribute solver work to a battery, take
+    :func:`repro.obs.delta` of :func:`repro.solver.solver_stats` around
+    an in-process (``max_workers=1``) call.
 
     ``chunk_instances=k`` switches to the chunked transport of
     :func:`stream_battery` (one pickled payload per ``k`` instances
@@ -183,18 +170,16 @@ def run_battery(
                 task,
                 chunk_instances=chunk_instances,
                 max_workers=max_workers,
-                collect_stats=collect_stats,
             )
         )
     if task not in _TASKS:
         raise ValueError(f"unknown task {task!r}; have {sorted(_TASKS)}")
     if max_workers == 1 or len(instances) <= 1:
         return [
-            _run_task(task, inst, idx, collect_stats)
-            for idx, inst in enumerate(instances)
+            _run_task(task, inst, idx) for idx, inst in enumerate(instances)
         ]
     payloads = [
-        (task, instance_to_dict(inst), idx, collect_stats)
+        (task, instance_to_dict(inst), idx)
         for idx, inst in enumerate(instances)
     ]
     with ProcessPoolExecutor(max_workers=max_workers) as pool:
@@ -226,7 +211,6 @@ def stream_battery(
     chunk_instances: int = 64,
     max_workers: int | None = None,
     inflight_chunks: int | None = None,
-    collect_stats: bool = False,
 ) -> Iterator[dict[str, Any]]:
     """Stream a registered task over an *iterable* of instances.
 
@@ -238,8 +222,7 @@ def stream_battery(
     width) chunks are submitted ahead of the consumer — memory stays
     bounded no matter how large the corpus.  Results are yielded in
     input order with semantics identical to :func:`run_battery`,
-    including :class:`~repro.util.errors.BatteryTaskError` context and
-    ``collect_stats`` deltas.
+    including :class:`~repro.util.errors.BatteryTaskError` context.
 
     ``max_workers=1`` short-circuits to in-process streaming (no
     serialization, no pool), which is also the deterministic-timing path
@@ -252,7 +235,7 @@ def stream_battery(
 
     if max_workers == 1:
         for index, inst in enumerate(instances):
-            yield _run_task(task, inst, index, collect_stats)
+            yield _run_task(task, inst, index)
         return
 
     with ProcessPoolExecutor(max_workers=max_workers) as pool:
@@ -267,7 +250,7 @@ def stream_battery(
                     exhausted = True
                     break
                 pending.append(
-                    pool.submit(_chunk_worker, (task, chunk, collect_stats))
+                    pool.submit(_chunk_worker, (task, chunk))
                 )
             if not pending:
                 return

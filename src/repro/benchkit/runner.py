@@ -59,12 +59,8 @@ def execute(
     """Run one registered benchmark and return its filled artifact."""
     if tier not in TIERS:
         raise ValueError(f"tier {tier!r} not in {TIERS}")
-    from repro.solver import (
-        SolverService,
-        set_service,
-        solver_stats,
-        stats_delta,
-    )
+    from repro import obs
+    from repro.solver import SolverService, set_service, solver_stats
 
     result = BenchResult(
         bench_id=spec.bench_id,
@@ -80,7 +76,7 @@ def execute(
         start = perf_counter()
         spec.fn(ctx)
         wall = perf_counter() - start
-        result.solver = stats_delta(solver_stats(), before)
+        result.solver = obs.delta(solver_stats(), before)
     finally:
         set_service(previous)
     result.add_timing("wall_s", wall)

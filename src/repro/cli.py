@@ -795,12 +795,56 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     code = args.func(args)
     if args.stats:
-        from repro.flow.incremental import flow_stats, render_flow_stats
-        from repro.solver import render_solver_stats, solver_stats
+        from repro.flow.incremental import flow_stats
+        from repro.solver import solver_stats
 
-        print(render_solver_stats(solver_stats()))
-        print(render_flow_stats(flow_stats()))
+        print(_render_stats(solver_stats(), flow_stats()))
     return code
+
+
+def _render_stats(solver: dict, flow: dict) -> str:
+    """The ``--stats`` block: solver service, then flow engine counters."""
+    from repro import obs
+
+    rows = [
+        ("lp solves", solver["solves"]),
+        ("cache hits", solver["cache_hits"]),
+        ("cache misses", solver["cache_misses"]),
+        ("fallbacks", solver["fallbacks"]),
+        ("retries", solver["retries"]),
+        ("failures", solver["failures"]),
+        ("rows solved", solver["rows"]),
+        ("cols solved", solver["cols"]),
+        ("wall time [s]", f"{solver['wall_time']:.4f}"),
+    ]
+    attempts = solver["simplex_warm_attempts"]
+    if attempts:
+        rejects = solver["simplex_warm_rejects"]
+        hits = solver["simplex_warm_hits"] - rejects
+        rows.append(
+            ("simplex warm starts", f"{hits}/{attempts} ({rejects} rejected)")
+        )
+    for name, per in sorted(solver["backends"].items()):
+        rows.append(
+            (
+                f"backend {name}",
+                f"{per['solves']} solves, {per['errors']} errors, "
+                f"{per['time']:.4f}s",
+            )
+        )
+    flow_rows = [
+        ("networks built", flow["networks_built"]),
+        ("probes", flow["probes"]),
+        ("rebuilds avoided", flow["rebuilds_avoided"]),
+        ("augmenting paths", flow["augmenting_paths"]),
+        ("flow units repaired", flow["units_repaired"]),
+        ("flow units augmented", flow["units_augmented"]),
+    ]
+    return (
+        obs.render("solver stats", rows)
+        + "\n"
+        + obs.render("flow engine stats", flow_rows)
+    )
 
 
 if __name__ == "__main__":

@@ -16,9 +16,7 @@ from repro.flow.incremental import (
     DynamicFlowProber,
     IncrementalFlow,
     flow_stats,
-    flow_stats_delta,
     make_prober,
-    render_flow_stats,
     reset_flow_stats,
 )
 
@@ -38,7 +36,5 @@ __all__ = [
     "DynamicFlowProber",
     "make_prober",
     "flow_stats",
-    "flow_stats_delta",
     "reset_flow_stats",
-    "render_flow_stats",
 ]

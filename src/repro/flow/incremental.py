@@ -39,59 +39,35 @@ by :data:`PROBER_CLASS` — :class:`ClassFlowProber` unless
 differential prober for the current context (a fuzz campaign, E15), so
 the swap never reaches another thread.
 
-Instrumentation mirrors the solver service: module-level counters
-(networks built, probes answered warm, augmenting paths, units repaired)
-are exposed through :func:`flow_stats` and the CLI ``--stats`` flag.
+Instrumentation mirrors the solver service: one process-wide
+:class:`repro.obs.Counters` group (networks built, probes answered warm,
+augmenting paths, units repaired) is exposed through :func:`flow_stats`
+and the CLI ``--stats`` flag.
 """
 
 from __future__ import annotations
 
 from contextvars import ContextVar
-from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Sequence
 
+from repro import obs
 from repro.flow.csr import CSRMaxFlow
 from repro.flow.dinic import MaxFlow
 from repro.util.errors import SolverError
 
 
 # ---------------------------------------------------------------------------
-# Instrumentation (solver-service-style module counters)
+# Instrumentation
 # ---------------------------------------------------------------------------
 
-
-@dataclass
-class FlowEngineStats:
-    """Mutable counters for the incremental flow engine (process-global)."""
-
-    networks_built: int = 0  # incremental networks constructed
-    probes: int = 0  # feasibility probes answered by the engine
-    rebuilds_avoided: int = 0  # probes answered warm (no fresh network)
-    augmenting_paths: int = 0  # paths pushed while re-augmenting
-    units_repaired: int = 0  # flow units cancelled by capacity drops
-    units_augmented: int = 0  # flow units pushed by re-augmentation
-
-    def snapshot(self) -> dict[str, int]:
-        """Plain-dict copy, safe to diff across further probes."""
-        return {
-            "networks_built": self.networks_built,
-            "probes": self.probes,
-            "rebuilds_avoided": self.rebuilds_avoided,
-            "augmenting_paths": self.augmenting_paths,
-            "units_repaired": self.units_repaired,
-            "units_augmented": self.units_augmented,
-        }
-
-    def reset(self) -> None:
-        self.networks_built = 0
-        self.probes = 0
-        self.rebuilds_avoided = 0
-        self.augmenting_paths = 0
-        self.units_repaired = 0
-        self.units_augmented = 0
-
-
-_STATS = FlowEngineStats()
+_STATS = obs.Counters(
+    networks_built=0,  # incremental networks constructed
+    probes=0,  # feasibility probes answered by the engine
+    rebuilds_avoided=0,  # probes answered warm (no fresh network)
+    augmenting_paths=0,  # paths pushed while re-augmenting
+    units_repaired=0,  # flow units cancelled by capacity drops
+    units_augmented=0,  # flow units pushed by re-augmentation
+)
 
 
 def flow_stats() -> dict[str, int]:
@@ -102,30 +78,6 @@ def flow_stats() -> dict[str, int]:
 def reset_flow_stats() -> None:
     """Zero the process-global flow engine counters."""
     _STATS.reset()
-
-
-def flow_stats_delta(
-    after: Mapping[str, int], before: Mapping[str, int]
-) -> dict[str, int]:
-    """``after - before`` for two :func:`flow_stats` snapshots."""
-    return {key: value - before.get(key, 0) for key, value in after.items()}
-
-
-def render_flow_stats(snap: Mapping[str, Any]) -> str:
-    """A compact aligned text block for the CLI ``--stats`` flag."""
-    rows = [
-        ("networks built", snap.get("networks_built", 0)),
-        ("probes", snap.get("probes", 0)),
-        ("rebuilds avoided", snap.get("rebuilds_avoided", 0)),
-        ("augmenting paths", snap.get("augmenting_paths", 0)),
-        ("flow units repaired", snap.get("units_repaired", 0)),
-        ("flow units augmented", snap.get("units_augmented", 0)),
-    ]
-    width = max(len(label) for label, _ in rows)
-    lines = ["flow engine stats"]
-    for label, value in rows:
-        lines.append(f"  {label.ljust(width)}  {value}")
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +105,7 @@ class IncrementalFlow:
         self.source = source
         self.sink = sink
         self.value = 0.0
-        _STATS.networks_built += 1
+        _STATS.add(networks_built=1)
 
     # -- construction ------------------------------------------------------
 
@@ -242,7 +194,7 @@ class IncrementalFlow:
                 net.cap[e ^ 1] -= slack
             remaining -= slack
         self.value -= excess
-        _STATS.units_repaired += int(excess)
+        _STATS.add(units_repaired=int(excess))
 
     def _flow_path(self, start: int, goal: int, *, incoming: bool) -> list[int]:
         """Original-edge ids of a flow-carrying path ``start`` → ``goal``.
@@ -291,8 +243,10 @@ class IncrementalFlow:
         before_paths = self.net.augment_paths
         pushed = self.net.augment(self.source, self.sink)
         self.value += pushed
-        _STATS.augmenting_paths += self.net.augment_paths - before_paths
-        _STATS.units_augmented += int(pushed)
+        _STATS.add(
+            augmenting_paths=self.net.augment_paths - before_paths,
+            units_augmented=int(pushed),
+        )
         return pushed
 
 
@@ -364,9 +318,7 @@ class ClassFlowProber:
                 f"got {len(counts)}"
             )
         engine = self.engine
-        _STATS.probes += 1
-        if self._probed:
-            _STATS.rebuilds_avoided += 1
+        _STATS.add(probes=1, rebuilds_avoided=int(self._probed))
         self._probed = True
         room, p = self._room, self._p
         for ci, c in enumerate(counts):
@@ -596,9 +548,7 @@ class DynamicFlowProber:
 
     def probe(self) -> bool:
         """Feasibility of the current (jobs, windows, open slots) state."""
-        _STATS.probes += 1
-        if self._probed:
-            _STATS.rebuilds_avoided += 1
+        _STATS.add(probes=1, rebuilds_avoided=int(self._probed))
         self._probed = True
         engine = self.engine
         if engine.value < self.total:

@@ -454,7 +454,7 @@ class LinearProgram:
         warm = cache.get(key)
         x, value = solver.solve(warm_basis=warm)
         if warm is not None and not solver.warm_start_used:
-            cache.note_reject()
+            cache.stats.add(simplex_warm_rejects=1)
         if solver.basis_ is not None:
             cache.put(key, solver.basis_)
         values = {name: float(x[i]) for name, i in self._var_index.items()}

@@ -107,28 +107,6 @@ class RequestStats:
             }
 
 
-def merge_counter_dicts(
-    into: dict[str, Any], delta: Mapping[str, Any]
-) -> None:
-    """Accumulate a stats *delta* dict into an aggregate, in place.
-
-    Handles the nested ``backends`` mapping the solver snapshot carries;
-    every other value is numeric and adds.
-    """
-    for key, value in delta.items():
-        if isinstance(value, Mapping):
-            sub = into.setdefault(key, {})
-            for name, inner in value.items():
-                if isinstance(inner, Mapping):
-                    slot = sub.setdefault(name, {})
-                    for k, v in inner.items():
-                        slot[k] = slot.get(k, 0) + v
-                else:
-                    sub[name] = sub.get(name, 0) + inner
-        else:
-            into[key] = into.get(key, 0) + value
-
-
 def _lines_for_counters(
     prefix: str, snap: Mapping[str, Any], help_text: str
 ) -> Iterable[str]:

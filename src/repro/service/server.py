@@ -33,19 +33,14 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
+from repro import obs
 from repro.analysis.parallel import WorkerPool
 from repro.baselines.exact import BudgetExceeded
-from repro.flow.incremental import flow_stats
 from repro.instances.io import instance_from_dict, instance_to_dict
 from repro.instances.jobs import Instance
 from repro.instances.transforms import split_independent
-from repro.service.metrics import (
-    RequestStats,
-    merge_counter_dicts,
-    render_prometheus,
-)
-from repro.service.workers import SOLVE_ALGORITHMS
-from repro.solver import solver_stats
+from repro.service.metrics import RequestStats, render_prometheus
+from repro.service.workers import SOLVE_ALGORITHMS, process_counters
 from repro.util.errors import (
     InfeasibleInstanceError,
     InvalidInstanceError,
@@ -111,9 +106,9 @@ class SchedulingService:
         self.split_jobs = split_jobs
         self.started = time.monotonic()
         self.request_stats = RequestStats()
-        self._pooled_lock = threading.Lock()
-        self._pooled_solver: dict[str, Any] = {}
-        self._pooled_flow: dict[str, Any] = {}
+        # Counter deltas returned by pool workers, whose own process-wide
+        # counters this process cannot read.
+        self._pooled = obs.Counters(solver={}, flow={})
 
     # -- worker-pool plumbing -----------------------------------------
 
@@ -130,14 +125,8 @@ class SchedulingService:
         """
         results = self.pool.map(worker, payloads)
         if not self.pool.in_process:
-            with self._pooled_lock:
-                for result in results:
-                    merge_counter_dicts(
-                        self._pooled_solver, result.get("solver", {})
-                    )
-                    merge_counter_dicts(
-                        self._pooled_flow, result.get("flow", {})
-                    )
+            for result in results:
+                self._pooled.add(solver=result["solver"], flow=result["flow"])
         return results
 
     # -- endpoints -----------------------------------------------------
@@ -197,8 +186,8 @@ class SchedulingService:
                 "instance": instance_to_dict(instance),
                 "assignment": assignment,
             },
-            "solver": _fold_deltas(results, "solver"),
-            "flow": _fold_deltas(results, "flow"),
+            "solver": obs.merge({}, *(r["solver"] for r in results)),
+            "flow": obs.merge({}, *(r["flow"] for r in results)),
         }
         if algorithm == "nested":
             response["lp_value"] = sum(r["lp_value"] for r in results)
@@ -262,8 +251,8 @@ class SchedulingService:
                 "instance": instance_to_dict(instance),
                 "assignment": result["schedule"]["assignment"],
             },
-            "solver": _fold_deltas(results, "solver"),
-            "flow": _fold_deltas(results, "flow"),
+            "solver": obs.merge({}, *(r["solver"] for r in results)),
+            "flow": obs.merge({}, *(r["flow"] for r in results)),
         }
 
     def verify(self, body: dict[str, Any]) -> dict[str, Any]:
@@ -321,8 +310,8 @@ class SchedulingService:
             "n_failures": merged["n_failures"],
             "failures": merged["failures"][:20],
             "shards": shards,
-            "solver": _fold_deltas(results, "solver"),
-            "flow": _fold_deltas(results, "flow"),
+            "solver": obs.merge({}, *(r["solver"] for r in results)),
+            "flow": obs.merge({}, *(r["flow"] for r in results)),
         }
 
     def healthz(self) -> dict[str, Any]:
@@ -336,15 +325,11 @@ class SchedulingService:
         }
 
     def metrics_text(self) -> str:
-        with self._pooled_lock:
-            solver_snap = dict(solver_stats())
-            merge_counter_dicts(solver_snap, self._pooled_solver)
-            flow_snap = dict(flow_stats())
-            merge_counter_dicts(flow_snap, self._pooled_flow)
+        counters = obs.merge(process_counters(), self._pooled.snapshot())
         return render_prometheus(
             self.request_stats.snapshot(),
-            solver_snap,
-            flow_snap,
+            counters["solver"],
+            counters["flow"],
             uptime_s=time.monotonic() - self.started,
             workers=self.pool_width,
         )
@@ -372,13 +357,6 @@ def _parse_instance(body: dict[str, Any]) -> Instance:
         return instance_from_dict(doc)
     except InvalidInstanceError as exc:
         raise ServiceError(str(exc)) from exc
-
-
-def _fold_deltas(results: list[dict], key: str) -> dict[str, Any]:
-    folded: dict[str, Any] = {}
-    for result in results:
-        merge_counter_dicts(folded, result.get(key, {}))
-    return folded
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -7,10 +7,11 @@ JSON-shaped payload dicts cross the process boundary — the same contract
 :func:`repro.analysis.parallel.run_jobs` uses for benchmark fan-out.
 
 Each worker returns a result dict that always carries ``solver`` and
-``flow`` stat *deltas* (the counters attributable to that unit of work
-in whichever process ran it).  The server merges pooled deltas into its
-own aggregate so ``/metrics`` reflects work done in worker processes,
-whose process-global counters would otherwise be invisible.
+``flow`` counter *deltas* (:func:`repro.obs.delta` of
+:func:`process_counters` around that unit of work, in whichever process
+ran it).  The server merges pooled deltas into its own aggregate so
+``/metrics`` reflects work done in worker processes, whose
+process-global counters would otherwise be invisible.
 
 The deadline contract lives in :func:`solve_part`: a request
 ``deadline_ms`` is mapped onto the branch-and-bound ``node_budget`` (the
@@ -24,14 +25,14 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.flow.incremental import flow_stats, flow_stats_delta
+from repro import obs
+from repro.flow.incremental import flow_stats
 from repro.instances.io import (
     instance_from_dict,
     instance_to_dict,
     schedule_to_dict,
 )
 from repro.solver import solver_stats
-from repro.solver.stats import stats_delta
 
 #: Conversion rate from a request deadline to a branch-and-bound node
 #: budget.  Deliberately conservative (the search expands well over
@@ -61,14 +62,9 @@ def node_budget_for(
     return max(1, int(deadline_ms * NODES_PER_MS))
 
 
-def _with_stat_deltas(fn):
-    """Run ``fn()`` and attach solver/flow stat deltas to its dict."""
-    solver_before = solver_stats()
-    flow_before = flow_stats()
-    result = fn()
-    result["solver"] = stats_delta(solver_stats(), solver_before)
-    result["flow"] = flow_stats_delta(flow_stats(), flow_before)
-    return result
+def process_counters() -> dict[str, Any]:
+    """This process's ``solver`` and ``flow`` counter snapshots."""
+    return {"solver": solver_stats(), "flow": flow_stats()}
 
 
 def _solve(doc: dict[str, Any], options: dict[str, Any]) -> dict[str, Any]:
@@ -140,7 +136,9 @@ def _solve(doc: dict[str, Any], options: dict[str, Any]) -> dict[str, Any]:
 def solve_part(payload: tuple[dict, dict]) -> dict[str, Any]:
     """Solve one (sub-)instance; the ``/solve`` fan-out unit."""
     doc, options = payload
-    return _with_stat_deltas(lambda: _solve(doc, options))
+    before = process_counters()
+    result = _solve(doc, options)
+    return {**result, **obs.delta(process_counters(), before)}
 
 
 def _verify(doc: dict[str, Any], options: dict[str, Any]) -> dict[str, Any]:
@@ -170,7 +168,9 @@ def _verify(doc: dict[str, Any], options: dict[str, Any]) -> dict[str, Any]:
 def verify_part(payload: tuple[dict, dict]) -> dict[str, Any]:
     """Run the differential oracle on one instance."""
     doc, options = payload
-    return _with_stat_deltas(lambda: _verify(doc, options))
+    before = process_counters()
+    result = _verify(doc, options)
+    return {**result, **obs.delta(process_counters(), before)}
 
 
 def fuzz_shard(payload: dict[str, Any]) -> dict[str, Any]:
@@ -184,17 +184,16 @@ def fuzz_shard(payload: dict[str, Any]) -> dict[str, Any]:
     """
     from repro.verify.fuzz import FuzzConfig, fuzz_report_dict, run_fuzz
 
-    def run() -> dict[str, Any]:
-        config = FuzzConfig(
-            n_instances=int(payload["n_instances"]),
-            seed=int(payload.get("seed", 0)),
-            family=payload.get("family", "mixed"),
-            max_jobs=int(payload.get("max_jobs", 12)),
-            exact_max_jobs=int(payload.get("exact_max_jobs", 8)),
-            shrink=False,  # shrinking is a CLI affordance, not a service one
-            shard_index=int(payload.get("shard_index", 0)),
-            shard_count=int(payload.get("shard_count", 1)),
-        )
-        return {"report": fuzz_report_dict(run_fuzz(config, out_dir=None))}
-
-    return _with_stat_deltas(run)
+    config = FuzzConfig(
+        n_instances=int(payload["n_instances"]),
+        seed=int(payload.get("seed", 0)),
+        family=payload.get("family", "mixed"),
+        max_jobs=int(payload.get("max_jobs", 12)),
+        exact_max_jobs=int(payload.get("exact_max_jobs", 8)),
+        shrink=False,  # shrinking is a CLI affordance, not a service one
+        shard_index=int(payload.get("shard_index", 0)),
+        shard_count=int(payload.get("shard_count", 1)),
+    )
+    before = process_counters()
+    report = fuzz_report_dict(run_fuzz(config, out_dir=None))
+    return {"report": report, **obs.delta(process_counters(), before)}

@@ -20,12 +20,10 @@ from repro.solver.service import (
     solve_lp,
     solver_stats,
 )
-from repro.solver.stats import SolverStats, render_solver_stats, stats_delta
 
 __all__ = [
     "SolverService",
     "SolveCache",
-    "SolverStats",
     "BACKENDS",
     "DEFAULT_CHAIN",
     "model_fingerprint",
@@ -40,6 +38,4 @@ __all__ = [
     "solver_stats",
     "reset_solver_stats",
     "clear_solver_cache",
-    "render_solver_stats",
-    "stats_delta",
 ]

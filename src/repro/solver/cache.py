@@ -33,6 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro import obs
 from repro.lp.backend import LPSolution
 
 
@@ -170,13 +171,14 @@ class BasisCache:
     Written by :meth:`repro.lp.backend.LinearProgram._solve_simplex`
     after every successful from-scratch simplex solve; read before the
     next solve of a structurally identical model to skip phase 1.
-    Counters feed ``solver_stats()`` as flat ``simplex_warm_*`` keys:
+    Its :attr:`stats` feed ``solver_stats()`` as flat keys:
 
-    * ``attempts`` — lookups (one per simplex solve);
-    * ``hits`` — lookups that found a candidate basis;
-    * ``rejects`` — candidates the solver refused (singular/infeasible
-      for the new rhs), i.e. hits that fell back to the cold path;
-    * ``stores`` — bases written back.
+    * ``simplex_warm_attempts`` — lookups (one per simplex solve);
+    * ``simplex_warm_hits`` — lookups that found a candidate basis;
+    * ``simplex_warm_rejects`` — candidates the solver refused
+      (singular/infeasible for the new rhs), i.e. hits that fell back
+      to the cold path;
+    * ``simplex_warm_stores`` — bases written back.
 
     The effective warm-start rate is ``(hits - rejects) / attempts``.
     """
@@ -187,23 +189,25 @@ class BasisCache:
         self.max_entries = max_entries
         self._entries: OrderedDict[str, tuple[int, ...]] = OrderedDict()
         self._lock = threading.Lock()
-        self.attempts = 0
-        self.hits = 0
-        self.rejects = 0
-        self.stores = 0
+        self.stats = obs.Counters(
+            simplex_warm_attempts=0,
+            simplex_warm_hits=0,
+            simplex_warm_rejects=0,
+            simplex_warm_stores=0,
+        )
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def get(self, key: str) -> list[int] | None:
         with self._lock:
-            self.attempts += 1
             basis = self._entries.get(key)
-            if basis is None:
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return list(basis)
+            if basis is not None:
+                self._entries.move_to_end(key)
+        self.stats.add(
+            simplex_warm_attempts=1, simplex_warm_hits=int(basis is not None)
+        )
+        return None if basis is None else list(basis)
 
     def put(self, key: str, basis: Sequence[int]) -> None:
         with self._lock:
@@ -211,33 +215,12 @@ class BasisCache:
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
-            self.stores += 1
-
-    def note_reject(self) -> None:
-        """Record that a handed-out basis was rejected by the solver."""
-        with self._lock:
-            self.rejects += 1
-
-    def counters(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "simplex_warm_attempts": self.attempts,
-                "simplex_warm_hits": self.hits,
-                "simplex_warm_rejects": self.rejects,
-                "simplex_warm_stores": self.stores,
-            }
-
-    def reset_counters(self) -> None:
-        with self._lock:
-            self.attempts = 0
-            self.hits = 0
-            self.rejects = 0
-            self.stores = 0
+        self.stats.add(simplex_warm_stores=1)
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-        self.reset_counters()
+        self.stats.reset()
 
 
 _BASIS_CACHE = BasisCache()
@@ -250,7 +233,7 @@ def basis_cache() -> BasisCache:
 
 def basis_cache_stats() -> dict[str, int]:
     """Flat ``simplex_warm_*`` counters, merged into ``solver_stats()``."""
-    return _BASIS_CACHE.counters()
+    return _BASIS_CACHE.stats.snapshot()
 
 
 def clear_basis_cache() -> None:

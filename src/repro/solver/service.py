@@ -4,7 +4,7 @@
 content-addressed :class:`~repro.solver.cache.SolveCache`, and on a miss
 walks a backend chain (HiGHS → from-scratch simplex by default) with
 per-backend retry and an optional wall-clock budget.  Every request is
-instrumented (:mod:`repro.solver.stats`).
+counted in a :class:`repro.obs.Counters` group.
 
 ``LinearProgram.solve`` delegates here, so all existing call sites — the
 9/5 pipeline, the lower bounds, the gap studies, the benchmarks — get
@@ -20,9 +20,9 @@ import threading
 from time import perf_counter
 from typing import Callable, Sequence
 
+from repro import obs
 from repro.lp.backend import LinearProgram, LPSolution
-from repro.solver.cache import SolveCache, model_fingerprint
-from repro.solver.stats import SolverStats, render_solver_stats, stats_delta
+from repro.solver.cache import SolveCache, basis_cache, model_fingerprint
 from repro.util.errors import SolverError
 
 #: Raw backend implementations.  Kept as a mutable registry so tests can
@@ -81,8 +81,19 @@ class SolverService:
         )
         self.attempts_per_backend = attempts_per_backend
         self.time_budget = time_budget
-        self.stats = SolverStats()
-        self._lock = threading.Lock()
+        self.stats = obs.Counters(
+            solves=0,  # solve requests (hits + misses)
+            cache_hits=0,
+            cache_misses=0,
+            fallbacks=0,  # solves answered by a non-primary backend
+            retries=0,  # extra attempts on the same backend
+            failures=0,  # requests where every backend failed
+            rows=0,  # constraint rows actually sent to a backend
+            cols=0,  # variable columns actually sent to a backend
+            wall_time=0.0,  # total time inside SolverService.solve
+            backends={},  # name -> {"solves", "errors", "time"}
+        )
+        self._lock = threading.Lock()  # guards the cache
 
     # -- solving -----------------------------------------------------------
 
@@ -108,16 +119,17 @@ class SolverService:
             key = model_fingerprint(lp, parts, chain)
             with self._lock:
                 hit = self.cache.get(key)
-                if hit is not None:
-                    self.stats.solves += 1
-                    self.stats.cache_hits += 1
-                    self.stats.wall_time += perf_counter() - t0
-                    return hit
-        with self._lock:
-            self.stats.solves += 1
-            self.stats.cache_misses += 1
-            self.stats.rows += lp.num_constraints
-            self.stats.cols += lp.num_vars
+            if hit is not None:
+                self.stats.add(
+                    solves=1, cache_hits=1, wall_time=perf_counter() - t0
+                )
+                return hit
+        self.stats.add(
+            solves=1,
+            cache_misses=1,
+            rows=lp.num_constraints,
+            cols=lp.num_vars,
+        )
 
         deadline = t0 + self.time_budget if self.time_budget else None
         causes: list[tuple[str, Exception]] = []
@@ -135,27 +147,31 @@ class SolverService:
                 try:
                     sol = BACKENDS[name](lp, parts, time_limit=remaining)
                 except SolverError as exc:
-                    with self._lock:
-                        self.stats.record_error(name)
                     causes.append((name, exc))
                     if getattr(exc, "kind", "backend") in _NO_FALLBACK_KINDS:
                         # The model itself is infeasible/unbounded — no
                         # other backend can disagree; surface as-is.
-                        with self._lock:
-                            self.stats.failures += 1
-                            self.stats.wall_time += perf_counter() - t0
+                        self.stats.add(
+                            backends=_backend_entry(name, errors=1),
+                            failures=1,
+                            wall_time=perf_counter() - t0,
+                        )
                         raise
-                    if attempt + 1 < self.attempts_per_backend:
-                        with self._lock:
-                            self.stats.retries += 1
+                    self.stats.add(
+                        backends=_backend_entry(name, errors=1),
+                        retries=int(attempt + 1 < self.attempts_per_backend),
+                    )
                     continue
-                with self._lock:
-                    self.stats.record_backend(name, perf_counter() - t_backend)
-                    if pos > 0:
-                        self.stats.fallbacks += 1
-                    if self.cache is not None and key is not None:
+                if self.cache is not None and key is not None:
+                    with self._lock:
                         self.cache.put(key, sol)
-                    self.stats.wall_time += perf_counter() - t0
+                self.stats.add(
+                    backends=_backend_entry(
+                        name, solves=1, time=perf_counter() - t_backend
+                    ),
+                    fallbacks=int(pos > 0),
+                    wall_time=perf_counter() - t0,
+                )
                 return sol
         return self._raise_chain_failure(lp, chain, causes, t0)
 
@@ -166,9 +182,7 @@ class SolverService:
         causes: list[tuple[str, Exception]],
         t0: float,
     ) -> LPSolution:
-        with self._lock:
-            self.stats.failures += 1
-            self.stats.wall_time += perf_counter() - t0
+        self.stats.add(failures=1, wall_time=perf_counter() - t0)
         detail = "; ".join(f"{name}: {exc}" for name, exc in causes)
         raise SolverError(
             f"LP {lp.name!r} failed on all backends {list(chain)} "
@@ -183,17 +197,22 @@ class SolverService:
     # -- introspection / control ------------------------------------------
 
     def stats_snapshot(self) -> dict:
-        with self._lock:
-            return self.stats.snapshot()
+        return self.stats.snapshot()
 
     def reset_stats(self) -> None:
-        with self._lock:
-            self.stats.reset()
+        self.stats.reset()
 
     def clear_cache(self) -> None:
         with self._lock:
             if self.cache is not None:
                 self.cache.clear()
+
+
+def _backend_entry(
+    name: str, *, solves: int = 0, errors: int = 0, time: float = 0.0
+) -> dict[str, dict]:
+    """A one-backend increment for the ``backends`` family."""
+    return {name: {"solves": solves, "errors": errors, "time": time}}
 
 
 # -- module-level default service -----------------------------------------
@@ -226,22 +245,16 @@ def solver_stats() -> dict:
 
     Includes the process-wide simplex warm-start counters
     (``simplex_warm_attempts`` / ``_hits`` / ``_rejects`` / ``_stores``
-    from :func:`repro.solver.cache.basis_cache_stats`) as flat keys, so
-    one snapshot covers both the solve cache and the basis cache.
+    of :func:`repro.solver.cache.basis_cache`) as flat keys, so one
+    snapshot covers both the solve cache and the basis cache.
     """
-    from repro.solver.cache import basis_cache_stats
-
-    snap = get_service().stats_snapshot()
-    snap.update(basis_cache_stats())
-    return snap
+    return {**get_service().stats_snapshot(), **basis_cache().stats.snapshot()}
 
 
 def reset_solver_stats() -> None:
     """Reset service counters *and* the warm-start counters."""
-    from repro.solver.cache import basis_cache
-
     get_service().reset_stats()
-    basis_cache().reset_counters()
+    basis_cache().stats.reset()
 
 
 def clear_solver_cache() -> None:
@@ -258,6 +271,4 @@ __all__ = [
     "solver_stats",
     "reset_solver_stats",
     "clear_solver_cache",
-    "render_solver_stats",
-    "stats_delta",
 ]

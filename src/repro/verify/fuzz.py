@@ -57,6 +57,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
+from repro import obs
 from repro.instances.jobs import Instance
 from repro.util.seeds import derive_seed
 from repro.verify.oracle import (
@@ -318,10 +319,9 @@ def run_fuzz(
     to rebuild their reports — so a rerun after a mid-campaign kill
     produces the identical :class:`FuzzResult`.
     """
-    from repro.flow.incremental import flow_stats, flow_stats_delta
+    from repro.flow.incremental import flow_stats
     from repro.instances.io import dump_instance
     from repro.solver.service import solver_stats
-    from repro.solver.stats import stats_delta
     from repro.verify.reference import DifferentialFlowProber, flow_prober
 
     result = FuzzResult(config=config)
@@ -338,8 +338,8 @@ def run_fuzz(
             config, result, verify, progress, checkpoint, checkpoint_every
         )
     result.wall_time_s = time.perf_counter() - t0
-    result.solver = stats_delta(solver_stats(), before)
-    result.flow = flow_stats_delta(flow_stats(), flow_before)
+    result.solver = obs.delta(solver_stats(), before)
+    result.flow = obs.delta(flow_stats(), flow_before)
 
     if out_dir is not None and result.failures:
         out = Path(out_dir)
@@ -597,22 +597,6 @@ def stable_fuzz_report(doc: dict[str, Any]) -> dict[str, Any]:
     }
 
 
-def _merge_numeric(docs: Sequence[Any]) -> Any:
-    """Sum numeric leaves across parallel stat blocks (dicts recurse)."""
-    first = docs[0]
-    if isinstance(first, dict):
-        keys: list[str] = []
-        for doc in docs:
-            keys += [k for k in doc if k not in keys]
-        return {
-            key: _merge_numeric([d[key] for d in docs if key in d])
-            for key in keys
-        }
-    if isinstance(first, bool) or not isinstance(first, (int, float)):
-        return first
-    return type(first)(sum(docs))
-
-
 def merge_fuzz_reports(docs: Sequence[dict[str, Any]]) -> dict[str, Any]:
     """Reassemble one campaign report from its shard reports.
 
@@ -673,8 +657,8 @@ def merge_fuzz_reports(docs: Sequence[dict[str, Any]]) -> dict[str, Any]:
         "failures": failures,
         "counterexample_paths": paths,
         "wall_time_s": sum(doc.get("wall_time_s", 0.0) for doc in docs),
-        "solver": _merge_numeric([doc.get("solver", {}) for doc in docs]),
-        "flow": _merge_numeric([doc.get("flow", {}) for doc in docs]),
+        "solver": obs.merge({}, *(doc.get("solver", {}) for doc in docs)),
+        "flow": obs.merge({}, *(doc.get("flow", {}) for doc in docs)),
         "environment": docs[0].get("environment", {}),
     }
 
@@ -832,7 +816,7 @@ def run_twin_fuzz(
     twin failure records are plain dicts, so the checkpoint carries the
     full partial result and a resume fast-forwards past finished traces.
     """
-    from repro.flow.incremental import flow_stats, flow_stats_delta
+    from repro.flow.incremental import flow_stats
     from repro.simulate.machine import BatchMachine
     from repro.twin import TwinSession, twin_fingerprint
     from repro.twin.session import TwinMismatchError
@@ -916,7 +900,7 @@ def run_twin_fuzz(
             checkpoint_path, config, result, config.n_traces, done=True
         )
     result.wall_time_s = time.perf_counter() - t0
-    result.flow = flow_stats_delta(flow_stats(), flow_before)
+    result.flow = obs.delta(flow_stats(), flow_before)
     return result
 
 

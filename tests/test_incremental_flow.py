@@ -16,6 +16,7 @@ import threading
 
 import pytest
 
+from repro import obs
 from repro.baselines.exact import (
     BudgetExceeded,
     class_prober,
@@ -29,9 +30,7 @@ from repro.flow.incremental import (
     DynamicFlowProber,
     IncrementalFlow,
     flow_stats,
-    flow_stats_delta,
     make_prober,
-    render_flow_stats,
 )
 from repro.instances.generators import random_laminar
 from repro.util.errors import InfeasibleInstanceError
@@ -139,7 +138,7 @@ class TestIncrementalFlow:
         engine.augment()
         engine.set_capacity(ids["1t"], 0)
         engine.augment()
-        delta = flow_stats_delta(flow_stats(), before)
+        delta = obs.delta(flow_stats(), before)
         assert delta["networks_built"] == 1
         assert delta["units_repaired"] == 2
         assert delta["units_augmented"] == 4
@@ -276,8 +275,12 @@ class TestBackendSelection:
         assert seen == [DifferentialFlowProber]
         assert type(prober) is ClassFlowProber
 
-    def test_render_flow_stats_mentions_counters(self):
-        text = render_flow_stats(flow_stats())
+    def test_render_flow_stats_mentions_counters(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = str(tmp_path / "inst.json")
+        assert main(["--stats", "generate", path, "--jobs", "4"]) == 0
+        text = capsys.readouterr().out.split("flow engine stats", 1)[1]
         assert "probes" in text and "repaired" in text
 
 
@@ -318,7 +321,7 @@ class TestClassFlowProber:
         inc.probe((2, 3))
         inc.probe((1, 3))
         inc.probe((1, 2))
-        delta = flow_stats_delta(flow_stats(), before)
+        delta = obs.delta(flow_stats(), before)
         assert delta["probes"] == 3
         assert delta["rebuilds_avoided"] == 2  # first probe builds
 
@@ -378,7 +381,7 @@ class TestDifferentialSweep:
                 except (InfeasibleInstanceError, BudgetExceeded):
                     pass
                 checked += 1
-        delta = flow_stats_delta(flow_stats(), before)
+        delta = obs.delta(flow_stats(), before)
         assert checked == 120
         assert delta["probes"] > 500
         assert cross_checked == delta["probes"]  # every one cross-checked

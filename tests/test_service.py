@@ -18,11 +18,13 @@ import subprocess
 import sys
 import time
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 import repro
+from repro import obs
 from repro.analysis.parallel import WorkerPool
 from repro.core.algorithm import solve_nested
 from repro.instances.generators import random_general, random_laminar
@@ -448,6 +450,47 @@ class TestMetricsEndpoint:
         assert "repro_queue_depth" in metrics
         assert "repro_service_uptime_seconds" in metrics
 
+    def test_counters_exact_under_concurrent_solves(self, client):
+        """N concurrent exact solves add exactly N × one solve's counters."""
+        path = "/solve?algorithm=exact"
+        body = {"instance": instance_to_dict(random_laminar(9, 2, seed=3))}
+
+        def scrape() -> dict[str, int]:
+            # Timing counters (wall_time, backend_time) cannot repeat.
+            return {
+                key: int(value)
+                for key, _, value in (
+                    line.rpartition(" ")
+                    for line in client.metrics().splitlines()
+                    if line.startswith(
+                        ("repro_solver_stats{", "repro_flow_stats{")
+                    )
+                    and "time" not in line
+                )
+            }
+
+        start = scrape()
+        single = client._post_json(path, body)
+        mid = scrape()
+        one = obs.delta(mid, start)
+        assert one['repro_flow_stats{counter="probes"}'] > 0
+        n = 8
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(n) as pool:
+                answers = list(
+                    pool.map(lambda _: client._post_json(path, body), range(n))
+                )
+        finally:
+            sys.setswitchinterval(previous)
+        assert [a["active_time"] for a in answers] == [
+            single["active_time"]
+        ] * n
+        assert obs.delta(scrape(), mid) == {
+            key: n * value for key, value in one.items()
+        }
+
     def test_counters_are_visible_immediately_after_response(self, service):
         client, server = service
         before = server.service.request_stats.snapshot()["requests"].get(
@@ -481,9 +524,14 @@ class TestMetricsEndpoint:
         stats = RequestStats()
         stats.record("solve", 200, 0.05, degraded=True, parts=3)
         stats.record("solve", 504, 0.01)
+        # Two pooled deltas folded the way the server folds them.
+        part = {
+            "solves": 1,
+            "backends": {"highs": {"solves": 1, "errors": 0, "time": 0.05}},
+        }
         text = render_prometheus(
             stats.snapshot(),
-            {"solves": 2, "backends": {"highs": {"solves": 2, "errors": 0, "time": 0.1}}},
+            obs.merge({}, part, part),
             {"probes": 5},
             uptime_s=1.5,
             workers=4,

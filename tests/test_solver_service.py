@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.analysis.parallel import register_task, run_battery
 from repro.core.algorithm import solve_nested
 from repro.instances.families import rigid_chain, section5_gap
@@ -22,7 +23,6 @@ from repro.solver import (
     model_fingerprint,
     set_service,
     solver_stats,
-    stats_delta,
 )
 from repro.util.errors import BatteryTaskError, SolverError
 
@@ -225,24 +225,10 @@ class TestStats:
         _toy_lp().solve()
         before = solver_stats()
         _toy_lp().solve()  # hit
-        delta = stats_delta(solver_stats(), before)
+        delta = obs.delta(solver_stats(), before)
         assert delta["solves"] == 1
         assert delta["cache_hits"] == 1
         assert delta["backends"] == {}  # no new backend work
-
-    def test_battery_collect_stats(self, fresh_service):
-        instances = [rigid_chain(3), rigid_chain(4)]
-        results = run_battery(
-            instances, "solve_nested", max_workers=1, collect_stats=True
-        )
-        assert all(r["solver_stats"]["solves"] >= 1 for r in results)
-        # Second pass over the same battery is pure cache.
-        warm = run_battery(
-            instances, "solve_nested", max_workers=1, collect_stats=True
-        )
-        for r in warm:
-            per_backend = r["solver_stats"]["backends"]
-            assert sum(p["solves"] for p in per_backend.values()) == 0
 
 
 class TestWarmBattery:
@@ -252,7 +238,7 @@ class TestWarmBattery:
         run_battery(instances, "solve_nested", max_workers=1)
         before = solver_stats()
         results = run_battery(instances, "solve_nested", max_workers=1)
-        delta = stats_delta(solver_stats(), before)
+        delta = obs.delta(solver_stats(), before)
         assert len(results) == len(instances)
         assert delta["solves"] == delta["cache_hits"] > 0
         assert delta["cache_misses"] == 0
