@@ -145,7 +145,6 @@ def run_battery(
     task: str,
     *,
     max_workers: int | None = None,
-    chunksize: int = 1,
     chunk_instances: int | None = None,
 ) -> list[dict[str, Any]]:
     """Run a registered task over instances with a process pool.
@@ -183,7 +182,7 @@ def run_battery(
         for idx, inst in enumerate(instances)
     ]
     with ProcessPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(_worker, payloads, chunksize=chunksize))
+        return list(pool.map(_worker, payloads))
 
 
 def _chunked(
@@ -332,7 +331,6 @@ def run_jobs(
     payloads: Sequence[Any],
     *,
     max_workers: int | None = None,
-    chunksize: int = 1,
 ) -> list[Any]:
     """Map a picklable-payload worker over a process pool.
 
@@ -349,4 +347,4 @@ def run_jobs(
         return [fn(p) for p in payloads]
     pairs = [(worker, p) for p in payloads]
     with ProcessPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(_dispatch, pairs, chunksize=chunksize))
+        return list(pool.map(_dispatch, pairs))

@@ -425,6 +425,7 @@ def _cmd_policies_leaderboard(args: argparse.Namespace) -> int:
 
 def _cmd_policies_sweep(args: argparse.Namespace) -> int:
     import json as _json
+    from dataclasses import asdict
 
     from repro.corpus.store import iter_corpus, parse_shard
     from repro.policies import feasibility_sweep
@@ -442,16 +443,8 @@ def _cmd_policies_sweep(args: argparse.Namespace) -> int:
     for violation in report.violations:
         print(f"VIOLATION: {violation}", file=sys.stderr)
     if args.report:
-        payload = {
-            "instances": report.instances,
-            "runs": report.runs,
-            "solved": report.solved,
-            "failed": report.failed,
-            "unsupported": report.unsupported,
-            "violations": report.violations,
-        }
         with open(args.report, "w") as fh:
-            _json.dump(payload, fh, indent=2)
+            _json.dump(asdict(report), fh, indent=2)
         print(f"wrote {args.report}")
     return 0 if report.ok else 1
 

@@ -37,6 +37,7 @@ from typing import Any, Iterator
 from repro.instances.io import instance_from_dict, instance_to_dict
 from repro.instances.jobs import Instance
 from repro.util.errors import CorpusError
+from repro.util.seeds import check_shard
 
 #: Bumped when the entry/manifest layout changes incompatibly.
 CORPUS_SCHEMA_VERSION = 1
@@ -206,10 +207,7 @@ def parse_shard(spec: str) -> tuple[int, int]:
         raise CorpusError(
             f"shard spec {spec!r} must look like 'i/n' (e.g. '0/3')"
         ) from None
-    if count < 1 or not 0 <= index < count:
-        raise CorpusError(
-            f"shard spec {spec!r} out of range: need 0 <= i < n"
-        )
+    check_shard(index, count, CorpusError)
     return index, count
 
 
@@ -238,12 +236,7 @@ def iter_corpus(
             path=str(corpus_dir),
         )
     if shard is not None:
-        shard_index, shard_count = shard
-        if shard_count < 1 or not 0 <= shard_index < shard_count:
-            raise CorpusError(
-                f"invalid shard {shard!r}: need 0 <= i < n",
-                path=str(corpus_dir),
-            )
+        check_shard(*shard, CorpusError)
     expected = manifest["entries"]
     offset = 0
     with entries_path.open("r", encoding="utf-8") as fh:

@@ -305,6 +305,10 @@ class TwinLookahead(OnlinePolicy):
         if self._twin is None:
             self._twin = TwinSession(g, start=t, backend=self.backend)
         twin = self._twin
+        # Commit the slots before t first: an arrival applied while the
+        # clock still reads t-1 may re-plan slot t-1 after the harness ran
+        # it, and the twin's history would then drift from the replay.
+        twin.apply(SlotTick(until=t))
         for job in pending:
             if job.id not in self._seen:
                 self._seen.add(job.id)
@@ -319,7 +323,6 @@ class TwinLookahead(OnlinePolicy):
                     ),
                     strict=True,
                 )
-        twin.apply(SlotTick(until=t))
         batch = sorted(
             jid
             for jid, slots in twin.planned_assignment().items()

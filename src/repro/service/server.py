@@ -61,6 +61,11 @@ DEFAULT_SPLIT_JOBS = 64
 #: Cap on instances a single ``/fuzz`` request may ask for.
 MAX_FUZZ_INSTANCES = 2_000
 
+#: Cap on a ``/fuzz`` request's ``max_jobs``, 5x the CLI default of 12.
+#: Generation cost grows quadratically in the drawn job count, so an
+#: uncapped value lets one small request run for minutes.
+MAX_FUZZ_JOBS = 60
+
 
 class ServiceError(ReproError):
     """A request the service refuses; carries the HTTP status to send."""
@@ -84,6 +89,17 @@ def _reject_bool(body: dict[str, Any], *names: str) -> None:
             raise ServiceError(
                 f"{name} must be a number, not a boolean", status=422
             )
+
+
+def _capped(body: dict[str, Any], name: str, default: int, cap: int) -> int:
+    """``body[name]`` (or ``default``), refused (400) unless in ``1..cap``."""
+    value = body.get(name, default)
+    if not isinstance(value, int) or not 1 <= value <= cap:
+        raise ServiceError(
+            f"{name} must be an integer in 1..{cap} per request "
+            f"(got {value!r}); run larger campaigns via the CLI"
+        )
+    return value
 
 
 class SchedulingService:
@@ -275,20 +291,14 @@ class SchedulingService:
         _reject_bool(
             body, "n_instances", "seed", "max_jobs", "exact_max_jobs"
         )
-        n_instances = body.get("n_instances", 100)
-        if not isinstance(n_instances, int) or n_instances < 1:
-            raise ServiceError("n_instances must be a positive integer")
-        if n_instances > MAX_FUZZ_INSTANCES:
-            raise ServiceError(
-                f"n_instances capped at {MAX_FUZZ_INSTANCES} per request "
-                f"(got {n_instances}); run larger campaigns via the CLI"
-            )
+        n_instances = _capped(body, "n_instances", 100, MAX_FUZZ_INSTANCES)
+        max_jobs = _capped(body, "max_jobs", 12, MAX_FUZZ_JOBS)
         shards = max(1, min(self.pool_width, n_instances))
         base = {
             "n_instances": n_instances,
             "seed": body.get("seed", 0),
             "family": body.get("family", "mixed"),
-            "max_jobs": body.get("max_jobs", 12),
+            "max_jobs": max_jobs,
             "exact_max_jobs": body.get("exact_max_jobs", 8),
             "shard_count": shards,
         }

@@ -1,4 +1,4 @@
-"""Deterministic per-item seed derivation for campaigns and corpora.
+"""Deterministic per-item seeds and shard specs for campaigns and corpora.
 
 Every randomized campaign in the repo (fuzz sweeps, twin replay fuzzing,
 corpus builds) derives a per-item RNG seed from ``(campaign seed, item
@@ -33,3 +33,18 @@ def derive_seed(campaign_seed: int, index: int) -> int:
     isolation, and shards of one campaign agree on every item they share.
     """
     return (campaign_seed * SEED_STRIDE + index) & SEED_MASK
+
+
+def check_shard(
+    index: int, count: int, error: type[Exception] = ValueError
+) -> None:
+    """Raise ``error`` unless ``index``/``count`` names a campaign shard.
+
+    A shard ``i/n`` owns the items with ``item index % n == i``, so it
+    needs ``0 <= i < n``.
+    """
+    if not 0 <= index < count:
+        raise error(
+            f"invalid shard {index}/{count}: "
+            "need 0 <= shard_index < shard_count"
+        )

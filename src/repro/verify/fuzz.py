@@ -37,14 +37,10 @@ Scale features (corpus-backed campaigns):
   is checked against the campaign seed/family/caps, and every entry key
   is checked against :func:`~repro.util.seeds.derive_seed` — key drift
   is a hard error, not silent wrong coverage);
-* ``FuzzConfig.shard_index / shard_count`` deterministically split one
-  campaign across CI jobs or machines (instance ``index % count ==
-  shard_index``); the union of all shards is exactly the unsharded
-  campaign and :func:`merge_fuzz_reports` reassembles their reports;
-* ``run_fuzz(..., checkpoint=path)`` makes a campaign resumable: the
-  loop persists progress (keyed by campaign offsets) every
-  ``checkpoint_every`` instances, and a rerun after a mid-campaign kill
-  fast-forwards and reproduces the identical result.
+* sharding (``FuzzConfig.shard_index / shard_count``, reassembled by
+  :func:`merge_fuzz_reports`) and resume (``run_fuzz(...,
+  checkpoint=path)``) come from the campaign engine in
+  :mod:`repro.verify.campaign`, which twin fuzzing shares.
 """
 
 from __future__ import annotations
@@ -55,27 +51,18 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator
 
 from repro import obs
 from repro.instances.jobs import Instance
-from repro.util.seeds import derive_seed
+from repro.util.seeds import check_shard, derive_seed
+from repro.verify.campaign import Campaign, shard_range
 from repro.verify.oracle import (
     DEFAULT_EXACT_MAX_JOBS,
     OracleReport,
     verify_instance,
 )
 from repro.verify.shrinker import shrink_instance
-
-#: Schema marker for fuzz reports (separate from BenchResult's schema —
-#: fuzz campaigns are not benchmarks and carry no ``bench_id``).
-#: v2: config block gained ``corpus`` / ``shard_index`` / ``shard_count``.
-#: v3: config block's ``flow_backend`` replaced by ``cross_check_flow``.
-FUZZ_SCHEMA_VERSION = 3
-
-#: Schema marker for resume checkpoints written by :func:`run_fuzz` /
-#: :func:`run_twin_fuzz`.
-CHECKPOINT_SCHEMA_VERSION = 1
 
 FAMILIES = ("laminar", "general", "tight", "mixed")
 
@@ -114,11 +101,7 @@ class FuzzConfig:
             raise ValueError("n_instances must be >= 1")
         if self.max_jobs < 1:
             raise ValueError("max_jobs must be >= 1")
-        if self.shard_count < 1 or not 0 <= self.shard_index < self.shard_count:
-            raise ValueError(
-                f"invalid shard {self.shard_index}/{self.shard_count}: "
-                "need 0 <= shard_index < shard_count"
-            )
+        check_shard(self.shard_index, self.shard_count)
 
 
 @dataclass
@@ -244,9 +227,7 @@ def campaign_instances(
     regenerating campaigns interchangeable.
     """
     if config.corpus is None:
-        for index in range(config.n_instances):
-            if index % config.shard_count != config.shard_index:
-                continue
+        for index in shard_range(config, config.n_instances):
             yield index, campaign_family(config.family, index), (
                 sample_instance(config, index)
             )
@@ -276,13 +257,10 @@ def campaign_instances(
             f"entries but the campaign wants {config.n_instances}",
             path=str(config.corpus),
         )
-    shard = (
-        (config.shard_index, config.shard_count)
-        if config.shard_count > 1
-        else None
-    )
     for entry in iter_corpus(
-        config.corpus, shard=shard, limit=config.n_instances
+        config.corpus,
+        shard=(config.shard_index, config.shard_count),
+        limit=config.n_instances,
     ):
         expected_seed = derive_seed(config.seed, entry.key.index)
         if entry.key.seed != expected_seed or entry.key.index != entry.offset:
@@ -295,6 +273,16 @@ def campaign_instances(
                 offset=entry.offset,
             )
         yield entry.key.index, entry.key.family, entry.instance()
+
+
+#: The instance-fuzz campaign kind (see :mod:`repro.verify.campaign`).
+FUZZ_CAMPAIGN = Campaign(
+    "fuzz",
+    counters=("checked", "skipped_infeasible"),
+    failures=("failures",),
+    index_key="index",
+    volatile=("counterexample_paths", "wall_time_s", "solver", "flow"),
+)
 
 
 def run_fuzz(
@@ -334,8 +322,13 @@ def run_fuzz(
     )
     t0 = time.perf_counter()
     with scope:
-        _run_campaign(
-            config, result, verify, progress, checkpoint, checkpoint_every
+        FUZZ_CAMPAIGN.run(
+            result,
+            campaign_instances(config),
+            lambda tally, entry: _verify_one(tally, entry, verify, progress),
+            checkpoint=checkpoint,
+            every=checkpoint_every,
+            progress=progress,
         )
     result.wall_time_s = time.perf_counter() - t0
     result.solver = obs.delta(solver_stats(), before)
@@ -354,97 +347,30 @@ def run_fuzz(
     return result
 
 
-def _config_dict(config: FuzzConfig) -> dict[str, Any]:
-    """The report/checkpoint form of a campaign config."""
-    return {
-        "n_instances": config.n_instances,
-        "seed": config.seed,
-        "family": config.family,
-        "max_jobs": config.max_jobs,
-        "exact_max_jobs": config.exact_max_jobs,
-        "shrink": config.shrink,
-        "backend": config.backend,
-        "cross_check_flow": config.cross_check_flow,
-        "corpus": config.corpus,
-        "shard_index": config.shard_index,
-        "shard_count": config.shard_count,
-    }
-
-
-def load_checkpoint(
-    path: str | Path, config: FuzzConfig
-) -> dict[str, Any] | None:
-    """Read a resume checkpoint, validating it belongs to ``config``.
-
-    Returns ``None`` when the file does not exist (a fresh campaign).  A
-    checkpoint written under a *different* config is an error — resuming
-    it would silently mix two campaigns' coverage.
-    """
-    path = Path(path)
-    if not path.exists():
-        return None
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"fuzz checkpoint {path} is not valid JSON: {exc}"
-        ) from exc
-    if doc.get("kind") != "fuzz-checkpoint":
-        raise ValueError(f"{path} is not a fuzz checkpoint")
-    if doc.get("config") != _config_dict(config):
-        raise ValueError(
-            f"fuzz checkpoint {path} was written by a different campaign "
-            f"config; refusing to resume (delete it to start over)"
-        )
-    return doc
-
-
-def _write_checkpoint(
-    path: Path,
-    config: FuzzConfig,
-    result: FuzzResult,
-    next_index: int,
-    done: bool,
-) -> None:
-    payload = {
-        "kind": "fuzz-checkpoint",
-        "schema_version": CHECKPOINT_SCHEMA_VERSION,
-        "config": _config_dict(config),
-        "next_index": next_index,
-        "checked": result.checked,
-        "skipped_infeasible": result.skipped_infeasible,
-        "failure_indices": [f.index for f in result.failures],
-        "done": done,
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2))
-    tmp.replace(path)  # atomic: a kill mid-write never corrupts it
+#: Read a :func:`run_fuzz` resume checkpoint, validating it belongs to
+#: the config.
+load_checkpoint = FUZZ_CAMPAIGN.load_checkpoint
 
 
 def _verify_one(
-    config: FuzzConfig,
     result: FuzzResult,
+    entry: tuple[int, str, Instance],
     verify: Callable[..., OracleReport],
     progress: Callable[[str], None] | None,
-    index: int,
-    family: str,
-    instance: Instance,
-    *,
-    count: bool = True,
 ) -> None:
-    """Oracle one instance; record counters (unless replaying) and failures."""
+    """Oracle one ``(index, family, instance)`` entry; record its
+    counters and any failure."""
+    index, family, instance = entry
+    config = result.config
     report = verify(
         instance,
         exact_max_jobs=config.exact_max_jobs,
         backend=config.backend,
     )
     if report.status == "infeasible":
-        if count:
-            result.skipped_infeasible += 1
+        result.skipped_infeasible += 1
         return
-    if count:
-        result.checked += 1
+    result.checked += 1
     if not report.failed:
         return
     failure = FuzzFailure(index=index, family=family, report=report)
@@ -471,74 +397,13 @@ def _verify_one(
         )
 
 
-def _run_campaign(
-    config: FuzzConfig,
-    result: FuzzResult,
-    verify: Callable[..., OracleReport],
-    progress: Callable[[str], None] | None,
-    checkpoint: str | Path | None = None,
-    checkpoint_every: int = 50,
-) -> None:
-    """The campaign loop proper (the flow cross-check scope is the caller's).
-
-    One pass over :func:`campaign_instances` covers both the fresh and
-    the resumed case: indices below the checkpoint's ``next_index`` are
-    fast-forwarded (recorded failures re-verified without bumping
-    counters — deterministic, so the reconstructed reports are the ones
-    the killed run saw), everything after runs normally with periodic
-    checkpoint writes.
-    """
-    next_index = 0
-    replay_failures: set[int] = set()
-    checkpoint_path = Path(checkpoint) if checkpoint is not None else None
-    if checkpoint_path is not None:
-        state = load_checkpoint(checkpoint_path, config)
-        if state is not None:
-            next_index = state["next_index"]
-            result.checked = state["checked"]
-            result.skipped_infeasible = state["skipped_infeasible"]
-            replay_failures = set(state["failure_indices"])
-            if progress is not None:
-                progress(
-                    f"resuming campaign at index {next_index} "
-                    f"({result.checked} checked, "
-                    f"{len(replay_failures)} known failure(s))"
-                )
-    processed = 0
-    for index, family, instance in campaign_instances(config):
-        if index < next_index:
-            if index in replay_failures:
-                _verify_one(
-                    config, result, verify, progress,
-                    index, family, instance, count=False,
-                )
-            continue
-        _verify_one(config, result, verify, progress, index, family, instance)
-        processed += 1
-        if checkpoint_path is not None and processed % checkpoint_every == 0:
-            _write_checkpoint(
-                checkpoint_path, config, result, index + 1, done=False
-            )
-    if checkpoint_path is not None:
-        _write_checkpoint(
-            checkpoint_path, config, result, config.n_instances, done=True
-        )
-
-
 def fuzz_report_dict(result: FuzzResult) -> dict[str, Any]:
     """JSON-compatible campaign report (benchkit-style provenance)."""
-    from repro.benchkit.result import environment_fingerprint
+    from repro.instances.io import instance_to_dict
 
-    config = result.config
-    return {
-        "schema_version": FUZZ_SCHEMA_VERSION,
-        "kind": "fuzz-report",
-        "config": _config_dict(config),
-        "checked": result.checked,
-        "skipped_infeasible": result.skipped_infeasible,
-        "n_failures": len(result.failures),
-        "ok": result.ok,
-        "failures": [
+    return FUZZ_CAMPAIGN.report(
+        result,
+        failures=[
             {
                 "index": f.index,
                 "family": f.family,
@@ -550,22 +415,11 @@ def fuzz_report_dict(result: FuzzResult) -> dict[str, Any]:
                 "original_n": f.report.instance.n,
                 "shrunk_n": f.minimal.n,
                 "shrink_evals": f.shrink_evals,
-                "instance": _instance_dict(f.minimal),
+                "instance": instance_to_dict(f.minimal),
             }
             for f in result.failures
         ],
-        "counterexample_paths": result.counterexample_paths,
-        "wall_time_s": result.wall_time_s,
-        "solver": result.solver,
-        "flow": result.flow,
-        "environment": environment_fingerprint(),
-    }
-
-
-def _instance_dict(instance: Instance) -> dict[str, Any]:
-    from repro.instances.io import instance_to_dict
-
-    return instance_to_dict(instance)
+    )
 
 
 def write_fuzz_report(result: FuzzResult, path: str | Path) -> None:
@@ -575,13 +429,8 @@ def write_fuzz_report(result: FuzzResult, path: str | Path) -> None:
 
 #: Report keys that vary run to run (clocks, hardware, process warmth,
 #: output paths) — everything else must be bit-for-bit reproducible.
-VOLATILE_REPORT_KEYS = (
-    "wall_time_s",
-    "solver",
-    "flow",
-    "environment",
-    "counterexample_paths",
-)
+#: They cover the twin reports' volatile keys too.
+VOLATILE_REPORT_KEYS = (*FUZZ_CAMPAIGN.volatile, "environment")
 
 
 def stable_fuzz_report(doc: dict[str, Any]) -> dict[str, Any]:
@@ -597,70 +446,8 @@ def stable_fuzz_report(doc: dict[str, Any]) -> dict[str, Any]:
     }
 
 
-def merge_fuzz_reports(docs: Sequence[dict[str, Any]]) -> dict[str, Any]:
-    """Reassemble one campaign report from its shard reports.
-
-    The shards must cover one campaign exactly: same base config, one
-    report per ``shard_index`` in ``0..shard_count-1``.  The merged
-    report carries the unsharded config (``0/1``) and — apart from the
-    volatile keys, where counters sum and the environment is taken from
-    the first shard — equals the report an unsharded run would write.
-    """
-    if not docs:
-        raise ValueError("no fuzz reports to merge")
-    for doc in docs:
-        if doc.get("kind") != "fuzz-report":
-            raise ValueError(
-                f"cannot merge {doc.get('kind')!r}: not a fuzz report"
-            )
-    base_configs = []
-    shards = []
-    for doc in docs:
-        config = dict(doc["config"])
-        shards.append((config.pop("shard_index"), config.pop("shard_count")))
-        base_configs.append(config)
-    if any(c != base_configs[0] for c in base_configs[1:]):
-        raise ValueError(
-            "cannot merge fuzz reports from different campaign configs"
-        )
-    counts = {n for _, n in shards}
-    if len(counts) != 1:
-        raise ValueError(f"mixed shard counts {sorted(counts)}")
-    count = counts.pop()
-    indices = sorted(i for i, _ in shards)
-    if indices != list(range(count)):
-        raise ValueError(
-            f"shard reports do not partition the campaign: have shards "
-            f"{indices} of {count}"
-        )
-    order = sorted(range(len(docs)), key=lambda k: shards[k][0])
-    docs = [docs[k] for k in order]
-    failures = sorted(
-        (f for doc in docs for f in doc["failures"]),
-        key=lambda f: f["index"],
-    )
-    merged_config = dict(base_configs[0])
-    merged_config["shard_index"], merged_config["shard_count"] = 0, 1
-    paths: list[str] = []
-    for doc in docs:
-        paths += doc.get("counterexample_paths", [])
-    return {
-        "schema_version": FUZZ_SCHEMA_VERSION,
-        "kind": "fuzz-report",
-        "config": merged_config,
-        "checked": sum(doc["checked"] for doc in docs),
-        "skipped_infeasible": sum(
-            doc["skipped_infeasible"] for doc in docs
-        ),
-        "n_failures": len(failures),
-        "ok": all(doc["ok"] for doc in docs),
-        "failures": failures,
-        "counterexample_paths": paths,
-        "wall_time_s": sum(doc.get("wall_time_s", 0.0) for doc in docs),
-        "solver": obs.merge({}, *(doc.get("solver", {}) for doc in docs)),
-        "flow": obs.merge({}, *(doc.get("flow", {}) for doc in docs)),
-        "environment": docs[0].get("environment", {}),
-    }
+#: Reassemble one instance-fuzz report from its shard reports.
+merge_fuzz_reports = FUZZ_CAMPAIGN.merge
 
 
 # ---------------------------------------------------------------------------
@@ -698,11 +485,7 @@ class TwinFuzzConfig:
             raise ValueError("n_events must be >= 1")
         if self.g_max < 1:
             raise ValueError("g_max must be >= 1")
-        if self.shard_count < 1 or not 0 <= self.shard_index < self.shard_count:
-            raise ValueError(
-                f"invalid shard {self.shard_index}/{self.shard_count}: "
-                "need 0 <= shard_index < shard_count"
-            )
+        check_shard(self.shard_index, self.shard_count)
 
 
 @dataclass
@@ -744,62 +527,14 @@ def twin_trace_for(config: TwinFuzzConfig, index: int):
     )
 
 
-def _twin_config_dict(config: TwinFuzzConfig) -> dict[str, Any]:
-    return {
-        "n_traces": config.n_traces,
-        "n_events": config.n_events,
-        "seed": config.seed,
-        "g_max": config.g_max,
-        "p_max": config.p_max,
-        "slack_max": config.slack_max,
-        "shard_index": config.shard_index,
-        "shard_count": config.shard_count,
-    }
-
-
-def _load_twin_checkpoint(
-    path: Path, config: TwinFuzzConfig
-) -> dict[str, Any] | None:
-    if not path.exists():
-        return None
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"twin-fuzz checkpoint {path} is not valid JSON: {exc}"
-        ) from exc
-    if doc.get("kind") != "twin-fuzz-checkpoint":
-        raise ValueError(f"{path} is not a twin-fuzz checkpoint")
-    if doc.get("config") != _twin_config_dict(config):
-        raise ValueError(
-            f"twin-fuzz checkpoint {path} was written by a different "
-            "campaign config; refusing to resume (delete it to start over)"
-        )
-    return doc
-
-
-def _write_twin_checkpoint(
-    path: Path, config: TwinFuzzConfig, result: TwinFuzzResult, next_index: int, done: bool
-) -> None:
-    payload = {
-        "kind": "twin-fuzz-checkpoint",
-        "schema_version": CHECKPOINT_SCHEMA_VERSION,
-        "config": _twin_config_dict(config),
-        "next_index": next_index,
-        "traces": result.traces,
-        "events": result.events,
-        "accepted": result.accepted,
-        "rejected": result.rejected,
-        "committed_units": result.committed_units,
-        "mismatches": result.mismatches,
-        "audit_failures": result.audit_failures,
-        "determinism_failures": result.determinism_failures,
-        "done": done,
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2))
-    tmp.replace(path)
+#: The twin-fuzz campaign kind (see :mod:`repro.verify.campaign`).
+TWIN_FUZZ_CAMPAIGN = Campaign(
+    "twin-fuzz",
+    counters=("traces", "events", "accepted", "rejected", "committed_units"),
+    failures=("mismatches", "audit_failures", "determinism_failures"),
+    index_key="trace",
+    volatile=("wall_time_s", "flow"),
+)
 
 
 def run_twin_fuzz(
@@ -812,9 +547,9 @@ def run_twin_fuzz(
     """Replay seeded random traces with every cross-check armed.
 
     Honours the config's shard split (trace ``index % shard_count ==
-    shard_index``) and, with ``checkpoint``, resumes a killed campaign:
-    twin failure records are plain dicts, so the checkpoint carries the
-    full partial result and a resume fast-forwards past finished traces.
+    shard_index``) and, with ``checkpoint``, resumes a killed campaign
+    the way :func:`run_fuzz` does: finished traces are skipped and the
+    recorded failing traces are replayed to rebuild their records.
     """
     from repro.flow.incremental import flow_stats
     from repro.simulate.machine import BatchMachine
@@ -822,30 +557,8 @@ def run_twin_fuzz(
     from repro.twin.session import TwinMismatchError
     from repro.util.errors import InvalidInstanceError
 
-    result = TwinFuzzResult(config=config)
-    next_index = 0
-    checkpoint_path = Path(checkpoint) if checkpoint is not None else None
-    if checkpoint_path is not None:
-        state = _load_twin_checkpoint(checkpoint_path, config)
-        if state is not None:
-            next_index = state["next_index"]
-            result.traces = state["traces"]
-            result.events = state["events"]
-            result.accepted = state["accepted"]
-            result.rejected = state["rejected"]
-            result.committed_units = state["committed_units"]
-            result.mismatches = list(state["mismatches"])
-            result.audit_failures = list(state["audit_failures"])
-            result.determinism_failures = list(state["determinism_failures"])
-            if progress is not None:
-                progress(f"resuming twin campaign at trace {next_index}")
-    flow_before = flow_stats()
-    t0 = time.perf_counter()
-    processed = 0
-    for index in range(next_index, config.n_traces):
-        if index % config.shard_count != config.shard_index:
-            continue
-        trace = twin_trace_for(config, index)
+    def check(tally: TwinFuzzResult, entry: tuple) -> None:
+        index, trace = entry
         session = TwinSession(
             trace.g, start=trace.start, backend="differential"
         )
@@ -855,7 +568,7 @@ def run_twin_fuzz(
             try:
                 diffs.append(session.apply(event))
             except TwinMismatchError as exc:
-                result.mismatches.append(
+                tally.mismatches.append(
                     {
                         "trace": index,
                         "event_index": event_index,
@@ -864,71 +577,51 @@ def run_twin_fuzz(
                 )
                 broke = True
                 break
-        result.traces += 1
-        result.events += len(diffs)
-        result.accepted += sum(1 for d in diffs if d.accepted)
-        result.rejected += sum(1 for d in diffs if not d.accepted)
-        result.committed_units += session.counters["committed_units"]
+        tally.traces += 1
+        tally.events += len(diffs)
+        tally.accepted += sum(1 for d in diffs if d.accepted)
+        tally.rejected += sum(1 for d in diffs if not d.accepted)
+        tally.committed_units += session.counters["committed_units"]
         if broke:
             if progress is not None:
                 progress(f"trace #{index}: MISMATCH at event {event_index}")
-        else:
-            try:
-                BatchMachine(trace.g).audit_twin(session)
-            except InvalidInstanceError as exc:
-                result.audit_failures.append(
-                    {"trace": index, "error": str(exc)}
-                )
-                if progress is not None:
-                    progress(f"trace #{index}: audit failed: {exc}")
-            replayed = TwinSession(
-                trace.g, start=trace.start, backend="incremental"
-            )
-            if twin_fingerprint(replayed.replay(trace)) != twin_fingerprint(
-                diffs
-            ):
-                result.determinism_failures.append({"trace": index})
-                if progress is not None:
-                    progress(f"trace #{index}: diff stream not deterministic")
-        processed += 1
-        if checkpoint_path is not None and processed % checkpoint_every == 0:
-            _write_twin_checkpoint(
-                checkpoint_path, config, result, index + 1, done=False
-            )
-    if checkpoint_path is not None:
-        _write_twin_checkpoint(
-            checkpoint_path, config, result, config.n_traces, done=True
+            return
+        try:
+            BatchMachine(trace.g).audit_twin(session)
+        except InvalidInstanceError as exc:
+            tally.audit_failures.append({"trace": index, "error": str(exc)})
+            if progress is not None:
+                progress(f"trace #{index}: audit failed: {exc}")
+        replayed = TwinSession(
+            trace.g, start=trace.start, backend="incremental"
         )
+        if twin_fingerprint(replayed.replay(trace)) != twin_fingerprint(diffs):
+            tally.determinism_failures.append({"trace": index})
+            if progress is not None:
+                progress(f"trace #{index}: diff stream not deterministic")
+
+    traces = (
+        (index, twin_trace_for(config, index))
+        for index in shard_range(config, config.n_traces)
+    )
+    result = TwinFuzzResult(config=config)
+    flow_before = flow_stats()
+    t0 = time.perf_counter()
+    TWIN_FUZZ_CAMPAIGN.run(
+        result,
+        traces,
+        check,
+        checkpoint=checkpoint,
+        every=checkpoint_every,
+        progress=progress,
+    )
     result.wall_time_s = time.perf_counter() - t0
     result.flow = obs.delta(flow_stats(), flow_before)
     return result
 
 
-def twin_fuzz_report_dict(result: TwinFuzzResult) -> dict[str, Any]:
-    """JSON-compatible campaign report (benchkit-style provenance)."""
-    from repro.benchkit.result import environment_fingerprint
-
-    config = result.config
-    return {
-        "schema_version": FUZZ_SCHEMA_VERSION,
-        "kind": "twin-fuzz-report",
-        "config": _twin_config_dict(config),
-        "traces": result.traces,
-        "events": result.events,
-        "accepted": result.accepted,
-        "rejected": result.rejected,
-        "committed_units": result.committed_units,
-        "n_mismatches": len(result.mismatches),
-        "n_audit_failures": len(result.audit_failures),
-        "n_determinism_failures": len(result.determinism_failures),
-        "ok": result.ok,
-        "mismatches": result.mismatches,
-        "audit_failures": result.audit_failures,
-        "determinism_failures": result.determinism_failures,
-        "wall_time_s": result.wall_time_s,
-        "flow": result.flow,
-        "environment": environment_fingerprint(),
-    }
+#: JSON-compatible twin campaign report (benchkit-style provenance).
+twin_fuzz_report_dict = TWIN_FUZZ_CAMPAIGN.report
 
 
 def write_twin_fuzz_report(result: TwinFuzzResult, path: str | Path) -> None:

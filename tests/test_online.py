@@ -153,6 +153,26 @@ class TestTwinLookahead:
             assert run.schedule.is_valid
             assert run.activations == list(run.schedule.active_slots)
 
+    @pytest.mark.parametrize(
+        "triples, g",
+        [
+            ([(4, 6, 2), (1, 4, 2), (7, 10, 2), (3, 5, 1), (2, 6, 2),
+              (5, 8, 1), (4, 10, 2), (0, 5, 1)], 2),
+            ([(7, 12, 5), (6, 9, 3), (4, 5, 1), (6, 10, 2), (3, 10, 4),
+              (8, 14, 3), (1, 8, 3), (4, 14, 5), (2, 14, 5), (0, 8, 1)], 4),
+        ],
+    )
+    def test_twin_history_tracks_the_replay(self, triples, g):
+        """An arrival must not re-plan the slot the harness just ran: the
+        twin would then pick a finished job later on (two smoke-corpus
+        instances where it did)."""
+        inst = Instance.from_triples(triples, g=g)
+        try:
+            run = run_online(inst, TwinLookahead())
+        except InfeasibleInstanceError:
+            return
+        assert run.schedule.is_valid
+
     def test_reset_allows_replaying_another_instance(self):
         policy = TwinLookahead()
         a = Instance.from_triples([(0, 4, 2)], g=1)

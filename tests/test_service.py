@@ -36,6 +36,7 @@ from repro.service import (
     ClientError,
     SchedulingService,
     ServiceClient,
+    ServiceError,
     node_budget_for,
     start_service,
 )
@@ -712,3 +713,19 @@ class TestServiceDirect:
         doc = service.healthz()
         assert doc["ok"] and doc["requests_total"] == 0
         service.shutdown()
+
+    def test_fuzz_max_jobs_is_capped_before_any_work(self, monkeypatch):
+        service = SchedulingService(workers=1)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("an over-cap /fuzz request reached the workers")
+
+        monkeypatch.setattr(service, "_map", no_work)
+        monkeypatch.setattr("repro.verify.fuzz.run_fuzz", no_work)
+        try:
+            with pytest.raises(ServiceError) as exc:
+                service.fuzz({"n_instances": 3, "max_jobs": 10**6})
+            assert exc.value.status == 400
+            assert "max_jobs" in str(exc.value)
+        finally:
+            service.shutdown()
