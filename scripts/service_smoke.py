@@ -3,7 +3,9 @@
 Boots ``active-time serve`` as a real subprocess on an ephemeral port,
 drives every endpoint through :class:`repro.service.client.ServiceClient`
 and asserts the served ``/solve`` answer round-trips *bit-identically*
-with ``active-time solve`` on the same instance, and that the pooled
+with ``active-time solve`` on the same instance, that a ``d = 10⁹``
+body is answered and a ``Σ p_j`` over the cap is refused with a JSON
+413, and that the pooled
 ``/metrics`` solver/flow counters equal the sum of the ``solver``/``flow``
 deltas in the responses received.  Exits non-zero on any
 failure; the boot itself is bounded by ``--boot-timeout`` (CI uses the
@@ -32,7 +34,7 @@ SRC = ROOT / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from repro.service.client import ServiceClient  # noqa: E402
+from repro.service.client import ClientError, ServiceClient  # noqa: E402
 
 
 def _env() -> dict[str, str]:
@@ -147,6 +149,41 @@ def main() -> int:
         else:
             print("solve round-trip: bit-identical with the CLI answer")
 
+        # Input size alone must not exhaust the server: a T = 10⁹ body
+        # is solved on segments, and a 10⁹-unit body is refused typed.
+        huge_horizon = {
+            "version": 1,
+            "g": 2,
+            "jobs": [
+                {"id": 0, "r": 0, "d": 10**9, "p": 5},
+                {"id": 1, "r": 0, "d": 10**9, "p": 5},
+            ],
+        }
+        try:
+            served_huge = client.solve(huge_horizon)
+            print(f"solve d=1e9: active_time={served_huge['active_time']}")
+            if served_huge["active_time"] != 5:
+                failures.append(f"d=1e9 solve answered {served_huge}")
+        except ClientError as exc:
+            served_huge = None
+            failures.append(f"d=1e9 solve failed: {exc.status} {exc.body}")
+        huge_volume = {
+            "version": 1,
+            "g": 1,
+            "jobs": [{"id": 0, "r": 0, "d": 10**9, "p": 10**9 - 1}],
+        }
+        try:
+            client.solve(huge_volume)
+            failures.append("huge-volume /solve was not refused")
+        except ClientError as exc:
+            if exc.status == 413 and isinstance(exc.body, dict) and "error" in exc.body:
+                print(f"solve p=1e9-1: 413 {exc.body['error']!r}")
+            else:
+                failures.append(
+                    f"huge-volume /solve answered {exc.status} {exc.body!r}, "
+                    "expected 413 with a JSON error"
+                )
+
         verify = client.verify(instance_doc)
         print(f"verify: status={verify['status']} ok={verify['ok']}")
         if not verify.get("ok"):
@@ -166,7 +203,9 @@ def main() -> int:
         for family, counter in (("solver", "solves"), ("flow", "probes")):
             name = f'repro_{family}_stats{{counter="{counter}"}}'
             served_total = sum(
-                r[family][counter] for r in (served, verify, fuzz)
+                r[family][counter]
+                for r in (served, served_huge, verify, fuzz)
+                if r is not None
             )
             scraped = [
                 int(line.rpartition(" ")[2])

@@ -23,7 +23,7 @@ from math import ceil
 
 from repro.baselines.minimal_feasible import minimal_feasible_slots
 from repro.core.schedule import Schedule
-from repro.flow.feasibility import extract_schedule
+from repro.flow.feasibility import coverage_segments, extract_schedule
 from repro.flow.incremental import make_prober
 from repro.instances.jobs import Instance
 from repro.util.errors import InfeasibleInstanceError, SolverError
@@ -42,16 +42,18 @@ class SlotClass:
 
 
 def slot_classes(instance: Instance) -> list[SlotClass]:
-    """Group slots by coverage signature, most-covered classes first."""
-    by_signature: dict[frozenset[int], list[int]] = {}
-    for t in instance.slots():
-        sig = frozenset(
-            j.id for j in instance.jobs if j.release <= t < j.deadline
-        )
-        if sig:
-            by_signature.setdefault(sig, []).append(t)
+    """Group slots by coverage signature, most-covered classes first.
+
+    A class is the union of the coverage segments
+    (:func:`~repro.flow.feasibility.coverage_segments`) that share one
+    set of covering jobs.
+    """
+    by_signature: dict[tuple[int, ...], list[int]] = {}
+    for start, end, members in coverage_segments(instance):
+        sig = tuple(sorted(instance.jobs[k].id for k in members))
+        by_signature.setdefault(sig, []).extend(range(start, end))
     classes = [
-        SlotClass(slots=tuple(sorted(slots)), jobs=tuple(sorted(sig)))
+        SlotClass(slots=tuple(slots), jobs=sig)
         for sig, slots in by_signature.items()
     ]
     classes.sort(key=lambda c: (-len(c.jobs), c.slots))

@@ -82,7 +82,7 @@ def schedule_from_node_counts(
 
     assignment: dict[int, list[int]] = {j.id: [] for j in instance.jobs}
     for i, units in per_node.items():
-        open_slots = forest.exclusive_slots(i)[: int(x[i])]
+        open_slots = forest.exclusive_slots(i, limit=int(x[i]))
         placed = spread_units(units, open_slots, instance.g)
         for jid, slots in placed.items():
             assignment[jid].extend(slots)

@@ -1,23 +1,33 @@
 """Flow-based feasibility tests and schedule extraction.
 
-Two levels of granularity:
+Three levels of granularity, all on the same ``s → jobs → buckets → t``
+shape:
 
 * **Slot level** — given an arbitrary set of active slots, build the
   bipartite network ``s → jobs → slots → t`` with capacities
   ``(p_j, 1, g)`` and test ``maxflow == Σ p_j`` (the classic reduction
   mentioned in the paper's introduction; works for *any* instance,
-  laminar or not).
+  laminar or not).  Cost grows with the number of slots.
+* **Segment level** — cut the time axis at every release and deadline.
+  Slots of one elementary segment ``[c_k, c_{k+1})`` are covered by the
+  same windows and so are interchangeable: a segment is one bucket with
+  capacities ``(p_j, len, g·len)``.  :func:`coverage_segments` computes
+  the segments; :func:`all_slots_feasible` (every slot active) and
+  :func:`repro.baselines.exact.slot_classes` are built on them, for
+  laminar and crossing windows alike, at O(n) buckets whatever the
+  horizon length.
 * **Node level** — given a per-node open-slot count ``x̃`` on the window
   forest, build the paper's Lemma 4.1 network ``s → jobs → nodes → t``
   with capacities ``(p_j, x̃(i), g·x̃(i))``.  Equivalent to slot level for
   laminar instances because slots in a node's exclusive region are
   interchangeable, and much smaller.
 
-Both builders assemble their edge lists as flat arrays and add them in
-one :meth:`~repro.flow.dinic.MaxFlow.add_edges` call on the
+The slot and node builders assemble their edge lists as flat arrays and
+add them in one :meth:`~repro.flow.dinic.MaxFlow.add_edges` call on the
 :class:`~repro.flow.csr.CSRMaxFlow` kernel, in the same global order the
 historical per-edge loops used — so edge ids match the object-kernel
 reference and flow extraction vectorizes over the resulting id arrays.
+The segment level probes through :func:`repro.flow.incremental.make_prober`.
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ import numpy as np
 from repro.core.schedule import Schedule
 from repro.flow.csr import CSRMaxFlow
 from repro.flow.dinic import MaxFlow
+from repro.flow.incremental import make_prober
 from repro.instances.jobs import Instance
 from repro.tree.node import WindowForest
 
@@ -128,9 +139,50 @@ def extract_schedule(
     return Schedule.from_assignment(instance, assignment)
 
 
+# ---------------------------------------------------------------------------
+# Segment level
+# ---------------------------------------------------------------------------
+
+
+def coverage_segments(instance: Instance) -> list[tuple[int, int, list[int]]]:
+    """The covered elementary segments: ``(start, end, job positions)``.
+
+    The time axis is cut at every release and deadline.  Each elementary
+    segment ``[c_k, c_{k+1})`` that some window covers is listed, in
+    time order, with the ascending positions (in ``instance.jobs``) of
+    the jobs whose windows contain it.  All slots of a segment are
+    covered by the same windows, so they are interchangeable.
+    """
+    jobs = instance.jobs
+    cuts = sorted({j.release for j in jobs} | {j.deadline for j in jobs})
+    index = {c: k for k, c in enumerate(cuts)}
+    covering: list[list[int]] = [[] for _ in cuts[1:]]
+    for pos, job in enumerate(jobs):
+        for k in range(index[job.release], index[job.deadline]):
+            covering[k].append(pos)
+    return [
+        (cuts[k], cuts[k + 1], members)
+        for k, members in enumerate(covering)
+        if members
+    ]
+
+
 def all_slots_feasible(instance: Instance) -> bool:
-    """Is the instance feasible at all (every slot active)?"""
-    return slot_feasible(instance, list(instance.slots()))
+    """Is the instance feasible at all (every slot active)?
+
+    One probe of the segment network: each covered segment is a bucket
+    whose count is its length, so the cost grows with the number of
+    jobs, not with the horizon length.
+    """
+    if instance.n == 0:
+        return True
+    segments = coverage_segments(instance)
+    prober = make_prober(
+        [job.processing for job in instance.jobs],
+        [members for _, _, members in segments],
+        instance.g,
+    )
+    return prober.probe([end - start for start, end, _ in segments])
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +248,6 @@ def node_prober(
     instance/forest warm-start from the previous flow instead of
     rebuilding the network.
     """
-    from repro.flow.incremental import make_prober
-
     buckets: list[list[int]] = [[] for _ in range(forest.m)]
     for k, job in enumerate(instance.jobs):
         for i in forest.descendants(job_node[job.id]):

@@ -66,6 +66,18 @@ MAX_FUZZ_INSTANCES = 2_000
 #: uncapped value lets one small request run for minutes.
 MAX_FUZZ_JOBS = 60
 
+#: Cap on a ``/solve`` instance's total volume ``Σ p_j``.  The response
+#: lists every scheduled unit, so its size grows with the volume whatever
+#: the algorithm; the body cap alone admits ``p = 10⁹`` in a few bytes.
+MAX_SOLVE_VOLUME = 1_000_000
+
+#: Cap on the horizon length for the ``/solve`` paths that still visit
+#: every slot: ``greedy`` and ``kk`` (greedy deactivation over every
+#: covered slot), ``exact`` (its greedy incumbent and slot classes) and
+#: policy runs (the online simulator steps slot by slot).  ``nested``
+#: works on windows and segments and has no horizon cap.
+MAX_SLOT_HORIZON = 100_000
+
 
 class ServiceError(ReproError):
     """A request the service refuses; carries the HTTP status to send."""
@@ -100,6 +112,24 @@ def _capped(body: dict[str, Any], name: str, default: int, cap: int) -> int:
             f"(got {value!r}); run larger campaigns via the CLI"
         )
     return value
+
+
+def _require_size(instance: Instance, *, walks_slots: bool) -> None:
+    """Refuse (413) a solve whose output or per-slot work is unbounded."""
+    volume = instance.total_volume
+    if volume > MAX_SOLVE_VOLUME:
+        raise ServiceError(
+            f"total volume {volume} exceeds the {MAX_SOLVE_VOLUME}-unit "
+            "cap per /solve request",
+            status=413,
+        )
+    if walks_slots and instance.n and instance.horizon.length > MAX_SLOT_HORIZON:
+        raise ServiceError(
+            f"horizon length {instance.horizon.length} exceeds the "
+            f"{MAX_SLOT_HORIZON}-slot cap for this algorithm; "
+            'algorithm "nested" has no horizon cap',
+            status=413,
+        )
 
 
 class SchedulingService:
@@ -157,6 +187,7 @@ class SchedulingService:
                 f"unknown algorithm {algorithm!r}; "
                 f"pick one of {list(SOLVE_ALGORITHMS)}"
             )
+        _require_size(instance, walks_slots=algorithm != "nested")
         _reject_bool(body, "deadline_ms", "node_budget")
         deadline_ms = body.get("deadline_ms")
         if deadline_ms is not None and (
@@ -247,6 +278,7 @@ class SchedulingService:
                 f"{', '.join(known)}",
                 status=404,
             )
+        _require_size(instance, walks_slots=True)
         payload = (instance_to_dict(instance), {"policy": policy})
         try:
             results = self._map(

@@ -186,19 +186,26 @@ class WindowForest:
             self.nodes[c].interval.length for c in node.children
         )
 
-    def exclusive_slots(self, i: int) -> list[int]:
-        """The concrete slots counted by ``L(i)``, in increasing order."""
+    def exclusive_slots(self, i: int, *, limit: int | None = None) -> list[int]:
+        """The concrete slots counted by ``L(i)``, in increasing order.
+
+        With ``limit``, only the first ``limit`` of them: the walk stops
+        there, so the cost is O(limit + children), not O(L(i)).
+        """
         node = self.nodes[i]
-        covered: list[Interval] = sorted(
-            (self.nodes[c].interval for c in node.children),
-            key=lambda iv: iv.start,
+        children = sorted(
+            (self.nodes[c].interval.start, self.nodes[c].interval.end)
+            for c in node.children
         )
+        # An empty sentinel child at the end closes the last gap.
+        children.append((node.interval.end, node.interval.end))
+        room = node.interval.length if limit is None else limit
         out: list[int] = []
         t = node.interval.start
-        for iv in covered:
-            out.extend(range(t, iv.start))
-            t = iv.end
-        out.extend(range(t, node.interval.end))
+        for child_start, child_end in children:
+            take = min(child_start - t, room - len(out))
+            out.extend(range(t, t + take))
+            t = child_end
         return out
 
     def node_at_slot(self, t: int) -> int | None:

@@ -1,9 +1,16 @@
 """Unit tests for the wrap-around slot assignment."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.flow.assignment import schedule_from_node_counts, spread_units
 from repro.flow.feasibility import node_assignment
 from repro.instances.generators import random_laminar
@@ -98,3 +105,36 @@ class TestScheduleFromNodeCounts:
             allowed.update(forest.exclusive_slots(i)[: x[i]])
         used = {t for ts in sched.assignment.values() for t in ts}
         assert used <= allowed
+
+    def test_huge_exclusive_region_in_bounded_memory(self):
+        """Only the x(i) open slots of a node are listed, not its region.
+
+        Node ``[0, 10⁹)`` opens 3 of its ~10⁹ exclusive slots; the solve
+        runs in a subprocess capped at 1 GB of address space, so listing
+        the whole region fails fast with ``MemoryError``.
+        """
+        script = textwrap.dedent(
+            """
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            from repro.core.algorithm import solve_nested
+            from repro.instances.jobs import Instance, Job
+
+            inst = Instance(
+                jobs=(Job(0, 0, 10**9, 3), Job(1, 10, 20, 10)), g=1
+            )
+            result = solve_nested(inst)
+            print(result.active_time, sorted(result.schedule.active_slots))
+            """
+        )
+        src = Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.strip() == f"13 {[0, 1, 2, *range(10, 20)]}"

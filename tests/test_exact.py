@@ -4,6 +4,7 @@ import pytest
 
 from repro.baselines.exact import (
     BudgetExceeded,
+    SlotClass,
     brute_force_optimum,
     slot_classes,
     solve_exact,
@@ -30,6 +31,28 @@ class TestSlotClasses:
     def test_crossing_windows_make_three_classes(self):
         inst = Instance.from_triples([(0, 3, 1), (2, 5, 1)], g=1)
         assert len(slot_classes(inst)) == 3
+
+    @pytest.mark.parametrize("laminar", [True, False])
+    def test_classes_match_per_slot_signatures(self, laminar):
+        """Segment-built classes equal grouping every slot by its cover."""
+        make = random_laminar if laminar else random_general
+        for seed in range(40):
+            inst = make(8, 2, horizon=30, seed=seed)
+            by_signature: dict[frozenset[int], list[int]] = {}
+            for t in inst.slots():
+                sig = frozenset(
+                    j.id for j in inst.jobs if j.release <= t < j.deadline
+                )
+                if sig:
+                    by_signature.setdefault(sig, []).append(t)
+            expected = sorted(
+                (
+                    SlotClass(slots=tuple(slots), jobs=tuple(sorted(sig)))
+                    for sig, slots in by_signature.items()
+                ),
+                key=lambda c: (-len(c.jobs), c.slots),
+            )
+            assert slot_classes(inst) == expected, seed
 
 
 class TestSolveExact:

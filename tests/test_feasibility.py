@@ -1,16 +1,20 @@
-"""Unit tests for flow-based feasibility (slot level and Lemma 4.1 level)."""
+"""Unit tests for flow-based feasibility (slot, segment and Lemma 4.1 level)."""
+
+import random
+import tracemalloc
 
 import pytest
 
 from repro.flow.feasibility import (
     all_slots_feasible,
+    coverage_segments,
     extract_schedule,
     node_assignment,
     node_feasible,
     slot_feasible,
 )
 from repro.instances.generators import random_laminar
-from repro.instances.jobs import Instance
+from repro.instances.jobs import Instance, Job
 from repro.tree.canonical import canonicalize
 
 
@@ -43,6 +47,101 @@ class TestSlotFeasibility:
 
     def test_slots_outside_windows_ignored(self, tiny_instance):
         assert slot_feasible(tiny_instance, [0, 2, 50, 60])
+
+
+def _laminar_windows(rng, start, end, depth):
+    """A random laminar window family inside ``[start, end)``."""
+    out = [(start, end)]
+    t = start
+    while depth and t < end and rng.random() < 0.7:
+        lo = rng.randint(t, end - 1)
+        hi = rng.randint(lo + 1, end)
+        if (lo, hi) != (start, end):
+            out += _laminar_windows(rng, lo, hi, depth - 1)
+        t = hi + rng.randint(0, 2)
+    return out
+
+
+def _raw_instance(rng, laminar):
+    """Unfiltered random instance: often infeasible, sometimes gapped."""
+    horizon = rng.randint(1, 24)
+    windows = _laminar_windows(rng, 0, horizon, depth=3)
+    jobs = []
+    for k in range(rng.randint(1, 8)):
+        if laminar:
+            lo, hi = rng.choice(windows)
+        else:
+            lo = rng.randrange(horizon)
+            hi = rng.randint(lo + 1, horizon)
+        jobs.append(Job(k, lo, hi, rng.randint(1, hi - lo)))
+    return Instance(jobs=tuple(jobs), g=rng.randint(1, 3))
+
+
+def _oracle(instance):
+    """The slot-level test with every slot of the horizon active."""
+    return slot_feasible(instance, list(instance.slots()))
+
+
+class TestAllSlotsFeasible:
+    """The segment-level precheck against the slot-level oracle."""
+
+    def test_matches_slot_oracle_on_random_instances(self):
+        rng = random.Random(2022)
+        verdicts = {True: 0, False: 0}
+        crossing = 0
+        for k in range(400):
+            inst = _raw_instance(rng, laminar=k % 2 == 0)
+            crossing += not inst.is_laminar
+            expected = _oracle(inst)
+            assert all_slots_feasible(inst) == expected, inst.jobs
+            verdicts[expected] += 1
+        assert crossing >= 100
+        assert verdicts[False] >= 100 and verdicts[True] >= 100
+
+    @pytest.mark.parametrize(
+        "triples, g",
+        [
+            ([(3, 4, 1)], 1),  # one window of length 1
+            ([(3, 4, 1), (3, 4, 1)], 1),  # duplicate unit windows overload
+            ([(3, 4, 1), (3, 4, 1)], 2),
+            ([(0, 2, 2), (5, 7, 2), (9, 10, 1)], 1),  # uncovered gaps
+            ([(0, 2, 2), (5, 7, 2), (1, 6, 1)], 1),  # gap-bridging window
+            ([(0, 4, 2)] * 3, 1),  # duplicate windows, g = 1
+            ([(0, 4, 2)] * 2, 1),
+            ([(0, 3, 2), (2, 5, 2), (1, 4, 2)], 1),  # crossing, g = 1
+        ],
+    )
+    def test_edge_cases_match_slot_oracle(self, triples, g):
+        inst = Instance.from_triples(triples, g=g)
+        assert all_slots_feasible(inst) == _oracle(inst)
+
+    def test_zero_jobs(self):
+        inst = Instance(jobs=(), g=1)
+        assert coverage_segments(inst) == []
+        assert all_slots_feasible(inst) is True
+        assert _oracle(inst) is True
+
+    def test_segments_skip_gaps_and_list_covering_jobs(self):
+        inst = Instance.from_triples([(0, 4, 1), (2, 6, 1), (9, 10, 1)], g=1)
+        assert coverage_segments(inst) == [
+            (0, 2, [0]),
+            (2, 4, [0, 1]),
+            (4, 6, [1]),
+            (9, 10, [2]),
+        ]
+
+    def test_huge_horizon_in_bounded_memory(self):
+        inst = Instance(
+            jobs=(Job(0, 0, 10**9, 3), Job(1, 10, 20, 10)), g=1
+        )
+        all_slots_feasible(Instance.from_triples([(0, 2, 1)], g=1))  # warm
+        tracemalloc.start()
+        try:
+            assert all_slots_feasible(inst) is True
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestExtractSchedule:

@@ -16,6 +16,7 @@ import signal
 import statistics
 import subprocess
 import sys
+import textwrap
 import time
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -295,6 +296,89 @@ class TestVerifyAndFuzzEndpoints:
         with pytest.raises(ClientError) as exc:
             client.fuzz(n_instances=1_000_000)
         assert exc.value.status == 400
+
+
+def _huge_horizon_doc() -> dict:
+    """Two jobs over ``[0, 10⁹)``: ~100 bytes of JSON, T = 10⁹ slots."""
+    jobs = (Job(0, 0, 10**9, 5), Job(1, 0, 10**9, 5))
+    return instance_to_dict(Instance(jobs=jobs, g=2, name="huge-horizon"))
+
+
+class TestSizeGuards:
+    """Input size alone must not exhaust the service's time or memory.
+
+    Refusals are checked on a service whose worker map raises, so a
+    missing guard fails fast instead of running the oversized solve.
+    """
+
+    @pytest.fixture
+    def guarded(self, monkeypatch):
+        service = SchedulingService(workers=1)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("an over-cap /solve request reached the workers")
+
+        monkeypatch.setattr(service, "_map", no_work)
+        yield service
+        service.shutdown()
+
+    @pytest.mark.parametrize(
+        "options", [{}, {"algorithm": "greedy"}, {"policy": "lazy"}]
+    )
+    def test_huge_volume_is_413(self, guarded, options):
+        doc = instance_to_dict(
+            Instance(jobs=(Job(0, 0, 10**9, 10**9 - 1),), g=1)
+        )
+        with pytest.raises(ServiceError) as exc:
+            guarded.solve({"instance": doc, **options})
+        assert exc.value.status == 413
+        assert "volume" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"algorithm": "greedy"},
+            {"algorithm": "kk"},
+            {"algorithm": "exact"},
+            {"policy": "lazy"},
+        ],
+    )
+    def test_slot_walking_paths_refuse_huge_horizon(self, guarded, options):
+        with pytest.raises(ServiceError) as exc:
+            guarded.solve({"instance": _huge_horizon_doc(), **options})
+        assert exc.value.status == 413
+        assert "horizon" in str(exc.value)
+
+    def test_nested_answers_huge_horizon_in_bounded_memory(self):
+        """The T = 10⁹ body is solved over HTTP under a 1 GB address cap."""
+        script = textwrap.dedent(
+            """
+            import json, resource, sys
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            from repro.service import ServiceClient, start_service
+
+            server, thread = start_service(workers=1)
+            try:
+                client = ServiceClient(f"http://127.0.0.1:{server.port}")
+                client.wait_healthy(timeout=30)
+                served = client.solve(json.loads(sys.argv[1]))
+                print(served["active_time"], served["degraded"])
+            finally:
+                server.shutdown()
+                server.service.shutdown()
+            """
+        )
+        src = Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(_huge_horizon_doc())],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split() == ["5", "False"]
 
 
 class TestHttpContract:

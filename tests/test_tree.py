@@ -100,6 +100,13 @@ class TestForestQueries:
                 for c in node.children:
                     assert t not in forest.nodes[c].interval
 
+    def test_exclusive_slots_limit_is_a_prefix(self, three_level):
+        _, forest, _ = three_level
+        for i in range(forest.m):
+            slots = forest.exclusive_slots(i)
+            for limit in range(len(slots) + 2):
+                assert forest.exclusive_slots(i, limit=limit) == slots[:limit]
+
     def test_node_at_slot_deepest(self, three_level):
         _, forest, _ = three_level
         # Slot 2 lies in [0,10) ⊃ [0,4) ⊃ [1,3).
