@@ -6,7 +6,8 @@ Not a paper table; this measures the PR 9 raw-speed claims:
   scipy's C Dinic on numpy adjacency arrays) beats the pure-Python
   ``object`` kernel (:class:`repro.flow.dinic.MaxFlow`) by ≥5x on the
   full-horizon slot network at the E9 large tier — both kernels load
-  the same edge arrays and solve the same max-flow;
+  the same numpy edge arrays and solve the same max-flow, so the ratio
+  measures the kernels, not numpy input against Python-list input;
 * the bulk-CSR LP builders (:func:`repro.lp.nested_lp.build_nested_lp`
   / :func:`repro.lp.cw_lp.build_cw_lp`) build + compile ≥5x faster than
   the per-row reference builds of :mod:`repro.verify.reference`, while
@@ -335,9 +336,11 @@ _LP_HEADERS = ["LP family", "reference [ms]", "vectorized [ms]", "speedup", "ide
     "E19",
     title="vectorized kernels and warm-started LP chain",
     claim="CSR flow kernel and bulk-CSR LP builders run >=5x faster than "
-    "the per-object reference paths at the E9 large tier, compile "
-    "bit-identical models, and the warm-started simplex hits on every "
-    "structural re-solve with unchanged optima",
+    "the per-object reference paths at the E9 large tier (the flow ratio "
+    "compares the two max-flow kernels on the same numpy edge arrays, "
+    "not numpy against Python-list input), compile bit-identical models, "
+    "and the warm-started simplex hits on every structural re-solve with "
+    "unchanged optima",
 )
 def run_bench(ctx):
     flow_rows, (f_obj, f_csr), (f_obj_out, f_csr_out) = run_flow_workloads(

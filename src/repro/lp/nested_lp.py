@@ -6,17 +6,28 @@ region; ``y(i, j)`` = units of job ``j`` placed in node ``i`` (only for
 the *ceiling constraints* (7)–(8) force ``x(Des(i)) ≥ 2`` (resp. 3) when
 no 1-slot (resp. 2-slot) schedule of the subtree exists — the key
 strengthening that breaks the factor-2 barrier on nested instances.
+
+LP (1) sees a job only through ``(k(j), p_j)``, so jobs sharing both are
+interchangeable.  The model is built over these *job classes*: a class
+``C`` of ``c`` jobs has one column ``Y(i, C)`` per ``i ∈ Des(k)`` and the
+rows ``Y(i, C) ≤ c·x(i)`` (spread), ``Σ_i Y(i, C) ≥ c·p`` (volume) and
+``Σ_C Y(i, C) ≤ g·x(i)`` (capacity).  Summing a per-job solution over a
+class gives a class solution, and ``y(i, j) = Y(i, C)/c`` gives a per-job
+solution back with the same ``x``, so both models have the same optimum
+and the same feasible ``x``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from repro.core.opt_thresholds import OptThresholds, compute_thresholds
-from repro.lp.backend import LinearProgram
+from repro.lp.backend import LinearProgram, LPSolution
 from repro.tree.canonical import CanonicalInstance
+from repro.util.errors import SolverError
 from repro.util.numeric import snap_vector
 
 
@@ -25,8 +36,9 @@ class NestedLPSolution:
     """Solution of LP (1) on a canonical instance.
 
     ``x`` is indexed by tree node; ``y`` is a dense ``(m, n_jobs)`` array
-    indexed by (node, position of job in ``instance.jobs``).  Values are
-    snapped to integers within tolerance.
+    indexed by (node, position of job in ``instance.jobs``), each job
+    class's ``Y`` split evenly over its jobs.  ``x`` values are snapped
+    to integers within tolerance.
     """
 
     value: float
@@ -39,12 +51,97 @@ class NestedLPSolution:
         return float(sum(self.x[k] for k in forest.descendants(i)))
 
 
+@dataclass(frozen=True)
+class JobClasses:
+    """The jobs of a canonical instance grouped by ``(k(j), p_j)``.
+
+    Classes are numbered in order of first appearance in
+    ``instance.jobs``.  Class ``C`` owns the ``Y(i, C)`` columns for
+    ``i ∈ Des(k_C)`` (preorder); the model lays them out class-major
+    after the ``m`` x columns.
+
+    Attributes
+    ----------
+    keys:
+        ``(k, p)`` per class.
+    sizes:
+        Jobs per class (``c``).
+    job_class:
+        Class of each job position in ``instance.jobs``.
+    nodes:
+        ``Des(k_C)`` per class.
+    col_node / col_class:
+        Node and class of each ``Y`` column, in column order.
+    """
+
+    keys: tuple[tuple[int, int], ...]
+    sizes: np.ndarray
+    job_class: np.ndarray
+    nodes: tuple[list[int], ...]
+    col_node: np.ndarray
+    col_class: np.ndarray
+
+    @property
+    def num_columns(self) -> int:
+        """Number of ``Y`` columns, ``Σ_C |Des(k_C)|``."""
+        return int(self.col_node.size)
+
+    def scatter(self, share: np.ndarray, m: int) -> np.ndarray:
+        """Per-job ``(m, n_jobs)`` array: ``y(i, j) = share[t]`` for the
+        ``Y`` column ``t = (i, C)`` of ``j``'s class ``C``."""
+        y = np.zeros((m, self.job_class.size))
+        reps = self.sizes[self.col_class]
+        total = int(reps.sum())
+        if not total:
+            return y
+        # Pair k of Y column t is the (k - first)-th member of t's class,
+        # members listed by job position within each class.
+        members = np.argsort(self.job_class, kind="stable")
+        class_start = np.cumsum(self.sizes) - self.sizes
+        col_first = np.cumsum(reps) - reps
+        within = np.arange(total, dtype=np.int64) - np.repeat(col_first, reps)
+        pos = members[np.repeat(class_start[self.col_class], reps) + within]
+        y[np.repeat(self.col_node, reps), pos] = np.repeat(share, reps)
+        return y
+
+
+def job_classes(canonical: CanonicalInstance) -> JobClasses:
+    """Group the jobs of ``canonical`` into LP (1)'s job classes."""
+    inst = canonical.instance
+    forest = canonical.forest
+    job_node = canonical.job_node
+    index: dict[tuple[int, int], int] = {}
+    job_class = np.fromiter(
+        (
+            index.setdefault((job_node[job.id], job.processing), len(index))
+            for job in inst.jobs
+        ),
+        dtype=np.int64,
+        count=inst.n,
+    )
+    keys = tuple(index)
+    nodes = tuple(forest.descendants(k) for k, _ in keys)
+    counts = np.fromiter(
+        (len(d) for d in nodes), dtype=np.int64, count=len(nodes)
+    )
+    total = int(counts.sum())
+    return JobClasses(
+        keys=keys,
+        sizes=np.bincount(job_class, minlength=len(keys)),
+        job_class=job_class,
+        nodes=nodes,
+        col_node=np.fromiter(chain.from_iterable(nodes), dtype=np.int64, count=total),
+        col_class=np.repeat(np.arange(len(keys), dtype=np.int64), counts),
+    )
+
+
 def _xname(i: int) -> str:
     return f"x[{i}]"
 
 
-def _yname(i: int, jid: int) -> str:
-    return f"y[{i},{jid}]"
+def _yname(i: int, key: tuple[int, int]) -> str:
+    """Column ``Y(i, C)`` of the class ``C`` with ``key = (k, p)``."""
+    return f"Y[{i},{key[0]},{key[1]}]"
 
 
 def build_nested_lp(
@@ -53,7 +150,7 @@ def build_nested_lp(
     ceiling: bool = True,
     thresholds: OptThresholds | None = None,
 ) -> tuple[LinearProgram, OptThresholds]:
-    """Build LP (1) for a canonical instance.
+    """Build LP (1) over the job classes of a canonical instance.
 
     Parameters
     ----------
@@ -71,82 +168,68 @@ def build_nested_lp(
     """
     inst = canonical.instance
     forest = canonical.forest
-    job_node = canonical.job_node
-    jobs_by_id = {j.id: j for j in inst.jobs}
     if thresholds is None:
-        thresholds = compute_thresholds(forest, job_node, jobs_by_id, inst.g)
-    return _build(inst, forest, job_node, thresholds, ceiling), thresholds
+        thresholds = compute_thresholds(
+            forest, canonical.job_node, {j.id: j for j in inst.jobs}, inst.g
+        )
+    lp = _build(inst, forest, job_classes(canonical), thresholds, ceiling)
+    return lp, thresholds
 
 
-def _build(inst, forest, job_node, thresholds, ceiling) -> LinearProgram:
+def _build(inst, forest, classes: JobClasses, thresholds, ceiling) -> LinearProgram:
     """Bulk-array build of LP (1).
 
     Emits the same variables, rows and nonzeros in the same order as the
-    per-row reference build — the x columns come first, then the y columns
-    job-major; the volume family is one ``>=`` block; the interleaved
-    capacity/length/spread family is one ``<=`` block whose per-node
-    segment is laid out ``[capacity (nj y's + x), length, spread×nj]``.
+    per-row reference build — the x columns come first, then the Y
+    columns class-major; the volume family is one ``>=`` block; the
+    interleaved capacity/length/spread family is one ``<=`` block whose
+    per-node segment is laid out ``[capacity (nc Y's + x), length,
+    spread×nc]`` for the ``nc`` classes admissible at the node.
     """
     m = forest.m
-    n_jobs = inst.n
     g = float(inst.g)
+    keys = classes.keys
+    n_classes = len(keys)
     lp = LinearProgram(name=f"nested_lp({inst.name})")
     lp.add_vars([_xname(i) for i in range(m)], objective=1.0)
-    admissible = [forest.descendants(job_node[job.id]) for job in inst.jobs]
     lp.add_vars(
-        [
-            _yname(i, job.id)
-            for job, nodes in zip(inst.jobs, admissible)
-            for i in nodes
-        ]
+        [_yname(i, key) for key, nodes in zip(keys, classes.nodes) for i in nodes]
     )
-    counts = np.fromiter(
-        (len(nodes) for nodes in admissible), dtype=np.int64, count=n_jobs
-    )
-    total_y = int(counts.sum())
+    counts = np.bincount(classes.col_class, minlength=n_classes)
+    total_y = classes.num_columns
     y_cols = m + np.arange(total_y, dtype=np.int64)
-    node_of = np.fromiter(
-        (i for nodes in admissible for i in nodes),
-        dtype=np.int64,
-        count=total_y,
-    )
-    jid_of = np.repeat(
-        np.fromiter((job.id for job in inst.jobs), dtype=np.int64, count=n_jobs),
-        counts,
-    )
+    node_of = classes.col_node
+    cls_of = classes.col_class
+    sizes = classes.sizes.astype(float)
 
-    # (2) volume block: one >= row per job over its y columns (which are
+    # (2) volume block: one >= row per class over its Y columns (which are
     # contiguous, in admissible-node order — exactly the reference dicts).
-    if n_jobs:
+    if n_classes:
         lp.add_constraint_block(
             np.ones(total_y),
             y_cols,
             np.concatenate(([0], np.cumsum(counts))),
             ">=",
-            np.fromiter(
-                (job.processing for job in inst.jobs),
-                dtype=float,
-                count=n_jobs,
-            ),
-            [f"volume[{job.id}]" for job in inst.jobs],
+            sizes * np.fromiter((p for _, p in keys), dtype=float, count=n_classes),
+            [f"volume[{k},{p}]" for k, p in keys],
         )
 
     # (3)-(5) one <= block, node-major.  Stable sort by node keeps the
-    # job-scan order within each node (the reference per_node_jobs order).
+    # class order within each node (the reference per_node_classes order).
     if m:
         order = np.argsort(node_of, kind="stable")
         s_node = node_of[order]
         s_ycol = y_cols[order]
-        s_jid = jid_of[order]
-        nj = np.bincount(node_of, minlength=m)
-        group_start = np.cumsum(nj) - nj
+        s_cls = cls_of[order]
+        nc = np.bincount(node_of, minlength=m)
+        group_start = np.cumsum(nc) - nc
         within = np.arange(total_y, dtype=np.int64) - group_start[s_node]
         xcols = np.arange(m, dtype=np.int64)
         lengths = np.fromiter(
             (float(forest.length(i)) for i in range(m)), dtype=float, count=m
         )
 
-        seg_nnz = 3 * nj + 2  # capacity nj+1, length 1, spread 2·nj
+        seg_nnz = 3 * nc + 2  # capacity nc+1, length 1, spread 2·nc
         seg_start = np.cumsum(seg_nnz) - seg_nnz
         nnz = int(seg_nnz.sum())
         data = np.empty(nnz, dtype=float)
@@ -154,35 +237,36 @@ def _build(inst, forest, job_node, thresholds, ceiling) -> LinearProgram:
         cap_y = seg_start[s_node] + within
         data[cap_y] = 1.0
         indices[cap_y] = s_ycol
-        cap_x = seg_start + nj
+        cap_x = seg_start + nc
         data[cap_x] = -g
         indices[cap_x] = xcols
         data[cap_x + 1] = 1.0  # length row
         indices[cap_x + 1] = xcols
-        sp_y = seg_start[s_node] + nj[s_node] + 2 + 2 * within
+        sp_y = seg_start[s_node] + nc[s_node] + 2 + 2 * within
         data[sp_y] = 1.0
         indices[sp_y] = s_ycol
-        data[sp_y + 1] = -1.0
+        data[sp_y + 1] = -sizes[s_cls]
         indices[sp_y + 1] = s_node
 
-        rows_per_node = nj + 2
+        rows_per_node = nc + 2
         row_start = np.cumsum(rows_per_node) - rows_per_node
         total_rows = int(rows_per_node.sum())
         row_lens = np.full(total_rows, 2, dtype=np.int64)
-        row_lens[row_start] = nj + 1
+        row_lens[row_start] = nc + 1
         row_lens[row_start + 1] = 1
         rhs = np.zeros(total_rows)
         rhs[row_start + 1] = lengths
         labels: list[str] = []
-        nj_list = nj.tolist()
-        jid_list = s_jid.tolist()
+        nc_list = nc.tolist()
+        cls_list = s_cls.tolist()
         ptr = 0
         for i in range(m):
             labels.append(f"capacity[{i}]")
             labels.append(f"length[{i}]")
-            for jid in jid_list[ptr : ptr + nj_list[i]]:
-                labels.append(f"spread[{i},{jid}]")
-            ptr += nj_list[i]
+            for c in cls_list[ptr : ptr + nc_list[i]]:
+                k, p = keys[c]
+                labels.append(f"spread[{i},{k},{p}]")
+            ptr += nc_list[i]
         lp.add_constraint_block(
             data,
             indices,
@@ -218,6 +302,49 @@ def _build(inst, forest, job_node, thresholds, ceiling) -> LinearProgram:
     return lp
 
 
+def lift_solution(
+    canonical: CanonicalInstance,
+    lp: LinearProgram,
+    sol: LPSolution,
+    thresholds: OptThresholds,
+) -> NestedLPSolution:
+    """Read a solution of the class model ``lp`` back as per-job ``(x, y)``.
+
+    ``lp`` must be a :func:`build_nested_lp` model of ``canonical``
+    (any objective).  Every column is read by name; a value missing
+    from ``sol`` raises :class:`~repro.util.errors.SolverError` instead
+    of reading as zero.  ``value`` is ``sol.value``.
+    """
+    classes = job_classes(canonical)
+    m = canonical.forest.m
+    names = lp.variable_names()
+    if len(names) != m + classes.num_columns:
+        raise SolverError(
+            f"LP {lp.name!r} has {len(names)} columns, expected "
+            f"{m + classes.num_columns} for this instance",
+            kind="numerical",
+            model=lp.name,
+        )
+    by_name = sol.values
+    try:
+        values = np.array([by_name[name] for name in names], dtype=float)
+    except KeyError as exc:
+        raise SolverError(
+            f"LP {lp.name!r} solution has no value for {exc.args[0]!r}",
+            kind="numerical",
+            model=lp.name,
+        ) from None
+    x = snap_vector(values[:m])
+    share = values[m:] / classes.sizes[classes.col_class]  # Y(i, C)/c
+    share[np.abs(share) < 1e-9] = 0.0
+    return NestedLPSolution(
+        value=float(sol.value),
+        x=x,
+        y=classes.scatter(share, m),
+        thresholds=thresholds,
+    )
+
+
 def solve_nested_lp(
     canonical: CanonicalInstance,
     *,
@@ -225,7 +352,7 @@ def solve_nested_lp(
     backend: str | None = None,
     thresholds: OptThresholds | None = None,
 ) -> NestedLPSolution:
-    """Solve LP (1); returns snapped ``x`` and ``y`` arrays.
+    """Solve LP (1); returns snapped ``x`` and per-job ``y`` arrays.
 
     ``backend=None`` uses the solver service's fallback chain (cached);
     pass ``"highs"``/``"simplex"`` to pin a backend.
@@ -233,15 +360,4 @@ def solve_nested_lp(
     lp, thresholds = build_nested_lp(
         canonical, ceiling=ceiling, thresholds=thresholds
     )
-    sol = lp.solve(backend=backend)
-    forest = canonical.forest
-    inst = canonical.instance
-    x = snap_vector(sol.get(_xname(i)) for i in range(forest.m))
-    y = np.zeros((forest.m, inst.n))
-    for pos, job in enumerate(inst.jobs):
-        for i in forest.descendants(canonical.job_node[job.id]):
-            y[i, pos] = sol.get(_yname(i, job.id))
-    y = np.where(np.abs(y) < 1e-9, 0.0, y)
-    return NestedLPSolution(
-        value=float(sol.value), x=x, y=y, thresholds=thresholds
-    )
+    return lift_solution(canonical, lp, lp.solve(backend=backend), thresholds)

@@ -16,32 +16,16 @@ space:
 
 from __future__ import annotations
 
+import dataclasses
 import random
-
-import numpy as np
 
 from repro.lp.nested_lp import (
     NestedLPSolution,
     _xname,
-    _yname,
     build_nested_lp,
+    lift_solution,
 )
 from repro.tree.canonical import CanonicalInstance
-from repro.util.numeric import snap_vector
-
-
-def _extract(canonical: CanonicalInstance, sol, thresholds) -> NestedLPSolution:
-    forest = canonical.forest
-    inst = canonical.instance
-    x = snap_vector(sol.get(_xname(i)) for i in range(forest.m))
-    y = np.zeros((forest.m, inst.n))
-    for pos, job in enumerate(inst.jobs):
-        for i in forest.descendants(canonical.job_node[job.id]):
-            y[i, pos] = sol.get(_yname(i, job.id))
-    y[np.abs(y) < 1e-9] = 0.0
-    return NestedLPSolution(
-        value=float(x.sum()), x=x, y=y, thresholds=thresholds
-    )
 
 
 def solve_with_weights(
@@ -58,8 +42,8 @@ def solve_with_weights(
     # Rebuild the objective: random weights on x, zero on y.
     for i in range(canonical.forest.m):
         lp._objective[lp._var_index[_xname(i)]] = 1.0 + spread * rng.random()
-    sol = lp.solve()
-    return _extract(canonical, sol, thresholds)
+    lifted = lift_solution(canonical, lp, lp.solve(), thresholds)
+    return dataclasses.replace(lifted, value=float(lifted.x.sum()))
 
 
 def convex_combination(

@@ -24,7 +24,7 @@ from repro.lp.backend import LinearProgram
 from repro.lp.cw_lp import forced_occupancy
 from repro.lp.natural_lp import build_natural_lp
 from repro.lp.natural_lp import _xname as _slot_xname
-from repro.lp.nested_lp import _xname, _yname
+from repro.lp.nested_lp import _xname, _yname, job_classes
 from repro.tree.canonical import CanonicalInstance
 from repro.util.errors import SolverError
 from repro.util.intervals import Interval
@@ -171,50 +171,49 @@ class DifferentialFlowProber:
 def reference_nested_lp(
     canonical: CanonicalInstance, thresholds: OptThresholds
 ) -> LinearProgram:
-    """Per-row build of LP (1), one coefficient dict per constraint.
+    """Per-row build of LP (1) over job classes, one dict per constraint.
 
     :func:`~repro.lp.nested_lp.build_nested_lp` must compile to the same
     model (pass it the same ``thresholds``).
     """
     inst = canonical.instance
     forest = canonical.forest
-    job_node = canonical.job_node
+    classes = job_classes(canonical)
     lp = LinearProgram(name=f"nested_lp({inst.name})")
     for i in range(forest.m):
         lp.add_var(_xname(i), objective=1.0)
-    admissible: dict[int, list[int]] = {}  # job id -> nodes it may use
-    for job in inst.jobs:
-        nodes = forest.descendants(job_node[job.id])
-        admissible[job.id] = nodes
+    for key, nodes in zip(classes.keys, classes.nodes):
         for i in nodes:
-            lp.add_var(_yname(i, job.id))
+            lp.add_var(_yname(i, key))
 
-    # (2) every job fully scheduled.
-    for job in inst.jobs:
+    # (2) every class fully scheduled: Σ_i Y(i,C) >= c·p.
+    for key, nodes, size in zip(classes.keys, classes.nodes, classes.sizes):
+        k, p = key
         lp.add_constraint(
-            {_yname(i, job.id): 1.0 for i in admissible[job.id]},
+            {_yname(i, key): 1.0 for i in nodes},
             ">=",
-            job.processing,
-            label=f"volume[{job.id}]",
+            float(size * p),
+            label=f"volume[{k},{p}]",
         )
-    # (3) node capacity g·x(i); (4) length cap; (5) per-job cap x(i).
-    per_node_jobs: dict[int, list[int]] = {i: [] for i in range(forest.m)}
-    for jid, nodes in admissible.items():
+    # (3) node capacity g·x(i); (4) length cap; (5) class cap c·x(i).
+    per_node_classes: dict[int, list[int]] = {i: [] for i in range(forest.m)}
+    for c, nodes in enumerate(classes.nodes):
         for i in nodes:
-            per_node_jobs[i].append(jid)
+            per_node_classes[i].append(c)
     for i in range(forest.m):
-        coeffs = {_yname(i, jid): 1.0 for jid in per_node_jobs[i]}
+        coeffs = {_yname(i, classes.keys[c]): 1.0 for c in per_node_classes[i]}
         coeffs[_xname(i)] = -float(inst.g)
         lp.add_constraint(coeffs, "<=", 0.0, label=f"capacity[{i}]")
         lp.add_constraint(
             {_xname(i): 1.0}, "<=", float(forest.length(i)), label=f"length[{i}]"
         )
-        for jid in per_node_jobs[i]:
+        for c in per_node_classes[i]:
+            k, p = classes.keys[c]
             lp.add_constraint(
-                {_yname(i, jid): 1.0, _xname(i): -1.0},
+                {_yname(i, (k, p)): 1.0, _xname(i): -float(classes.sizes[c])},
                 "<=",
                 0.0,
-                label=f"spread[{i},{jid}]",
+                label=f"spread[{i},{k},{p}]",
             )
     # (7)-(8) ceiling constraints from OPT_i thresholds.
     for i in range(forest.m):

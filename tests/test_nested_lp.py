@@ -1,13 +1,35 @@
 """Unit tests for the strengthened tree LP (1)."""
 
+from itertools import islice
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.core.algorithm import solve_nested
+from repro.corpus.store import iter_corpus
+from repro.flow.feasibility import all_slots_feasible
 from repro.instances.families import natural_gap, section5_gap
-from repro.instances.generators import random_laminar
-from repro.lp.nested_lp import build_nested_lp, solve_nested_lp
+from repro.instances.generators import deep_chain, random_laminar
+from repro.instances.handcrafted import (
+    CraftedSolution,
+    umbrella_groups,
+    verify_lp_feasible,
+)
+from repro.instances.jobs import Instance
+from repro.lp.backend import LinearProgram, LPSolution
+from repro.lp.nested_lp import (
+    build_nested_lp,
+    job_classes,
+    lift_solution,
+    solve_nested_lp,
+)
+from repro.lp.perturbed import solve_with_weights
 from repro.tree.canonical import canonicalize
+from repro.util.errors import SolverError
 from repro.util.numeric import SUM_EPS
+
+CORPUS = Path(__file__).resolve().parents[1] / "data" / "corpus_smoke"
 
 
 def _solve(inst, **kw):
@@ -111,3 +133,191 @@ class TestBackendsAgree:
         a = solve_nested_lp(canon, backend="highs")
         b = solve_nested_lp(canon, backend="simplex")
         assert a.value == pytest.approx(b.value, abs=1e-6)
+
+
+def per_job_lp(canonical, thresholds) -> LinearProgram:
+    """LP (1) as the paper writes it: one ``y(i, j)`` column per job.
+
+    The production model aggregates interchangeable jobs into classes;
+    this row-by-row build of the literal LP is the oracle its optimum is
+    compared against.
+    """
+    inst = canonical.instance
+    forest = canonical.forest
+    lp = LinearProgram(name=f"per_job_lp({inst.name})")
+
+    def x(i):
+        return f"x[{i}]"
+
+    def y(i, jid):
+        return f"y[{i},{jid}]"
+
+    for i in range(forest.m):
+        lp.add_var(x(i), objective=1.0)
+    admissible = {
+        job.id: forest.descendants(canonical.job_node[job.id])
+        for job in inst.jobs
+    }
+    for job in inst.jobs:
+        for i in admissible[job.id]:
+            lp.add_var(y(i, job.id))
+    # (2) every job fully scheduled.
+    for job in inst.jobs:
+        lp.add_constraint(
+            {y(i, job.id): 1.0 for i in admissible[job.id]},
+            ">=",
+            job.processing,
+            label=f"volume[{job.id}]",
+        )
+    # (3) node capacity g·x(i); (4) length cap; (5) per-job cap x(i).
+    per_node_jobs = {i: [] for i in range(forest.m)}
+    for jid, nodes in admissible.items():
+        for i in nodes:
+            per_node_jobs[i].append(jid)
+    for i in range(forest.m):
+        coeffs = {y(i, jid): 1.0 for jid in per_node_jobs[i]}
+        coeffs[x(i)] = -float(inst.g)
+        lp.add_constraint(coeffs, "<=", 0.0, label=f"capacity[{i}]")
+        lp.add_constraint(
+            {x(i): 1.0}, "<=", float(forest.length(i)), label=f"length[{i}]"
+        )
+        for jid in per_node_jobs[i]:
+            lp.add_constraint(
+                {y(i, jid): 1.0, x(i): -1.0},
+                "<=",
+                0.0,
+                label=f"spread[{i},{jid}]",
+            )
+    # (7)-(8) ceiling constraints.
+    for i in range(forest.m):
+        omega = thresholds.value(i)
+        if omega >= 2:
+            lp.add_constraint(
+                {x(k): 1.0 for k in forest.descendants(i)},
+                ">=",
+                float(omega),
+                label=f"ceiling[{i}]>={omega}",
+            )
+    return lp
+
+
+def _corpus_slice(limit: int = 150) -> list[Instance]:
+    instances = (entry.instance() for entry in iter_corpus(CORPUS, limit=limit))
+    return [
+        inst
+        for inst in instances
+        if inst.n and inst.is_laminar and all_slots_feasible(inst)
+    ]
+
+
+def _differential_suite() -> list[Instance]:
+    suite = [
+        random_laminar(8 + 3 * seed, 1 + seed % 4, horizon=20 + 4 * seed, seed=seed)
+        for seed in range(10)
+    ]
+    suite += [
+        random_laminar(40, 3, horizon=24, seed=seed, unit_fraction=0.8, n_windows=4)
+        for seed in range(3)
+    ]
+    suite += [deep_chain(20, 2, seed=3), deep_chain(12, 3, seed=5)]
+    suite += [natural_gap(3), natural_gap(4, copies=3), section5_gap(3)]
+    suite += [umbrella_groups(3, 4), umbrella_groups(4, 5, umbrella_volume=2)]
+    return suite + _corpus_slice()
+
+
+class TestClassModelMatchesPaperLP:
+    """The class model against the per-job LP (1) it aggregates."""
+
+    @pytest.fixture(scope="class")
+    def suite(self):
+        suite = _differential_suite()
+        assert len(suite) > 40
+        return suite
+
+    def test_optimum_equals_per_job_optimum(self, suite):
+        classes_total = jobs_total = 0
+        for inst in suite:
+            canon = canonicalize(inst)
+            lp, thresholds = build_nested_lp(canon)
+            oracle = per_job_lp(canon, thresholds)
+            assert lp.solve().value == pytest.approx(
+                oracle.solve().value, abs=1e-9
+            ), inst.name
+            classes_total += len(job_classes(canon).keys)
+            jobs_total += inst.n
+        assert classes_total < jobs_total  # the suite does aggregate
+
+    def test_lifted_solution_is_lp1_feasible(self, suite):
+        for inst in suite:
+            canon = canonicalize(inst)
+            sol = solve_nested_lp(canon)
+            crafted = CraftedSolution(
+                canonical=canon, x=sol.x, y=sol.y, value=sol.value
+            )
+            assert verify_lp_feasible(crafted) == [], inst.name
+            assert sol.x.sum() == pytest.approx(sol.value, abs=1e-6)
+
+    def test_pipeline_needs_no_repair(self, suite):
+        for inst in suite:
+            assert solve_nested(inst).repairs == 0, inst.name
+
+
+class TestJobClasses:
+    def _many_identical(self) -> Instance:
+        triples = [(0, 4, 2)] * 6 + [(0, 2, 1)] * 5 + [(2, 4, 1)] * 4
+        triples += [(0, 4, 1)] * 3 + [(0, 8, 3)] * 2 + [(4, 8, 2)]
+        return Instance.from_triples(triples, g=6, name="many-identical")
+
+    def test_model_size_follows_classes(self):
+        canon = canonicalize(self._many_identical())
+        forest = canon.forest
+        lp, thresholds = build_nested_lp(canon)
+        keys = {
+            (canon.job_node[job.id], job.processing)
+            for job in canon.instance.jobs
+        }
+        des = sum(len(forest.descendants(k)) for k, _ in keys)
+        ceilings = sum(thresholds.value(i) >= 2 for i in range(forest.m))
+        assert len(keys) < canon.instance.n
+        assert lp.num_vars == forest.m + des
+        # volume per class, capacity + length per node, spread per column.
+        assert lp.num_constraints == len(keys) + 2 * forest.m + des + ceilings
+        oracle = per_job_lp(canon, thresholds)
+        assert lp.num_vars < oracle.num_vars
+        assert lp.num_constraints < oracle.num_constraints
+
+    def test_split_divides_each_class_evenly(self):
+        canon = canonicalize(self._many_identical())
+        classes = job_classes(canon)
+        sol = solve_nested_lp(canon)
+        jobs = canon.instance.jobs
+        for c, (k, p) in enumerate(classes.keys):
+            members = np.flatnonzero(classes.job_class == c)
+            assert all(
+                (canon.job_node[jobs[j].id], jobs[j].processing) == (k, p)
+                for j in members
+            )
+            block = sol.y[:, members]
+            assert np.allclose(block, block[:, :1])
+            assert (block.sum(axis=0) >= p - 1e-9).all()
+
+    def test_missing_variable_fails_loudly(self):
+        canon = canonicalize(self._many_identical())
+        lp, thresholds = build_nested_lp(canon)
+        sol = lp.solve()
+        values = dict(sol.values)
+        values.pop(lp.variable_names()[-1])
+        broken = LPSolution(value=sol.value, values=values, status="optimal")
+        with pytest.raises(SolverError, match="no value for"):
+            lift_solution(canon, lp, broken, thresholds)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_weighted_vertex_is_lp1_feasible(self, seed):
+        for inst in (self._many_identical(), umbrella_groups(3, 4)):
+            canon = canonicalize(inst)
+            sol = solve_with_weights(canon, seed)
+            crafted = CraftedSolution(
+                canonical=canon, x=sol.x, y=sol.y, value=sol.value
+            )
+            assert verify_lp_feasible(crafted) == []
+            assert sol.y.any()
