@@ -4,8 +4,8 @@ Boots ``active-time serve`` as a real subprocess on an ephemeral port,
 drives every endpoint through :class:`repro.service.client.ServiceClient`
 and asserts the served ``/solve`` answer round-trips *bit-identically*
 with ``active-time solve`` on the same instance, that a ``d = 10⁹``
-body is answered and a ``Σ p_j`` over the cap is refused with a JSON
-413, and that the pooled
+body and a body at exactly the ``Σ p_j`` cap are answered, that a
+``Σ p_j`` over the cap is refused with a JSON 413, and that the pooled
 ``/metrics`` solver/flow counters equal the sum of the ``solver``/``flow``
 deltas in the responses received.  Exits non-zero on any
 failure; the boot itself is bounded by ``--boot-timeout`` (CI uses the
@@ -35,6 +35,7 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 from repro.service.client import ClientError, ServiceClient  # noqa: E402
+from repro.service.server import MAX_SOLVE_VOLUME  # noqa: E402
 
 
 def _env() -> dict[str, str]:
@@ -167,6 +168,31 @@ def main() -> int:
         except ClientError as exc:
             served_huge = None
             failures.append(f"d=1e9 solve failed: {exc.status} {exc.body}")
+        # The cap exists for the wire format, which lists every unit: a
+        # body right at it is answered in full.  Two nested jobs fill
+        # every slot of [0, cap) at g = 1.
+        half = MAX_SOLVE_VOLUME // 2
+        at_cap = {
+            "version": 1,
+            "g": 1,
+            "jobs": [
+                {"id": 0, "r": 0, "d": half, "p": half},
+                {"id": 1, "r": 0, "d": MAX_SOLVE_VOLUME, "p": MAX_SOLVE_VOLUME - half},
+            ],
+        }
+        try:
+            served_cap = client.solve(at_cap)
+            print(f"solve sum(p)={MAX_SOLVE_VOLUME}: active_time={served_cap['active_time']}")
+            if served_cap["active_time"] != MAX_SOLVE_VOLUME:
+                failures.append(
+                    f"sum(p)={MAX_SOLVE_VOLUME} solve answered "
+                    f"active_time={served_cap['active_time']}"
+                )
+        except ClientError as exc:
+            served_cap = None
+            failures.append(
+                f"sum(p)={MAX_SOLVE_VOLUME} solve failed: {exc.status} {str(exc.body)[:500]}"
+            )
         huge_volume = {
             "version": 1,
             "g": 1,
@@ -204,7 +230,7 @@ def main() -> int:
             name = f'repro_{family}_stats{{counter="{counter}"}}'
             served_total = sum(
                 r[family][counter]
-                for r in (served, served_huge, verify, fuzz)
+                for r in (served, served_huge, served_cap, verify, fuzz)
                 if r is not None
             )
             scraped = [

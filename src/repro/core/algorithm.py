@@ -170,12 +170,11 @@ def solve_nested(
         if y_int is None:  # pragma: no cover - _repair guarantees success
             raise SolverError("rounded solution infeasible after repair")
 
-    schedule_canon = schedule_from_node_counts(
-        canonical.instance, canonical.forest, canonical.job_node, x_tilde, y_int
+    # Canonical windows are subsets of the original windows, so the
+    # schedule is built and validated against the original instance.
+    schedule = schedule_from_node_counts(
+        instance, canonical.forest, canonical.job_node, x_tilde, y_int
     )
-    # Canonical windows are subsets of the original windows, so the same
-    # assignment is valid for the original instance.
-    schedule = Schedule.from_assignment(instance, schedule_canon.assignment)
     schedule.require_valid()
 
     if polish and schedule.active_time > 0:

@@ -1,6 +1,6 @@
 """Max-flow substrate and flow-based feasibility tests."""
 
-from repro.flow.assignment import schedule_from_node_counts, spread_units
+from repro.flow.assignment import schedule_from_node_counts, spread_runs
 from repro.flow.csr import CSRMaxFlow
 from repro.flow.dinic import MaxFlow
 from repro.flow.feasibility import (
@@ -29,7 +29,7 @@ __all__ = [
     "node_feasible",
     "node_assignment",
     "node_prober",
-    "spread_units",
+    "spread_runs",
     "schedule_from_node_counts",
     "IncrementalFlow",
     "ClassFlowProber",

@@ -7,59 +7,98 @@ per-slot schedule.  The decomposition is the classic *wrap-around rule*
 (McNaughton-style): lay all units out in one long row-major ribbon over the
 ``x`` slots; each job occupies at most ``x`` consecutive ribbon cells, so it
 never repeats a slot, and no slot exceeds ``⌈total/x⌉ ≤ g`` jobs.
+
+A job's cells are at most two ribbon pieces, and the ``x`` open slots are
+a few ``(start, stop)`` runs (one per gap between the node's children), so
+each piece maps onto slot runs through prefix sums and a binary search:
+the cost is per piece and per run, never per unit.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
 from typing import Mapping, Sequence
 
-from repro.core.schedule import Schedule
+from repro.core.schedule import Runs, Schedule
 from repro.instances.jobs import Instance
 from repro.tree.node import WindowForest
 from repro.util.errors import SolverError
 
 
-def spread_units(
-    units: Mapping[int, int], slots: Sequence[int], capacity: int
-) -> dict[int, list[int]]:
-    """Assign ``units[j]`` slot-units per job onto ``slots`` (wrap-around).
+def spread_runs(
+    units: Mapping[int, int], runs: Sequence[tuple[int, int]], capacity: int
+) -> dict[int, Runs]:
+    """Assign ``units[j]`` slot-units per job onto open slot runs (wrap-around).
 
     Parameters
     ----------
     units:
         Job id → number of units to place (each unit on a distinct slot).
-    slots:
-        The concrete open slots of one node.
+    runs:
+        The open slots of one node as sorted disjoint ``(start, stop)``
+        ranges.
     capacity:
         Per-slot job limit ``g``.
 
     Returns
     -------
-    Job id → list of slots.
+    Job id → its sorted disjoint ranges, packed flat
+    (:data:`~repro.core.schedule.Runs`).
 
     Raises
     ------
     SolverError
-        If the load conditions ``units[j] ≤ len(slots)`` or
-        ``Σ units ≤ g·len(slots)`` fail (caller bug).
+        If the load conditions ``units[j] ≤ x`` or ``Σ units ≤ g·x`` fail
+        for the ``x`` open slots (caller bug).
     """
-    x = len(slots)
+    ends = list(accumulate(stop - start for start, stop in runs))
+    x = ends[-1] if ends else 0
     total = sum(units.values())
     if total == 0:
-        return {j: [] for j in units}
+        return {j: () for j in units}
     if x == 0:
         raise SolverError("units to place but no open slots")
     if total > capacity * x:
         raise SolverError(f"load {total} exceeds capacity {capacity}*{x}")
-    out: dict[int, list[int]] = {}
+
+    out: dict[int, Runs] = {}
     cursor = 0
     for jid in sorted(units):
-        k = units[jid]
-        if k > x:
-            raise SolverError(f"job {jid} needs {k} units but only {x} slots")
-        out[jid] = [slots[(cursor + step) % x] for step in range(k)]
-        cursor += k
+        need = units[jid]
+        if need > x:
+            raise SolverError(f"job {jid} needs {need} units but only {x} slots")
+        if not need:
+            out[jid] = ()
+            continue
+        lo = cursor % x
+        hi = lo + need
+        cursor += need
+        k = bisect_right(ends, lo)
+        if hi <= ends[k]:  # inside one run: the common case
+            first = runs[k][1] - ends[k] + lo
+            out[jid] = (first, first + need)
+        elif hi <= x:
+            out[jid] = _open_ranges(runs, ends, lo, hi)
+        else:  # wraps: the piece at the front comes first in slot order
+            out[jid] = _open_ranges(runs, ends, 0, hi - x) + _open_ranges(runs, ends, lo, x)
     return out
+
+
+def _open_ranges(
+    runs: Sequence[tuple[int, int]], ends: Sequence[int], lo: int, hi: int
+) -> Runs:
+    """Open slots ``lo..hi-1`` (counted from 0 in slot order) as flat slot
+    ranges; ``ends`` are the prefix sums of the run lengths."""
+    out: list[int] = []
+    k = bisect_right(ends, lo)
+    while lo < hi:
+        first = runs[k][1] - (ends[k] - lo)
+        take = min(hi, ends[k]) - lo
+        out += (first, first + take)
+        lo += take
+        k += 1
+    return tuple(out)
 
 
 def schedule_from_node_counts(
@@ -74,16 +113,17 @@ def schedule_from_node_counts(
     ``y[(i, j)]`` gives the units of job ``j`` placed in node ``i`` (e.g.
     from :func:`repro.flow.feasibility.node_assignment`).  Each node's units
     are spread over the first ``x(i)`` slots of its exclusive region.
+    ``instance`` may be the original instance of a canonicalized one: the
+    canonical windows lie inside the original ones.
     """
     per_node: dict[int, dict[int, int]] = {}
     for (i, jid), amount in y.items():
         if amount > 0:
             per_node.setdefault(i, {})[jid] = amount
 
-    assignment: dict[int, list[int]] = {j.id: [] for j in instance.jobs}
+    runs: dict[int, Runs] = {j.id: () for j in instance.jobs}
     for i, units in per_node.items():
-        open_slots = forest.exclusive_slots(i, limit=int(x[i]))
-        placed = spread_units(units, open_slots, instance.g)
-        for jid, slots in placed.items():
-            assignment[jid].extend(slots)
-    return Schedule.from_assignment(instance, assignment)
+        open_runs = forest.exclusive_runs(i, int(x[i]))
+        for jid, pieces in spread_runs(units, open_runs, instance.g).items():
+            runs[jid] += pieces
+    return Schedule.from_runs(instance, runs)

@@ -14,7 +14,7 @@ import json
 from pathlib import Path
 from typing import Any
 
-from repro.core.schedule import Schedule
+from repro.core.schedule import Schedule, slot_list
 from repro.instances.jobs import Instance, Job
 from repro.util.errors import InvalidInstanceError
 
@@ -77,18 +77,18 @@ def schedule_to_dict(schedule: Schedule) -> dict[str, Any]:
         "version": FORMAT_VERSION,
         "instance": instance_to_dict(schedule.instance),
         "assignment": {
-            str(jid): list(slots) for jid, slots in schedule.assignment.items()
+            str(jid): slot_list(runs) for jid, runs in schedule.runs.items()
         },
     }
 
 
 def schedule_from_dict(data: dict[str, Any]) -> Schedule:
+    """Parse the dict form back into a :class:`Schedule` (slots sorted)."""
     instance = instance_from_dict(data["instance"])
     assignment = {
-        int(jid): tuple(int(t) for t in slots)
-        for jid, slots in data["assignment"].items()
+        int(jid): [int(t) for t in slots] for jid, slots in data["assignment"].items()
     }
-    return Schedule(instance=instance, assignment=assignment)
+    return Schedule.from_assignment(instance, assignment)
 
 
 def dump_schedule(schedule: Schedule, path: str | Path) -> None:

@@ -143,11 +143,8 @@ class AdviceAugmentedPolicy(Policy):
                 canonical.instance, canonical.forest, canonical.job_node, x
             )
             assert y is not None  # _repair guarantees acceptance
-        advised = Schedule.from_assignment(
-            instance,
-            schedule_from_node_counts(
-                canonical.instance, canonical.forest, canonical.job_node, x, y
-            ).assignment,
+        advised = schedule_from_node_counts(
+            instance, canonical.forest, canonical.job_node, x, y
         ).require_valid()
 
         # Robustness: never worse than the advice-free 9/5 pipeline.

@@ -186,11 +186,14 @@ class WindowForest:
             self.nodes[c].interval.length for c in node.children
         )
 
-    def exclusive_slots(self, i: int, *, limit: int | None = None) -> list[int]:
-        """The concrete slots counted by ``L(i)``, in increasing order.
+    def exclusive_runs(
+        self, i: int, limit: int | None = None
+    ) -> list[tuple[int, int]]:
+        """The slots counted by ``L(i)`` as sorted disjoint ``(start, stop)``
+        ranges, one per gap between children.
 
-        With ``limit``, only the first ``limit`` of them: the walk stops
-        there, so the cost is O(limit + children), not O(L(i)).
+        With ``limit``, only the first ``limit`` slots.  The cost is
+        O(children), whatever ``L(i)`` or ``limit`` is.
         """
         node = self.nodes[i]
         children = sorted(
@@ -200,13 +203,22 @@ class WindowForest:
         # An empty sentinel child at the end closes the last gap.
         children.append((node.interval.end, node.interval.end))
         room = node.interval.length if limit is None else limit
-        out: list[int] = []
+        out: list[tuple[int, int]] = []
         t = node.interval.start
         for child_start, child_end in children:
-            take = min(child_start - t, room - len(out))
-            out.extend(range(t, t + take))
+            take = min(child_start - t, room)
+            if take > 0:
+                out.append((t, t + take))
+                room -= take
             t = child_end
         return out
+
+    def exclusive_slots(self, i: int, *, limit: int | None = None) -> list[int]:
+        """The concrete slots counted by ``L(i)``, in increasing order: the
+        expansion of :meth:`exclusive_runs`."""
+        return [
+            t for start, stop in self.exclusive_runs(i, limit) for t in range(start, stop)
+        ]
 
     def node_at_slot(self, t: int) -> int | None:
         """Deepest node whose interval contains slot ``t`` (or ``None``)."""

@@ -3,18 +3,23 @@
 Production code has one path per layer; the implementations those paths
 replaced live here as test oracles: the from-scratch flow probers
 (:class:`ReferenceFlowProber`, and :class:`DifferentialFlowProber`,
-which runs both and raises :class:`FlowMismatchError` on disagreement)
-and the per-row LP builds, which must compile to the same model as
+which runs both and raises :class:`FlowMismatchError` on disagreement),
+the per-row LP builds, which must compile to the same model as
 :func:`~repro.lp.nested_lp.build_nested_lp` /
-:func:`~repro.lp.cw_lp.build_cw_lp`.  :func:`flow_prober` puts a
-reference prober under the real consumers for the current context only.
+:func:`~repro.lp.cw_lp.build_cw_lp`, and the per-slot schedule paths:
+:func:`spread_units` / :func:`reference_slot_assignment` (the per-unit
+wrap-around rule :func:`~repro.flow.assignment.schedule_from_node_counts`
+must match) and :func:`reference_violations` (the per-slot validator
+:meth:`~repro.core.schedule.Schedule.violations` must agree with).
+:func:`flow_prober` puts a reference prober under the real consumers for
+the current context only.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.core.opt_thresholds import OptThresholds
 from repro.flow.dinic import MaxFlow
@@ -26,6 +31,7 @@ from repro.lp.natural_lp import build_natural_lp
 from repro.lp.natural_lp import _xname as _slot_xname
 from repro.lp.nested_lp import _xname, _yname, job_classes
 from repro.tree.canonical import CanonicalInstance
+from repro.tree.node import WindowForest
 from repro.util.errors import SolverError
 from repro.util.intervals import Interval
 
@@ -250,3 +256,97 @@ def reference_cw_lp(instance: Instance) -> LinearProgram:
                 label=f"ceil[{t1},{t2})>={rhs}",
             )
     return lp
+
+
+# ---------------------------------------------------------------------------
+# Per-slot schedules
+# ---------------------------------------------------------------------------
+
+
+def spread_units(
+    units: Mapping[int, int], slots: Sequence[int], capacity: int
+) -> dict[int, list[int]]:
+    """Assign ``units[j]`` slot-units per job onto ``slots`` (wrap-around),
+    one unit at a time.
+
+    :func:`~repro.flow.assignment.spread_runs` must place the same units
+    on the same slots and raise :class:`SolverError` on the same input.
+    """
+    x = len(slots)
+    total = sum(units.values())
+    if total == 0:
+        return {j: [] for j in units}
+    if x == 0:
+        raise SolverError("units to place but no open slots")
+    if total > capacity * x:
+        raise SolverError(f"load {total} exceeds capacity {capacity}*{x}")
+    out: dict[int, list[int]] = {}
+    cursor = 0
+    for jid in sorted(units):
+        k = units[jid]
+        if k > x:
+            raise SolverError(f"job {jid} needs {k} units but only {x} slots")
+        out[jid] = [slots[(cursor + step) % x] for step in range(k)]
+        cursor += k
+    return out
+
+
+def reference_slot_assignment(
+    instance: Instance,
+    forest: WindowForest,
+    x: Sequence[int],
+    y: Mapping[tuple[int, int], int],
+) -> dict[int, tuple[int, ...]]:
+    """Per-unit form of :func:`~repro.flow.assignment.schedule_from_node_counts`:
+    job id → sorted slot tuple."""
+    per_node: dict[int, dict[int, int]] = {}
+    for (i, jid), amount in y.items():
+        if amount > 0:
+            per_node.setdefault(i, {})[jid] = amount
+    assignment: dict[int, list[int]] = {j.id: [] for j in instance.jobs}
+    for i, units in per_node.items():
+        open_slots = forest.exclusive_slots(i, limit=int(x[i]))
+        for jid, slots in spread_units(units, open_slots, instance.g).items():
+            assignment[jid].extend(slots)
+    return {jid: tuple(sorted(slots)) for jid, slots in assignment.items()}
+
+
+def reference_violations(
+    instance: Instance, assignment: Mapping[int, Iterable[int]]
+) -> list[str]:
+    """Per-slot validation of a job id → slots mapping: one message per
+    slot outside a window and per overloaded slot.
+
+    :meth:`~repro.core.schedule.Schedule.violations` must flag the same
+    jobs and slots (it reports a range of slots in one message).
+    """
+    problems: list[str] = []
+    assignment = {jid: tuple(sorted(slots)) for jid, slots in assignment.items()}
+    loads: dict[int, int] = {}
+    for slots in assignment.values():
+        for t in slots:
+            loads[t] = loads.get(t, 0) + 1
+    for job in instance.jobs:
+        if job.id not in assignment:
+            problems.append(f"job {job.id} missing from assignment")
+            continue
+        slots = assignment[job.id]
+        if len(set(slots)) != len(slots):
+            problems.append(f"job {job.id} repeats a slot")
+        if len(slots) != job.processing:
+            problems.append(
+                f"job {job.id} got {len(slots)} slots, needs {job.processing}"
+            )
+        for t in slots:
+            if not (job.release <= t < job.deadline):
+                problems.append(
+                    f"job {job.id} scheduled at {t} outside "
+                    f"[{job.release},{job.deadline})"
+                )
+    extra = set(assignment) - {j.id for j in instance.jobs}
+    for jid in sorted(extra):
+        problems.append(f"assignment mentions unknown job {jid}")
+    for t, load in sorted(loads.items()):
+        if load > instance.g:
+            problems.append(f"slot {t} runs {load} jobs, capacity is {instance.g}")
+    return problems

@@ -69,3 +69,13 @@ class TestScheduleIO:
         bad = Schedule.from_assignment(tiny_instance, {0: [0]})
         again = schedule_from_dict(schedule_to_dict(bad))
         assert not again.is_valid
+
+    def test_loaded_slots_are_sorted_tuples(self, tiny_instance):
+        doc = schedule_to_dict(
+            Schedule.from_assignment(tiny_instance, {0: [0, 2], 1: [0], 2: [2]})
+        )
+        doc["assignment"]["0"] = [2, 0]
+        loaded = schedule_from_dict(doc)
+        assert loaded.assignment[0] == (0, 2)
+        assert loaded == schedule_from_dict(schedule_to_dict(loaded))
+        assert loaded.is_valid

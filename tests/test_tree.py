@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.instances.generators import random_laminar
 from repro.instances.jobs import Instance
+from repro.tree.canonical import canonicalize
 from repro.tree.laminar import build_forest
 from repro.tree.node import TreeNode, WindowForest
 from repro.util.errors import InvalidInstanceError, NotLaminarError
@@ -106,6 +108,20 @@ class TestForestQueries:
             slots = forest.exclusive_slots(i)
             for limit in range(len(slots) + 2):
                 assert forest.exclusive_slots(i, limit=limit) == slots[:limit]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_exclusive_runs_expand_to_the_slot_prefix(self, three_level, seed):
+        inst = random_laminar(12, 2, horizon=40, seed=seed) if seed else three_level[0]
+        forest = canonicalize(inst).forest
+        for i in range(forest.m):
+            slots = forest.exclusive_slots(i)
+            for limit in range(len(slots) + 2):
+                runs = forest.exclusive_runs(i, limit)
+                assert [t for a, b in runs for t in range(a, b)] == slots[:limit]
+                # Non-empty, sorted, and split only where a child sits.
+                assert all(a < b for a, b in runs)
+                assert all(x[1] < y[0] for x, y in zip(runs, runs[1:]))
+                assert len(runs) <= len(forest.nodes[i].children) + 1
 
     def test_node_at_slot_deepest(self, three_level):
         _, forest, _ = three_level
