@@ -49,6 +49,25 @@ from repro.tree.node import WindowForest
 # ---------------------------------------------------------------------------
 
 
+def _job_blocks(
+    cnt: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Edge layout of per-job blocks: job ``k``'s source edge, then its
+    ``cnt[k]`` window edges — the historical per-job insertion order.
+
+    Returns ``(starts, job_of, within, pos)``: the position of each
+    job's source edge, and per window edge its job, its rank within the
+    job's block and its position.
+    """
+    block = cnt + 1
+    starts = np.cumsum(block) - block
+    job_of = np.repeat(np.arange(cnt.size, dtype=np.int64), cnt)
+    within = np.arange(int(cnt.sum()), dtype=np.int64) - np.repeat(
+        np.cumsum(cnt) - cnt, cnt
+    )
+    return starts, job_of, within, np.repeat(starts + 1, cnt) + within
+
+
 def _slot_network(
     instance: Instance, active: Sequence[int]
 ) -> tuple[MaxFlow, tuple[np.ndarray, np.ndarray, np.ndarray], int, int]:
@@ -78,10 +97,7 @@ def _slot_network(
     hi = np.searchsorted(slots, deads, side="left")
     cnt = hi - lo
     total = int(cnt.sum())
-    # Per-job block: source edge first, then its window edges (ascending
-    # slot) — the historical per-job insertion order.
-    block = cnt + 1
-    starts = np.cumsum(block) - block
+    starts, job_of, within, widx = _job_blocks(cnt)
     size = n_jobs + total
     us = np.empty(size, dtype=np.int64)
     vs = np.empty(size, dtype=np.int64)
@@ -89,11 +105,6 @@ def _slot_network(
     us[starts] = source
     vs[starts] = np.arange(n_jobs)
     caps[starts] = procs
-    window_mask = np.ones(size, dtype=bool)
-    window_mask[starts] = False
-    widx = np.flatnonzero(window_mask)
-    job_of = np.repeat(np.arange(n_jobs), cnt)
-    within = np.arange(total) - np.repeat(np.cumsum(cnt) - cnt, cnt)
     pos = lo[job_of] + within
     us[widx] = job_of
     vs[widx] = n_jobs + pos
@@ -190,50 +201,88 @@ def all_slots_feasible(instance: Instance) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def node_edges(
+    instance: Instance,
+    forest: WindowForest,
+    job_node: Mapping[int, int],
+    x: Sequence[int],
+) -> tuple[np.ndarray, ...]:
+    """Edge arrays of the Lemma 4.1 network ``s → jobs → nodes → t``.
+
+    Node ids: job positions ``0..n-1``, tree node ``i`` at ``n + i``,
+    then source and sink.  Per job (in ``instance.jobs`` order) its
+    source edge, then one edge to each node of ``Des(k(j))`` with
+    ``x(i) > 0`` in preorder; then the node→sink edges by node id.  A
+    job's admissible open nodes are a contiguous run of the open nodes
+    in preorder — the preorder range ``[tin, tout)`` of ``k(j)`` — so
+    every edge is laid out by prefix sums instead of one Python step per
+    edge.  :func:`repro.verify.reference.reference_node_edges` is the
+    per-job loop it must match.
+
+    Returns ``(us, vs, caps, edge_pos, edge_node, edge_jid)``: the edge
+    arrays in insertion order, then the positions of the job→node edges
+    in them with each edge's tree node and job id.
+    """
+    jobs = instance.jobs
+    n_jobs = instance.n
+    source = n_jobs + forest.m
+    sink = source + 1
+    xs = np.asarray(x)
+    preorder = np.asarray(forest.preorder, dtype=np.int64)
+    open_pre = xs[preorder] > 0
+    open_nodes = preorder[open_pre]
+    before = np.concatenate(([0], np.cumsum(open_pre)))  # open nodes before
+    tin = np.asarray(forest.tin, dtype=np.int64)
+    tout = np.asarray(forest.tout, dtype=np.int64)
+    k_of = np.fromiter(
+        (job_node[job.id] for job in jobs), dtype=np.int64, count=n_jobs
+    )
+    lo = before[tin[k_of]]
+    cnt = before[tout[k_of]] - lo
+    starts, job_of, within, edge_pos = _job_blocks(cnt)
+    edge_node = open_nodes[lo[job_of] + within]
+    sinks = np.flatnonzero(xs > 0)
+    size = n_jobs + edge_pos.size
+    us = np.empty(size + sinks.size, dtype=np.int64)
+    vs = np.empty(size + sinks.size, dtype=np.int64)
+    caps = np.empty(size + sinks.size, dtype=float)
+    us[starts] = source
+    vs[starts] = np.arange(n_jobs)
+    caps[starts] = np.fromiter(
+        (job.processing for job in jobs), dtype=float, count=n_jobs
+    )
+    us[edge_pos] = job_of
+    vs[edge_pos] = n_jobs + edge_node
+    caps[edge_pos] = xs[edge_node]
+    us[size:] = n_jobs + sinks
+    vs[size:] = sink
+    caps[size:] = instance.g * xs[sinks]
+    ids = np.fromiter((job.id for job in jobs), dtype=np.int64, count=n_jobs)
+    return us, vs, caps, edge_pos, edge_node, ids[job_of]
+
+
 def _node_network(
     instance: Instance,
     forest: WindowForest,
     job_node: Mapping[int, int],
     x: Sequence[int],
-) -> tuple[MaxFlow, tuple[list[int], list[int], list[int]], int, int]:
+) -> tuple[MaxFlow, tuple[np.ndarray, np.ndarray, np.ndarray], int, int]:
     """Lemma 4.1 network: ``s → jobs → nodes → t``.
 
     A job ``j`` may use nodes in ``Des(k(j))`` with per-node cap ``x(i)``;
     node ``i`` forwards at most ``g·x(i)`` to the sink.  Returns
     ``(net, (edge_ids, node, job_id), source, sink)`` with the three
-    parallel lists describing the job→node edges.
+    parallel arrays describing the job→node edges (see
+    :func:`node_edges`).
     """
-    n_jobs = instance.n
-    m = forest.m
-    source = n_jobs + m
-    sink = source + 1
-    net = CSRMaxFlow(sink + 1)
-    us: list[int] = []
-    vs: list[int] = []
-    caps: list[float] = []
-    edge_pos: list[int] = []  # position of each job→node edge in us/vs
-    edge_node: list[int] = []
-    edge_jid: list[int] = []
-    for k, job in enumerate(instance.jobs):
-        us.append(source)
-        vs.append(k)
-        caps.append(job.processing)
-        for i in forest.descendants(job_node[job.id]):
-            if x[i] > 0:
-                edge_pos.append(len(us))
-                edge_node.append(i)
-                edge_jid.append(job.id)
-                us.append(k)
-                vs.append(n_jobs + i)
-                caps.append(x[i])
-    for i in range(m):
-        if x[i] > 0:
-            us.append(n_jobs + i)
-            vs.append(sink)
-            caps.append(instance.g * x[i])
-    eids = net.add_edges(us, vs, caps)
-    meta = ([eids[p] for p in edge_pos], edge_node, edge_jid)
-    return net, meta, source, sink
+    us, vs, caps, edge_pos, edge_node, edge_jid = node_edges(
+        instance, forest, job_node, x
+    )
+    source = instance.n + forest.m
+    net = CSRMaxFlow(source + 2)
+    net.add_edges(us, vs, caps)
+    # add_edges hands out even ids in insertion order: edge k is 2k.
+    return net, (2 * edge_pos, edge_node, edge_jid), source, source + 1
 
 
 def node_prober(
@@ -289,11 +338,13 @@ def node_assignment(
     )
     if net.max_flow(s, t) != instance.total_volume:
         return None
-    eid_arr = np.asarray(eids, dtype=np.int64)
     icap = np.asarray(net._initial_cap, dtype=float)
     cap = np.asarray(net.cap, dtype=float)
-    flows = icap[eid_arr] - cap[eid_arr] if eid_arr.size else np.zeros(0)
-    return {
-        (nodes[k], jids[k]): int(round(float(flows[k])))
-        for k in np.flatnonzero(flows > 0.5).tolist()
-    }
+    flows = icap[eids] - cap[eids]
+    keep = np.flatnonzero(flows > 0.5)
+    return dict(
+        zip(
+            zip(nodes[keep].tolist(), jids[keep].tolist()),
+            np.rint(flows[keep]).astype(np.int64).tolist(),
+        )
+    )

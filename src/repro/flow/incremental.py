@@ -48,7 +48,10 @@ and the CLI ``--stats`` flag.
 from __future__ import annotations
 
 from contextvars import ContextVar
+from itertools import chain
 from typing import Sequence
+
+import numpy as np
 
 from repro import obs
 from repro.flow.csr import CSRMaxFlow
@@ -144,6 +147,30 @@ class IncrementalFlow:
         return self.net._initial_cap[eid]
 
     # -- mutation with flow repair ----------------------------------------
+
+    def set_capacities(self, eids, capacities) -> None:
+        """Bulk :meth:`set_capacity` on a network that carries no flow.
+
+        With no flow there is nothing to repair, so every capacity is a
+        plain array write (the CSR kernel's array storage).  Raises
+        :class:`ValueError` once a flow has been pushed
+        (:attr:`value` > 0).
+        """
+        if self.value:
+            raise ValueError(
+                "set_capacities() needs a flow-free network; "
+                "use set_capacity() to repair flow"
+            )
+        eids = np.asarray(eids, dtype=np.int64)
+        caps = np.asarray(capacities, dtype=float)
+        if eids.shape != caps.shape:
+            raise ValueError("eids/capacities length mismatch")
+        if (eids & 1).any():
+            raise ValueError("set_capacities() takes even edge ids")
+        if caps.size and float(caps.min()) < 0:
+            raise ValueError(f"negative capacity {float(caps.min())}")
+        self.net._initial_cap[eids] = caps
+        self.net.cap[eids] = caps
 
     def set_capacity(self, eid: int, capacity: float) -> float:
         """Rebase edge ``eid`` to ``capacity``, repairing flow if needed.
@@ -261,7 +288,10 @@ class ClassFlowProber:
     Drop-in for the from-scratch class-flow test: ``probe(counts)``
     answers "can every job finish inside ``counts[i]`` open slots per
     bucket at machine capacity ``g``?" — but builds the network once and
-    repairs/augments between probes instead of rebuilding.
+    repairs/augments between probes instead of rebuilding.  The network
+    is assembled with array operations; the first probe, while no flow
+    runs, writes every capacity in one bulk step, and later probes
+    rebase only the buckets whose count changed.
     """
 
     def __init__(
@@ -271,37 +301,49 @@ class ClassFlowProber:
         g: int,
     ) -> None:
         n_jobs = len(processings)
+        n_buckets = len(buckets)
         self._p = list(processings)
-        self.total = sum(processings)
+        self.total = sum(self._p)
         self.g = g
-        source = n_jobs + len(buckets)
+        source = n_jobs + n_buckets
         sink = source + 1
         engine = IncrementalFlow(CSRMaxFlow(sink + 1), source, sink)
-        self._buckets = [list(b) for b in buckets]
-        # One bulk append (source edges, then per bucket its job edges
-        # and sink edge) — same edge ids as the per-edge loop, but the
-        # CSR kernel defers adjacency-list construction entirely.
-        us: list[int] = [source] * n_jobs
-        vs: list[int] = list(range(n_jobs))
-        caps: list[float] = list(processings)
-        for ci, bucket in enumerate(self._buckets):
-            node = n_jobs + ci
-            us.extend(bucket)
-            vs.extend([node] * len(bucket))
-            caps.extend([0] * len(bucket))
-            us.append(node)
-            vs.append(sink)
-            caps.append(0)
-        eids = engine.add_edges(us, vs, caps)
-        self._job_edges: list[list[int]] = []
-        self._sink_edges: list[int] = []
-        at = n_jobs
-        for bucket in self._buckets:
-            self._job_edges.append(eids[at : at + len(bucket)])
-            at += len(bucket)
-            self._sink_edges.append(eids[at])
-            at += 1
-        self._counts = [0] * len(buckets)
+        # Bucket ci's jobs are members[ptr[ci]:ptr[ci + 1]].
+        sizes = np.fromiter(map(len, buckets), dtype=np.int64, count=n_buckets)
+        ptr = np.concatenate(([0], np.cumsum(sizes)))
+        members = np.fromiter(
+            chain.from_iterable(buckets), dtype=np.int64, count=int(ptr[-1])
+        )
+        bucket_ids = np.arange(n_buckets, dtype=np.int64)
+        self._member_bucket = np.repeat(bucket_ids, sizes)
+        # One bulk append in the historical per-edge order: the source
+        # edges, then per bucket its job edges and its sink edge, all at
+        # capacity 0.  Bucket ci's edges follow the ci sink edges and
+        # ptr[ci] job edges of the buckets before it.
+        job_pos = n_jobs + np.arange(members.size) + self._member_bucket
+        sink_pos = n_jobs + ptr[1:] + bucket_ids
+        size = n_jobs + members.size + n_buckets
+        us = np.empty(size, dtype=np.int64)
+        vs = np.empty(size, dtype=np.int64)
+        caps = np.zeros(size)
+        us[:n_jobs] = source
+        vs[:n_jobs] = np.arange(n_jobs)
+        caps[:n_jobs] = self._p
+        us[job_pos] = members
+        vs[job_pos] = n_jobs + self._member_bucket
+        us[sink_pos] = n_jobs + bucket_ids
+        vs[sink_pos] = sink
+        engine.add_edges(us, vs, caps)
+        # A fresh network numbers its edges 0, 2, 4, ... in order.
+        self._job_eids = 2 * job_pos
+        self._sink_eids = 2 * sink_pos
+        self._members = members
+        # The same as lists, for the per-edge warm path.
+        self._job_eid_list = self._job_eids.tolist()
+        self._sink_eid_list = self._sink_eids.tolist()
+        self._member_list = members.tolist()
+        self._ptr = ptr.tolist()
+        self._counts = [0] * n_buckets
         # Cut bookkeeping for O(1) infeasibility rejects: total sink
         # capacity, per-job slot room, and how many jobs lack room.
         self._sink_total = 0
@@ -319,25 +361,11 @@ class ClassFlowProber:
             )
         engine = self.engine
         _STATS.add(probes=1, rebuilds_avoided=int(self._probed))
-        self._probed = True
-        room, p = self._room, self._p
-        for ci, c in enumerate(counts):
-            c = max(0, c)
-            dc = c - self._counts[ci]
-            if dc == 0:
-                continue
-            for eid in self._job_edges[ci]:
-                engine.set_capacity(eid, c)
-            engine.set_capacity(self._sink_edges[ci], self.g * c)
-            self._sink_total += self.g * dc
-            for k in self._buckets[ci]:
-                before = room[k]
-                room[k] = before + dc
-                if before < p[k] <= room[k]:
-                    self._deficient -= 1
-                elif room[k] < p[k] <= before:
-                    self._deficient += 1
-            self._counts[ci] = c
+        if self._probed:
+            self._write_changed(counts)
+        else:
+            self._write_all(counts)
+            self._probed = True
         # Exact cut-based rejects (the reference answers False in both
         # cases too): the sink cut caps the flow at Σ g·c(i); the cut
         # isolating a single job caps it at Σp − p_j + Σ_{i∋j} c(i).
@@ -348,6 +376,53 @@ class ClassFlowProber:
         if engine.value < self.total:
             engine.augment()
         return engine.value == self.total
+
+    def _write_all(self, counts: Sequence[int]) -> None:
+        """Write every bucket's counts in one bulk step.
+
+        Only for the first probe: the network carries no flow yet, so
+        each capacity is a plain write and the room/deficit/sink-total
+        bookkeeping is recomputed whole.
+        """
+        c = np.maximum(np.asarray(counts, dtype=np.int64), 0)
+        member_c = c[self._member_bucket]
+        self.engine.set_capacities(
+            np.concatenate((self._job_eids, self._sink_eids)),
+            np.concatenate((member_c, self.g * c)),
+        )
+        room = np.bincount(
+            self._members, weights=member_c, minlength=len(self._room)
+        ).astype(np.int64)
+        self._room = room.tolist()
+        self._deficient = int(np.count_nonzero(room < self._p))
+        self._sink_total = self.g * int(c.sum())
+        self._counts = c.tolist()
+
+    def _write_changed(self, counts: Sequence[int]) -> None:
+        """Rebase the buckets whose count changed, one edge at a time
+        (each :meth:`IncrementalFlow.set_capacity` repairs flow)."""
+        engine = self.engine
+        room, p = self._room, self._p
+        ptr, members = self._ptr, self._member_list
+        job_eids, sink_eids = self._job_eid_list, self._sink_eid_list
+        for ci, c in enumerate(counts):
+            c = max(0, c)
+            dc = c - self._counts[ci]
+            if dc == 0:
+                continue
+            lo, hi = ptr[ci], ptr[ci + 1]
+            for eid in job_eids[lo:hi]:
+                engine.set_capacity(eid, c)
+            engine.set_capacity(sink_eids[ci], self.g * c)
+            self._sink_total += self.g * dc
+            for k in members[lo:hi]:
+                before = room[k]
+                room[k] = before + dc
+                if before < p[k] <= room[k]:
+                    self._deficient -= 1
+                elif room[k] < p[k] <= before:
+                    self._deficient += 1
+            self._counts[ci] = c
 
 
 class DynamicFlowProber:

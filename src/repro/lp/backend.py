@@ -12,7 +12,7 @@ cross-validation (no fallback, still cached).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -22,18 +22,32 @@ from scipy.sparse import csr_matrix
 from repro.util.errors import SolverError
 
 
-@dataclass(frozen=True)
 class LPSolution:
     """Result of an LP solve.
+
+    A backend answer carries the solution *vector* ``x`` (one entry per
+    column, in :meth:`LinearProgram.variable_names` order) and the row
+    marginals as arrays, bound to the model's column names and row
+    labels.  The by-name views :attr:`values` and :attr:`duals` are plain
+    dicts built from them on first read, so a caller that reads neither
+    (LP (1) reads ``x`` by column index) never builds them.  A solution
+    may also be given directly as a ``values`` (and ``duals``) dict; its
+    ``x`` is then ``None``.
 
     Attributes
     ----------
     value:
         Objective value at the optimum.
-    values:
-        Variable name → optimal value.
     status:
         Backend status string (``"optimal"`` on success).
+    x:
+        Column values, or ``None`` for a solution given as dicts.
+    marginals_ub / marginals_eq:
+        Row marginals of the inequality / equality block as compiled
+        (scipy's convention, ``dφ/db``), or ``None`` when the backend
+        reports none.
+    values:
+        Variable name → optimal value.
     duals:
         Constraint label → dual value.  Both backends report duals for
         inequality rows under the same labels and sign convention:
@@ -41,13 +55,111 @@ class LPSolution:
         (nonnegative when binding), so weak duality reads
         ``Σ dual·rhs ≤ primal value`` for covering-style models.
         Equality-row duals are HiGHS-only (the from-scratch simplex
-        omits them).
+        omits them).  Unlabelled rows are left out.
     """
 
-    value: float
-    values: Mapping[str, float]
-    status: str
-    duals: Mapping[str, float] = field(default_factory=dict)
+    __slots__ = (
+        "value",
+        "status",
+        "x",
+        "marginals_ub",
+        "marginals_eq",
+        "_names",
+        "_meta_ub",
+        "_meta_eq",
+        "_values",
+        "_duals",
+    )
+
+    def __init__(
+        self,
+        value: float,
+        values: Mapping[str, float] | None = None,
+        status: str = "optimal",
+        duals: Mapping[str, float] | None = None,
+        *,
+        x: np.ndarray | None = None,
+        names: Sequence[str] = (),
+        marginals_ub: np.ndarray | None = None,
+        marginals_eq: np.ndarray | None = None,
+        meta_ub: Sequence[tuple[str, str]] = (),
+        meta_eq: Sequence[str] = (),
+    ) -> None:
+        if x is not None and (values is not None or duals is not None):
+            raise ValueError("give a solution as x or as dicts, not both")
+        self.value = value
+        self.status = status
+        self.x = x
+        self.marginals_ub = marginals_ub
+        self.marginals_eq = marginals_eq
+        self._names = names
+        self._meta_ub = meta_ub
+        self._meta_eq = meta_eq
+        self._values = values
+        self._duals = duals
+
+    def __repr__(self) -> str:
+        size = len(self.values) if self.x is None else self.x.size
+        return (
+            f"LPSolution(value={self.value!r}, status={self.status!r}, "
+            f"columns={size})"
+        )
+
+    @property
+    def values(self) -> Mapping[str, float]:
+        if self._values is None:
+            x = () if self.x is None else self.x.tolist()
+            self._values = dict(zip(self._names, x))
+        return self._values
+
+    @property
+    def duals(self) -> Mapping[str, float]:
+        if self._duals is None:
+            duals: dict[str, float] = {}
+            if self.marginals_ub is not None:
+                # ``>=`` rows were negated when compiled, so their dual
+                # flips sign back: nonnegative when binding.
+                for (label, sense), marg in zip(
+                    self._meta_ub, self.marginals_ub.tolist()
+                ):
+                    if label:
+                        duals[label] = -marg if sense == ">=" else marg
+            if self.marginals_eq is not None:
+                for label, marg in zip(
+                    self._meta_eq, self.marginals_eq.tolist()
+                ):
+                    if label:
+                        duals[label] = marg
+            self._duals = duals
+        return self._duals
+
+    def copy(
+        self,
+        names: Sequence[str] = (),
+        meta_ub: Sequence[tuple[str, str]] = (),
+        meta_eq: Sequence[str] = (),
+    ) -> "LPSolution":
+        """A copy that shares no mutable state with this solution.
+
+        The copy of a vector solution holds copies of ``x`` and the
+        marginals, bound to the given column names and row labels (by
+        default none: only the arrays are kept).  A solution given as
+        dicts is copied as dicts.
+        """
+        if self.x is None:
+            return LPSolution(
+                self.value, dict(self.values), self.status, dict(self.duals)
+            )
+        return LPSolution(
+            self.value,
+            status=self.status,
+            x=self.x.copy(),
+            names=names,
+            marginals_ub=_copied(self.marginals_ub),
+            marginals_eq=_copied(self.marginals_eq),
+            meta_ub=meta_ub,
+            meta_eq=meta_eq,
+        )
 
     def __getitem__(self, name: str) -> float:
         return self.values[name]
@@ -57,6 +169,10 @@ class LPSolution:
 
     def dual(self, label: str, default: float = 0.0) -> float:
         return self.duals.get(label, default)
+
+
+def _copied(a: np.ndarray | None) -> np.ndarray | None:
+    return None if a is None else np.array(a, dtype=float)
 
 
 @dataclass
@@ -357,7 +473,9 @@ class LinearProgram:
 
         a_ub, b_ub = acc_ub.build(n)
         a_eq, b_eq = acc_eq.build(n)
-        bounds = list(zip(self._lower, self._upper))
+        bounds = np.empty((n, 2))
+        bounds[:, 0] = self._lower
+        bounds[:, 1] = self._upper
         return {
             "c": c,
             "A_ub": a_ub,
@@ -381,19 +499,20 @@ class LinearProgram:
 
         return get_service().solve(self, backend=backend)
 
-    def _ub_duals(self, parts: dict, marginals) -> dict[str, float]:
-        """Labelled duals of inequality rows from ≤-form marginals.
-
-        Marginals follow scipy's convention (``dφ/db`` of the row as
-        compiled, nonpositive at a minimum); ``>=`` rows were negated in
-        :meth:`compile`, so their reported dual flips sign — nonnegative
-        when binding.
-        """
-        duals: dict[str, float] = {}
-        for (label, sense), marg in zip(parts["meta_ub"], marginals):
-            if label:
-                duals[label] = float(-marg if sense == ">=" else marg)
-        return duals
+    def _solution(
+        self, parts: dict, value: float, x, marginals_ub, marginals_eq
+    ) -> LPSolution:
+        """A backend's answer, bound to this model's names and labels."""
+        return LPSolution(
+            float(value),
+            status="optimal",
+            x=np.asarray(x, dtype=float),
+            names=self.variable_names(),
+            marginals_ub=marginals_ub if parts["meta_ub"] else None,
+            marginals_eq=marginals_eq if parts["meta_eq"] else None,
+            meta_ub=parts["meta_ub"],
+            meta_eq=parts["meta_eq"],
+        )
 
     def _solve_highs(
         self, parts: dict | None = None, *, time_limit: float | None = None
@@ -427,16 +546,14 @@ class LinearProgram:
                 num_vars=self.num_vars,
                 num_constraints=self.num_constraints,
             )
-        values = {name: float(res.x[i]) for name, i in self._var_index.items()}
-        duals: dict[str, float] = {}
-        if parts["meta_ub"] and getattr(res, "ineqlin", None) is not None:
-            duals.update(self._ub_duals(parts, res.ineqlin.marginals))
-        if parts["meta_eq"] and getattr(res, "eqlin", None) is not None:
-            for label, marg in zip(parts["meta_eq"], res.eqlin.marginals):
-                if label:
-                    duals[label] = float(marg)
-        return LPSolution(
-            value=float(res.fun), values=values, status="optimal", duals=duals
+        ineqlin = getattr(res, "ineqlin", None)
+        eqlin = getattr(res, "eqlin", None)
+        return self._solution(
+            parts,
+            res.fun,
+            res.x,
+            None if ineqlin is None else ineqlin.marginals,
+            None if eqlin is None else eqlin.marginals,
         )
 
     def _solve_simplex(self, parts: dict | None = None) -> LPSolution:
@@ -457,13 +574,7 @@ class LinearProgram:
             cache.stats.add(simplex_warm_rejects=1)
         if solver.basis_ is not None:
             cache.put(key, solver.basis_)
-        values = {name: float(x[i]) for name, i in self._var_index.items()}
-        duals: dict[str, float] = {}
-        if parts["meta_ub"] and solver.marginals_ub is not None:
-            duals.update(self._ub_duals(parts, solver.marginals_ub))
-        return LPSolution(
-            value=float(value), values=values, status="optimal", duals=duals
-        )
+        return self._solution(parts, value, x, solver.marginals_ub, None)
 
     # -- introspection --------------------------------------------------------
 

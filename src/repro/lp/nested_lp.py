@@ -149,6 +149,7 @@ def build_nested_lp(
     *,
     ceiling: bool = True,
     thresholds: OptThresholds | None = None,
+    classes: JobClasses | None = None,
 ) -> tuple[LinearProgram, OptThresholds]:
     """Build LP (1) over the job classes of a canonical instance.
 
@@ -159,6 +160,9 @@ def build_nested_lp(
         relaxation (used by the E10 ablation).
     thresholds:
         Precomputed ``OPT_i`` thresholds (computed on demand otherwise).
+    classes:
+        Precomputed :func:`job_classes` of ``canonical`` (computed on
+        demand otherwise).
 
     The constraint families are assembled as bulk CSR blocks
     (:meth:`~repro.lp.backend.LinearProgram.add_constraint_block`); the
@@ -172,7 +176,9 @@ def build_nested_lp(
         thresholds = compute_thresholds(
             forest, canonical.job_node, {j.id: j for j in inst.jobs}, inst.g
         )
-    lp = _build(inst, forest, job_classes(canonical), thresholds, ceiling)
+    if classes is None:
+        classes = job_classes(canonical)
+    lp = _build(inst, forest, classes, thresholds, ceiling)
     return lp, thresholds
 
 
@@ -307,33 +313,49 @@ def lift_solution(
     lp: LinearProgram,
     sol: LPSolution,
     thresholds: OptThresholds,
+    classes: JobClasses | None = None,
 ) -> NestedLPSolution:
     """Read a solution of the class model ``lp`` back as per-job ``(x, y)``.
 
     ``lp`` must be a :func:`build_nested_lp` model of ``canonical``
-    (any objective).  Every column is read by name; a value missing
-    from ``sol`` raises :class:`~repro.util.errors.SolverError` instead
-    of reading as zero.  ``value`` is ``sol.value``.
+    (any objective), and ``classes`` its :func:`job_classes` (computed
+    on demand otherwise).  The columns are read from ``sol.x`` by index;
+    a solution given by name is read one name at a time, and a value
+    missing from it raises :class:`~repro.util.errors.SolverError`
+    instead of reading as zero.  ``value`` is ``sol.value``.
     """
-    classes = job_classes(canonical)
+    if classes is None:
+        classes = job_classes(canonical)
     m = canonical.forest.m
-    names = lp.variable_names()
-    if len(names) != m + classes.num_columns:
+    expected = m + classes.num_columns
+    if lp.num_vars != expected:
         raise SolverError(
-            f"LP {lp.name!r} has {len(names)} columns, expected "
-            f"{m + classes.num_columns} for this instance",
+            f"LP {lp.name!r} has {lp.num_vars} columns, expected "
+            f"{expected} for this instance",
             kind="numerical",
             model=lp.name,
         )
-    by_name = sol.values
-    try:
-        values = np.array([by_name[name] for name in names], dtype=float)
-    except KeyError as exc:
-        raise SolverError(
-            f"LP {lp.name!r} solution has no value for {exc.args[0]!r}",
-            kind="numerical",
-            model=lp.name,
-        ) from None
+    if sol.x is not None:
+        values = sol.x
+        if values.shape != (expected,):
+            raise SolverError(
+                f"LP {lp.name!r} solution has {values.size} values for "
+                f"{expected} columns",
+                kind="numerical",
+                model=lp.name,
+            )
+    else:
+        by_name = sol.values
+        try:
+            values = np.array(
+                [by_name[name] for name in lp.variable_names()], dtype=float
+            )
+        except KeyError as exc:
+            raise SolverError(
+                f"LP {lp.name!r} solution has no value for {exc.args[0]!r}",
+                kind="numerical",
+                model=lp.name,
+            ) from None
     x = snap_vector(values[:m])
     share = values[m:] / classes.sizes[classes.col_class]  # Y(i, C)/c
     share[np.abs(share) < 1e-9] = 0.0
@@ -357,7 +379,10 @@ def solve_nested_lp(
     ``backend=None`` uses the solver service's fallback chain (cached);
     pass ``"highs"``/``"simplex"`` to pin a backend.
     """
+    classes = job_classes(canonical)
     lp, thresholds = build_nested_lp(
-        canonical, ceiling=ceiling, thresholds=thresholds
+        canonical, ceiling=ceiling, thresholds=thresholds, classes=classes
     )
-    return lift_solution(canonical, lp, lp.solve(backend=backend), thresholds)
+    return lift_solution(
+        canonical, lp, lp.solve(backend=backend), thresholds, classes
+    )

@@ -23,6 +23,7 @@ from repro.lp.nested_lp import (
     NestedLPSolution,
     _xname,
     build_nested_lp,
+    job_classes,
     lift_solution,
 )
 from repro.tree.canonical import CanonicalInstance
@@ -38,11 +39,12 @@ def solve_with_weights(
     reports ``Σx`` (the active-time objective), not the weighted one.
     """
     rng = random.Random(seed)
-    lp, thresholds = build_nested_lp(canonical)
+    classes = job_classes(canonical)
+    lp, thresholds = build_nested_lp(canonical, classes=classes)
     # Rebuild the objective: random weights on x, zero on y.
     for i in range(canonical.forest.m):
         lp._objective[lp._var_index[_xname(i)]] = 1.0 + spread * rng.random()
-    lifted = lift_solution(canonical, lp, lp.solve(), thresholds)
+    lifted = lift_solution(canonical, lp, lp.solve(), thresholds, classes)
     return dataclasses.replace(lifted, value=float(lifted.x.sum()))
 
 

@@ -43,8 +43,9 @@ class SimplexSolver:
         b_ub = parts["b_ub"] if parts["b_ub"] is not None else np.zeros(0)
         a_eq = parts["A_eq"].toarray() if parts["A_eq"] is not None else np.zeros((0, n))
         b_eq = parts["b_eq"] if parts["b_eq"] is not None else np.zeros(0)
-        lower = np.array([lo for lo, _ in parts["bounds"]], dtype=float)
-        upper = np.array([hi for _, hi in parts["bounds"]], dtype=float)
+        bounds = np.asarray(parts["bounds"], dtype=float).reshape(-1, 2)
+        lower = bounds[:, 0].copy()
+        upper = bounds[:, 1].copy()
         if np.any(~np.isfinite(lower)):
             raise SolverError("simplex backend requires finite lower bounds")
 

@@ -30,6 +30,7 @@ import os
 import signal
 import threading
 import time
+from dataclasses import asdict, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
@@ -326,20 +327,28 @@ class SchedulingService:
         n_instances = _capped(body, "n_instances", 100, MAX_FUZZ_INSTANCES)
         max_jobs = _capped(body, "max_jobs", 12, MAX_FUZZ_JOBS)
         shards = max(1, min(self.pool_width, n_instances))
-        base = {
-            "n_instances": n_instances,
-            "seed": body.get("seed", 0),
-            "family": body.get("family", "mixed"),
-            "max_jobs": max_jobs,
-            "exact_max_jobs": body.get("exact_max_jobs", 8),
-            "shard_count": shards,
-        }
-        try:
-            payloads = [dict(base, shard_index=i) for i in range(shards)]
-            results = self._map("repro.service.workers:fuzz_shard", payloads)
-            reports = [r["report"] for r in results]
-            from repro.verify.fuzz import merge_fuzz_reports
+        from repro.verify.fuzz import FuzzConfig, merge_fuzz_reports
 
+        # One validated config (400 on a bad family, seed, ...) before
+        # any shard is dispatched; shards differ only in their index.
+        try:
+            config = FuzzConfig(
+                n_instances=n_instances,
+                seed=body.get("seed", 0),
+                family=body.get("family", "mixed"),
+                max_jobs=max_jobs,
+                exact_max_jobs=body.get("exact_max_jobs", 8),
+                shrink=False,  # shrinking is a CLI affordance
+                shard_count=shards,
+            )
+        except ValueError as exc:
+            raise ServiceError(str(exc)) from exc
+        payloads = [
+            asdict(replace(config, shard_index=i)) for i in range(shards)
+        ]
+        results = self._map("repro.service.workers:fuzz_shard", payloads)
+        reports = [r["report"] for r in results]
+        try:
             merged = (
                 merge_fuzz_reports(reports) if shards > 1 else reports[0]
             )

@@ -176,24 +176,16 @@ def verify_part(payload: tuple[dict, dict]) -> dict[str, Any]:
 def fuzz_shard(payload: dict[str, Any]) -> dict[str, Any]:
     """Run one shard of a ``/fuzz`` campaign and return its report dict.
 
-    The service splits a requested campaign into ``shard_count`` shards
-    (one per pool worker) and reassembles them with
+    ``payload`` is the fields of a :class:`~repro.verify.fuzz.FuzzConfig`
+    the service has already validated, one per shard.  The service
+    reassembles the shards with
     :func:`repro.verify.fuzz.merge_fuzz_reports` — the identical
     machinery the CI fuzz matrix rests on, so a served campaign equals
     the unsharded CLI run.
     """
     from repro.verify.fuzz import FuzzConfig, fuzz_report_dict, run_fuzz
 
-    config = FuzzConfig(
-        n_instances=int(payload["n_instances"]),
-        seed=int(payload.get("seed", 0)),
-        family=payload.get("family", "mixed"),
-        max_jobs=int(payload.get("max_jobs", 12)),
-        exact_max_jobs=int(payload.get("exact_max_jobs", 8)),
-        shrink=False,  # shrinking is a CLI affordance, not a service one
-        shard_index=int(payload.get("shard_index", 0)),
-        shard_count=int(payload.get("shard_count", 1)),
-    )
+    config = FuzzConfig(**payload)
     before = process_counters()
     report = fuzz_report_dict(run_fuzz(config, out_dir=None))
     return {"report": report, **obs.delta(process_counters(), before)}

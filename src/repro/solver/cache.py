@@ -19,9 +19,12 @@ Two levels of reuse live here:
   re-validated against the new model before use and can only cost one
   rejected attempt, never a wrong answer.
 
-Variable names and labels are part of both keys on purpose: the cached
-:class:`~repro.lp.backend.LPSolution` maps *names* to values, so two
-numerically identical models with different namings must not collide.
+Variable names and labels are part of both keys on purpose: a cached
+answer is read back by name (:attr:`~repro.lp.backend.LPSolution.values`,
+``duals``), so two numerically identical models with different namings
+must not collide.  An entry itself holds no names: only the objective
+value, the solution vector and the row marginals, bound to the
+requesting model's names and labels on each hit.
 """
 
 from __future__ import annotations
@@ -119,8 +122,12 @@ def structural_fingerprint(lp, parts: dict) -> str:
 class SolveCache:
     """A bounded LRU map ``fingerprint → LPSolution``.
 
-    Entries are returned as fresh :class:`LPSolution` objects with copied
-    dicts so a caller mutating ``sol.values`` cannot poison the cache.
+    An entry keeps only the objective value, a copy of the solution
+    vector and copies of the row marginals; it references neither the
+    model nor its compiled parts, so a cached solve keeps no model
+    alive.  :meth:`get` returns a fresh :class:`LPSolution` with its own
+    copies, bound to the names and labels it is given, so a caller
+    mutating ``sol.x`` or ``sol.values`` cannot poison the cache.
     """
 
     def __init__(self, max_entries: int = 1024) -> None:
@@ -134,27 +141,26 @@ class SolveCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: str) -> LPSolution | None:
+    def get(
+        self,
+        key: str,
+        names: Sequence[str] = (),
+        meta_ub: Sequence[tuple[str, str]] = (),
+        meta_eq: Sequence[str] = (),
+    ) -> LPSolution | None:
+        """The cached answer for ``key``, bound to the requesting model's
+        column ``names`` and row labels (``meta_ub``/``meta_eq`` of its
+        compiled parts), or ``None``."""
         sol = self._entries.get(key)
         if sol is None:
             self.misses += 1
             return None
         self._entries.move_to_end(key)
         self.hits += 1
-        return LPSolution(
-            value=sol.value,
-            values=dict(sol.values),
-            status=sol.status,
-            duals=dict(sol.duals),
-        )
+        return sol.copy(names, meta_ub, meta_eq)
 
     def put(self, key: str, sol: LPSolution) -> None:
-        self._entries[key] = LPSolution(
-            value=sol.value,
-            values=dict(sol.values),
-            status=sol.status,
-            duals=dict(sol.duals),
-        )
+        self._entries[key] = sol.copy()
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)

@@ -118,7 +118,12 @@ class SolverService:
         if self.cache is not None:
             key = model_fingerprint(lp, parts, chain)
             with self._lock:
-                hit = self.cache.get(key)
+                hit = self.cache.get(
+                    key,
+                    lp.variable_names(),
+                    parts["meta_ub"],
+                    parts["meta_eq"],
+                )
             if hit is not None:
                 self.stats.add(
                     solves=1, cache_hits=1, wall_time=perf_counter() - t0

@@ -26,7 +26,9 @@ def snap(value: float, eps: float = EPS) -> float:
 
 def snap_vector(values: Iterable[float], eps: float = EPS) -> np.ndarray:
     """Vectorized :func:`snap`; also clamps tiny negatives to zero."""
-    arr = np.asarray(list(values), dtype=float)
+    if not isinstance(values, np.ndarray):
+        values = list(values)
+    arr = np.array(values, dtype=float)
     nearest = np.round(arr)
     mask = np.abs(arr - nearest) <= eps
     arr = np.where(mask, nearest, arr)

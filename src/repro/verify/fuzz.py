@@ -93,6 +93,17 @@ class FuzzConfig:
     shard_count: int = 1
 
     def __post_init__(self) -> None:
+        for name in (
+            "n_instances",
+            "seed",
+            "max_jobs",
+            "exact_max_jobs",
+            "shard_index",
+            "shard_count",
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.family not in FAMILIES:
             raise ValueError(
                 f"unknown family {self.family!r}; pick one of {FAMILIES}"

@@ -5,17 +5,22 @@ import tracemalloc
 
 import pytest
 
+from repro.flow.csr import CSRMaxFlow
 from repro.flow.feasibility import (
+    _node_network,
     all_slots_feasible,
     coverage_segments,
     extract_schedule,
     node_assignment,
+    node_edges,
     node_feasible,
     slot_feasible,
 )
 from repro.instances.generators import random_laminar
 from repro.instances.jobs import Instance, Job
 from repro.tree.canonical import canonicalize
+from repro.tree.laminar import build_forest
+from repro.verify.reference import reference_node_edges
 
 
 class TestSlotFeasibility:
@@ -219,3 +224,60 @@ class TestNodeFeasibility:
             slots.extend(forest.exclusive_slots(i)[: x[i]])
         slot_ok = slot_feasible(canon.instance, slots)
         assert node_ok == slot_ok
+
+
+def _forest_cases(count):
+    """Random laminar forests (canonical and raw) with random ``x̃``
+    vectors, zero entries included."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        inst = random_laminar(
+            rng.randint(1, 25),
+            rng.randint(1, 4),
+            horizon=rng.randint(20, 80),
+            unit_fraction=rng.choice((0.0, 0.5)),
+            seed=seed,
+        )
+        canon = canonicalize(inst)
+        raw_forest, raw_job_node = build_forest(inst)
+        for instance, forest, job_node in (
+            (canon.instance, canon.forest, canon.job_node),
+            (inst, raw_forest, raw_job_node),
+        ):
+            m = forest.m
+            for x in (
+                [0] * m,
+                [forest.length(i) for i in range(m)],
+                [rng.choice((0, 0, 1, forest.length(i))) for i in range(m)],
+            ):
+                yield instance, forest, job_node, x
+
+
+class TestNodeEdges:
+    """The array-built Lemma 4.1 network equals the per-job loop."""
+
+    def test_edges_match_the_per_job_loop(self):
+        cases = 0
+        for instance, forest, job_node, x in _forest_cases(40):
+            fast = node_edges(instance, forest, job_node, x)
+            slow = reference_node_edges(instance, forest, job_node, x)
+            for got, want in zip(fast, slow):
+                assert got.tolist() == list(want)
+            cases += 1
+        assert cases == 240
+
+    def test_edge_ids_match_the_per_job_loop(self):
+        for instance, forest, job_node, x in _forest_cases(15):
+            net, (eids, nodes, jids), _, _ = _node_network(
+                instance, forest, job_node, x
+            )
+            us, vs, caps, pos, ref_nodes, ref_jids = reference_node_edges(
+                instance, forest, job_node, x
+            )
+            ref = CSRMaxFlow(instance.n + forest.m + 2)
+            ref_ids = ref.add_edges(us, vs, caps)
+            assert net.to.tolist() == ref.to.tolist()
+            assert net._initial_cap.tolist() == ref._initial_cap.tolist()
+            assert eids.tolist() == [ref_ids[p] for p in pos]
+            assert nodes.tolist() == ref_nodes
+            assert jids.tolist() == ref_jids

@@ -12,6 +12,7 @@ Covers the three layers of :mod:`repro.flow.incremental`:
   the algorithms make is checked against the from-scratch reference.
 """
 
+import random
 import threading
 
 import pytest
@@ -416,3 +417,102 @@ class TestDifferentialSweep:
                     except InfeasibleInstanceError:
                         outcomes[backend] = "infeasible"
             assert outcomes[ClassFlowProber] == outcomes[ReferenceFlowProber]
+
+
+def _bucket_network(rng):
+    """Random jobs over random (possibly empty) buckets."""
+    n_jobs = rng.randint(1, 8)
+    processings = [rng.randint(0, 5) for _ in range(n_jobs)]
+    buckets = [
+        sorted(rng.sample(range(n_jobs), rng.randint(0, n_jobs)))
+        for _ in range(rng.randint(1, 6))
+    ]
+    return processings, buckets, rng.randint(1, 3)
+
+
+def _counts(rng, buckets):
+    return [rng.choice((-1, 0, 0, 1, 2, 3, 6)) for _ in buckets]
+
+
+def _state(prober):
+    net = prober.engine.net
+    return (
+        net._initial_cap.tolist(),
+        net.cap.tolist(),
+        prober.engine.value,
+        prober._room,
+        prober._deficient,
+        prober._sink_total,
+        prober._counts,
+    )
+
+
+class TestBulkColdProbe:
+    """The first probe writes every capacity in one bulk step; it must
+    leave exactly the state the per-edge ``set_capacity`` path leaves."""
+
+    def test_bulk_write_matches_per_edge_path(self):
+        for seed in range(300):
+            rng = random.Random(seed)
+            processings, buckets, g = _bucket_network(rng)
+            counts = _counts(rng, buckets)
+            bulk = ClassFlowProber(processings, buckets, g)
+            per_edge = ClassFlowProber(processings, buckets, g)
+            # A flow-free all-zero first probe, so the second one takes
+            # the per-edge path.
+            per_edge.probe([0] * len(buckets))
+            assert per_edge.engine.value == 0
+            verdict = bulk.probe(counts)
+            assert per_edge.probe(counts) == verdict
+            assert verdict == reference_probe(processings, buckets, g, counts)
+            assert _state(bulk) == _state(per_edge), seed
+
+    def test_warm_probes_after_a_bulk_cold_probe(self):
+        for seed in range(200):
+            rng = random.Random(seed)
+            processings, buckets, g = _bucket_network(rng)
+            bulk = ClassFlowProber(processings, buckets, g)
+            per_edge = ClassFlowProber(processings, buckets, g)
+            per_edge.probe([0] * len(buckets))
+            for _ in range(8):
+                counts = _counts(rng, buckets)
+                verdict = bulk.probe(counts)
+                assert verdict == reference_probe(
+                    processings, buckets, g, counts
+                )
+                assert per_edge.probe(counts) == verdict
+                assert _state(bulk) == _state(per_edge), (seed, counts)
+
+    def test_warm_probes_under_the_differential_prober(self):
+        with flow_prober(DifferentialFlowProber):
+            for seed in range(200):
+                rng = random.Random(seed)
+                processings, buckets, g = _bucket_network(rng)
+                prober = make_prober(processings, buckets, g)
+                assert isinstance(prober, DifferentialFlowProber)
+                for _ in range(8):
+                    prober.probe(_counts(rng, buckets))  # raises on mismatch
+                assert prober.probes == 8
+
+    def test_edges_laid_out_like_the_per_bucket_loop(self):
+        for seed in range(100):
+            processings, buckets, g = _bucket_network(random.Random(seed))
+            n_jobs, sink = len(processings), len(processings) + len(buckets) + 1
+            ref = CSRMaxFlow(sink + 1)
+            for k, p in enumerate(processings):
+                ref.add_edge(sink - 1, k, p)
+            for ci, bucket in enumerate(buckets):
+                for k in bucket:
+                    ref.add_edge(k, n_jobs + ci, 0)
+                ref.add_edge(n_jobs + ci, sink, 0)
+            net = ClassFlowProber(processings, buckets, g).engine.net
+            assert net.to.tolist() == ref.to.tolist()
+            assert net._initial_cap.tolist() == ref._initial_cap.tolist()
+
+    def test_bulk_write_refuses_a_network_with_flow(self):
+        engine, ids = _diamond()
+        engine.set_capacities([ids["s1"], ids["1t"]], [1, 1])
+        assert engine.capacity(ids["s1"]) == 1
+        assert engine.augment() == 3  # 1 via node 1, 2 via node 2
+        with pytest.raises(ValueError, match="flow-free"):
+            engine.set_capacities([ids["s2"]], [1])

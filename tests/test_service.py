@@ -798,6 +798,68 @@ class TestServiceDirect:
         assert doc["ok"] and doc["requests_total"] == 0
         service.shutdown()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("family", "nope"),
+            ("family", 3),
+            ("seed", "abc"),
+            ("seed", 1.5),
+            ("seed", None),
+            ("exact_max_jobs", "8"),
+        ],
+    )
+    def test_fuzz_bad_config_is_refused_before_any_shard(
+        self, monkeypatch, field, value
+    ):
+        service = SchedulingService(workers=1)
+        shards = []
+        monkeypatch.setattr(
+            service, "_map", lambda worker, payloads: shards.append(payloads)
+        )
+        try:
+            with pytest.raises(ServiceError) as exc:
+                service.fuzz({"n_instances": 3, field: value})
+            assert exc.value.status == 400
+            assert field in str(exc.value)
+            assert shards == []
+        finally:
+            service.shutdown()
+
+    def test_fuzz_shards_get_one_validated_config(self, monkeypatch):
+        from repro.service import workers
+
+        service = SchedulingService(workers=1)
+        seen = []
+
+        def run_shards(worker, payloads):
+            seen.extend(payloads)
+            return [workers.fuzz_shard(p) for p in payloads]
+
+        monkeypatch.setattr(service, "_map", run_shards)
+        try:
+            served = service.fuzz(
+                {"n_instances": 4, "seed": 7, "family": "laminar", "max_jobs": 5}
+            )
+        finally:
+            service.shutdown()
+        assert [FuzzConfig(**p) for p in seen] == [
+            FuzzConfig(
+                n_instances=4,
+                seed=7,
+                family="laminar",
+                max_jobs=5,
+                exact_max_jobs=8,
+                shrink=False,
+                shard_count=len(seen),
+                shard_index=i,
+            )
+            for i in range(len(seen))
+        ]
+        assert served["ok"] and served["checked"] + served[
+            "skipped_infeasible"
+        ] == 4
+
     def test_fuzz_max_jobs_is_capped_before_any_work(self, monkeypatch):
         service = SchedulingService(workers=1)
 

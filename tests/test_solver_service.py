@@ -7,6 +7,9 @@ failure context.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -14,8 +17,9 @@ from repro import obs
 from repro.analysis.parallel import register_task, run_battery
 from repro.core.algorithm import solve_nested
 from repro.instances.families import rigid_chain, section5_gap
-from repro.instances.generators import laminar_suite
+from repro.instances.generators import laminar_suite, random_laminar
 from repro.lp.backend import LinearProgram, LPSolution
+from repro.lp.nested_lp import build_nested_lp
 from repro.solver import (
     BACKENDS,
     SolveCache,
@@ -24,6 +28,7 @@ from repro.solver import (
     set_service,
     solver_stats,
 )
+from repro.tree.canonical import canonicalize
 from repro.util.errors import BatteryTaskError, SolverError
 
 
@@ -120,6 +125,76 @@ def _failing_backend(kind="backend"):
         raise SolverError("injected failure", kind=kind, backend="highs")
 
     return backend
+
+
+class TestVectorEntries:
+    """Solutions are vectors bound to names; cache entries hold no model."""
+
+    def test_cache_holds_no_model(self, fresh_service):
+        lp, _ = build_nested_lp(canonicalize(section5_gap(3)))
+        sol = lp.solve()
+        names = lp.variable_names()
+        model = weakref.ref(lp)
+        del lp
+        gc.collect()
+        assert model() is None
+        assert len(fresh_service.cache) == 1
+        assert list(sol.values) == list(names)
+
+    def test_hit_on_a_rebuilt_model_matches_a_fresh_highs_solve(
+        self, fresh_service
+    ):
+        canon = canonicalize(random_laminar(12, 2, horizon=30, seed=5))
+        build_nested_lp(canon)[0].solve()
+        hit = build_nested_lp(canon)[0].solve()
+        assert fresh_service.stats_snapshot()["cache_hits"] == 1
+        fresh = SolverService(cache_size=0).solve(
+            build_nested_lp(canon)[0], backend="highs"
+        )
+        assert hit.value == fresh.value
+        assert hit.values == fresh.values
+        assert hit.duals == fresh.duals
+        ge_rows = [
+            label
+            for label in hit.duals
+            if label.startswith(("volume[", "ceiling["))
+        ]
+        assert ge_rows
+        assert all(hit.duals[label] >= -1e-9 for label in ge_rows)
+        assert any(hit.duals[label] > 1e-9 for label in ge_rows)
+
+    def test_entries_are_copies_of_the_vectors(self, fresh_service):
+        first = _toy_lp().solve()
+        first.x[:] = 999.0  # poison attempts on the arrays
+        first.marginals_ub[:] = 999.0
+        second = _toy_lp().solve()
+        assert second["x"] == pytest.approx(2.0)
+        assert second.dual("cover") == pytest.approx(2.0)
+        second.x[:] = 999.0
+        assert _toy_lp().solve()["y"] == pytest.approx(1.0)
+
+    def test_ge_dual_sign_survives_a_hit(self, fresh_service):
+        first = _toy_lp().solve()
+        hit = _toy_lp().solve()
+        assert fresh_service.stats_snapshot()["cache_hits"] == 1
+        assert hit.dual("cover") == first.dual("cover") > 0
+
+    def test_the_pipeline_reads_no_by_name_view(
+        self, fresh_service, monkeypatch
+    ):
+        def unread(self):
+            raise AssertionError("a by-name view was built")
+
+        monkeypatch.setattr(LPSolution, "values", property(unread))
+        monkeypatch.setattr(LPSolution, "duals", property(unread))
+        for _ in range(2):  # a miss, then a hit
+            result = solve_nested(section5_gap(3))
+        assert fresh_service.stats_snapshot()["cache_hits"] == 1
+        assert result.repairs == 0
+
+    def test_vector_and_dicts_are_exclusive(self):
+        with pytest.raises(ValueError, match="not both"):
+            LPSolution(1.0, {"x": 1.0}, x=np.ones(1))
 
 
 class TestFallback:
