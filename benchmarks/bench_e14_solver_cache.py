@@ -3,11 +3,10 @@
 Not a paper table; this measures the engineering claim behind the solver
 service layer: a battery re-run over the same instances (the common
 shape of gap sweeps and regression suites) is answered entirely from the
-content-addressed solve cache — zero backend solves — and the fallback
-chain adds no overhead on the happy path.
+content-addressed solve cache — zero backend solves.
 
 Printed table: per phase (cold/warm) the wall time, LP solve requests,
-cache hits, and per-backend solve counts.  Runnable standalone for CI::
+cache hits, and HiGHS solves.  Runnable standalone for CI::
 
     python benchmarks/bench_e14_solver_cache.py --smoke [--json OUT]
 """
@@ -32,15 +31,12 @@ _SMOKE_SIZES = (5, 8)
 
 
 def _phase_row(name: str, wall: float, delta: dict) -> list:
-    per_backend = delta.get("backends", {})
     return [
         name,
         f"{wall * 1e3:.1f}",
         delta["solves"],
         delta["cache_hits"],
-        per_backend.get("highs", {}).get("solves", 0),
-        per_backend.get("simplex", {}).get("solves", 0),
-        delta["fallbacks"],
+        delta["backend_solves"],
     ]
 
 
@@ -74,8 +70,6 @@ _HEADERS = [
     "lp solves",
     "cache hits",
     "highs",
-    "simplex",
-    "fallbacks",
 ]
 
 
@@ -94,9 +88,7 @@ def run_bench(ctx):
         "cold_warm", _HEADERS, rows,
         title=f"E14 — solve cache, battery of {len(instances)} instances",
     )
-    warm_backend_solves = sum(
-        p["solves"] for p in warm.get("backends", {}).values()
-    )
+    warm_backend_solves = warm["backend_solves"]
     ctx.add_metric("battery_size", len(instances))
     ctx.add_metric("cold_solves", cold["solves"])
     ctx.add_metric("cold_cache_misses", cold["cache_misses"])
@@ -124,10 +116,7 @@ class TestSolverCache:
     def test_warm_run_is_pure_cache(self, e14_table):
         _, (cold, warm) = e14_table
         assert cold["cache_misses"] > 0
-        backend_solves = sum(
-            p["solves"] for p in warm.get("backends", {}).values()
-        )
-        assert backend_solves == 0
+        assert warm["backend_solves"] == 0
         assert warm["cache_hits"] == warm["solves"] > 0
 
     def test_warm_battery_benchmark(self, benchmark, e14_table):

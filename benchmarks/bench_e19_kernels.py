@@ -1,4 +1,4 @@
-"""E19 — vectorized kernels and the warm-started LP chain.
+"""E19 — vectorized kernels and bulk LP builders.
 
 Not a paper table; this measures the PR 9 raw-speed claims:
 
@@ -11,18 +11,14 @@ Not a paper table; this measures the PR 9 raw-speed claims:
 * the bulk-CSR LP builders (:func:`repro.lp.nested_lp.build_nested_lp`
   / :func:`repro.lp.cw_lp.build_cw_lp`) build + compile ≥5x faster than
   the per-row reference builds of :mod:`repro.verify.reference`, while
-  compiling to bit-identical models;
-* the warm-started simplex (parent-basis reuse keyed by
-  :func:`repro.solver.cache.structural_fingerprint`) hits on every
-  structural re-solve and returns the cold optimum.
+  compiling to bit-identical models.
 
 A differential sweep re-runs 500 fuzz-corpus instances with the object
 Dinic as the reference side of every flow probe
 (:class:`repro.verify.reference.DifferentialFlowProber` builds its
-reference networks on :class:`repro.flow.dinic.MaxFlow`), cross-checks
-the reference-vs-vectorized LP fingerprints, and solves each instance
-cold-then-warm on the simplex backend — all three must agree with zero
-mismatches.  Runnable standalone for CI::
+reference networks on :class:`repro.flow.dinic.MaxFlow`) and
+cross-checks the reference-vs-vectorized LP fingerprints — both must
+agree with zero mismatches.  Runnable standalone for CI::
 
     python benchmarks/bench_e19_kernels.py --smoke [--json OUT]
 """
@@ -51,12 +47,7 @@ from repro.instances.generators import (
 )
 from repro.lp.cw_lp import build_cw_lp
 from repro.lp.nested_lp import build_nested_lp
-from repro.solver.cache import (
-    basis_cache_stats,
-    clear_basis_cache,
-    model_fingerprint,
-)
-from repro.solver.service import clear_solver_cache
+from repro.solver.cache import model_fingerprint
 from repro.tree.canonical import canonicalize
 from repro.util.errors import InfeasibleInstanceError
 from repro.verify.fuzz import FuzzConfig, sample_instance
@@ -89,11 +80,6 @@ _NESTED_SMOKE = 100
 # (jobs, g, horizon) for the CW LP build (a Θ(T²) row family).
 _CW_FULL = (40, 3, 60)
 _CW_SMOKE = (24, 3, 40)
-
-# Warm-start battery: one nested LP per seed, solved cold then re-solved
-# with only the basis cache surviving.
-_WARM_FULL = tuple(range(8))
-_WARM_SMOKE = (0, 1, 2)
 
 # Differential sweep: instances per family (full / smoke); ×4 families
 # gives the 500-instance campaign.
@@ -209,9 +195,9 @@ def run_lp_builds(nested_depth=_NESTED_FULL, cw_config=_CW_FULL):
         vec_wall, (lp_vec, parts_vec) = _timed(lambda: build(True))
         ref_total += ref_wall
         vec_total += vec_wall
-        match = model_fingerprint(
-            lp_vec, parts_vec, ("chain",)
-        ) == model_fingerprint(lp_ref, parts_ref, ("chain",))
+        match = model_fingerprint(lp_vec, parts_vec) == model_fingerprint(
+            lp_ref, parts_ref
+        )
         identical += int(match)
         rows.append(
             [
@@ -225,57 +211,17 @@ def run_lp_builds(nested_depth=_NESTED_FULL, cw_config=_CW_FULL):
     return rows, (ref_total, vec_total), identical
 
 
-def run_warm_battery(seeds=_WARM_FULL):
-    """Cold-solve a nested-LP battery on the simplex backend, then
-    re-solve with only the basis cache surviving.
-
-    Returns (cold wall, warm wall, counter deltas, value agreements).
-    """
-    clear_basis_cache()
-    clear_solver_cache()
-    before = basis_cache_stats()
-    problems = []
-    for seed in seeds:
-        inst = random_laminar(8 + 2 * seed, 2, horizon=30 + 2 * seed, seed=seed)
-        problems.append(canonicalize(inst))
-
-    cold_values = []
-    t0 = perf_counter()
-    for can in problems:
-        lp, _ = build_nested_lp(can)
-        cold_values.append(lp.solve(backend="simplex").value)
-    cold_wall = perf_counter() - t0
-
-    clear_solver_cache()  # force re-solves; only the basis cache survives
-    warm_values = []
-    t0 = perf_counter()
-    for can in problems:
-        lp, _ = build_nested_lp(can)
-        warm_values.append(lp.solve(backend="simplex").value)
-    warm_wall = perf_counter() - t0
-
-    delta = obs.delta(basis_cache_stats(), before)
-    agreements = sum(
-        abs(c - w) <= 1e-9 for c, w in zip(cold_values, warm_values)
-    )
-    return cold_wall, warm_wall, delta, agreements
-
-
 def run_differential_sweep(per_family=_SWEEP_FULL, seed: int = 2022):
-    """Every instance cross-checked three ways: flow probes through the
+    """Every instance cross-checked two ways: flow probes through the
     differential prober (object-Dinic reference vs csr-kernel
-    incremental engine), reference-vs-vectorized LP fingerprints (nested
-    LP on laminar instances, CW LP otherwise), and cold-vs-warm simplex
-    optima on the laminar side.
+    incremental engine) and reference-vs-vectorized LP fingerprints
+    (nested LP on laminar instances, CW LP otherwise).
 
-    Returns (instances, probe count, fingerprint matches, warm solves,
-    warm value agreements, mismatches).
+    Returns (instances, probe count, fingerprint matches, mismatches).
     """
     before = flow_stats()
     checked = 0
     fingerprints = 0
-    warm_solved = 0
-    warm_agree = 0
     mismatches = 0
     try:
         with flow_prober(DifferentialFlowProber):
@@ -304,28 +250,15 @@ def run_differential_sweep(per_family=_SWEEP_FULL, seed: int = 2022):
                         lp_vec = build_cw_lp(instance)
                         lp_ref = reference_cw_lp(instance)
                     fingerprints += int(
-                        model_fingerprint(lp_vec, lp_vec.compile(), ("chain",))
-                        == model_fingerprint(lp_ref, lp_ref.compile(), ("chain",))
+                        model_fingerprint(lp_vec, lp_vec.compile())
+                        == model_fingerprint(lp_ref, lp_ref.compile())
                     )
-                    if instance.is_laminar:
-                        cold = lp_vec.solve(backend="simplex").value
-                        clear_solver_cache()
-                        warm = lp_ref.solve(backend="simplex").value
-                        warm_solved += 1
-                        warm_agree += int(abs(cold - warm) <= 1e-9)
                     checked += 1
     except Exception:
         mismatches += 1
         raise
     delta = obs.delta(flow_stats(), before)
-    return (
-        checked,
-        delta.get("probes", 0),
-        fingerprints,
-        warm_solved,
-        warm_agree,
-        mismatches,
-    )
+    return checked, delta.get("probes", 0), fingerprints, mismatches
 
 
 _FLOW_HEADERS = ["workload", "object [ms]", "csr [ms]", "speedup", "feasible"]
@@ -334,13 +267,12 @@ _LP_HEADERS = ["LP family", "reference [ms]", "vectorized [ms]", "speedup", "ide
 
 @register(
     "E19",
-    title="vectorized kernels and warm-started LP chain",
+    title="vectorized kernels and bulk LP builders",
     claim="CSR flow kernel and bulk-CSR LP builders run >=5x faster than "
     "the per-object reference paths at the E9 large tier (the flow ratio "
     "compares the two max-flow kernels on the same numpy edge arrays, "
-    "not numpy against Python-list input), compile bit-identical models, "
-    "and the warm-started simplex hits on every structural re-solve with "
-    "unchanged optima",
+    "not numpy against Python-list input), and compile bit-identical "
+    "models",
 )
 def run_bench(ctx):
     flow_rows, (f_obj, f_csr), (f_obj_out, f_csr_out) = run_flow_workloads(
@@ -361,11 +293,9 @@ def run_bench(ctx):
         lp_rows,
         title="E19 — LP build+compile, per-row reference vs bulk CSR",
     )
-    seeds = ctx.pick(_WARM_FULL, _WARM_SMOKE)
-    cold_wall, warm_wall, warm_delta, agreements = run_warm_battery(seeds)
     per_family = ctx.pick(_SWEEP_FULL, _SWEEP_SMOKE)
-    checked, probes, fingerprints, warm_solved, warm_agree, mismatches = (
-        run_differential_sweep(per_family, seed=ctx.seed)
+    checked, probes, fingerprints, mismatches = run_differential_sweep(
+        per_family, seed=ctx.seed
     )
     ctx.add_table(
         "sweep",
@@ -379,14 +309,9 @@ def run_bench(ctx):
     ctx.add_metric("flow_workloads", len(flow_rows))
     ctx.add_metric("flow_feasible", sum(v for v, _ in f_csr_out))
     ctx.add_metric("lp_fingerprints_identical", identical)
-    ctx.add_metric("warm_attempts", warm_delta["simplex_warm_attempts"])
-    ctx.add_metric("warm_hits", warm_delta["simplex_warm_hits"])
-    ctx.add_metric("warm_rejects", warm_delta["simplex_warm_rejects"])
     ctx.add_metric("sweep_instances", checked)
     ctx.add_metric("sweep_probes", probes)
     ctx.add_metric("sweep_fingerprints_identical", fingerprints)
-    ctx.add_metric("sweep_warm_solves", warm_solved)
-    ctx.add_metric("sweep_warm_agreements", warm_agree)
     ctx.add_metric("sweep_mismatches", mismatches)
     # Wall times and ratios (tolerance-gated, skipped cross-machine).
     ctx.add_timing("flow_object_s", f_obj)
@@ -395,26 +320,15 @@ def run_bench(ctx):
     ctx.add_timing("lp_reference_s", l_ref)
     ctx.add_timing("lp_vectorized_s", l_vec)
     ctx.add_timing("lp_speedup_x", l_ref / l_vec)
-    ctx.add_timing("warm_cold_s", cold_wall)
-    ctx.add_timing("warm_warm_s", warm_wall)
     # Claim checks.
     ctx.add_check("flow_verdicts_agree", f_obj_out == f_csr_out)
     ctx.add_check("flow_speedup_ge_5x", f_obj / f_csr >= 5.0)
     ctx.add_check("lp_speedup_ge_5x", l_ref / l_vec >= 5.0)
     ctx.add_check("lp_fingerprints_identical", identical == len(lp_rows))
     ctx.add_check(
-        "warm_hit_rate_100",
-        warm_delta["simplex_warm_hits"] - warm_delta["simplex_warm_rejects"]
-        >= len(seeds),
-    )
-    ctx.add_check("warm_values_agree", agreements == len(seeds))
-    ctx.add_check(
         "sweep_no_mismatches", mismatches == 0 and checked > 0
     )
     ctx.add_check("sweep_fingerprints_identical", fingerprints == checked)
-    ctx.add_check(
-        "sweep_warm_agreements", warm_agree == warm_solved and warm_solved > 0
-    )
 
 
 @pytest.fixture(scope="module")
@@ -443,22 +357,13 @@ class TestKernelBench:
         assert f_obj / f_csr >= 5.0
         assert l_ref / l_vec >= 5.0
 
-    def test_warm_battery(self):
-        cold, warm, delta, agreements = run_warm_battery(_WARM_SMOKE)
-        assert agreements == len(_WARM_SMOKE)
-        assert (
-            delta["simplex_warm_hits"] - delta["simplex_warm_rejects"]
-            >= len(_WARM_SMOKE)
-        )
-
     def test_differential_sweep(self):
-        checked, probes, fingerprints, warm_solved, warm_agree, mismatches = (
-            run_differential_sweep(_SWEEP_SMOKE)
+        checked, probes, fingerprints, mismatches = run_differential_sweep(
+            _SWEEP_SMOKE
         )
         assert mismatches == 0
         assert checked == _SWEEP_SMOKE * len(_SWEEP_FAMILIES)
         assert fingerprints == checked
-        assert warm_agree == warm_solved > 0
         assert probes > 0
 
 

@@ -5,7 +5,9 @@ drives every endpoint through :class:`repro.service.client.ServiceClient`
 and asserts the served ``/solve`` answer round-trips *bit-identically*
 with ``active-time solve`` on the same instance, that a ``d = 10⁹``
 body and a body at exactly the ``Σ p_j`` cap are answered, that a
-``Σ p_j`` over the cap is refused with a JSON 413, and that the pooled
+``Σ p_j`` over the cap is refused with a JSON 413, that a ``backend``
+field (the LP solver is not selectable) is refused with a JSON 400, that
+``/metrics`` keeps the solve-cache counters, and that the pooled
 ``/metrics`` solver/flow counters equal the sum of the ``solver``/``flow``
 deltas in the responses received.  Exits non-zero on any
 failure; the boot itself is bounded by ``--boot-timeout`` (CI uses the
@@ -210,6 +212,24 @@ def main() -> int:
                     "expected 413 with a JSON error"
                 )
 
+        # HiGHS is the only LP solver: naming one is a typed 400, sent
+        # before any LP is built.
+        try:
+            client.solve(instance_doc, backend="simplex")
+            failures.append('/solve with "backend": "simplex" was not refused')
+        except ClientError as exc:
+            if (
+                exc.status == 400
+                and isinstance(exc.body, dict)
+                and "backend" in exc.body.get("error", "")
+            ):
+                print(f"solve backend=simplex: 400 {exc.body['error']!r}")
+            else:
+                failures.append(
+                    f'/solve with "backend": "simplex" answered {exc.status} '
+                    f"{exc.body!r}, expected 400 naming the field"
+                )
+
         verify = client.verify(instance_doc)
         print(f"verify: status={verify['status']} ok={verify['ok']}")
         if not verify.get("ok"):
@@ -248,7 +268,8 @@ def main() -> int:
         for needle in (
             'repro_requests_total{endpoint="solve"}',
             "repro_request_latency_seconds",
-            "repro_solver_stats",
+            'repro_solver_stats{counter="solves"}',
+            'repro_solver_stats{counter="cache_hits"}',
             "repro_flow_stats",
             "repro_queue_depth",
         ):

@@ -13,8 +13,8 @@ Subpackages
 ``repro.instances``  jobs, generators, named families, serialization
 ``repro.tree``       laminar window forests and canonicalization
 ``repro.flow``       Dinic max-flow and feasibility tests
-``repro.lp``         the strengthened tree LP, natural LP, CW LP, simplex
-``repro.solver``     solver service: solve cache, backend fallback, stats
+``repro.lp``         the strengthened tree LP, natural LP, CW LP
+``repro.solver``     solver service: solve cache and stats around HiGHS
 ``repro.obs``        counters: snapshot, delta, merge, render
 ``repro.core``       the 9/5-approximation pipeline (the paper's result)
 ``repro.baselines``  greedy 3-/2-approximations, exact search, bounds

@@ -71,26 +71,24 @@ def interval_bound(instance: Instance) -> int:
     return ceil(best / instance.g) if best > 0 else 0
 
 
-def natural_lp_bound(instance: Instance, *, backend: str | None = None) -> float:
+def natural_lp_bound(instance: Instance) -> float:
     """Optimum of the natural per-slot LP.
 
     Solves through the solver service: repeated bound queries on the
     same instance (gap sweeps, exact-solver pruning) hit the solve
-    cache; ``backend`` pins one backend, ``None`` uses the chain.
+    cache.
     """
     from repro.lp.natural_lp import solve_natural_lp
 
-    return solve_natural_lp(instance, backend=backend).value
+    return solve_natural_lp(instance).value
 
 
-def strengthened_lp_bound(
-    instance: Instance, *, backend: str | None = None
-) -> float:
+def strengthened_lp_bound(instance: Instance) -> float:
     """Optimum of LP (1) on the canonical tree (laminar instances)."""
     from repro.lp.nested_lp import solve_nested_lp
     from repro.tree.canonical import canonicalize
 
-    return solve_nested_lp(canonicalize(instance), backend=backend).value
+    return solve_nested_lp(canonicalize(instance)).value
 
 
 def best_combinatorial_bound(instance: Instance) -> int:

@@ -256,7 +256,7 @@ class BenchResult:
             lines.append(
                 f"\nsolver: {solves} LP solves, "
                 f"{self.solver.get('cache_hits', 0)} cache hits, "
-                f"{self.solver.get('fallbacks', 0)} fallbacks"
+                f"{self.solver.get('backend_solves', 0)} backend solves"
             )
         verdict = "ok" if self.passed else "FAIL"
         bad = [name for name, ok in self.checks.items() if not ok]

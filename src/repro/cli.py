@@ -60,7 +60,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     if args.algorithm == "nested":
-        result = solve_nested(instance, backend=args.backend)
+        result = solve_nested(instance)
         schedule = result.schedule
         print(result.summary())
     elif args.algorithm == "greedy":
@@ -230,7 +230,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         max_jobs=args.max_jobs,
         exact_max_jobs=args.exact_max_jobs,
         shrink=args.shrink,
-        backend=args.backend,
         cross_check_flow=args.cross_check_flow,
         corpus=args.corpus,
         shard_index=shard_index,
@@ -471,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--stats",
         action="store_true",
-        help="print solver service counters (solves, cache hits, backends) "
+        help="print solver service counters (solves, cache hits, backend time) "
         "and flow engine counters (networks, probes, repairs) after the "
         "command",
     )
@@ -494,12 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithm",
         default="nested",
         choices=["nested", "greedy", "kk", "exact", "lazy-online", "eager-online"],
-    )
-    solve.add_argument(
-        "--backend",
-        default=None,
-        choices=["highs", "simplex"],
-        help="pin the LP backend (default: service fallback chain)",
     )
     solve.add_argument("--output", help="write the schedule JSON here")
     solve.add_argument(
@@ -571,12 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
         action=argparse.BooleanOptionalAction,
         default=True,
         help="minimize failing instances before reporting",
-    )
-    fuzz.add_argument(
-        "--backend",
-        default=None,
-        choices=["highs", "simplex"],
-        help="pin the LP backend (default: service fallback chain)",
     )
     fuzz.add_argument(
         "--cross-check-flow",
@@ -803,28 +790,13 @@ def _render_stats(solver: dict, flow: dict) -> str:
         ("lp solves", solver["solves"]),
         ("cache hits", solver["cache_hits"]),
         ("cache misses", solver["cache_misses"]),
-        ("fallbacks", solver["fallbacks"]),
-        ("retries", solver["retries"]),
         ("failures", solver["failures"]),
         ("rows solved", solver["rows"]),
         ("cols solved", solver["cols"]),
         ("wall time [s]", f"{solver['wall_time']:.4f}"),
+        ("highs solves", solver["backend_solves"]),
+        ("highs time [s]", f"{solver['backend_time']:.4f}"),
     ]
-    attempts = solver["simplex_warm_attempts"]
-    if attempts:
-        rejects = solver["simplex_warm_rejects"]
-        hits = solver["simplex_warm_hits"] - rejects
-        rows.append(
-            ("simplex warm starts", f"{hits}/{attempts} ({rejects} rejected)")
-        )
-    for name, per in sorted(solver["backends"].items()):
-        rows.append(
-            (
-                f"backend {name}",
-                f"{per['solves']} solves, {per['errors']} errors, "
-                f"{per['time']:.4f}s",
-            )
-        )
     flow_rows = [
         ("networks built", flow["networks_built"]),
         ("probes", flow["probes"]),

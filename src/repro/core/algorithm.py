@@ -102,9 +102,7 @@ def _repair(
 def solve_nested(
     instance: Instance,
     *,
-    backend: str | None = None,
     check_feasibility: bool = True,
-    polish: bool = False,
 ) -> NestedResult:
     """Solve a laminar instance with the paper's 9/5-approximation.
 
@@ -112,17 +110,9 @@ def solve_nested(
     ----------
     instance:
         A laminar instance (raises :class:`NotLaminarError` otherwise).
-    backend:
-        LP backend, ``"highs"`` or ``"simplex"``; ``None`` (default)
-        uses the solver service's fallback chain with caching.
     check_feasibility:
         Run the all-slots flow test first and raise
         :class:`InfeasibleInstanceError` on infeasible input.
-    polish:
-        After rounding, greedily deactivate redundant slots (a
-        minimal-feasible pass seeded with the algorithm's slots).  Never
-        increases the active time, so the 9/5 certificate is preserved;
-        off by default to keep the result the paper's literal algorithm.
 
     Returns
     -------
@@ -150,7 +140,7 @@ def solve_nested(
             ),
         )
     else:
-        lp_sol = solve_nested_lp(canonical, backend=backend)
+        lp_sol = solve_nested_lp(canonical)
     transformed = push_down(canonical.forest, lp_sol.x, lp_sol.y)
     rounding = round_solution(
         canonical.forest, transformed.x, transformed.topmost
@@ -176,18 +166,6 @@ def solve_nested(
         instance, canonical.forest, canonical.job_node, x_tilde, y_int
     )
     schedule.require_valid()
-
-    if polish and schedule.active_time > 0:
-        from repro.baselines.minimal_feasible import minimal_feasible_slots
-        from repro.flow.feasibility import extract_schedule
-
-        polished_slots = minimal_feasible_slots(
-            instance, order="given", initial=list(schedule.active_slots)
-        )
-        if len(polished_slots) < schedule.active_time:
-            polished = extract_schedule(instance, polished_slots)
-            assert polished is not None  # slots verified feasible
-            schedule = polished.require_valid()
 
     return NestedResult(
         schedule=schedule,

@@ -1,4 +1,4 @@
-"""Linear programs: generic model, backends, and the paper's relaxations."""
+"""Linear programs: generic model, HiGHS backend, the paper's relaxations."""
 
 from repro.lp.backend import LinearProgram, LPSolution
 from repro.lp.cw_lp import build_cw_lp, forced_occupancy, solve_cw_lp
@@ -9,12 +9,10 @@ from repro.lp.nested_lp import (
     solve_nested_lp,
 )
 from repro.lp.perturbed import convex_combination, solve_with_weights
-from repro.lp.simplex import SimplexSolver
 
 __all__ = [
     "LinearProgram",
     "LPSolution",
-    "SimplexSolver",
     "solve_with_weights",
     "convex_combination",
     "build_nested_lp",

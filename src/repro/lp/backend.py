@@ -1,13 +1,12 @@
-"""Generic linear-program model and solver backends.
+"""Generic linear-program model and its HiGHS backend.
 
 :class:`LinearProgram` is a small modelling layer: named variables, linear
 constraints, minimization objective.  It compiles to sparse arrays;
 ``solve()`` routes through the solver service
 (:mod:`repro.solver.service`), which adds a content-addressed solve
-cache, a backend fallback chain (HiGHS → from-scratch
-:mod:`repro.lp.simplex`) and instrumentation.  Pass
-``backend="highs"``/``"simplex"`` to pin one backend for
-cross-validation (no fallback, still cached).
+cache and instrumentation around the one backend, HiGHS through scipy's
+``linprog``.  The from-scratch simplex in :mod:`repro.verify.simplex`
+solves the same compiled form, as a test oracle only.
 """
 
 from __future__ import annotations
@@ -49,13 +48,12 @@ class LPSolution:
     values:
         Variable name → optimal value.
     duals:
-        Constraint label → dual value.  Both backends report duals for
-        inequality rows under the same labels and sign convention:
-        duals of ``>=`` rows are reported for the row as modelled
-        (nonnegative when binding), so weak duality reads
-        ``Σ dual·rhs ≤ primal value`` for covering-style models.
-        Equality-row duals are HiGHS-only (the from-scratch simplex
-        omits them).  Unlabelled rows are left out.
+        Constraint label → dual value.  Duals of ``>=`` rows are
+        reported for the row as modelled (nonnegative when binding), so
+        weak duality reads ``Σ dual·rhs ≤ primal value`` for
+        covering-style models.  The simplex oracle reports inequality
+        duals under the same labels and convention and omits
+        equality-row duals.  Unlabelled rows are left out.
     """
 
     __slots__ = (
@@ -489,15 +487,11 @@ class LinearProgram:
 
     # -- solving -----------------------------------------------------------
 
-    def solve(self, backend: str | None = None) -> LPSolution:
-        """Solve through the solver service.
-
-        ``backend=None`` (default) uses the service's fallback chain;
-        ``"highs"`` or ``"simplex"`` pins that backend (no fallback).
-        """
+    def solve(self) -> LPSolution:
+        """Solve through the solver service (cached, counted)."""
         from repro.solver.service import get_service
 
-        return get_service().solve(self, backend=backend)
+        return get_service().solve(self)
 
     def _solution(
         self, parts: dict, value: float, x, marginals_ub, marginals_eq
@@ -514,14 +508,8 @@ class LinearProgram:
             meta_eq=parts["meta_eq"],
         )
 
-    def _solve_highs(
-        self, parts: dict | None = None, *, time_limit: float | None = None
-    ) -> LPSolution:
-        if parts is None:
-            parts = self.compile()
-        options = {}
-        if time_limit is not None:
-            options["time_limit"] = max(float(time_limit), 0.0)
+    def _solve_highs(self, parts: dict) -> LPSolution:
+        """Solve the compiled ``parts`` with HiGHS (the service's backend)."""
         res = linprog(
             parts["c"],
             A_ub=parts["A_ub"],
@@ -530,7 +518,6 @@ class LinearProgram:
             b_eq=parts["b_eq"],
             bounds=parts["bounds"],
             method="highs",
-            options=options,
         )
         if not res.success:
             # scipy status codes: 1 = limit reached, 2 = infeasible,
@@ -555,26 +542,6 @@ class LinearProgram:
             None if ineqlin is None else ineqlin.marginals,
             None if eqlin is None else eqlin.marginals,
         )
-
-    def _solve_simplex(self, parts: dict | None = None) -> LPSolution:
-        from repro.lp.simplex import SimplexSolver
-
-        # Function-level import: solver.cache imports LPSolution from
-        # this module, so the dependency must stay one-way at import time.
-        from repro.solver.cache import basis_cache, structural_fingerprint
-
-        if parts is None:
-            parts = self.compile()
-        solver = SimplexSolver.from_compiled(parts)
-        cache = basis_cache()
-        key = structural_fingerprint(self, parts)
-        warm = cache.get(key)
-        x, value = solver.solve(warm_basis=warm)
-        if warm is not None and not solver.warm_start_used:
-            cache.stats.add(simplex_warm_rejects=1)
-        if solver.basis_ is not None:
-            cache.put(key, solver.basis_)
-        return self._solution(parts, value, x, solver.marginals_ub, None)
 
     # -- introspection --------------------------------------------------------
 

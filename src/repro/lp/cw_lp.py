@@ -118,12 +118,10 @@ def _add_ceiling_block(lp: LinearProgram, instance: Instance) -> None:
     )
 
 
-def solve_cw_lp(
-    instance: Instance, *, backend: str | None = None
-) -> SlotLPSolution:
+def solve_cw_lp(instance: Instance) -> SlotLPSolution:
     """Solve the Călinescu–Wang LP; values snapped within tolerance."""
     lp = build_cw_lp(instance)
-    sol = lp.solve(backend=backend)
+    sol = lp.solve()
     slots = list(instance.slots())
     xs = snap_vector(sol.get(_xname(t)) for t in slots)
     x = {t: float(v) for t, v in zip(slots, xs)}

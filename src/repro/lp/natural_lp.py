@@ -71,12 +71,10 @@ def build_natural_lp(instance: Instance) -> LinearProgram:
     return lp
 
 
-def solve_natural_lp(
-    instance: Instance, *, backend: str | None = None
-) -> SlotLPSolution:
+def solve_natural_lp(instance: Instance) -> SlotLPSolution:
     """Solve the natural LP; values snapped within tolerance."""
     lp = build_natural_lp(instance)
-    sol = lp.solve(backend=backend)
+    sol = lp.solve()
     slots = list(instance.slots())
     xs = snap_vector(sol.get(_xname(t)) for t in slots)
     x = {t: float(v) for t, v in zip(slots, xs)}

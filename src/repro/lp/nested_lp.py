@@ -371,18 +371,13 @@ def solve_nested_lp(
     canonical: CanonicalInstance,
     *,
     ceiling: bool = True,
-    backend: str | None = None,
     thresholds: OptThresholds | None = None,
 ) -> NestedLPSolution:
-    """Solve LP (1); returns snapped ``x`` and per-job ``y`` arrays.
-
-    ``backend=None`` uses the solver service's fallback chain (cached);
-    pass ``"highs"``/``"simplex"`` to pin a backend.
-    """
+    """Solve LP (1); returns snapped ``x`` and per-job ``y`` arrays."""
     classes = job_classes(canonical)
     lp, thresholds = build_nested_lp(
         canonical, ceiling=ceiling, thresholds=thresholds, classes=classes
     )
     return lift_solution(
-        canonical, lp, lp.solve(backend=backend), thresholds, classes
+        canonical, lp, lp.solve(), thresholds, classes
     )

@@ -2,8 +2,8 @@
 
 This is the one layer behind the CLI ``--stats`` block, ``/metrics`` and
 every per-run ``solver``/``flow`` stats block.  A counter *snapshot* is a
-plain dict of numbers, possibly nested (the solver's per-backend block
-is ``{"backends": {name: {...}}}``).  This module holds everything done
+plain dict of numbers, possibly nested (the service's pooled worker
+block is ``{"solver": {...}, "flow": {...}}``).  This module holds everything done
 with snapshots:
 
 * :class:`Counters` — a thread-safe group that hands them out;
@@ -23,7 +23,7 @@ from typing import Any, Mapping, Sequence
 class Counters:
     """Named counters behind one lock.
 
-    ``Counters(probes=0, backends={})`` declares the fields and their
+    ``Counters(probes=0, solver={})`` declares the fields and their
     zero values; a field whose zero is a dict holds a keyed family whose
     entries appear on first use.  :meth:`add` applies several increments
     under one acquisition, so a reader never sees half of a related
@@ -66,8 +66,8 @@ def delta(
 
     Numbers subtract (a key missing from ``before`` counts as zero) and
     every top-level key is kept.  Deeper down, a block whose own numbers
-    all read zero is dropped, so a keyed family such as the per-backend
-    block lists only the entries that moved in between.
+    all read zero is dropped, so a keyed family of blocks lists only the
+    entries that moved in between.
     """
     out: dict[str, Any] = {}
     for key, value in after.items():

@@ -91,7 +91,7 @@ class ServiceClient:
     def solve(
         self, instance: Instance | dict[str, Any], **options: Any
     ) -> dict[str, Any]:
-        """``POST /solve``; options: algorithm, backend, deadline_ms,
+        """``POST /solve``; options: algorithm, deadline_ms,
         node_budget, split."""
         body = {"instance": self._instance_doc(instance), **options}
         return self._post_json("/solve", body)
@@ -99,7 +99,7 @@ class ServiceClient:
     def verify(
         self, instance: Instance | dict[str, Any], **options: Any
     ) -> dict[str, Any]:
-        """``POST /verify``; options: exact_max_jobs, backend."""
+        """``POST /verify``; options: exact_max_jobs."""
         body = {"instance": self._instance_doc(instance), **options}
         return self._post_json("/verify", body)
 

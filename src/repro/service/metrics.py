@@ -114,12 +114,7 @@ def _lines_for_counters(
     yield f"# HELP {prefix} {help_text}"
     yield f"# TYPE {prefix} counter"
     for key, value in sorted(snap.items()):
-        if key == "backends":
-            continue
         yield f'{prefix}{{counter="{key}"}} {value}'
-    for name, per in sorted(snap.get("backends", {}).items()):
-        for k, v in sorted(per.items()):
-            yield f'{prefix}{{counter="backend_{k}",backend="{name}"}} {v}'
 
 
 def render_prometheus(

@@ -104,6 +104,19 @@ def _reject_bool(body: dict[str, Any], *names: str) -> None:
             )
 
 
+def _reject_backend(body: dict[str, Any]) -> None:
+    """Refuse (400) a ``backend`` field: HiGHS is the only LP solver.
+
+    Checked before the instance is parsed, so no LP is ever built for
+    such a request.
+    """
+    if body.get("backend") is not None:
+        raise ServiceError(
+            f"backend {body['backend']!r} is not accepted: the LP solver "
+            "is not selectable; drop the field"
+        )
+
+
 def _capped(body: dict[str, Any], name: str, default: int, cap: int) -> int:
     """``body[name]`` (or ``default``), refused (400) unless in ``1..cap``."""
     value = body.get(name, default)
@@ -179,6 +192,7 @@ class SchedulingService:
     # -- endpoints -----------------------------------------------------
 
     def solve(self, body: dict[str, Any]) -> dict[str, Any]:
+        _reject_backend(body)
         instance = _parse_instance(body)
         if body.get("policy") is not None:
             return self._solve_policy(instance, body)
@@ -205,7 +219,6 @@ class SchedulingService:
             raise ServiceError("split must be a boolean")
         options = {
             "algorithm": algorithm,
-            "backend": body.get("backend"),
             "deadline_ms": deadline_ms,
             "node_budget": node_budget,
         }
@@ -305,11 +318,10 @@ class SchedulingService:
         }
 
     def verify(self, body: dict[str, Any]) -> dict[str, Any]:
+        _reject_backend(body)
         _parse_instance(body)  # validate before crossing the pool
         _reject_bool(body, "exact_max_jobs")
-        options = {
-            "backend": body.get("backend"),
-        }
+        options = {}
         if body.get("exact_max_jobs") is not None:
             options["exact_max_jobs"] = body["exact_max_jobs"]
         results = self._map(

@@ -93,7 +93,7 @@ def _solve(doc: dict[str, Any], options: dict[str, Any]) -> dict[str, Any]:
     if algorithm == "nested":
         from repro.core.algorithm import solve_nested
 
-        result = solve_nested(instance, backend=options.get("backend"))
+        result = solve_nested(instance)
         schedule = result.schedule
         out["lp_value"] = result.lp_value
         out["repairs"] = result.repairs
@@ -150,7 +150,6 @@ def _verify(doc: dict[str, Any], options: dict[str, Any]) -> dict[str, Any]:
         exact_max_jobs=int(
             options.get("exact_max_jobs", DEFAULT_EXACT_MAX_JOBS)
         ),
-        backend=options.get("backend"),
     )
     return {
         "status": report.status,

@@ -1,17 +1,18 @@
-"""Solver service: caching, backend fallback, instrumentation for LP solves."""
+"""Solver service: the solve cache and counters around the HiGHS backend.
+
+Every LP solve goes through :class:`SolverService`: a content-addressed
+cache hit, or one HiGHS solve whose failure surfaces as a typed
+:class:`~repro.util.errors.SolverError`.  There is no second backend;
+the dense simplex in :mod:`repro.verify.simplex` is a test oracle only.
+"""
 
 from repro.solver.cache import (
-    BasisCache,
     SolveCache,
-    basis_cache,
-    basis_cache_stats,
     clear_basis_cache,
     model_fingerprint,
-    structural_fingerprint,
 )
 from repro.solver.service import (
     BACKENDS,
-    DEFAULT_CHAIN,
     SolverService,
     clear_solver_cache,
     get_service,
@@ -25,12 +26,7 @@ __all__ = [
     "SolverService",
     "SolveCache",
     "BACKENDS",
-    "DEFAULT_CHAIN",
     "model_fingerprint",
-    "structural_fingerprint",
-    "BasisCache",
-    "basis_cache",
-    "basis_cache_stats",
     "clear_basis_cache",
     "get_service",
     "set_service",

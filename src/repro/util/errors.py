@@ -49,25 +49,21 @@ class SolverError(ReproError):
     """An LP or flow solver failed to produce a usable solution.
 
     Besides the message, instances may carry structured diagnostics so
-    callers (and the solver service's fallback logic) can react without
-    parsing strings:
+    callers can react without parsing strings:
 
     Attributes
     ----------
     kind:
         Failure class — ``"infeasible"`` / ``"unbounded"`` are verdicts
-        about the *model* (no point retrying another backend);
-        ``"backend"``, ``"numerical"`` and ``"timeout"`` are failures of
-        the *solve* and are eligible for fallback.
+        about the *model*; ``"backend"``, ``"numerical"`` and
+        ``"timeout"`` are failures of the *solve*.
     model:
         Name of the failed model (``LinearProgram.name``) when known.
     backend:
-        Name of the backend that raised, when a single backend failed.
+        Name of the solver that raised (``"highs"``, or ``"simplex"``
+        for the test oracle), when known.
     num_vars / num_constraints:
         Size of the failed model, when known.
-    causes:
-        For chain failures: tuple of ``(backend_name, exception)`` pairs,
-        one per backend attempt, in order.
     """
 
     def __init__(
@@ -79,7 +75,6 @@ class SolverError(ReproError):
         backend: str | None = None,
         num_vars: int | None = None,
         num_constraints: int | None = None,
-        causes: tuple = (),
     ) -> None:
         super().__init__(message)
         self.kind = kind
@@ -87,7 +82,6 @@ class SolverError(ReproError):
         self.backend = backend
         self.num_vars = num_vars
         self.num_constraints = num_constraints
-        self.causes = tuple(causes)
 
 
 class IntegralityError(SolverError):

@@ -11,7 +11,9 @@ Three layers, consumed by tests, the ``active-time fuzz`` CLI, and CI:
   campaigns that minimize any failure to a committable counterexample.
 
 :mod:`repro.verify.reference` holds the from-scratch flow probers and
-per-row LP builds the production fast paths are checked against.
+per-row LP builds the production fast paths are checked against, and
+:mod:`repro.verify.simplex` the dense tableau simplex the tests check
+HiGHS against.
 """
 
 from repro.verify.fuzz import (

@@ -36,12 +36,14 @@ from repro import obs
 #: campaigns are not benchmarks and carry no ``bench_id``).
 #: v2: fuzz config block gained ``corpus`` / ``shard_index`` / ``shard_count``.
 #: v3: fuzz config block's ``flow_backend`` replaced by ``cross_check_flow``.
-REPORT_SCHEMA_VERSION = 3
+#: v4: fuzz config block lost ``backend`` (HiGHS is the only LP solver).
+REPORT_SCHEMA_VERSION = 4
 
 #: Schema marker for resume checkpoints.
 #: v2: one layout for every campaign kind (``counters`` block, failures
 #: stored as indices and rebuilt by replay).
-CHECKPOINT_SCHEMA_VERSION = 2
+#: v3: fuzz config block lost ``backend``.
+CHECKPOINT_SCHEMA_VERSION = 3
 
 _CHECKPOINT_KEYS = frozenset(
     "kind schema_version config next_index counters failure_indices done".split()

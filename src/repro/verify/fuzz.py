@@ -77,7 +77,6 @@ class FuzzConfig:
     max_jobs: int = 12
     exact_max_jobs: int = DEFAULT_EXACT_MAX_JOBS
     shrink: bool = True
-    backend: str | None = None
     #: Cross-check every greedy/exact flow probe of the campaign: the
     #: incremental engine against the from-scratch reference
     #: (:class:`~repro.verify.reference.DifferentialFlowProber`).  Any
@@ -373,11 +372,7 @@ def _verify_one(
     counters and any failure."""
     index, family, instance = entry
     config = result.config
-    report = verify(
-        instance,
-        exact_max_jobs=config.exact_max_jobs,
-        backend=config.backend,
-    )
+    report = verify(instance, exact_max_jobs=config.exact_max_jobs)
     if report.status == "infeasible":
         result.skipped_infeasible += 1
         return
@@ -389,11 +384,7 @@ def _verify_one(
         props = report.property_names()
 
         def failing(candidate: Instance) -> bool:
-            rep = verify(
-                candidate,
-                exact_max_jobs=config.exact_max_jobs,
-                backend=config.backend,
-            )
+            rep = verify(candidate, exact_max_jobs=config.exact_max_jobs)
             return rep.failed and bool(set(props) & set(rep.property_names()))
 
         shrunk = shrink_instance(instance, failing)

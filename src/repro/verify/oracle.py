@@ -88,11 +88,11 @@ def _exact_optimum(instance: Instance, max_jobs: int) -> int | None:
 
 
 def _verify_laminar(
-    instance: Instance, report: OracleReport, exact_max_jobs: int, backend
+    instance: Instance, report: OracleReport, exact_max_jobs: int
 ) -> None:
     from repro.core.algorithm import solve_nested
 
-    result = solve_nested(instance, backend=backend)
+    result = solve_nested(instance)
     canonical = result.canonical
     forest = canonical.forest
     tr = result.transformed
@@ -119,7 +119,7 @@ def _verify_laminar(
 
 
 def _verify_general(
-    instance: Instance, report: OracleReport, exact_max_jobs: int, backend
+    instance: Instance, report: OracleReport, exact_max_jobs: int
 ) -> None:
     """Cross-check the baselines on a non-laminar instance."""
     from repro.baselines.minimal_feasible import minimal_feasible_schedule
@@ -139,7 +139,7 @@ def _verify_general(
                     f"schedule's {greedy.active_time} active slots",
                 )
             )
-        natural = solve_natural_lp(instance, backend=backend).value
+        natural = solve_natural_lp(instance).value
         report.lp_value = natural
         if natural > report.optimum + SUM_EPS:
             report.violations.append(
@@ -154,7 +154,6 @@ def verify_instance(
     instance: Instance,
     *,
     exact_max_jobs: int = DEFAULT_EXACT_MAX_JOBS,
-    backend: str | None = None,
 ) -> OracleReport:
     """Run the oracle on one instance and return its report.
 
@@ -169,9 +168,9 @@ def verify_instance(
             report.status = "infeasible"
             return report
         if instance.is_laminar:
-            _verify_laminar(instance, report, exact_max_jobs, backend)
+            _verify_laminar(instance, report, exact_max_jobs)
         else:
-            _verify_general(instance, report, exact_max_jobs, backend)
+            _verify_general(instance, report, exact_max_jobs)
     except ReproError as exc:
         report.violations.append(
             Violation("crash", f"{type(exc).__name__}: {exc}")

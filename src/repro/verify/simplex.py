@@ -1,16 +1,22 @@
-"""A from-scratch two-phase tableau simplex solver.
+"""A from-scratch two-phase tableau simplex solver: the LP test oracle.
 
-This exists as a dependency-free substrate and as a cross-check for the
-HiGHS backend; tests solve the same small models with both and compare
-optima.  Dense NumPy tableau, Bland's rule (anti-cycling), two phases with
-artificial variables.  Intended for models up to a few hundred variables —
-use the HiGHS backend for anything larger.
+The production solve path is HiGHS behind the solver service
+(:mod:`repro.solver.service`).  This solver exists only as a cross-check
+for it: tests solve the same small models with both and compare optima
+and duals.  Dense NumPy tableau, Bland's rule (anti-cycling), two phases
+with artificial variables.  Intended for models up to a few hundred
+variables; its memory is quadratic in the model size.
+
+:func:`simplex_solve` is the one entry point for a
+:class:`~repro.lp.backend.LinearProgram`.  It goes through no cache and
+touches no counters.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.lp.backend import LinearProgram, LPSolution
 from repro.util.errors import SolverError
 
 _TOL = 1e-9
@@ -47,7 +53,7 @@ class SimplexSolver:
         lower = bounds[:, 0].copy()
         upper = bounds[:, 1].copy()
         if np.any(~np.isfinite(lower)):
-            raise SolverError("simplex backend requires finite lower bounds")
+            raise SolverError("the simplex oracle requires finite lower bounds")
 
         # Shift x = lower + x'.
         b_ub = np.asarray(b_ub, dtype=float) - a_ub @ lower
@@ -93,18 +99,6 @@ class SimplexSolver:
     #: the solver was built directly rather than via :meth:`from_compiled`.
     marginals_ub: np.ndarray | None = None
 
-    #: Basic column indices at the optimum of the last :meth:`solve`
-    #: (length ``m``, equality-form column space).  Reusable as
-    #: ``warm_basis`` on a structurally identical model — the
-    #: :class:`repro.solver.cache.BasisCache` stores these keyed by
-    #: structural fingerprint.
-    basis_: list[int] | None = None
-
-    #: Whether the last :meth:`solve` actually started from the caller's
-    #: ``warm_basis`` (``False`` when it was rejected and the two-phase
-    #: cold path ran instead).
-    warm_start_used: bool = False
-
     # -- core simplex --------------------------------------------------------
 
     @staticmethod
@@ -145,68 +139,8 @@ class SimplexSolver:
                 )
             SimplexSolver._pivot(tab, basis, best_row, col)
 
-    def _warm_tableau(
-        self, warm_basis
-    ) -> tuple[np.ndarray, list[int]] | None:
-        """Phase-2 tableau seeded from a prior optimal basis, or ``None``.
-
-        Validates the basis against the *current* (unflipped) ``A``/``b``:
-        it must index ``m`` distinct columns whose matrix is nonsingular
-        with a nonnegative basic solution ``B⁻¹b``.  Any failure returns
-        ``None`` and the caller falls back to the two-phase cold start, so
-        a stale basis can cost one rejected attempt but never a wrong
-        answer.
-        """
-        a, b, c = self.a, self.b, self.c
-        m, n = a.shape
-        try:
-            basis = [int(j) for j in warm_basis]
-        except (TypeError, ValueError):
-            return None
-        if len(basis) != m or len(set(basis)) != m:
-            return None
-        if any(j < 0 or j >= n for j in basis):
-            return None
-        if m == 0:
-            tab2 = np.zeros((1, n + 1))
-            tab2[-1, :n] = c
-            return tab2, basis
-        bmat = a[:, basis]
-        try:
-            binv_a = np.linalg.solve(bmat, a)
-            xb = np.linalg.solve(bmat, b)
-        except np.linalg.LinAlgError:
-            return None
-        if float(xb.min()) < -1e-7:
-            return None
-        if not np.allclose(bmat @ xb, b, rtol=0.0, atol=1e-6):
-            return None
-        np.clip(xb, 0.0, None, out=xb)
-        tab2 = np.zeros((m + 1, n + 1))
-        tab2[:m, :n] = binv_a
-        tab2[:m, -1] = xb
-        tab2[-1, :n] = c
-        for r in range(m):
-            if abs(tab2[-1, basis[r]]) > _TOL:
-                tab2[-1] -= tab2[-1, basis[r]] * tab2[r]
-        return tab2, basis
-
-    def solve(self, warm_basis=None) -> tuple[np.ndarray, float]:
-        """Return ``(x, objective)`` at an optimum (original variable space).
-
-        ``warm_basis`` (optional) is a list of basic column indices from a
-        prior solve of a structurally identical model; when it validates,
-        phase 1 is skipped entirely and iterations resume from that basis.
-        """
-        self.warm_start_used = False
-        self.basis_ = None
-        if warm_basis is not None:
-            warm = self._warm_tableau(warm_basis)
-            if warm is not None:
-                tab2, basis = warm
-                self.warm_start_used = True
-                self._iterate(tab2, basis, self.c.size)
-                return self._finish(tab2, basis)
+    def solve(self) -> tuple[np.ndarray, float]:
+        """Return ``(x, objective)`` at an optimum (original variable space)."""
         a, b, c = self.a.copy(), self.b.copy(), self.c
         m, n = a.shape
         neg = b < 0
@@ -250,10 +184,9 @@ class SimplexSolver:
     def _finish(
         self, tab2: np.ndarray, basis: list[int]
     ) -> tuple[np.ndarray, float]:
-        """Extract solution, duals and the optimal basis from a final tableau."""
+        """Extract the solution and the duals from a final tableau."""
         m, n = self.a.shape
         c = self.c
-        self.basis_ = [int(j) for j in basis]
         if self._slack_offset is not None and self._n_ub_rows:
             # Marginal of ub row i = -reduced_cost(slack_i): with
             # A_i·x + s_i = b_i the slack column is e_i, so its reduced
@@ -278,3 +211,15 @@ class SimplexSolver:
             x_orig = x[: self._n_original] + self._lower_shift
             return x_orig, value + self._objective_shift
         return x, value
+
+
+def simplex_solve(lp: LinearProgram) -> LPSolution:
+    """Solve ``lp`` on the dense tableau, bound to its names and labels.
+
+    Reports the duals of the inequality rows under the same labels and
+    sign convention as HiGHS; equality-row duals are left out.
+    """
+    parts = lp.compile()
+    solver = SimplexSolver.from_compiled(parts)
+    x, value = solver.solve()
+    return lp._solution(parts, value, x, solver.marginals_ub, None)

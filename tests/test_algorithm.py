@@ -94,40 +94,22 @@ class TestScheduleMapsToOriginal:
         opt = solve_exact(inst).optimum
         assert result.lp_value <= opt + SUM_EPS
 
-    def test_simplex_backend_end_to_end(self):
+    def test_simplex_backend_end_to_end(self, monkeypatch):
+        """The pipeline on the simplex oracle's vertex, put in as the
+        backend (a fresh service, so no cached HiGHS answer is read)."""
+        from repro.solver import BACKENDS, SolverService, set_service
+        from repro.verify.simplex import simplex_solve
+
         inst = Instance.from_triples(
             [(0, 4, 2), (0, 2, 1), (2, 4, 1)], g=2
         )
-        result = solve_nested(inst, backend="simplex")
+        monkeypatch.setitem(
+            BACKENDS, "highs", lambda lp, parts: simplex_solve(lp)
+        )
+        previous = set_service(SolverService())
+        try:
+            result = solve_nested(inst)
+        finally:
+            set_service(previous)
         assert result.active_time == 2
         assert result.schedule.is_valid
-
-
-class TestPolish:
-    def test_polish_never_worse(self):
-        from repro.instances.families import section5_gap
-
-        for g in (3, 4):
-            inst = section5_gap(g)
-            plain = solve_nested(inst).active_time
-            polished = solve_nested(inst, polish=True).active_time
-            assert polished <= plain
-
-    def test_polish_closes_the_section5_overshoot(self):
-        """On section5_gap(4) the literal algorithm opens 7 slots while
-        OPT is 6; the polish pass recovers the optimum."""
-        inst = __import__(
-            "repro.instances.families", fromlist=["section5_gap"]
-        ).section5_gap(4)
-        plain = solve_nested(inst)
-        polished = solve_nested(inst, polish=True)
-        assert plain.active_time == 7
-        assert polished.active_time == 6
-        assert polished.schedule.is_valid
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_polish_valid_on_random(self, seed):
-        inst = random_laminar(10, 3, horizon=22, seed=seed)
-        result = solve_nested(inst, polish=True)
-        assert result.schedule.is_valid
-        assert result.active_time <= APPROX_FACTOR * result.lp_value + SUM_EPS

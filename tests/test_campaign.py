@@ -174,3 +174,20 @@ def test_foreign_checkpoint_rejected(kind, tmp_path, corrupt, same_config):
     checkpoint.write_text(corrupt(json.loads(checkpoint.read_text())))
     with pytest.raises(ValueError):
         kind.run(written if same_config else kind.config, checkpoint=checkpoint)
+
+
+def test_checkpoint_with_a_backend_field_is_refused(tmp_path):
+    """A fuzz checkpoint from before ``FuzzConfig.backend`` was dropped
+    (schema 2, ``"backend": null`` in its config) is refused by version,
+    with the error that says how to start over."""
+    checkpoint = tmp_path / "c.json"
+    config = InstanceFuzz.config
+    InstanceFuzz.run(config, checkpoint=checkpoint)
+    doc = json.loads(checkpoint.read_text())
+    assert "backend" not in doc["config"]
+    doc["schema_version"] = 2
+    doc["config"]["backend"] = None
+    checkpoint.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="delete it to start over") as exc:
+        InstanceFuzz.run(config, checkpoint=checkpoint)
+    assert "schema version 2" in str(exc.value)

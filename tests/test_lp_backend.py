@@ -1,4 +1,4 @@
-"""Unit tests for the LP modelling layer and both solver backends."""
+"""Unit tests for the LP modelling layer, HiGHS and the simplex oracle."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lp.backend import LinearProgram
-from repro.lp.simplex import SimplexSolver
 from repro.util.errors import SolverError
+from repro.verify.simplex import SimplexSolver, simplex_solve
 
 
 def _toy_lp():
@@ -69,7 +69,7 @@ class TestModelling:
 
 class TestHighsBackend:
     def test_toy_optimum(self):
-        sol = _toy_lp().solve(backend="highs")
+        sol = _toy_lp().solve()
         assert sol.value == pytest.approx(4.0)
         assert sol["x"] == pytest.approx(2.0)
         assert sol["y"] == pytest.approx(1.0)
@@ -92,7 +92,7 @@ class TestHighsBackend:
 
 class TestSimplexBackend:
     def test_toy_optimum(self):
-        sol = _toy_lp().solve(backend="simplex")
+        sol = simplex_solve(_toy_lp())
         assert sol.value == pytest.approx(4.0)
 
     def test_equality_and_lower_bounds(self):
@@ -100,7 +100,7 @@ class TestSimplexBackend:
         lp.add_var("x", objective=3.0, lower=1.0)
         lp.add_var("y", objective=1.0)
         lp.add_constraint({"x": 1, "y": 1}, "==", 5)
-        sol = lp.solve(backend="simplex")
+        sol = simplex_solve(lp)
         assert sol.value == pytest.approx(3 * 1 + 4)
 
     def test_infeasible_detected(self):
@@ -108,7 +108,7 @@ class TestSimplexBackend:
         lp.add_var("x", upper=1.0, objective=1.0)
         lp.add_constraint({"x": 1}, ">=", 3)
         with pytest.raises(SolverError):
-            lp.solve(backend="simplex")
+            simplex_solve(lp)
 
     def test_unbounded_detected(self):
         c = np.array([-1.0])
@@ -125,7 +125,7 @@ class TestSimplexBackend:
         lp.add_constraint({"x": 1, "y": 1}, ">=", 1)
         lp.add_constraint({"y": 1, "z": 1}, ">=", 1)
         lp.add_constraint({"x": 1, "z": 1}, ">=", 1)
-        sol = lp.solve(backend="simplex")
+        sol = simplex_solve(lp)
         assert sol.value == pytest.approx(1.5)
 
 
@@ -157,6 +157,6 @@ class TestBackendAgreement:
             lp.add_constraint(
                 {f"v{i}": float(c) for i, c in enumerate(coeffs)}, ">=", rhs
             )
-        a = lp.solve(backend="highs")
-        b = lp.solve(backend="simplex")
+        a = lp.solve()
+        b = simplex_solve(lp)
         assert a.value == pytest.approx(b.value, abs=1e-6)

@@ -28,6 +28,7 @@ from repro.lp.perturbed import solve_with_weights
 from repro.tree.canonical import canonicalize
 from repro.util.errors import SolverError
 from repro.util.numeric import SUM_EPS
+from repro.verify.simplex import simplex_solve
 
 CORPUS = Path(__file__).resolve().parents[1] / "data" / "corpus_smoke"
 
@@ -130,8 +131,8 @@ class TestBackendsAgree:
     def test_simplex_matches_highs_on_small_instance(self):
         inst = random_laminar(5, 2, horizon=10, seed=1, n_windows=3)
         canon = canonicalize(inst)
-        a = solve_nested_lp(canon, backend="highs")
-        b = solve_nested_lp(canon, backend="simplex")
+        a = solve_nested_lp(canon)
+        b = simplex_solve(build_nested_lp(canon)[0])
         assert a.value == pytest.approx(b.value, abs=1e-6)
 
 

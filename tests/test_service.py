@@ -381,6 +381,54 @@ class TestSizeGuards:
         assert proc.stdout.split() == ["5", "False"]
 
 
+class TestBackendField:
+    """HiGHS is the only LP solver: a ``backend`` field is a typed 400."""
+
+    @pytest.mark.parametrize("value", ["bogus", "simplex"])
+    @pytest.mark.parametrize("spelling", ["body", "query"])
+    @pytest.mark.parametrize("path", ["/solve", "/verify"])
+    def test_backend_is_400(self, client, path, spelling, value):
+        body = {"instance": instance_to_dict(random_laminar(6, 2, seed=9))}
+        if spelling == "body":
+            body["backend"] = value
+        else:
+            path = f"{path}?backend={value}"
+        with pytest.raises(ClientError) as exc:
+            client._post_json(path, body)
+        assert exc.value.status == 400
+        assert "backend" in str(exc.value)
+
+    @pytest.mark.parametrize("backend", ["null", "missing"])
+    @pytest.mark.parametrize("path", ["/solve", "/verify"])
+    def test_null_or_missing_backend_is_200(self, client, path, backend):
+        body = {"instance": instance_to_dict(random_laminar(6, 2, seed=9))}
+        if backend == "null":
+            body["backend"] = None
+        response = client._post_json(path, body)
+        assert response["active_time"] > 0
+
+    @pytest.mark.parametrize("endpoint", ["solve", "verify"])
+    def test_refused_before_any_lp_is_built(self, monkeypatch, endpoint):
+        from repro.lp.backend import LinearProgram
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("an LP was built")
+
+        service = SchedulingService(workers=1)
+        monkeypatch.setattr(service, "_map", no_lp)
+        monkeypatch.setattr(LinearProgram, "__init__", no_lp)
+        doc = instance_to_dict(random_laminar(600, 8, horizon=1800, seed=1))
+        try:
+            with pytest.raises(ServiceError) as exc:
+                getattr(service, endpoint)(
+                    {"instance": doc, "backend": "simplex"}
+                )
+        finally:
+            service.shutdown()
+        assert exc.value.status == 400
+        assert "backend" in str(exc.value)
+
+
 class TestHttpContract:
     def test_healthz(self, client):
         doc = client.healthz()
@@ -610,10 +658,7 @@ class TestMetricsEndpoint:
         stats.record("solve", 200, 0.05, degraded=True, parts=3)
         stats.record("solve", 504, 0.01)
         # Two pooled deltas folded the way the server folds them.
-        part = {
-            "solves": 1,
-            "backends": {"highs": {"solves": 1, "errors": 0, "time": 0.05}},
-        }
+        part = {"solves": 1, "backend_solves": 1, "backend_time": 0.05}
         text = render_prometheus(
             stats.snapshot(),
             obs.merge({}, part, part),
@@ -629,8 +674,7 @@ class TestMetricsEndpoint:
             in text
         )
         assert (
-            'repro_solver_stats{counter="backend_solves",backend="highs"} 2'
-            in text
+            'repro_solver_stats{counter="backend_solves"} 2' in text
         )
         assert text.endswith("\n")
 

@@ -1,4 +1,4 @@
-"""Solver service layer: cache, fallback chain, instrumentation.
+"""Solver service layer: cache, the one HiGHS backend, instrumentation.
 
 Also regression tests for the hardening pass riding along: the bounded
 ``_repair`` loop, the ``LPSolution.duals`` default, and ``run_battery``
@@ -30,6 +30,7 @@ from repro.solver import (
 )
 from repro.tree.canonical import canonicalize
 from repro.util.errors import BatteryTaskError, SolverError
+from repro.verify.simplex import simplex_solve
 
 
 @pytest.fixture()
@@ -60,7 +61,7 @@ class TestCache:
         assert snap["solves"] == 2
         assert snap["cache_hits"] == 1
         assert snap["cache_misses"] == 1
-        assert sum(p["solves"] for p in snap["backends"].values()) == 1
+        assert snap["backend_solves"] == 1
 
     def test_different_models_miss(self, fresh_service):
         _toy_lp().solve()
@@ -68,15 +69,6 @@ class TestCache:
         other.add_constraint({"x": 1}, "<=", 1.5, label="cap")
         other.solve()
         assert fresh_service.stats_snapshot()["cache_hits"] == 0
-
-    def test_pinned_backends_do_not_collide(self, fresh_service):
-        """A simplex request must not be answered from a highs entry."""
-        _toy_lp().solve(backend="highs")
-        _toy_lp().solve(backend="simplex")
-        snap = fresh_service.stats_snapshot()
-        assert snap["cache_hits"] == 0
-        assert snap["backends"]["highs"]["solves"] == 1
-        assert snap["backends"]["simplex"]["solves"] == 1
 
     def test_hit_returns_a_copy(self, fresh_service):
         first = _toy_lp().solve()
@@ -91,9 +83,8 @@ class TestCache:
         lp2 = LinearProgram("n1")
         lp2.add_var("b", objective=1.0)
         lp2.add_constraint({"b": 1}, ">=", 1, label="r")
-        chain = fresh_service.chain
-        assert model_fingerprint(lp1, lp1.compile(), chain) != model_fingerprint(
-            lp2, lp2.compile(), chain
+        assert model_fingerprint(lp1, lp1.compile()) != model_fingerprint(
+            lp2, lp2.compile()
         )
 
     def test_lru_eviction(self):
@@ -115,13 +106,15 @@ class TestCache:
             _toy_lp().solve()
             snap = service.stats_snapshot()
             assert snap["cache_hits"] == 0
-            assert sum(p["solves"] for p in snap["backends"].values()) == 2
+            assert snap["backend_solves"] == 2
         finally:
             set_service(previous)
 
 
-def _failing_backend(kind="backend"):
-    def backend(lp, parts, time_limit=None):
+def _failing_backend(kind="backend", calls=None):
+    def backend(lp, parts):
+        if calls is not None:
+            calls.append(lp.name)
         raise SolverError("injected failure", kind=kind, backend="highs")
 
     return backend
@@ -148,9 +141,7 @@ class TestVectorEntries:
         build_nested_lp(canon)[0].solve()
         hit = build_nested_lp(canon)[0].solve()
         assert fresh_service.stats_snapshot()["cache_hits"] == 1
-        fresh = SolverService(cache_size=0).solve(
-            build_nested_lp(canon)[0], backend="highs"
-        )
+        fresh = SolverService(cache_size=0).solve(build_nested_lp(canon)[0])
         assert hit.value == fresh.value
         assert hit.values == fresh.values
         assert hit.duals == fresh.duals
@@ -197,92 +188,73 @@ class TestVectorEntries:
             LPSolution(1.0, {"x": 1.0}, x=np.ones(1))
 
 
-class TestFallback:
-    def test_highs_failure_falls_back_to_simplex(
+class TestOneBackend:
+    """HiGHS answers every miss; its failure reaches the caller as is."""
+
+    def test_highs_failure_is_final(self, fresh_service, monkeypatch):
+        calls = []
+        monkeypatch.setitem(
+            BACKENDS, "highs", _failing_backend("numerical", calls)
+        )
+        with pytest.raises(SolverError) as err:
+            _toy_lp("doomed").solve()
+        exc = err.value
+        assert exc.kind == "numerical"
+        assert str(exc) == "injected failure"
+        assert calls == ["doomed"]  # one attempt, no second backend
+        snap = fresh_service.stats_snapshot()
+        assert snap["failures"] == 1
+        assert snap["backend_solves"] == 0
+        assert len(fresh_service.cache) == 0
+
+    def test_nested_pipeline_surfaces_highs_failure_unchanged(
         self, fresh_service, monkeypatch
     ):
-        reference = _toy_lp().solve(backend="simplex")
-        monkeypatch.setitem(BACKENDS, "highs", _failing_backend())
-        sol = _toy_lp().solve()
-        assert sol.value == pytest.approx(reference.value)
-        snap = fresh_service.stats_snapshot()
-        assert snap["fallbacks"] == 1
-        assert snap["backends"]["highs"]["errors"] == 1
-        assert snap["backends"]["simplex"]["solves"] >= 1
+        """A HiGHS failure inside ``solve_nested`` is the error it raised:
+        no simplex solve and no second attempt run."""
+        from repro.verify import simplex
 
-    def test_infeasible_does_not_fall_back(self, fresh_service, monkeypatch):
-        """Model-level verdicts are final: no wasted second solve."""
+        raised = SolverError("injected", kind="numerical", backend="highs")
         calls = []
 
-        def spy_simplex(lp, parts, time_limit=None):
+        def failing(lp, parts):
             calls.append(lp.name)
-            return BACKENDS_ORIG(lp, parts)
+            raise raised
 
-        BACKENDS_ORIG = BACKENDS["simplex"]
-        monkeypatch.setitem(BACKENDS, "simplex", spy_simplex)
-        lp = LinearProgram("infeasible")
-        lp.add_var("x", objective=1.0, upper=1.0)
-        lp.add_constraint({"x": 1}, ">=", 2, label="impossible")
+        def no_simplex(*args, **kwargs):
+            raise AssertionError("the simplex oracle ran")
+
+        monkeypatch.setitem(BACKENDS, "highs", failing)
+        monkeypatch.setattr(simplex.SimplexSolver, "solve", no_simplex)
         with pytest.raises(SolverError) as err:
-            lp.solve()
-        assert err.value.kind == "infeasible"
-        assert calls == []  # simplex never consulted
+            solve_nested(section5_gap(3))
+        assert err.value is raised
+        assert len(calls) == 1
 
-    def test_retry_then_succeed(self, monkeypatch):
-        service = SolverService(attempts_per_backend=2)
-        previous = set_service(service)
-        try:
-            original = BACKENDS["highs"]
-            state = {"failed": False}
-
-            def flaky(lp, parts, time_limit=None):
-                if not state["failed"]:
-                    state["failed"] = True
-                    raise SolverError("transient", kind="numerical")
-                return original(lp, parts, time_limit=time_limit)
-
-            monkeypatch.setitem(BACKENDS, "highs", flaky)
-            sol = _toy_lp().solve()
-            assert sol.value == pytest.approx(4.0)
-            snap = service.stats_snapshot()
-            assert snap["retries"] == 1
-            assert snap["fallbacks"] == 0
-        finally:
-            set_service(previous)
-
-    def test_chain_exhaustion_carries_diagnostics(
-        self, fresh_service, monkeypatch
+    def test_infeasible_and_unbounded_stay_distinguishable(
+        self, fresh_service
     ):
-        monkeypatch.setitem(BACKENDS, "highs", _failing_backend())
-        monkeypatch.setitem(BACKENDS, "simplex", _failing_backend())
-        lp = _toy_lp("doomed")
-        with pytest.raises(SolverError) as err:
-            lp.solve()
-        exc = err.value
-        assert exc.kind == "chain"
-        assert exc.model == "doomed"
-        assert exc.num_vars == 2
-        assert exc.num_constraints == 1
-        assert [name for name, _ in exc.causes] == ["highs", "simplex"]
-        assert fresh_service.stats_snapshot()["failures"] == 1
+        infeasible = LinearProgram("infeasible")
+        infeasible.add_var("x", objective=1.0, upper=1.0)
+        infeasible.add_constraint({"x": 1}, ">=", 2, label="impossible")
+        unbounded = LinearProgram("unbounded")
+        unbounded.add_var("x", objective=-1.0)
+        unbounded.add_constraint({"x": 1}, ">=", 0, label="floor")
+        kinds = []
+        for lp in (infeasible, unbounded):
+            with pytest.raises(SolverError) as err:
+                lp.solve()
+            assert err.value.backend == "highs"
+            assert err.value.model == lp.name
+            kinds.append(err.value.kind)
+        assert kinds == ["infeasible", "unbounded"]
+        assert fresh_service.stats_snapshot()["failures"] == 2
 
-    def test_unknown_backend_rejected(self, fresh_service):
-        with pytest.raises(ValueError):
-            _toy_lp().solve(backend="cplex")
-
-    def test_nested_pipeline_survives_highs_failure(
-        self, fresh_service, monkeypatch
-    ):
-        """Acceptance: forcing HiGHS down yields the same optimum via
-        the simplex fallback on a laminar family."""
-        instance = section5_gap(3)
-        clean = solve_nested(instance)
-        fresh_service.clear_cache()
-        monkeypatch.setitem(BACKENDS, "highs", _failing_backend())
-        fallback = solve_nested(instance)
-        assert fallback.active_time == clean.active_time
-        assert fallback.lp_value == pytest.approx(clean.lp_value, abs=1e-6)
-        assert fresh_service.stats_snapshot()["fallbacks"] >= 1
+    def test_solve_takes_no_backend(self, fresh_service):
+        with pytest.raises(TypeError):
+            _toy_lp().solve(backend="highs")
+        with pytest.raises(TypeError):
+            SolverService(("highs",))
 
 
 class TestStats:
@@ -294,7 +266,7 @@ class TestStats:
         assert snap["wall_time"] > 0
         fresh_service.reset_stats()
         cleared = fresh_service.stats_snapshot()
-        assert cleared["solves"] == 0 and cleared["backends"] == {}
+        assert cleared["solves"] == 0 and cleared["backend_solves"] == 0
 
     def test_stats_delta(self, fresh_service):
         _toy_lp().solve()
@@ -303,7 +275,7 @@ class TestStats:
         delta = obs.delta(solver_stats(), before)
         assert delta["solves"] == 1
         assert delta["cache_hits"] == 1
-        assert delta["backends"] == {}  # no new backend work
+        assert delta["backend_solves"] == 0  # no new backend work
 
 
 class TestWarmBattery:
@@ -318,7 +290,7 @@ class TestWarmBattery:
         assert delta["solves"] == delta["cache_hits"] > 0
         assert delta["cache_misses"] == 0
         assert (
-            sum(p["solves"] for p in delta["backends"].values()) == 0
+            delta["backend_solves"] == 0
         ), "warm battery must be answered entirely from cache"
 
 
@@ -376,14 +348,15 @@ class TestDualsDefaults:
         assert a.duals is not b.duals
 
     def test_ge_duals_agree_across_backends(self, fresh_service):
-        """Both backends report the same labelled ``>=`` duals."""
+        """HiGHS and the simplex oracle report the same labelled ``>=``
+        duals."""
         lp = LinearProgram("cover2")
         lp.add_var("x", objective=2.0)
         lp.add_var("y", objective=3.0)
         lp.add_constraint({"x": 1, "y": 2}, ">=", 4, label="c1")
         lp.add_constraint({"x": 2, "y": 1}, ">=", 4, label="c2")
-        hi = lp.solve(backend="highs")
-        si = lp.solve(backend="simplex")
+        hi = lp.solve()
+        si = simplex_solve(lp)
         for label in ("c1", "c2"):
             assert si.dual(label) == pytest.approx(hi.dual(label), abs=1e-7)
             assert si.dual(label) >= -1e-9
@@ -395,7 +368,7 @@ class TestDualsDefaults:
         lp.add_var("x", objective=1.0)
         lp.add_constraint({"x": 1}, ">=", 1, label="need")
         lp.add_constraint({"x": 1}, "<=", 100, label="cap")
-        sol = lp.solve(backend="simplex")
+        sol = simplex_solve(lp)
         assert sol.dual("cap") == pytest.approx(0.0)
         assert sol.dual("need") == pytest.approx(1.0)
 
