@@ -141,7 +141,8 @@ def solve_nested(
         )
     else:
         lp_sol = solve_nested_lp(canonical)
-    transformed = push_down(canonical.forest, lp_sol.x, lp_sol.y)
+    # Per-job y is built only if a caller reads ``transformed.y``.
+    transformed = push_down(canonical.forest, lp_sol.x, lambda: lp_sol.y)
     rounding = round_solution(
         canonical.forest, transformed.x, transformed.topmost
     )

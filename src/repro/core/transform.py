@@ -9,11 +9,16 @@ proportionally) until the invariant holds:
 Afterwards the *topmost positive* nodes ``I`` satisfy Claim 1: pairwise
 incomparable, all leaves below them, everything strictly below fully open,
 everything strictly above zero.
+
+Which mass moves where depends on ``x`` alone, and the rounding reads
+only ``x`` and ``I``; so the moves run on ``x`` and are recorded, and
+the transformed ``y`` is a replay of them, made only when read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -27,22 +32,48 @@ class TransformedLP:
 
     Attributes
     ----------
-    x, y:
-        The transformed solution (same objective value as the input).
+    x:
+        The transformed open-slot vector (same total as the input).
     topmost:
         The set ``I``: topmost nodes with ``x > 0``.
     moves:
         Number of push-down operations performed.
+    steps:
+        The moves in order, as parallel arrays: source node, target
+        node, and the share of the source's ``x`` (and of each job's
+        ``y`` there) moved.
+    source:
+        Returns the input per-job ``y``.
+    y:
+        The transformed per-job ``y``: the moves replayed on the input
+        ``y``, built on first read.
     """
 
     x: np.ndarray
-    y: np.ndarray
     topmost: list[int]
     moves: int
+    steps: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
+    source: Callable[[], np.ndarray] = field(repr=False)
+    _y: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    @property
+    def y(self) -> np.ndarray:
+        if self._y is None:
+            y = np.array(self.source(), dtype=float)
+            src, dst, frac = (a.tolist() for a in self.steps)
+            for i1, i2, f in zip(src, dst, frac):
+                moved = f * y[i1, :]
+                y[i1, :] -= moved
+                y[i2, :] += moved
+            y[np.abs(y) < EPS] = 0.0
+            self._y = y
+        return self._y
 
 
 def push_down(
-    forest: WindowForest, x: np.ndarray, y: np.ndarray
+    forest: WindowForest,
+    x: np.ndarray,
+    y: np.ndarray | Callable[[], np.ndarray],
 ) -> TransformedLP:
     """Apply the Lemma 3.1 transformation (in a fresh copy).
 
@@ -50,11 +81,15 @@ def push_down(
     pushed into unsaturated strict descendants until ``x(i1) = 0`` or all
     are saturated; mass only ever moves downward, and a node that keeps
     mass has a fully saturated subtree, so no later step re-violates it.
+
+    ``y`` is the per-job array the moves act on, or a function of no
+    arguments returning it; it is read only when the result's ``y`` is.
     """
     x = x.astype(float).copy()
-    y = y.astype(float).copy()
     lengths = np.array([forest.length(i) for i in range(forest.m)], dtype=float)
-    moves = 0
+    src: list[int] = []
+    dst: list[int] = []
+    frac: list[float] = []
     for i1 in forest.preorder:
         if x[i1] <= EPS:
             continue
@@ -68,22 +103,29 @@ def push_down(
             if slack <= EPS:
                 continue
             theta = min(slack, x[i1])
-            frac = theta / x[i1]
-            moved = frac * y[i1, :]
-            y[i1, :] -= moved
-            y[i2, :] += moved
+            src.append(i1)
+            dst.append(i2)
+            frac.append(theta / x[i1])
             x[i1] -= theta
             x[i2] += theta
-            moves += 1
     x = snap_vector(x)
-    y[np.abs(y) < EPS] = 0.0
     topmost = [
         i
         for i in range(forest.m)
         if x[i] > EPS
         and all(x[a] <= EPS for a in forest.strict_ancestors(i))
     ]
-    return TransformedLP(x=x, y=y, topmost=topmost, moves=moves)
+    return TransformedLP(
+        x=x,
+        topmost=topmost,
+        moves=len(src),
+        steps=(
+            np.array(src, dtype=np.int64),
+            np.array(dst, dtype=np.int64),
+            np.array(frac, dtype=float),
+        ),
+        source=y if callable(y) else lambda: y,
+    )
 
 
 def verify_pushdown_invariant(forest: WindowForest, x: np.ndarray) -> bool:

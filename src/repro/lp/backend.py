@@ -4,9 +4,10 @@
 constraints, minimization objective.  It compiles to sparse arrays;
 ``solve()`` routes through the solver service
 (:mod:`repro.solver.service`), which adds a content-addressed solve
-cache and instrumentation around the one backend, HiGHS through scipy's
-``linprog``.  The from-scratch simplex in :mod:`repro.verify.simplex`
-solves the same compiled form, as a test oracle only.
+cache and instrumentation around the one backend, HiGHS, called through
+the bindings bundled with scipy (``scipy.optimize._highspy._core``).
+The from-scratch simplex in :mod:`repro.verify.simplex` and scipy's
+``linprog`` solve the same compiled form, as test oracles only.
 """
 
 from __future__ import annotations
@@ -15,10 +16,27 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, vstack
 
 from repro.util.errors import SolverError
+
+try:
+    from scipy.optimize._highspy import _core as _highs
+except ImportError as exc:  # pragma: no cover - depends on the install
+    raise ImportError(
+        "the LP backend needs scipy>=1.15, the first release that bundles "
+        f"HiGHS as scipy.optimize._highspy._core ({exc})"
+    ) from exc
+
+#: ``SolverError.kind`` per non-optimal HiGHS status, as ``linprog`` maps
+#: them; any other status is ``"numerical"``.
+_FAILURE_KINDS = {
+    _highs.HighsModelStatus.kTimeLimit: "timeout",
+    _highs.HighsModelStatus.kIterationLimit: "timeout",
+    _highs.HighsModelStatus.kInfeasible: "infeasible",
+    _highs.HighsModelStatus.kModelError: "infeasible",
+    _highs.HighsModelStatus.kUnbounded: "unbounded",
+}
 
 
 class LPSolution:
@@ -359,9 +377,6 @@ class LinearProgram:
         self._upper.extend(uppers)
         return names
 
-    def has_var(self, name: str) -> bool:
-        return name in self._var_index
-
     def add_constraint(
         self,
         coeffs: Mapping[str, float],
@@ -441,7 +456,7 @@ class LinearProgram:
     # -- compilation --------------------------------------------------------
 
     def compile(self) -> dict:
-        """Compile to the arrays SciPy's ``linprog`` expects."""
+        """Compile to ``linprog``'s arrays: ``>=`` rows negated into ``A_ub``."""
         n = self.num_vars
         c = np.asarray(self._objective, dtype=float)
         acc_ub = _CsrAccumulator()
@@ -509,38 +524,62 @@ class LinearProgram:
         )
 
     def _solve_highs(self, parts: dict) -> LPSolution:
-        """Solve the compiled ``parts`` with HiGHS (the service's backend)."""
-        res = linprog(
-            parts["c"],
-            A_ub=parts["A_ub"],
-            b_ub=parts["b_ub"],
-            A_eq=parts["A_eq"],
-            b_eq=parts["b_eq"],
-            bounds=parts["bounds"],
-            method="highs",
+        """Solve the compiled ``parts`` with HiGHS (the service's backend).
+
+        HiGHS gets the model ``linprog(method="highs")`` would give it:
+        the rows ``A_ub`` then ``A_eq`` (as row-wise CSR), ``-inf <= row
+        <= b_ub`` and ``b_eq <= row <= b_eq``, presolve on, dual simplex,
+        no output.  Each call runs a fresh solver object, so concurrent
+        solves share no state.
+        """
+        c, bounds = parts["c"], parts["bounds"]
+        b_ub = np.empty(0) if parts["b_ub"] is None else parts["b_ub"]
+        b_eq = np.empty(0) if parts["b_eq"] is None else parts["b_eq"]
+        mats = [a for a in (parts["A_ub"], parts["A_eq"]) if a is not None]
+        a = vstack(mats, format="csr") if mats else csr_matrix((0, c.size))
+        lp = _highs.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = c.size
+        lp.num_row_ = lp.a_matrix_.num_row_ = a.shape[0]
+        lp.col_cost_ = c
+        lp.col_lower_, lp.col_upper_ = bounds[:, 0], bounds[:, 1]
+        # kHighsInf is IEEE infinity, so the bounds go in as compiled.
+        lp.row_lower_ = np.concatenate((np.full(b_ub.size, -_highs.kHighsInf), b_eq))
+        lp.row_upper_ = np.concatenate((b_ub, b_eq))
+        lp.a_matrix_.format_ = _highs.MatrixFormat.kRowwise
+        # Integer vectors convert far faster from lists than from arrays.
+        lp.a_matrix_.start_ = a.indptr.tolist()
+        lp.a_matrix_.index_ = a.indices.tolist()
+        lp.a_matrix_.value_ = a.data
+        highs = _highs._Highs()
+        highs.setOptionValue("output_flag", False)
+        highs.setOptionValue("log_to_console", False)
+        highs.setOptionValue("presolve", "on")
+        highs.setOptionValue(
+            "simplex_strategy",
+            int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
         )
-        if not res.success:
-            # scipy status codes: 1 = limit reached, 2 = infeasible,
-            # 3 = unbounded, 4 = numerical trouble.
-            kind = {1: "timeout", 2: "infeasible", 3: "unbounded"}.get(
-                res.status, "numerical"
-            )
+        if highs.passModel(lp) == _highs.HighsStatus.kError:
+            status = _highs.HighsModelStatus.kModelError
+        else:
+            highs.run()
+            status = highs.getModelStatus()
+        if status != _highs.HighsModelStatus.kOptimal:
             raise SolverError(
-                f"LP {self.name!r} failed: {res.message} (status {res.status})",
-                kind=kind,
+                f"LP {self.name!r} failed: {highs.modelStatusToString(status)}",
+                kind=_FAILURE_KINDS.get(status, "numerical"),
                 model=self.name,
                 backend="highs",
                 num_vars=self.num_vars,
                 num_constraints=self.num_constraints,
             )
-        ineqlin = getattr(res, "ineqlin", None)
-        eqlin = getattr(res, "eqlin", None)
+        solution = highs.getSolution()
+        duals = np.array(solution.row_dual)
         return self._solution(
             parts,
-            res.fun,
-            res.x,
-            None if ineqlin is None else ineqlin.marginals,
-            None if eqlin is None else eqlin.marginals,
+            highs.getInfo().objective_function_value,
+            solution.col_value,
+            duals[: b_ub.size],
+            duals[b_ub.size :],
         )
 
     # -- introspection --------------------------------------------------------

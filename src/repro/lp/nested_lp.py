@@ -31,24 +31,43 @@ from repro.util.errors import SolverError
 from repro.util.numeric import snap_vector
 
 
-@dataclass(frozen=True)
 class NestedLPSolution:
     """Solution of LP (1) on a canonical instance.
 
-    ``x`` is indexed by tree node; ``y`` is a dense ``(m, n_jobs)`` array
-    indexed by (node, position of job in ``instance.jobs``), each job
-    class's ``Y`` split evenly over its jobs.  ``x`` values are snapped
-    to integers within tolerance.
+    ``x`` is indexed by tree node, its values snapped to integers within
+    tolerance.  A solved model keeps ``y`` in its class columns:
+    ``share[t] = Y(i, C)/c`` for the ``Y`` column ``t = (i, C)`` of
+    ``classes``.  :attr:`y` is the dense per-job ``(m, n_jobs)`` array
+    indexed by (node, position of job in ``instance.jobs``), each class's
+    ``Y`` split evenly over its jobs; it is built on first read, which
+    no stage of :func:`~repro.core.algorithm.solve_nested` does.  A
+    solution may instead be given with its per-job ``y``.
     """
 
-    value: float
-    x: np.ndarray
-    y: np.ndarray
-    thresholds: OptThresholds
+    def __init__(
+        self,
+        value: float,
+        x: np.ndarray,
+        y: np.ndarray | None = None,
+        *,
+        thresholds: OptThresholds,
+        classes: JobClasses | None = None,
+        share: np.ndarray | None = None,
+    ) -> None:
+        if (y is None) == (classes is None or share is None):
+            raise ValueError("give y either per job or as class columns")
+        self.value = value
+        self.x = x
+        self.thresholds = thresholds
+        self.classes = classes
+        self.share = share
+        self._y = y
 
-    def x_subtree(self, forest, i: int) -> float:
-        """``x(Des(i))``."""
-        return float(sum(self.x[k] for k in forest.descendants(i)))
+    @property
+    def y(self) -> np.ndarray:
+        if self._y is None:
+            self._y = self.classes.scatter(self.share, self.x.size)
+        return self._y
 
 
 @dataclass(frozen=True)
@@ -315,7 +334,7 @@ def lift_solution(
     thresholds: OptThresholds,
     classes: JobClasses | None = None,
 ) -> NestedLPSolution:
-    """Read a solution of the class model ``lp`` back as per-job ``(x, y)``.
+    """Read a solution of the class model ``lp`` back as ``x`` and class columns.
 
     ``lp`` must be a :func:`build_nested_lp` model of ``canonical``
     (any objective), and ``classes`` its :func:`job_classes` (computed
@@ -360,10 +379,11 @@ def lift_solution(
     share = values[m:] / classes.sizes[classes.col_class]  # Y(i, C)/c
     share[np.abs(share) < 1e-9] = 0.0
     return NestedLPSolution(
-        value=float(sol.value),
-        x=x,
-        y=classes.scatter(share, m),
+        float(sol.value),
+        x,
         thresholds=thresholds,
+        classes=classes,
+        share=share,
     )
 
 
@@ -373,7 +393,7 @@ def solve_nested_lp(
     ceiling: bool = True,
     thresholds: OptThresholds | None = None,
 ) -> NestedLPSolution:
-    """Solve LP (1); returns snapped ``x`` and per-job ``y`` arrays."""
+    """Solve LP (1); returns snapped ``x`` and ``y`` in class columns."""
     classes = job_classes(canonical)
     lp, thresholds = build_nested_lp(
         canonical, ceiling=ceiling, thresholds=thresholds, classes=classes

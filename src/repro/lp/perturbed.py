@@ -16,7 +16,6 @@ space:
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 from repro.lp.nested_lp import (
@@ -45,7 +44,8 @@ def solve_with_weights(
     for i in range(canonical.forest.m):
         lp._objective[lp._var_index[_xname(i)]] = 1.0 + spread * rng.random()
     lifted = lift_solution(canonical, lp, lp.solve(), thresholds, classes)
-    return dataclasses.replace(lifted, value=float(lifted.x.sum()))
+    lifted.value = float(lifted.x.sum())
+    return lifted
 
 
 def convex_combination(
@@ -56,6 +56,4 @@ def convex_combination(
         raise ValueError("lam must be in [0, 1]")
     x = lam * a.x + (1 - lam) * b.x
     y = lam * a.y + (1 - lam) * b.y
-    return NestedLPSolution(
-        value=float(x.sum()), x=x, y=y, thresholds=a.thresholds
-    )
+    return NestedLPSolution(float(x.sum()), x, y, thresholds=a.thresholds)

@@ -65,29 +65,16 @@ def delta(
     """``after - before`` for two snapshots of the same counters.
 
     Numbers subtract (a key missing from ``before`` counts as zero) and
-    every top-level key is kept.  Deeper down, a block whose own numbers
-    all read zero is dropped, so a keyed family of blocks lists only the
-    entries that moved in between.
+    nested blocks subtract key by key; every key of ``after`` is kept.
     """
     out: dict[str, Any] = {}
     for key, value in after.items():
         prior = before.get(key)
         if isinstance(value, dict):
-            out[key] = {
-                name: sub
-                for name, sub in delta(value, prior or {}).items()
-                if not _idle(sub)
-            }
+            out[key] = delta(value, prior or {})
         else:
             out[key] = value - (prior or 0)
     return out
-
-
-def _idle(block: Any) -> bool:
-    if not isinstance(block, dict):
-        return False
-    numbers = [v for v in block.values() if not isinstance(v, dict)]
-    return bool(numbers) and not any(numbers)
 
 
 def merge(into: dict[str, Any], *deltas: Mapping[str, Any]) -> dict[str, Any]:

@@ -1,13 +1,23 @@
 """Unit tests for the LP modelling layer, HiGHS and the simplex oracle."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
+from repro.corpus.store import iter_corpus
+from repro.instances.io import instance_from_dict
 from repro.lp.backend import LinearProgram
+from repro.lp.nested_lp import build_nested_lp
+from repro.tree.canonical import canonicalize
 from repro.util.errors import SolverError
 from repro.verify.simplex import SimplexSolver, simplex_solve
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _toy_lp():
@@ -160,3 +170,72 @@ class TestBackendAgreement:
         a = lp.solve()
         b = simplex_solve(lp)
         assert a.value == pytest.approx(b.value, abs=1e-6)
+
+
+def _planted_instances():
+    """Planted laminar instances at the benchmark's LP (1) sizes."""
+    spec = importlib.util.spec_from_file_location(
+        "planted", ROOT / "perfbench" / "planted.py"
+    )
+    planted = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(planted)
+    for seed, (n, g) in enumerate(((300, 2), (700, 4), (1200, 8), (2000, 8))):
+        yield instance_from_dict(
+            planted.planted_instance(
+                seed, n=n, horizon=3 * n, g=g, windows=n // 4, p_max=3
+            )
+        )
+
+
+def _assert_matches_linprog(lp):
+    parts = lp.compile()
+    res = linprog(
+        parts["c"],
+        A_ub=parts["A_ub"],
+        b_ub=parts["b_ub"],
+        A_eq=parts["A_eq"],
+        b_eq=parts["b_eq"],
+        bounds=parts["bounds"],
+        method="highs",
+    )
+    assert res.success, res.message
+    sol = lp._solve_highs(parts)
+    assert sol.value == res.fun
+    assert np.array_equal(sol.x, res.x)
+    assert np.array_equal(sol.marginals_ub, res.ineqlin.marginals)
+    if sol.marginals_eq is not None:
+        assert np.array_equal(sol.marginals_eq, res.eqlin.marginals)
+
+
+class TestBundledHighs:
+    """The backend calls HiGHS through a private scipy module: pin it."""
+
+    def test_bundled_module_imports(self):
+        from scipy.optimize._highspy import _core
+
+        assert hasattr(_core, "_Highs") and hasattr(_core, "HighsLp")
+        assert _core.MatrixFormat.kRowwise is not None
+        assert _core.kHighsInf == np.inf
+
+    def test_matches_linprog_on_the_corpus(self):
+        checked = 0
+        for entry in iter_corpus(ROOT / "data" / "corpus_smoke"):
+            inst = entry.instance()
+            if inst.is_laminar:
+                _assert_matches_linprog(build_nested_lp(canonicalize(inst))[0])
+                checked += 1
+        assert checked == 347
+
+    def test_matches_linprog_on_planted_instances(self):
+        for inst in _planted_instances():
+            _assert_matches_linprog(build_nested_lp(canonicalize(inst))[0])
+
+    def test_matches_linprog_with_equalities_and_bounds(self):
+        lp = LinearProgram("mixed")
+        lp.add_var("x", objective=1.0, lower=-2.0, upper=3.0)
+        lp.add_var("y", objective=2.0, lower=1.0)
+        lp.add_var("z", objective=-1.0, upper=4.0)
+        lp.add_constraint({"x": 1, "y": 1, "z": 1}, "==", 5, label="total")
+        lp.add_constraint({"x": 1, "z": -1}, "<=", 1, label="gap")
+        lp.add_constraint({"y": 1, "z": 2}, ">=", 3, label="cover")
+        _assert_matches_linprog(lp)

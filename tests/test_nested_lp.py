@@ -19,6 +19,7 @@ from repro.instances.handcrafted import (
 from repro.instances.jobs import Instance
 from repro.lp.backend import LinearProgram, LPSolution
 from repro.lp.nested_lp import (
+    NestedLPSolution,
     build_nested_lp,
     job_classes,
     lift_solution,
@@ -301,6 +302,23 @@ class TestJobClasses:
             block = sol.y[:, members]
             assert np.allclose(block, block[:, :1])
             assert (block.sum(axis=0) >= p - 1e-9).all()
+
+    def test_solution_takes_y_in_one_form(self):
+        sol = solve_nested_lp(canonicalize(self._many_identical()))
+        assert sol._y is None  # class columns until y is read
+        per_job = sol.y
+        assert sol.y is per_job
+        with pytest.raises(ValueError, match="either"):
+            NestedLPSolution(
+                sol.value,
+                sol.x,
+                per_job,
+                thresholds=sol.thresholds,
+                classes=sol.classes,
+                share=sol.share,
+            )
+        with pytest.raises(ValueError, match="either"):
+            NestedLPSolution(sol.value, sol.x, thresholds=sol.thresholds)
 
     def test_missing_variable_fails_loudly(self):
         canon = canonicalize(self._many_identical())

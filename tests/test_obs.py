@@ -24,7 +24,7 @@ def _probe_heavy_work() -> None:
 
 
 class TestDeltaAndMerge:
-    def test_delta_keeps_top_level_and_drops_idle_entries(self):
+    def test_delta_subtracts_nested_blocks_and_keeps_every_key(self):
         before = {
             "solver": {"solves": 1, "backends": {"highs": {"solves": 1}}},
             "flow": {"probes": 4},
@@ -37,7 +37,10 @@ class TestDeltaAndMerge:
             "flow": {"probes": 4},
         }
         assert obs.delta(after, before) == {
-            "solver": {"solves": 0, "backends": {"simplex": {"solves": 2}}},
+            "solver": {
+                "solves": 0,
+                "backends": {"highs": {"solves": 0}, "simplex": {"solves": 2}},
+            },
             "flow": {"probes": 0},
         }
 
