@@ -18,7 +18,11 @@ Dinic as the reference side of every flow probe
 (:class:`repro.verify.reference.DifferentialFlowProber` builds its
 reference networks on :class:`repro.flow.dinic.MaxFlow`) and
 cross-checks the reference-vs-vectorized LP fingerprints — both must
-agree with zero mismatches.  Runnable standalone for CI::
+agree with zero mismatches.  The incremental side picks its kernel by
+network size (``SMALL_NETWORK_ARCS``), so on these ≤ 10-job instances
+it runs on the object kernel too; the forced-CSR prober tests in
+``tests/test_incremental_flow.py`` cross-check the CSR kernel's repair
+path against the reference.  Runnable standalone for CI::
 
     python benchmarks/bench_e19_kernels.py --smoke [--json OUT]
 """
@@ -213,8 +217,8 @@ def run_lp_builds(nested_depth=_NESTED_FULL, cw_config=_CW_FULL):
 
 def run_differential_sweep(per_family=_SWEEP_FULL, seed: int = 2022):
     """Every instance cross-checked two ways: flow probes through the
-    differential prober (object-Dinic reference vs csr-kernel
-    incremental engine) and reference-vs-vectorized LP fingerprints
+    differential prober (object-Dinic reference vs the incremental
+    engine) and reference-vs-vectorized LP fingerprints
     (nested LP on laminar instances, CW LP otherwise).
 
     Returns (instances, probe count, fingerprint matches, mismatches).

@@ -48,9 +48,11 @@ def slot_classes(instance: Instance) -> list[SlotClass]:
     (:func:`~repro.flow.feasibility.coverage_segments`) that share one
     set of covering jobs.
     """
+    starts, ends, buckets = coverage_segments(instance)
+    ids = [job.id for job in instance.jobs]
     by_signature: dict[tuple[int, ...], list[int]] = {}
-    for start, end, members in coverage_segments(instance):
-        sig = tuple(sorted(instance.jobs[k].id for k in members))
+    for start, end, members in zip(starts.tolist(), ends.tolist(), buckets):
+        sig = tuple(sorted(ids[k] for k in members))
         by_signature.setdefault(sig, []).extend(range(start, end))
     classes = [
         SlotClass(slots=tuple(slots), jobs=sig)

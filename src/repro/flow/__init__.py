@@ -12,6 +12,7 @@ from repro.flow.feasibility import (
     slot_feasible,
 )
 from repro.flow.incremental import (
+    Buckets,
     ClassFlowProber,
     DynamicFlowProber,
     IncrementalFlow,
@@ -32,6 +33,7 @@ __all__ = [
     "spread_runs",
     "schedule_from_node_counts",
     "IncrementalFlow",
+    "Buckets",
     "ClassFlowProber",
     "DynamicFlowProber",
     "make_prober",

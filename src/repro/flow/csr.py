@@ -20,10 +20,20 @@ appends to the flat arrays in bulk and only materializes ``head``
 (needed by the Python BFS/DFS fallback, min-cut extraction and the
 incremental repair walk) on first access.
 
-The feasibility networks and :class:`~repro.flow.incremental.ClassFlowProber`
-build on this kernel; the pure-Python :class:`~repro.flow.dinic.MaxFlow`
-stays as its fallback, as the twin's kernel and as the reference that
-tests and :mod:`repro.verify` compare it against.
+scipy's ``maximum_flow`` has a fixed cost per call (it validates the
+graph and builds its own sparse matrices; ~200–300 µs on a 2-vCPU host)
+that the Python kernel does not pay, so the CSR kernel wins only on
+networks of some size.  The
+slot and node networks whose per-edge flows are read
+(:func:`~repro.flow.feasibility.extract_schedule`,
+:func:`~repro.flow.feasibility.slot_feasible`,
+:func:`~repro.flow.feasibility.node_assignment`) and the
+:class:`~repro.flow.incremental.ClassFlowProber` networks of at least
+:data:`~repro.flow.incremental.SMALL_NETWORK_ARCS` arcs run here.  The
+list-backed :class:`~repro.flow.dinic.MaxFlow` is the kernel of the
+smaller prober networks and of the twin, this kernel's fallback for
+capacities scipy cannot take, and the reference the tests compare it
+against.
 """
 
 from __future__ import annotations
@@ -53,13 +63,13 @@ class CSRMaxFlow(MaxFlow):
     machinery can compare them probe by probe.
     """
 
-    def __init__(self, n: int) -> None:
+    def _init_storage(self) -> None:
+        # Growable numpy buffers; ``to``/``cap``/``_initial_cap`` are
+        # length-m views into them.  ``head`` starts dirty, so its
+        # per-node lists are built only when something reads them.
         self._head_store: list[list[int]] = []
-        self._head_dirty = False
+        self._head_dirty = True
         self._dropped: set[int] = set()
-        super().__init__(n)
-        # Replace the parent's list storage with growable numpy buffers;
-        # ``to``/``cap``/``_initial_cap`` are length-m views into them.
         self._m = 0
         self._to_buf = np.empty(16, dtype=np.int64)
         self._cap_buf = np.empty(16, dtype=float)
@@ -220,15 +230,15 @@ class CSRMaxFlow(MaxFlow):
         pushed = int(result.flow_value)
         if pushed == 0:
             return 0.0
-        # flow is CSR, so its COO triples come out row-major sorted — the
-        # (row·n + col) pair keys below are already ascending.
-        coo = result.flow.tocoo()
-        positive = coo.data > 0
-        pair_keys = (
-            coo.row[positive].astype(np.int64) * self.n
-            + coo.col[positive].astype(np.int64)
-        )
-        pair_vals = coo.data[positive].astype(np.int64)
+        # The flow is CSR: positions of its positive net pair flows are
+        # ascending, so their rows (found in indptr) and the (row·n +
+        # col) pair keys are row-major sorted, unless a row's columns
+        # are not.
+        flow = result.flow
+        positive = np.flatnonzero(flow.data > 0)
+        rows = np.searchsorted(flow.indptr, positive, side="right") - 1
+        pair_keys = rows * self.n + flow.indices[positive]
+        pair_vals = flow.data[positive].astype(np.int64)
         if pair_keys.size > 1 and np.any(pair_keys[1:] < pair_keys[:-1]):
             key_order = np.argsort(pair_keys)
             pair_keys = pair_keys[key_order]
@@ -237,35 +247,40 @@ class CSRMaxFlow(MaxFlow):
         # source: the minimum number of paths any decomposition of this
         # increment needs, and what the object kernel reports for the
         # layered networks this library builds.
-        self.augment_paths += int(
-            np.count_nonzero(coo.row[positive] == s)
-        )
+        self.augment_paths += int(np.count_nonzero(rows == s))
 
-        # Redistribute each pair's net flow onto its arcs: restrict to
-        # arcs whose pair actually carries flow, sort those by (pair,
-        # id), then take from each arc up to its capacity until the
-        # pair's flow is exhausted (grouped exclusive prefix sum).
+        # Find the arcs whose pair carries flow.
         arc_pairs = tails * self.n + heads
         lookup = np.searchsorted(pair_keys, arc_pairs)
         clipped = np.minimum(lookup, pair_keys.size - 1)
         sel = np.flatnonzero(pair_keys[clipped] == arc_pairs)
-        order = np.lexsort((arcs[sel], arc_pairs[sel]))
-        s_arcs = arcs[sel][order]
-        s_pairs = arc_pairs[sel][order]
-        s_caps = arc_caps[sel][order]
-        group_flow = pair_vals[clipped[sel][order]]
-        first = np.empty(s_pairs.size, dtype=bool)
-        first[0] = True
-        first[1:] = s_pairs[1:] != s_pairs[:-1]
-        exclusive = np.cumsum(s_caps) - s_caps
-        group_base = exclusive[np.flatnonzero(first)]
-        prior = exclusive - group_base[np.cumsum(first) - 1]
-        take = np.clip(group_flow - prior, 0, s_caps)
-        taking = np.flatnonzero(take)
-        if taking.size:
+        if graph.nnz == arcs.size:
+            # No two live arcs share a pair (the CSR constructor summed
+            # none), as in every layered network this library builds:
+            # each such arc takes its pair's whole flow.
+            arcs_taking = arcs[sel]
+            units = pair_vals[clipped[sel]].astype(float)
+        else:
+            # Redistribute each pair's net flow onto its arcs: sort them
+            # by (pair, id), then take from each arc up to its capacity
+            # until the pair's flow is exhausted (grouped exclusive
+            # prefix sum).
+            order = np.lexsort((arcs[sel], arc_pairs[sel]))
+            s_arcs = arcs[sel][order]
+            s_pairs = arc_pairs[sel][order]
+            s_caps = arc_caps[sel][order]
+            group_flow = pair_vals[clipped[sel][order]]
+            first = np.empty(s_pairs.size, dtype=bool)
+            first[0] = True
+            first[1:] = s_pairs[1:] != s_pairs[:-1]
+            exclusive = np.cumsum(s_caps) - s_caps
+            group_base = exclusive[np.flatnonzero(first)]
+            prior = exclusive - group_base[np.cumsum(first) - 1]
+            take = np.clip(group_flow - prior, 0, s_caps)
+            taking = np.flatnonzero(take)
             arcs_taking = s_arcs[taking]
             units = take[taking].astype(float)
-            cap[arcs_taking] -= units
-            cap[arcs_taking ^ 1] += units
+        cap[arcs_taking] -= units
+        cap[arcs_taking ^ 1] += units
         return float(pushed)
 

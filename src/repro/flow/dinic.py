@@ -36,12 +36,16 @@ class MaxFlow:
         if n < 2:
             raise ValueError("network needs at least source and sink")
         self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]  # node -> edge ids
+        self._solved = False
+        self.augment_paths = 0  # lifetime count of augmenting paths pushed
+        self._init_storage()
+
+    def _init_storage(self) -> None:
+        """Empty edge storage: per-node edge lists and flat edge lists."""
+        self.head: list[list[int]] = [[] for _ in range(self.n)]
         self.to: list[int] = []
         self.cap: list[float] = []
         self._initial_cap: list[float] = []
-        self._solved = False
-        self.augment_paths = 0  # lifetime count of augmenting paths pushed
 
     def add_node(self) -> int:
         """Append a fresh isolated node; returns its id.
@@ -102,12 +106,38 @@ class MaxFlow:
     ) -> list[int]:
         """Bulk :meth:`add_edge`; returns the even ids, in order.
 
-        Semantically a plain loop here; the CSR kernel
-        (:class:`repro.flow.csr.CSRMaxFlow`) overrides it with a
-        vectorized append that defers adjacency-list construction, so
-        builders that batch their edges are fast on both kernels.
+        Every argument is checked before anything is appended, so a bad
+        capacity or node id leaves the network as it was.  The flat
+        lists grow by slice assignment; the adjacency lists get their
+        ids in increasing order, as the per-edge loop would give them.
         """
-        return [self.add_edge(u, v, c) for u, v, c in zip(us, vs, caps)]
+        us, vs, caps = _as_list(us), _as_list(vs), _as_list(caps)
+        k = len(caps)
+        if len(us) != k or len(vs) != k:
+            raise ValueError("us/vs/caps length mismatch")
+        if k == 0:
+            return []
+        low = min(caps)
+        if low < 0:
+            raise ValueError(f"negative capacity {low}")
+        if min(min(us), min(vs)) < 0 or max(max(us), max(vs)) >= self.n:
+            raise ValueError(f"edge endpoint outside nodes 0..{self.n - 1}")
+        base = len(self.to)
+        to = [0] * (2 * k)
+        to[0::2] = vs
+        to[1::2] = us
+        cap = [0.0] * (2 * k)
+        cap[0::2] = caps
+        self.to.extend(to)
+        self.cap.extend(cap)
+        self._initial_cap.extend(cap)
+        head = self.head
+        eid = base
+        for u, v in zip(us, vs):
+            head[u].append(eid)
+            head[v].append(eid + 1)
+            eid += 2
+        return list(range(base, eid, 2))
 
     def reset(self) -> None:
         """Restore all capacities (undo any previously computed flow)."""
@@ -232,3 +262,9 @@ class MaxFlow:
                     seen.add(v)
                     q.append(v)
         return seen
+
+
+def _as_list(values: Iterable) -> list:
+    """``values`` as a list of Python scalars (arrays via ``tolist``)."""
+    tolist = getattr(values, "tolist", None)
+    return tolist() if tolist is not None else list(values)

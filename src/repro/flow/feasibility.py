@@ -27,19 +27,21 @@ add them in one :meth:`~repro.flow.dinic.MaxFlow.add_edges` call on the
 :class:`~repro.flow.csr.CSRMaxFlow` kernel, in the same global order the
 historical per-edge loops used — so edge ids match the object-kernel
 reference and flow extraction vectorizes over the resulting id arrays.
-The segment level probes through :func:`repro.flow.incremental.make_prober`.
+The segment level and :func:`node_prober` probe through
+:func:`repro.flow.incremental.make_prober`, handing it their bucket
+memberships as CSR :class:`~repro.flow.incremental.Buckets` arrays.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.core.schedule import Schedule
 from repro.flow.csr import CSRMaxFlow
 from repro.flow.dinic import MaxFlow
-from repro.flow.incremental import make_prober
+from repro.flow.incremental import Buckets, make_prober
 from repro.instances.jobs import Instance
 from repro.tree.node import WindowForest
 
@@ -47,6 +49,17 @@ from repro.tree.node import WindowForest
 # ---------------------------------------------------------------------------
 # Slot level
 # ---------------------------------------------------------------------------
+
+
+def _ranges(lo: np.ndarray, cnt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ranges ``[lo[k], lo[k] + cnt[k])`` laid end to end.
+
+    Returns ``(owner, value)``: per entry, the ``k`` whose range it
+    belongs to and its value, ranges in ``k`` order.
+    """
+    owner = np.repeat(np.arange(cnt.size, dtype=np.int64), cnt)
+    shift = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
+    return owner, np.arange(owner.size) + shift
 
 
 def _job_blocks(
@@ -61,10 +74,7 @@ def _job_blocks(
     """
     block = cnt + 1
     starts = np.cumsum(block) - block
-    job_of = np.repeat(np.arange(cnt.size, dtype=np.int64), cnt)
-    within = np.arange(int(cnt.sum()), dtype=np.int64) - np.repeat(
-        np.cumsum(cnt) - cnt, cnt
-    )
+    job_of, within = _ranges(np.zeros_like(cnt), cnt)
     return starts, job_of, within, np.repeat(starts + 1, cnt) + within
 
 
@@ -155,27 +165,45 @@ def extract_schedule(
 # ---------------------------------------------------------------------------
 
 
-def coverage_segments(instance: Instance) -> list[tuple[int, int, list[int]]]:
-    """The covered elementary segments: ``(start, end, job positions)``.
+class Segments(NamedTuple):
+    """The covered elementary segments as arrays.
+
+    Segment ``k`` is ``[starts[k], ends[k])``, and bucket ``k`` of
+    ``buckets`` lists the ascending positions (in ``instance.jobs``) of
+    the jobs whose windows contain it.
+    """
+
+    starts: np.ndarray
+    ends: np.ndarray
+    buckets: Buckets
+
+
+def coverage_segments(instance: Instance) -> Segments:
+    """The covered elementary segments, in time order.
 
     The time axis is cut at every release and deadline.  Each elementary
-    segment ``[c_k, c_{k+1})`` that some window covers is listed, in
-    time order, with the ascending positions (in ``instance.jobs``) of
+    segment ``[c_k, c_{k+1})`` that some window covers is listed with
     the jobs whose windows contain it.  All slots of a segment are
-    covered by the same windows, so they are interchangeable.
+    covered by the same windows, so they are interchangeable.  Job ``j``
+    covers the contiguous cut range ``[lo_j, hi_j)``, so the (segment,
+    job) pairs come from prefix sums and one stable sort by segment
+    keeps each segment's jobs ascending.
     """
     jobs = instance.jobs
-    cuts = sorted({j.release for j in jobs} | {j.deadline for j in jobs})
-    index = {c: k for k, c in enumerate(cuts)}
-    covering: list[list[int]] = [[] for _ in cuts[1:]]
-    for pos, job in enumerate(jobs):
-        for k in range(index[job.release], index[job.deadline]):
-            covering[k].append(pos)
-    return [
-        (cuts[k], cuts[k + 1], members)
-        for k, members in enumerate(covering)
-        if members
-    ]
+    n = len(jobs)
+    rels = np.fromiter((j.release for j in jobs), dtype=np.int64, count=n)
+    deads = np.fromiter((j.deadline for j in jobs), dtype=np.int64, count=n)
+    cuts = np.unique(np.concatenate((rels, deads)))
+    lo = np.searchsorted(cuts, rels)
+    cnt = np.searchsorted(cuts, deads) - lo
+    job_of, segment = _ranges(lo, cnt)
+    sizes = np.bincount(segment, minlength=max(cuts.size - 1, 0))
+    covered = sizes > 0
+    ptr = np.concatenate(([0], np.cumsum(sizes[covered])))
+    members = job_of[np.argsort(segment, kind="stable")]
+    return Segments(
+        cuts[:-1][covered], cuts[1:][covered], Buckets(members, ptr)
+    )
 
 
 def all_slots_feasible(instance: Instance) -> bool:
@@ -187,13 +215,11 @@ def all_slots_feasible(instance: Instance) -> bool:
     """
     if instance.n == 0:
         return True
-    segments = coverage_segments(instance)
+    starts, ends, buckets = coverage_segments(instance)
     prober = make_prober(
-        [job.processing for job in instance.jobs],
-        [members for _, _, members in segments],
-        instance.g,
+        [job.processing for job in instance.jobs], buckets, instance.g
     )
-    return prober.probe([end - start for start, end, _ in segments])
+    return prober.probe(ends - starts)
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +323,21 @@ def node_prober(
     instance/forest warm-start from the previous flow instead of
     rebuilding the network.
     """
-    buckets: list[list[int]] = [[] for _ in range(forest.m)]
-    for k, job in enumerate(instance.jobs):
-        for i in forest.descendants(job_node[job.id]):
-            buckets[i].append(k)
+    jobs = instance.jobs
+    n_jobs = len(jobs)
+    # Des(k(j)) is the contiguous preorder range [tin, tout) of k(j).
+    preorder = np.asarray(forest.preorder, dtype=np.int64)
+    k_of = np.fromiter(
+        (job_node[job.id] for job in jobs), dtype=np.int64, count=n_jobs
+    )
+    lo = np.asarray(forest.tin, dtype=np.int64)[k_of]
+    cnt = np.asarray(forest.tout, dtype=np.int64)[k_of] - lo
+    job_of, rank = _ranges(lo, cnt)
+    node = preorder[rank]
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(node, minlength=forest.m))))
     return make_prober(
-        [job.processing for job in instance.jobs],
-        buckets,
+        [job.processing for job in jobs],
+        Buckets(job_of[np.argsort(node, kind="stable")], ptr),
         instance.g,
     )
 

@@ -32,6 +32,14 @@ probes:
   ``g`` units and the re-augmentation pushes at most ``g`` units back —
   independent of ``Σ p_j``.
 
+Each :class:`ClassFlowProber` picks its kernel once, from its arc
+count: networks below :data:`SMALL_NETWORK_ARCS` run on the list-backed
+:class:`~repro.flow.dinic.MaxFlow`, larger ones on
+:class:`~repro.flow.csr.CSRMaxFlow`, whose scipy call has a fixed cost
+that dominates a small network (the measured crossovers are in
+docs/PERFORMANCE.md).  A max-flow's value is unique, so every verdict
+is the same on either kernel.
+
 The from-scratch path is a test oracle and lives in
 :mod:`repro.verify.reference`.  :func:`make_prober` builds the class held
 by :data:`PROBER_CLASS` — :class:`ClassFlowProber` unless
@@ -152,7 +160,8 @@ class IncrementalFlow:
         """Bulk :meth:`set_capacity` on a network that carries no flow.
 
         With no flow there is nothing to repair, so every capacity is a
-        plain array write (the CSR kernel's array storage).  Raises
+        plain write: one array assignment on the CSR kernel's arrays, a
+        loop of list stores on the object kernel's lists.  Raises
         :class:`ValueError` once a flow has been pushed
         (:attr:`value` > 0).
         """
@@ -169,8 +178,15 @@ class IncrementalFlow:
             raise ValueError("set_capacities() takes even edge ids")
         if caps.size and float(caps.min()) < 0:
             raise ValueError(f"negative capacity {float(caps.min())}")
-        self.net._initial_cap[eids] = caps
-        self.net.cap[eids] = caps
+        net = self.net
+        if isinstance(net.cap, np.ndarray):
+            net._initial_cap[eids] = caps
+            net.cap[eids] = caps
+            return
+        icap, cap = net._initial_cap, net.cap
+        for eid, c in zip(eids.tolist(), caps.tolist()):
+            icap[eid] = c
+            cap[eid] = c
 
     def set_capacity(self, eid: int, capacity: float) -> float:
         """Rebase edge ``eid`` to ``capacity``, repairing flow if needed.
@@ -281,6 +297,51 @@ class IncrementalFlow:
 # Bucket-level probers
 # ---------------------------------------------------------------------------
 
+#: Arc count at and above which :class:`ClassFlowProber` runs on the CSR
+#: kernel; smaller networks run on the object kernel.  Chosen from the
+#: measured cold-probe and warm-sequence crossovers in
+#: docs/PERFORMANCE.md ("Flow kernel by network size").
+SMALL_NETWORK_ARCS = 512
+
+
+class Buckets:
+    """Bucket membership in CSR form.
+
+    Bucket ``i`` holds the job positions ``members[ptr[i]:ptr[i + 1]]``;
+    ``ptr`` has one entry more than there are buckets.  Producers that
+    compute memberships with array operations
+    (:func:`~repro.flow.feasibility.coverage_segments`,
+    :func:`~repro.flow.feasibility.node_prober`) hand them over in this
+    form, so :class:`ClassFlowProber` lays out its edges without a
+    per-bucket list.  Iterating yields each bucket as a list.
+    """
+
+    __slots__ = ("members", "ptr")
+
+    def __init__(self, members, ptr) -> None:
+        self.members = np.asarray(members, dtype=np.int64)
+        self.ptr = np.asarray(ptr, dtype=np.int64)
+
+    @classmethod
+    def of(cls, buckets: "Buckets | Sequence[Sequence[int]]") -> "Buckets":
+        """``buckets`` as is, or a list of per-bucket lists in CSR form."""
+        if isinstance(buckets, cls):
+            return buckets
+        sizes = np.fromiter(map(len, buckets), dtype=np.int64, count=len(buckets))
+        ptr = np.concatenate(([0], np.cumsum(sizes)))
+        members = np.fromiter(
+            chain.from_iterable(buckets), dtype=np.int64, count=int(ptr[-1])
+        )
+        return cls(members, ptr)
+
+    def __len__(self) -> int:
+        return self.ptr.size - 1
+
+    def __iter__(self):
+        members = self.members.tolist()
+        ptr = self.ptr.tolist()
+        return (members[lo:hi] for lo, hi in zip(ptr, ptr[1:]))
+
 
 class ClassFlowProber:
     """Warm-started feasibility probes over the three-layer bucket network.
@@ -292,14 +353,26 @@ class ClassFlowProber:
     is assembled with array operations; the first probe, while no flow
     runs, writes every capacity in one bulk step, and later probes
     rebase only the buckets whose count changed.
+
+    ``buckets`` is a :class:`Buckets` or one list of job positions per
+    bucket.  The kernel is picked once, from the arc count
+    ``n_jobs + Σ|bucket| + n_buckets``: below :data:`SMALL_NETWORK_ARCS`
+    the list-backed :class:`~repro.flow.dinic.MaxFlow`, whose Python
+    Dinic costs less than scipy's fixed per-call set-up on a small
+    network; at or above it :class:`~repro.flow.csr.CSRMaxFlow`.  A
+    max-flow's value is unique, so the verdicts do not depend on the
+    kernel; the flow itself (and the ``augmenting_paths`` and
+    ``units_*`` counters) may.
     """
 
     def __init__(
         self,
         processings: Sequence[int],
-        buckets: Sequence[Sequence[int]],
+        buckets: Buckets | Sequence[Sequence[int]],
         g: int,
     ) -> None:
+        buckets = Buckets.of(buckets)
+        members, ptr = buckets.members, buckets.ptr
         n_jobs = len(processings)
         n_buckets = len(buckets)
         self._p = list(processings)
@@ -307,22 +380,17 @@ class ClassFlowProber:
         self.g = g
         source = n_jobs + n_buckets
         sink = source + 1
-        engine = IncrementalFlow(CSRMaxFlow(sink + 1), source, sink)
-        # Bucket ci's jobs are members[ptr[ci]:ptr[ci + 1]].
-        sizes = np.fromiter(map(len, buckets), dtype=np.int64, count=n_buckets)
-        ptr = np.concatenate(([0], np.cumsum(sizes)))
-        members = np.fromiter(
-            chain.from_iterable(buckets), dtype=np.int64, count=int(ptr[-1])
-        )
+        size = n_jobs + members.size + n_buckets  # the network's arcs
+        kernel = MaxFlow if size < SMALL_NETWORK_ARCS else CSRMaxFlow
+        engine = IncrementalFlow(kernel(sink + 1), source, sink)
         bucket_ids = np.arange(n_buckets, dtype=np.int64)
-        self._member_bucket = np.repeat(bucket_ids, sizes)
+        self._member_bucket = np.repeat(bucket_ids, np.diff(ptr))
         # One bulk append in the historical per-edge order: the source
         # edges, then per bucket its job edges and its sink edge, all at
         # capacity 0.  Bucket ci's edges follow the ci sink edges and
         # ptr[ci] job edges of the buckets before it.
         job_pos = n_jobs + np.arange(members.size) + self._member_bucket
         sink_pos = n_jobs + ptr[1:] + bucket_ids
-        size = n_jobs + members.size + n_buckets
         us = np.empty(size, dtype=np.int64)
         vs = np.empty(size, dtype=np.int64)
         caps = np.zeros(size)

@@ -14,13 +14,19 @@ from repro.flow.feasibility import (
     node_assignment,
     node_edges,
     node_feasible,
+    node_prober,
     slot_feasible,
 )
+from repro.flow.incremental import Buckets
 from repro.instances.generators import random_laminar
 from repro.instances.jobs import Instance, Job
 from repro.tree.canonical import canonicalize
 from repro.tree.laminar import build_forest
-from repro.verify.reference import reference_node_edges
+from repro.verify.reference import (
+    ReferenceFlowProber,
+    flow_prober,
+    reference_node_edges,
+)
 
 
 class TestSlotFeasibility:
@@ -82,6 +88,29 @@ def _raw_instance(rng, laminar):
     return Instance(jobs=tuple(jobs), g=rng.randint(1, 3))
 
 
+def _segment_list(segments):
+    """``coverage_segments``' arrays as ``(start, end, members)`` tuples."""
+    starts, ends, buckets = segments
+    assert buckets.ptr.tolist()[0] == 0 and len(buckets) == len(starts)
+    return list(zip(starts.tolist(), ends.tolist(), buckets))
+
+
+def _per_job_segments(instance):
+    """The per-(job, segment) loop the array build must match."""
+    jobs = instance.jobs
+    cuts = sorted({j.release for j in jobs} | {j.deadline for j in jobs})
+    index = {c: k for k, c in enumerate(cuts)}
+    covering = [[] for _ in cuts[1:]]
+    for pos, job in enumerate(jobs):
+        for k in range(index[job.release], index[job.deadline]):
+            covering[k].append(pos)
+    return [
+        (cuts[k], cuts[k + 1], members)
+        for k, members in enumerate(covering)
+        if members
+    ]
+
+
 def _oracle(instance):
     """The slot-level test with every slot of the horizon active."""
     return slot_feasible(instance, list(instance.slots()))
@@ -122,18 +151,31 @@ class TestAllSlotsFeasible:
 
     def test_zero_jobs(self):
         inst = Instance(jobs=(), g=1)
-        assert coverage_segments(inst) == []
+        assert _segment_list(coverage_segments(inst)) == []
         assert all_slots_feasible(inst) is True
         assert _oracle(inst) is True
 
     def test_segments_skip_gaps_and_list_covering_jobs(self):
         inst = Instance.from_triples([(0, 4, 1), (2, 6, 1), (9, 10, 1)], g=1)
-        assert coverage_segments(inst) == [
+        assert _segment_list(coverage_segments(inst)) == [
             (0, 2, [0]),
             (2, 4, [0, 1]),
             (4, 6, [1]),
             (9, 10, [2]),
         ]
+
+    def test_segments_match_the_per_job_loop(self):
+        rng = random.Random(7)
+        for k in range(300):
+            inst = _raw_instance(rng, laminar=k % 2 == 0)
+            assert _segment_list(coverage_segments(inst)) == _per_job_segments(
+                inst
+            ), inst.jobs
+        for seed in range(20):
+            inst = random_laminar(30, 2, horizon=200, seed=seed)
+            assert _segment_list(coverage_segments(inst)) == _per_job_segments(
+                inst
+            )
 
     def test_huge_horizon_in_bounded_memory(self):
         inst = Instance(
@@ -251,6 +293,42 @@ def _forest_cases(count):
                 [rng.choice((0, 0, 1, forest.length(i))) for i in range(m)],
             ):
                 yield instance, forest, job_node, x
+
+
+def _per_job_node_buckets(instance, forest, job_node):
+    """The per-(job, node) loop the array-built node buckets must match."""
+    buckets = [[] for _ in range(forest.m)]
+    for k, job in enumerate(instance.jobs):
+        for i in forest.descendants(job_node[job.id]):
+            buckets[i].append(k)
+    return buckets
+
+
+class TestNodeProberBuckets:
+    def test_buckets_match_the_per_job_loop(self):
+        seen = []
+        cases = 0
+        for instance, forest, job_node, x in _forest_cases(40):
+            with flow_prober(_Recorder):
+                prober = node_prober(instance, forest, job_node)
+            assert isinstance(prober.handed, Buckets)  # no per-node lists
+            assert prober.buckets == _per_job_node_buckets(
+                instance, forest, job_node
+            )
+            assert prober.processings == [j.processing for j in instance.jobs]
+            assert prober.probe(x) == node_feasible(
+                instance, forest, job_node, x
+            )
+            cases += 1
+        assert cases == 240
+
+
+class _Recorder(ReferenceFlowProber):
+    """Keeps the buckets object it was handed."""
+
+    def __init__(self, processings, buckets, g):
+        super().__init__(processings, buckets, g)
+        self.handed = buckets
 
 
 class TestNodeEdges:

@@ -21,7 +21,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.flow import feasibility
+from repro.flow import feasibility, incremental
 from repro.flow.csr import CSRMaxFlow
 from repro.flow.dinic import MaxFlow
 from repro.flow.feasibility import extract_schedule, slot_feasible
@@ -62,14 +62,41 @@ def random_network(seed: int, n: int = 12, n_edges: int = 30):
     return edges
 
 
+def _prober_with_arcs(arcs: int) -> ClassFlowProber:
+    """A prober over one bucket holding every job: ``2 * n_jobs + 1`` arcs."""
+    n_jobs = (arcs - 1) // 2
+    assert 2 * n_jobs + 1 == arcs
+    return ClassFlowProber([1] * n_jobs, [list(range(n_jobs))], 1)
+
+
 class TestKernelSelector:
     def test_default_is_csr(self):
         inst = random_general(5, 2, horizon=12, seed=1)
         net, *_ = feasibility._slot_network(inst, list(inst.slots()))
         assert type(net) is CSRMaxFlow
-        assert type(ClassFlowProber([1], [[0]], 1).engine.net) is CSRMaxFlow
+        # Prober networks at or above the size constant run on CSR.
+        big = incremental.SMALL_NETWORK_ARCS | 1
+        assert type(_prober_with_arcs(big).engine.net) is CSRMaxFlow
+        assert type(_prober_with_arcs(big + 2).engine.net) is CSRMaxFlow
         # The twin's prober stays on the object kernel.
         assert type(DynamicFlowProber(1, 0, 1).engine.net) is MaxFlow
+
+    def test_small_prober_networks_run_on_the_object_kernel(self):
+        small = (incremental.SMALL_NETWORK_ARCS - 2) | 1
+        assert small < incremental.SMALL_NETWORK_ARCS
+        assert type(_prober_with_arcs(small).engine.net) is MaxFlow
+        assert type(ClassFlowProber([1], [[0]], 1).engine.net) is MaxFlow
+
+    def test_size_rule_counts_source_member_and_sink_arcs(self, monkeypatch):
+        # 3 jobs, buckets of 2 and 3 members: 3 + 5 + 2 = 10 arcs.
+        def kernel(limit):
+            monkeypatch.setattr(incremental, "SMALL_NETWORK_ARCS", limit)
+            net = ClassFlowProber([1, 1, 1], [[0, 1], [0, 1, 2]], 1).engine.net
+            assert len(net.to) == 2 * 10
+            return type(net)
+
+        assert kernel(10) is CSRMaxFlow
+        assert kernel(11) is MaxFlow
 
 
 class TestKernelEquivalence:
@@ -151,6 +178,55 @@ class TestGuardParity:
         net = kernel(3)
         with pytest.raises(ValueError, match="source equals sink"):
             net.max_flow(1, 1)
+
+    @KERNELS
+    def test_bulk_add_checks_everything_first(self, kernel):
+        net = kernel(3)
+        net.add_edge(0, 1, 2)
+        before = (list(net.to), list(net.cap), [list(h) for h in net.head])
+        with pytest.raises(ValueError, match="negative capacity"):
+            net.add_edges([0, 1, 1], [1, 2, 2], [1, -4, 3])
+        with pytest.raises(ValueError, match="length mismatch"):
+            net.add_edges([0, 1], [1, 2], [1])
+        assert (list(net.to), list(net.cap), [list(h) for h in net.head]) == (
+            before
+        )
+        assert net.add_edges([1], [2], [3]) == [2]
+        assert net.max_flow(0, 2) == 2
+
+    def test_object_bulk_add_rejects_unknown_nodes(self):
+        net = MaxFlow(3)
+        with pytest.raises(ValueError, match="outside nodes"):
+            net.add_edges([0, 1], [1, 3], [1, 1])
+        with pytest.raises(ValueError, match="outside nodes"):
+            net.add_edges([-1], [1], [1])
+        assert net.to == [] and net.head == [[], [], []]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_bulk_add_lays_out_like_the_per_edge_loop(self, seed):
+        edges = random_network(seed)
+        loop, bulk, csr = MaxFlow(12), MaxFlow(12), CSRMaxFlow(12)
+        loop.add_edge(0, 5, 1)
+        bulk.add_edge(0, 5, 1)
+        csr.add_edge(0, 5, 1)
+        ids = [loop.add_edge(u, v, c) for u, v, c in edges]
+        if edges:
+            us, vs, caps = (np.asarray(col) for col in zip(*edges))
+            assert bulk.add_edges(us, vs, caps) == ids
+            assert csr.add_edges(us, vs, caps) == ids
+        assert bulk.to == loop.to and bulk.cap == loop.cap
+        assert bulk._initial_cap == loop._initial_cap
+        assert bulk.head == loop.head == csr.head
+        # Plain Python scalars, not numpy ones, on the list kernel.
+        assert not any(isinstance(x, np.generic) for x in bulk.cap + bulk.to)
+
+    def test_csr_builds_no_adjacency_until_read(self):
+        net = CSRMaxFlow(5)
+        assert net._head_store == [] and net._head_dirty
+        assert net.add_node() == 5
+        assert net.head == [[]] * 6
+        assert net.add_edge(0, 5, 2) == 0
+        assert net.head[0] == [0] and net.head[5] == [1]
 
     def test_drop_edge_excluded_from_csr_solve(self):
         net = CSRMaxFlow(4)

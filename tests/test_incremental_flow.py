@@ -14,6 +14,7 @@ Covers the three layers of :mod:`repro.flow.incremental`:
 
 import random
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +26,11 @@ from repro.baselines.exact import (
     solve_exact,
 )
 from repro.baselines.minimal_feasible import minimal_feasible_slots
+from repro.corpus.store import iter_corpus
+from repro.flow import incremental
 from repro.flow.csr import CSRMaxFlow
+from repro.flow.dinic import MaxFlow
+from repro.flow.feasibility import all_slots_feasible
 from repro.flow.incremental import (
     ClassFlowProber,
     DynamicFlowProber,
@@ -44,6 +49,9 @@ from repro.verify.reference import (
     flow_prober,
     reference_probe,
 )
+
+
+CORPUS = Path(__file__).resolve().parents[1] / "data" / "corpus_smoke"
 
 
 def _diamond():
@@ -437,8 +445,8 @@ def _counts(rng, buckets):
 def _state(prober):
     net = prober.engine.net
     return (
-        net._initial_cap.tolist(),
-        net.cap.tolist(),
+        list(net._initial_cap),
+        list(net.cap),
         prober.engine.value,
         prober._room,
         prober._deficient,
@@ -506,8 +514,11 @@ class TestBulkColdProbe:
                     ref.add_edge(k, n_jobs + ci, 0)
                 ref.add_edge(n_jobs + ci, sink, 0)
             net = ClassFlowProber(processings, buckets, g).engine.net
-            assert net.to.tolist() == ref.to.tolist()
-            assert net._initial_cap.tolist() == ref._initial_cap.tolist()
+            arcs = n_jobs + sum(map(len, buckets)) + len(buckets)
+            small = arcs < incremental.SMALL_NETWORK_ARCS
+            assert type(net) is (MaxFlow if small else CSRMaxFlow)
+            assert list(net.to) == ref.to.tolist()
+            assert list(net._initial_cap) == ref._initial_cap.tolist()
 
     def test_bulk_write_refuses_a_network_with_flow(self):
         engine, ids = _diamond()
@@ -516,3 +527,69 @@ class TestBulkColdProbe:
         assert engine.augment() == 3  # 1 via node 1, 2 via node 2
         with pytest.raises(ValueError, match="flow-free"):
             engine.set_capacities([ids["s2"]], [1])
+
+
+@pytest.fixture(params=["csr", "object"])
+def each_kernel(request, monkeypatch):
+    """Force every prober built in the test onto one kernel."""
+    limit = 0 if request.param == "csr" else 10**9
+    monkeypatch.setattr(incremental, "SMALL_NETWORK_ARCS", limit)
+    return CSRMaxFlow if request.param == "csr" else MaxFlow
+
+
+# The randomized prober-vs-reference tests once more on each kernel: the
+# size rule puts every network of the classes above on the object
+# kernel, and forcing CSR keeps its repair path covered on small networks.
+
+
+@pytest.mark.usefixtures("each_kernel")
+class TestClassFlowProberOnEachKernel(TestClassFlowProber):
+    def test_kernel_is_forced(self, each_kernel):
+        inc, _ = self._probers()
+        assert type(inc.engine.net) is each_kernel
+
+
+@pytest.mark.usefixtures("each_kernel")
+class TestDifferentialSweepOnEachKernel(TestDifferentialSweep):
+    pass
+
+
+@pytest.mark.usefixtures("each_kernel")
+class TestBulkColdProbeOnEachKernel(TestBulkColdProbe):
+    pass
+
+
+ORDERS = ("given", "left_to_right", "right_to_left", "densest_first", "sparsest_first")
+
+
+def _consumer_outputs(instance, order):
+    """Every prober consumer's output on one instance."""
+    out = [all_slots_feasible(instance)]
+    try:
+        out.append(minimal_feasible_slots(instance, order=order))
+    except InfeasibleInstanceError:
+        out.append("infeasible")
+    if instance.n <= 8:
+        try:
+            result = solve_exact(instance, node_budget=20_000)
+            out.append((result.optimum, result.slots, result.nodes_explored))
+        except (BudgetExceeded, InfeasibleInstanceError) as exc:
+            out.append(type(exc).__name__)
+    return out
+
+
+class TestKernelIdentityOnCorpus:
+    """The kernel changes flows, never verdicts: every consumer returns
+    the same on the smoke corpus whichever kernel its probers run on.
+    Greedy takes the five orders in turn, 90 instances each."""
+
+    def test_consumers_identical_across_kernels(self, monkeypatch):
+        outputs = {}
+        for limit in (0, 10**9):
+            monkeypatch.setattr(incremental, "SMALL_NETWORK_ARCS", limit)
+            outputs[limit] = [
+                _consumer_outputs(entry.instance(), ORDERS[k % len(ORDERS)])
+                for k, entry in enumerate(iter_corpus(CORPUS))
+            ]
+        assert len(outputs[0]) == 450
+        assert outputs[0] == outputs[10**9]
