@@ -2,11 +2,11 @@
 
 Not a paper table; this measures the engineering claim behind the
 incremental max-flow engine (:mod:`repro.flow.incremental`): greedy
-deactivation and branch-and-bound probe the same class network hundreds
-of times with counts that change by one slot per probe, so repairing
-the previous flow (cancel ≤ g units, re-augment ≤ g units) beats
-rebuilding the network and re-pushing the full volume from scratch —
-by ≥5x on both hot workloads.
+deactivation (a binary search per coverage segment) and branch-and-bound
+probe the same bucket network tens to hundreds of times with counts
+that change in one bucket per probe, so repairing the previous flow
+beats rebuilding the network and re-pushing the full volume from
+scratch — by ≥5x on both hot workloads.
 
 Printed tables: per workload config the reference and incremental wall
 times, the speedup, and the engine counters (probes, repaired units).

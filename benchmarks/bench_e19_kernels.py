@@ -42,7 +42,6 @@ from repro.baselines.minimal_feasible import minimal_feasible_slots
 from repro.benchkit import bench_main, register
 from repro.flow.csr import CSRMaxFlow
 from repro.flow.dinic import MaxFlow
-from repro.flow.feasibility import _slot_network
 from repro.flow.incremental import flow_stats
 from repro.instances.generators import (
     deep_chain,
@@ -60,6 +59,7 @@ from repro.verify.reference import (
     flow_prober,
     reference_cw_lp,
     reference_nested_lp,
+    reference_slot_network,
 )
 
 #: Timing repetitions per kernel/path; the per-config wall is the best
@@ -128,7 +128,7 @@ def run_flow_workloads(configs=_FLOW_FULL, seed_shift: int = 0):
             unit_fraction=0.5,
             n_windows=n_windows,
         )
-        net, (slot_eids, _, _), source, sink = _slot_network(
+        net, (slot_eids, _, _), source, sink = reference_slot_network(
             instance, list(instance.slots())
         )
         edges = (

@@ -7,8 +7,8 @@ networks the probers actually build:
 
 * cold: one ``all_slots_feasible`` probe (build the segment network,
   write every capacity, augment once);
-* warm greedy: ``minimal_feasible_slots(order="right_to_left")``, one
-  warm probe per covered slot on one network;
+* warm greedy: ``minimal_feasible_slots(order="right_to_left")``, a
+  binary search per coverage segment, warm on one segment network;
 * warm exact: ``solve_exact`` (greedy incumbent plus branch and bound).
 
 Instances are the benchmark's planted laminar shapes (T = 3n, n/4
@@ -69,13 +69,14 @@ def _per_kernel(fn, repeats: int) -> dict[str, float]:
 
 
 def segment_arcs(inst) -> int:
-    """Arcs of the ``all_slots_feasible`` prober network."""
+    """Arcs of the segment prober network (``all_slots_feasible``,
+    greedy deactivation)."""
     starts, _, buckets = coverage_segments(inst)
     return inst.n + int(buckets.ptr[-1]) + len(starts)
 
 
 def class_arcs(inst) -> int:
-    """Arcs of the greedy/exact slot-class prober network."""
+    """Arcs of the exact search's slot-class prober network."""
     classes = slot_classes(inst)
     return inst.n + sum(len(c.jobs) for c in classes) + len(classes)
 
@@ -129,7 +130,7 @@ def main(argv=None) -> int:
             lambda: minimal_feasible_slots(inst, order="right_to_left"),
             max(3, repeats // 3),
         )
-        _row(n, class_arcs(inst), times)
+        _row(n, segment_arcs(inst), times)
     print("\n| exact, n | arcs | CSR µs | object µs | object/CSR |")
     print("|---|---|---|---|---|")
     for n in exact_sizes:

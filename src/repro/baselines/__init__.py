@@ -3,7 +3,6 @@
 from repro.baselines.exact import (
     BudgetExceeded,
     ExactResult,
-    brute_force_optimum,
     class_prober,
     slot_classes,
     solve_exact,
@@ -23,7 +22,6 @@ from repro.baselines.lower_bounds import (
 )
 from repro.baselines.minimal_feasible import (
     best_of_orders,
-    covered_slots,
     is_minimal_feasible,
     minimal_feasible_schedule,
     minimal_feasible_slots,
@@ -35,12 +33,10 @@ __all__ = [
     "minimal_feasible_schedule",
     "is_minimal_feasible",
     "best_of_orders",
-    "covered_slots",
     "kumar_khuller_slots",
     "kumar_khuller_schedule",
     "kk_tight_family",
     "solve_exact",
-    "brute_force_optimum",
     "slot_classes",
     "class_prober",
     "ExactResult",

@@ -19,7 +19,6 @@ with three prunes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
 
 from repro.baselines.minimal_feasible import minimal_feasible_slots
 from repro.core.schedule import Schedule
@@ -242,25 +241,3 @@ def solve_exact(
     return ExactResult(
         optimum=best_cost, slots=best_slots, nodes_explored=explored
     )
-
-
-def brute_force_optimum(instance: Instance, *, max_slots: int = 22) -> int:
-    """Reference optimum by raw subset enumeration (tiny instances only).
-
-    Enumerates subsets of covered slots in increasing size; exists purely
-    to cross-validate :func:`solve_exact` in tests.
-    """
-    from itertools import combinations
-
-    from repro.baselines.minimal_feasible import covered_slots
-    from repro.flow.feasibility import slot_feasible
-
-    slots = covered_slots(instance)
-    if len(slots) > max_slots:
-        raise SolverError(f"brute force capped at {max_slots} slots")
-    lb = ceil(instance.total_volume / instance.g)
-    for k in range(lb, len(slots) + 1):
-        for combo in combinations(slots, k):
-            if slot_feasible(instance, list(combo)):
-                return k
-    raise InfeasibleInstanceError(f"{instance.name!r} has no schedule")

@@ -13,8 +13,15 @@ from __future__ import annotations
 
 from typing import Callable, Literal, Sequence
 
+import numpy as np
+
 from repro.core.schedule import Schedule
-from repro.flow.feasibility import extract_schedule, slot_feasible
+from repro.flow.feasibility import (
+    _active_counts,
+    coverage_segments,
+    extract_schedule,
+    segment_prober,
+)
 from repro.instances.jobs import Instance
 from repro.util.errors import InfeasibleInstanceError
 
@@ -23,82 +30,62 @@ Order = Literal[
 ]
 
 
-def covered_slots(instance: Instance) -> list[int]:
-    """Slots inside at least one job window (others can never host work)."""
-    out = set()
-    for job in instance.jobs:
-        out.update(range(job.release, job.deadline))
-    return sorted(out)
-
-
-def _coverage(instance: Instance) -> dict[int, int]:
-    cov: dict[int, int] = {}
-    for job in instance.jobs:
-        for t in range(job.release, job.deadline):
-            cov[t] = cov.get(t, 0) + 1
-    return cov
-
-
-def _ordered(instance: Instance, slots: Sequence[int], order: Order) -> list[int]:
-    if order in ("given", "left_to_right"):
-        return sorted(slots)
-    if order == "right_to_left":
-        return sorted(slots, reverse=True)
-    cov = _coverage(instance)
-    if order == "densest_first":
-        return sorted(slots, key=lambda t: (-cov.get(t, 0), t))
-    if order == "sparsest_first":
-        return sorted(slots, key=lambda t: (cov.get(t, 0), t))
-    raise ValueError(f"unknown order {order!r}")
-
-
-def minimal_feasible_slots(
-    instance: Instance,
-    order: Order = "given",
-    *,
-    initial: Sequence[int] | None = None,
-) -> list[int]:
+def minimal_feasible_slots(instance: Instance, order: Order = "given") -> list[int]:
     """Deactivate slots in the given order; return a minimal feasible set.
 
     The result is minimal: removing any single remaining slot breaks
     feasibility (guaranteed because feasibility is monotone in the slot
     set, so a slot that survives its own test never becomes removable).
 
-    Feasibility checks run on the coverage-class aggregation (slots with
-    identical covering-window sets are interchangeable), which shrinks
-    each max-flow from ``T`` slot nodes to the handful of distinct
-    classes — roughly a 10x speedup on the profile (see DESIGN.md §3).
-    Probes go through one warm-started network per call (see
-    :mod:`repro.flow.incremental`): removing a slot repairs at most
-    ``g`` flow units instead of re-pushing the full volume.
+    Slots of one coverage segment
+    (:func:`~repro.flow.feasibility.coverage_segments`) are
+    interchangeable, and every order visits them back to back: by time,
+    or by covering-window count and then by time.  So the pass closes a
+    segment's slots while its count stays feasible, and a binary search
+    per segment finds that fewest count; the kept slots are the
+    segment's last ones (its first ones for ``right_to_left``), exactly
+    those the slot-by-slot pass
+    (:func:`repro.verify.reference.reference_minimal_feasible_slots`)
+    keeps.  One probe checks the whole set, then a segment of length
+    ``L`` takes at most ``⌈log2(L + 1)⌉``, all warm on one segment
+    network (see :mod:`repro.flow.incremental`).
     """
-    from repro.baselines.exact import class_prober, slot_classes
-
-    active = set(initial if initial is not None else covered_slots(instance))
-    classes = slot_classes(instance)
-    class_of: dict[int, int] = {}
-    counts = [0] * len(classes)
-    for ci, cls in enumerate(classes):
-        for t in cls.slots:
-            class_of[t] = ci
-            if t in active:
-                counts[ci] += 1
-    # Slots outside every window contribute nothing; drop them up front.
-    active &= set(class_of)
-
-    prober = class_prober(instance, classes)
+    segments = coverage_segments(instance)
+    cover = np.diff(segments.buckets.ptr)
+    visits = {
+        "given": range(cover.size),
+        "left_to_right": range(cover.size),
+        "right_to_left": range(cover.size - 1, -1, -1),
+        "densest_first": np.argsort(-cover, kind="stable").tolist(),
+        "sparsest_first": np.argsort(cover, kind="stable").tolist(),
+    }
+    if order not in visits:
+        raise ValueError(f"unknown order {order!r}")
+    starts, ends = segments.starts.tolist(), segments.ends.tolist()
+    counts = [end - start for start, end in zip(starts, ends)]
+    prober = segment_prober(instance, segments)
     if not prober.probe(counts):
         raise InfeasibleInstanceError(
-            f"instance {instance.name!r} infeasible on the initial slot set"
+            f"instance {instance.name!r} infeasible on every slot"
         )
-    for t in _ordered(instance, sorted(active), order):
-        ci = class_of[t]
-        counts[ci] -= 1
-        if prober.probe(counts):
-            active.discard(t)
-        else:
-            counts[ci] += 1
-    return sorted(active)
+    for k in visits[order]:
+        lo, hi = 0, counts[k]  # the fewest feasible count is in [lo, hi]
+        while lo < hi:
+            counts[k] = mid = (lo + hi) // 2
+            if prober.probe(counts):
+                hi = mid
+            else:
+                lo = mid + 1
+        counts[k] = hi
+    return [
+        t
+        for start, end, c in zip(starts, ends, counts)
+        for t in (
+            range(start, start + c)
+            if order == "right_to_left"
+            else range(end - c, end)
+        )
+    ]
 
 
 def minimal_feasible_schedule(
@@ -112,13 +99,27 @@ def minimal_feasible_schedule(
 
 
 def is_minimal_feasible(instance: Instance, slots: Sequence[int]) -> bool:
-    """Check conditions (i)+(ii) of minimality from the paper."""
-    slot_set = set(slots)
-    if not slot_feasible(instance, sorted(slot_set)):
+    """Check conditions (i)+(ii) of minimality from the paper.
+
+    The set must be feasible, and no slot may be removable: a slot
+    outside every window always is, and a slot inside one is iff its
+    segment's count can drop by one.  One probe per open segment.
+    """
+    segments = coverage_segments(instance)
+    unique, lo, hi = _active_counts(segments, slots)
+    counts = (hi - lo).tolist()
+    if sum(counts) != unique.size:  # a slot outside every window
         return False
-    return all(
-        not slot_feasible(instance, sorted(slot_set - {t})) for t in slot_set
-    )
+    prober = segment_prober(instance, segments)
+    if not prober.probe(counts):
+        return False
+    for k, c in enumerate(counts):
+        if c:
+            counts[k] = c - 1
+            if prober.probe(counts):
+                return False
+            counts[k] = c
+    return True
 
 
 def best_of_orders(

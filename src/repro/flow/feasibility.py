@@ -1,35 +1,35 @@
 """Flow-based feasibility tests and schedule extraction.
 
-Three levels of granularity, all on the same ``s → jobs → buckets → t``
+Two levels of granularity, both on the same ``s → jobs → buckets → t``
 shape:
 
-* **Slot level** — given an arbitrary set of active slots, build the
-  bipartite network ``s → jobs → slots → t`` with capacities
-  ``(p_j, 1, g)`` and test ``maxflow == Σ p_j`` (the classic reduction
-  mentioned in the paper's introduction; works for *any* instance,
-  laminar or not).  Cost grows with the number of slots.
 * **Segment level** — cut the time axis at every release and deadline.
   Slots of one elementary segment ``[c_k, c_{k+1})`` are covered by the
   same windows and so are interchangeable: a segment is one bucket with
-  capacities ``(p_j, len, g·len)``.  :func:`coverage_segments` computes
-  the segments; :func:`all_slots_feasible` (every slot active) and
-  :func:`repro.baselines.exact.slot_classes` are built on them, for
-  laminar and crossing windows alike, at O(n) buckets whatever the
-  horizon length.
+  capacities ``(p_j, c, g·c)`` for its ``c`` open slots.
+  :func:`coverage_segments` computes the segments.  Given an arbitrary
+  set of active slots, :func:`slot_feasible` counts them per segment
+  and probes that network, and :func:`extract_schedule` reads its
+  job→segment flows and lays each segment's units onto its active runs
+  with the wrap-around rule; :func:`all_slots_feasible` probes it with
+  every slot active.  Laminar and crossing windows alike, at O(n)
+  buckets whatever the horizon length.  The network with one node per
+  slot (``s → jobs → slots → t``, the classic reduction mentioned in
+  the paper's introduction) is their test oracle in
+  :mod:`repro.verify.reference`.
 * **Node level** — given a per-node open-slot count ``x̃`` on the window
   forest, build the paper's Lemma 4.1 network ``s → jobs → nodes → t``
-  with capacities ``(p_j, x̃(i), g·x̃(i))``.  Equivalent to slot level for
-  laminar instances because slots in a node's exclusive region are
-  interchangeable, and much smaller.
+  with capacities ``(p_j, x̃(i), g·x̃(i))``.  Equivalent to the per-slot
+  network for laminar instances because slots in a node's exclusive
+  region are interchangeable, and much smaller.
 
-The slot and node builders assemble their edge lists as flat arrays and
-add them in one :meth:`~repro.flow.dinic.MaxFlow.add_edges` call on the
-:class:`~repro.flow.csr.CSRMaxFlow` kernel, in the same global order the
-historical per-edge loops used — so edge ids match the object-kernel
-reference and flow extraction vectorizes over the resulting id arrays.
-The segment level and :func:`node_prober` probe through
-:func:`repro.flow.incremental.make_prober`, handing it their bucket
-memberships as CSR :class:`~repro.flow.incremental.Buckets` arrays.
+The node builder assembles its edge list as flat arrays and adds it in
+one :meth:`~repro.flow.dinic.MaxFlow.add_edges` call on the
+:class:`~repro.flow.csr.CSRMaxFlow` kernel, so flow extraction
+vectorizes over the resulting id arrays.  The segment level and
+:func:`node_prober` hand their bucket memberships to a
+:class:`~repro.flow.incremental.ClassFlowProber` as CSR
+:class:`~repro.flow.incremental.Buckets` arrays.
 """
 
 from __future__ import annotations
@@ -38,16 +38,17 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.core.schedule import Schedule
+from repro.core.schedule import Runs, Schedule
+from repro.flow.assignment import spread_runs
 from repro.flow.csr import CSRMaxFlow
 from repro.flow.dinic import MaxFlow
-from repro.flow.incremental import Buckets, make_prober
+from repro.flow.incremental import Buckets, ClassFlowProber, make_prober
 from repro.instances.jobs import Instance
 from repro.tree.node import WindowForest
 
 
 # ---------------------------------------------------------------------------
-# Slot level
+# Edge layout helpers
 # ---------------------------------------------------------------------------
 
 
@@ -76,88 +77,6 @@ def _job_blocks(
     starts = np.cumsum(block) - block
     job_of, within = _ranges(np.zeros_like(cnt), cnt)
     return starts, job_of, within, np.repeat(starts + 1, cnt) + within
-
-
-def _slot_network(
-    instance: Instance, active: Sequence[int]
-) -> tuple[MaxFlow, tuple[np.ndarray, np.ndarray, np.ndarray], int, int]:
-    """Build the job/slot network.
-
-    Returns ``(net, (edge_ids, job_pos, slot), source, sink)`` where the
-    three parallel arrays describe the job→slot edges: ``edge_ids[k]``
-    connects the job at position ``job_pos[k]`` to slot ``slot[k]``.
-    """
-    slots = np.asarray(sorted(set(active)), dtype=np.int64)
-    n_jobs = instance.n
-    n_slots = int(slots.size)
-    source = n_jobs + n_slots
-    sink = source + 1
-    net = CSRMaxFlow(sink + 1)
-    rels = np.fromiter(
-        (j.release for j in instance.jobs), dtype=np.int64, count=n_jobs
-    )
-    deads = np.fromiter(
-        (j.deadline for j in instance.jobs), dtype=np.int64, count=n_jobs
-    )
-    procs = np.fromiter(
-        (j.processing for j in instance.jobs), dtype=np.int64, count=n_jobs
-    )
-    # Window slots of job k are the contiguous run slots[lo[k]:hi[k]].
-    lo = np.searchsorted(slots, rels, side="left")
-    hi = np.searchsorted(slots, deads, side="left")
-    cnt = hi - lo
-    total = int(cnt.sum())
-    starts, job_of, within, widx = _job_blocks(cnt)
-    size = n_jobs + total
-    us = np.empty(size, dtype=np.int64)
-    vs = np.empty(size, dtype=np.int64)
-    caps = np.empty(size, dtype=np.int64)
-    us[starts] = source
-    vs[starts] = np.arange(n_jobs)
-    caps[starts] = procs
-    pos = lo[job_of] + within
-    us[widx] = job_of
-    vs[widx] = n_jobs + pos
-    caps[widx] = 1
-    eids = np.asarray(
-        net.add_edges(
-            np.concatenate([us, n_jobs + np.arange(n_slots)]),
-            np.concatenate([vs, np.full(n_slots, sink, dtype=np.int64)]),
-            np.concatenate(
-                [caps, np.full(n_slots, instance.g, dtype=np.int64)]
-            ),
-        ),
-        dtype=np.int64,
-    )
-    meta = (eids[widx], job_of, slots[pos] if total else slots[:0])
-    return net, meta, source, sink
-
-
-def slot_feasible(instance: Instance, active: Sequence[int]) -> bool:
-    """Can all jobs be scheduled using only the given active slots?"""
-    if instance.n == 0:
-        return True
-    net, _, s, t = _slot_network(instance, active)
-    return net.max_flow(s, t) == instance.total_volume
-
-
-def extract_schedule(
-    instance: Instance, active: Sequence[int]
-) -> Schedule | None:
-    """A concrete schedule over the given slots, or ``None`` if infeasible."""
-    if instance.n == 0:
-        return Schedule.from_assignment(instance, {})
-    net, (eids, job_pos, slot), s, t = _slot_network(instance, active)
-    if net.max_flow(s, t) != instance.total_volume:
-        return None
-    icap = np.asarray(net._initial_cap, dtype=float)
-    cap = np.asarray(net.cap, dtype=float)
-    carrying = np.flatnonzero(icap[eids] - cap[eids] > 0.5)
-    assignment: dict[int, list[int]] = {j.id: [] for j in instance.jobs}
-    jobs = instance.jobs
-    for k in carrying.tolist():
-        assignment[jobs[job_pos[k]].id].append(int(slot[k]))
-    return Schedule.from_assignment(instance, assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +125,26 @@ def coverage_segments(instance: Instance) -> Segments:
     )
 
 
+def _active_counts(
+    segments: Segments, active: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(slots, lo, hi)``: ``active`` sorted and deduplicated, and per
+    segment ``k`` the range ``slots[lo[k]:hi[k]]`` of its active slots.
+    Slots outside every segment are in no range."""
+    slots = np.unique(np.asarray(active, dtype=np.int64))
+    lo = np.searchsorted(slots, segments.starts)
+    return slots, lo, np.searchsorted(slots, segments.ends)
+
+
+def segment_prober(instance: Instance, segments: Segments):
+    """A :func:`~repro.flow.incremental.make_prober` prober over the
+    segment network: one bucket per segment, probed with per-segment
+    open-slot counts."""
+    return make_prober(
+        [job.processing for job in instance.jobs], segments.buckets, instance.g
+    )
+
+
 def all_slots_feasible(instance: Instance) -> bool:
     """Is the instance feasible at all (every slot active)?
 
@@ -215,11 +154,64 @@ def all_slots_feasible(instance: Instance) -> bool:
     """
     if instance.n == 0:
         return True
-    starts, ends, buckets = coverage_segments(instance)
-    prober = make_prober(
-        [job.processing for job in instance.jobs], buckets, instance.g
+    segments = coverage_segments(instance)
+    return segment_prober(instance, segments).probe(segments.ends - segments.starts)
+
+
+def slot_feasible(instance: Instance, active: Sequence[int]) -> bool:
+    """Can all jobs be scheduled using only the given active slots?
+
+    One probe of the segment network, each segment's count the number of
+    given slots inside it.
+    """
+    if instance.n == 0:
+        return True
+    segments = coverage_segments(instance)
+    _, lo, hi = _active_counts(segments, active)
+    return segment_prober(instance, segments).probe(hi - lo)
+
+
+def extract_schedule(
+    instance: Instance, active: Sequence[int]
+) -> Schedule | None:
+    """A concrete schedule over the given slots, or ``None`` if infeasible.
+
+    Probes the segment network as :func:`slot_feasible` does, reads each
+    job's units per segment off the flow and spreads them over the
+    segment's given slots with the wrap-around rule
+    (:func:`~repro.flow.assignment.spread_runs`).  The cost grows with
+    the segments and the runs of consecutive given slots, not the slots.
+    """
+    if instance.n == 0:
+        return Schedule.from_assignment(instance, {})
+    segments = coverage_segments(instance)
+    slots, lo, hi = _active_counts(segments, active)
+    jobs = instance.jobs
+    prober = ClassFlowProber(
+        [job.processing for job in jobs], segments.buckets, instance.g
     )
-    return prober.probe(ends - starts)
+    if not prober.probe(hi - lo):
+        return None
+    # Runs of consecutive given slots, cut again at segment boundaries:
+    # run r is slots[cut[r]:cut[r + 1]], segment k's are first[k]:stop[k].
+    breaks = np.flatnonzero(np.diff(slots) != 1) + 1
+    cut = np.unique(np.concatenate(([0, slots.size], breaks, lo, hi)))
+    bounds = list(zip(slots[cut[:-1]].tolist(), (slots[cut[1:] - 1] + 1).tolist()))
+    first = np.searchsorted(cut, lo).tolist()
+    stop = np.searchsorted(cut, hi).tolist()
+    flows = np.rint(prober.member_flows()).astype(np.int64).tolist()
+    members = segments.buckets.members.tolist()
+    ptr = segments.buckets.ptr.tolist()
+    runs: dict[int, Runs] = {job.id: () for job in jobs}
+    for k in range(len(first)):
+        units = {
+            jobs[members[e]].id: flows[e] for e in range(ptr[k], ptr[k + 1]) if flows[e]
+        }
+        if units:
+            spread = spread_runs(units, bounds[first[k] : stop[k]], instance.g)
+            for jid, pieces in spread.items():
+                runs[jid] += pieces
+    return Schedule.from_runs(instance, runs)
 
 
 # ---------------------------------------------------------------------------

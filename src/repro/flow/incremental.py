@@ -445,6 +445,17 @@ class ClassFlowProber:
             engine.augment()
         return engine.value == self.total
 
+    def member_flows(self) -> np.ndarray:
+        """The flow on each job→bucket arc, in ``buckets.members`` order.
+
+        After a feasible :meth:`probe` these are integral per-(bucket,
+        job) units summing to every job's processing time.
+        """
+        net = self.engine.net
+        icap = np.asarray(net._initial_cap, dtype=float)
+        cap = np.asarray(net.cap, dtype=float)
+        return icap[self._job_eids] - cap[self._job_eids]
+
     def _write_all(self, counts: Sequence[int]) -> None:
         """Write every bucket's counts in one bulk step.
 
@@ -519,10 +530,9 @@ class DynamicFlowProber:
       ``value == total`` untouched.
 
     Feasibility is ``value == total`` after re-augmentation, exactly the
-    slot-level reference semantics of
-    :func:`repro.flow.feasibility.slot_feasible` on the open slots; the
-    twin's differential mode cross-checks every verdict against that
-    from-scratch path.
+    semantics of :func:`repro.flow.feasibility.slot_feasible` on the open
+    slots; the twin's differential mode cross-checks every verdict
+    against that from-scratch path.
     """
 
     def __init__(self, g: int, start: int, end: int) -> None:

@@ -72,11 +72,13 @@ MAX_FUZZ_JOBS = 60
 #: the algorithm; the body cap alone admits ``p = 10⁹`` in a few bytes.
 MAX_SOLVE_VOLUME = 1_000_000
 
-#: Cap on the horizon length for the ``/solve`` paths that still visit
-#: every slot: ``greedy`` and ``kk`` (greedy deactivation over every
-#: covered slot), ``exact`` (its greedy incumbent and slot classes) and
-#: policy runs (the online simulator steps slot by slot).  ``nested``
-#: works on windows and segments and has no horizon cap.
+#: Cap on the horizon length for the ``/solve`` paths whose cost still
+#: grows with it: ``greedy`` and ``kk`` (greedy deactivation binary-searches
+#: each coverage segment, so its probes grow as n·log T: about 8k probes
+#: and seconds per solve at n = 200, T = 10⁹), ``exact`` (its slot
+#: classes list every covered slot) and policy runs (the online
+#: simulator steps slot by slot).  ``nested`` works on windows and
+#: segments and has no horizon cap.
 MAX_SLOT_HORIZON = 100_000
 
 

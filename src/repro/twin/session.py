@@ -563,7 +563,7 @@ class TwinSession:
 
     def _cross_check(self, diff: ScheduleDiff) -> None:
         """Verify the incremental step against from-scratch references."""
-        from repro.flow.feasibility import slot_feasible
+        from repro.flow.feasibility import all_slots_feasible, slot_feasible
 
         self.counters["cross_checks"] += 1
         event = diff.event
@@ -585,9 +585,7 @@ class TwinSession:
                 ) from exc
         else:
             tentative = self._tentative_rejected_instance(event)
-            if tentative is not None and slot_feasible(
-                tentative, sorted(self._rejected_covered(tentative))
-            ):
+            if tentative is not None and all_slots_feasible(tentative):
                 raise TwinMismatchError(
                     f"twin rejected {event!r} but the reference flow "
                     f"accepts the resulting workload",
@@ -622,10 +620,3 @@ class TwinSession:
         else:  # pragma: no cover - only arrivals/slips can be rejected
             return None
         return Instance(jobs=tuple(jobs.values()), g=self.g, name="tentative")
-
-    @staticmethod
-    def _rejected_covered(instance: Instance) -> set[int]:
-        out: set[int] = set()
-        for job in instance.jobs:
-            out.update(range(job.release, job.deadline))
-        return out

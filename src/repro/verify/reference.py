@@ -12,7 +12,14 @@ builds, which must compile to the same model as
 :func:`spread_units` / :func:`reference_slot_assignment` (the per-unit
 wrap-around rule :func:`~repro.flow.assignment.schedule_from_node_counts`
 must match) and :func:`reference_violations` (the per-slot validator
-:meth:`~repro.core.schedule.Schedule.violations` must agree with).
+:meth:`~repro.core.schedule.Schedule.violations` must agree with), and
+the per-slot feasibility path: the one-node-per-slot network behind
+:func:`reference_slot_feasible` (the segment-level
+:func:`~repro.flow.feasibility.slot_feasible` must agree, and
+:func:`~repro.flow.feasibility.extract_schedule` must return ``None``
+exactly where it says no),
+:func:`reference_minimal_feasible_slots` (the slot-by-slot greedy the
+per-segment search must match) and :func:`brute_force_optimum`.
 :func:`flow_prober` puts a reference prober under the real consumers for
 the current context only.
 """
@@ -20,10 +27,15 @@ the current context only.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from contextlib import contextmanager
+from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from repro.core.opt_thresholds import OptThresholds
+from repro.flow.csr import CSRMaxFlow
 from repro.flow.dinic import MaxFlow
 from repro.flow.incremental import PROBER_CLASS, ClassFlowProber
 from repro.instances.jobs import Instance
@@ -34,7 +46,7 @@ from repro.lp.natural_lp import _xname as _slot_xname
 from repro.lp.nested_lp import _xname, _yname, job_classes
 from repro.tree.canonical import CanonicalInstance
 from repro.tree.node import WindowForest
-from repro.util.errors import SolverError
+from repro.util.errors import InfeasibleInstanceError, SolverError
 from repro.util.intervals import Interval
 
 
@@ -392,3 +404,114 @@ def reference_violations(
         if load > instance.g:
             problems.append(f"slot {t} runs {load} jobs, capacity is {instance.g}")
     return problems
+
+
+# ---------------------------------------------------------------------------
+# Per-slot feasibility and greedy deactivation
+# ---------------------------------------------------------------------------
+
+
+def reference_slot_network(
+    instance: Instance, active: Sequence[int]
+) -> tuple[MaxFlow, tuple[np.ndarray, np.ndarray, np.ndarray], int, int]:
+    """The job/slot network ``s → jobs → slots → t``, one node per slot,
+    with capacities ``(p_j, 1, g)``: per job its source edge, then its
+    window slots in time order; then the slot→sink edges.
+
+    Returns ``(net, (edge_ids, job_pos, slot), source, sink)`` where the
+    three parallel arrays describe the job→slot edges: ``edge_ids[k]``
+    connects the job at position ``job_pos[k]`` to slot ``slot[k]``.
+    """
+    slots = sorted(set(active))
+    n_jobs = instance.n
+    source = n_jobs + len(slots)
+    sink = source + 1
+    edges: list[tuple[int, int, int]] = []
+    window: list[tuple[int, int, int]] = []
+    for k, job in enumerate(instance.jobs):
+        edges.append((source, k, job.processing))
+        lo = bisect_left(slots, job.release)
+        for pos in range(lo, bisect_left(slots, job.deadline)):
+            window.append((2 * len(edges), k, slots[pos]))
+            edges.append((k, n_jobs + pos, 1))
+    edges += [(n_jobs + pos, sink, instance.g) for pos in range(len(slots))]
+    net = CSRMaxFlow(sink + 1)
+    net.add_edges(*np.array(edges, dtype=np.int64).reshape(-1, 3).T)
+    meta = tuple(np.array(window, dtype=np.int64).reshape(-1, 3).T)
+    return net, meta, source, sink
+
+
+def reference_slot_feasible(instance: Instance, active: Sequence[int]) -> bool:
+    """Can all jobs be scheduled using only the given active slots?
+
+    :func:`~repro.flow.feasibility.slot_feasible` must agree.
+    """
+    if instance.n == 0:
+        return True
+    net, _, s, t = reference_slot_network(instance, active)
+    return net.max_flow(s, t) == instance.total_volume
+
+
+def covered_slots(instance: Instance) -> list[int]:
+    """Slots inside at least one job window (others can never host work)."""
+    return sorted(
+        {t for job in instance.jobs for t in range(job.release, job.deadline)}
+    )
+
+
+def reference_minimal_feasible_slots(
+    instance: Instance, order: str = "given"
+) -> list[int]:
+    """Greedy deactivation one slot at a time: one probe per covered slot.
+
+    :func:`~repro.baselines.minimal_feasible.minimal_feasible_slots` must
+    return the same list for every order.
+    """
+    from repro.baselines.exact import class_prober, slot_classes
+
+    def cover(t: int) -> int:
+        return sum(job.release <= t < job.deadline for job in instance.jobs)
+
+    keys = {
+        "given": lambda t: t,
+        "left_to_right": lambda t: t,
+        "right_to_left": lambda t: -t,
+        "densest_first": lambda t: (-cover(t), t),
+        "sparsest_first": lambda t: (cover(t), t),
+    }
+    if order not in keys:
+        raise ValueError(f"unknown order {order!r}")
+    classes = slot_classes(instance)
+    class_of = {t: ci for ci, cls in enumerate(classes) for t in cls.slots}
+    counts = [cls.size for cls in classes]
+    prober = class_prober(instance, classes)
+    if not prober.probe(counts):
+        raise InfeasibleInstanceError(
+            f"instance {instance.name!r} infeasible on every slot"
+        )
+    active = set(class_of)
+    for t in sorted(active, key=keys[order]):
+        counts[class_of[t]] -= 1
+        if prober.probe(counts):
+            active.discard(t)
+        else:
+            counts[class_of[t]] += 1
+    return sorted(active)
+
+
+def brute_force_optimum(instance: Instance, *, max_slots: int = 22) -> int:
+    """Reference optimum by raw subset enumeration (tiny instances only).
+
+    Enumerates subsets of covered slots in increasing size on the
+    per-slot network; exists purely to cross-validate
+    :func:`~repro.baselines.exact.solve_exact` in tests.
+    """
+    slots = covered_slots(instance)
+    if len(slots) > max_slots:
+        raise SolverError(f"brute force capped at {max_slots} slots")
+    lb = math.ceil(instance.total_volume / instance.g)
+    for k in range(lb, len(slots) + 1):
+        for combo in combinations(slots, k):
+            if reference_slot_feasible(instance, list(combo)):
+                return k
+    raise InfeasibleInstanceError(f"{instance.name!r} has no schedule")

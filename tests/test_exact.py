@@ -5,13 +5,13 @@ import pytest
 from repro.baselines.exact import (
     BudgetExceeded,
     SlotClass,
-    brute_force_optimum,
     slot_classes,
     solve_exact,
 )
 from repro.instances.generators import random_general, random_laminar
 from repro.instances.jobs import Instance, Job
 from repro.util.errors import InfeasibleInstanceError, SolverError
+from repro.verify.reference import brute_force_optimum
 
 
 class TestSlotClasses:

@@ -26,6 +26,7 @@ from repro.verify.reference import (
     ReferenceFlowProber,
     flow_prober,
     reference_node_edges,
+    reference_slot_feasible,
 )
 
 
@@ -112,8 +113,8 @@ def _per_job_segments(instance):
 
 
 def _oracle(instance):
-    """The slot-level test with every slot of the horizon active."""
-    return slot_feasible(instance, list(instance.slots()))
+    """The per-slot network with every slot of the horizon active."""
+    return reference_slot_feasible(instance, list(instance.slots()))
 
 
 class TestAllSlotsFeasible:
@@ -210,6 +211,25 @@ class TestExtractSchedule:
         used = {t for ts in sched.assignment.values() for t in ts}
         assert used <= set(slots)
 
+    def test_matches_per_slot_network_on_random_slot_sets(self):
+        """``None`` exactly where the per-slot network finds no full
+        flow; otherwise a valid schedule on the given slots only."""
+        rng = random.Random(24)
+        extracted = 0
+        for k in range(400):
+            inst = _raw_instance(rng, laminar=k % 2 == 0)
+            keep = rng.choice((0.4, 0.7, 1.0))
+            slots = [t for t in range(-2, 26) if rng.random() < keep]
+            sched = extract_schedule(inst, slots)
+            expected = reference_slot_feasible(inst, slots)
+            assert (sched is not None) == expected, inst.jobs
+            assert slot_feasible(inst, slots) == expected
+            if sched is not None:
+                assert sched.is_valid, inst.jobs
+                assert set(sched.active_slots) <= set(slots)
+                extracted += 1
+        assert extracted > 50
+
 
 class TestNodeFeasibility:
     def _setup(self, seed=0):
@@ -264,7 +284,7 @@ class TestNodeFeasibility:
         slots: list[int] = []
         for i in range(forest.m):
             slots.extend(forest.exclusive_slots(i)[: x[i]])
-        slot_ok = slot_feasible(canon.instance, slots)
+        slot_ok = reference_slot_feasible(canon.instance, slots)
         assert node_ok == slot_ok
 
 

@@ -21,7 +21,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.flow import feasibility, incremental
+from repro.flow import incremental
 from repro.flow.csr import CSRMaxFlow
 from repro.flow.dinic import MaxFlow
 from repro.flow.feasibility import extract_schedule, slot_feasible
@@ -42,7 +42,11 @@ from repro.solver.service import (
     solver_stats,
 )
 from repro.tree.canonical import canonicalize
-from repro.verify.reference import reference_cw_lp, reference_nested_lp
+from repro.verify.reference import (
+    reference_cw_lp,
+    reference_nested_lp,
+    reference_slot_network,
+)
 from repro.verify.simplex import simplex_solve
 
 #: Both kernels, with the ids the guard-parity tests are reported under.
@@ -72,7 +76,7 @@ def _prober_with_arcs(arcs: int) -> ClassFlowProber:
 class TestKernelSelector:
     def test_default_is_csr(self):
         inst = random_general(5, 2, horizon=12, seed=1)
-        net, *_ = feasibility._slot_network(inst, list(inst.slots()))
+        net, *_ = reference_slot_network(inst, list(inst.slots()))
         assert type(net) is CSRMaxFlow
         # Prober networks at or above the size constant run on CSR.
         big = incremental.SMALL_NETWORK_ARCS | 1
@@ -131,11 +135,13 @@ class TestKernelEquivalence:
         inst = random_general(3 + seed, 1 + seed % 3, horizon=15, seed=seed)
         slots = list(inst.slots())[:: 1 + seed % 2]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(feasibility, "CSRMaxFlow", MaxFlow)
+            mp.setattr(incremental, "SMALL_NETWORK_ARCS", 10**9)
             verdict_obj = slot_feasible(inst, slots)
             sched_obj = extract_schedule(inst, slots)
-        verdict_csr = slot_feasible(inst, slots)
-        sched_csr = extract_schedule(inst, slots)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(incremental, "SMALL_NETWORK_ARCS", 0)
+            verdict_csr = slot_feasible(inst, slots)
+            sched_csr = extract_schedule(inst, slots)
         assert verdict_obj == verdict_csr
         assert (sched_obj is None) == (sched_csr is None)
         if sched_obj is not None:
