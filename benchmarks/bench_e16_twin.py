@@ -6,15 +6,17 @@ cancellations, window slips, clock ticks — is absorbed by warm-started
 repair on one long-lived flow network (a handful of single-edge
 mutations plus a bounded re-augmentation per event), which beats
 re-solving the remaining instance from scratch after every event
-(``backend="cold"``: greedy minimal slots + schedule extraction, the
-pre-twin production path) by ≥5x on the large tier.
+(:class:`~repro.verify.reference.ColdTwinSession`: greedy minimal slots
++ schedule extraction, the pre-twin production path) by ≥5x on the
+large tier.
 
 Printed tables: per trace config the cold and incremental replay walls,
 the speedup, and the repair counters.  A differential sweep then replays
 seeded traces with every event cross-checked against the from-scratch
-flow path (``backend="differential"``), audits each committed history on
-the independent machine model, and replays each trace twice to pin the
-diff stream — mismatches must be zero over ≥500 events on the full
+flow path (:func:`~repro.verify.reference.cross_check_twin`, through
+:func:`~repro.verify.fuzz.run_twin_fuzz`), audits each committed history
+on the independent machine model, and replays each trace twice to pin
+the diff stream — mismatches must be zero over ≥500 events on the full
 tier.  Runnable standalone for CI::
 
     python benchmarks/bench_e16_twin.py --smoke [--json OUT]
@@ -35,8 +37,9 @@ from repro.flow.incremental import flow_stats
 from repro.simulate.machine import BatchMachine
 from repro.twin import TwinSession, random_trace, twin_fingerprint
 from repro.verify.fuzz import TwinFuzzConfig, run_twin_fuzz
+from repro.verify.reference import ColdTwinSession
 
-#: Timing repetitions per backend; the per-config wall is the best of
+#: Timing repetitions per session class; the per-config wall is the best of
 #: these, which stabilises the speedup ratio on noisy CI runners.
 _REPS = 3
 
@@ -65,7 +68,7 @@ def _trace_for(config, seed_shift: int = 0):
     )
 
 
-def _timed_replay(trace, backend: str):
+def _timed_replay(trace, session_cls):
     """Best-of-``_REPS`` replay wall; returns (wall_s, session, delta).
 
     Each repetition replays into a fresh session (sessions are stateful);
@@ -75,7 +78,7 @@ def _timed_replay(trace, backend: str):
     session = None
     delta: dict = {}
     for _ in range(_REPS):
-        fresh = TwinSession(trace.g, start=trace.start, backend=backend)
+        fresh = session_cls(trace.g, start=trace.start)
         before = flow_stats()
         t0 = perf_counter()
         fresh.replay(trace)
@@ -88,15 +91,15 @@ def _timed_replay(trace, backend: str):
 
 
 def run_replay_workload(configs=_REPLAY_FULL, seed_shift: int = 0):
-    """Replay each trace on both backends; returns per-config rows, the
+    """Replay each trace cold and incremental; returns per-config rows, the
     (cold, incremental) total walls, and the incremental outcomes."""
     rows = []
     cold_total = inc_total = 0.0
     outcomes = []
     for config in configs:
         trace = _trace_for(config, seed_shift)
-        cold_wall, _, _ = _timed_replay(trace, "cold")
-        inc_wall, session, delta = _timed_replay(trace, "incremental")
+        cold_wall, _, _ = _timed_replay(trace, ColdTwinSession)
+        inc_wall, session, delta = _timed_replay(trace, TwinSession)
         cold_total += cold_wall
         inc_total += inc_wall
         outcomes.append(
@@ -213,8 +216,8 @@ class TestTwinBench:
 
     def test_replay_deterministic_and_audited(self):
         trace = _trace_for(_REPLAY_SMOKE[0])
-        a = TwinSession(trace.g, start=trace.start, backend="incremental")
-        b = TwinSession(trace.g, start=trace.start, backend="incremental")
+        a = TwinSession(trace.g, start=trace.start)
+        b = TwinSession(trace.g, start=trace.start)
         fp_a = twin_fingerprint(a.replay(trace))
         fp_b = twin_fingerprint(b.replay(trace))
         assert fp_a == fp_b
@@ -224,9 +227,7 @@ class TestTwinBench:
         trace = _trace_for(_REPLAY_SMOKE[0])
 
         def replay():
-            session = TwinSession(
-                trace.g, start=trace.start, backend="incremental"
-            )
+            session = TwinSession(trace.g, start=trace.start)
             session.replay(trace)
             return session.active_time
 

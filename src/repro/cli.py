@@ -312,7 +312,7 @@ def _cmd_twin_replay(args: argparse.Namespace) -> int:
     from repro.twin import TwinSession, load_trace, twin_fingerprint
 
     trace = load_trace(args.trace)
-    session = TwinSession(trace.g, start=trace.start, backend=args.backend)
+    session = TwinSession(trace.g, start=trace.start)
     diffs = session.replay(trace, strict=args.strict)
     if args.verbose:
         for k, diff in enumerate(diffs):
@@ -325,7 +325,7 @@ def _cmd_twin_replay(args: argparse.Namespace) -> int:
             )
     accepted = sum(1 for d in diffs if d.accepted)
     print(
-        f"replayed {len(diffs)} events on backend {args.backend!r}: "
+        f"replayed {len(diffs)} events: "
         f"{accepted} accepted, {len(diffs) - accepted} rejected, "
         f"active_time={session.active_time} "
         f"(committed {len(session.committed_slots)} slots, "
@@ -338,7 +338,6 @@ def _cmd_twin_replay(args: argparse.Namespace) -> int:
     if args.report:
         payload = {
             "trace": str(args.trace),
-            "backend": args.backend,
             "fingerprint": twin_fingerprint(diffs),
             "active_time": session.active_time,
             "counters": session.counters,
@@ -654,13 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
         "replay", help="replay a trace through a twin session"
     )
     replay.add_argument("trace", help="trace JSON path")
-    replay.add_argument(
-        "--backend",
-        default="incremental",
-        choices=["incremental", "cold", "differential"],
-        help="'differential' cross-checks every event against the "
-        "from-scratch flow path",
-    )
     replay.add_argument(
         "--strict",
         action="store_true",

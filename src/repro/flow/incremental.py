@@ -531,8 +531,8 @@ class DynamicFlowProber:
 
     Feasibility is ``value == total`` after re-augmentation, exactly the
     semantics of :func:`repro.flow.feasibility.slot_feasible` on the open
-    slots; the twin's differential mode cross-checks every verdict
-    against that from-scratch path.
+    slots; :func:`repro.verify.reference.cross_check_twin` checks the
+    twin's verdicts and plans against that from-scratch path.
     """
 
     def __init__(self, g: int, start: int, end: int) -> None:

@@ -287,8 +287,7 @@ class TwinLookahead(OnlinePolicy):
 
     name = "twin"
 
-    def __init__(self, backend: str = "incremental") -> None:
-        self.backend = backend
+    def __init__(self) -> None:
         self._twin = None
         self._seen: set[int] = set()
 
@@ -303,7 +302,7 @@ class TwinLookahead(OnlinePolicy):
         from repro.twin.session import TwinSession
 
         if self._twin is None:
-            self._twin = TwinSession(g, start=t, backend=self.backend)
+            self._twin = TwinSession(g, start=t)
         twin = self._twin
         # Commit the slots before t first: an arrival applied while the
         # clock still reads t-1 may re-plan slot t-1 after the harness ran

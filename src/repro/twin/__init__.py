@@ -24,12 +24,7 @@ from repro.twin.events import (
     trace_from_instance,
     trace_to_dict,
 )
-from repro.twin.session import (
-    TWIN_BACKENDS,
-    ScheduleDiff,
-    TwinMismatchError,
-    TwinSession,
-)
+from repro.twin.session import ScheduleDiff, TwinSession
 
 __all__ = [
     "JobArrived",
@@ -49,8 +44,6 @@ __all__ = [
     "count_kinds",
     "TwinSession",
     "ScheduleDiff",
-    "TwinMismatchError",
-    "TWIN_BACKENDS",
     "twin_fingerprint",
 ]
 

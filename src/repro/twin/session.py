@@ -26,28 +26,21 @@ Cancellations and clock ticks can never break feasibility — the session
 invariant is that after every applied event the plan is a complete valid
 schedule of all remaining work.
 
-Backends (the PR-4 pattern)
----------------------------
-``incremental``
-    warm repair on the persistent network (the default);
-``cold``
-    the pre-twin behaviour — every event rebuilds the remaining instance
-    and re-solves it from scratch
-    (:func:`~repro.baselines.minimal_feasible.minimal_feasible_slots` +
-    :func:`~repro.flow.feasibility.extract_schedule`), the baseline E16
-    measures against;
-``differential``
-    incremental repair, plus a from-scratch cross-check after *every*
-    event: admission verdicts must match
-    :func:`~repro.flow.feasibility.slot_feasible` and the repaired plan
-    must pass the independent :class:`~repro.core.schedule.Schedule`
-    validator — any disagreement raises :class:`TwinMismatchError`.
+Oracles
+-------
+Incremental repair is the only path.  Each event handler keeps the
+bookkeeping and calls one repair step (``_admit``, ``_drop``, ``_move``,
+``_run_slot``, ``_finish``, ``_settle``):
+:class:`~repro.verify.reference.ColdTwinSession` overrides only those
+with a from-scratch re-solve (E16's baseline), and
+:func:`~repro.verify.reference.cross_check_twin` checks one applied
+event from scratch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.schedule import Schedule
 from repro.flow.incremental import DynamicFlowProber
@@ -62,21 +55,6 @@ from repro.twin.events import (
     event_to_dict,
 )
 from repro.util.errors import InfeasibleInstanceError, SolverError
-
-TWIN_BACKENDS = ("incremental", "cold", "differential")
-
-
-class TwinMismatchError(SolverError):
-    """The incremental twin and the from-scratch path disagreed.
-
-    Raised only under the ``differential`` backend; carries the event so
-    the failing step can be replayed in isolation.
-    """
-
-    def __init__(self, message: str, *, event: TwinEvent | None = None, **kwargs) -> None:
-        kwargs.setdefault("kind", "numerical")
-        super().__init__(message, **kwargs)
-        self.event = event
 
 
 @dataclass(frozen=True)
@@ -147,20 +125,8 @@ class _TwinJob:
 class TwinSession:
     """A live rescheduling session; see the module docstring."""
 
-    def __init__(
-        self,
-        g: int,
-        *,
-        start: int = 0,
-        backend: str = "incremental",
-        name: str = "",
-    ) -> None:
-        if backend not in TWIN_BACKENDS:
-            raise ValueError(
-                f"backend {backend!r} not one of {TWIN_BACKENDS}"
-            )
+    def __init__(self, g: int, *, start: int = 0, name: str = "") -> None:
         self.g = g
-        self.backend = backend
         self.name = name
         self.now = start
         self._jobs: dict[int, _TwinJob] = {}
@@ -169,33 +135,25 @@ class TwinSession:
         self._planned: dict[int, tuple[int, ...]] = {}
         self._committed_active: set[int] = set()
         self._history: dict[int, tuple[int, ...]] = {}
-        self._incremental = backend in ("incremental", "differential")
-        self._prober = (
-            DynamicFlowProber(g, start, start) if self._incremental else None
-        )
+        self._prober = DynamicFlowProber(g, start, start)
         self.counters = {
             "events": 0,
             "accepted": 0,
             "rejected": 0,
             "committed_units": 0,
-            "cross_checks": 0,
         }
 
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_instance(
-        cls, instance: Instance, *, backend: str = "incremental"
-    ) -> "TwinSession":
+    def from_instance(cls, instance: Instance) -> "TwinSession":
         """A session pre-loaded with a static instance's jobs.
 
         Raises :class:`InfeasibleInstanceError` when the instance cannot
         be admitted in full (it is offline-infeasible).
         """
         start = instance.horizon.start if instance.n else 0
-        session = cls(
-            instance.g, start=start, backend=backend, name=instance.name
-        )
+        session = cls(instance.g, start=start, name=instance.name)
         for job in sorted(instance.jobs, key=lambda j: j.id):
             session.apply(JobArrived(job), strict=True)
         return session
@@ -302,8 +260,6 @@ class TwinSession:
             active_time=self.active_time,
             detail=detail,
         )
-        if self.backend == "differential":
-            self._cross_check(diff)
         if strict and not accepted:
             raise InfeasibleInstanceError(
                 f"twin rejected {event!r} at t={self.now}: {detail}"
@@ -341,84 +297,50 @@ class TwinSession:
             deadline=job.deadline,
             arrived_at=self.now,
         )
-        if self._incremental:
-            prober = self._prober
-            prober.add_job(job.id, job.processing, release, job.deadline)
-            ok, opened = self._grow((release, job.deadline))
-            if not ok:
-                prober.remove_job(job.id)
-                self._rollback_opened(opened)
-                self._rejected_ids.add(job.id)
-                return False, (), "released work infeasible with this arrival"
-            self._jobs[job.id] = record
-            self._shrink(())
-            self._sync_from_prober()
-        else:
-            self._jobs[job.id] = record
-            if not self._cold_replan():
-                del self._jobs[job.id]
-                self._cold_replan()
-                self._rejected_ids.add(job.id)
-                return False, (), "released work infeasible with this arrival"
+        self._jobs[job.id] = record
+        if not self._admit(record):
+            del self._jobs[job.id]
+            self._rejected_ids.add(job.id)
+            return False, (), "released work infeasible with this arrival"
         return True, (), ""
 
-    def _cancel(self, event: JobCancelled) -> tuple[bool, tuple, str]:
-        record = self._jobs.get(event.job_id)
+    def _live(self, job_id: int, what: str, noop: str) -> tuple[_TwinJob | None, str]:
+        """The active record of ``job_id``, or ``None`` and why the event
+        is a no-op; ``what`` names the event in the unknown-id error."""
+        record = self._jobs.get(job_id)
         if record is None:
-            if event.job_id in self._rejected_ids:
-                return True, (), (
-                    f"job {event.job_id} was rejected at arrival; nothing to cancel"
-                )
-            raise ValueError(f"cancellation of unknown job id {event.job_id}")
+            if job_id in self._rejected_ids:
+                return None, f"job {job_id} was rejected at arrival; {noop}"
+            raise ValueError(f"{what} unknown job id {job_id}")
         if record.status != "active":
-            return True, (), f"job {event.job_id} already {record.status}"
+            return None, f"job {job_id} already {record.status}"
+        return record, ""
+
+    def _cancel(self, event: JobCancelled) -> tuple[bool, tuple, str]:
+        record, detail = self._live(
+            event.job_id, "cancellation of", "nothing to cancel"
+        )
+        if record is None:
+            return True, (), detail
         record.status = "cancelled"
-        if self._incremental:
-            old_slots = self._prober.job_slots(event.job_id)
-            self._prober.remove_job(event.job_id)
-            self._shrink(old_slots)
-            self._sync_from_prober()
-        else:
-            self._cold_replan()
+        self._drop(record)
         return True, (), ""
 
     def _slip(self, event: WindowSlipped) -> tuple[bool, tuple, str]:
-        record = self._jobs.get(event.job_id)
+        record, detail = self._live(
+            event.job_id, "window slip for", "slip ignored"
+        )
         if record is None:
-            if event.job_id in self._rejected_ids:
-                return True, (), (
-                    f"job {event.job_id} was rejected at arrival; slip ignored"
-                )
-            raise ValueError(f"window slip for unknown job id {event.job_id}")
-        if record.status != "active":
-            return True, (), f"job {event.job_id} already {record.status}"
+            return True, (), detail
         release = max(event.release, self.now)
         if event.deadline - release < record.remaining:
             return False, (), (
                 f"slipped window [{release},{event.deadline}) cannot hold "
                 f"{record.remaining} remaining units"
             )
-        old_release, old_deadline = record.release, record.deadline
-        if self._incremental:
-            prober = self._prober
-            old_slots = prober.job_slots(event.job_id)
-            prober.set_window(event.job_id, release, event.deadline)
-            ok, opened = self._grow((release, event.deadline))
-            if not ok:
-                prober.set_window(event.job_id, old_release, old_deadline)
-                self._rollback_opened(opened)
-                return False, (), "released work infeasible with this slip"
-            record.release, record.deadline = release, event.deadline
-            self._shrink(
-                [t for t in old_slots if not release <= t < event.deadline]
-            )
-            self._sync_from_prober()
-        else:
-            record.release, record.deadline = release, event.deadline
-            if not self._cold_replan():
-                record.release, record.deadline = old_release, old_deadline
-                self._cold_replan()
-                return False, (), "released work infeasible with this slip"
+        if not self._move(record, (release, event.deadline)):
+            return False, (), "released work infeasible with this slip"
+        record.release, record.deadline = release, event.deadline
         return True, (), ""
 
     def _tick(self, event: SlotTick) -> tuple[bool, tuple, str]:
@@ -429,12 +351,7 @@ class TwinSession:
             )
         committed: list[tuple[int, tuple[int, ...]]] = []
         for t in sorted(s for s in self._open if s < event.until):
-            if self._incremental:
-                ran = self._prober.commit_slot(t)
-            else:
-                ran = sorted(
-                    jid for jid, slots in self._planned.items() if t in slots
-                )
+            ran = self._run_slot(t)
             self._open.discard(t)
             if not ran:  # pragma: no cover - repair keeps slots loaded
                 continue
@@ -448,8 +365,7 @@ class TwinSession:
                 record.remaining -= 1
                 if record.remaining == 0:
                     record.status = "finished"
-                    if self._incremental:
-                        self._prober.remove_job(jid)
+                    self._finish(record)
         self.now = max(self.now, event.until)
         for record in self._jobs.values():
             if record.status == "active" and record.deadline <= self.now:
@@ -459,13 +375,73 @@ class TwinSession:
                         f"expired at t={self.now} with "
                         f"{record.remaining} units outstanding"
                     )
-        if self._incremental:
-            self._sync_from_prober()
-        else:
-            self._cold_replan()
+        self._settle()
         return True, tuple(committed), ""
 
+    # -- repair steps ------------------------------------------------------
+
+    def _admit(self, record: _TwinJob) -> bool:
+        """Plan a new job's work; False (state unchanged) if infeasible."""
+        jid = record.job_id
+        self._prober.add_job(jid, record.processing, *record.window)
+        return self._repair(record.window, lambda: self._prober.remove_job(jid), ())
+
+    def _drop(self, record: _TwinJob) -> None:
+        """Release a cancelled job's planned slots."""
+        old_slots = self._prober.job_slots(record.job_id)
+        self._prober.remove_job(record.job_id)
+        self._shrink(old_slots)
+        self._settle()
+
+    def _move(self, record: _TwinJob, window: tuple[int, int]) -> bool:
+        """Re-plan a job on a new window; False (state unchanged) if
+        infeasible.  The record still holds the old window, which
+        ``_grow`` reads its fallback candidates from."""
+        prober, jid, (lo, hi) = self._prober, record.job_id, window
+        old_slots = prober.job_slots(jid)
+        prober.set_window(jid, lo, hi)
+        return self._repair(
+            window,
+            lambda: prober.set_window(jid, *record.window),
+            [t for t in old_slots if not lo <= t < hi],
+        )
+
+    def _run_slot(self, t: int) -> list[int]:
+        """Execute planned slot ``t``; returns the ids that ran there."""
+        return self._prober.commit_slot(t)
+
+    def _finish(self, record: _TwinJob) -> None:
+        """A job ran its last unit."""
+        self._prober.remove_job(record.job_id)
+
+    def _settle(self) -> None:
+        """Read the plan off the repaired network."""
+        self._open = self._prober.open_slots()
+        self._planned = {
+            jid: tuple(slots)
+            for jid, slots in self._prober.assignment().items()
+            if slots
+        }
+
     # -- incremental repair ------------------------------------------------
+
+    def _repair(
+        self, prefer: tuple[int, int], undo: Callable[[], None], candidates: Sequence[int]
+    ) -> bool:
+        """Grow until feasible, then shrink ``candidates``; on failure
+        ``undo`` the network change and close what the grow opened (the
+        pre-event state must probe feasible again)."""
+        ok, opened = self._grow(prefer)
+        if not ok:
+            undo()
+            for t in opened:
+                self._prober.set_open(t, False)
+            if not self._prober.probe():  # pragma: no cover - monotone restore
+                raise SolverError("twin rollback lost feasibility")
+            return False
+        self._shrink(candidates)
+        self._settle()
+        return True
 
     def _grow(self, prefer: tuple[int, int]) -> tuple[bool, list[int]]:
         """Open slots (latest-first, preferred window first) until feasible.
@@ -512,21 +488,6 @@ class TwinSession:
             if not prober.slot_jobs(t):
                 prober.set_open(t, False)
 
-    def _rollback_opened(self, opened: Sequence[int]) -> None:
-        """Undo a failed grow; the pre-event state must probe feasible."""
-        for t in opened:
-            self._prober.set_open(t, False)
-        if not self._prober.probe():  # pragma: no cover - monotone restore
-            raise SolverError("twin rollback lost feasibility")
-
-    def _sync_from_prober(self) -> None:
-        self._open = self._prober.open_slots()
-        self._planned = {
-            jid: tuple(slots)
-            for jid, slots in self._prober.assignment().items()
-            if slots
-        }
-
     def _covered_slots(self) -> set[int]:
         """Slots ≥ now inside at least one active job's current window."""
         out: set[int] = set()
@@ -534,89 +495,3 @@ class TwinSession:
             if record.status == "active" and record.remaining > 0:
                 out.update(range(max(record.release, self.now), record.deadline))
         return out
-
-    # -- cold re-solve (the baseline the twin replaces) --------------------
-
-    def _cold_replan(self) -> bool:
-        """From-scratch re-solve of the remaining work; False = infeasible."""
-        from repro.baselines.minimal_feasible import minimal_feasible_slots
-        from repro.flow.feasibility import extract_schedule
-
-        instance = self.remaining_instance()
-        if instance.n == 0:
-            self._open = set()
-            self._planned = {}
-            return True
-        try:
-            slots = minimal_feasible_slots(instance, order="given")
-        except InfeasibleInstanceError:
-            return False
-        schedule = extract_schedule(instance, slots)
-        assert schedule is not None  # the slot set was verified feasible
-        self._open = set(slots)
-        self._planned = {
-            jid: tuple(s) for jid, s in schedule.assignment.items() if s
-        }
-        return True
-
-    # -- differential cross-check ------------------------------------------
-
-    def _cross_check(self, diff: ScheduleDiff) -> None:
-        """Verify the incremental step against from-scratch references."""
-        from repro.flow.feasibility import all_slots_feasible, slot_feasible
-
-        self.counters["cross_checks"] += 1
-        event = diff.event
-        if diff.accepted:
-            instance = self.remaining_instance()
-            if instance.n and not slot_feasible(instance, sorted(self._open)):
-                raise TwinMismatchError(
-                    f"twin plan uses slots {sorted(self._open)} but the "
-                    f"reference flow rejects them after {event!r}",
-                    event=event,
-                )
-            try:
-                self.planned_schedule()
-            except Exception as exc:
-                raise TwinMismatchError(
-                    f"twin plan failed independent validation after "
-                    f"{event!r}: {exc}",
-                    event=event,
-                ) from exc
-        else:
-            tentative = self._tentative_rejected_instance(event)
-            if tentative is not None and all_slots_feasible(tentative):
-                raise TwinMismatchError(
-                    f"twin rejected {event!r} but the reference flow "
-                    f"accepts the resulting workload",
-                    event=event,
-                )
-
-    def _tentative_rejected_instance(self, event: TwinEvent) -> Instance | None:
-        """The workload a rejected event asked for, or ``None`` if the
-        rejection was trivial (window shorter than the work)."""
-        jobs = {j.id: j for j in self.remaining_instance().jobs}
-        if isinstance(event, JobArrived):
-            release = max(event.job.release, self.now)
-            if event.job.deadline - release < event.job.processing:
-                return None
-            jobs[event.job.id] = Job(
-                id=event.job.id,
-                release=release,
-                deadline=event.job.deadline,
-                processing=event.job.processing,
-            )
-        elif isinstance(event, WindowSlipped):
-            record = self._jobs[event.job_id]
-            release = max(event.release, self.now)
-            if event.deadline - release < record.remaining:
-                return None
-            jobs[event.job_id] = Job(
-                id=event.job_id,
-                release=release,
-                deadline=event.deadline,
-                processing=record.remaining,
-            )
-        else:  # pragma: no cover - only arrivals/slips can be rejected
-            return None
-        return Instance(jobs=tuple(jobs.values()), g=self.g, name="tentative")

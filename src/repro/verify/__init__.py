@@ -10,8 +10,9 @@ Three layers, consumed by tests, the ``active-time fuzz`` CLI, and CI:
 * :mod:`repro.verify.fuzz` + :mod:`repro.verify.shrinker` — randomized
   campaigns that minimize any failure to a committable counterexample.
 
-:mod:`repro.verify.reference` holds the from-scratch flow probers and
-per-row LP builds the production fast paths are checked against, and
+:mod:`repro.verify.reference` holds the from-scratch flow probers,
+per-row LP builds, per-slot paths and the twin's cold re-solve and
+per-event cross-check the production fast paths are checked against, and
 :mod:`repro.verify.simplex` the dense tableau simplex the tests check
 HiGHS against.
 """

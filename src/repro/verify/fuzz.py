@@ -461,12 +461,13 @@ merge_fuzz_reports = FUZZ_CAMPAIGN.merge
 class TwinFuzzConfig:
     """Parameters of one twin replay campaign.
 
-    Each trace is replayed through a ``differential`` twin session, so
-    every event's incremental repair is cross-checked against the
-    from-scratch flow path; the committed history is then audited by the
-    independent machine model, and the whole trace is replayed a second
-    time on the plain ``incremental`` backend to confirm the diff stream
-    is deterministic (and that the cross-checks are read-only).
+    Each trace is replayed through a twin session with every event's
+    incremental repair cross-checked against the from-scratch flow path
+    (:func:`~repro.verify.reference.cross_check_twin`); the committed
+    history is then audited by the independent machine model, and the
+    whole trace is replayed a second time without the checks to confirm
+    the diff stream is deterministic (and that the cross-checks are
+    read-only).
     """
 
     n_traces: int = 20
@@ -556,19 +557,18 @@ def run_twin_fuzz(
     from repro.flow.incremental import flow_stats
     from repro.simulate.machine import BatchMachine
     from repro.twin import TwinSession, twin_fingerprint
-    from repro.twin.session import TwinMismatchError
     from repro.util.errors import InvalidInstanceError
+    from repro.verify.reference import TwinMismatchError, cross_check_twin
 
     def check(tally: TwinFuzzResult, entry: tuple) -> None:
         index, trace = entry
-        session = TwinSession(
-            trace.g, start=trace.start, backend="differential"
-        )
+        session = TwinSession(trace.g, start=trace.start)
         diffs = []
         broke = False
         for event_index, event in enumerate(trace.events):
+            diff = session.apply(event)
             try:
-                diffs.append(session.apply(event))
+                cross_check_twin(session, diff)
             except TwinMismatchError as exc:
                 tally.mismatches.append(
                     {
@@ -579,6 +579,7 @@ def run_twin_fuzz(
                 )
                 broke = True
                 break
+            diffs.append(diff)
         tally.traces += 1
         tally.events += len(diffs)
         tally.accepted += sum(1 for d in diffs if d.accepted)
@@ -594,9 +595,7 @@ def run_twin_fuzz(
             tally.audit_failures.append({"trace": index, "error": str(exc)})
             if progress is not None:
                 progress(f"trace #{index}: audit failed: {exc}")
-        replayed = TwinSession(
-            trace.g, start=trace.start, backend="incremental"
-        )
+        replayed = TwinSession(trace.g, start=trace.start)
         if twin_fingerprint(replayed.replay(trace)) != twin_fingerprint(diffs):
             tally.determinism_failures.append({"trace": index})
             if progress is not None:

@@ -19,7 +19,13 @@ the per-slot feasibility path: the one-node-per-slot network behind
 :func:`~repro.flow.feasibility.extract_schedule` must return ``None``
 exactly where it says no),
 :func:`reference_minimal_feasible_slots` (the slot-by-slot greedy the
-per-segment search must match) and :func:`brute_force_optimum`.
+per-segment search must match) and :func:`brute_force_optimum`, and
+the twin's two oracles: :class:`ColdTwinSession`, a
+:class:`~repro.twin.session.TwinSession` whose repair steps re-solve the
+remaining work from scratch (what E16 times incremental repair
+against), and :func:`cross_check_twin`, which checks one applied event
+against the from-scratch flow path and the independent schedule
+validator and raises :class:`TwinMismatchError` on disagreement.
 :func:`flow_prober` puts a reference prober under the real consumers for
 the current context only.
 """
@@ -34,11 +40,17 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from repro.baselines.minimal_feasible import minimal_feasible_slots
 from repro.core.opt_thresholds import OptThresholds
 from repro.flow.csr import CSRMaxFlow
 from repro.flow.dinic import MaxFlow
+from repro.flow.feasibility import (
+    all_slots_feasible,
+    extract_schedule,
+    slot_feasible,
+)
 from repro.flow.incremental import PROBER_CLASS, ClassFlowProber
-from repro.instances.jobs import Instance
+from repro.instances.jobs import Instance, Job
 from repro.lp.backend import LinearProgram
 from repro.lp.cw_lp import forced_occupancy
 from repro.lp.natural_lp import build_natural_lp
@@ -46,7 +58,9 @@ from repro.lp.natural_lp import _xname as _slot_xname
 from repro.lp.nested_lp import _xname, _yname, job_classes
 from repro.tree.canonical import CanonicalInstance
 from repro.tree.node import WindowForest
-from repro.util.errors import InfeasibleInstanceError, SolverError
+from repro.twin.events import JobArrived, TwinEvent, WindowSlipped
+from repro.twin.session import ScheduleDiff, TwinSession
+from repro.util.errors import InfeasibleInstanceError, InvalidInstanceError, SolverError
 from repro.util.intervals import Interval
 
 
@@ -515,3 +529,125 @@ def brute_force_optimum(instance: Instance, *, max_slots: int = 22) -> int:
             if reference_slot_feasible(instance, list(combo)):
                 return k
     raise InfeasibleInstanceError(f"{instance.name!r} has no schedule")
+
+
+# ---------------------------------------------------------------------------
+# Twin: cold re-solve and per-event cross-check
+# ---------------------------------------------------------------------------
+
+
+class ColdTwinSession(TwinSession):
+    """A twin session without incremental repair.
+
+    Every repair step re-solves the remaining work from scratch (greedy
+    :func:`~repro.baselines.minimal_feasible.minimal_feasible_slots` in
+    ``given`` order + :func:`~repro.flow.feasibility.extract_schedule`);
+    the event handlers and their bookkeeping are the production ones.
+    E16 times it against :class:`~repro.twin.session.TwinSession`.
+    """
+
+    def _admit(self, record) -> bool:
+        return self._settle()
+
+    _drop = _admit
+
+    def _move(self, record, window: tuple[int, int]) -> bool:
+        old = record.window
+        record.release, record.deadline = window
+        ok = self._settle()
+        record.release, record.deadline = old
+        return ok
+
+    def _run_slot(self, t: int) -> list[int]:
+        return sorted(jid for jid, slots in self._planned.items() if t in slots)
+
+    def _finish(self, record) -> None:
+        pass
+
+    def _settle(self) -> bool:
+        """Re-solve the remaining work; False = infeasible, plan unchanged."""
+        instance = self.remaining_instance()
+        if instance.n == 0:
+            self._open, self._planned = set(), {}
+            return True
+        try:
+            slots = minimal_feasible_slots(instance, order="given")
+        except InfeasibleInstanceError:
+            return False
+        schedule = extract_schedule(instance, slots)
+        assert schedule is not None  # the slot set was verified feasible
+        self._open = set(slots)
+        self._planned = {jid: tuple(s) for jid, s in schedule.assignment.items() if s}
+        return True
+
+
+class TwinMismatchError(SolverError):
+    """A twin session and the from-scratch path disagreed on one event.
+
+    Raised by :func:`cross_check_twin`; carries the event so the failing
+    step can be replayed in isolation.
+    """
+
+    def __init__(self, message: str, *, event: TwinEvent | None = None, **kwargs) -> None:
+        kwargs.setdefault("kind", "numerical")
+        super().__init__(message, **kwargs)
+        self.event = event
+
+
+def cross_check_twin(session: TwinSession, diff: ScheduleDiff) -> None:
+    """Check the event ``session`` just applied (``diff``) from scratch.
+
+    An accepted event must leave open slots
+    :func:`~repro.flow.feasibility.slot_feasible` accepts and a plan that
+    passes the independent :class:`~repro.core.schedule.Schedule`
+    validator; a rejected event must have asked for a workload
+    :func:`~repro.flow.feasibility.all_slots_feasible` rejects too.
+    Read-only: checking never changes the session's diff stream.
+    """
+    event = diff.event
+    if diff.accepted:
+        instance = session.remaining_instance()
+        open_slots = list(session.open_slots)
+        if instance.n and not slot_feasible(instance, open_slots):
+            raise TwinMismatchError(
+                f"twin plan uses slots {open_slots} but the "
+                f"reference flow rejects them after {event!r}",
+                event=event,
+            )
+        try:
+            session.planned_schedule()
+        except InvalidInstanceError as exc:
+            raise TwinMismatchError(
+                f"twin plan failed independent validation after "
+                f"{event!r}: {exc}",
+                event=event,
+            ) from exc
+    else:
+        tentative = _tentative_rejected_instance(session, event)
+        if tentative is not None and all_slots_feasible(tentative):
+            raise TwinMismatchError(
+                f"twin rejected {event!r} but the reference flow "
+                f"accepts the resulting workload",
+                event=event,
+            )
+
+
+def _tentative_rejected_instance(
+    session: TwinSession, event: TwinEvent
+) -> Instance | None:
+    """The workload a rejected event asked for, or ``None`` if the
+    rejection was trivial (window shorter than the work)."""
+    if isinstance(event, JobArrived):
+        job = event.job
+        jid, lo, hi, work = job.id, job.release, job.deadline, job.processing
+    elif isinstance(event, WindowSlipped):
+        jid, lo, hi = event.job_id, event.release, event.deadline
+        work = session.job_view(jid).remaining
+    else:  # pragma: no cover - only arrivals/slips can be rejected
+        return None
+    release = max(lo, session.now)
+    if hi - release < work:
+        return None
+    jobs = {j.id: j for j in session.remaining_instance().jobs}
+    jobs[jid] = Job(id=jid, release=release, deadline=hi, processing=work)
+    return Instance(jobs=tuple(jobs.values()), g=session.g, name="tentative")

@@ -7,6 +7,8 @@ import pytest
 from repro.cli import main
 from repro.instances.io import dump_instance, load_instance
 from repro.instances.jobs import Instance
+from repro.twin import TwinSession, load_trace, twin_fingerprint
+from repro.verify.reference import cross_check_twin
 
 
 @pytest.fixture()
@@ -117,14 +119,28 @@ class TestTwin:
         assert "40 events" in capsys.readouterr().out
         report = tmp_path / "replay.json"
         assert main(
-            ["twin", "replay", str(trace), "--backend", "differential",
-             "--audit", "--report", str(report)]
+            ["twin", "replay", str(trace), "--audit", "--report", str(report)]
         ) == 0
         out = capsys.readouterr().out
         assert "diff-stream fingerprint:" in out
         assert "machine audit: committed history is valid" in out
         doc = json.loads(report.read_text())
         assert len(doc["diffs"]) == 40
+        assert "backend" not in doc
+        # The replayed stream is the one a cross-checked replay produces.
+        session = TwinSession(2)
+        diffs = []
+        for event in load_trace(trace).events:
+            diffs.append(session.apply(event))
+            cross_check_twin(session, diffs[-1])
+        assert doc["fingerprint"] == twin_fingerprint(diffs)
+
+    def test_replay_has_no_backend_option(self, tmp_path):
+        trace = tmp_path / "trace.json"
+        main(["twin", "record", str(trace), "--events", "5"])
+        with pytest.raises(SystemExit) as info:
+            main(["twin", "replay", str(trace), "--backend", "cold"])
+        assert info.value.code == 2
 
     def test_record_from_instance(self, inst_path, tmp_path, capsys):
         trace = tmp_path / "trace.json"

@@ -14,7 +14,9 @@ from repro.online import (
     competitive_ratio,
     run_online,
 )
+from repro.twin import TwinSession
 from repro.util.errors import InfeasibleInstanceError
+from repro.verify.reference import cross_check_twin
 
 
 class TestHarness:
@@ -130,13 +132,29 @@ class TestTwinLookahead:
         assert run.active_time == 1
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_twin_valid_or_documented_failure(self, seed):
+    def test_twin_valid_or_documented_failure(self, seed, monkeypatch):
+        """Every event the policy feeds its twin is cross-checked from
+        scratch."""
+        apply = TwinSession.apply
+        checked = []
+
+        def checked_apply(self, event, *, strict=False):
+            diff = apply(self, event)
+            cross_check_twin(self, diff)
+            checked.append(event)
+            if strict and not diff.accepted:
+                raise InfeasibleInstanceError(diff.detail)
+            return diff
+
+        monkeypatch.setattr(TwinSession, "apply", checked_apply)
         inst = random_laminar(8, 2, horizon=18, seed=seed)
-        policy = TwinLookahead(backend="differential")
+        policy = TwinLookahead()
         try:
             run = run_online(inst, policy)
         except InfeasibleInstanceError:
             return  # the online impossibility, reported not crashed
+        finally:
+            assert checked
         assert run.schedule.is_valid
 
     @pytest.mark.parametrize("seed", range(6))

@@ -43,16 +43,25 @@ class TestDataFiles:
                 assert inst.n >= 1
 
     def test_twin_smoke_trace_replays_clean(self):
-        """The committed CI trace replays differentially clean, audits
-        under the machine model, and keeps its diff-stream fingerprint
-        (a format or repair-behaviour change must update this pin)."""
+        """The committed CI trace replays clean with every event
+        cross-checked from scratch, audits under the machine model, and
+        keeps its counts and diff-stream fingerprint (a format or
+        repair-behaviour change must update this pin)."""
         from repro.simulate.machine import BatchMachine
         from repro.twin import TwinSession, load_trace, twin_fingerprint
+        from repro.verify.reference import cross_check_twin
 
         trace = load_trace(DATA / "twin_trace_smoke.json")
-        session = TwinSession(trace.g, start=trace.start, backend="differential")
-        diffs = session.replay(trace)
+        session = TwinSession(trace.g, start=trace.start)
+        diffs = []
+        for event in trace.events:
+            diffs.append(session.apply(event))
+            cross_check_twin(session, diffs[-1])
         BatchMachine(trace.g).audit_twin(session)
+        assert len(diffs) == 80
+        assert sum(d.accepted for d in diffs) == 72
+        assert sum(not d.accepted for d in diffs) == 8
+        assert session.active_time == 34
         assert twin_fingerprint(diffs) == (
             "cad428f42b6452c694d0f69e33f11ee595203286409854587afbde58de1c6b77"
         )

@@ -25,9 +25,23 @@ from repro.twin import (
     twin_fingerprint,
 )
 from repro.util.errors import InfeasibleInstanceError, InvalidInstanceError
-from repro.verify.fuzz import TwinFuzzConfig, run_twin_fuzz
+from repro.verify.fuzz import TwinFuzzConfig, run_twin_fuzz, twin_trace_for
+from repro.verify.reference import (
+    ColdTwinSession,
+    TwinMismatchError,
+    cross_check_twin,
+)
 
-BACKENDS = ("incremental", "cold", "differential")
+def checked_replay(session, events, *, strict=False):
+    """Apply each event and cross-check it from scratch."""
+    diffs = []
+    for event in events:
+        diff = session.apply(event)
+        cross_check_twin(session, diff)
+        if strict and not diff.accepted:
+            raise InfeasibleInstanceError(diff.detail)
+        diffs.append(diff)
+    return diffs
 
 
 class TestEvents:
@@ -130,9 +144,9 @@ class TestSessionBasics:
         with pytest.raises(ValueError, match="backwards"):
             session.apply(SlotTick(until=3))
 
-    def test_bad_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            TwinSession(1, backend="psychic")
+    def test_zero_capacity_rejected(self):
+        with pytest.raises(ValueError, match="capacity"):
+            TwinSession(0)
 
 
 class TestAdmissionControl:
@@ -147,13 +161,16 @@ class TestAdmissionControl:
         assert "cannot hold" in diff.detail
         assert session.active_time == 0
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_overload_rejected_state_unchanged(self, backend):
-        session = TwinSession(1, backend=backend)
-        session.apply(JobArrived(Job(id=0, release=0, deadline=2, processing=2)))
+    @pytest.mark.parametrize("mode", ("incremental", "cold", "differential"))
+    def test_overload_rejected_state_unchanged(self, mode):
+        """Incremental repair, the cold re-solve oracle, and incremental
+        repair cross-checked after every event."""
+        session = (ColdTwinSession if mode == "cold" else TwinSession)(1)
+        replay = checked_replay if mode == "differential" else TwinSession.replay
+        replay(session, [JobArrived(Job(id=0, release=0, deadline=2, processing=2))])
         plan_before = session.planned_assignment()
-        diff = session.apply(
-            JobArrived(Job(id=1, release=0, deadline=2, processing=1))
+        (diff,) = replay(
+            session, [JobArrived(Job(id=1, release=0, deadline=2, processing=1))]
         )
         assert not diff.accepted
         assert session.planned_assignment() == plan_before
@@ -186,17 +203,27 @@ class TestAdmissionControl:
 
 
 class TestBackendsAgree:
+    """Incremental repair agrees with its oracles: the cold re-solve and
+    the per-event cross-check."""
+
     @pytest.mark.parametrize("seed", range(4))
     def test_static_instance_anchor(self, seed):
-        """On a batch workload every backend plans a valid schedule with
-        the same active time, and the offline exact solver lower-bounds it."""
+        """On a batch workload the twin, the cold re-solve and the
+        cross-checked twin plan valid schedules with the same active
+        time, and the offline exact solver lower-bounds it."""
         inst = random_laminar(8, 2, horizon=18, seed=seed + 70)
+        arrivals = [JobArrived(j) for j in sorted(inst.jobs, key=lambda j: j.id)]
+        try:
+            sessions = [
+                TwinSession.from_instance(inst),
+                ColdTwinSession.from_instance(inst),
+            ]
+        except InfeasibleInstanceError:
+            pytest.skip("offline-infeasible draw")
+        checked = TwinSession(inst.g, start=inst.horizon.start)
+        checked_replay(checked, arrivals, strict=True)
         times = set()
-        for backend in BACKENDS:
-            try:
-                session = TwinSession.from_instance(inst, backend=backend)
-            except InfeasibleInstanceError:
-                pytest.skip("offline-infeasible draw")
+        for session in sessions + [checked]:
             session.planned_schedule()
             times.add(session.active_time)
         assert len(times) == 1
@@ -205,8 +232,8 @@ class TestBackendsAgree:
     def test_from_instance_replay_completes_all_work(self):
         inst = Instance.from_triples([(0, 4, 2), (0, 2, 1), (2, 4, 1)], g=2)
         trace = trace_from_instance(inst)
-        session = TwinSession(trace.g, start=trace.start, backend="differential")
-        session.replay(trace, strict=True)
+        session = TwinSession(trace.g, start=trace.start)
+        checked_replay(session, trace.events, strict=True)
         assert all(r.status == "finished" for r in session.jobs())
         assert session.counters["committed_units"] == 4
 
@@ -215,30 +242,91 @@ class TestBackendsAgree:
         """Random dynamic traces replay with every event cross-checked
         against the from-scratch flow path — zero mismatches."""
         trace = random_trace(50, 3, seed=seed + 100)
-        session = TwinSession(trace.g, backend="differential")
-        diffs = session.replay(trace)
+        session = TwinSession(trace.g)
+        diffs = checked_replay(session, trace.events)
         assert len(diffs) == 50
-        assert session.counters["cross_checks"] == 50
+        assert session.counters["events"] == 50
 
     @pytest.mark.parametrize("seed", range(4))
     def test_replay_deterministic_across_backends(self, seed):
-        """The diff stream is a pure function of the event log, and the
-        differential backend's extra checking never changes it."""
+        """The diff stream is a pure function of the event log, and
+        cross-checking every event never changes it."""
         trace = random_trace(45, 2, seed=seed + 200)
         fingerprints = set()
-        for backend in ("incremental", "differential"):
+        for replay in (TwinSession.replay, checked_replay):
             for _ in range(2):
-                session = TwinSession(trace.g, backend=backend)
-                fingerprints.add(twin_fingerprint(session.replay(trace)))
+                session = TwinSession(trace.g)
+                fingerprints.add(twin_fingerprint(replay(session, trace.events)))
         assert len(fingerprints) == 1
 
     @pytest.mark.parametrize("seed", range(4))
     def test_machine_audits_committed_history(self, seed):
         trace = random_trace(60, 3, seed=seed + 300)
-        session = TwinSession(trace.g, backend="incremental")
+        session = TwinSession(trace.g)
         session.replay(trace)
         sim = BatchMachine(trace.g).audit_twin(session)
         assert sim.active_slots == len(session.committed_slots)
+
+
+def _failing_grow(min_jobs):
+    """Planted fault: ``_grow`` fails once the session holds ``min_jobs``
+    jobs, so repair rejects feasible work."""
+    real_grow = TwinSession._grow
+
+    def grow(self, prefer):
+        if len(self._jobs) < min_jobs:
+            return real_grow(self, prefer)
+        return False, []
+
+    return grow
+
+
+class _DropsASlot(TwinSession):
+    """Planted fault: the synced plan loses its latest open slot."""
+
+    def _settle(self):
+        super()._settle()
+        if self._open:
+            self._open.discard(max(self._open))
+
+
+class TestOracleCatchesFaults:
+    def test_rejected_feasible_arrival_caught(self, monkeypatch):
+        monkeypatch.setattr(TwinSession, "_grow", _failing_grow(0))
+        session = TwinSession(1)
+        event = JobArrived(Job(id=0, release=0, deadline=4, processing=1))
+        diff = session.apply(event)
+        assert not diff.accepted
+        with pytest.raises(TwinMismatchError, match="rejected") as info:
+            cross_check_twin(session, diff)
+        assert info.value.event == event
+
+    def test_infeasible_plan_caught(self):
+        session = _DropsASlot(1)
+        event = JobArrived(Job(id=0, release=0, deadline=2, processing=2))
+        diff = session.apply(event)
+        assert diff.accepted
+        assert session.open_slots == (0,)
+        with pytest.raises(TwinMismatchError, match="reference flow rejects"):
+            cross_check_twin(session, diff)
+
+    def test_twin_fuzz_reports_the_failing_event(self, monkeypatch):
+        """Armed from the third job on, so the campaign counts clean
+        events before the failing one."""
+        monkeypatch.setattr(TwinSession, "_grow", _failing_grow(3))
+        config = TwinFuzzConfig(n_traces=1, n_events=30, seed=5)
+        result = run_twin_fuzz(config)
+        assert not result.ok
+        (mismatch,) = result.mismatches
+        assert mismatch["trace"] == 0
+        assert "rejected" in mismatch["error"]
+        # The failing event is reported by index and is not counted.
+        assert mismatch["event_index"] == result.events > 0
+        assert result.accepted + result.rejected == result.events
+        assert isinstance(
+            twin_trace_for(config, 0).events[mismatch["event_index"]],
+            JobArrived,
+        )
 
 
 class TestTwinFuzz:
