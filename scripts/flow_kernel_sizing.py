@@ -9,13 +9,18 @@ networks the probers actually build:
   write every capacity, augment once);
 * warm greedy: ``minimal_feasible_slots(order="right_to_left")``, a
   binary search per coverage segment, warm on one segment network;
-* warm exact: ``solve_exact`` (greedy incumbent plus branch and bound).
+* warm exact: ``solve_exact`` (greedy incumbent plus branch and bound);
+* cold node flow: one ``node_assignment`` on the rounded ``x̃`` of a
+  ``solve_nested`` run (build the open-node Lemma 4.1 network, probe
+  once, read the flows).
 
 Instances are the benchmark's planted laminar shapes (T = 3n, n/4
 windows, p <= 3), so the arc counts cover the corpus, ``verify-campaign``
 and ``batch-dense`` sizes.  It then checks that every prober network of
-one ``batch-dense`` cycle is at or above the constant, so that workload
-stays on the CSR kernel.  Run from the repository root::
+three ``batch-dense`` cycles, the precheck's segment network and
+``node_assignment``'s open-node network, is at or above the constant,
+so that workload stays on the CSR kernel.  Run from the repository
+root::
 
     PYTHONPATH=src python scripts/flow_kernel_sizing.py [--quick]
 
@@ -30,6 +35,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
@@ -38,8 +45,13 @@ from planted import planted_instance  # noqa: E402
 
 from repro.baselines.exact import BudgetExceeded, slot_classes, solve_exact  # noqa: E402
 from repro.baselines.minimal_feasible import minimal_feasible_slots  # noqa: E402
+from repro.core.algorithm import solve_nested  # noqa: E402
 from repro.flow import incremental  # noqa: E402
-from repro.flow.feasibility import all_slots_feasible, coverage_segments  # noqa: E402
+from repro.flow.feasibility import (  # noqa: E402
+    all_slots_feasible,
+    coverage_segments,
+    node_assignment,
+)
 from repro.instances.io import instance_from_dict  # noqa: E402
 
 #: Forced limits: every network on CSR, every network on the object kernel.
@@ -79,6 +91,25 @@ def class_arcs(inst) -> int:
     """Arcs of the exact search's slot-class prober network."""
     classes = slot_classes(inst)
     return inst.n + sum(len(c.jobs) for c in classes) + len(classes)
+
+
+def node_case(inst):
+    """``node_assignment``'s arguments after a ``solve_nested`` run: the
+    canonical instance, forest, job nodes and the rounded ``x̃``."""
+    result = solve_nested(inst)
+    canon = result.canonical
+    x = result.rounding.x_tilde.astype(int)
+    return canon.instance, canon.forest, canon.job_node, x
+
+
+def node_arcs(instance, forest, job_node, x) -> int:
+    """Arcs of ``node_assignment``'s network: source arcs, one arc from
+    each job to each open node of Des(k(j)), one sink arc per open node."""
+    open_pre = np.asarray(x)[forest.preorder] > 0
+    before = np.concatenate(([0], np.cumsum(open_pre)))
+    k_of = [job_node[job.id] for job in instance.jobs]
+    tin, tout = np.asarray(forest.tin)[k_of], np.asarray(forest.tout)[k_of]
+    return instance.n + int((before[tout] - before[tin]).sum()) + int(before[-1])
 
 
 def _instance(n: int, seed: int):
@@ -138,18 +169,30 @@ def main(argv=None) -> int:
         times = _per_kernel(lambda: _exact(inst), max(3, repeats // 3))
         _row(n, class_arcs(inst), times)
 
-    # batch-dense: every prober network it builds (the precheck's) must
-    # stay on the CSR kernel, so that workload does not move.
-    smallest = min(
-        segment_arcs(instance_from_dict(op_instance("batch-dense", seed, k)))
-        for seed in (1, 2, 3)
-        for k in range(len(BATCH_DENSE))
-    )
-    print(f"\nsmallest batch-dense prober network: {smallest} arcs")
-    assert smallest >= incremental.SMALL_NETWORK_ARCS, (
-        f"a batch-dense prober network ({smallest} arcs) would run on the "
-        f"object kernel (SMALL_NETWORK_ARCS = {incremental.SMALL_NETWORK_ARCS})"
-    )
+    print("\n| node flow, n | arcs | CSR µs | object µs | object/CSR |")
+    print("|---|---|---|---|---|")
+    for n in cold_sizes:
+        case = node_case(_instance(n, seed=n))
+        times = _per_kernel(lambda: node_assignment(*case), repeats)
+        _row(n, node_arcs(*case), times)
+
+    # batch-dense: every prober network it builds (the precheck's and
+    # node_assignment's) must stay on the CSR kernel, so that workload
+    # does not move.
+    segments, nodes = [], []
+    for seed in (1, 2, 3):
+        for k in range(len(BATCH_DENSE)):
+            inst = instance_from_dict(op_instance("batch-dense", seed, k))
+            segments.append(segment_arcs(inst))
+            nodes.append(node_arcs(*node_case(inst)))
+    for label, arcs in (("segment", segments), ("node_assignment", nodes)):
+        smallest = min(arcs)
+        print(f"\nsmallest batch-dense {label} network: {smallest} arcs")
+        assert smallest >= incremental.SMALL_NETWORK_ARCS, (
+            f"a batch-dense {label} network ({smallest} arcs) would run on "
+            f"the object kernel (SMALL_NETWORK_ARCS = "
+            f"{incremental.SMALL_NETWORK_ARCS})"
+        )
     return 0
 
 

@@ -24,14 +24,14 @@ scipy's ``maximum_flow`` has a fixed cost per call (it validates the
 graph and builds its own sparse matrices; ~200–300 µs on a 2-vCPU host)
 that the Python kernel does not pay, so the CSR kernel wins only on
 networks of some size.  The
-Lemma 4.1 node network whose per-edge flows are read
-(:func:`~repro.flow.feasibility.node_assignment`) and the
 :class:`~repro.flow.incremental.ClassFlowProber` networks of at least
-:data:`~repro.flow.incremental.SMALL_NETWORK_ARCS` arcs run here.  The
-list-backed :class:`~repro.flow.dinic.MaxFlow` is the kernel of the
-smaller prober networks and of the twin, this kernel's fallback for
-capacities scipy cannot take, and the reference the tests compare it
-against.
+:data:`~repro.flow.incremental.SMALL_NETWORK_ARCS` arcs run here; every
+network of :mod:`repro.flow.feasibility`, the Lemma 4.1 network of
+:func:`~repro.flow.feasibility.node_assignment` included, is such a
+prober.  The list-backed :class:`~repro.flow.dinic.MaxFlow` is the
+kernel of the smaller prober networks and of the twin, this kernel's
+fallback for capacities scipy cannot take, and the reference the tests
+compare it against.
 """
 
 from __future__ import annotations

@@ -18,18 +18,17 @@ shape:
   the paper's introduction) is their test oracle in
   :mod:`repro.verify.reference`.
 * **Node level** — given a per-node open-slot count ``x̃`` on the window
-  forest, build the paper's Lemma 4.1 network ``s → jobs → nodes → t``
-  with capacities ``(p_j, x̃(i), g·x̃(i))``.  Equivalent to the per-slot
+  forest, the paper's Lemma 4.1 network ``s → jobs → nodes → t`` with
+  capacities ``(p_j, x̃(i), g·x̃(i))``.  Equivalent to the per-slot
   network for laminar instances because slots in a node's exclusive
-  region are interchangeable, and much smaller.
+  region are interchangeable, and much smaller.  :func:`node_prober`
+  keeps a bucket for every node; :func:`node_assignment` keeps only the
+  open ones and reads its units off the flow.
 
-The node builder assembles its edge list as flat arrays and adds it in
-one :meth:`~repro.flow.dinic.MaxFlow.add_edges` call on the
-:class:`~repro.flow.csr.CSRMaxFlow` kernel, so flow extraction
-vectorizes over the resulting id arrays.  The segment level and
-:func:`node_prober` hand their bucket memberships to a
-:class:`~repro.flow.incremental.ClassFlowProber` as CSR
-:class:`~repro.flow.incremental.Buckets` arrays.
+Both levels hand their bucket memberships, computed with prefix sums and
+one sort, to a :class:`~repro.flow.incremental.ClassFlowProber` as CSR
+:class:`~repro.flow.incremental.Buckets` arrays, so every network here
+follows the prober's one size rule for its kernel.
 """
 
 from __future__ import annotations
@@ -40,8 +39,6 @@ import numpy as np
 
 from repro.core.schedule import Runs, Schedule
 from repro.flow.assignment import spread_runs
-from repro.flow.csr import CSRMaxFlow
-from repro.flow.dinic import MaxFlow
 from repro.flow.incremental import Buckets, ClassFlowProber, make_prober
 from repro.instances.jobs import Instance
 from repro.tree.node import WindowForest
@@ -63,20 +60,17 @@ def _ranges(lo: np.ndarray, cnt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner, np.arange(owner.size) + shift
 
 
-def _job_blocks(
-    cnt: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Edge layout of per-job blocks: job ``k``'s source edge, then its
-    ``cnt[k]`` window edges — the historical per-job insertion order.
+def _group(owner: np.ndarray, key: np.ndarray, n_keys: int, n_owners: int) -> Buckets:
+    """The ``(key, owner)`` pairs as buckets: bucket ``k`` lists the
+    owners paired with key ``k``, ascending.
 
-    Returns ``(starts, job_of, within, pos)``: the position of each
-    job's source edge, and per window edge its job, its rank within the
-    job's block and its position.
+    The pairs must be distinct.  One sort of the pairs encoded as
+    ``key·n_owners + owner`` groups them; it costs a fraction of a
+    stable argsort by key (a timsort on int64) and the gather after it.
     """
-    block = cnt + 1
-    starts = np.cumsum(block) - block
-    job_of, within = _ranges(np.zeros_like(cnt), cnt)
-    return starts, job_of, within, np.repeat(starts + 1, cnt) + within
+    members = np.sort(key * n_owners + owner) % n_owners
+    sizes = np.bincount(key, minlength=n_keys)
+    return Buckets(members, np.concatenate(([0], np.cumsum(sizes))))
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +99,8 @@ def coverage_segments(instance: Instance) -> Segments:
     the jobs whose windows contain it.  All slots of a segment are
     covered by the same windows, so they are interchangeable.  Job ``j``
     covers the contiguous cut range ``[lo_j, hi_j)``, so the (segment,
-    job) pairs come from prefix sums and one stable sort by segment
-    keeps each segment's jobs ascending.
+    job) pairs come from prefix sums, grouped by segment with each
+    segment's jobs ascending.
     """
     jobs = instance.jobs
     n = len(jobs)
@@ -116,12 +110,12 @@ def coverage_segments(instance: Instance) -> Segments:
     lo = np.searchsorted(cuts, rels)
     cnt = np.searchsorted(cuts, deads) - lo
     job_of, segment = _ranges(lo, cnt)
-    sizes = np.bincount(segment, minlength=max(cuts.size - 1, 0))
+    buckets = _group(job_of, segment, max(cuts.size - 1, 0), n)
+    sizes = np.diff(buckets.ptr)
     covered = sizes > 0
     ptr = np.concatenate(([0], np.cumsum(sizes[covered])))
-    members = job_of[np.argsort(segment, kind="stable")]
     return Segments(
-        cuts[:-1][covered], cuts[1:][covered], Buckets(members, ptr)
+        cuts[:-1][covered], cuts[1:][covered], Buckets(buckets.members, ptr)
     )
 
 
@@ -219,88 +213,36 @@ def extract_schedule(
 # ---------------------------------------------------------------------------
 
 
-def node_edges(
+def _node_buckets(
     instance: Instance,
     forest: WindowForest,
     job_node: Mapping[int, int],
-    x: Sequence[int],
-) -> tuple[np.ndarray, ...]:
-    """Edge arrays of the Lemma 4.1 network ``s → jobs → nodes → t``.
+    open_mask: np.ndarray | None = None,
+) -> Buckets:
+    """Bucket memberships of the Lemma 4.1 network.
 
-    Node ids: job positions ``0..n-1``, tree node ``i`` at ``n + i``,
-    then source and sink.  Per job (in ``instance.jobs`` order) its
-    source edge, then one edge to each node of ``Des(k(j))`` with
-    ``x(i) > 0`` in preorder; then the node→sink edges by node id.  A
-    job's admissible open nodes are a contiguous run of the open nodes
-    in preorder — the preorder range ``[tin, tout)`` of ``k(j)`` — so
-    every edge is laid out by prefix sums instead of one Python step per
-    edge.  :func:`repro.verify.reference.reference_node_edges` is the
-    per-job loop it must match.
-
-    Returns ``(us, vs, caps, edge_pos, edge_node, edge_jid)``: the edge
-    arrays in insertion order, then the positions of the job→node edges
-    in them with each edge's tree node and job id.
+    Job ``j`` may use every node of ``Des(k(j))``, the contiguous
+    preorder range ``[tin, tout)`` of ``k(j)``, so its (node, job) pairs
+    come from prefix sums, grouped by node with each node's jobs
+    ascending.  Bucket ``i`` is node ``i``; with ``open_mask``, only the
+    nodes it marks get buckets, in node order, and the ranges are
+    renumbered over the marked nodes in preorder.
     """
     jobs = instance.jobs
-    n_jobs = instance.n
-    source = n_jobs + forest.m
-    sink = source + 1
-    xs = np.asarray(x)
     preorder = np.asarray(forest.preorder, dtype=np.int64)
-    open_pre = xs[preorder] > 0
-    open_nodes = preorder[open_pre]
-    before = np.concatenate(([0], np.cumsum(open_pre)))  # open nodes before
     tin = np.asarray(forest.tin, dtype=np.int64)
     tout = np.asarray(forest.tout, dtype=np.int64)
+    if open_mask is not None:
+        kept = open_mask[preorder]
+        before = np.concatenate(([0], np.cumsum(kept)))  # kept nodes before
+        tin, tout = before[tin], before[tout]
+        preorder = (np.cumsum(open_mask) - 1)[preorder[kept]]
     k_of = np.fromiter(
-        (job_node[job.id] for job in jobs), dtype=np.int64, count=n_jobs
+        (job_node[job.id] for job in jobs), dtype=np.int64, count=len(jobs)
     )
-    lo = before[tin[k_of]]
-    cnt = before[tout[k_of]] - lo
-    starts, job_of, within, edge_pos = _job_blocks(cnt)
-    edge_node = open_nodes[lo[job_of] + within]
-    sinks = np.flatnonzero(xs > 0)
-    size = n_jobs + edge_pos.size
-    us = np.empty(size + sinks.size, dtype=np.int64)
-    vs = np.empty(size + sinks.size, dtype=np.int64)
-    caps = np.empty(size + sinks.size, dtype=float)
-    us[starts] = source
-    vs[starts] = np.arange(n_jobs)
-    caps[starts] = np.fromiter(
-        (job.processing for job in jobs), dtype=float, count=n_jobs
-    )
-    us[edge_pos] = job_of
-    vs[edge_pos] = n_jobs + edge_node
-    caps[edge_pos] = xs[edge_node]
-    us[size:] = n_jobs + sinks
-    vs[size:] = sink
-    caps[size:] = instance.g * xs[sinks]
-    ids = np.fromiter((job.id for job in jobs), dtype=np.int64, count=n_jobs)
-    return us, vs, caps, edge_pos, edge_node, ids[job_of]
-
-
-def _node_network(
-    instance: Instance,
-    forest: WindowForest,
-    job_node: Mapping[int, int],
-    x: Sequence[int],
-) -> tuple[MaxFlow, tuple[np.ndarray, np.ndarray, np.ndarray], int, int]:
-    """Lemma 4.1 network: ``s → jobs → nodes → t``.
-
-    A job ``j`` may use nodes in ``Des(k(j))`` with per-node cap ``x(i)``;
-    node ``i`` forwards at most ``g·x(i)`` to the sink.  Returns
-    ``(net, (edge_ids, node, job_id), source, sink)`` with the three
-    parallel arrays describing the job→node edges (see
-    :func:`node_edges`).
-    """
-    us, vs, caps, edge_pos, edge_node, edge_jid = node_edges(
-        instance, forest, job_node, x
-    )
-    source = instance.n + forest.m
-    net = CSRMaxFlow(source + 2)
-    net.add_edges(us, vs, caps)
-    # add_edges hands out even ids in insertion order: edge k is 2k.
-    return net, (2 * edge_pos, edge_node, edge_jid), source, source + 1
+    lo = tin[k_of]
+    job_of, rank = _ranges(lo, tout[k_of] - lo)
+    return _group(job_of, preorder[rank], preorder.size, len(jobs))
 
 
 def node_prober(
@@ -311,25 +253,13 @@ def node_prober(
     """Reusable Lemma 4.1 prober: build the node network once, probe many x̃.
 
     Returns an object with ``probe(x) -> bool`` (see
-    :mod:`repro.flow.incremental`); repeated probes over the same
-    instance/forest warm-start from the previous flow instead of
-    rebuilding the network.
+    :mod:`repro.flow.incremental`), one bucket per node; repeated probes
+    over the same instance/forest warm-start from the previous flow
+    instead of rebuilding the network.
     """
-    jobs = instance.jobs
-    n_jobs = len(jobs)
-    # Des(k(j)) is the contiguous preorder range [tin, tout) of k(j).
-    preorder = np.asarray(forest.preorder, dtype=np.int64)
-    k_of = np.fromiter(
-        (job_node[job.id] for job in jobs), dtype=np.int64, count=n_jobs
-    )
-    lo = np.asarray(forest.tin, dtype=np.int64)[k_of]
-    cnt = np.asarray(forest.tout, dtype=np.int64)[k_of] - lo
-    job_of, rank = _ranges(lo, cnt)
-    node = preorder[rank]
-    ptr = np.concatenate(([0], np.cumsum(np.bincount(node, minlength=forest.m))))
     return make_prober(
-        [job.processing for job in jobs],
-        Buckets(job_of[np.argsort(node, kind="stable")], ptr),
+        [job.processing for job in instance.jobs],
+        _node_buckets(instance, forest, job_node),
         instance.g,
     )
 
@@ -356,21 +286,30 @@ def node_assignment(
     job_node: Mapping[int, int],
     x: Sequence[int],
 ) -> dict[tuple[int, int], int] | None:
-    """Integral per-(node, job) units ``y(i, j)``, or ``None`` if infeasible."""
+    """Integral per-(node, job) units ``y(i, j)``, or ``None`` if infeasible.
+
+    One probe of the Lemma 4.1 network restricted to the open nodes
+    (``x(i) > 0``): a closed node takes no units, and leaving it out
+    keeps a one-shot network small.  The units are the flows on its
+    job→node arcs (:meth:`~repro.flow.incremental.ClassFlowProber.member_flows`).
+    """
     if instance.n == 0:
         return {}
-    net, (eids, nodes, jids), s, t = _node_network(
-        instance, forest, job_node, x
-    )
-    if net.max_flow(s, t) != instance.total_volume:
+    jobs = instance.jobs
+    xs = np.asarray(x, dtype=np.int64)
+    open_mask = xs > 0
+    nodes = np.flatnonzero(open_mask)
+    buckets = _node_buckets(instance, forest, job_node, open_mask)
+    prober = ClassFlowProber([job.processing for job in jobs], buckets, instance.g)
+    if not prober.probe(xs[nodes]):
         return None
-    icap = np.asarray(net._initial_cap, dtype=float)
-    cap = np.asarray(net.cap, dtype=float)
-    flows = icap[eids] - cap[eids]
+    flows = prober.member_flows()
     keep = np.flatnonzero(flows > 0.5)
+    bucket = np.searchsorted(buckets.ptr, keep, side="right") - 1
+    ids = np.fromiter((job.id for job in jobs), dtype=np.int64, count=len(jobs))
     return dict(
         zip(
-            zip(nodes[keep].tolist(), jids[keep].tolist()),
+            zip(nodes[bucket].tolist(), ids[buckets.members[keep]].tolist()),
             np.rint(flows[keep]).astype(np.int64).tolist(),
         )
     )

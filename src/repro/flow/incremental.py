@@ -349,9 +349,7 @@ class ClassFlowProber:
     Drop-in for the from-scratch class-flow test: ``probe(counts)``
     answers "can every job finish inside ``counts[i]`` open slots per
     bucket at machine capacity ``g``?" — but builds the network once and
-    repairs/augments between probes instead of rebuilding.  The network
-    is assembled with array operations; the first probe, while no flow
-    runs, writes every capacity in one bulk step, and later probes
+    repairs/augments between probes instead of rebuilding.  Later probes
     rebase only the buckets whose count changed.
 
     ``buckets`` is a :class:`Buckets` or one list of job positions per
@@ -359,10 +357,14 @@ class ClassFlowProber:
     ``n_jobs + Σ|bucket| + n_buckets``: below :data:`SMALL_NETWORK_ARCS`
     the list-backed :class:`~repro.flow.dinic.MaxFlow`, whose Python
     Dinic costs less than scipy's fixed per-call set-up on a small
-    network; at or above it :class:`~repro.flow.csr.CSRMaxFlow`.  A
-    max-flow's value is unique, so the verdicts do not depend on the
-    kernel; the flow itself (and the ``augmenting_paths`` and
-    ``units_*`` counters) may.
+    network; at or above it :class:`~repro.flow.csr.CSRMaxFlow`.  The
+    layout follows the kernel: a small network is laid out from the
+    bucket lists in Python and its first probe rebases bucket by bucket
+    from the all-zero state (a flow-free network needs no repair); a
+    large one is assembled with array operations and its first probe
+    writes every capacity in one bulk step.  A max-flow's value is
+    unique, so the verdicts do not depend on the kernel; the flow itself
+    (and the ``augmenting_paths`` and ``units_*`` counters) may.
     """
 
     def __init__(
@@ -371,8 +373,6 @@ class ClassFlowProber:
         buckets: Buckets | Sequence[Sequence[int]],
         g: int,
     ) -> None:
-        buckets = Buckets.of(buckets)
-        members, ptr = buckets.members, buckets.ptr
         n_jobs = len(processings)
         n_buckets = len(buckets)
         self._p = list(processings)
@@ -380,45 +380,84 @@ class ClassFlowProber:
         self.g = g
         source = n_jobs + n_buckets
         sink = source + 1
-        size = n_jobs + members.size + n_buckets  # the network's arcs
-        kernel = MaxFlow if size < SMALL_NETWORK_ARCS else CSRMaxFlow
-        engine = IncrementalFlow(kernel(sink + 1), source, sink)
-        bucket_ids = np.arange(n_buckets, dtype=np.int64)
-        self._member_bucket = np.repeat(bucket_ids, np.diff(ptr))
-        # One bulk append in the historical per-edge order: the source
-        # edges, then per bucket its job edges and its sink edge, all at
-        # capacity 0.  Bucket ci's edges follow the ci sink edges and
-        # ptr[ci] job edges of the buckets before it.
-        job_pos = n_jobs + np.arange(members.size) + self._member_bucket
-        sink_pos = n_jobs + ptr[1:] + bucket_ids
-        us = np.empty(size, dtype=np.int64)
-        vs = np.empty(size, dtype=np.int64)
-        caps = np.zeros(size)
-        us[:n_jobs] = source
-        vs[:n_jobs] = np.arange(n_jobs)
-        caps[:n_jobs] = self._p
-        us[job_pos] = members
-        vs[job_pos] = n_jobs + self._member_bucket
-        us[sink_pos] = n_jobs + bucket_ids
-        vs[sink_pos] = sink
-        engine.add_edges(us, vs, caps)
-        # A fresh network numbers its edges 0, 2, 4, ... in order.
-        self._job_eids = 2 * job_pos
-        self._sink_eids = 2 * sink_pos
-        self._members = members
-        # The same as lists, for the per-edge warm path.
-        self._job_eid_list = self._job_eids.tolist()
-        self._sink_eid_list = self._sink_eids.tolist()
-        self._member_list = members.tolist()
-        self._ptr = ptr.tolist()
+        if isinstance(buckets, Buckets):
+            n_members = buckets.members.size
+        else:
+            n_members = sum(map(len, buckets))
+        size = n_jobs + n_members + n_buckets  # the network's arcs
+        if size < SMALL_NETWORK_ARCS:
+            engine = IncrementalFlow(MaxFlow(sink + 1), source, sink)
+            self._lay_out_lists(engine, buckets)
+        else:
+            engine = IncrementalFlow(CSRMaxFlow(sink + 1), source, sink)
+            self._lay_out_arrays(engine, Buckets.of(buckets))
         self._counts = [0] * n_buckets
         # Cut bookkeeping for O(1) infeasibility rejects: total sink
         # capacity, per-job slot room, and how many jobs lack room.
         self._sink_total = 0
         self._room = [0] * n_jobs
-        self._deficient = sum(1 for p in self._p if p > 0)
+        self._deficient = n_jobs - self._p.count(0)  # p_j >= 0 (source caps)
         self.engine = engine
         self._probed = False
+
+    def _lay_out_lists(self, engine: IncrementalFlow, buckets) -> None:
+        """Append the edges one list entry at a time, in the historical
+        per-edge order: the source edges, then per bucket its job edges
+        and its sink edge, all but the source edges at capacity 0."""
+        n_jobs = len(self._p)
+        us = [engine.source] * n_jobs
+        vs = list(range(n_jobs))
+        caps = list(self._p)
+        members: list[int] = []
+        ptr = [0]
+        job_eids: list[int] = []
+        sink_eids: list[int] = []
+        for node, bucket in enumerate(buckets, n_jobs):
+            for k in bucket:
+                job_eids.append(2 * len(us))  # edge ids are 0, 2, 4, ...
+                us.append(k)
+                vs.append(node)
+            sink_eids.append(2 * len(us))
+            us.append(node)
+            vs.append(engine.sink)
+            members += bucket
+            ptr.append(len(members))
+        caps += [0] * (len(us) - n_jobs)
+        engine.add_edges(us, vs, caps)
+        self._lists = (job_eids, sink_eids, members, ptr)
+
+    def _lay_out_arrays(self, engine: IncrementalFlow, buckets: Buckets) -> None:
+        """The same edges in one bulk append, laid out with array
+        operations."""
+        members, ptr = buckets.members, buckets.ptr
+        self._p_array = np.asarray(self._p, dtype=np.int64)
+        n_jobs = self._p_array.size
+        bucket_ids = np.arange(len(buckets), dtype=np.int64)
+        self._member_bucket = np.repeat(bucket_ids, np.diff(ptr))
+        # Bucket ci's edges follow the ci sink edges and ptr[ci] job
+        # edges of the buckets before it.
+        job_pos = n_jobs + np.arange(members.size) + self._member_bucket
+        sink_pos = n_jobs + ptr[1:] + bucket_ids
+        size = n_jobs + members.size + bucket_ids.size
+        us = np.empty(size, dtype=np.int64)
+        vs = np.empty(size, dtype=np.int64)
+        caps = np.zeros(size)
+        us[:n_jobs] = engine.source
+        vs[:n_jobs] = np.arange(n_jobs)
+        caps[:n_jobs] = self._p_array
+        us[job_pos] = members
+        vs[job_pos] = n_jobs + self._member_bucket
+        us[sink_pos] = n_jobs + bucket_ids
+        vs[sink_pos] = engine.sink
+        engine.add_edges(us, vs, caps)
+        # A fresh network numbers its edges 0, 2, 4, ... in order.
+        self._job_eids = 2 * job_pos
+        self._sink_eids = 2 * sink_pos
+        self._members = members
+        self._ptr = ptr
+        # The same as lists, for the per-edge warm path: made by the
+        # first warm probe, so a one-shot probe never pays for them.
+        self._lists = None
 
     def probe(self, counts: Sequence[int]) -> bool:
         """Feasibility of the count vector; warm-starts from the last probe."""
@@ -429,11 +468,11 @@ class ClassFlowProber:
             )
         engine = self.engine
         _STATS.add(probes=1, rebuilds_avoided=int(self._probed))
-        if self._probed:
+        if self._probed or not isinstance(engine.net, CSRMaxFlow):
             self._write_changed(counts)
         else:
             self._write_all(counts)
-            self._probed = True
+        self._probed = True
         # Exact cut-based rejects (the reference answers False in both
         # cases too): the sink cut caps the flow at Σ g·c(i); the cut
         # isolating a single job caps it at Σp − p_j + Σ_{i∋j} c(i).
@@ -452,16 +491,17 @@ class ClassFlowProber:
         job) units summing to every job's processing time.
         """
         net = self.engine.net
-        icap = np.asarray(net._initial_cap, dtype=float)
-        cap = np.asarray(net.cap, dtype=float)
-        return icap[self._job_eids] - cap[self._job_eids]
+        icap, cap = net._initial_cap, net.cap
+        if isinstance(cap, np.ndarray):
+            return icap[self._job_eids] - cap[self._job_eids]
+        return np.array([icap[e] - cap[e] for e in self._lists[0]], dtype=float)
 
     def _write_all(self, counts: Sequence[int]) -> None:
         """Write every bucket's counts in one bulk step.
 
-        Only for the first probe: the network carries no flow yet, so
-        each capacity is a plain write and the room/deficit/sink-total
-        bookkeeping is recomputed whole.
+        Only for the first probe of a network laid out as arrays: it
+        carries no flow yet, so each capacity is a plain write and the
+        room/deficit/sink-total bookkeeping is recomputed whole.
         """
         c = np.maximum(np.asarray(counts, dtype=np.int64), 0)
         member_c = c[self._member_bucket]
@@ -473,27 +513,48 @@ class ClassFlowProber:
             self._members, weights=member_c, minlength=len(self._room)
         ).astype(np.int64)
         self._room = room.tolist()
-        self._deficient = int(np.count_nonzero(room < self._p))
+        self._deficient = int(np.count_nonzero(room < self._p_array))
         self._sink_total = self.g * int(c.sum())
         self._counts = c.tolist()
 
     def _write_changed(self, counts: Sequence[int]) -> None:
         """Rebase the buckets whose count changed, one edge at a time
-        (each :meth:`IncrementalFlow.set_capacity` repairs flow)."""
+        (a drop goes through :meth:`IncrementalFlow.set_capacity`, which
+        repairs flow)."""
+        if isinstance(counts, np.ndarray):
+            counts = counts.tolist()
+        if self._lists is None:
+            self._lists = (
+                self._job_eids.tolist(),
+                self._sink_eids.tolist(),
+                self._members.tolist(),
+                self._ptr.tolist(),
+            )
+        job_eids, sink_eids, members, ptr = self._lists
         engine = self.engine
-        room, p = self._room, self._p
-        ptr, members = self._ptr, self._member_list
-        job_eids, sink_eids = self._job_eid_list, self._sink_eid_list
+        icap, cap = engine.net._initial_cap, engine.net.cap
+        room, p, g = self._room, self._p, self.g
         for ci, c in enumerate(counts):
             c = max(0, c)
             dc = c - self._counts[ci]
             if dc == 0:
                 continue
             lo, hi = ptr[ci], ptr[ci + 1]
-            for eid in job_eids[lo:hi]:
-                engine.set_capacity(eid, c)
-            engine.set_capacity(sink_eids[ci], self.g * c)
-            self._sink_total += self.g * dc
+            if dc > 0:
+                # A raise strands no flow: the bucket's arcs (at the old
+                # count, and g times it) keep their flow and gain dc
+                # (g·dc) of headroom, as set_capacity would give them.
+                for eid in job_eids[lo:hi]:
+                    icap[eid] = c
+                    cap[eid] += dc
+                eid = sink_eids[ci]
+                icap[eid] = g * c
+                cap[eid] += g * dc
+            else:
+                for eid in job_eids[lo:hi]:
+                    engine.set_capacity(eid, c)
+                engine.set_capacity(sink_eids[ci], g * c)
+            self._sink_total += g * dc
             for k in members[lo:hi]:
                 before = room[k]
                 room[k] = before + dc

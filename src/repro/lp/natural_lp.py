@@ -24,9 +24,6 @@ class SlotLPSolution:
     x: dict[int, float]
     y: dict[tuple[int, int], float]  # (slot, job id) -> extent
 
-    def open_extent(self) -> float:
-        return float(sum(self.x.values()))
-
 
 def _xname(t: int) -> str:
     return f"x[{t}]"

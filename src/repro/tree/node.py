@@ -240,9 +240,6 @@ class WindowForest:
         postorder guarantees children before parents)."""
         return list(self.postorder)
 
-    def job_count(self) -> int:
-        return sum(len(n.job_ids) for n in self.nodes)
-
     def validate_laminar_partition(self) -> None:
         """Assert siblings are pairwise disjoint (defensive check)."""
         for node in self.nodes:

@@ -190,13 +190,6 @@ class TwinSession:
         """Future plan: job id → slots ≥ now (complete for remaining work)."""
         return dict(self._planned)
 
-    def full_assignment(self) -> dict[int, tuple[int, ...]]:
-        """Executed history + future plan, per admitted job."""
-        out: dict[int, tuple[int, ...]] = {}
-        for jid, record in self._jobs.items():
-            out[jid] = tuple(record.executed) + self._planned.get(jid, ())
-        return out
-
     def remaining_instance(self) -> Instance:
         """The outstanding work as a static instance (windows clamped to now)."""
         jobs = tuple(

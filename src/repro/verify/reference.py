@@ -4,9 +4,7 @@ Production code has one path per layer; the implementations those paths
 replaced live here as test oracles: the from-scratch flow probers
 (:class:`ReferenceFlowProber`, and :class:`DifferentialFlowProber`,
 which runs both and raises :class:`FlowMismatchError` on disagreement),
-the per-job Lemma 4.1 edge loop :func:`reference_node_edges` (the edges
-:func:`~repro.flow.feasibility.node_edges` must lay out), the per-row LP
-builds, which must compile to the same model as
+the per-row LP builds, which must compile to the same model as
 :func:`~repro.lp.nested_lp.build_nested_lp` /
 :func:`~repro.lp.cw_lp.build_cw_lp`, and the per-slot schedule paths:
 :func:`spread_units` / :func:`reference_slot_assignment` (the per-unit
@@ -195,46 +193,6 @@ class DifferentialFlowProber:
                 reference=slow,
             )
         return fast
-
-
-def reference_node_edges(
-    instance: Instance,
-    forest: WindowForest,
-    job_node: Mapping[int, int],
-    x: Sequence[int],
-) -> tuple[list, ...]:
-    """Per-job loop over the Lemma 4.1 network's edges.
-
-    :func:`~repro.flow.feasibility.node_edges` must return the same
-    ``(us, vs, caps, edge_pos, edge_node, edge_jid)`` (as arrays).
-    """
-    n_jobs = instance.n
-    source = n_jobs + forest.m
-    sink = source + 1
-    us: list[int] = []
-    vs: list[int] = []
-    caps: list[float] = []
-    edge_pos: list[int] = []
-    edge_node: list[int] = []
-    edge_jid: list[int] = []
-    for k, job in enumerate(instance.jobs):
-        us.append(source)
-        vs.append(k)
-        caps.append(job.processing)
-        for i in forest.descendants(job_node[job.id]):
-            if x[i] > 0:
-                edge_pos.append(len(us))
-                edge_node.append(i)
-                edge_jid.append(job.id)
-                us.append(k)
-                vs.append(n_jobs + i)
-                caps.append(x[i])
-    for i in range(forest.m):
-        if x[i] > 0:
-            us.append(n_jobs + i)
-            vs.append(sink)
-            caps.append(instance.g * x[i])
-    return us, vs, caps, edge_pos, edge_node, edge_jid
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
-"""Shared fixtures: canonical example instances reused across test modules."""
+"""Shared fixtures: canonical example instances reused across test modules,
+and the flow-kernel switch."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.flow import incremental
+from repro.flow.csr import CSRMaxFlow
+from repro.flow.dinic import MaxFlow
 from repro.instances.families import natural_gap, rigid_chain, section5_gap
 from repro.instances.generators import laminar_suite, random_laminar
 from repro.instances.jobs import Instance, Job
@@ -56,3 +60,11 @@ def crossing_instance() -> Instance:
     return Instance.from_triples(
         [(0, 3, 1), (2, 5, 1)], g=1, name="crossing"
     )
+
+
+@pytest.fixture(params=["csr", "object"])
+def each_kernel(request, monkeypatch):
+    """Force every prober built in the test onto one kernel."""
+    limit = 0 if request.param == "csr" else 10**9
+    monkeypatch.setattr(incremental, "SMALL_NETWORK_ARCS", limit)
+    return CSRMaxFlow if request.param == "csr" else MaxFlow

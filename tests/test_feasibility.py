@@ -2,22 +2,26 @@
 
 import random
 import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro.corpus.store import iter_corpus
+from repro.flow import feasibility, incremental
 from repro.flow.csr import CSRMaxFlow
+from repro.flow.dinic import MaxFlow
 from repro.flow.feasibility import (
-    _node_network,
+    _node_buckets,
     all_slots_feasible,
     coverage_segments,
     extract_schedule,
     node_assignment,
-    node_edges,
     node_feasible,
     node_prober,
     slot_feasible,
 )
-from repro.flow.incremental import Buckets
+from repro.flow.incremental import Buckets, ClassFlowProber
 from repro.instances.generators import random_laminar
 from repro.instances.jobs import Instance, Job
 from repro.tree.canonical import canonicalize
@@ -25,7 +29,6 @@ from repro.tree.laminar import build_forest
 from repro.verify.reference import (
     ReferenceFlowProber,
     flow_prober,
-    reference_node_edges,
     reference_slot_feasible,
 )
 
@@ -342,6 +345,13 @@ class TestNodeProberBuckets:
             cases += 1
         assert cases == 240
 
+    def test_open_node_buckets_match_the_per_job_loop(self):
+        for instance, forest, job_node, x in _forest_cases(40):
+            open_mask = np.asarray(x) > 0
+            buckets = _node_buckets(instance, forest, job_node, open_mask)
+            every = _per_job_node_buckets(instance, forest, job_node)
+            assert list(buckets) == [every[i] for i in np.flatnonzero(open_mask)]
+
 
 class _Recorder(ReferenceFlowProber):
     """Keeps the buckets object it was handed."""
@@ -351,31 +361,108 @@ class _Recorder(ReferenceFlowProber):
         self.handed = buckets
 
 
-class TestNodeEdges:
-    """The array-built Lemma 4.1 network equals the per-job loop."""
+CORPUS = Path(__file__).resolve().parents[1] / "data" / "corpus_smoke"
 
-    def test_edges_match_the_per_job_loop(self):
-        cases = 0
-        for instance, forest, job_node, x in _forest_cases(40):
-            fast = node_edges(instance, forest, job_node, x)
-            slow = reference_node_edges(instance, forest, job_node, x)
-            for got, want in zip(fast, slow):
-                assert got.tolist() == list(want)
-            cases += 1
-        assert cases == 240
 
-    def test_edge_ids_match_the_per_job_loop(self):
-        for instance, forest, job_node, x in _forest_cases(15):
-            net, (eids, nodes, jids), _, _ = _node_network(
-                instance, forest, job_node, x
-            )
-            us, vs, caps, pos, ref_nodes, ref_jids = reference_node_edges(
-                instance, forest, job_node, x
-            )
-            ref = CSRMaxFlow(instance.n + forest.m + 2)
-            ref_ids = ref.add_edges(us, vs, caps)
-            assert net.to.tolist() == ref.to.tolist()
-            assert net._initial_cap.tolist() == ref._initial_cap.tolist()
-            assert eids.tolist() == [ref_ids[p] for p in pos]
-            assert nodes.tolist() == ref_nodes
-            assert jids.tolist() == ref_jids
+def _corpus_node_cases():
+    """The smoke corpus's laminar instances, canonical, each with every
+    node at full length and with a random ``x̃`` (zero entries
+    included)."""
+    rng = random.Random(26)
+    for entry in iter_corpus(CORPUS):
+        inst = entry.instance()
+        if not inst.is_laminar:
+            continue
+        canon = canonicalize(inst)
+        forest = canon.forest
+        m = forest.m
+        for x in (
+            [forest.length(i) for i in range(m)],
+            [rng.choice((0, 1, forest.length(i))) for i in range(m)],
+        ):
+            yield canon.instance, forest, canon.job_node, x
+
+
+def _check_node_assignment(instance, forest, job_node, x):
+    """``node_assignment``'s verdict and units against Lemma 4.1;
+    returns the verdict."""
+    y = node_assignment(instance, forest, job_node, x)
+    verdict = y is not None
+    assert verdict == node_feasible(instance, forest, job_node, x)
+    slots = [t for i in range(forest.m) for t in forest.exclusive_slots(i)[: x[i]]]
+    assert verdict == reference_slot_feasible(instance, slots)
+    if y is None:
+        return False
+    load = [0] * forest.m
+    per_job = {job.id: 0 for job in instance.jobs}
+    for (i, jid), units in y.items():
+        assert i in forest.descendants(job_node[jid]) and x[i] > 0
+        assert type(units) is int and 0 < units <= x[i]
+        load[i] += units
+        per_job[jid] += units
+    assert all(load[i] <= instance.g * x[i] for i in range(forest.m))
+    assert per_job == {job.id: job.processing for job in instance.jobs}
+    return True
+
+
+@pytest.mark.usefixtures("each_kernel")
+class TestNodeAssignment:
+    """``node_assignment`` probes the open-node Lemma 4.1 network on
+    either kernel: its verdict is the node and slot networks', and its
+    units are a valid integral assignment."""
+
+    def test_random_forests(self):
+        verdicts = {True: 0, False: 0}
+        for case in _forest_cases(40):
+            verdicts[_check_node_assignment(*case)] += 1
+        assert verdicts[True] >= 60 and verdicts[False] >= 60
+
+    def test_laminar_corpus(self):
+        verdicts = {True: 0, False: 0}
+        for case in _corpus_node_cases():
+            verdicts[_check_node_assignment(*case)] += 1
+        assert sum(verdicts.values()) == 2 * 347
+        assert verdicts[True] >= 347 and verdicts[False] >= 50
+
+
+class _Spy(ClassFlowProber):
+    """Keeps every prober ``node_assignment`` builds."""
+
+    built: list = []
+
+    def __init__(self, processings, buckets, g):
+        super().__init__(processings, buckets, g)
+        self.buckets = buckets
+        self.built.append(self)
+
+
+class TestNodeAssignmentNetwork:
+    def _built(self, monkeypatch, instance, x=None):
+        canon = canonicalize(instance)
+        forest = canon.forest
+        if x is None:
+            x = [forest.length(i) if i % 2 else 0 for i in range(forest.m)]
+        monkeypatch.setattr(feasibility, "ClassFlowProber", _Spy)
+        monkeypatch.setattr(_Spy, "built", [])
+        node_assignment(canon.instance, forest, canon.job_node, x)
+        (prober,) = _Spy.built
+        arcs = canon.instance.n + prober.buckets.members.size + len(prober.buckets)
+        return prober, arcs, sum(1 for c in x if c > 0)
+
+    def test_small_network_runs_on_the_object_kernel(self, monkeypatch):
+        prober, arcs, n_open = self._built(
+            monkeypatch, random_laminar(8, 2, horizon=20, seed=3)
+        )
+        assert arcs < incremental.SMALL_NETWORK_ARCS
+        assert type(prober.engine.net) is MaxFlow
+        assert len(prober.buckets) == n_open  # open nodes only
+
+    def test_large_network_runs_on_the_csr_kernel(self, monkeypatch):
+        windows = [(0, 40), (0, 20), (20, 40), (0, 10), (20, 30)]
+        instance = Instance.from_triples(
+            [(r, d, 1) for r, d in windows for _ in range(60)], g=8
+        )
+        prober, arcs, n_open = self._built(monkeypatch, instance)
+        assert arcs >= incremental.SMALL_NETWORK_ARCS
+        assert type(prober.engine.net) is CSRMaxFlow
+        assert len(prober.buckets) == n_open

@@ -32,6 +32,7 @@ from repro.flow.csr import CSRMaxFlow
 from repro.flow.dinic import MaxFlow
 from repro.flow.feasibility import all_slots_feasible
 from repro.flow.incremental import (
+    Buckets,
     ClassFlowProber,
     DynamicFlowProber,
     IncrementalFlow,
@@ -491,6 +492,34 @@ class TestBulkColdProbe:
                 assert per_edge.probe(counts) == verdict
                 assert _state(bulk) == _state(per_edge), (seed, counts)
 
+    def test_every_probe_leaves_a_valid_flow_at_the_counts(self):
+        """Raised buckets are rebased without ``set_capacity``: each
+        probe must still leave every arc at its count's capacity and a
+        valid flow of value ``engine.value``."""
+        for seed in range(150):
+            rng = random.Random(seed)
+            processings, buckets, g = _bucket_network(rng)
+            prober = ClassFlowProber(processings, buckets, g)
+            engine = prober.engine
+            for _ in range(8):
+                counts = _counts(rng, buckets)
+                prober.probe(counts)
+                want = list(processings)
+                for bucket, c in zip(buckets, counts):
+                    want += [max(0, c)] * len(bucket) + [g * max(0, c)]
+                net = engine.net
+                icap, cap, to = (list(a) for a in (net._initial_cap, net.cap, net.to))
+                assert icap[0::2] == want, (seed, counts)
+                balance = [0.0] * net.n
+                for eid in range(0, len(to), 2):
+                    flow = icap[eid] - cap[eid]
+                    assert 0 <= flow <= icap[eid] and cap[eid + 1] == flow
+                    balance[to[eid]] += flow
+                    balance[to[eid + 1]] -= flow
+                assert balance[engine.sink] == engine.value == -balance[engine.source]
+                inner = set(range(net.n)) - {engine.source, engine.sink}
+                assert all(balance[v] == 0 for v in inner), (seed, counts)
+
     def test_warm_probes_under_the_differential_prober(self):
         with flow_prober(DifferentialFlowProber):
             for seed in range(200):
@@ -529,12 +558,42 @@ class TestBulkColdProbe:
             engine.set_capacities([ids["s2"]], [1])
 
 
-@pytest.fixture(params=["csr", "object"])
-def each_kernel(request, monkeypatch):
-    """Force every prober built in the test onto one kernel."""
-    limit = 0 if request.param == "csr" else 10**9
-    monkeypatch.setattr(incremental, "SMALL_NETWORK_ARCS", limit)
-    return CSRMaxFlow if request.param == "csr" else MaxFlow
+class TestListLayout:
+    """A prober below the size rule lays out its arcs from the bucket
+    lists and takes its first probe bucket by bucket; it must leave the
+    arcs, capacities and cut bookkeeping of the array layout's bulk
+    write."""
+
+    def test_first_probe_matches_the_array_layout(self, monkeypatch):
+        for seed in range(200):
+            rng = random.Random(seed)
+            processings, buckets, g = _bucket_network(rng)
+            counts = _counts(rng, buckets)
+            monkeypatch.setattr(incremental, "SMALL_NETWORK_ARCS", 10**9)
+            small = ClassFlowProber(processings, buckets, g)
+            monkeypatch.setattr(incremental, "SMALL_NETWORK_ARCS", 0)
+            bulk = ClassFlowProber(processings, Buckets.of(buckets), g)
+            assert type(small.engine.net) is MaxFlow
+            assert type(bulk.engine.net) is CSRMaxFlow
+            assert small.probe(counts) == bulk.probe(counts)
+            assert list(small.engine.net.to) == bulk.engine.net.to.tolist()
+            assert (
+                list(small.engine.net._initial_cap)
+                == bulk.engine.net._initial_cap.tolist()
+            ), seed
+            assert _state(small)[2:] == _state(bulk)[2:], seed
+
+    def test_buckets_object_and_lists_lay_out_alike(self):
+        for seed in range(100):
+            processings, buckets, g = _bucket_network(random.Random(seed))
+            nets = [
+                ClassFlowProber(processings, form, g).engine.net
+                for form in (buckets, Buckets.of(buckets))
+            ]
+            assert all(type(net) is MaxFlow for net in nets)
+            assert nets[0].to == nets[1].to
+            assert nets[0].head == nets[1].head
+            assert nets[0]._initial_cap == nets[1]._initial_cap
 
 
 # The randomized prober-vs-reference tests once more on each kernel: the
