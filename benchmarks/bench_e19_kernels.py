@@ -17,8 +17,9 @@ A differential sweep re-runs 500 fuzz-corpus instances with the object
 Dinic as the reference side of every flow probe
 (:class:`repro.verify.reference.DifferentialFlowProber` builds its
 reference networks on :class:`repro.flow.dinic.MaxFlow`) and
-cross-checks the reference-vs-vectorized LP fingerprints — both must
-agree with zero mismatches.  The incremental side picks its kernel by
+cross-checks the reference-vs-vectorized LP builds — the compiled
+arrays, column names and row labels must agree (``same_compiled_model``;
+the ``*fingerprints*`` metric names predate it) with zero mismatches.  The incremental side picks its kernel by
 network size (``SMALL_NETWORK_ARCS``), so on these ≤ 10-job instances
 it runs on the object kernel too; the forced-CSR prober tests in
 ``tests/test_incremental_flow.py`` cross-check the CSR kernel's repair
@@ -50,7 +51,6 @@ from repro.instances.generators import (
 )
 from repro.lp.cw_lp import build_cw_lp
 from repro.lp.nested_lp import build_nested_lp
-from repro.solver.cache import model_fingerprint
 from repro.tree.canonical import canonicalize
 from repro.util.errors import InfeasibleInstanceError
 from repro.verify.fuzz import FuzzConfig, sample_instance
@@ -60,6 +60,7 @@ from repro.verify.reference import (
     reference_cw_lp,
     reference_nested_lp,
     reference_slot_network,
+    same_compiled_model,
 )
 
 #: Timing repetitions per kernel/path; the per-config wall is the best
@@ -164,10 +165,11 @@ def run_flow_workloads(configs=_FLOW_FULL, seed_shift: int = 0):
 
 
 def run_lp_builds(nested_depth=_NESTED_FULL, cw_config=_CW_FULL):
-    """Reference vs vectorized LP build+compile; fingerprints must match.
+    """Reference vs vectorized LP build+compile; the compiled models must
+    match (:func:`same_compiled_model`).
 
     Returns per-family rows, the (reference, vectorized) total walls, and
-    the number of fingerprint-identical families.
+    the number of identical families.
     """
     rows = []
     ref_total = vec_total = 0.0
@@ -195,13 +197,11 @@ def run_lp_builds(nested_depth=_NESTED_FULL, cw_config=_CW_FULL):
         (f"cw general({cw_jobs},{cw_g},h={cw_h})", cw),
     )
     for label, build in families:
-        ref_wall, (lp_ref, parts_ref) = _timed(lambda: build(False))
-        vec_wall, (lp_vec, parts_vec) = _timed(lambda: build(True))
+        ref_wall, (lp_ref, _) = _timed(lambda: build(False))
+        vec_wall, (lp_vec, _) = _timed(lambda: build(True))
         ref_total += ref_wall
         vec_total += vec_wall
-        match = model_fingerprint(lp_vec, parts_vec) == model_fingerprint(
-            lp_ref, parts_ref
-        )
+        match = same_compiled_model(lp_vec, lp_ref)
         identical += int(match)
         rows.append(
             [
@@ -218,10 +218,11 @@ def run_lp_builds(nested_depth=_NESTED_FULL, cw_config=_CW_FULL):
 def run_differential_sweep(per_family=_SWEEP_FULL, seed: int = 2022):
     """Every instance cross-checked two ways: flow probes through the
     differential prober (object-Dinic reference vs the incremental
-    engine) and reference-vs-vectorized LP fingerprints
-    (nested LP on laminar instances, CW LP otherwise).
+    engine) and reference-vs-vectorized LP builds compared with
+    :func:`same_compiled_model` (nested LP on laminar instances, CW LP
+    otherwise).
 
-    Returns (instances, probe count, fingerprint matches, mismatches).
+    Returns (instances, probe count, identical models, mismatches).
     """
     before = flow_stats()
     checked = 0
@@ -253,10 +254,7 @@ def run_differential_sweep(per_family=_SWEEP_FULL, seed: int = 2022):
                     else:
                         lp_vec = build_cw_lp(instance)
                         lp_ref = reference_cw_lp(instance)
-                    fingerprints += int(
-                        model_fingerprint(lp_vec, lp_vec.compile())
-                        == model_fingerprint(lp_ref, lp_ref.compile())
-                    )
+                    fingerprints += int(same_compiled_model(lp_vec, lp_ref))
                     checked += 1
     except Exception:
         mismatches += 1
@@ -306,7 +304,7 @@ def run_bench(ctx):
         ["family", "instances"],
         [[family, per_family] for family in _SWEEP_FAMILIES],
         title=f"E19 — differential sweep: {checked} instances, {probes} "
-        f"probes, {fingerprints} identical fingerprints, {mismatches} "
+        f"probes, {fingerprints} identical LP models, {mismatches} "
         "mismatches",
     )
     # Deterministic outcomes (exact-gated by `benchkit compare`).

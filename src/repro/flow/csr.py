@@ -156,7 +156,20 @@ class CSRMaxFlow(MaxFlow):
         vs: Sequence[int],
         caps: Sequence[float],
     ) -> list[int]:
-        """Bulk :meth:`add_edge`: append all arcs without touching ``head``."""
+        """Bulk :meth:`add_edge`: append all arcs without touching
+        ``head``; returns the even ids, in order."""
+        base = self._m
+        self.append_edges(us, vs, caps)
+        return list(range(base, self._m, 2))
+
+    def append_edges(
+        self,
+        us: Sequence[int],
+        vs: Sequence[int],
+        caps: Sequence[float],
+    ) -> None:
+        """:meth:`add_edges` without the id list: the arcs get the even
+        ids from the current edge count on, in order."""
         caps_arr = np.asarray(caps, dtype=float)
         if caps_arr.size and float(caps_arr.min()) < 0:
             bad = float(caps_arr[caps_arr < 0][0])
@@ -165,7 +178,7 @@ class CSRMaxFlow(MaxFlow):
         if len(us) != k or len(vs) != k:
             raise ValueError("us/vs/caps length mismatch")
         if k == 0:
-            return []
+            return
         base = self._m
         stop = base + 2 * k
         self._ensure(2 * k)
@@ -178,7 +191,6 @@ class CSRMaxFlow(MaxFlow):
         self._m = stop
         self._refresh_views()
         self._head_dirty = True
-        return list(range(base, stop, 2))
 
     def drop_edge(self, eid: int) -> None:
         super().drop_edge(eid)

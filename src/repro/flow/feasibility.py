@@ -91,17 +91,39 @@ class Segments(NamedTuple):
     buckets: Buckets
 
 
+#: Key under which :func:`coverage_segments` keeps an instance's segments
+#: in the instance's ``__dict__``, where ``functools.cached_property``
+#: keeps ``Instance.windows``.
+_SEGMENTS_KEY = "_coverage_segments"
+
+
 def coverage_segments(instance: Instance) -> Segments:
     """The covered elementary segments, in time order.
 
     The time axis is cut at every release and deadline.  Each elementary
     segment ``[c_k, c_{k+1})`` that some window covers is listed with
     the jobs whose windows contain it.  All slots of a segment are
-    covered by the same windows, so they are interchangeable.  Job ``j``
-    covers the contiguous cut range ``[lo_j, hi_j)``, so the (segment,
-    job) pairs come from prefix sums, grouped by segment with each
-    segment's jobs ascending.
+    covered by the same windows, so they are interchangeable.
+
+    The segments depend only on the instance, so they are computed once
+    per instance and every caller (precheck, greedy, extraction, exact)
+    shares them; their arrays are read-only.
     """
+    segments = instance.__dict__.get(_SEGMENTS_KEY)
+    if segments is None:
+        segments = _coverage_segments(instance)
+        buckets = segments.buckets
+        for a in (segments.starts, segments.ends, buckets.members, buckets.ptr):
+            a.flags.writeable = False
+        instance.__dict__[_SEGMENTS_KEY] = segments
+    return segments
+
+
+def _coverage_segments(instance: Instance) -> Segments:
+    """:func:`coverage_segments`, computed.  Job ``j`` covers the
+    contiguous cut range ``[lo_j, hi_j)``, so the (segment, job) pairs
+    come from prefix sums, grouped by segment with each segment's jobs
+    ascending."""
     jobs = instance.jobs
     n = len(jobs)
     rels = np.fromiter((j.release for j in jobs), dtype=np.int64, count=n)

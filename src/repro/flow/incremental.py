@@ -449,7 +449,7 @@ class ClassFlowProber:
         vs[job_pos] = n_jobs + self._member_bucket
         us[sink_pos] = n_jobs + bucket_ids
         vs[sink_pos] = engine.sink
-        engine.add_edges(us, vs, caps)
+        engine.net.append_edges(us, vs, caps)
         # A fresh network numbers its edges 0, 2, 4, ... in order.
         self._job_eids = 2 * job_pos
         self._sink_eids = 2 * sink_pos

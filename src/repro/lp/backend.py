@@ -8,12 +8,19 @@ cache and instrumentation around the one backend, HiGHS, called through
 the bindings bundled with scipy (``scipy.optimize._highspy._core``).
 The from-scratch simplex in :mod:`repro.verify.simplex` and scipy's
 ``linprog`` solve the same compiled form, as test oracles only.
+
+Column names and row labels may be given as strings or as a
+:class:`NameFamily`: the layout arrays and the formatter that produce
+them.  A family is formatted only when its names are read, so a bulk
+builder (:mod:`repro.lp.nested_lp`) whose solve reads values by column
+index never formats a string.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import chain
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix, vstack
@@ -39,17 +46,86 @@ _FAILURE_KINDS = {
 }
 
 
+class NameFamily:
+    """The names of a run of columns or rows, formatted when first read.
+
+    ``format(*arrays)`` returns the ``count`` names in order; it must be
+    a module-level function, whose qualified name is the family's
+    ``tag``.  ``tag``, ``count`` and ``arrays`` together determine the
+    names, so the solve cache keys a family by them
+    (:func:`~repro.solver.cache.model_fingerprint`) instead of by the
+    strings.  ``arrays`` are numpy arrays or plain ints.
+    """
+
+    __slots__ = ("tag", "count", "arrays", "_format", "_names")
+
+    def __init__(
+        self, count: int, format: Callable[..., Sequence[str]], *arrays
+    ) -> None:
+        tag = f"{format.__module__}.{format.__qualname__}"
+        if "<" in tag:  # a lambda or a nested function: not unique
+            raise ValueError(f"name formatter {tag} is not a module-level function")
+        self.tag = tag
+        self.count = count
+        self.arrays = arrays
+        self._format = format
+        self._names: tuple[str, ...] | None = None
+
+    def names(self) -> tuple[str, ...]:
+        if self._names is None:
+            names = tuple(self._format(*self.arrays))
+            if len(names) != self.count:
+                raise ValueError(
+                    f"name family {self.tag!r} formatted {len(names)} "
+                    f"names for {self.count} entries"
+                )
+            self._names = names
+        return self._names
+
+
+class Names:
+    """Column names or row labels in segments: tuples of strings and
+    :class:`NameFamily` runs, joined on first read of :meth:`all`."""
+
+    __slots__ = ("segments", "_all")
+
+    def __init__(self, segments: Sequence[tuple[str, ...] | NameFamily] = ()) -> None:
+        self.segments = tuple(segments)
+        self._all: tuple[str, ...] | None = None
+
+    def all(self) -> tuple[str, ...]:
+        if self._all is None:
+            self._all = tuple(
+                chain.from_iterable(
+                    seg.names() if isinstance(seg, NameFamily) else seg
+                    for seg in self.segments
+                )
+            )
+        return self._all
+
+
+class ModelNames(NamedTuple):
+    """What a solution's by-name views read: the column names, the row
+    labels of the compiled ``A_ub`` and ``A_eq`` blocks, and which
+    ``A_ub`` rows are negated ``>=`` rows."""
+
+    columns: Names = Names()
+    labels_ub: Names = Names()
+    negated_ub: np.ndarray | None = None
+    labels_eq: Names = Names()
+
+
 class LPSolution:
     """Result of an LP solve.
 
     A backend answer carries the solution *vector* ``x`` (one entry per
     column, in :meth:`LinearProgram.variable_names` order) and the row
-    marginals as arrays, bound to the model's column names and row
-    labels.  The by-name views :attr:`values` and :attr:`duals` are plain
-    dicts built from them on first read, so a caller that reads neither
-    (LP (1) reads ``x`` by column index) never builds them.  A solution
-    may also be given directly as a ``values`` (and ``duals``) dict; its
-    ``x`` is then ``None``.
+    marginals as arrays, bound to the model's :class:`ModelNames`.  The
+    by-name views :attr:`values` and :attr:`duals` are plain dicts built
+    from them on first read, and the names themselves are formatted only
+    then, so a caller that reads neither (LP (1) reads ``x`` by column
+    index) never builds them.  A solution may also be given directly as a
+    ``values`` (and ``duals``) dict; its ``x`` is then ``None``.
 
     Attributes
     ----------
@@ -81,8 +157,6 @@ class LPSolution:
         "marginals_ub",
         "marginals_eq",
         "_names",
-        "_meta_ub",
-        "_meta_eq",
         "_values",
         "_duals",
     )
@@ -95,11 +169,9 @@ class LPSolution:
         duals: Mapping[str, float] | None = None,
         *,
         x: np.ndarray | None = None,
-        names: Sequence[str] = (),
+        names: ModelNames = ModelNames(),
         marginals_ub: np.ndarray | None = None,
         marginals_eq: np.ndarray | None = None,
-        meta_ub: Sequence[tuple[str, str]] = (),
-        meta_eq: Sequence[str] = (),
     ) -> None:
         if x is not None and (values is not None or duals is not None):
             raise ValueError("give a solution as x or as dicts, not both")
@@ -109,8 +181,6 @@ class LPSolution:
         self.marginals_ub = marginals_ub
         self.marginals_eq = marginals_eq
         self._names = names
-        self._meta_ub = meta_ub
-        self._meta_eq = meta_eq
         self._values = values
         self._duals = duals
 
@@ -125,42 +195,38 @@ class LPSolution:
     def values(self) -> Mapping[str, float]:
         if self._values is None:
             x = () if self.x is None else self.x.tolist()
-            self._values = dict(zip(self._names, x))
+            self._values = dict(zip(self._names.columns.all(), x))
         return self._values
 
     @property
     def duals(self) -> Mapping[str, float]:
         if self._duals is None:
+            names = self._names
             duals: dict[str, float] = {}
             if self.marginals_ub is not None:
                 # ``>=`` rows were negated when compiled, so their dual
                 # flips sign back: nonnegative when binding.
-                for (label, sense), marg in zip(
-                    self._meta_ub, self.marginals_ub.tolist()
-                ):
+                margs = self.marginals_ub
+                if names.negated_ub is not None:
+                    margs = np.where(names.negated_ub, -margs, margs)
+                for label, marg in zip(names.labels_ub.all(), margs.tolist()):
                     if label:
-                        duals[label] = -marg if sense == ">=" else marg
+                        duals[label] = marg
             if self.marginals_eq is not None:
                 for label, marg in zip(
-                    self._meta_eq, self.marginals_eq.tolist()
+                    names.labels_eq.all(), self.marginals_eq.tolist()
                 ):
                     if label:
                         duals[label] = marg
             self._duals = duals
         return self._duals
 
-    def copy(
-        self,
-        names: Sequence[str] = (),
-        meta_ub: Sequence[tuple[str, str]] = (),
-        meta_eq: Sequence[str] = (),
-    ) -> "LPSolution":
+    def copy(self, names: ModelNames = ModelNames()) -> "LPSolution":
         """A copy that shares no mutable state with this solution.
 
         The copy of a vector solution holds copies of ``x`` and the
-        marginals, bound to the given column names and row labels (by
-        default none: only the arrays are kept).  A solution given as
-        dicts is copied as dicts.
+        marginals, bound to the given names (by default none: only the
+        arrays are kept).  A solution given as dicts is copied as dicts.
         """
         if self.x is None:
             return LPSolution(
@@ -173,8 +239,6 @@ class LPSolution:
             names=names,
             marginals_ub=_copied(self.marginals_ub),
             marginals_eq=_copied(self.marginals_eq),
-            meta_ub=meta_ub,
-            meta_eq=meta_eq,
         )
 
     def __getitem__(self, name: str) -> float:
@@ -214,11 +278,42 @@ class _ConstraintBlock:
     indptr: np.ndarray  # row k occupies data[indptr[k]:indptr[k+1]]
     sense: str  # "<=", ">=", "=="
     rhs: np.ndarray
-    labels: tuple[str, ...]
+    labels: tuple[str, ...] | NameFamily
 
     @property
     def nrows(self) -> int:
-        return len(self.labels)
+        return self.indptr.size - 1
+
+
+class _Segments:
+    """Names appended one at a time or as whole runs, kept as a list of
+    segments: runs as given, single names gathered into tuples."""
+
+    def __init__(self) -> None:
+        self._done: list[tuple[str, ...] | NameFamily] = []
+        self._pending: list[str] = []
+        self._names: Names | None = None
+
+    def one(self, name: str) -> None:
+        self._pending.append(name)
+        self._names = None
+
+    def run(self, names: tuple[str, ...] | NameFamily) -> None:
+        self._flush()
+        self._done.append(names)
+        self._names = None
+
+    def _flush(self) -> None:
+        if self._pending:
+            self._done.append(tuple(self._pending))
+            self._pending = []
+
+    def names(self) -> Names:
+        """The names so far; later appends leave the result unchanged."""
+        if self._names is None:
+            self._flush()
+            self._names = Names(self._done)
+        return self._names
 
 
 class _CsrAccumulator:
@@ -228,7 +323,8 @@ class _CsrAccumulator:
     hand-written models); blocks flush the pending lists and splice in
     as whole array segments, so bulk-built families never pay per-entry
     Python cost.  ``build`` concatenates everything in insertion order,
-    reproducing exactly the matrix the historical per-row path built.
+    reproducing exactly the matrix the historical per-row path built,
+    with the rows' labels and which rows were negated.
     """
 
     def __init__(self) -> None:
@@ -237,31 +333,36 @@ class _CsrAccumulator:
         self._indices: list[int] = []
         self._lens: list[int] = []
         self._rhs: list[float] = []
+        self._negated: list[bool] = []
+        self.labels = _Segments()
 
-    def row(self, coeffs: dict[int, float], rhs: float, negate: bool) -> None:
+    def row(self, con: _Constraint, negate: bool) -> None:
         if negate:
-            for i, v in coeffs.items():
+            for i, v in con.coeffs.items():
                 self._indices.append(i)
                 self._data.append(-v)
-            self._rhs.append(-rhs)
+            self._rhs.append(-con.rhs)
         else:
-            for i, v in coeffs.items():
+            for i, v in con.coeffs.items():
                 self._indices.append(i)
                 self._data.append(v)
-            self._rhs.append(rhs)
-        self._lens.append(len(coeffs))
+            self._rhs.append(con.rhs)
+        self._lens.append(len(con.coeffs))
+        self._negated.append(negate)
+        self.labels.one(con.label)
 
     def block(self, con: _ConstraintBlock, negate: bool) -> None:
         self._flush()
-        lens = np.diff(con.indptr)
         self._segments.append(
             (
                 -con.data if negate else con.data,
                 con.indices,
-                lens,
+                np.diff(con.indptr),
                 -con.rhs if negate else con.rhs,
+                np.full(con.nrows, negate),
             )
         )
+        self.labels.run(con.labels)
 
     def _flush(self) -> None:
         if self._rhs:
@@ -271,24 +372,25 @@ class _CsrAccumulator:
                     np.asarray(self._indices, dtype=np.int64),
                     np.asarray(self._lens, dtype=np.int64),
                     np.asarray(self._rhs, dtype=float),
+                    np.asarray(self._negated, dtype=bool),
                 )
             )
             self._data, self._indices = [], []
-            self._lens, self._rhs = [], []
+            self._lens, self._rhs, self._negated = [], [], []
 
     def build(self, n: int):
+        """``(matrix, rhs, negated)``, all ``None`` without rows."""
         self._flush()
         if not self._segments:
-            return None, None
-        data = np.concatenate([s[0] for s in self._segments])
-        indices = np.concatenate([s[1] for s in self._segments])
-        lens = np.concatenate([s[2] for s in self._segments])
-        rhs = np.concatenate([s[3] for s in self._segments])
+            return None, None, None
+        data, indices, lens, rhs, negated = (
+            np.concatenate(parts) for parts in zip(*self._segments)
+        )
         indptr = np.concatenate(([0], np.cumsum(lens)))
         mat = csr_matrix(
             (data, indices, indptr), shape=(len(rhs), n), dtype=float
         )
-        return mat, np.asarray(rhs, dtype=float)
+        return mat, np.asarray(rhs, dtype=float), negated
 
 
 class LinearProgram:
@@ -296,17 +398,20 @@ class LinearProgram:
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        self._var_index: dict[str, int] = {}
+        self._names = _Segments()
+        # Name → column; ``None`` until a lookup needs it once a name
+        # family was added (a family is not formatted to index it).
+        self._var_index: dict[str, int] | None = {}
         self._objective: list[float] = []
         self._lower: list[float] = []
         self._upper: list[float] = []
-        self._constraints: list[_Constraint] = []
+        self._constraints: list[_Constraint | _ConstraintBlock] = []
 
     # -- modelling --------------------------------------------------------
 
     @property
     def num_vars(self) -> int:
-        return len(self._var_index)
+        return len(self._objective)
 
     @property
     def num_constraints(self) -> int:
@@ -314,6 +419,16 @@ class LinearProgram:
             con.nrows if isinstance(con, _ConstraintBlock) else 1
             for con in self._constraints
         )
+
+    def _index(self) -> dict[str, int]:
+        """Name → column, formatting the name families on first use."""
+        if self._var_index is None:
+            names = self.variable_names()
+            index = {name: k for k, name in enumerate(names)}
+            if len(index) != len(names):
+                raise ValueError(f"duplicate variable names in {self.name!r}")
+            self._var_index = index
+        return self._var_index
 
     def add_var(
         self,
@@ -324,9 +439,11 @@ class LinearProgram:
         upper: float = np.inf,
     ) -> str:
         """Declare a variable; returns its name for convenience."""
-        if name in self._var_index:
+        index = self._index()
+        if name in index:
             raise ValueError(f"duplicate variable {name!r}")
-        self._var_index[name] = len(self._objective)
+        index[name] = len(self._objective)
+        self._names.one(name)
         self._objective.append(objective)
         self._lower.append(lower)
         self._upper.append(upper)
@@ -334,27 +451,34 @@ class LinearProgram:
 
     def add_vars(
         self,
-        names: Sequence[str],
+        names: Sequence[str] | NameFamily,
         *,
         objective: float | Sequence[float] = 0.0,
         lower: float | Sequence[float] = 0.0,
         upper: float | Sequence[float] = np.inf,
-    ) -> list[str]:
+    ) -> Sequence[str] | NameFamily:
         """Bulk :meth:`add_var`; scalars broadcast over the batch.
 
         Column order follows ``names`` order, so a model built with one
         ``add_vars`` call compiles identically to the equivalent
         ``add_var`` loop.  Raises before mutating anything on duplicate
         names (within the batch or against existing variables) or on
-        length-mismatched per-variable sequences.
+        length-mismatched per-variable sequences.  A :class:`NameFamily`
+        is neither formatted nor checked for duplicates here: its
+        builder makes its names unique, and a duplicate surfaces at the
+        first lookup by name.
         """
-        names = [str(name) for name in names]
-        count = len(names)
-        if len(set(names)) != count:
-            raise ValueError("duplicate variable in add_vars batch")
-        for name in names:
-            if name in self._var_index:
-                raise ValueError(f"duplicate variable {name!r}")
+        if isinstance(names, NameFamily):
+            count = names.count
+        else:
+            names = tuple(str(name) for name in names)
+            count = len(names)
+            if len(set(names)) != count:
+                raise ValueError("duplicate variable in add_vars batch")
+            index = self._index()
+            for name in names:
+                if name in index:
+                    raise ValueError(f"duplicate variable {name!r}")
 
         def broadcast(value, what: str) -> list[float]:
             if isinstance(value, (int, float)):
@@ -370,8 +494,12 @@ class LinearProgram:
         lowers = broadcast(lower, "lower")
         uppers = broadcast(upper, "upper")
         base = len(self._objective)
-        for k, name in enumerate(names):
-            self._var_index[name] = base + k
+        if isinstance(names, NameFamily):
+            self._var_index = None
+        else:
+            for k, name in enumerate(names):
+                self._var_index[name] = base + k
+        self._names.run(names)
         self._objective.extend(objectives)
         self._lower.extend(lowers)
         self._upper.extend(uppers)
@@ -387,12 +515,13 @@ class LinearProgram:
         """Add ``Σ coeffs[v]·v  (sense)  rhs`` with sense in {<=, >=, ==}."""
         if sense not in ("<=", ">=", "=="):
             raise ValueError(f"bad sense {sense!r}")
+        var_index = self._index()
         indexed: dict[int, float] = {}
         for var, c in coeffs.items():
             if c == 0.0:
                 continue
             try:
-                idx = self._var_index[var]
+                idx = var_index[var]
             except KeyError:
                 # `from None` keeps the traceback to one frame with a
                 # plain (not repr-quoted) message; the partially built
@@ -411,7 +540,7 @@ class LinearProgram:
         indptr,
         sense: str,
         rhs,
-        labels: Sequence[str],
+        labels: Sequence[str] | NameFamily,
     ) -> None:
         """Add a bank of same-sense rows as raw CSR fragments.
 
@@ -422,7 +551,8 @@ class LinearProgram:
         place, interleaved with ordinary :meth:`add_constraint` rows in
         call order, so a vectorized builder reproduces the historical
         matrix bit-for-bit as long as it emits the same entries in the
-        same order.
+        same order.  ``labels`` may be a :class:`NameFamily`, formatted
+        only when the labels are read.
         """
         if sense not in ("<=", ">=", "=="):
             raise ValueError(f"bad sense {sense!r}")
@@ -430,8 +560,11 @@ class LinearProgram:
         indices = np.ascontiguousarray(indices, dtype=np.int64)
         indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         rhs = np.ascontiguousarray(rhs, dtype=float)
-        labels = tuple(str(lab) for lab in labels)
-        nrows = len(labels)
+        if isinstance(labels, NameFamily):
+            nrows = labels.count
+        else:
+            labels = tuple(str(lab) for lab in labels)
+            nrows = len(labels)
         if indptr.shape != (nrows + 1,):
             raise ValueError(
                 f"indptr has {indptr.size} entries for {nrows} rows"
@@ -456,36 +589,28 @@ class LinearProgram:
     # -- compilation --------------------------------------------------------
 
     def compile(self) -> dict:
-        """Compile to ``linprog``'s arrays: ``>=`` rows negated into ``A_ub``."""
+        """Compile to ``linprog``'s arrays: ``>=`` rows negated into ``A_ub``.
+
+        ``names`` is the :class:`ModelNames` a solution of the compiled
+        model is bound to; compiling formats no name family.
+        """
         n = self.num_vars
         c = np.asarray(self._objective, dtype=float)
         acc_ub = _CsrAccumulator()
         acc_eq = _CsrAccumulator()
-        meta_ub: list[tuple[str, str]] = []  # (label, original sense)
-        meta_eq: list[str] = []
         for con in self._constraints:
-            if isinstance(con, _ConstraintBlock):
-                if con.sense == "<=":
-                    acc_ub.block(con, negate=False)
-                    meta_ub.extend((lab, "<=") for lab in con.labels)
-                elif con.sense == ">=":
-                    acc_ub.block(con, negate=True)
-                    meta_ub.extend((lab, ">=") for lab in con.labels)
-                else:
-                    acc_eq.block(con, negate=False)
-                    meta_eq.extend(con.labels)
-            elif con.sense == "<=":
-                acc_ub.row(con.coeffs, con.rhs, negate=False)
-                meta_ub.append((con.label, "<="))
-            elif con.sense == ">=":
-                acc_ub.row(con.coeffs, con.rhs, negate=True)
-                meta_ub.append((con.label, ">="))
+            block = isinstance(con, _ConstraintBlock)
+            if con.sense == "==":
+                acc, negate = acc_eq, False
             else:
-                acc_eq.row(con.coeffs, con.rhs, negate=False)
-                meta_eq.append(con.label)
+                acc, negate = acc_ub, con.sense == ">="
+            if block:
+                acc.block(con, negate)
+            else:
+                acc.row(con, negate)
 
-        a_ub, b_ub = acc_ub.build(n)
-        a_eq, b_eq = acc_eq.build(n)
+        a_ub, b_ub, negated_ub = acc_ub.build(n)
+        a_eq, b_eq, _ = acc_eq.build(n)
         bounds = np.empty((n, 2))
         bounds[:, 0] = self._lower
         bounds[:, 1] = self._upper
@@ -496,8 +621,12 @@ class LinearProgram:
             "A_eq": a_eq,
             "b_eq": b_eq,
             "bounds": bounds,
-            "meta_ub": meta_ub,
-            "meta_eq": meta_eq,
+            "names": ModelNames(
+                self._names.names(),
+                acc_ub.labels.names(),
+                negated_ub,
+                acc_eq.labels.names(),
+            ),
         }
 
     # -- solving -----------------------------------------------------------
@@ -516,11 +645,9 @@ class LinearProgram:
             float(value),
             status="optimal",
             x=np.asarray(x, dtype=float),
-            names=self.variable_names(),
-            marginals_ub=marginals_ub if parts["meta_ub"] else None,
-            marginals_eq=marginals_eq if parts["meta_eq"] else None,
-            meta_ub=parts["meta_ub"],
-            meta_eq=parts["meta_eq"],
+            names=parts["names"],
+            marginals_ub=marginals_ub if parts["b_ub"] is not None else None,
+            marginals_eq=marginals_eq if parts["b_eq"] is not None else None,
         )
 
     def _solve_highs(self, parts: dict) -> LPSolution:
@@ -529,27 +656,19 @@ class LinearProgram:
         HiGHS gets the model ``linprog(method="highs")`` would give it:
         the rows ``A_ub`` then ``A_eq`` (as row-wise CSR), ``-inf <= row
         <= b_ub`` and ``b_eq <= row <= b_eq``, presolve on, dual simplex,
-        no output.  Each call runs a fresh solver object, so concurrent
-        solves share no state.
+        no output.  The arrays go to ``passModel`` as they are (no
+        ``HighsLp``, no Python lists).  Each call runs a fresh solver
+        object, so concurrent solves share no state.
         """
         c, bounds = parts["c"], parts["bounds"]
         b_ub = np.empty(0) if parts["b_ub"] is None else parts["b_ub"]
         b_eq = np.empty(0) if parts["b_eq"] is None else parts["b_eq"]
         mats = [a for a in (parts["A_ub"], parts["A_eq"]) if a is not None]
-        a = vstack(mats, format="csr") if mats else csr_matrix((0, c.size))
-        lp = _highs.HighsLp()
-        lp.num_col_ = lp.a_matrix_.num_col_ = c.size
-        lp.num_row_ = lp.a_matrix_.num_row_ = a.shape[0]
-        lp.col_cost_ = c
-        lp.col_lower_, lp.col_upper_ = bounds[:, 0], bounds[:, 1]
-        # kHighsInf is IEEE infinity, so the bounds go in as compiled.
-        lp.row_lower_ = np.concatenate((np.full(b_ub.size, -_highs.kHighsInf), b_eq))
-        lp.row_upper_ = np.concatenate((b_ub, b_eq))
-        lp.a_matrix_.format_ = _highs.MatrixFormat.kRowwise
-        # Integer vectors convert far faster from lists than from arrays.
-        lp.a_matrix_.start_ = a.indptr.tolist()
-        lp.a_matrix_.index_ = a.indices.tolist()
-        lp.a_matrix_.value_ = a.data
+        if len(mats) == 2:
+            a = vstack(mats, format="csr")
+        else:
+            a = mats[0] if mats else csr_matrix((0, c.size))
+        num_col = c.size
         highs = _highs._Highs()
         highs.setOptionValue("output_flag", False)
         highs.setOptionValue("log_to_console", False)
@@ -558,7 +677,25 @@ class LinearProgram:
             "simplex_strategy",
             int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
         )
-        if highs.passModel(lp) == _highs.HighsStatus.kError:
+        # kHighsInf is IEEE infinity, so the bounds go in as compiled.
+        status = highs.passModel(
+            num_col,
+            a.shape[0],
+            a.nnz,
+            int(_highs.MatrixFormat.kRowwise),
+            int(_highs.ObjSense.kMinimize),
+            0.0,
+            c,
+            np.ascontiguousarray(bounds[:, 0]),
+            np.ascontiguousarray(bounds[:, 1]),
+            np.concatenate((np.full(b_ub.size, -_highs.kHighsInf), b_eq)),
+            np.concatenate((b_ub, b_eq)),
+            a.indptr.astype(np.int32, copy=False),
+            a.indices.astype(np.int32, copy=False),
+            a.data,
+            np.zeros(num_col, dtype=np.int32),  # every column continuous
+        )
+        if status == _highs.HighsStatus.kError:
             status = _highs.HighsModelStatus.kModelError
         else:
             highs.run()
@@ -585,13 +722,13 @@ class LinearProgram:
     # -- introspection --------------------------------------------------------
 
     def variable_names(self) -> Sequence[str]:
-        return tuple(self._var_index)
+        return self._names.names().all()
 
     def constraint_labels(self) -> Sequence[str]:
-        labels: list[str] = []
+        labels = _Segments()
         for con in self._constraints:
             if isinstance(con, _ConstraintBlock):
-                labels.extend(con.labels)
+                labels.run(con.labels)
             else:
-                labels.append(con.label)
-        return tuple(labels)
+                labels.one(con.label)
+        return labels.names().all()

@@ -100,8 +100,9 @@ def _add_ceiling_block(lp: LinearProgram, instance: Instance) -> None:
     within = np.arange(total, dtype=np.int64) - np.repeat(
         np.cumsum(lens) - lens, lens
     )
+    var_index = lp._index()
     xcol = np.fromiter(
-        (lp._var_index[_xname(t)] for t in range(start, end)),
+        (var_index[_xname(t)] for t in range(start, end)),
         dtype=np.int64,
         count=h,
     )

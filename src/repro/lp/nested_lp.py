@@ -25,7 +25,7 @@ from itertools import chain
 import numpy as np
 
 from repro.core.opt_thresholds import OptThresholds, compute_thresholds
-from repro.lp.backend import LinearProgram, LPSolution
+from repro.lp.backend import LinearProgram, LPSolution, NameFamily
 from repro.tree.canonical import CanonicalInstance
 from repro.util.errors import SolverError
 from repro.util.numeric import snap_vector
@@ -163,6 +163,48 @@ def _yname(i: int, key: tuple[int, int]) -> str:
     return f"Y[{i},{key[0]},{key[1]}]"
 
 
+# Formatters of the model's name families (:class:`NameFamily`): each
+# maps the layout arrays :func:`_build` hands over to the names of one
+# run of columns or rows, and runs only when those names are read.
+
+
+def _xnames(m: int) -> list[str]:
+    return [_xname(i) for i in range(m)]
+
+
+def _ynames(col_node: np.ndarray, col_class: np.ndarray, keys: np.ndarray) -> list[str]:
+    key_list = [tuple(key) for key in keys.tolist()]
+    return [
+        _yname(i, key_list[c])
+        for i, c in zip(col_node.tolist(), col_class.tolist())
+    ]
+
+
+def _volume_labels(keys: np.ndarray) -> list[str]:
+    return [f"volume[{k},{p}]" for k, p in keys.tolist()]
+
+
+def _node_labels(nc: np.ndarray, classes: np.ndarray, keys: np.ndarray) -> list[str]:
+    """Per node: capacity, length, then one spread row per class at the
+    node (``nc`` of them, ``classes`` node-major)."""
+    key_list = keys.tolist()
+    cls_list = classes.tolist()
+    labels: list[str] = []
+    ptr = 0
+    for i, count in enumerate(nc.tolist()):
+        labels.append(f"capacity[{i}]")
+        labels.append(f"length[{i}]")
+        for c in cls_list[ptr : ptr + count]:
+            k, p = key_list[c]
+            labels.append(f"spread[{i},{k},{p}]")
+        ptr += count
+    return labels
+
+
+def _ceiling_labels(nodes: np.ndarray, omegas: np.ndarray) -> list[str]:
+    return [f"ceiling[{i}]>={w}" for i, w in zip(nodes.tolist(), omegas.tolist())]
+
+
 def build_nested_lp(
     canonical: CanonicalInstance,
     *,
@@ -186,8 +228,10 @@ def build_nested_lp(
     The constraint families are assembled as bulk CSR blocks
     (:meth:`~repro.lp.backend.LinearProgram.add_constraint_block`); the
     model compiles bit-for-bit like the per-row reference build
-    :func:`repro.verify.reference.reference_nested_lp` (identical
-    :func:`~repro.solver.cache.model_fingerprint`).
+    :func:`repro.verify.reference.reference_nested_lp`, with the same
+    column names and row labels.  Names and labels are
+    :class:`~repro.lp.backend.NameFamily` runs over the class layout,
+    formatted only when read.
     """
     inst = canonical.instance
     forest = canonical.forest
@@ -209,19 +253,23 @@ def _build(inst, forest, classes: JobClasses, thresholds, ceiling) -> LinearProg
     columns class-major; the volume family is one ``>=`` block; the
     interleaved capacity/length/spread family is one ``<=`` block whose
     per-node segment is laid out ``[capacity (nc Y's + x), length,
-    spread×nc]`` for the ``nc`` classes admissible at the node.
+    spread×nc]`` for the ``nc`` classes admissible at the node.  Names
+    and labels are handed over as the arrays that determine them.
     """
     m = forest.m
     g = float(inst.g)
     keys = classes.keys
     n_classes = len(keys)
+    key_array = np.array(keys, dtype=np.int64).reshape(n_classes, 2)
+    total_y = classes.num_columns
     lp = LinearProgram(name=f"nested_lp({inst.name})")
-    lp.add_vars([_xname(i) for i in range(m)], objective=1.0)
+    lp.add_vars(NameFamily(m, _xnames, m), objective=1.0)
     lp.add_vars(
-        [_yname(i, key) for key, nodes in zip(keys, classes.nodes) for i in nodes]
+        NameFamily(
+            total_y, _ynames, classes.col_node, classes.col_class, key_array
+        )
     )
     counts = np.bincount(classes.col_class, minlength=n_classes)
-    total_y = classes.num_columns
     y_cols = m + np.arange(total_y, dtype=np.int64)
     node_of = classes.col_node
     cls_of = classes.col_class
@@ -235,8 +283,8 @@ def _build(inst, forest, classes: JobClasses, thresholds, ceiling) -> LinearProg
             y_cols,
             np.concatenate(([0], np.cumsum(counts))),
             ">=",
-            sizes * np.fromiter((p for _, p in keys), dtype=float, count=n_classes),
-            [f"volume[{k},{p}]" for k, p in keys],
+            sizes * key_array[:, 1],
+            NameFamily(n_classes, _volume_labels, key_array),
         )
 
     # (3)-(5) one <= block, node-major.  Stable sort by node keeps the
@@ -281,24 +329,13 @@ def _build(inst, forest, classes: JobClasses, thresholds, ceiling) -> LinearProg
         row_lens[row_start + 1] = 1
         rhs = np.zeros(total_rows)
         rhs[row_start + 1] = lengths
-        labels: list[str] = []
-        nc_list = nc.tolist()
-        cls_list = s_cls.tolist()
-        ptr = 0
-        for i in range(m):
-            labels.append(f"capacity[{i}]")
-            labels.append(f"length[{i}]")
-            for c in cls_list[ptr : ptr + nc_list[i]]:
-                k, p = keys[c]
-                labels.append(f"spread[{i},{k},{p}]")
-            ptr += nc_list[i]
         lp.add_constraint_block(
             data,
             indices,
             np.concatenate(([0], np.cumsum(row_lens))),
             "<=",
             rhs,
-            labels,
+            NameFamily(total_rows, _node_labels, nc, s_cls, key_array),
         )
 
     # (7)-(8) as one >= block over descendant x columns, same row and
@@ -316,13 +353,19 @@ def _build(inst, forest, classes: JobClasses, thresholds, ceiling) -> LinearProg
                 dtype=np.int64,
                 count=int(lens.sum()),
             )
+            sel_omegas = np.array([omegas[i] for i in sel], dtype=np.int64)
             lp.add_constraint_block(
                 np.ones(idx.size),
                 idx,
                 np.concatenate(([0], np.cumsum(lens))),
                 ">=",
-                np.array([float(omegas[i]) for i in sel]),
-                [f"ceiling[{i}]>={omegas[i]}" for i in sel],
+                sel_omegas.astype(float),
+                NameFamily(
+                    len(sel),
+                    _ceiling_labels,
+                    np.array(sel, dtype=np.int64),
+                    sel_omegas,
+                ),
             )
     return lp
 

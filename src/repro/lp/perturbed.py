@@ -20,7 +20,6 @@ import random
 
 from repro.lp.nested_lp import (
     NestedLPSolution,
-    _xname,
     build_nested_lp,
     job_classes,
     lift_solution,
@@ -40,9 +39,10 @@ def solve_with_weights(
     rng = random.Random(seed)
     classes = job_classes(canonical)
     lp, thresholds = build_nested_lp(canonical, classes=classes)
-    # Rebuild the objective: random weights on x, zero on y.
+    # Rebuild the objective: random weights on x (columns 0..m-1), zero
+    # on y.
     for i in range(canonical.forest.m):
-        lp._objective[lp._var_index[_xname(i)]] = 1.0 + spread * rng.random()
+        lp._objective[i] = 1.0 + spread * rng.random()
     lifted = lift_solution(canonical, lp, lp.solve(), thresholds, classes)
     lifted.value = float(lifted.x.sum())
     return lifted

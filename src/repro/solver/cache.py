@@ -3,32 +3,41 @@
 :func:`model_fingerprint` / :class:`SolveCache` give **exact** content
 addressing.  The key is a cryptographic digest of the *compiled* sparse
 model — the objective, bounds, CSR structure of both constraint blocks,
-variable names and row labels.  Two ``LinearProgram`` objects built
-independently (e.g. the same instance re-solved by a later battery run,
-or the transform→round pipeline re-deriving the same LP) hash
-identically and share one backend solve.
+which rows are negated ``>=`` rows, variable names and row labels.  Two
+``LinearProgram`` objects built independently (e.g. the same instance
+re-solved by a later battery run, or the transform→round pipeline
+re-deriving the same LP) hash identically and share one backend solve.
 
 Variable names and labels are part of the key on purpose: a cached
 answer is read back by name (:attr:`~repro.lp.backend.LPSolution.values`,
 ``duals``), so two numerically identical models with different namings
-must not collide.  An entry itself holds no names: only the objective
-value, the solution vector and the row marginals, bound to the
-requesting model's names and labels on each hit.
+must not collide.  Names given as strings are hashed as strings; a
+:class:`~repro.lp.backend.NameFamily` is hashed as its tag, count and
+layout arrays, which determine its names, so keying a model formats no
+name.  A model named by families and one naming the same columns by
+strings may therefore key apart: a safe miss, never a wrong hit.  An
+entry itself holds no names: only the objective value, the solution
+vector and the row marginals, bound to the requesting model's names on
+each hit.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Sequence
+from itertools import chain, groupby
 
 import numpy as np
 
-from repro.lp.backend import LPSolution
+from repro.lp.backend import LPSolution, ModelNames, NameFamily, Names
 
 
 def model_fingerprint(lp, parts: dict) -> str:
-    """Canonical hash of a compiled model."""
+    """Canonical hash of a compiled model.
+
+    Everything hashed comes from ``parts`` (``lp.compile()``); ``lp``,
+    the model they were compiled from, is not read.
+    """
     h = hashlib.blake2b(digest_size=20)
 
     def arr(a) -> None:
@@ -48,6 +57,25 @@ def model_fingerprint(lp, parts: dict) -> str:
         h.update(np.ascontiguousarray(mat.indices, dtype=np.int64).tobytes())
         h.update(np.ascontiguousarray(mat.indptr, dtype=np.int64).tobytes())
 
+    def names(seq: Names) -> None:
+        # Adjacent string runs hash as one join, so the key does not
+        # depend on how a model's string names were split into runs.
+        for is_family, run in groupby(
+            seq.segments, key=lambda seg: isinstance(seg, NameFamily)
+        ):
+            if is_family:
+                for family in run:
+                    h.update(b"\x00family\x1f" + family.tag.encode())
+                    h.update(str(family.count).encode())
+                    for a in family.arrays:
+                        a = np.ascontiguousarray(a)
+                        h.update(f"\x1f{a.dtype.str}{a.shape}".encode())
+                        h.update(a.tobytes())
+            else:
+                h.update(b"\x00names\x1f")
+                h.update("\x1f".join(chain.from_iterable(run)).encode())
+        h.update(b"\x00")
+
     arr(parts["c"])
     csr(parts["A_ub"])
     arr(parts["b_ub"])
@@ -55,13 +83,12 @@ def model_fingerprint(lp, parts: dict) -> str:
     arr(parts["b_eq"])
     bounds = np.asarray(parts["bounds"], dtype=float)
     arr(bounds if bounds.size else None)
-    h.update("\x1f".join(lp.variable_names()).encode())
-    h.update(b"\x00")
-    h.update(
-        "\x1f".join(f"{label}\x1e{sense}" for label, sense in parts["meta_ub"]).encode()
-    )
-    h.update(b"\x00")
-    h.update("\x1f".join(parts["meta_eq"]).encode())
+    model_names: ModelNames = parts["names"]
+    negated = model_names.negated_ub
+    h.update(b"\x00none" if negated is None else negated.tobytes())
+    names(model_names.columns)
+    names(model_names.labels_ub)
+    names(model_names.labels_eq)
     return h.hexdigest()
 
 
@@ -87,23 +114,17 @@ class SolveCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(
-        self,
-        key: str,
-        names: Sequence[str] = (),
-        meta_ub: Sequence[tuple[str, str]] = (),
-        meta_eq: Sequence[str] = (),
-    ) -> LPSolution | None:
+    def get(self, key: str, names: ModelNames = ModelNames()) -> LPSolution | None:
         """The cached answer for ``key``, bound to the requesting model's
-        column ``names`` and row labels (``meta_ub``/``meta_eq`` of its
-        compiled parts), or ``None``."""
+        ``names`` (``parts["names"]`` of its compiled parts, formatted
+        only when the answer is read by name), or ``None``."""
         sol = self._entries.get(key)
         if sol is None:
             self.misses += 1
             return None
         self._entries.move_to_end(key)
         self.hits += 1
-        return sol.copy(names, meta_ub, meta_eq)
+        return sol.copy(names)
 
     def put(self, key: str, sol: LPSolution) -> None:
         self._entries[key] = sol.copy()

@@ -67,12 +67,7 @@ class SolverService:
         if self.cache is not None:
             key = model_fingerprint(lp, parts)
             with self._lock:
-                hit = self.cache.get(
-                    key,
-                    lp.variable_names(),
-                    parts["meta_ub"],
-                    parts["meta_eq"],
-                )
+                hit = self.cache.get(key, parts["names"])
             if hit is not None:
                 self.stats.add(
                     solves=1, cache_hits=1, wall_time=perf_counter() - t0

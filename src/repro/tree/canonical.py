@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.instances.jobs import Instance, Job
-from repro.tree.laminar import build_forest
+from repro.tree.laminar import forest_nodes
 from repro.tree.node import TreeNode, WindowForest
 from repro.util.intervals import Interval
 
@@ -116,19 +116,12 @@ def _make_leaves_rigid(
 
 
 def canonicalize(instance: Instance) -> CanonicalInstance:
-    """Build the canonical (binary, rigid-leaf) form of a laminar instance."""
-    forest, _ = build_forest(instance)
-    nodes = [
-        TreeNode(
-            index=n.index,
-            interval=n.interval,
-            parent=n.parent,
-            children=list(n.children),
-            job_ids=list(n.job_ids),
-            virtual=n.virtual,
-        )
-        for n in forest.nodes
-    ]
+    """Build the canonical (binary, rigid-leaf) form of a laminar instance.
+
+    The window forest's nodes are transformed in place and made into one
+    forest, validated once.
+    """
+    nodes, _ = forest_nodes(instance)
     jobs_by_id = {j.id: j for j in instance.jobs}
 
     _binarize(nodes)

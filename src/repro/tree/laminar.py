@@ -26,6 +26,19 @@ def build_forest(instance: Instance) -> tuple[WindowForest, dict[int, int]]:
     NotLaminarError
         If the instance windows cross.
     """
+    nodes, job_node = forest_nodes(instance)
+    forest = WindowForest(nodes)
+    forest.validate_laminar_partition()
+    return forest, job_node
+
+
+def forest_nodes(instance: Instance) -> tuple[list[TreeNode], dict[int, int]]:
+    """The nodes :func:`build_forest` makes a forest of, and ``job_node``.
+
+    The nodes are fresh, so a caller that transforms them further
+    (:func:`~repro.tree.canonical.canonicalize`) builds and validates
+    one forest, of its own result.
+    """
     instance.require_laminar()
     windows = instance.windows  # sorted by (start, -end): parents precede children
     nodes: list[TreeNode] = []
@@ -49,7 +62,4 @@ def build_forest(instance: Instance) -> tuple[WindowForest, dict[int, int]]:
         idx = node_of_window[job.window]
         nodes[idx].job_ids.append(job.id)
         job_node[job.id] = idx
-
-    forest = WindowForest(nodes)
-    forest.validate_laminar_partition()
-    return forest, job_node
+    return nodes, job_node

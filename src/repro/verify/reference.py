@@ -260,6 +260,40 @@ def reference_nested_lp(
     return lp
 
 
+def same_compiled_model(a: LinearProgram, b: LinearProgram) -> bool:
+    """Do ``a`` and ``b`` compile to the same model, bit for bit?
+
+    Compares the compiled objective, both constraint blocks (CSR data,
+    indices and pointers), right-hand sides, bounds and negated ``>=``
+    rows, and the column names and row labels as strings.  This is the
+    property equal :func:`~repro.solver.cache.model_fingerprint` keys
+    imply, checked without the hash: a model named by name families and
+    one named by strings key apart even when their names agree.
+    """
+    pa, pb = a.compile(), b.compile()
+
+    def same(x, y) -> bool:
+        if x is None or y is None:
+            return x is None and y is None
+        return x.shape == y.shape and np.array_equal(x, y)
+
+    def same_csr(x, y) -> bool:
+        if x is None or y is None:
+            return x is None and y is None
+        return x.shape == y.shape and all(
+            same(getattr(x, f), getattr(y, f)) for f in ("data", "indices", "indptr")
+        )
+
+    return (
+        all(same(pa[k], pb[k]) for k in ("c", "b_ub", "b_eq", "bounds"))
+        and same_csr(pa["A_ub"], pb["A_ub"])
+        and same_csr(pa["A_eq"], pb["A_eq"])
+        and same(pa["names"].negated_ub, pb["names"].negated_ub)
+        and a.variable_names() == b.variable_names()
+        and a.constraint_labels() == b.constraint_labels()
+    )
+
+
 def reference_cw_lp(instance: Instance) -> LinearProgram:
     """Per-interval build of the Călinescu–Wang LP.
 

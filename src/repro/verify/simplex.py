@@ -82,7 +82,7 @@ class SimplexSolver:
         solver._lower_shift = lower
         solver._objective_shift = float(c @ lower)
         # Slack bookkeeping for dual extraction: slack column of ub row i
-        # sits at n + i; only the first len(meta_ub) rows are the
+        # sits at n + i; only the first len(b_ub) rows are the
         # caller's labelled constraints (bound rows follow).
         solver._slack_offset = n
         solver._n_ub_rows = m_ub

@@ -466,3 +466,42 @@ class TestNodeAssignmentNetwork:
         assert arcs >= incremental.SMALL_NETWORK_ARCS
         assert type(prober.engine.net) is CSRMaxFlow
         assert len(prober.buckets) == n_open
+
+
+class TestSharedSegments:
+    """``coverage_segments`` is computed once per instance and shared."""
+
+    def test_one_computation_per_instance(self):
+        inst = random_laminar(10, 2, horizon=40, seed=3)
+        first = coverage_segments(inst)
+        assert coverage_segments(inst) is first
+        other = Instance(jobs=inst.jobs, g=inst.g, name=inst.name)
+        assert coverage_segments(other) is not first
+
+    def test_no_caller_mutates_the_shared_segments(self):
+        from repro.verify.fuzz import FuzzConfig, sample_instance
+        from repro.verify.oracle import verify_instance
+
+        config = FuzzConfig(n_instances=40, seed=11, family="mixed", max_jobs=10)
+        statuses = set()
+        for index in range(config.n_instances):
+            inst = sample_instance(config, index)
+            shared = coverage_segments(inst)
+            arrays = (
+                shared.starts, shared.ends,
+                shared.buckets.members, shared.buckets.ptr,
+            )
+            assert not any(a.flags.writeable for a in arrays)
+            # Precheck, nested or baseline pipeline, greedy, extraction
+            # and exact all read the one shared object.
+            report = verify_instance(inst, exact_max_jobs=8)
+            statuses.add(report.status)
+            assert report.violations == []
+            assert coverage_segments(inst) is shared
+            fresh = feasibility._coverage_segments(inst)
+            for a, b in zip(
+                arrays,
+                (fresh.starts, fresh.ends, fresh.buckets.members, fresh.buckets.ptr),
+            ):
+                assert np.array_equal(a, b)
+        assert "ok" in statuses

@@ -340,3 +340,92 @@ class TestJobClasses:
             )
             assert verify_lp_feasible(crafted) == []
             assert sol.y.any()
+
+
+def _planted(n: int, seed: int = 0):
+    """A planted laminar instance at a ``batch-dense`` shape."""
+    import importlib.util
+
+    from repro.instances.io import instance_from_dict
+
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "planted", root / "perfbench" / "planted.py"
+    )
+    planted = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(planted)
+    return instance_from_dict(
+        planted.planted_instance(
+            seed, n=n, horizon=3 * n, g=2, windows=n // 4, p_max=3
+        )
+    )
+
+
+def _formatted(*args):
+    """Stands in for LP (1)'s name formatters: reading a name fails."""
+    raise AssertionError("a name or label was formatted")
+
+
+class TestLazyNames:
+    """LP (1)'s column names and row labels are formatted only when read."""
+
+    def test_solve_formats_no_name(self, monkeypatch):
+        import repro.lp.nested_lp as nested_lp
+        from repro.solver.service import SolverService, set_service
+
+        for name in (
+            "_xname", "_yname", "_volume_labels", "_node_labels", "_ceiling_labels"
+        ):
+            monkeypatch.setattr(nested_lp, name, _formatted)
+        inst = _planted(300)
+        previous = set_service(SolverService())
+        try:
+            for _ in range(2):  # a miss, then a hit bound to the new model
+                result = solve_nested(inst)
+        finally:
+            set_service(previous)
+        assert result.schedule.is_valid
+        assert result.repairs == 0
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_names_read_after_a_solve_match_the_reference(self, seed):
+        inst = random_laminar(
+            4 + 2 * seed, 1 + seed % 3, horizon=30 + 5 * seed, seed=seed
+        )
+        self._assert_names_match(canonicalize(inst))
+
+    def test_names_read_after_a_solve_match_the_reference_deep_chain(self):
+        self._assert_names_match(canonicalize(deep_chain(25, 2, seed=3)))
+
+    @staticmethod
+    def _assert_names_match(can):
+        from repro.verify.reference import reference_nested_lp
+
+        lp, thresholds = build_nested_lp(can)
+        sol = lp.solve()
+        ref = reference_nested_lp(can, thresholds)
+        names = ref.variable_names()
+        labels = ref.constraint_labels()
+        assert lp.variable_names() == names
+        assert lp.constraint_labels() == labels
+        assert tuple(sol.values) == names
+        assert set(sol.duals) == set(labels)
+        # The families also answer lookups by name.
+        lp.add_constraint({names[-1]: 1.0}, "<=", 1e9, label="extra")
+        assert lp.constraint_labels() == labels + ("extra",)
+
+    def test_rebuilt_models_share_one_cache_entry(self):
+        from repro.solver.service import SolverService, set_service
+
+        inst = random_laminar(12, 2, horizon=30, seed=5)
+        service = SolverService()
+        previous = set_service(service)
+        try:
+            first = build_nested_lp(canonicalize(inst))[0].solve()
+            again = build_nested_lp(canonicalize(inst))[0].solve()
+        finally:
+            set_service(previous)
+        assert service.stats_snapshot()["cache_hits"] == 1
+        assert len(service.cache) == 1
+        assert np.array_equal(first.x, again.x)
+        assert again.values == first.values

@@ -424,3 +424,61 @@ class TestCLIStats:
         assert code == 0
         assert "solver stats" in out
         assert "cache hits" in out
+
+
+def _column_names(layout: np.ndarray) -> list[str]:
+    return [f"v[{k}]" for k in layout.tolist()]
+
+
+def _row_labels() -> list[str]:
+    return ["cover"]
+
+
+class TestNameFamilyKeys:
+    """A model named by name families keys on the families' layout."""
+
+    @staticmethod
+    def _family_lp(layout) -> LinearProgram:
+        from repro.lp.backend import NameFamily
+
+        lp = LinearProgram("family")
+        lp.add_vars(NameFamily(2, _column_names, np.array(layout)), objective=1.0)
+        lp.add_constraint_block(
+            np.ones(2),
+            np.arange(2),
+            np.array([0, 2]),
+            ">=",
+            np.ones(1),
+            NameFamily(1, _row_labels),
+        )
+        return lp
+
+    def test_formatter_must_be_module_level(self):
+        from repro.lp.backend import NameFamily
+
+        with pytest.raises(ValueError, match="module-level"):
+            NameFamily(1, lambda: ["a"])
+
+    def test_same_layout_hits_and_other_layout_misses(self, fresh_service):
+        first = self._family_lp([0, 1]).solve()
+        hit = self._family_lp([0, 1]).solve()
+        other = self._family_lp([1, 0]).solve()  # same numbers, other names
+        snap = fresh_service.stats_snapshot()
+        assert snap["cache_hits"] == 1
+        assert snap["backend_solves"] == 2
+        assert list(hit.values) == list(first.values) == ["v[0]", "v[1]"]
+        assert list(other.values) == ["v[1]", "v[0]"]
+        assert other.dual("cover") == hit.dual("cover")
+
+    def test_string_and_family_names_key_apart(self, fresh_service):
+        lp = LinearProgram("family")
+        lp.add_vars(["v[0]", "v[1]"], objective=1.0)
+        lp.add_constraint_block(
+            np.ones(2), np.arange(2), np.array([0, 2]), ">=", np.ones(1), ["cover"]
+        )
+        family = self._family_lp([0, 1])
+        assert lp.variable_names() == family.variable_names()
+        assert lp.constraint_labels() == family.constraint_labels()
+        assert model_fingerprint(lp, lp.compile()) != model_fingerprint(
+            family, family.compile()
+        )
