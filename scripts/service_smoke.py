@@ -2,8 +2,9 @@
 
 Boots ``active-time serve`` as a real subprocess on an ephemeral port,
 drives every endpoint through :class:`repro.service.client.ServiceClient`
-and asserts the served ``/solve`` answer round-trips *bit-identically*
-with ``active-time solve`` on the same instance, that a ``d = 10⁹``
+and asserts the served ``/solve`` answers (the default ``nested``,
+``algorithm=greedy`` and ``policy=greedy``) round-trip *bit-identically*
+with ``active-time solve [--algorithm greedy]`` on the same instance, that a ``d = 10⁹``
 body and a body at exactly the ``Σ p_j`` cap are answered, that a
 ``Σ p_j`` over the cap is refused with a JSON 413, that a ``backend``
 field (the LP solver is not selectable) is refused with a JSON 400, that
@@ -89,7 +90,7 @@ def boot_server(args: argparse.Namespace) -> tuple[subprocess.Popen, str]:
     return proc, f"http://127.0.0.1:{match.group(1)}"
 
 
-def cli_solve_schedule(instance_path: Path) -> dict:
+def cli_solve_schedule(instance_path: Path, algorithm: str = "nested") -> dict:
     """The CLI's answer for the same instance, as a schedule document."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "schedule.json"
@@ -100,6 +101,8 @@ def cli_solve_schedule(instance_path: Path) -> dict:
                 "repro.cli",
                 "solve",
                 str(instance_path),
+                "--algorithm",
+                algorithm,
                 "--output",
                 str(out),
             ],
@@ -151,6 +154,21 @@ def main() -> int:
             )
         else:
             print("solve round-trip: bit-identical with the CLI answer")
+
+        # Both request kinds run the registry's policy by name, as the
+        # CLI does: the greedy answers equal `solve --algorithm greedy`.
+        expected_greedy = cli_solve_schedule(instance_path, "greedy")
+        served_greedy = []
+        for option in ("algorithm", "policy"):
+            answer = client.solve(instance_doc, **{option: "greedy"})
+            served_greedy.append(answer)
+            if answer["schedule"] != expected_greedy:
+                failures.append(
+                    f"served /solve {option}=greedy schedule differs from "
+                    f"`active-time solve --algorithm greedy` on {args.instance}"
+                )
+            else:
+                print(f"solve {option}=greedy: bit-identical with the CLI answer")
 
         # Input size alone must not exhaust the server: a T = 10⁹ body
         # is solved on segments, and a 10⁹-unit body is refused typed.
@@ -250,7 +268,7 @@ def main() -> int:
             name = f'repro_{family}_stats{{counter="{counter}"}}'
             served_total = sum(
                 r[family][counter]
-                for r in (served, served_huge, served_cap, verify, fuzz)
+                for r in (served, *served_greedy, served_huge, served_cap, verify, fuzz)
                 if r is not None
             )
             scraped = [

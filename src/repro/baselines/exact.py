@@ -163,8 +163,12 @@ class ExactResult:
         return sched.require_valid()
 
 
+#: Search-node cap of :func:`solve_exact` when the caller sets none.
+DEFAULT_NODE_BUDGET = 2_000_000
+
+
 def solve_exact(
-    instance: Instance, *, node_budget: int = 2_000_000
+    instance: Instance, *, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> ExactResult:
     """Branch and bound over slot-class counts.
 

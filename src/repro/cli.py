@@ -27,11 +27,8 @@ import sys
 from repro.analysis.gaps import gap_profile
 from repro.analysis.metrics import measure_ratios
 from repro.analysis.tables import render_table
-from repro.baselines.exact import BudgetExceeded, solve_exact
-from repro.baselines.kumar_khuller import kumar_khuller_schedule
-from repro.baselines.minimal_feasible import minimal_feasible_schedule
-from repro.core.algorithm import solve_nested
-from repro.online import EagerActivation, LazyActivation, run_online
+from repro.baselines.exact import DEFAULT_NODE_BUDGET, BudgetExceeded
+from repro.core.algorithm import summary_line
 from repro.instances.families import ALL_FAMILIES
 from repro.instances.generators import random_general, random_laminar
 from repro.instances.io import dump_instance, dump_schedule, load_instance
@@ -57,40 +54,34 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``solve --algorithm`` spellings that differ from the registry name.
+_SOLVE_POLICY_NAMES = {"lazy-online": "lazy", "eager-online": "eager"}
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
+    from repro.policies import make_policy
+
     instance = load_instance(args.instance)
-    if args.algorithm == "nested":
-        result = solve_nested(instance)
-        schedule = result.schedule
-        print(result.summary())
-    elif args.algorithm == "greedy":
-        schedule = minimal_feasible_schedule(instance)
-    elif args.algorithm == "kk":
-        schedule = kumar_khuller_schedule(instance)
-    elif args.algorithm == "exact":
-        try:
-            schedule = solve_exact(
-                instance, node_budget=args.node_budget
-            ).schedule(instance)
-        except BudgetExceeded as exc:
-            # Degrade to the search's incumbent (seeded from the greedy
-            # 3-approximation) instead of discarding all progress.
-            incumbent = exc.incumbent()
-            if incumbent is None:
-                raise
-            print(
-                f"warning: {exc} — emitting the incumbent "
-                f"({incumbent.optimum} slots, optimality unproven)",
-                file=sys.stderr,
+    name = _SOLVE_POLICY_NAMES.get(args.algorithm, args.algorithm)
+    params = {"node_budget": args.node_budget} if name == "exact" else {}
+    result = make_policy(name, **params).run(instance)
+    schedule, stats = result.schedule, result.stats
+    if name == "nested":
+        print(
+            summary_line(
+                schedule.active_time,
+                stats.get("lp_value", 0.0),
+                stats.get("repairs", 0),
             )
-            schedule = incumbent.schedule(instance)
-    elif args.algorithm == "lazy-online":
-        schedule = run_online(instance, LazyActivation()).schedule
-    elif args.algorithm == "eager-online":
-        schedule = run_online(instance, EagerActivation()).schedule
-    else:
-        print(f"unknown algorithm {args.algorithm!r}", file=sys.stderr)
-        return 2
+        )
+    if stats.get("degraded"):
+        # The exact search degraded to its incumbent (seeded from the
+        # greedy 3-approximation) instead of discarding all progress.
+        print(
+            f"warning: {stats['degraded_reason']} — emitting the incumbent "
+            f"({schedule.active_time} slots, optimality unproven)",
+            file=sys.stderr,
+        )
     print(f"active_time={schedule.active_time} slots={schedule.active_slots}")
     if args.show:
         from repro.analysis.gantt import render_gantt
@@ -500,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--node-budget",
         type=int,
-        default=2_000_000,
+        default=DEFAULT_NODE_BUDGET,
         help="search-node cap for --algorithm exact; past it the best "
         "incumbent is emitted with a warning instead of failing",
     )

@@ -52,11 +52,16 @@ class NestedResult:
         return self.active_time / self.lp_value
 
     def summary(self) -> str:
-        return (
-            f"active_time={self.active_time} lp={self.lp_value:.3f} "
-            f"ratio={self.lp_ratio:.3f} (bound {APPROX_FACTOR}) "
-            f"repairs={self.repairs}"
-        )
+        return summary_line(self.active_time, self.lp_value, self.repairs)
+
+
+def summary_line(active_time: int, lp_value: float, repairs: int) -> str:
+    """A 9/5 run in one line: cost, LP value, their ratio, repairs."""
+    ratio = active_time / lp_value if lp_value > 0 else 1.0
+    return (
+        f"active_time={active_time} lp={lp_value:.3f} "
+        f"ratio={ratio:.3f} (bound {APPROX_FACTOR}) repairs={repairs}"
+    )
 
 
 def _repair(

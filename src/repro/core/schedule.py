@@ -130,7 +130,9 @@ class Schedule:
         read-only view that expands :attr:`runs`).
     """
 
-    __slots__ = ("instance", "_runs", "_starts", "_stops", "_active_time")
+    __slots__ = (
+        "instance", "_runs", "_starts", "_stops", "_active_time", "_violations"
+    )
 
     def __init__(
         self, instance: Instance, assignment: Mapping[int, Iterable[int]]
@@ -155,6 +157,7 @@ class Schedule:
         first, last = (self._starts[0], self._stops[-1]) if ends else (0, 0)
         idle = sum(s - e for s, e in zip(self._starts[1:], self._stops) if s > e)
         self._active_time = last - first - idle
+        self._violations: tuple[str, ...] | None = None
 
     @classmethod
     def from_runs(cls, instance: Instance, runs: Mapping[int, Sequence[int]]) -> "Schedule":
@@ -250,8 +253,11 @@ class Schedule:
 
         A range ``a..b`` in a message stands for every slot from ``a`` to
         ``b``; one message covers each run outside a window and each range
-        of overloaded slots.
+        of overloaded slots.  A schedule is immutable, so they are found
+        once and kept.
         """
+        if self._violations is not None:
+            return list(self._violations)
         problems: list[str] = []
         runs_of = self._runs
         for job in self.instance.jobs:
@@ -301,6 +307,7 @@ class Schedule:
                     problems.append(
                         f"slots {_span(start, stop)} run {load} jobs, capacity is {g}"
                     )
+        self._violations = tuple(problems)
         return problems
 
     @property

@@ -142,9 +142,8 @@ class Instance:
 
     def require_laminar(self) -> None:
         """Raise :class:`NotLaminarError` unless windows are laminar."""
-        pair = crossing_pair(self.windows)
-        if pair is not None:
-            a, b = pair
+        if not self.is_laminar:
+            a, b = crossing_pair(self.windows)
             raise NotLaminarError(
                 f"windows [{a.start},{a.end}) and [{b.start},{b.end}) cross",
                 witness=((a.start, a.end), (b.start, b.end)),

@@ -22,12 +22,11 @@ from repro.instances.jobs import Instance, Job
 from repro.lp.backend import LinearProgram
 from repro.lp.natural_lp import (
     SlotLPSolution,
+    _solve_slot_lp,
     _xname,
-    _yname,
     build_natural_lp,
 )
 from repro.util.intervals import Interval
-from repro.util.numeric import snap_vector
 
 
 def forced_occupancy(job: Job, interval: Interval) -> int:
@@ -121,15 +120,4 @@ def _add_ceiling_block(lp: LinearProgram, instance: Instance) -> None:
 
 def solve_cw_lp(instance: Instance) -> SlotLPSolution:
     """Solve the Călinescu–Wang LP; values snapped within tolerance."""
-    lp = build_cw_lp(instance)
-    sol = lp.solve()
-    slots = list(instance.slots())
-    xs = snap_vector(sol.get(_xname(t)) for t in slots)
-    x = {t: float(v) for t, v in zip(slots, xs)}
-    y = {}
-    for job in instance.jobs:
-        for t in range(job.release, job.deadline):
-            v = sol.get(_yname(t, job.id))
-            if v > 1e-9:
-                y[(t, job.id)] = float(v)
-    return SlotLPSolution(value=float(sol.value), x=x, y=y)
+    return _solve_slot_lp(instance, build_cw_lp(instance))

@@ -70,7 +70,12 @@ def build_natural_lp(instance: Instance) -> LinearProgram:
 
 def solve_natural_lp(instance: Instance) -> SlotLPSolution:
     """Solve the natural LP; values snapped within tolerance."""
-    lp = build_natural_lp(instance)
+    return _solve_slot_lp(instance, build_natural_lp(instance))
+
+
+def _solve_slot_lp(instance: Instance, lp: LinearProgram) -> SlotLPSolution:
+    """Solve a per-slot LP over ``x[t]``/``y[t,j]`` columns and read it
+    back: ``x`` snapped within tolerance, ``y`` above ``1e-9`` only."""
     sol = lp.solve()
     slots = list(instance.slots())
     xs = snap_vector(sol.get(_xname(t)) for t in slots)

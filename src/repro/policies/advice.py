@@ -94,16 +94,10 @@ class AdviceAugmentedPolicy(Policy):
 
     kind = "advice"
 
-    def __init__(
-        self,
-        provider: AdviceProvider,
-        name: str = "advice",
-        description: str = "",
-    ) -> None:
+    def __init__(self, provider: AdviceProvider, name: str = "advice") -> None:
         super().__init__()
         self.provider = provider
         self.name = name
-        self.description = description
 
     def supports(self, instance: Instance) -> bool:
         return instance.is_laminar
@@ -166,11 +160,7 @@ class AdviceAugmentedPolicy(Policy):
     description="advice-augmented rounding fed the true optimum (consistency)",
 )
 def make_perfect_advice_policy() -> AdviceAugmentedPolicy:
-    return AdviceAugmentedPolicy(
-        perfect_advice,
-        name="advice-perfect",
-        description="advice-augmented rounding fed the true optimum",
-    )
+    return AdviceAugmentedPolicy(perfect_advice)
 
 
 @register_policy(
@@ -179,8 +169,4 @@ def make_perfect_advice_policy() -> AdviceAugmentedPolicy:
     description="advice-augmented rounding fed all-zero advice (robustness)",
 )
 def make_adversarial_advice_policy() -> AdviceAugmentedPolicy:
-    return AdviceAugmentedPolicy(
-        adversarial_advice,
-        name="advice-adversarial",
-        description="advice-augmented rounding fed all-zero advice",
-    )
+    return AdviceAugmentedPolicy(adversarial_advice)

@@ -67,11 +67,13 @@ class PolicyResult:
 class Policy:
     """Base class all registered policies implement.
 
-    Subclasses set :attr:`name`/:attr:`kind`/:attr:`description` and
-    implement :meth:`solve`; they may override :meth:`supports` to
-    declare structural preconditions (e.g. the 9/5 pipeline is
-    laminar-only).  :meth:`run` is the public entry point and is final
-    in spirit: it handles degenerate instances, times the solve,
+    Subclasses implement :meth:`solve`; they may override
+    :meth:`supports` to declare structural preconditions (e.g. the 9/5
+    pipeline is laminar-only).  :attr:`name`/:attr:`kind`/
+    :attr:`description` come from the ``register_policy`` decorator:
+    :func:`~repro.policies.registry.make_policy` stamps them on each
+    instance it builds.  :meth:`run` is the public entry point and is
+    final in spirit: it handles degenerate instances, times the solve,
     validates the schedule, and snapshots the per-run stats.
     """
 

@@ -2,7 +2,9 @@
 
 Each wrapper is thin — the algorithms live in :mod:`repro.core` and
 :mod:`repro.baselines`; here they just pick up the :class:`Policy`
-contract (support checks, timing, validation, stats).
+contract (support checks, timing, validation, stats).  ``/solve``'s
+``algorithm=`` and ``active-time solve --algorithm`` run these same
+wrappers by name.
 """
 
 from __future__ import annotations
@@ -25,10 +27,6 @@ from repro.policies.registry import register_policy
 class NestedPolicy(Policy):
     """The paper's 9/5-approximation; requires nested (laminar) windows."""
 
-    name = "nested"
-    kind = "offline"
-    description = "strengthened LP + Algorithm 1 rounding (9/5-approx)"
-
     def supports(self, instance: Instance) -> bool:
         return instance.is_laminar
 
@@ -46,10 +44,6 @@ class NestedPolicy(Policy):
 class GreedyPolicy(Policy):
     """Greedy deactivation sweep — the classic 3-approximation."""
 
-    name = "greedy"
-    kind = "offline"
-    description = "minimal-feasible greedy deactivation (CKM 3-approx)"
-
     def solve(self, instance: Instance) -> Schedule:
         return minimal_feasible_schedule(instance)
 
@@ -61,10 +55,6 @@ class GreedyPolicy(Policy):
 )
 class KumarKhullerPolicy(Policy):
     """The Kumar–Khuller LP-rounding baseline."""
-
-    name = "kk"
-    kind = "offline"
-    description = "Kumar–Khuller LP rounding baseline"
 
     def solve(self, instance: Instance) -> Schedule:
         return kumar_khuller_schedule(instance)
@@ -79,32 +69,29 @@ class ExactPolicy(Policy):
     """Branch-and-bound optimum.
 
     A blown node budget degrades to the search's incumbent (a feasible
-    upper bound) with ``degraded=True`` in the stats, so registry-wide
-    sweeps never crash on a hard instance — they just lose the
-    optimality certificate for it.
+    upper bound, seeded from the greedy 3-approximation) with
+    ``degraded=True`` and the budget message as ``degraded_reason`` in
+    the stats, so registry-wide sweeps never crash on a hard instance —
+    they just lose the optimality certificate for it.
     """
-
-    name = "exact"
-    kind = "offline"
-    description = "branch-and-bound exact optimum"
 
     def __init__(self, node_budget: int = 200_000) -> None:
         super().__init__()
         self.node_budget = node_budget
 
     def solve(self, instance: Instance) -> Schedule:
+        reason = None
         try:
             result = solve_exact(instance, node_budget=self.node_budget)
-            degraded = False
         except BudgetExceeded as exc:
-            incumbent = exc.incumbent()
-            if incumbent is None:
+            result, reason = exc.incumbent(), str(exc)
+            if result is None:
                 raise
-            result = incumbent
-            degraded = True
         self.note(
             nodes_explored=result.nodes_explored,
-            degraded=degraded,
-            optimal=not degraded,
+            degraded=reason is not None,
+            optimal=reason is None,
         )
+        if reason is not None:
+            self.note(degraded_reason=reason)
         return result.schedule(instance)

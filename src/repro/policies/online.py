@@ -34,8 +34,6 @@ from repro.policies.registry import register_policy
 class OnlineAdapter(Policy):
     """Bridge an :class:`OnlinePolicy` factory into the registry contract."""
 
-    kind = "online"
-
     def __init__(self, factory: Callable[[], OnlinePolicy]) -> None:
         super().__init__()
         self._factory = factory
@@ -51,10 +49,7 @@ def _register_online(
 ) -> None:
     @register_policy(name, kind="online", description=description)
     def make() -> OnlineAdapter:
-        adapter = OnlineAdapter(factory)
-        adapter.name = name
-        adapter.description = description
-        return adapter
+        return OnlineAdapter(factory)
 
     make.__name__ = f"make_{name}_policy"
 

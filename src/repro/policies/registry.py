@@ -13,13 +13,15 @@ factories at import time::
 Re-importing the same module replaces the entry silently (pytest and the
 CLI in one process); two *different* modules claiming one name is a
 :class:`PolicyError`.  :func:`make_policy` builds a fresh instance per
-call, so registered policies never share state across runs.
+call, so registered policies never share state across runs, and stamps
+the registered name, kind and description on it: a policy's identity is
+declared once, in its decorator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 from repro.instances.jobs import Instance
 from repro.policies.base import POLICY_KINDS, Policy, PolicyError, PolicyResult
@@ -32,7 +34,7 @@ class PolicySpec:
     name: str
     kind: str
     description: str
-    factory: Callable[[], Policy]
+    factory: Callable[..., Policy]
     module: str
 
 
@@ -41,7 +43,7 @@ _REGISTRY: dict[str, PolicySpec] = {}
 
 def register_policy(
     name: str, *, kind: str, description: str = ""
-) -> Callable[[Callable[[], Policy]], Callable[[], Policy]]:
+) -> Callable[[Callable[..., Policy]], Callable[..., Policy]]:
     """Decorator: add a policy factory (class or callable) to the registry."""
     if kind not in POLICY_KINDS:
         raise PolicyError(
@@ -53,7 +55,7 @@ def register_policy(
             "CLI / service spelling)"
         )
 
-    def wrap(factory: Callable[[], Policy]) -> Callable[[], Policy]:
+    def wrap(factory: Callable[..., Policy]) -> Callable[..., Policy]:
         module = getattr(factory, "__module__", "?")
         existing = _REGISTRY.get(name)
         if (
@@ -73,7 +75,6 @@ def register_policy(
             module=module,
         )
         _REGISTRY[name] = spec
-        factory.policy_spec = spec  # type: ignore[attr-defined]
         return factory
 
     return wrap
@@ -94,11 +95,13 @@ def policy_names() -> list[str]:
     return list(policy_specs())
 
 
-def make_policy(name: str) -> Policy:
+def make_policy(name: str, **params: Any) -> Policy:
     """Instantiate a registered policy by name.
 
-    Raises :class:`PolicyError` naming the known policies for unknown
-    names — callers (CLI, service) surface that list to the user.
+    ``params`` go to the policy's factory (e.g. ``node_budget`` for
+    ``exact``).  Raises :class:`PolicyError` naming the known policies
+    for unknown names — callers (CLI, service) surface that list to the
+    user.
     """
     spec = _REGISTRY.get(name)
     if spec is None:
@@ -106,12 +109,14 @@ def make_policy(name: str) -> Policy:
             f"unknown policy {name!r}; known policies: "
             f"{', '.join(sorted(_REGISTRY)) or '(none registered)'}"
         )
-    policy = spec.factory()
+    policy = spec.factory(**params)
     if not isinstance(policy, Policy):
         raise PolicyError(
             f"factory for policy {name!r} returned {type(policy).__name__}, "
             "not a Policy"
         )
+    policy.name, policy.kind = spec.name, spec.kind
+    policy.description = spec.description
     return policy
 
 

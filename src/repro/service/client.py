@@ -92,7 +92,7 @@ class ServiceClient:
         self, instance: Instance | dict[str, Any], **options: Any
     ) -> dict[str, Any]:
         """``POST /solve``; options: algorithm, deadline_ms,
-        node_budget, split."""
+        node_budget, split, or policy."""
         body = {"instance": self._instance_doc(instance), **options}
         return self._post_json("/solve", body)
 

@@ -194,37 +194,66 @@ class SchedulingService:
     # -- endpoints -----------------------------------------------------
 
     def solve(self, body: dict[str, Any]) -> dict[str, Any]:
+        """``/solve`` by ``algorithm`` (default ``nested``) or by any
+        registered ``policy``: each part runs ``make_policy(name).run``.
+
+        Policy validation mirrors the existing contracts: a bool-typed
+        name is a *typed* client error (422, like ``_reject_bool``), an
+        unknown name is 404 carrying the known-policy list.  Policy runs
+        never split: an online policy's slot decisions are a function of
+        the whole arrival trace, so fan-out would change its semantics.
+        """
         _reject_backend(body)
         instance = _parse_instance(body)
-        if body.get("policy") is not None:
-            return self._solve_policy(instance, body)
-        algorithm = body.get("algorithm", "nested")
-        if algorithm not in SOLVE_ALGORITHMS:
-            raise ServiceError(
-                f"unknown algorithm {algorithm!r}; "
-                f"pick one of {list(SOLVE_ALGORITHMS)}"
-            )
-        _require_size(instance, walks_slots=algorithm != "nested")
-        _reject_bool(body, "deadline_ms", "node_budget")
-        deadline_ms = body.get("deadline_ms")
-        if deadline_ms is not None and (
-            not isinstance(deadline_ms, (int, float)) or deadline_ms <= 0
-        ):
-            raise ServiceError("deadline_ms must be a positive number")
-        node_budget = body.get("node_budget")
-        if node_budget is not None and (
-            not isinstance(node_budget, int) or node_budget < 1
-        ):
-            raise ServiceError("node_budget must be a positive integer")
-        split = body.get("split")
-        if split is not None and not isinstance(split, bool):
-            raise ServiceError("split must be a boolean")
-        options = {
-            "algorithm": algorithm,
-            "deadline_ms": deadline_ms,
-            "node_budget": node_budget,
-        }
-        parts = self._split(instance, split)
+        policy, algorithm = body.get("policy"), None
+        if policy is not None:
+            if isinstance(policy, bool) or not isinstance(policy, str):
+                raise ServiceError(
+                    "policy must be a string name, not a boolean or number",
+                    status=422,
+                )
+            if body.get("algorithm") is not None:
+                raise ServiceError('pass "algorithm" or "policy", not both')
+            from repro.policies import policy_names
+
+            known = policy_names()
+            if policy not in known:
+                raise ServiceError(
+                    f"unknown policy {policy!r}; known policies: "
+                    f"{', '.join(known)}",
+                    status=404,
+                )
+            _require_size(instance, walks_slots=True)
+            options: dict[str, Any] = {"policy": policy}
+            parts = [instance]
+        else:
+            algorithm = body.get("algorithm", "nested")
+            if algorithm not in SOLVE_ALGORITHMS:
+                raise ServiceError(
+                    f"unknown algorithm {algorithm!r}; "
+                    f"pick one of {list(SOLVE_ALGORITHMS)}"
+                )
+            _require_size(instance, walks_slots=algorithm != "nested")
+            _reject_bool(body, "deadline_ms", "node_budget")
+            deadline_ms = body.get("deadline_ms")
+            if deadline_ms is not None and (
+                not isinstance(deadline_ms, (int, float)) or deadline_ms <= 0
+            ):
+                raise ServiceError("deadline_ms must be a positive number")
+            node_budget = body.get("node_budget")
+            if node_budget is not None and (
+                not isinstance(node_budget, int) or node_budget < 1
+            ):
+                raise ServiceError("node_budget must be a positive integer")
+            split = body.get("split")
+            if split is not None and not isinstance(split, bool):
+                raise ServiceError("split must be a boolean")
+            options = {
+                "algorithm": algorithm,
+                "deadline_ms": deadline_ms,
+                "node_budget": node_budget,
+            }
+            parts = self._split(instance, split)
         payloads = [(instance_to_dict(p), options) for p in parts]
         try:
             results = self._map("repro.service.workers:solve_part", payloads)
@@ -236,88 +265,40 @@ class SchedulingService:
         except InfeasibleInstanceError as exc:
             raise ServiceError(str(exc), status=422) from exc
 
+        stats = [r["stats"] for r in results]
         assignment: dict[str, list[int]] = {}
         for result in results:
             assignment.update(result["schedule"]["assignment"])
-        response: dict[str, Any] = {
-            "algorithm": algorithm,
-            "active_time": sum(r["active_time"] for r in results),
-            "degraded": any(r["degraded"] for r in results),
-            "parts": len(results),
-            "schedule": {
-                "version": results[0]["schedule"]["version"],
-                "instance": instance_to_dict(instance),
-                "assignment": assignment,
-            },
-            "solver": obs.merge({}, *(r["solver"] for r in results)),
-            "flow": obs.merge({}, *(r["flow"] for r in results)),
+        if policy is not None:
+            response: dict[str, Any] = {
+                "policy": policy,
+                "policy_kind": results[0]["kind"],
+            }
+        else:
+            response = {"algorithm": algorithm}
+        response["active_time"] = sum(r["active_time"] for r in results)
+        response["degraded"] = any(s.get("degraded") for s in stats)
+        response["parts"] = len(results)
+        if policy is not None:
+            response["stats"] = stats[0]
+        response["schedule"] = {
+            "version": results[0]["schedule"]["version"],
+            "instance": instance_to_dict(instance),
+            "assignment": assignment,
         }
+        response["solver"] = obs.merge({}, *(r["solver"] for r in results))
+        response["flow"] = obs.merge({}, *(r["flow"] for r in results))
         if algorithm == "nested":
-            response["lp_value"] = sum(r["lp_value"] for r in results)
-            response["repairs"] = sum(r["repairs"] for r in results)
+            response["lp_value"] = sum(s.get("lp_value", 0.0) for s in stats)
+            response["repairs"] = sum(s.get("repairs", 0) for s in stats)
         if algorithm == "exact":
             response["nodes_explored"] = sum(
-                r.get("nodes_explored", 0) for r in results
+                s.get("nodes_explored", 0) for s in stats
             )
-            reasons = [
-                r["degraded_reason"] for r in results if r["degraded"]
-            ]
+            reasons = [s["degraded_reason"] for s in stats if s.get("degraded")]
             if reasons:
                 response["degraded_reason"] = "; ".join(reasons)
         return response
-
-    def _solve_policy(
-        self, instance: Instance, body: dict[str, Any]
-    ) -> dict[str, Any]:
-        """``/solve`` with a registered policy instead of an algorithm.
-
-        Validation mirrors the existing contracts: a bool-typed name is
-        a *typed* client error (422, like ``_reject_bool``), an unknown
-        name is 404 carrying the known-policy list.  Policy runs never
-        split: an online policy's slot decisions are a function of the
-        whole arrival trace, so fan-out would change its semantics.
-        """
-        policy = body["policy"]
-        if isinstance(policy, bool) or not isinstance(policy, str):
-            raise ServiceError(
-                "policy must be a string name, not a boolean or number",
-                status=422,
-            )
-        if body.get("algorithm") is not None:
-            raise ServiceError('pass "algorithm" or "policy", not both')
-        from repro.policies import policy_names
-
-        known = policy_names()
-        if policy not in known:
-            raise ServiceError(
-                f"unknown policy {policy!r}; known policies: "
-                f"{', '.join(known)}",
-                status=404,
-            )
-        _require_size(instance, walks_slots=True)
-        payload = (instance_to_dict(instance), {"policy": policy})
-        try:
-            results = self._map(
-                "repro.service.workers:solve_part", [payload]
-            )
-        except InfeasibleInstanceError as exc:
-            raise ServiceError(str(exc), status=422) from exc
-        result = results[0]
-        return {
-            "policy": policy,
-            "policy_kind": result["policy_kind"],
-            "active_time": result["active_time"],
-            "degraded": bool(result["degraded"]),
-            "parts": 1,
-            "stats": result["policy_stats"],
-            "schedule": {
-                "version": result["schedule"]["version"],
-                "instance": instance_to_dict(instance),
-                "assignment": result["schedule"]["assignment"],
-            },
-            "solver": obs.merge({}, *(r["solver"] for r in results)),
-            "flow": obs.merge({}, *(r["flow"] for r in results)),
-        }
 
     def verify(self, body: dict[str, Any]) -> dict[str, Any]:
         _reject_backend(body)
@@ -407,7 +388,8 @@ class SchedulingService:
         if split is False:
             return [instance]
         if split is True or instance.n >= self.split_jobs:
-            return split_independent(instance)
+            # An empty instance has no blocks; it is solved as one part.
+            return split_independent(instance) or [instance]
         return [instance]
 
     def shutdown(self) -> None:

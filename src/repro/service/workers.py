@@ -13,12 +13,14 @@ ran it).  The server merges pooled deltas into its own aggregate so
 ``/metrics`` reflects work done in worker processes, whose
 process-global counters would otherwise be invisible.
 
-The deadline contract lives in :func:`solve_part`: a request
-``deadline_ms`` is mapped onto the branch-and-bound ``node_budget`` (the
-repo's existing degradation path) and a tripped budget returns the
-picklable :class:`~repro.baselines.exact.BudgetExceeded` incumbent
-marked ``degraded: true`` — a slow instance degrades, it never hangs
-the connection.
+:func:`solve_part` runs every ``/solve`` part through the policy
+registry, ``make_policy(name).run(instance)``, whether the request named
+an ``algorithm`` or a ``policy``.  The deadline contract lives there
+too: an ``algorithm="exact"`` request's ``deadline_ms`` is mapped onto
+:class:`~repro.policies.offline.ExactPolicy`'s ``node_budget``, and a
+tripped budget degrades to the search's incumbent (``degraded: true``
+in the policy stats) — a slow instance degrades, it never hangs the
+connection.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro import obs
+from repro.baselines.exact import DEFAULT_NODE_BUDGET
 from repro.flow.incremental import flow_stats
 from repro.instances.io import (
     instance_from_dict,
@@ -52,8 +55,8 @@ def node_budget_for(
     """Resolve the effective exact-search budget for a request.
 
     An explicit ``node_budget`` wins; otherwise ``deadline_ms`` is
-    converted at :data:`NODES_PER_MS`.  ``None`` means "no cap" (the
-    solver's own default applies).
+    converted at :data:`NODES_PER_MS`.  ``None`` means neither was
+    given: the search runs at its default, ``DEFAULT_NODE_BUDGET``.
     """
     if node_budget is not None:
         return node_budget
@@ -68,69 +71,23 @@ def process_counters() -> dict[str, Any]:
 
 
 def _solve(doc: dict[str, Any], options: dict[str, Any]) -> dict[str, Any]:
+    from repro.policies import make_policy
+
     instance = instance_from_dict(doc)
-    policy = options.get("policy")
-    if policy is not None:
-        from repro.policies import run_policy
-
-        result = run_policy(policy, instance)
-        return {
-            "algorithm": policy,
-            "policy": policy,
-            "policy_kind": result.kind,
-            "policy_stats": result.stats,
-            "degraded": bool(result.stats.get("degraded")),
-            "part": instance.name,
-            "active_time": result.active_time,
-            "schedule": schedule_to_dict(result.schedule),
-        }
-    algorithm = options.get("algorithm", "nested")
-    out: dict[str, Any] = {
-        "algorithm": algorithm,
-        "degraded": False,
-        "part": instance.name,
-    }
-    if algorithm == "nested":
-        from repro.core.algorithm import solve_nested
-
-        result = solve_nested(instance)
-        schedule = result.schedule
-        out["lp_value"] = result.lp_value
-        out["repairs"] = result.repairs
-    elif algorithm == "greedy":
-        from repro.baselines.minimal_feasible import minimal_feasible_schedule
-
-        schedule = minimal_feasible_schedule(instance)
-    elif algorithm == "kk":
-        from repro.baselines.kumar_khuller import kumar_khuller_schedule
-
-        schedule = kumar_khuller_schedule(instance)
-    elif algorithm == "exact":
-        from repro.baselines.exact import BudgetExceeded, solve_exact
-
+    name = options.get("policy") or options.get("algorithm", "nested")
+    params = {}
+    if name == "exact" and "policy" not in options:
         budget = node_budget_for(
             options.get("deadline_ms"), options.get("node_budget")
         )
-        kwargs = {} if budget is None else {"node_budget": budget}
-        try:
-            exact = solve_exact(instance, **kwargs)
-            schedule = exact.schedule(instance)
-            out["nodes_explored"] = exact.nodes_explored
-        except BudgetExceeded as exc:
-            incumbent = exc.incumbent()
-            if incumbent is None:
-                raise
-            schedule = incumbent.schedule(instance)
-            out["degraded"] = True
-            out["degraded_reason"] = str(exc)
-            out["nodes_explored"] = incumbent.nodes_explored
-    else:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; pick one of {SOLVE_ALGORITHMS}"
-        )
-    out["active_time"] = schedule.active_time
-    out["schedule"] = schedule_to_dict(schedule)
-    return out
+        params["node_budget"] = budget or DEFAULT_NODE_BUDGET
+    result = make_policy(name, **params).run(instance)
+    return {
+        "kind": result.kind,
+        "stats": result.stats,
+        "active_time": result.active_time,
+        "schedule": schedule_to_dict(result.schedule),
+    }
 
 
 def solve_part(payload: tuple[dict, dict]) -> dict[str, Any]:

@@ -11,6 +11,7 @@ tests a second opinion and gives the examples something tangible to show.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Mapping, Sequence
 
 from repro.core.schedule import Schedule
 from repro.util.errors import InvalidInstanceError
@@ -74,59 +75,26 @@ class BatchMachine:
         for jid, slots in schedule.assignment.items():
             for t in slots:
                 by_slot.setdefault(t, []).append(jid)
-
         remaining = {j.id: j.processing for j in inst.jobs}
         windows = {j.id: (j.release, j.deadline) for j in inst.jobs}
-        last_ran: dict[int, int] = {}
-        events: list[SlotEvent] = []
-        energy = 0.0
-        total_units = 0
-        preemptions = 0
-        # The trace covers the whole active span: slots the schedule skips
-        # inside it are real machine states (powered down, nothing runs)
-        # and are emitted as powered=False events — energy and active-slot
-        # accounting count only powered slots.
-        active = sorted(by_slot)
-        span = range(active[0], active[-1] + 1) if active else range(0)
-        for t in span:
-            if t not in by_slot:
-                events.append(SlotEvent(slot=t, running=(), powered=False))
-                continue
-            running = tuple(sorted(by_slot[t]))
-            if len(running) != len(set(running)):
-                raise InvalidInstanceError(f"slot {t}: duplicate job run")
-            if len(running) > self.g:
-                raise InvalidInstanceError(
-                    f"slot {t}: load {len(running)} exceeds capacity {self.g}"
-                )
-            for jid in running:
-                if jid not in remaining:
-                    raise InvalidInstanceError(f"slot {t}: unknown job {jid}")
-                r, d = windows[jid]
-                if not (r <= t < d):
-                    raise InvalidInstanceError(
-                        f"slot {t}: job {jid} outside window [{r},{d})"
-                    )
-                if remaining[jid] <= 0:
-                    raise InvalidInstanceError(
-                        f"slot {t}: job {jid} already finished"
-                    )
-                remaining[jid] -= 1
-                if jid in last_ran and last_ran[jid] != t - 1:
-                    preemptions += 1
-                last_ran[jid] = t
-            energy += self.power_per_slot
-            total_units += len(running)
-            events.append(SlotEvent(slot=t, running=running, powered=True))
 
-        return SimulationResult(
-            events=events,
-            active_slots=sum(1 for e in events if e.powered),
-            energy=energy,
-            total_units=total_units,
-            preemptions=preemptions,
-            remaining=remaining,
-        )
+        def run_unit(t: int, jid: int) -> None:
+            if jid not in remaining:
+                raise InvalidInstanceError(f"slot {t}: unknown job {jid}")
+            r, d = windows[jid]
+            if not (r <= t < d):
+                raise InvalidInstanceError(
+                    f"slot {t}: job {jid} outside window [{r},{d})"
+                )
+            if remaining[jid] <= 0:
+                raise InvalidInstanceError(
+                    f"slot {t}: job {jid} already finished"
+                )
+            remaining[jid] -= 1
+
+        result = self._execute(by_slot, run_unit)
+        result.remaining = remaining
+        return result
 
     def audit_twin(self, session) -> SimulationResult:
         """Audit a twin session's committed history under the machine model.
@@ -134,12 +102,15 @@ class BatchMachine:
         Replays the executed trace of a
         :class:`~repro.twin.session.TwinSession` (idle gaps included, as
         in :meth:`run`) and re-checks it independently of the twin's own
-        bookkeeping: per-slot capacity, no duplicate runs, deadlines, and
-        per-job volume conservation (executed units must equal admitted
-        work minus outstanding work; finished jobs must have none left).
-        Releases are checked against each job's *arrival-time* window
-        start, not the current one — a later accepted slip can move the
-        release past slots that were legitimately executed before it.
+        bookkeeping: per-slot capacity, no duplicate runs, the twin
+        clock, arrivals, deadlines, and per-job volume conservation
+        (executed units must equal admitted work minus outstanding work;
+        finished jobs must have none left).  No job may run before the
+        slot it arrived at: every release, at arrival or after a slip,
+        is clamped to the twin clock, so that slot bounds every window
+        the job ever had.  A later accepted slip can move the release
+        past slots that were legitimately executed before it, so the
+        current release is not checked.
 
         ``remaining`` maps every non-cancelled admitted job to its
         outstanding units, so ``all_finished`` answers "did the session
@@ -149,51 +120,34 @@ class BatchMachine:
             raise InvalidInstanceError(
                 f"machine capacity {self.g} != twin capacity {session.g}"
             )
-        history = session.history()
         records = {r.job_id: r for r in session.jobs()}
         executed: dict[int, int] = {jid: 0 for jid in records}
-        last_ran: dict[int, int] = {}
-        events: list[SlotEvent] = []
-        energy = 0.0
-        total_units = 0
-        preemptions = 0
-        active = sorted(history)
-        span = range(active[0], active[-1] + 1) if active else range(0)
-        for t in span:
-            if t not in history:
-                events.append(SlotEvent(slot=t, running=(), powered=False))
-                continue
-            running = tuple(sorted(history[t]))
-            if len(running) != len(set(running)):
-                raise InvalidInstanceError(f"slot {t}: duplicate job run")
-            if len(running) > self.g:
-                raise InvalidInstanceError(
-                    f"slot {t}: load {len(running)} exceeds capacity {self.g}"
-                )
+
+        def run_unit(t: int, jid: int) -> None:
             if t >= session.now:
                 raise InvalidInstanceError(
                     f"slot {t}: committed ahead of the twin clock {session.now}"
                 )
-            for jid in running:
-                record = records.get(jid)
-                if record is None:
-                    raise InvalidInstanceError(f"slot {t}: unknown job {jid}")
-                if not t < record.deadline:
-                    raise InvalidInstanceError(
-                        f"slot {t}: job {jid} ran at or past its deadline "
-                        f"{record.deadline}"
-                    )
-                if executed[jid] >= record.processing:
-                    raise InvalidInstanceError(
-                        f"slot {t}: job {jid} already finished"
-                    )
-                executed[jid] += 1
-                if jid in last_ran and last_ran[jid] != t - 1:
-                    preemptions += 1
-                last_ran[jid] = t
-            energy += self.power_per_slot
-            total_units += len(running)
-            events.append(SlotEvent(slot=t, running=running, powered=True))
+            record = records.get(jid)
+            if record is None:
+                raise InvalidInstanceError(f"slot {t}: unknown job {jid}")
+            if t < record.arrived_at:
+                raise InvalidInstanceError(
+                    f"slot {t}: job {jid} ran before it arrived at "
+                    f"{record.arrived_at}"
+                )
+            if not t < record.deadline:
+                raise InvalidInstanceError(
+                    f"slot {t}: job {jid} ran at or past its deadline "
+                    f"{record.deadline}"
+                )
+            if executed[jid] >= record.processing:
+                raise InvalidInstanceError(
+                    f"slot {t}: job {jid} already finished"
+                )
+            executed[jid] += 1
+
+        result = self._execute(session.history(), run_unit)
         for jid, record in records.items():
             ran = record.processing - record.remaining
             if record.status == "cancelled":
@@ -213,16 +167,58 @@ class BatchMachine:
                     f"job {jid}: marked finished with {record.remaining} "
                     f"units outstanding"
                 )
-        remaining = {
+        result.remaining = {
             jid: record.remaining
             for jid, record in records.items()
             if record.status != "cancelled"
         }
+        return result
+
+    def _execute(
+        self,
+        by_slot: Mapping[int, Sequence[int]],
+        run_unit: Callable[[int, int], None],
+    ) -> SimulationResult:
+        """Walk the active span of ``by_slot`` (slot → job ids run there).
+
+        Checks each slot for duplicate runs and capacity and hands every
+        unit to ``run_unit(slot, job_id)``, which checks and books it.
+        The trace covers the whole active span: slots skipped inside it
+        are real machine states (powered down, nothing runs) and are
+        emitted as ``powered=False`` events — energy and active-slot
+        accounting count only powered slots.  ``remaining`` is left to
+        the caller.
+        """
+        last_ran: dict[int, int] = {}
+        events: list[SlotEvent] = []
+        energy = 0.0
+        total_units = 0
+        preemptions = 0
+        active = sorted(by_slot)
+        span = range(active[0], active[-1] + 1) if active else range(0)
+        for t in span:
+            if t not in by_slot:
+                events.append(SlotEvent(slot=t, running=(), powered=False))
+                continue
+            running = tuple(sorted(by_slot[t]))
+            if len(running) != len(set(running)):
+                raise InvalidInstanceError(f"slot {t}: duplicate job run")
+            if len(running) > self.g:
+                raise InvalidInstanceError(
+                    f"slot {t}: load {len(running)} exceeds capacity {self.g}"
+                )
+            for jid in running:
+                run_unit(t, jid)
+                if jid in last_ran and last_ran[jid] != t - 1:
+                    preemptions += 1
+                last_ran[jid] = t
+            energy += self.power_per_slot
+            total_units += len(running)
+            events.append(SlotEvent(slot=t, running=running, powered=True))
         return SimulationResult(
             events=events,
             active_slots=sum(1 for e in events if e.powered),
             energy=energy,
             total_units=total_units,
             preemptions=preemptions,
-            remaining=remaining,
         )

@@ -32,12 +32,8 @@ import numpy as np
 from repro.lp.backend import LPSolution, ModelNames, NameFamily, Names
 
 
-def model_fingerprint(lp, parts: dict) -> str:
-    """Canonical hash of a compiled model.
-
-    Everything hashed comes from ``parts`` (``lp.compile()``); ``lp``,
-    the model they were compiled from, is not read.
-    """
+def model_fingerprint(parts: dict) -> str:
+    """Canonical hash of a compiled model, ``parts = lp.compile()``."""
     h = hashlib.blake2b(digest_size=20)
 
     def arr(a) -> None:

@@ -65,7 +65,7 @@ class SolverService:
         parts = lp.compile()
         key = None
         if self.cache is not None:
-            key = model_fingerprint(lp, parts)
+            key = model_fingerprint(parts)
             with self._lock:
                 hit = self.cache.get(key, parts["names"])
             if hit is not None:

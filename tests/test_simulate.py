@@ -140,6 +140,25 @@ class TestTwinAudit:
             BatchMachine(g=1).audit_twin(session)
 
 
+    def test_audit_rejects_a_run_before_arrival(self):
+        from repro.twin import JobArrived, SlotTick, TwinSession
+        from repro.instances.jobs import Job
+
+        session = TwinSession(1)
+        session.apply(SlotTick(until=3))
+        session.apply(JobArrived(Job(id=0, release=0, deadline=6, processing=1)))
+        session.apply(SlotTick(until=6))
+        (slot,) = session.committed_slots
+        assert slot >= 3
+        BatchMachine(g=1).audit_twin(session)
+        # Forge the run back to slot 1: the job arrived, and was released,
+        # at the twin clock 3.  Units, capacity and deadline still hold.
+        del session._history[slot]
+        session._history[1] = (0,)
+        with pytest.raises(InvalidInstanceError, match="before it arrived at 3"):
+            BatchMachine(g=1).audit_twin(session)
+
+
 class TestIntegrationWithSolver:
     @pytest.mark.parametrize("seed", range(4))
     def test_solver_output_executes_cleanly(self, seed):

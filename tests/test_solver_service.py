@@ -83,9 +83,7 @@ class TestCache:
         lp2 = LinearProgram("n1")
         lp2.add_var("b", objective=1.0)
         lp2.add_constraint({"b": 1}, ">=", 1, label="r")
-        assert model_fingerprint(lp1, lp1.compile()) != model_fingerprint(
-            lp2, lp2.compile()
-        )
+        assert model_fingerprint(lp1.compile()) != model_fingerprint(lp2.compile())
 
     def test_lru_eviction(self):
         cache = SolveCache(max_entries=2)
@@ -479,6 +477,4 @@ class TestNameFamilyKeys:
         family = self._family_lp([0, 1])
         assert lp.variable_names() == family.variable_names()
         assert lp.constraint_labels() == family.constraint_labels()
-        assert model_fingerprint(lp, lp.compile()) != model_fingerprint(
-            family, family.compile()
-        )
+        assert model_fingerprint(lp.compile()) != model_fingerprint(family.compile())
