@@ -9,9 +9,9 @@ million-instance sweeps amortize generation once and replay forever.
 
 Printed tables: the corpus build wall, then instances/sec for the
 regenerate-per-run and corpus-streamed supply paths (both consumed
-through the chunked :func:`repro.analysis.parallel.stream_battery`
-transport with the near-free ``profile`` task, so the supply cost is
-what's measured).  A campaign-equivalence table then runs one seeded
+in-process through :func:`repro.analysis.parallel.stream_battery` with
+the near-free ``profile`` task, so the supply cost is what's
+measured).  A campaign-equivalence table then runs one seeded
 corpus-backed fuzz campaign unsharded and as 3 merged shards — the
 stable reports must be *identical*, the contract CI's sharded fuzz
 matrix rests on.  Runnable standalone for CI::
@@ -58,12 +58,10 @@ def _supply_config(n: int, max_jobs: int, seed: int) -> FuzzConfig:
 
 
 def _consume(instances) -> int:
-    """Drain an instance stream through the chunked battery transport;
-    returns the volume checksum proving what was processed."""
+    """Drain an instance stream through an in-process battery; returns
+    the volume checksum proving what was processed."""
     total = 0
-    for row in stream_battery(
-        instances, "profile", chunk_instances=64, max_workers=1
-    ):
+    for row in stream_battery(instances, "profile", max_workers=1):
         total += row["volume"]
     return total
 

@@ -1,22 +1,11 @@
-"""Parallel execution of instance batteries.
+"""The one process pool, and the instance batteries that run on it.
 
-Experiment sweeps (E1/E5-style) are embarrassingly parallel across
-instances; this module fans them out over a process pool.  Workers
-receive serialized instances (the JSON dict form — cheap and robust to
-pickle across processes) and a *named* task so the callable itself never
-crosses the process boundary.  The in-process short-circuit
-(``max_workers=1`` or a single instance) skips the serialization
-round-trip entirely.
-
-Two fan-out shapes:
-
-* :func:`run_battery` — a materialized sequence of instances, one pool
-  round-trip per instance (or per chunk with ``chunk_instances``);
-* :func:`stream_battery` — an *iterable* of instances (a corpus stream,
-  a generator) consumed lazily: instances are grouped into chunks, each
-  chunk crosses the process boundary as one pickled payload, and at most
-  a bounded window of chunks is in flight — so a million-instance corpus
-  sweep holds ``O(window · chunk)`` instances in memory, not the corpus.
+:class:`WorkerPool` is the package's only process pool: the HTTP
+service, the benchmark harness and the batteries below all map through
+it.  Experiment sweeps (E1/E5-style) are embarrassingly parallel across
+instances; :func:`stream_battery` runs a *named* task (the callable
+never crosses the process boundary) over a lazily consumed iterable of
+instances, and :func:`run_battery` is its list form.
 
 A failing task raises :class:`~repro.util.errors.BatteryTaskError`
 naming the task and the offending instance (name and battery index), so
@@ -26,7 +15,9 @@ chained.
 
 from __future__ import annotations
 
+import os
 from collections import deque
+from collections.abc import Sized
 from concurrent.futures import ProcessPoolExecutor
 from importlib import import_module
 from itertools import islice
@@ -35,6 +26,11 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from repro.instances.io import instance_from_dict, instance_to_dict
 from repro.instances.jobs import Instance
 from repro.util.errors import BatteryTaskError
+
+#: Most instances one pooled chunk carries.  A sized battery is cut
+#: finer, into about ``4 × width`` chunks, so a small one still spreads
+#: over every worker; a stream of unknown length is cut at this size.
+CHUNK_INSTANCES = 64
 
 #: Registry of tasks a worker can run; values map instance → result dict.
 _TASKS = {}
@@ -124,11 +120,6 @@ def _run_task(
         ) from exc
 
 
-def _worker(payload: tuple[str, dict, int]) -> dict[str, Any]:
-    task_name, doc, index = payload
-    return _run_task(task_name, instance_from_dict(doc), index)
-
-
 def _chunk_worker(
     payload: tuple[str, list[tuple[dict, int]]]
 ) -> list[dict[str, Any]]:
@@ -138,51 +129,6 @@ def _chunk_worker(
         _run_task(task_name, instance_from_dict(doc), index)
         for doc, index in chunk
     ]
-
-
-def run_battery(
-    instances: Sequence[Instance],
-    task: str,
-    *,
-    max_workers: int | None = None,
-    chunk_instances: int | None = None,
-) -> list[dict[str, Any]]:
-    """Run a registered task over instances with a process pool.
-
-    Results come back in input order.  ``max_workers=1`` short-circuits
-    to in-process execution (useful under debuggers and on single-core
-    CI) without any serialization round-trip, keeping behaviour
-    identical.  To attribute solver work to a battery, take
-    :func:`repro.obs.delta` of :func:`repro.solver.solver_stats` around
-    an in-process (``max_workers=1``) call.
-
-    ``chunk_instances=k`` switches to the chunked transport of
-    :func:`stream_battery` (one pickled payload per ``k`` instances
-    instead of one per instance) — same results, same order, same error
-    semantics; the per-instance path stays the default so existing
-    callers are untouched.
-    """
-    if chunk_instances is not None:
-        return list(
-            stream_battery(
-                instances,
-                task,
-                chunk_instances=chunk_instances,
-                max_workers=max_workers,
-            )
-        )
-    if task not in _TASKS:
-        raise ValueError(f"unknown task {task!r}; have {sorted(_TASKS)}")
-    if max_workers == 1 or len(instances) <= 1:
-        return [
-            _run_task(task, inst, idx) for idx, inst in enumerate(instances)
-        ]
-    payloads = [
-        (task, instance_to_dict(inst), idx)
-        for idx, inst in enumerate(instances)
-    ]
-    with ProcessPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(_worker, payloads))
 
 
 def _chunked(
@@ -203,57 +149,61 @@ def _chunked(
         yield chunk
 
 
+def _chunk_size(instances: Iterable[Instance], width: int) -> int:
+    """⌈n / (4 · width)⌉ for a sized battery (capped), else the cap."""
+    if not isinstance(instances, Sized):
+        return CHUNK_INSTANCES
+    return max(1, min(CHUNK_INSTANCES, -(-len(instances) // (4 * width))))
+
+
 def stream_battery(
     instances: Iterable[Instance],
     task: str,
     *,
-    chunk_instances: int = 64,
     max_workers: int | None = None,
-    inflight_chunks: int | None = None,
 ) -> Iterator[dict[str, Any]]:
     """Stream a registered task over an *iterable* of instances.
 
-    The corpus-scale sibling of :func:`run_battery`: the input is
-    consumed lazily (pair it with
-    :func:`repro.corpus.iter_corpus` to sweep a persistent corpus), each
-    chunk of ``chunk_instances`` crosses the pool boundary as one
-    payload, and at most ``inflight_chunks`` (default ``2 ×`` the pool
-    width) chunks are submitted ahead of the consumer — memory stays
-    bounded no matter how large the corpus.  Results are yielded in
-    input order with semantics identical to :func:`run_battery`,
-    including :class:`~repro.util.errors.BatteryTaskError` context.
+    Results are yielded in input order.  The input is consumed lazily
+    (pair it with :func:`repro.corpus.iter_corpus` to sweep a persistent
+    corpus).  Pooled instances cross the process boundary as chunks of
+    serialized JSON dicts (cheap and robust to pickle) through
+    :meth:`WorkerPool.imap`, which keeps at most ``2 × width`` chunks
+    ahead of the consumer, so memory stays bounded no matter how large
+    the corpus.
 
-    ``max_workers=1`` short-circuits to in-process streaming (no
-    serialization, no pool), which is also the deterministic-timing path
-    the E17 benchmark measures.
+    ``max_workers=1`` runs the task in the calling process with no
+    serialization round-trip (useful under debuggers and on single-core
+    CI); it is also the deterministic-timing path the E17 benchmark
+    measures.  To attribute solver work to a battery, take
+    :func:`repro.obs.delta` of :func:`repro.solver.solver_stats` around
+    an in-process call.
     """
     if task not in _TASKS:
         raise ValueError(f"unknown task {task!r}; have {sorted(_TASKS)}")
-    if chunk_instances < 1:
-        raise ValueError("chunk_instances must be >= 1")
-
     if max_workers == 1:
         for index, inst in enumerate(instances):
             yield _run_task(task, inst, index)
         return
+    with WorkerPool(max_workers) as pool:
+        size = _chunk_size(instances, pool.width)
+        payloads = ((task, chunk) for chunk in _chunked(instances, size))
+        for results in pool.imap(
+            "repro.analysis.parallel:_chunk_worker", payloads
+        ):
+            yield from results
 
-    with ProcessPoolExecutor(max_workers=max_workers) as pool:
-        window = inflight_chunks or 2 * (pool._max_workers or 1)
-        pending: deque = deque()
-        chunks = _chunked(instances, chunk_instances)
-        exhausted = False
-        while True:
-            while not exhausted and len(pending) < window:
-                chunk = next(chunks, None)
-                if chunk is None:
-                    exhausted = True
-                    break
-                pending.append(
-                    pool.submit(_chunk_worker, (task, chunk))
-                )
-            if not pending:
-                return
-            yield from pending.popleft().result()
+
+def run_battery(
+    instances: Sequence[Instance],
+    task: str,
+    *,
+    max_workers: int | None = None,
+) -> list[dict[str, Any]]:
+    """Run a registered task over instances; results in input order.
+
+    The list form of :func:`stream_battery`, with the same semantics."""
+    return list(stream_battery(instances, task, max_workers=max_workers))
 
 
 def resolve_worker(spec: str) -> Callable[[Any], Any]:
@@ -275,31 +225,35 @@ def _dispatch(pair: tuple[str, Any]) -> Any:
 
 
 class WorkerPool:
-    """A persistent process pool speaking the :func:`run_jobs` transport.
+    """A process pool addressed by dotted worker references.
 
-    :func:`run_jobs` builds (and tears down) an executor per call, which
-    is right for batch sweeps but wrong for a long-running caller — the
-    HTTP service maps many small requests and must not pay executor
-    startup per request.  A :class:`WorkerPool` keeps one
-    :class:`~concurrent.futures.ProcessPoolExecutor` alive across
-    :meth:`map` calls; workers are still addressed by dotted
-    ``"package.module:function"`` reference and only plain data crosses
-    the process boundary, so the pool works under both fork and spawn.
+    Workers are named ``"package.module:function"`` and resolved inside
+    the worker process, so only plain data crosses the process boundary
+    and the pool works under both fork and spawn.  ``width`` is
+    ``max_workers or os.cpu_count() or 1``.  The executor
+    is built on the first pooled map and lives until :meth:`shutdown`
+    (or the end of a ``with`` block), so a long-running caller such as
+    the HTTP service pays executor startup once, not per request.
+    Concurrent :meth:`map` calls from handler threads share the
+    executor, which serializes submission internally.
 
-    ``max_workers=1`` never builds an executor: every :meth:`map` runs
-    in the calling process with identical semantics (the deterministic
-    path tests and single-core deployments use).  The pool is lazy (the
-    executor is created on first pooled :meth:`map`) and thread-safe in
-    the way the service needs: concurrent :meth:`map` calls from
-    handler threads share the executor, which serializes submission
-    internally.
+    ``max_workers=1`` never builds an executor: every map runs in the
+    calling process with identical semantics (the deterministic path
+    tests and single-core deployments use).
     """
 
     def __init__(self, max_workers: int | None = None) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         self.max_workers = max_workers
+        self.width = max_workers or os.cpu_count() or 1
         self._pool: ProcessPoolExecutor | None = None
+
+    def __enter__(self) -> WorkerPool:
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.shutdown()
 
     @property
     def in_process(self) -> bool:
@@ -308,43 +262,46 @@ class WorkerPool:
 
     def _executor(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
+            self._pool = ProcessPoolExecutor(max_workers=self.width)
         return self._pool
 
     def map(self, worker: str, payloads: Sequence[Any]) -> list[Any]:
-        """Run ``worker`` over ``payloads``; results come back in order."""
+        """Run ``worker`` over ``payloads``; results come back in order.
+
+        Every payload is submitted at once, so the parts of one request
+        run side by side and none waits on the head part.
+        """
         fn = resolve_worker(worker)  # validate eagerly, fail before forking
         if self.in_process:
             return [fn(p) for p in payloads]
         pairs = [(worker, p) for p in payloads]
         return list(self._executor().map(_dispatch, pairs))
 
+    def imap(self, worker: str, payloads: Iterable[Any]) -> Iterator[Any]:
+        """Run ``worker`` over a lazily consumed iterable, yielding
+        results in order with at most ``2 × width`` payloads in flight."""
+        fn = resolve_worker(worker)  # validate eagerly, fail before forking
+        if self.in_process:
+            return map(fn, payloads)
+        return self._windowed(worker, payloads)
+
+    def _windowed(self, worker: str, payloads: Iterable[Any]) -> Iterator[Any]:
+        pending: deque = deque()
+        try:
+            for payload in payloads:
+                pending.append(
+                    self._executor().submit(_dispatch, (worker, payload))
+                )
+                if len(pending) == 2 * self.width:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:  # an abandoned or failed stream starts no more work
+            for future in pending:
+                future.cancel()
+
     def shutdown(self) -> None:
         """Tear down the executor (idempotent); maps after this rebuild it."""
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
-
-
-def run_jobs(
-    worker: str,
-    payloads: Sequence[Any],
-    *,
-    max_workers: int | None = None,
-) -> list[Any]:
-    """Map a picklable-payload worker over a process pool.
-
-    The generic sibling of :func:`run_battery` for work that is not an
-    instance battery (the benchmark harness fans out whole benchmarks
-    through it).  ``worker`` is a dotted reference resolved *inside*
-    each worker process, so nothing but plain data crosses the process
-    boundary and the pool works under both fork and spawn start
-    methods.  ``max_workers=1`` (or a single payload) short-circuits to
-    in-process execution with identical semantics.
-    """
-    fn = resolve_worker(worker)  # validate eagerly, fail before forking
-    if max_workers == 1 or len(payloads) <= 1:
-        return [fn(p) for p in payloads]
-    pairs = [(worker, p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(_dispatch, pairs))

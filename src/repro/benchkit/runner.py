@@ -9,9 +9,9 @@ solver stats are attributable to the benchmark alone and do not depend
 on suite order or ``--jobs``.
 
 Fan-out across benchmarks goes through
-:func:`repro.analysis.parallel.run_jobs` — process isolation also makes
-benchmarks that install their own solver service (E14) safe to run
-concurrently with the rest.
+:class:`repro.analysis.parallel.WorkerPool` — process isolation also
+makes benchmarks that install their own solver service (E14) safe to
+run concurrently with the rest.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from pathlib import Path
 from time import perf_counter
 from typing import Any, Callable, Sequence
 
-from repro.analysis.parallel import run_jobs
+from repro.analysis.parallel import WorkerPool
 from repro.benchkit.registry import (
     Benchmark,
     BenchContext,
@@ -103,28 +103,19 @@ def run_benchmarks(
     benchmarks_dir: str | Path | None = None,
 ) -> list[BenchResult]:
     """Discover, select, run (optionally in parallel), write artifacts."""
-    specs = discover(benchmarks_dir)
-    ids = resolve_ids(only, specs)
-    if jobs is None or jobs < 1:
-        jobs = 1
-    if jobs > 1:
-        payloads = [
-            {
-                "bench_id": bench_id,
-                "tier": tier,
-                "seed": seed,
-                "benchmarks_dir": (
-                    str(benchmarks_dir) if benchmarks_dir else None
-                ),
-            }
-            for bench_id in ids
-        ]
-        docs = run_jobs(_WORKER, payloads, max_workers=jobs)
-        results = [BenchResult.from_dict(doc) for doc in docs]
-    else:
-        results = [
-            execute(specs[bench_id], tier=tier, seed=seed) for bench_id in ids
-        ]
+    ids = resolve_ids(only, discover(benchmarks_dir))
+    payloads = [
+        {
+            "bench_id": bench_id,
+            "tier": tier,
+            "seed": seed,
+            "benchmarks_dir": str(benchmarks_dir) if benchmarks_dir else None,
+        }
+        for bench_id in ids
+    ]
+    with WorkerPool(max(jobs or 1, 1)) as pool:
+        docs = pool.map(_WORKER, payloads)
+    results = [BenchResult.from_dict(doc) for doc in docs]
     if out_dir is not None:
         for result in results:
             result.write(out_dir)

@@ -59,12 +59,21 @@ _SOLVE_POLICY_NAMES = {"lazy-online": "lazy", "eager-online": "eager"}
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    from repro.policies import make_policy
+    from repro.policies import PolicyError, make_policy
+    from repro.util.errors import InfeasibleInstanceError
 
     instance = load_instance(args.instance)
     name = _SOLVE_POLICY_NAMES.get(args.algorithm, args.algorithm)
     params = {"node_budget": args.node_budget} if name == "exact" else {}
-    result = make_policy(name, **params).run(instance)
+    try:
+        result = make_policy(name, **params).run(instance)
+    except PolicyError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    except InfeasibleInstanceError as exc:
+        online = name in _SOLVE_POLICY_NAMES.values()
+        print(f"{'online-' if online else ''}infeasible: {exc}", file=sys.stderr)
+        return 1
     schedule, stats = result.schedule, result.stats
     if name == "nested":
         print(

@@ -49,23 +49,15 @@ _FAILURE_KINDS = {
 class NameFamily:
     """The names of a run of columns or rows, formatted when first read.
 
-    ``format(*arrays)`` returns the ``count`` names in order; it must be
-    a module-level function, whose qualified name is the family's
-    ``tag``.  ``tag``, ``count`` and ``arrays`` together determine the
-    names, so the solve cache keys a family by them
-    (:func:`~repro.solver.cache.model_fingerprint`) instead of by the
-    strings.  ``arrays`` are numpy arrays or plain ints.
+    ``format(*arrays)`` returns the ``count`` names in order; ``arrays``
+    are numpy arrays or plain ints.
     """
 
-    __slots__ = ("tag", "count", "arrays", "_format", "_names")
+    __slots__ = ("count", "arrays", "_format", "_names")
 
     def __init__(
         self, count: int, format: Callable[..., Sequence[str]], *arrays
     ) -> None:
-        tag = f"{format.__module__}.{format.__qualname__}"
-        if "<" in tag:  # a lambda or a nested function: not unique
-            raise ValueError(f"name formatter {tag} is not a module-level function")
-        self.tag = tag
         self.count = count
         self.arrays = arrays
         self._format = format
@@ -76,8 +68,8 @@ class NameFamily:
             names = tuple(self._format(*self.arrays))
             if len(names) != self.count:
                 raise ValueError(
-                    f"name family {self.tag!r} formatted {len(names)} "
-                    f"names for {self.count} entries"
+                    f"name family formatted {len(names)} names for "
+                    f"{self.count} entries"
                 )
             self._names = names
         return self._names
@@ -118,14 +110,13 @@ class ModelNames(NamedTuple):
 class LPSolution:
     """Result of an LP solve.
 
-    A backend answer carries the solution *vector* ``x`` (one entry per
-    column, in :meth:`LinearProgram.variable_names` order) and the row
-    marginals as arrays, bound to the model's :class:`ModelNames`.  The
-    by-name views :attr:`values` and :attr:`duals` are plain dicts built
-    from them on first read, and the names themselves are formatted only
-    then, so a caller that reads neither (LP (1) reads ``x`` by column
-    index) never builds them.  A solution may also be given directly as a
-    ``values`` (and ``duals``) dict; its ``x`` is then ``None``.
+    A solution is the solution *vector* ``x`` (one entry per column, in
+    :meth:`LinearProgram.variable_names` order) and the row marginals as
+    arrays, bound to the model's :class:`ModelNames`.  The by-name views
+    :attr:`values` and :attr:`duals` are plain dicts built from them on
+    first read, and the names themselves are formatted only then, so a
+    caller that reads neither (LP (1) reads ``x`` by column index) never
+    builds them.
 
     Attributes
     ----------
@@ -134,7 +125,7 @@ class LPSolution:
     status:
         Backend status string (``"optimal"`` on success).
     x:
-        Column values, or ``None`` for a solution given as dicts.
+        Column values.
     marginals_ub / marginals_eq:
         Row marginals of the inequality / equality block as compiled
         (scipy's convention, ``dφ/db``), or ``None`` when the backend
@@ -164,38 +155,32 @@ class LPSolution:
     def __init__(
         self,
         value: float,
-        values: Mapping[str, float] | None = None,
         status: str = "optimal",
-        duals: Mapping[str, float] | None = None,
         *,
-        x: np.ndarray | None = None,
+        x: np.ndarray,
         names: ModelNames = ModelNames(),
         marginals_ub: np.ndarray | None = None,
         marginals_eq: np.ndarray | None = None,
     ) -> None:
-        if x is not None and (values is not None or duals is not None):
-            raise ValueError("give a solution as x or as dicts, not both")
         self.value = value
         self.status = status
         self.x = x
         self.marginals_ub = marginals_ub
         self.marginals_eq = marginals_eq
         self._names = names
-        self._values = values
-        self._duals = duals
+        self._values: dict[str, float] | None = None
+        self._duals: dict[str, float] | None = None
 
     def __repr__(self) -> str:
-        size = len(self.values) if self.x is None else self.x.size
         return (
             f"LPSolution(value={self.value!r}, status={self.status!r}, "
-            f"columns={size})"
+            f"columns={self.x.size})"
         )
 
     @property
     def values(self) -> Mapping[str, float]:
         if self._values is None:
-            x = () if self.x is None else self.x.tolist()
-            self._values = dict(zip(self._names.columns.all(), x))
+            self._values = dict(zip(self._names.columns.all(), self.x.tolist()))
         return self._values
 
     @property
@@ -222,19 +207,12 @@ class LPSolution:
         return self._duals
 
     def copy(self, names: ModelNames = ModelNames()) -> "LPSolution":
-        """A copy that shares no mutable state with this solution.
-
-        The copy of a vector solution holds copies of ``x`` and the
-        marginals, bound to the given names (by default none: only the
-        arrays are kept).  A solution given as dicts is copied as dicts.
-        """
-        if self.x is None:
-            return LPSolution(
-                self.value, dict(self.values), self.status, dict(self.duals)
-            )
+        """A copy that shares no mutable state with this solution: copies
+        of ``x`` and the marginals, bound to the given names (by default
+        none: only the arrays are kept)."""
         return LPSolution(
             self.value,
-            status=self.status,
+            self.status,
             x=self.x.copy(),
             names=names,
             marginals_ub=_copied(self.marginals_ub),
@@ -643,7 +621,6 @@ class LinearProgram:
         """A backend's answer, bound to this model's names and labels."""
         return LPSolution(
             float(value),
-            status="optimal",
             x=np.asarray(x, dtype=float),
             names=parts["names"],
             marginals_ub=marginals_ub if parts["b_ub"] is not None else None,

@@ -382,9 +382,8 @@ def lift_solution(
     ``lp`` must be a :func:`build_nested_lp` model of ``canonical``
     (any objective), and ``classes`` its :func:`job_classes` (computed
     on demand otherwise).  The columns are read from ``sol.x`` by index;
-    a solution given by name is read one name at a time, and a value
-    missing from it raises :class:`~repro.util.errors.SolverError`
-    instead of reading as zero.  ``value`` is ``sol.value``.
+    a solution of the wrong length raises
+    :class:`~repro.util.errors.SolverError`.  ``value`` is ``sol.value``.
     """
     if classes is None:
         classes = job_classes(canonical)
@@ -397,27 +396,14 @@ def lift_solution(
             kind="numerical",
             model=lp.name,
         )
-    if sol.x is not None:
-        values = sol.x
-        if values.shape != (expected,):
-            raise SolverError(
-                f"LP {lp.name!r} solution has {values.size} values for "
-                f"{expected} columns",
-                kind="numerical",
-                model=lp.name,
-            )
-    else:
-        by_name = sol.values
-        try:
-            values = np.array(
-                [by_name[name] for name in lp.variable_names()], dtype=float
-            )
-        except KeyError as exc:
-            raise SolverError(
-                f"LP {lp.name!r} solution has no value for {exc.args[0]!r}",
-                kind="numerical",
-                model=lp.name,
-            ) from None
+    values = sol.x
+    if values.shape != (expected,):
+        raise SolverError(
+            f"LP {lp.name!r} solution has {values.size} values for "
+            f"{expected} columns",
+            kind="numerical",
+            model=lp.name,
+        )
     x = snap_vector(values[:m])
     share = values[m:] / classes.sizes[classes.col_class]  # Y(i, C)/c
     share[np.abs(share) < 1e-9] = 0.0

@@ -26,7 +26,6 @@ which is the deterministic single-core path tests use.
 from __future__ import annotations
 
 import json
-import os
 import signal
 import threading
 import time
@@ -174,10 +173,6 @@ class SchedulingService:
 
     # -- worker-pool plumbing -----------------------------------------
 
-    @property
-    def pool_width(self) -> int:
-        return self.pool.max_workers or os.cpu_count() or 1
-
     def _map(self, worker: str, payloads: list[Any]) -> list[Any]:
         """Fan payloads out and fold worker stat deltas into /metrics.
 
@@ -202,6 +197,9 @@ class SchedulingService:
         unknown name is 404 carrying the known-policy list.  Policy runs
         never split: an online policy's slot decisions are a function of
         the whole arrival trace, so fan-out would change its semantics.
+        ``deadline_ms``, ``node_budget`` and ``split`` apply to
+        ``algorithm=`` requests only; a policy body carrying one is a
+        400 naming it, never a silently dropped field.
         """
         _reject_backend(body)
         instance = _parse_instance(body)
@@ -214,6 +212,12 @@ class SchedulingService:
                 )
             if body.get("algorithm") is not None:
                 raise ServiceError('pass "algorithm" or "policy", not both')
+            for name in ("deadline_ms", "node_budget", "split"):
+                if body.get(name) is not None:
+                    raise ServiceError(
+                        f'{name} applies to "algorithm" requests only, '
+                        'not to a "policy" run'
+                    )
             from repro.policies import policy_names
 
             known = policy_names()
@@ -307,13 +311,10 @@ class SchedulingService:
         options = {}
         if body.get("exact_max_jobs") is not None:
             options["exact_max_jobs"] = body["exact_max_jobs"]
-        results = self._map(
+        return self._map(
             "repro.service.workers:verify_part",
             [(body["instance"], options)],
-        )
-        report = dict(results[0])
-        report.pop("instance", None)
-        return report
+        )[0]
 
     def fuzz(self, body: dict[str, Any]) -> dict[str, Any]:
         _reject_bool(
@@ -321,7 +322,7 @@ class SchedulingService:
         )
         n_instances = _capped(body, "n_instances", 100, MAX_FUZZ_INSTANCES)
         max_jobs = _capped(body, "max_jobs", 12, MAX_FUZZ_JOBS)
-        shards = max(1, min(self.pool_width, n_instances))
+        shards = max(1, min(self.pool.width, n_instances))
         from repro.verify.fuzz import FuzzConfig, merge_fuzz_reports
 
         # One validated config (400 on a bad family, seed, ...) before
@@ -365,7 +366,7 @@ class SchedulingService:
         return {
             "ok": True,
             "uptime_s": round(time.monotonic() - self.started, 3),
-            "workers": self.pool_width,
+            "workers": self.pool.width,
             "in_process": self.pool.in_process,
             "requests_total": sum(snap["requests"].values()),
         }
@@ -377,7 +378,7 @@ class SchedulingService:
             counters["solver"],
             counters["flow"],
             uptime_s=time.monotonic() - self.started,
-            workers=self.pool_width,
+            workers=self.pool.width,
         )
 
     # -- helpers -------------------------------------------------------
@@ -660,7 +661,7 @@ def serve(
     server = ServiceHTTPServer((host, port), service, verbose=verbose)
     print(
         f"serving on http://{host}:{server.port} "
-        f"(workers={service.pool_width}"
+        f"(workers={service.pool.width}"
         f"{' in-process' if service.pool.in_process else ''}, "
         f"max_body={max_body})",
         flush=True,

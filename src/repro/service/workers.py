@@ -3,8 +3,8 @@
 Every function here is addressed by its dotted
 ``"repro.service.workers:<name>"`` reference through the
 :class:`repro.analysis.parallel.WorkerPool` transport, so only plain
-JSON-shaped payload dicts cross the process boundary — the same contract
-:func:`repro.analysis.parallel.run_jobs` uses for benchmark fan-out.
+JSON-shaped payload dicts cross the process boundary — the same pool
+the benchmark harness fans whole benchmarks out on.
 
 Each worker returns a result dict that always carries ``solver`` and
 ``flow`` counter *deltas* (:func:`repro.obs.delta` of
@@ -30,11 +30,7 @@ from typing import Any
 from repro import obs
 from repro.baselines.exact import DEFAULT_NODE_BUDGET
 from repro.flow.incremental import flow_stats
-from repro.instances.io import (
-    instance_from_dict,
-    instance_to_dict,
-    schedule_to_dict,
-)
+from repro.instances.io import instance_from_dict, schedule_to_dict
 from repro.solver import solver_stats
 
 #: Conversion rate from a request deadline to a branch-and-bound node
@@ -101,9 +97,8 @@ def solve_part(payload: tuple[dict, dict]) -> dict[str, Any]:
 def _verify(doc: dict[str, Any], options: dict[str, Any]) -> dict[str, Any]:
     from repro.verify.oracle import DEFAULT_EXACT_MAX_JOBS, verify_instance
 
-    instance = instance_from_dict(doc)
     report = verify_instance(
-        instance,
+        instance_from_dict(doc),
         exact_max_jobs=int(
             options.get("exact_max_jobs", DEFAULT_EXACT_MAX_JOBS)
         ),
@@ -117,7 +112,6 @@ def _verify(doc: dict[str, Any], options: dict[str, Any]) -> dict[str, Any]:
         "lp_value": report.lp_value,
         "active_time": report.active_time,
         "optimum": report.optimum,
-        "instance": instance_to_dict(instance),
     }
 
 

@@ -2,34 +2,27 @@
 
 :func:`model_fingerprint` / :class:`SolveCache` give **exact** content
 addressing.  The key is a cryptographic digest of the *compiled* sparse
-model — the objective, bounds, CSR structure of both constraint blocks,
-which rows are negated ``>=`` rows, variable names and row labels.  Two
-``LinearProgram`` objects built independently (e.g. the same instance
-re-solved by a later battery run, or the transform→round pipeline
-re-deriving the same LP) hash identically and share one backend solve.
+model — the objective, bounds, CSR structure of both constraint blocks
+and which rows are negated ``>=`` rows.  Two ``LinearProgram`` objects
+built independently (e.g. the same instance re-solved by a later
+battery run, or the transform→round pipeline re-deriving the same LP)
+hash identically and share one backend solve.
 
-Variable names and labels are part of the key on purpose: a cached
-answer is read back by name (:attr:`~repro.lp.backend.LPSolution.values`,
-``duals``), so two numerically identical models with different namings
-must not collide.  Names given as strings are hashed as strings; a
-:class:`~repro.lp.backend.NameFamily` is hashed as its tag, count and
-layout arrays, which determine its names, so keying a model formats no
-name.  A model named by families and one naming the same columns by
-strings may therefore key apart: a safe miss, never a wrong hit.  An
-entry itself holds no names: only the objective value, the solution
-vector and the row marginals, bound to the requesting model's names on
-each hit.
+Columns and rows are keyed by position, not by name.  An entry holds
+only the objective value, the solution vector and the row marginals;
+each hit binds them to the requesting model's names and labels, so two
+models with equal numbers and different names share an entry and each
+reads its answer under its own names.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from itertools import chain, groupby
 
 import numpy as np
 
-from repro.lp.backend import LPSolution, ModelNames, NameFamily, Names
+from repro.lp.backend import LPSolution, ModelNames
 
 
 def model_fingerprint(parts: dict) -> str:
@@ -53,25 +46,6 @@ def model_fingerprint(parts: dict) -> str:
         h.update(np.ascontiguousarray(mat.indices, dtype=np.int64).tobytes())
         h.update(np.ascontiguousarray(mat.indptr, dtype=np.int64).tobytes())
 
-    def names(seq: Names) -> None:
-        # Adjacent string runs hash as one join, so the key does not
-        # depend on how a model's string names were split into runs.
-        for is_family, run in groupby(
-            seq.segments, key=lambda seg: isinstance(seg, NameFamily)
-        ):
-            if is_family:
-                for family in run:
-                    h.update(b"\x00family\x1f" + family.tag.encode())
-                    h.update(str(family.count).encode())
-                    for a in family.arrays:
-                        a = np.ascontiguousarray(a)
-                        h.update(f"\x1f{a.dtype.str}{a.shape}".encode())
-                        h.update(a.tobytes())
-            else:
-                h.update(b"\x00names\x1f")
-                h.update("\x1f".join(chain.from_iterable(run)).encode())
-        h.update(b"\x00")
-
     arr(parts["c"])
     csr(parts["A_ub"])
     arr(parts["b_ub"])
@@ -79,12 +53,8 @@ def model_fingerprint(parts: dict) -> str:
     arr(parts["b_eq"])
     bounds = np.asarray(parts["bounds"], dtype=float)
     arr(bounds if bounds.size else None)
-    model_names: ModelNames = parts["names"]
-    negated = model_names.negated_ub
+    negated = parts["names"].negated_ub
     h.update(b"\x00none" if negated is None else negated.tobytes())
-    names(model_names.columns)
-    names(model_names.labels_ub)
-    names(model_names.labels_eq)
     return h.hexdigest()
 
 

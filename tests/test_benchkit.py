@@ -8,7 +8,8 @@ Covers the four load-bearing pieces:
   ``--json`` main, run from a foreign CWD with no ``PYTHONPATH``);
 * the comparator — quality drift fails at any tolerance, timing drift
   respects ``--tolerance-pct``, coverage/check rules;
-* the generic process fan-out in ``repro.analysis.parallel.run_jobs``.
+* the process fan-out of whole benchmarks over
+  ``repro.analysis.parallel.WorkerPool``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.parallel import run_jobs
+from repro.analysis.parallel import WorkerPool
 from repro.benchkit import (
     BenchResult,
     discover,
@@ -353,22 +354,42 @@ class TestSchema:
             result.add_metric("flag", True)
 
 
-# ---------------------------------------------------------------- run_jobs
+# ---------------------------------------------------------------- fan-out
+
+
+def _without_clocks(result: BenchResult) -> tuple:
+    """What a rerun must reproduce: all but timings, tables of
+    timings, solver clocks and the environment."""
+    solver = {k: v for k, v in result.solver.items() if not k.endswith("time")}
+    return result.bench_id, result.metrics, result.checks, solver
 
 
 class TestRunJobs:
+    """Benchmark jobs fan out through ``WorkerPool.map``."""
+
     def test_in_process_short_circuit(self):
-        assert run_jobs("math:sqrt", [4.0, 9.0], max_workers=1) == [2.0, 3.0]
+        with WorkerPool(1) as pool:
+            assert pool.map("math:sqrt", [4.0, 9.0]) == [2.0, 3.0]
 
     def test_process_pool(self):
-        assert run_jobs("math:sqrt", [4.0, 9.0, 16.0], max_workers=2) == [
-            2.0,
-            3.0,
-            4.0,
-        ]
+        with WorkerPool(2) as pool:
+            assert pool.map("math:sqrt", [4.0, 9.0, 16.0]) == [
+                2.0,
+                3.0,
+                4.0,
+            ]
 
     def test_bad_spec_rejected_eagerly(self):
-        with pytest.raises(ValueError, match="worker spec"):
-            run_jobs("no_colon_here", [1])
-        with pytest.raises(ValueError, match="callable"):
-            run_jobs("math:pi", [1])
+        with WorkerPool(2) as pool:
+            with pytest.raises(ValueError, match="worker spec"):
+                pool.map("no_colon_here", [1])
+            with pytest.raises(ValueError, match="callable"):
+                pool.map("math:pi", [1])
+            assert pool._pool is None  # failed before forking
+
+    def test_pooled_run_equals_in_process_run(self, tmp_path):
+        serial = run_benchmarks("E17", jobs=1, out_dir=tmp_path / "one")
+        pooled = run_benchmarks("E17", jobs=2, out_dir=tmp_path / "two")
+        assert [_without_clocks(r) for r in pooled] == [
+            _without_clocks(r) for r in serial
+        ]

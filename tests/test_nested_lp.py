@@ -324,10 +324,8 @@ class TestJobClasses:
         canon = canonicalize(self._many_identical())
         lp, thresholds = build_nested_lp(canon)
         sol = lp.solve()
-        values = dict(sol.values)
-        values.pop(lp.variable_names()[-1])
-        broken = LPSolution(value=sol.value, values=values, status="optimal")
-        with pytest.raises(SolverError, match="no value for"):
+        broken = LPSolution(value=sol.value, x=sol.x[:-1])
+        with pytest.raises(SolverError, match="values for"):
             lift_solution(canon, lp, broken, thresholds)
 
     @pytest.mark.parametrize("seed", range(4))

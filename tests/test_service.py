@@ -263,6 +263,11 @@ class TestVerifyAndFuzzEndpoints:
         assert report["status"] == "ok"
         assert report["violations"] == []
         assert report["active_time"] is not None
+        # The worker's report is the response: no instance echoed back.
+        assert set(report) == {
+            "status", "ok", "violations", "lp_value", "active_time",
+            "optimum", "solver", "flow",
+        }
 
     def test_verify_infeasible_is_skipped_not_error(self, client):
         # Two unit jobs fighting over one slot with g=1: each job is

@@ -25,7 +25,7 @@ from repro.instances.io import dump_instance, instance_to_dict, schedule_to_dict
 from repro.instances.jobs import Instance
 from repro.online import EagerActivation, LazyActivation, run_online
 from repro.policies import make_policy, policy_names
-from repro.service import NODES_PER_MS, SchedulingService
+from repro.service import NODES_PER_MS, SchedulingService, ServiceError
 from repro.service.workers import SOLVE_ALGORITHMS
 from repro.util.errors import InfeasibleInstanceError
 
@@ -163,10 +163,13 @@ class TestExactBudgetPerSpelling:
 
     def test_policy_exact(self, service, budgets):
         self._served(service, policy="exact")
-        self._served(service, policy="exact", node_budget=77, deadline_ms=3)
+        for field, value in (("node_budget", 77), ("deadline_ms", 3), ("split", True)):
+            with pytest.raises(ServiceError, match=field) as err:
+                self._served(service, policy="exact", **{field: value})
+            assert err.value.status == 400
         make_policy("exact").run(self.INSTANCE)
         make_policy("exact", node_budget=9).run(self.INSTANCE)
-        assert budgets == [200_000, 200_000, 200_000, 9]
+        assert budgets == [200_000, 200_000, 9]
 
     def test_cli(self, tmp_path, budgets):
         path = tmp_path / "inst.json"
@@ -190,3 +193,31 @@ class TestExactBudgetPerSpelling:
         assert main(["solve", str(path), "--algorithm", "exact", "--node-budget", "3"]) == 0
         err = capsys.readouterr().err
         assert err.startswith(f"warning: {served['degraded_reason']} — emitting the incumbent")
+
+
+class TestSolveErrors:
+    """``solve`` ends on a typed error with its message and the exit code
+    ``policies run`` gives, not a traceback."""
+
+    DATA = Path(__file__).resolve().parent.parent / "data"
+
+    def test_nested_on_a_non_laminar_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        dump_instance(next(i for i in SAMPLE if not i.is_laminar), path)
+        assert main(["solve", str(path), "--algorithm", "nested"]) == 2
+        err = capsys.readouterr().err
+        assert "policy 'nested' does not support" in err
+        assert main(["policies", "run", "nested", str(path)]) == 2
+        assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize(
+        "spelling, policy", [("lazy-online", "lazy"), ("eager-online", "eager")]
+    )
+    def test_online_infeasible_file_exits_1(self, spelling, policy, capsys):
+        path = str(self.DATA / "online_eager_trap.json")
+        assert main(["solve", path, "--algorithm", spelling]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("online-infeasible: pending work")
+        assert main(["policies", "run", policy, path]) == 1
+        assert capsys.readouterr().err == captured.err

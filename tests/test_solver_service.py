@@ -18,7 +18,7 @@ from repro.analysis.parallel import register_task, run_battery
 from repro.core.algorithm import solve_nested
 from repro.instances.families import rigid_chain, section5_gap
 from repro.instances.generators import laminar_suite, random_laminar
-from repro.lp.backend import LinearProgram, LPSolution
+from repro.lp.backend import LinearProgram, LPSolution, NameFamily
 from repro.lp.nested_lp import build_nested_lp
 from repro.solver import (
     BACKENDS,
@@ -52,6 +52,24 @@ def _toy_lp(name: str = "toy") -> LinearProgram:
     return lp
 
 
+def _column_names(layout: np.ndarray) -> list[str]:
+    return [f"v[{k}]" for k in layout.tolist()]
+
+
+def _row_labels() -> list[str]:
+    return ["cover"]
+
+
+def _cover_lp(columns, labels) -> LinearProgram:
+    """``min v0 + 2·v1`` s.t. ``v0 + v1 >= 1``, under the given names."""
+    lp = LinearProgram("cover")
+    lp.add_vars(columns, objective=[1.0, 2.0])
+    lp.add_constraint_block(
+        np.ones(2), np.arange(2), np.array([0, 2]), ">=", np.ones(1), labels
+    )
+    return lp
+
+
 class TestCache:
     def test_identical_models_hit(self, fresh_service):
         a = _toy_lp().solve()
@@ -76,18 +94,23 @@ class TestCache:
         second = _toy_lp().solve()
         assert second["x"] == pytest.approx(2.0)
 
-    def test_variable_names_are_part_of_the_key(self, fresh_service):
-        lp1 = LinearProgram("n1")
-        lp1.add_var("a", objective=1.0)
-        lp1.add_constraint({"a": 1}, ">=", 1, label="r")
-        lp2 = LinearProgram("n1")
-        lp2.add_var("b", objective=1.0)
-        lp2.add_constraint({"b": 1}, ">=", 1, label="r")
-        assert model_fingerprint(lp1.compile()) != model_fingerprint(lp2.compile())
+    def test_variable_names_are_not_part_of_the_key(self, fresh_service):
+        """The key is positional: models that differ only in their names
+        share one entry, and the hit reads the requester's names."""
+        first = _cover_lp(["a", "b"], ["r"]).solve()
+        renamed = _cover_lp(["b", "a"], ["s"]).solve()
+        snap = fresh_service.stats_snapshot()
+        assert snap["backend_solves"] == 1
+        assert snap["cache_hits"] == 1
+        assert first.values == pytest.approx({"a": 1.0, "b": 0.0})
+        assert list(renamed.values) == ["b", "a"]
+        assert renamed.values == pytest.approx({"b": 1.0, "a": 0.0})
+        assert first.dual("r") > 0
+        assert renamed.duals == {"s": first.dual("r")}
 
     def test_lru_eviction(self):
         cache = SolveCache(max_entries=2)
-        sol = LPSolution(value=1.0, values={"x": 1.0}, status="optimal")
+        sol = LPSolution(value=1.0, x=np.ones(1))
         cache.put("a", sol)
         cache.put("b", sol)
         assert cache.get("a") is not None  # refresh a
@@ -180,10 +203,6 @@ class TestVectorEntries:
             result = solve_nested(section5_gap(3))
         assert fresh_service.stats_snapshot()["cache_hits"] == 1
         assert result.repairs == 0
-
-    def test_vector_and_dicts_are_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            LPSolution(1.0, {"x": 1.0}, x=np.ones(1))
 
 
 class TestOneBackend:
@@ -334,15 +353,15 @@ class TestRepairBound:
 
 class TestDualsDefaults:
     def test_default_duals_is_empty_dict(self):
-        sol = LPSolution(value=0.0, values={}, status="optimal")
+        sol = LPSolution(value=0.0, x=np.zeros(0))
         assert sol.duals == {}
         assert sol.dual("anything") == 0.0
 
     def test_default_duals_not_shared_between_instances(self):
-        """Regression: the old ``None`` sentinel shared one dict; the
-        ``default_factory`` must give each solution its own."""
-        a = LPSolution(value=0.0, values={}, status="optimal")
-        b = LPSolution(value=0.0, values={}, status="optimal")
+        """Regression: a shared default dict leaked between solutions;
+        each solution must build its own."""
+        a = LPSolution(value=0.0, x=np.zeros(0))
+        b = LPSolution(value=0.0, x=np.zeros(0))
         assert a.duals is not b.duals
 
     def test_ge_duals_agree_across_backends(self, fresh_service):
@@ -424,57 +443,39 @@ class TestCLIStats:
         assert "cache hits" in out
 
 
-def _column_names(layout: np.ndarray) -> list[str]:
-    return [f"v[{k}]" for k in layout.tolist()]
-
-
-def _row_labels() -> list[str]:
-    return ["cover"]
-
-
 class TestNameFamilyKeys:
-    """A model named by name families keys on the families' layout."""
+    """A model named by name families keys on its numbers alone; a hit
+    reads the requesting model's families."""
 
     @staticmethod
     def _family_lp(layout) -> LinearProgram:
-        from repro.lp.backend import NameFamily
+        family = NameFamily(2, _column_names, np.array(layout))
+        return _cover_lp(family, NameFamily(1, _row_labels))
 
-        lp = LinearProgram("family")
-        lp.add_vars(NameFamily(2, _column_names, np.array(layout)), objective=1.0)
-        lp.add_constraint_block(
-            np.ones(2),
-            np.arange(2),
-            np.array([0, 2]),
-            ">=",
-            np.ones(1),
-            NameFamily(1, _row_labels),
-        )
-        return lp
-
-    def test_formatter_must_be_module_level(self):
-        from repro.lp.backend import NameFamily
-
-        with pytest.raises(ValueError, match="module-level"):
-            NameFamily(1, lambda: ["a"])
-
-    def test_same_layout_hits_and_other_layout_misses(self, fresh_service):
+    def test_same_and_other_layout_both_hit(self, fresh_service):
         first = self._family_lp([0, 1]).solve()
         hit = self._family_lp([0, 1]).solve()
         other = self._family_lp([1, 0]).solve()  # same numbers, other names
         snap = fresh_service.stats_snapshot()
-        assert snap["cache_hits"] == 1
-        assert snap["backend_solves"] == 2
+        assert snap["cache_hits"] == 2
+        assert snap["backend_solves"] == 1
         assert list(hit.values) == list(first.values) == ["v[0]", "v[1]"]
         assert list(other.values) == ["v[1]", "v[0]"]
+        assert other["v[1]"] == hit["v[0]"] == pytest.approx(1.0)
         assert other.dual("cover") == hit.dual("cover")
 
-    def test_string_and_family_names_key_apart(self, fresh_service):
-        lp = LinearProgram("family")
-        lp.add_vars(["v[0]", "v[1]"], objective=1.0)
-        lp.add_constraint_block(
-            np.ones(2), np.arange(2), np.array([0, 2]), ">=", np.ones(1), ["cover"]
-        )
+    def test_string_and_family_names_share_a_key(self, fresh_service):
+        strings = _cover_lp(["v[0]", "v[1]"], ["cover"])
         family = self._family_lp([0, 1])
-        assert lp.variable_names() == family.variable_names()
-        assert lp.constraint_labels() == family.constraint_labels()
-        assert model_fingerprint(lp.compile()) != model_fingerprint(family.compile())
+        assert strings.variable_names() == family.variable_names()
+        assert strings.constraint_labels() == family.constraint_labels()
+        assert model_fingerprint(strings.compile()) == model_fingerprint(
+            family.compile()
+        )
+        by_strings = strings.solve()
+        by_family = self._family_lp([0, 1]).solve()
+        snap = fresh_service.stats_snapshot()
+        assert snap["cache_hits"] == 1
+        assert snap["backend_solves"] == 1
+        assert by_family.values == pytest.approx(by_strings.values)
+        assert by_family.duals == by_strings.duals
