@@ -58,6 +58,15 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 _SOLVE_POLICY_NAMES = {"lazy-online": "lazy", "eager-online": "eager"}
 
 
+def _infeasible_line(policy: str, exc: Exception) -> str:
+    """The report of a policy that found no schedule: ``online-`` only
+    for an online policy, which can fail where an offline one succeeds."""
+    from repro.policies import policy_specs
+
+    online = policy_specs()[policy].kind == "online"
+    return f"{'online-' if online else ''}infeasible: {exc}"
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     from repro.policies import PolicyError, make_policy
     from repro.util.errors import InfeasibleInstanceError
@@ -71,8 +80,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     except InfeasibleInstanceError as exc:
-        online = name in _SOLVE_POLICY_NAMES.values()
-        print(f"{'online-' if online else ''}infeasible: {exc}", file=sys.stderr)
+        print(_infeasible_line(name, exc), file=sys.stderr)
         return 1
     schedule, stats = result.schedule, result.stats
     if name == "nested":
@@ -393,7 +401,7 @@ def _cmd_policies_run(args: argparse.Namespace) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     except InfeasibleInstanceError as exc:
-        print(f"online-infeasible: {exc}", file=sys.stderr)
+        print(_infeasible_line(args.policy, exc), file=sys.stderr)
         return 1
     print(f"policy {result.policy} ({result.kind})")
     print(f"active_time {result.active_time}")

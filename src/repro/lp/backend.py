@@ -461,7 +461,7 @@ class LinearProgram:
         def broadcast(value, what: str) -> list[float]:
             if isinstance(value, (int, float)):
                 return [float(value)] * count
-            out = [float(v) for v in value]
+            out = np.asarray(value, dtype=float).reshape(-1).tolist()
             if len(out) != count:
                 raise ValueError(
                     f"{what} has {len(out)} entries for {count} variables"
@@ -630,12 +630,16 @@ class LinearProgram:
     def _solve_highs(self, parts: dict) -> LPSolution:
         """Solve the compiled ``parts`` with HiGHS (the service's backend).
 
-        HiGHS gets the model ``linprog(method="highs")`` would give it:
-        the rows ``A_ub`` then ``A_eq`` (as row-wise CSR), ``-inf <= row
-        <= b_ub`` and ``b_eq <= row <= b_eq``, presolve on, dual simplex,
-        no output.  The arrays go to ``passModel`` as they are (no
-        ``HighsLp``, no Python lists).  Each call runs a fresh solver
-        object, so concurrent solves share no state.
+        HiGHS gets the model ``linprog(method="highs-ds",
+        options={"presolve": False})`` would give it: the rows ``A_ub``
+        then ``A_eq`` (as row-wise CSR), ``-inf <= row <= b_ub`` and
+        ``b_eq <= row <= b_eq``, dual simplex, no output, presolve off
+        (LP (1) arrives already reduced, see
+        :func:`repro.lp.nested_lp._build`, and a presolve pass costs more
+        than the little it would still find).  The arrays go to
+        ``passModel`` as they are (no ``HighsLp``, no Python lists).
+        Each call runs a fresh solver object, so concurrent solves share
+        no state.
         """
         c, bounds = parts["c"], parts["bounds"]
         b_ub = np.empty(0) if parts["b_ub"] is None else parts["b_ub"]
@@ -649,7 +653,7 @@ class LinearProgram:
         highs = _highs._Highs()
         highs.setOptionValue("output_flag", False)
         highs.setOptionValue("log_to_console", False)
-        highs.setOptionValue("presolve", "on")
+        highs.setOptionValue("presolve", "off")
         highs.setOptionValue(
             "simplex_strategy",
             int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual),

@@ -15,12 +15,31 @@ rows ``Y(i, C) ≤ c·x(i)`` (spread), ``Σ_i Y(i, C) ≥ c·p`` (volume) and
 class gives a class solution, and ``y(i, j) = Y(i, C)/c`` gives a per-job
 solution back with the same ``x``, so both models have the same optimum
 and the same feasible ``x``.
+
+HiGHS gets the class model already presolved (:func:`_build`), so its
+own presolve, which would find almost nothing left, is off.  Every rule
+keeps the feasible ``(x, Y)`` region of LP (1) over ``Des(k_C)``, ``c``
+and ``p`` being a class's size and processing time:
+
+* the length rows (4) are the bounds ``x(i) ≤ L(i)``, and every
+  ``Y(i, C) ≤ c·L(i)`` (spread and length imply it);
+* a volume row (2) over one column is that column's lower bound ``c·p``;
+  spread then gives ``x(i) ≥ p``, so ``x(i)``'s lower bound is the
+  largest such ``p`` at ``i``, and ``x(i)`` is *fixed* where that
+  reaches ``L(i)`` (every rigid leaf of the canonical form);
+* a capacity row (3) only where ``Σ_{C∋i} c > g`` — otherwise the spread
+  rows sum to it;
+* a spread row (5) only at nodes that are not fixed (there the column
+  bound says it), and only where ``c < g`` or the node has no capacity
+  row (``Y ≤ Σ Y ≤ g·x ≤ c·x`` otherwise);
+* a ceiling row (7)–(8) only where the ``x`` lower bounds over
+  ``Des(i)`` sum to less than ``ω_i``; its columns are ``Des⁺(i)``;
+* no ``Y`` columns at nodes with ``L(i) = 0``, where ``x(i) = 0``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -76,8 +95,10 @@ class JobClasses:
 
     Classes are numbered in order of first appearance in
     ``instance.jobs``.  Class ``C`` owns the ``Y(i, C)`` columns for
-    ``i ∈ Des(k_C)`` (preorder); the model lays them out class-major
-    after the ``m`` x columns.
+    ``i ∈ Des⁺(k_C) = Des(k_C) ∩ {L > 0}`` (preorder): at a node with
+    ``L(i) = 0`` the length bound forces ``x(i) = 0``, so every ``Y``
+    there is 0 and has no column.  The model lays the columns out
+    class-major after the ``m`` x columns.
 
     Attributes
     ----------
@@ -87,22 +108,28 @@ class JobClasses:
         Jobs per class (``c``).
     job_class:
         Class of each job position in ``instance.jobs``.
-    nodes:
-        ``Des(k_C)`` per class.
     col_node / col_class:
         Node and class of each ``Y`` column, in column order.
+    lengths:
+        ``L(i)`` per node, as floats.
+    positive / des_lo / des_hi:
+        The positive-length nodes in preorder, and per node ``i`` the
+        range ``positive[des_lo[i]:des_hi[i]]``, which is ``Des⁺(i)``.
     """
 
     keys: tuple[tuple[int, int], ...]
     sizes: np.ndarray
     job_class: np.ndarray
-    nodes: tuple[list[int], ...]
     col_node: np.ndarray
     col_class: np.ndarray
+    lengths: np.ndarray
+    positive: np.ndarray
+    des_lo: np.ndarray
+    des_hi: np.ndarray
 
     @property
     def num_columns(self) -> int:
-        """Number of ``Y`` columns, ``Σ_C |Des(k_C)|``."""
+        """Number of ``Y`` columns, ``Σ_C |Des⁺(k_C)|``."""
         return int(self.col_node.size)
 
     def scatter(self, share: np.ndarray, m: int) -> np.ndarray:
@@ -124,11 +151,19 @@ class JobClasses:
         return y
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``concat(arange(s, s + c))`` over ``zip(starts, counts)``."""
+    total = int(counts.sum())
+    first = np.cumsum(counts) - counts
+    return np.repeat(starts - first, counts) + np.arange(total, dtype=np.int64)
+
+
 def job_classes(canonical: CanonicalInstance) -> JobClasses:
     """Group the jobs of ``canonical`` into LP (1)'s job classes."""
     inst = canonical.instance
     forest = canonical.forest
     job_node = canonical.job_node
+    m = forest.m
     index: dict[tuple[int, int], int] = {}
     job_class = np.fromiter(
         (
@@ -139,18 +174,28 @@ def job_classes(canonical: CanonicalInstance) -> JobClasses:
         count=inst.n,
     )
     keys = tuple(index)
-    nodes = tuple(forest.descendants(k) for k, _ in keys)
-    counts = np.fromiter(
-        (len(d) for d in nodes), dtype=np.int64, count=len(nodes)
+    lengths = np.fromiter(
+        (forest.length(i) for i in range(m)), dtype=float, count=m
     )
-    total = int(counts.sum())
+    preorder = np.array(forest.preorder, dtype=np.int64)
+    open_pre = lengths[preorder] > 0
+    rank = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(open_pre, out=rank[1:])
+    des_lo = rank[np.array(forest.tin, dtype=np.int64)]
+    des_hi = rank[np.array(forest.tout, dtype=np.int64)]
+    positive = preorder[open_pre]
+    k = np.fromiter((key[0] for key in keys), dtype=np.int64, count=len(keys))
+    counts = des_hi[k] - des_lo[k]
     return JobClasses(
         keys=keys,
         sizes=np.bincount(job_class, minlength=len(keys)),
         job_class=job_class,
-        nodes=nodes,
-        col_node=np.fromiter(chain.from_iterable(nodes), dtype=np.int64, count=total),
+        col_node=positive[_ranges(des_lo[k], counts)],
         col_class=np.repeat(np.arange(len(keys), dtype=np.int64), counts),
+        lengths=lengths,
+        positive=positive,
+        des_lo=des_lo,
+        des_hi=des_hi,
     )
 
 
@@ -184,21 +229,14 @@ def _volume_labels(keys: np.ndarray) -> list[str]:
     return [f"volume[{k},{p}]" for k, p in keys.tolist()]
 
 
-def _node_labels(nc: np.ndarray, classes: np.ndarray, keys: np.ndarray) -> list[str]:
-    """Per node: capacity, length, then one spread row per class at the
-    node (``nc`` of them, ``classes`` node-major)."""
+def _node_labels(row_node: np.ndarray, row_class: np.ndarray, keys: np.ndarray) -> list[str]:
+    """One label per row of the node block: ``capacity[i]`` where
+    ``row_class`` is -1, else ``spread[i,k,p]`` of that class."""
     key_list = keys.tolist()
-    cls_list = classes.tolist()
-    labels: list[str] = []
-    ptr = 0
-    for i, count in enumerate(nc.tolist()):
-        labels.append(f"capacity[{i}]")
-        labels.append(f"length[{i}]")
-        for c in cls_list[ptr : ptr + count]:
-            k, p = key_list[c]
-            labels.append(f"spread[{i},{k},{p}]")
-        ptr += count
-    return labels
+    return [
+        f"capacity[{i}]" if c < 0 else "spread[{},{},{}]".format(i, *key_list[c])
+        for i, c in zip(row_node.tolist(), row_class.tolist())
+    ]
 
 
 def _ceiling_labels(nodes: np.ndarray, omegas: np.ndarray) -> list[str]:
@@ -225,7 +263,10 @@ def build_nested_lp(
         Precomputed :func:`job_classes` of ``canonical`` (computed on
         demand otherwise).
 
-    The constraint families are assembled as bulk CSR blocks
+    The model is LP (1) in reduced form (see :func:`_build`): the same
+    feasible ``(x, Y)`` and the same optimum, with the rows the
+    structure decides written as column bounds or left out.  The
+    constraint families are assembled as bulk CSR blocks
     (:meth:`~repro.lp.backend.LinearProgram.add_constraint_block`); the
     model compiles bit-for-bit like the per-row reference build
     :func:`repro.verify.reference.reference_nested_lp`, with the same
@@ -246,126 +287,118 @@ def build_nested_lp(
 
 
 def _build(inst, forest, classes: JobClasses, thresholds, ceiling) -> LinearProgram:
-    """Bulk-array build of LP (1).
+    """Bulk-array build of LP (1) in reduced form (module docstring).
 
-    Emits the same variables, rows and nonzeros in the same order as the
-    per-row reference build — the x columns come first, then the Y
-    columns class-major; the volume family is one ``>=`` block; the
-    interleaved capacity/length/spread family is one ``<=`` block whose
-    per-node segment is laid out ``[capacity (nc Y's + x), length,
-    spread×nc]`` for the ``nc`` classes admissible at the node.  Names
-    and labels are handed over as the arrays that determine them.
+    The x columns come first, then the Y columns class-major; the
+    volume family is one ``>=`` block; the capacity/spread family is
+    one ``<=`` block laid out node by node ``[capacity (Y's + x),
+    spread…]``, classes in class order; the ceilings are one ``>=``
+    block.  Names and labels are handed over as the arrays that
+    determine them.
     """
     m = forest.m
     g = float(inst.g)
-    keys = classes.keys
-    n_classes = len(keys)
-    key_array = np.array(keys, dtype=np.int64).reshape(n_classes, 2)
+    n_classes = len(classes.keys)
+    key_array = np.array(classes.keys, dtype=np.int64).reshape(n_classes, 2)
     total_y = classes.num_columns
-    lp = LinearProgram(name=f"nested_lp({inst.name})")
-    lp.add_vars(NameFamily(m, _xnames, m), objective=1.0)
-    lp.add_vars(
-        NameFamily(
-            total_y, _ynames, classes.col_node, classes.col_class, key_array
-        )
-    )
-    counts = np.bincount(classes.col_class, minlength=n_classes)
-    y_cols = m + np.arange(total_y, dtype=np.int64)
     node_of = classes.col_node
     cls_of = classes.col_class
+    lengths = classes.lengths
     sizes = classes.sizes.astype(float)
+    p = key_array[:, 1].astype(float)
+    y_cols = m + np.arange(total_y, dtype=np.int64)
 
-    # (2) volume block: one >= row per class over its Y columns (which are
-    # contiguous, in admissible-node order — exactly the reference dicts).
-    if n_classes:
+    counts = np.bincount(cls_of, minlength=n_classes)
+    single = counts == 1
+    single_col = (np.cumsum(counts) - counts)[single]
+    y_lower = np.zeros(total_y)
+    y_lower[single_col] = sizes[single] * p[single]
+    x_lower = np.zeros(m)
+    np.maximum.at(x_lower, node_of[single_col], p[single])
+    fixed = x_lower == lengths
+
+    lp = LinearProgram(name=f"nested_lp({inst.name})")
+    lp.add_vars(
+        NameFamily(m, _xnames, m), objective=1.0, lower=x_lower, upper=lengths
+    )
+    lp.add_vars(
+        NameFamily(total_y, _ynames, node_of, cls_of, key_array),
+        lower=y_lower,
+        upper=sizes[cls_of] * lengths[node_of],
+    )
+
+    # (2) one >= row per class of two or more columns (contiguous, in
+    # preorder).
+    multi = ~single
+    if multi.any():
         lp.add_constraint_block(
-            np.ones(total_y),
-            y_cols,
-            np.concatenate(([0], np.cumsum(counts))),
+            np.ones(int(counts[multi].sum())),
+            y_cols[multi[cls_of]],
+            np.concatenate(([0], np.cumsum(counts[multi]))),
             ">=",
-            sizes * key_array[:, 1],
-            NameFamily(n_classes, _volume_labels, key_array),
+            (sizes * p)[multi],
+            NameFamily(int(multi.sum()), _volume_labels, key_array[multi]),
         )
 
-    # (3)-(5) one <= block, node-major.  Stable sort by node keeps the
-    # class order within each node (the reference per_node_classes order).
-    if m:
-        order = np.argsort(node_of, kind="stable")
-        s_node = node_of[order]
-        s_ycol = y_cols[order]
-        s_cls = cls_of[order]
-        nc = np.bincount(node_of, minlength=m)
-        group_start = np.cumsum(nc) - nc
-        within = np.arange(total_y, dtype=np.int64) - group_start[s_node]
-        xcols = np.arange(m, dtype=np.int64)
-        lengths = np.fromiter(
-            (float(forest.length(i)) for i in range(m)), dtype=float, count=m
+    # (3) and (5) as one <= block.  Rows are keyed node-major, K classes:
+    # a node's capacity row (key i·(K+1)) before its spread rows (key
+    # i·(K+1) + 1 + C); the stable sort keeps the Y entries of a row (in
+    # class order) before its x entry.
+    stride = n_classes + 1
+    cap = np.bincount(node_of, weights=sizes[cls_of], minlength=m) > g
+    spread = ~fixed[node_of] & ((sizes[cls_of] < g) | ~cap[node_of])
+    in_cap = cap[node_of]
+    cap_nodes = np.flatnonzero(cap)
+    sp_key = node_of[spread] * stride + 1 + cls_of[spread]
+    key = np.concatenate(
+        (node_of[in_cap] * stride, sp_key, cap_nodes * stride, sp_key)
+    )
+    if key.size:
+        order = np.argsort(key, kind="stable")
+        col = np.concatenate(
+            (y_cols[in_cap], y_cols[spread], cap_nodes, node_of[spread])
         )
-
-        seg_nnz = 3 * nc + 2  # capacity nc+1, length 1, spread 2·nc
-        seg_start = np.cumsum(seg_nnz) - seg_nnz
-        nnz = int(seg_nnz.sum())
-        data = np.empty(nnz, dtype=float)
-        indices = np.empty(nnz, dtype=np.int64)
-        cap_y = seg_start[s_node] + within
-        data[cap_y] = 1.0
-        indices[cap_y] = s_ycol
-        cap_x = seg_start + nc
-        data[cap_x] = -g
-        indices[cap_x] = xcols
-        data[cap_x + 1] = 1.0  # length row
-        indices[cap_x + 1] = xcols
-        sp_y = seg_start[s_node] + nc[s_node] + 2 + 2 * within
-        data[sp_y] = 1.0
-        indices[sp_y] = s_ycol
-        data[sp_y + 1] = -sizes[s_cls]
-        indices[sp_y + 1] = s_node
-
-        rows_per_node = nc + 2
-        row_start = np.cumsum(rows_per_node) - rows_per_node
-        total_rows = int(rows_per_node.sum())
-        row_lens = np.full(total_rows, 2, dtype=np.int64)
-        row_lens[row_start] = nc + 1
-        row_lens[row_start + 1] = 1
-        rhs = np.zeros(total_rows)
-        rhs[row_start + 1] = lengths
+        val = np.concatenate(
+            (
+                np.ones(int(in_cap.sum()) + int(spread.sum())),
+                np.full(cap_nodes.size, -g),
+                -sizes[cls_of[spread]],
+            )
+        )
+        row_key, row_lens = np.unique(key, return_counts=True)
         lp.add_constraint_block(
-            data,
-            indices,
+            val[order],
+            col[order],
             np.concatenate(([0], np.cumsum(row_lens))),
             "<=",
-            rhs,
-            NameFamily(total_rows, _node_labels, nc, s_cls, key_array),
+            np.zeros(row_key.size),
+            NameFamily(
+                row_key.size,
+                _node_labels,
+                row_key // stride,
+                row_key % stride - 1,
+                key_array,
+            ),
         )
 
-    # (7)-(8) as one >= block over descendant x columns, same row and
-    # column order as the reference dict loop.
+    # (7)-(8) as one >= block over the positive-length descendants.
     if ceiling:
-        omegas = [thresholds.value(i) for i in range(m)]
-        sel = [i for i in range(m) if omegas[i] >= 2]
-        if sel:
-            desc = [forest.descendants(i) for i in sel]
-            lens = np.fromiter(
-                (len(d) for d in desc), dtype=np.int64, count=len(sel)
-            )
-            idx = np.fromiter(
-                (k for d in desc for k in d),
-                dtype=np.int64,
-                count=int(lens.sum()),
-            )
-            sel_omegas = np.array([omegas[i] for i in sel], dtype=np.int64)
+        omegas = np.fromiter(
+            (thresholds.value(i) for i in range(m)), dtype=np.int64, count=m
+        )
+        lo, hi = classes.des_lo, classes.des_hi
+        opened = np.zeros(classes.positive.size + 1)
+        np.cumsum(x_lower[classes.positive], out=opened[1:])
+        sel = np.flatnonzero((omegas >= 2) & (opened[hi] - opened[lo] < omegas))
+        if sel.size:
+            lens = hi[sel] - lo[sel]
             lp.add_constraint_block(
-                np.ones(idx.size),
-                idx,
+                np.ones(int(lens.sum())),
+                classes.positive[_ranges(lo[sel], lens)],
                 np.concatenate(([0], np.cumsum(lens))),
                 ">=",
-                sel_omegas.astype(float),
-                NameFamily(
-                    len(sel),
-                    _ceiling_labels,
-                    np.array(sel, dtype=np.int64),
-                    sel_omegas,
-                ),
+                omegas[sel].astype(float),
+                NameFamily(sel.size, _ceiling_labels, sel, omegas[sel]),
             )
     return lp
 

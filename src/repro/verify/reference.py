@@ -205,41 +205,68 @@ def reference_nested_lp(
 ) -> LinearProgram:
     """Per-row build of LP (1) over job classes, one dict per constraint.
 
-    :func:`~repro.lp.nested_lp.build_nested_lp` must compile to the same
+    Applies :func:`~repro.lp.nested_lp.build_nested_lp`'s reductions
+    node by node and class by class; that build must compile to the same
     model (pass it the same ``thresholds``).
     """
     inst = canonical.instance
     forest = canonical.forest
+    g = inst.g
     classes = job_classes(canonical)
+    length = [forest.length(i) for i in range(forest.m)]
+    # Des⁺(k_C): a node with L(i) = 0 has x(i) = 0 and no Y columns.
+    class_nodes = [
+        [i for i in forest.descendants(k) if length[i] > 0]
+        for k, _ in classes.keys
+    ]
     lp = LinearProgram(name=f"nested_lp({inst.name})")
+    # A class with one column has that column's volume row as its lower
+    # bound, and that column's node at least p open.
+    x_lower = [0] * forest.m
+    for (_, p), nodes in zip(classes.keys, class_nodes):
+        if len(nodes) == 1:
+            x_lower[nodes[0]] = max(x_lower[nodes[0]], p)
+    fixed = [x_lower[i] == length[i] for i in range(forest.m)]
     for i in range(forest.m):
-        lp.add_var(_xname(i), objective=1.0)
-    for key, nodes in zip(classes.keys, classes.nodes):
+        lp.add_var(
+            _xname(i), objective=1.0, lower=x_lower[i], upper=length[i]
+        )
+    for key, nodes, size in zip(classes.keys, class_nodes, classes.sizes):
         for i in nodes:
-            lp.add_var(_yname(i, key))
+            lp.add_var(
+                _yname(i, key),
+                lower=float(size * key[1]) if len(nodes) == 1 else 0.0,
+                upper=float(size) * length[i],
+            )
 
     # (2) every class fully scheduled: Σ_i Y(i,C) >= c·p.
-    for key, nodes, size in zip(classes.keys, classes.nodes, classes.sizes):
+    for key, nodes, size in zip(classes.keys, class_nodes, classes.sizes):
         k, p = key
-        lp.add_constraint(
-            {_yname(i, key): 1.0 for i in nodes},
-            ">=",
-            float(size * p),
-            label=f"volume[{k},{p}]",
-        )
-    # (3) node capacity g·x(i); (4) length cap; (5) class cap c·x(i).
+        if len(nodes) != 1:
+            lp.add_constraint(
+                {_yname(i, key): 1.0 for i in nodes},
+                ">=",
+                float(size * p),
+                label=f"volume[{k},{p}]",
+            )
+    # (3) node capacity g·x(i) where the classes there could exceed it;
+    # (5) class cap c·x(i) where neither a bound nor (3) implies it.
     per_node_classes: dict[int, list[int]] = {i: [] for i in range(forest.m)}
-    for c, nodes in enumerate(classes.nodes):
+    for c, nodes in enumerate(class_nodes):
         for i in nodes:
             per_node_classes[i].append(c)
     for i in range(forest.m):
-        coeffs = {_yname(i, classes.keys[c]): 1.0 for c in per_node_classes[i]}
-        coeffs[_xname(i)] = -float(inst.g)
-        lp.add_constraint(coeffs, "<=", 0.0, label=f"capacity[{i}]")
-        lp.add_constraint(
-            {_xname(i): 1.0}, "<=", float(forest.length(i)), label=f"length[{i}]"
-        )
-        for c in per_node_classes[i]:
+        at_node = per_node_classes[i]
+        capacity = sum(int(classes.sizes[c]) for c in at_node) > g
+        if capacity:
+            coeffs = {_yname(i, classes.keys[c]): 1.0 for c in at_node}
+            coeffs[_xname(i)] = -float(g)
+            lp.add_constraint(coeffs, "<=", 0.0, label=f"capacity[{i}]")
+        if fixed[i]:
+            continue
+        for c in at_node:
+            if classes.sizes[c] >= g and capacity:
+                continue
             k, p = classes.keys[c]
             lp.add_constraint(
                 {_yname(i, (k, p)): 1.0, _xname(i): -float(classes.sizes[c])},
@@ -247,12 +274,14 @@ def reference_nested_lp(
                 0.0,
                 label=f"spread[{i},{k},{p}]",
             )
-    # (7)-(8) ceiling constraints from OPT_i thresholds.
+    # (7)-(8) ceiling constraints from OPT_i thresholds, where the open
+    # lower bounds below i do not already reach them.
     for i in range(forest.m):
         omega = thresholds.value(i)
-        if omega >= 2:
+        below = forest.descendants(i)
+        if omega >= 2 and sum(x_lower[k] for k in below) < omega:
             lp.add_constraint(
-                {_xname(k): 1.0 for k in forest.descendants(i)},
+                {_xname(k): 1.0 for k in below if length[k] > 0},
                 ">=",
                 float(omega),
                 label=f"ceiling[{i}]>={omega}",

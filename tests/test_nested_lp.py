@@ -32,6 +32,7 @@ from repro.util.numeric import SUM_EPS
 from repro.verify.simplex import simplex_solve
 
 CORPUS = Path(__file__).resolve().parents[1] / "data" / "corpus_smoke"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _solve(inst, **kw):
@@ -203,6 +204,153 @@ def per_job_lp(canonical, thresholds) -> LinearProgram:
     return lp
 
 
+def literal_lp(canonical, thresholds) -> LinearProgram:
+    """LP (1) over job classes with nothing reduced: rows (2)–(8) over
+    ``Des(k_C)``, every column a plain nonnegative variable.
+
+    Column names are the production model's, so a production solution
+    maps onto it by name (a column production leaves out is 0).
+    """
+    inst = canonical.instance
+    forest = canonical.forest
+    classes = job_classes(canonical)
+    lp = LinearProgram(name=f"literal_lp({inst.name})")
+
+    def x(i):
+        return f"x[{i}]"
+
+    def y(i, key):
+        return f"Y[{i},{key[0]},{key[1]}]"
+
+    admissible = [forest.descendants(k) for k, _ in classes.keys]
+    for i in range(forest.m):
+        lp.add_var(x(i), objective=1.0)
+    for key, nodes in zip(classes.keys, admissible):
+        for i in nodes:
+            lp.add_var(y(i, key))
+    # (2) every class fully scheduled.
+    for key, nodes, size in zip(classes.keys, admissible, classes.sizes):
+        lp.add_constraint(
+            {y(i, key): 1.0 for i in nodes}, ">=", float(size * key[1]),
+            label=f"volume[{key[0]},{key[1]}]",
+        )
+    # (3) capacity; (4) length; (5) spread.
+    per_node = {i: [] for i in range(forest.m)}
+    for c, nodes in enumerate(admissible):
+        for i in nodes:
+            per_node[i].append(c)
+    for i in range(forest.m):
+        coeffs = {y(i, classes.keys[c]): 1.0 for c in per_node[i]}
+        coeffs[x(i)] = -float(inst.g)
+        lp.add_constraint(coeffs, "<=", 0.0, label=f"capacity[{i}]")
+        lp.add_constraint(
+            {x(i): 1.0}, "<=", float(forest.length(i)), label=f"length[{i}]"
+        )
+        for c in per_node[i]:
+            key = classes.keys[c]
+            lp.add_constraint(
+                {y(i, key): 1.0, x(i): -float(classes.sizes[c])}, "<=", 0.0,
+                label=f"spread[{i},{key[0]},{key[1]}]",
+            )
+    # (7)-(8) ceiling constraints.
+    for i in range(forest.m):
+        omega = thresholds.value(i)
+        if omega >= 2:
+            lp.add_constraint(
+                {x(k): 1.0 for k in forest.descendants(i)}, ">=", float(omega),
+                label=f"ceiling[{i}]>={omega}",
+            )
+    return lp
+
+
+def _assert_reduction_exact(inst) -> bool:
+    """The reduced model against :func:`literal_lp` on one instance.
+
+    Checks the optimum (1e-9 relative), that the production ``(x, Y)``
+    satisfies every literal row (1e-9), and that every ``x(i)`` the
+    reduced model fixes is ``L(i)`` at the literal optimum.  Returns
+    whether the instance had any fixed-open node.
+    """
+    canon = canonicalize(inst)
+    forest = canon.forest
+    lp, thresholds = build_nested_lp(canon)
+    literal = literal_lp(canon, thresholds)
+    want = literal.solve()
+    got = lp.solve()
+    assert got.value == pytest.approx(want.value, rel=1e-9, abs=1e-9), inst.name
+
+    values = got.values
+    point = np.array([values.get(name, 0.0) for name in literal.variable_names()])
+    parts = literal.compile()
+    assert (point >= -1e-9).all(), inst.name
+    slack = parts["b_ub"] - parts["A_ub"] @ point
+    assert slack.min() >= -1e-9, (inst.name, float(slack.min()))
+
+    bounds = lp.compile()["bounds"][: forest.m]
+    lengths = np.array([forest.length(i) for i in range(forest.m)], dtype=float)
+    fixed = (bounds[:, 0] == bounds[:, 1]) & (lengths > 0)
+    assert (bounds[:, 1] == lengths).all()
+    assert np.allclose(want.x[: forest.m][fixed], lengths[fixed], rtol=0, atol=1e-9)
+    return bool(fixed.any())
+
+
+def _batch_dense_cycle(seed: int = 3) -> list[Instance]:
+    """One input of each of the 20 ``batch-dense`` benchmark shapes."""
+    import sys
+
+    from repro.instances.io import instance_from_dict
+
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        from closed_loop import BATCH_DENSE, op_instance
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return [
+        instance_from_dict(op_instance("batch-dense", seed, k))
+        for k in range(len(BATCH_DENSE))
+    ]
+
+
+class TestReductionIsExact:
+    """The reduced model keeps LP (1)'s feasible region and optimum."""
+
+    def test_laminar_corpus(self):
+        checked = fixed = 0
+        for entry in iter_corpus(CORPUS):
+            inst = entry.instance()
+            if inst.is_laminar:
+                fixed += _assert_reduction_exact(inst)
+                checked += 1
+        assert checked == 347
+        assert fixed > 0
+
+    def test_families(self):
+        suite = [natural_gap(g, copies=c) for g in (2, 3, 4) for c in (1, 3)]
+        suite += [section5_gap(g) for g in (2, 3, 4)]
+        suite += [deep_chain(20, 2, seed=3), deep_chain(12, 3, seed=5)]
+        suite += [deep_chain(25, 2, seed=s, slots_per_level=3) for s in range(3)]
+        for inst in suite:
+            _assert_reduction_exact(inst)
+
+    def test_infeasible_stays_infeasible(self):
+        for triples, g in (
+            ([(0, 1, 1)] * 2, 1),
+            ([(0, 2, 2), (0, 4, 3), (0, 4, 3)], 1),
+            ([(0, 3, 2)] * 3 + [(0, 1, 1)], 2),
+        ):
+            canon = canonicalize(Instance.from_triples(triples, g=g))
+            lp, thresholds = build_nested_lp(canon)
+            for model in (lp, literal_lp(canon, thresholds)):
+                with pytest.raises(SolverError) as info:
+                    model.solve()
+                assert info.value.kind == "infeasible"
+
+    def test_batch_dense_shapes(self):
+        cycle = _batch_dense_cycle()
+        assert len(cycle) == 20
+        assert all(_assert_reduction_exact(inst) for inst in cycle)
+
+
 def _corpus_slice(limit: int = 150) -> list[Instance]:
     instances = (entry.instance() for entry in iter_corpus(CORPUS, limit=limit))
     return [
@@ -278,12 +426,17 @@ class TestJobClasses:
             (canon.job_node[job.id], job.processing)
             for job in canon.instance.jobs
         }
-        des = sum(len(forest.descendants(k)) for k, _ in keys)
-        ceilings = sum(thresholds.value(i) >= 2 for i in range(forest.m))
+        des_pos = sum(
+            sum(forest.length(i) > 0 for i in forest.descendants(k))
+            for k, _ in keys
+        )
         assert len(keys) < canon.instance.n
-        assert lp.num_vars == forest.m + des
-        # volume per class, capacity + length per node, spread per column.
-        assert lp.num_constraints == len(keys) + 2 * forest.m + des + ceilings
+        assert any(forest.length(i) == 0 for i in range(forest.m))
+        # One Y column per positive-length admissible node of each class.
+        assert lp.num_vars == forest.m + des_pos
+        literal = literal_lp(canon, thresholds)
+        assert lp.num_vars < literal.num_vars
+        assert lp.num_constraints < literal.num_constraints
         oracle = per_job_lp(canon, thresholds)
         assert lp.num_vars < oracle.num_vars
         assert lp.num_constraints < oracle.num_constraints

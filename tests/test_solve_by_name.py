@@ -221,3 +221,23 @@ class TestSolveErrors:
         assert captured.err.startswith("online-infeasible: pending work")
         assert main(["policies", "run", policy, path]) == 1
         assert capsys.readouterr().err == captured.err
+
+    @pytest.mark.parametrize(
+        "spelling, policy, label",
+        [
+            ("nested", "nested", "infeasible"),
+            ("greedy", "greedy", "infeasible"),
+            ("exact", "exact", "infeasible"),
+            ("lazy-online", "lazy", "online-infeasible"),
+        ],
+    )
+    def test_offline_infeasible_file_is_labelled_by_policy_kind(
+        self, spelling, policy, label, tmp_path, capsys
+    ):
+        path = tmp_path / "inst.json"
+        dump_instance(Instance.from_triples([(0, 1, 1)] * 2, g=1), path)
+        assert main(["policies", "run", policy, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{label}: ")
+        assert main(["solve", str(path), "--algorithm", spelling]) == 1
+        assert capsys.readouterr().err == err
