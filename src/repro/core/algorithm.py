@@ -81,13 +81,13 @@ def _repair(
     forest = canonical.forest
     x = x_tilde.copy()
     repairs = 0
-    capacity = sum(forest.length(i) for i in range(forest.m))
+    capacity = sum(forest.length)
     order = sorted(range(forest.m), key=lambda i: -forest.depth[i])
     while node_assignment(inst, forest, canonical.job_node, x.astype(int)) is None:
         raised = False
         if repairs < capacity:
             for i in order:
-                if x[i] < forest.length(i):
+                if x[i] < forest.length[i]:
                     x[i] += 1
                     repairs += 1
                     raised = True

@@ -15,27 +15,15 @@ The paper notes this "can be done easily"; we implement it exactly:
   (when its interval has two slots), and — for single-leaf chains — a leaf
   plus its deepest strict ancestor with free length.
 
-Everything is computed bottom-up in one pass; the result is
-``min(OPT_i, 3)`` per node.
+Everything is computed bottom-up in one pass over the forest's
+``postorder`` and ``children`` lists; the result is ``min(OPT_i, 3)``
+per node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.instances.jobs import Job
 from repro.tree.node import WindowForest
-
-
-@dataclass(frozen=True)
-class SubtreeStats:
-    """Aggregates over ``J(Des(i))`` maintained bottom-up."""
-
-    volume: int
-    count: int
-    max_p: int
-    #: deepest job-bearing node if job nodes form an ancestor chain, else None
-    chain_bottom: int | None
 
 
 def _pair_feasible(
@@ -82,24 +70,22 @@ def _two_slot_candidates(
     forest: WindowForest, root: int
 ) -> list[tuple[int, int]]:
     """Dominant placements for two slots inside the subtree of ``root``."""
+    start, end, parent, length = forest.start, forest.end, forest.parent, forest.length
     leaves = forest.leaves(root)
-    cands: list[tuple[int, int]] = []
-    for ai in range(len(leaves)):
-        for bi in range(ai + 1, len(leaves)):
-            cands.append((leaves[ai], leaves[bi]))
+    cands = [(a, b) for k, a in enumerate(leaves) for b in leaves[k + 1 :]]
     for leaf in leaves:
-        if forest.nodes[leaf].interval.length >= 2:
+        if end[leaf] - start[leaf] >= 2:
             cands.append((leaf, leaf))
         else:
             # Deepest strict ancestor (within the subtree) with free length.
-            w = forest.parent(leaf)
-            while w is not None and forest.is_ancestor(root, w):
-                if forest.length(w) >= 1:
+            w = parent[leaf]
+            while w >= 0 and forest.is_ancestor(root, w):
+                if length[w] >= 1:
                     cands.append((leaf, w))
                     break
                 if w == root:
                     break
-                w = forest.parent(w)
+                w = parent[w]
     return cands
 
 
@@ -117,8 +103,7 @@ class OptThresholds:
         self.job_node = job_node
         self.jobs_by_id = jobs_by_id
         self.g = g
-        self.stats: dict[int, SubtreeStats] = {}
-        self.omega: dict[int, int] = {}  # min(OPT_i, 3)
+        self.omega: list[int] = [0] * forest.m  # min(OPT_i, 3)
         self._compute()
 
     # -- public view --------------------------------------------------------
@@ -135,68 +120,58 @@ class OptThresholds:
 
     # -- computation ---------------------------------------------------------
 
-    def _subtree_jobs(self, i: int) -> list[Job]:
-        out: list[Job] = []
-        for idx in self.forest.descendants(i):
-            out.extend(self.jobs_by_id[j] for j in self.forest.nodes[idx].job_ids)
-        return out
-
     def _compute(self) -> None:
-        forest = self.forest
-        for i in forest.bottom_up():
-            node = forest.nodes[i]
-            own = [self.jobs_by_id[j] for j in node.job_ids]
-            vol = sum(j.processing for j in own)
-            cnt = len(own)
-            mx = max((j.processing for j in own), default=0)
-            child_omega_sum = 0
-            chain_bottom: int | None = i if own else None
-            chain_ok = True
-            job_bearing_children = 0
-            for c in node.children:
-                cs = self.stats[c]
-                vol += cs.volume
-                cnt += cs.count
-                mx = max(mx, cs.max_p)
-                child_omega_sum += self.omega[c]
-                if cs.count > 0:
-                    job_bearing_children += 1
-                    if cs.chain_bottom is None:
-                        chain_ok = False
-                    elif chain_bottom is None or chain_bottom == i:
-                        chain_bottom = cs.chain_bottom
-                    else:
-                        chain_ok = False
-            if job_bearing_children > 1:
-                chain_ok = False
-            if not chain_ok:
-                chain_bottom = None
-            self.stats[i] = SubtreeStats(
-                volume=vol, count=cnt, max_p=mx, chain_bottom=chain_bottom
-            )
-            self.omega[i] = self._classify(i)
+        """One pass children-first over aggregates of ``J(Des(i))``: volume,
+        job count, largest ``p`` and, when the job-bearing nodes form one
+        ancestor chain, its deepest node (``-1`` otherwise)."""
+        forest, jobs_by_id, g, omega = self.forest, self.jobs_by_id, self.g, self.omega
+        m = forest.m
+        volume = [0] * m
+        count = [0] * m
+        max_p = [0] * m
+        chain = [-1] * m
+        for i in forest.postorder:
+            kids = forest.children[i]
+            ids = forest.jobs[i]
+            if ids:
+                ps = [jobs_by_id[j].processing for j in ids]
+                vol, cnt, mx, bottom = sum(ps), len(ps), max(ps), i
+            else:
+                vol = cnt = mx = 0
+                bottom = -1
+            bearing = child_omega = 0
+            for c in kids:
+                if count[c]:
+                    vol += volume[c]
+                    cnt += count[c]
+                    mx = max(mx, max_p[c])
+                    bottom = chain[c] if not bearing else -1
+                    bearing += 1
+                    child_omega += omega[c]
+            volume[i], count[i], max_p[i], chain[i] = vol, cnt, mx, bottom
+            if not cnt:
+                continue
+            if mx == 1 and cnt <= g and bottom >= 0:
+                omega[i] = 1
+            # Cheap certificates that OPT_i >= 3; children occupy disjoint
+            # regions, so their optima add up.
+            elif mx >= 3 or vol > 2 * g or child_omega >= 3:
+                omega[i] = 3
+            else:
+                omega[i] = 2 if self._fits_two_slots(i) else 3
 
-    def _classify(self, i: int) -> int:
-        st = self.stats[i]
-        if st.count == 0:
-            return 0
-        g = self.g
-        # OPT_i <= 1?
-        if st.max_p == 1 and st.count <= g and st.chain_bottom is not None:
-            return 1
-        # Cheap certificates that OPT_i >= 3.
-        if st.max_p >= 3 or st.volume > 2 * g:
-            return 3
-        # Children occupy disjoint regions, so their optima add up.
-        child_sum = sum(self.omega[c] for c in self.forest.nodes[i].children)
-        if child_sum >= 3:
-            return 3
-        # Exact 2-slot test by dominant-placement enumeration.
-        jobs = self._subtree_jobs(i)
-        for a, b in _two_slot_candidates(self.forest, i):
-            if _pair_feasible(self.forest, self.job_node, jobs, g, a, b):
-                return 2
-        return 3
+    def _fits_two_slots(self, i: int) -> bool:
+        """Exact 2-slot test by dominant-placement enumeration."""
+        forest = self.forest
+        jobs = [
+            self.jobs_by_id[j]
+            for k in forest.preorder[forest.tin[i] : forest.tout[i]]
+            for j in forest.jobs[k]
+        ]
+        return any(
+            _pair_feasible(forest, self.job_node, jobs, self.g, a, b)
+            for a, b in _two_slot_candidates(forest, i)
+        )
 
 
 def compute_thresholds(

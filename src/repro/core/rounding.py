@@ -10,6 +10,7 @@ Section 4 proves the result is feasible on canonical trees.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import ceil, floor
 
@@ -86,32 +87,39 @@ def round_solution(
     ``x`` must satisfy the Lemma 3.1 invariant; ``topmost`` is its set
     ``I``.  Fractional values occur only on ``I`` (integral elsewhere).
     """
-    m = forest.m
-    x_tilde = np.empty(m, dtype=float)
+    pre, tin, tout = forest.preorder, forest.tin, forest.tout
     tops = set(topmost)
-    for i in range(m):
-        x_tilde[i] = _floor_on_I(x[i]) if i in tops else _integral_off_I(x[i], i)
-
-    # Anc(I): every node with an I-node in its subtree (I-nodes included).
-    anc_of_i: set[int] = set()
-    for i in topmost:
-        anc_of_i.update(forest.ancestors(i))
+    xv = x.tolist()
+    x_init = [
+        _floor_on_I(v) if i in tops else _integral_off_I(v, i) for i, v in enumerate(xv)
+    ]
+    # Subtree i is the range tin[i]:tout[i] of the preorder-ordered copies.
+    # x's range holds the same elements in the same order as x[Des(i)], so
+    # its sum is bit-identical to one over Des(i); x̃ is integral, so any
+    # order sums it exactly.
+    xp = x[pre]
+    xtp = [x_init[i] for i in pre]
+    # The I-nodes not yet rounded up, by preorder position: those whose
+    # floor is below x.  A round-up at i takes the first one in i's range.
+    open_tops = sorted(tin[i] for i in tops if x_init[i] < xv[i] - EPS)
 
     rounded_up: list[int] = []
-    # Bottom-to-top = postorder restricted to Anc(I).
+    # Bottom-to-top = postorder, over the nodes of Anc(I) that still have
+    # an I-node to round up below them (the others cannot round up).
     for i in forest.postorder:
-        if i not in anc_of_i:
+        lo, hi = tin[i], tout[i]
+        k = bisect_left(open_tops, lo)
+        if k == len(open_tops) or open_tops[k] >= hi:
             continue
-        des = forest.descendants(i)
-        x_sum = float(x[des].sum())
-        while APPROX_FACTOR * x_sum >= float(x_tilde[des].sum()) + 1.0 - SUM_EPS:
-            candidate = next(
-                (k for k in des if k in tops and x_tilde[k] < x[k] - EPS), None
-            )
-            if candidate is None:
+        x_sum = float(xp[lo:hi].sum())
+        while APPROX_FACTOR * x_sum >= sum(xtp[lo:hi]) + 1.0 - SUM_EPS:
+            t = open_tops.pop(k)
+            xtp[t] = float(ceil(xv[pre[t]] - EPS))
+            rounded_up.append(pre[t])
+            if k == len(open_tops) or open_tops[k] >= hi:
                 break
-            x_tilde[candidate] = ceil(x[candidate] - EPS)
-            rounded_up.append(candidate)
+    x_tilde = np.empty(forest.m)
+    x_tilde[pre] = xtp
 
     budget_ok = float(x_tilde.sum()) <= APPROX_FACTOR * float(x.sum()) + SUM_EPS
     return RoundingResult(

@@ -17,6 +17,7 @@ the transformed ``y`` is a replay of them, made only when read.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -85,36 +86,53 @@ def push_down(
     ``y`` is the per-job array the moves act on, or a function of no
     arguments returning it; it is read only when the result's ``y`` is.
     """
-    x = x.astype(float).copy()
-    lengths = np.array([forest.length(i) for i in range(forest.m)], dtype=float)
+    pre, depth, tin, tout = forest.preorder, forest.depth, forest.tin, forest.tout
+    length, parent = forest.length, forest.parent
+    # Python floats do the same double arithmetic as the array's scalars.
+    xs = x.astype(float).tolist()
+    # ``Des+(i)`` deepest first, preorder within a depth: per depth the
+    # sorted preorder positions, of which subtree i holds one range; and
+    # per node the depth of its deepest descendant.
+    levels: list[list[int]] = [[] for _ in range(max(depth, default=0) + 1)]
+    for t, i in enumerate(pre):
+        levels[depth[i]].append(t)
+    bottom = depth[:]
+    for i in forest.postorder:
+        if parent[i] >= 0 and bottom[parent[i]] < bottom[i]:
+            bottom[parent[i]] = bottom[i]
     src: list[int] = []
     dst: list[int] = []
     frac: list[float] = []
-    for i1 in forest.preorder:
-        if x[i1] <= EPS:
+    for i1 in pre:
+        if xs[i1] <= EPS:
             continue
-        # Deepest-first so mass lands as low as possible.
-        for i2 in sorted(
-            forest.strict_descendants(i1), key=lambda k: -forest.depth[k]
-        ):
-            if x[i1] <= EPS:
+        lo, hi = tin[i1], tout[i1]
+        deepest_first = (
+            pre[t]
+            for level in levels[bottom[i1] : depth[i1] : -1]
+            for t in level[bisect_left(level, lo) : bisect_left(level, hi)]
+        )
+        for i2 in deepest_first:
+            if xs[i1] <= EPS:
                 break
-            slack = lengths[i2] - x[i2]
+            slack = length[i2] - xs[i2]
             if slack <= EPS:
                 continue
-            theta = min(slack, x[i1])
+            theta = min(slack, xs[i1])
             src.append(i1)
             dst.append(i2)
-            frac.append(theta / x[i1])
-            x[i1] -= theta
-            x[i2] += theta
-    x = snap_vector(x)
-    topmost = [
-        i
-        for i in range(forest.m)
-        if x[i] > EPS
-        and all(x[a] <= EPS for a in forest.strict_ancestors(i))
-    ]
+            frac.append(theta / xs[i1])
+            xs[i1] -= theta
+            xs[i2] += theta
+    x = snap_vector(xs)
+    # I: positive nodes under no positive strict ancestor (one preorder pass).
+    xs = x.tolist()
+    shadowed = [False] * forest.m
+    for i in pre:
+        p = parent[i]
+        if p >= 0:
+            shadowed[i] = shadowed[p] or xs[p] > EPS
+    topmost = [i for i, v in enumerate(xs) if v > EPS and not shadowed[i]]
     return TransformedLP(
         x=x,
         topmost=topmost,
@@ -134,7 +152,7 @@ def verify_pushdown_invariant(forest: WindowForest, x: np.ndarray) -> bool:
         if x[i1] <= EPS:
             continue
         for i2 in forest.strict_descendants(i1):
-            if x[i2] < forest.length(i2) - EPS:
+            if x[i2] < forest.length[i2] - EPS:
                 return False
     return True
 
@@ -152,7 +170,7 @@ def verify_claim1(forest: WindowForest, x: np.ndarray, topmost: list[int]) -> li
         if x[i] <= EPS:
             problems.append(f"(1c) node {i} in I has x = 0")
         for d in forest.strict_descendants(i):
-            if abs(x[d] - forest.length(d)) > EPS:
+            if abs(x[d] - forest.length[d]) > EPS:
                 problems.append(f"(1d) descendant {d} of {i} not fully open")
     covered = set()
     for i in topmost:

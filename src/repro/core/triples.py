@@ -47,10 +47,10 @@ class TripleConstruction:
 
 
 def _brother(forest: WindowForest, i: int) -> int | None:
-    p = forest.parent(i)
-    if p is None:
+    p = forest.parent[i]
+    if p < 0:
         return None
-    siblings = [c for c in forest.nodes[p].children if c != i]
+    siblings = [c for c in forest.children[p] if c != i]
     return siblings[0] if len(siblings) == 1 else None
 
 
@@ -118,14 +118,14 @@ def build_triples(
 
 def lemma_4_11_case(forest: WindowForest, triple: Triple) -> str | None:
     """Classify a triple per Lemma 4.11; ``None`` when neither case holds."""
-    p = forest.parent(triple.c1)
-    if p is not None and all(
+    p = forest.parent[triple.c1]
+    if p >= 0 and all(
         forest.is_ancestor(p, c) and c != p for c in (triple.c2a, triple.c2b)
     ):
         return "a"
     for first, second in ((triple.c2a, triple.c2b), (triple.c2b, triple.c2a)):
         if _brother(forest, triple.c1) == first:
-            gp = forest.parent(p) if p is not None else None
-            if gp is not None and forest.is_ancestor(gp, second) and second != gp:
+            gp = forest.parent[p] if p >= 0 else -1
+            if gp >= 0 and forest.is_ancestor(gp, second) and second != gp:
                 return "b"
     return None

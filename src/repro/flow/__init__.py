@@ -18,7 +18,6 @@ from repro.flow.incremental import (
     IncrementalFlow,
     flow_stats,
     make_prober,
-    reset_flow_stats,
 )
 
 __all__ = [
@@ -38,5 +37,4 @@ __all__ = [
     "DynamicFlowProber",
     "make_prober",
     "flow_stats",
-    "reset_flow_stats",
 ]

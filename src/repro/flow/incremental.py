@@ -86,11 +86,6 @@ def flow_stats() -> dict[str, int]:
     return _STATS.snapshot()
 
 
-def reset_flow_stats() -> None:
-    """Zero the process-global flow engine counters."""
-    _STATS.reset()
-
-
 # ---------------------------------------------------------------------------
 # The engine
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from repro.hardness.reductions import (
     set_cover_to_active_time,
     set_cover_to_psc,
     set_cover_witness_to_psc,
-    psc_witness_to_set_cover,
 )
 from repro.hardness.set_cover import (
     SetCoverInstance,
@@ -39,5 +38,4 @@ __all__ = [
     "active_time_decision",
     "active_time_witness_to_psc",
     "set_cover_witness_to_psc",
-    "psc_witness_to_set_cover",
 ]

@@ -61,13 +61,6 @@ def set_cover_to_psc(sc: SetCoverInstance) -> PrefixSumCoverInstance:
     return PrefixSumCoverInstance(vectors=tuple(vectors), target=target, k=k)
 
 
-def psc_witness_to_set_cover(
-    sc: SetCoverInstance, chosen: tuple[int, ...]
-) -> tuple[int, ...]:
-    """Map a PSC witness back to a set-cover witness (distinct indices)."""
-    return tuple(sorted(set(chosen)))
-
-
 def set_cover_witness_to_psc(
     sc: SetCoverInstance, chosen: tuple[int, ...]
 ) -> tuple[int, ...]:

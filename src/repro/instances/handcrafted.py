@@ -35,6 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover
     # import here would make the instances package __init__ circular;
     # the functions below import canonicalize lazily instead.
     from repro.tree.canonical import CanonicalInstance
+    from repro.tree.node import WindowForest
 
 
 def umbrella_groups(g: int, k: int, umbrella_volume: int = 1) -> Instance:
@@ -69,11 +70,17 @@ class CraftedSolution:
     @property
     def group_nodes(self) -> list[int]:
         """The group window nodes (length-2 intervals with jobs)."""
-        return [
-            n.index
-            for n in self.canonical.forest.nodes
-            if n.job_ids and not n.is_leaf and n.interval.length == 2
-        ]
+        return _group_nodes(self.canonical.forest)
+
+
+def _group_nodes(forest: WindowForest) -> list[int]:
+    """Internal nodes with jobs and a length-2 interval: the groups, not
+    the umbrella's own node."""
+    return [
+        i
+        for i in range(forest.m)
+        if forest.jobs[i] and forest.children[i] and forest.end[i] - forest.start[i] == 2
+    ]
 
 
 def even_spread_solution(g: int, k: int) -> CraftedSolution:
@@ -111,15 +118,10 @@ def even_spread_solution(g: int, k: int) -> CraftedSolution:
     y = np.zeros((forest.m, inst.n))
     delta = 1.0 / (g * k)
 
-    for node in forest.nodes:
-        if not node.job_ids or node.is_leaf:
-            continue
-        if node.interval.length != 2:
-            continue  # the umbrella's own node: stays closed
-        group = node.index
-        child = node.children[0]
-        moved = forest.nodes[child].job_ids[0]
-        remaining = [jid for jid in node.job_ids]
+    for group in _group_nodes(forest):
+        child = forest.children[group][0]
+        moved = forest.jobs[child][0]
+        remaining = forest.jobs[group]
         x[child] = 1.0
         x[group] = delta
         y[child, pos[moved]] = 1.0
@@ -151,7 +153,7 @@ def verify_lp_feasible(crafted: CraftedSolution, tol: float = 1e-9) -> list[str]
             if y[i, pos_] > x[i] + tol:
                 problems.append(f"y[{i},{job.id}] > x[{i}]")
     for i in range(forest.m):
-        if x[i] > forest.length(i) + tol:
+        if x[i] > forest.length[i] + tol:
             problems.append(f"x[{i}] exceeds length")
         if y[i, :].sum() > inst.g * x[i] + tol:
             problems.append(f"capacity violated at node {i}")

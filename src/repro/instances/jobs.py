@@ -12,7 +12,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from repro.util.errors import InvalidInstanceError, NotLaminarError
-from repro.util.intervals import Interval, crossing_pair
+from repro.util.intervals import Interval, Nest, nest
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,10 +122,16 @@ class Instance:
         return sum(j.processing for j in self.jobs)
 
     @cached_property
+    def nest(self) -> Nest:
+        """The job windows swept once (:func:`~repro.util.intervals.nest`):
+        the distinct windows, their containment forest, each job's window
+        and the first crossing pair."""
+        return nest([(j.release, j.deadline) for j in self.jobs])
+
+    @property
     def windows(self) -> tuple[Interval, ...]:
         """Distinct windows, sorted by ``(start, -end)`` (outermost first)."""
-        distinct = {j.window for j in self.jobs}
-        return tuple(sorted(distinct, key=lambda iv: (iv.start, -iv.end)))
+        return tuple(map(Interval, self.nest.start, self.nest.end))
 
     def job_by_id(self, job_id: int) -> Job:
         for job in self.jobs:
@@ -135,18 +141,18 @@ class Instance:
 
     # -- structure predicates -------------------------------------------
 
-    @cached_property
+    @property
     def is_laminar(self) -> bool:
         """True when the window family is nested (laminar)."""
-        return crossing_pair(self.windows) is None
+        return self.nest.crossing is None
 
     def require_laminar(self) -> None:
         """Raise :class:`NotLaminarError` unless windows are laminar."""
-        if not self.is_laminar:
-            a, b = crossing_pair(self.windows)
+        crossing = self.nest.crossing
+        if crossing is not None:
+            (r1, d1), (r2, d2) = crossing
             raise NotLaminarError(
-                f"windows [{a.start},{a.end}) and [{b.start},{b.end}) cross",
-                witness=((a.start, a.end), (b.start, b.end)),
+                f"windows [{r1},{d1}) and [{r2},{d2}) cross", witness=crossing
             )
 
     @cached_property

@@ -174,9 +174,7 @@ def job_classes(canonical: CanonicalInstance) -> JobClasses:
         count=inst.n,
     )
     keys = tuple(index)
-    lengths = np.fromiter(
-        (forest.length(i) for i in range(m)), dtype=float, count=m
-    )
+    lengths = np.array(forest.length, dtype=float)
     preorder = np.array(forest.preorder, dtype=np.int64)
     open_pre = lengths[preorder] > 0
     rank = np.zeros(m + 1, dtype=np.int64)

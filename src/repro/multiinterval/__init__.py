@@ -10,7 +10,6 @@ from repro.multiinterval.generators import random_multi_interval, shift_family
 from repro.multiinterval.greedy import (
     GreedyResult,
     exact_optimum,
-    greedy_guarantee,
     harmonic,
     wolsey_greedy,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "GreedyResult",
     "exact_optimum",
     "harmonic",
-    "greedy_guarantee",
     "random_multi_interval",
     "shift_family",
 ]

@@ -89,11 +89,6 @@ def wolsey_greedy(instance: MultiInstance, *, prune: bool = True) -> GreedyResul
     )
 
 
-def greedy_guarantee(instance: MultiInstance) -> float:
-    """The proven upper bound on greedy/OPT for this instance: ``H_g``."""
-    return harmonic(instance.g)
-
-
 def exact_optimum(instance: MultiInstance, *, max_slots: int = 20) -> int:
     """Reference optimum by subset enumeration (tiny instances only)."""
     from itertools import combinations

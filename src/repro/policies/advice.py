@@ -119,7 +119,7 @@ class AdviceAugmentedPolicy(Policy):
                     f"advice for policy {self.name!r} predicts {count!r} "
                     f"slots at node {node}; counts must be ints"
                 )
-            x[node] = min(max(count, 0), forest.length(node))
+            x[node] = min(max(count, 0), forest.length[node])
         return x
 
     def solve(self, instance: Instance) -> Schedule:

@@ -16,7 +16,6 @@ from repro.solver.service import (
     SolverService,
     clear_solver_cache,
     get_service,
-    reset_solver_stats,
     set_service,
     solve_lp,
     solver_stats,
@@ -32,6 +31,5 @@ __all__ = [
     "set_service",
     "solve_lp",
     "solver_stats",
-    "reset_solver_stats",
     "clear_solver_cache",
 ]

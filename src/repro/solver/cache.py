@@ -74,8 +74,6 @@ class SolveCache:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
         self._entries: OrderedDict[str, LPSolution] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -86,10 +84,8 @@ class SolveCache:
         only when the answer is read by name), or ``None``."""
         sol = self._entries.get(key)
         if sol is None:
-            self.misses += 1
             return None
         self._entries.move_to_end(key)
-        self.hits += 1
         return sol.copy(names)
 
     def put(self, key: str, sol: LPSolution) -> None:
@@ -100,8 +96,6 @@ class SolveCache:
 
     def clear(self) -> None:
         self._entries.clear()
-        self.hits = 0
-        self.misses = 0
 
 
 def clear_basis_cache() -> None:

@@ -10,8 +10,8 @@ is counted in a :class:`repro.obs.Counters` group.
 ``LinearProgram.solve`` delegates here, so all existing call sites — the
 9/5 pipeline, the lower bounds, the gap studies, the benchmarks — get
 caching and counters without changes.  A module-level default service
-backs the convenience functions :func:`solve_lp`, :func:`solver_stats`,
-:func:`reset_solver_stats` and :func:`clear_solver_cache`.
+backs the convenience functions :func:`solve_lp`, :func:`solver_stats` and
+:func:`clear_solver_cache`.
 """
 
 from __future__ import annotations
@@ -138,11 +138,6 @@ def solver_stats() -> dict:
     return get_service().stats_snapshot()
 
 
-def reset_solver_stats() -> None:
-    """Zero the default service's counters."""
-    get_service().reset_stats()
-
-
 def clear_solver_cache() -> None:
     get_service().clear_cache()
 
@@ -154,6 +149,5 @@ __all__ = [
     "set_service",
     "solve_lp",
     "solver_stats",
-    "reset_solver_stats",
     "clear_solver_cache",
 ]

@@ -2,11 +2,10 @@
 
 from repro.tree.canonical import CanonicalInstance, canonicalize, is_canonical
 from repro.tree.laminar import build_forest
-from repro.tree.node import TreeNode, WindowForest
+from repro.tree.node import WindowForest
 from repro.tree.render import forest_stats, render_forest
 
 __all__ = [
-    "TreeNode",
     "WindowForest",
     "build_forest",
     "canonicalize",

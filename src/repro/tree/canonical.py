@@ -20,9 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.instances.jobs import Instance, Job
-from repro.tree.laminar import forest_nodes
-from repro.tree.node import TreeNode, WindowForest
-from repro.util.intervals import Interval
+from repro.tree.laminar import window_lists
+from repro.tree.node import WindowForest
 
 
 @dataclass(frozen=True)
@@ -56,61 +55,54 @@ class CanonicalInstance:
         return self.forest.m
 
 
-def _binarize(nodes: list[TreeNode]) -> None:
-    """Insert virtual hull nodes until every node has at most 2 children."""
-    work = [n.index for n in nodes if len(n.children) > 2]
-    while work:
-        idx = work.pop()
-        node = nodes[idx]
-        while len(node.children) > 2:
-            kids = sorted(node.children, key=lambda c: nodes[c].start)
-            group, last = kids[:-1], kids[-1]
-            hull = Interval(nodes[group[0]].start, nodes[group[-1]].end)
-            v = TreeNode(
-                index=len(nodes),
-                interval=hull,
-                parent=idx,
-                children=list(group),
-                virtual=True,
-            )
-            nodes.append(v)
-            for c in group:
-                nodes[c].parent = v.index
-            node.children = [v.index, last]
-            if len(v.children) > 2:
-                work.append(v.index)
+def _binarize(
+    start: list[int], end: list[int], children: list[list[int]], jobs: list[list[int]]
+) -> None:
+    """Append virtual hull nodes until every node has at most 2 children.
+
+    A node with children ``k0 … k(t-1)`` keeps ``[v1, k(t-1)]``; ``v(s)``
+    is the hull of ``k0 … k(t-1-s)`` with children ``[v(s+1), k(t-1-s)]``,
+    down to ``[k0, k1]``.  Nodes are expanded from the highest index
+    down, each caterpillar numbered from the top.
+    """
+    for i in [i for i, kids in enumerate(children) if len(kids) > 2][::-1]:
+        kids = children[i]
+        top = i
+        for k in range(len(kids) - 1, 1, -1):
+            v = len(start)
+            start.append(start[kids[0]])
+            end.append(end[kids[k - 1]])
+            children[top] = [v, kids[k]]
+            children.append(kids[:2])  # the last hull's; the others are replaced
+            jobs.append([])
+            top = v
 
 
 def _make_leaves_rigid(
-    nodes: list[TreeNode], jobs_by_id: dict[int, Job]
+    start: list[int],
+    end: list[int],
+    children: list[list[int]],
+    jobs: list[list[int]],
+    jobs_by_id: dict[int, Job],
 ) -> list[int]:
     """Apply the rigid-leaf transformation; returns ids of shrunk jobs."""
     shrunk: list[int] = []
-    for idx in [n.index for n in nodes if n.is_leaf]:
-        node = nodes[idx]
-        if not node.job_ids:
-            # Virtual nodes are internal by construction; a jobless real
-            # leaf cannot exist (each node carries at least one job window).
-            raise AssertionError(f"leaf node {idx} has no jobs")
-        longest = max(node.job_ids, key=lambda jid: jobs_by_id[jid].processing)
+    for i in range(len(start)):
+        if children[i]:
+            continue
+        # Every leaf is a job window (hulls have children): its first
+        # longest job, in instance order, gets the rigid child.
+        longest = max(jobs[i], key=lambda jid: jobs_by_id[jid].processing)
         p = jobs_by_id[longest].processing
-        if p == node.interval.length:
+        if p == end[i] - start[i]:
             continue  # already rigid
-        child_iv = Interval(node.start, node.start + p)
-        child = TreeNode(
-            index=len(nodes),
-            interval=child_iv,
-            parent=idx,
-            children=[],
-            job_ids=[longest],
-            virtual=False,
-        )
-        nodes.append(child)
-        node.children.append(child.index)
-        node.job_ids.remove(longest)
-        jobs_by_id[longest] = jobs_by_id[longest].with_window(
-            child_iv.start, child_iv.end
-        )
+        children[i] = [len(start)]
+        start.append(start[i])
+        end.append(start[i] + p)
+        children.append([])
+        jobs.append([longest])
+        jobs[i].remove(longest)
+        jobs_by_id[longest] = jobs_by_id[longest].with_window(start[i], start[i] + p)
         shrunk.append(longest)
     return shrunk
 
@@ -118,23 +110,20 @@ def _make_leaves_rigid(
 def canonicalize(instance: Instance) -> CanonicalInstance:
     """Build the canonical (binary, rigid-leaf) form of a laminar instance.
 
-    The window forest's nodes are transformed in place and made into one
-    forest, validated once.
+    The lists of the instance's window forest are extended in place and
+    made into one forest, checked once.
     """
-    nodes, _ = forest_nodes(instance)
+    start, end, children, jobs = window_lists(instance)
     jobs_by_id = {j.id: j for j in instance.jobs}
+    windows = len(start)
+    _binarize(start, end, children, jobs)
+    virtual = range(windows, len(start))
+    shrunk = _make_leaves_rigid(start, end, children, jobs, jobs_by_id)
 
-    _binarize(nodes)
-    shrunk = _make_leaves_rigid(nodes, jobs_by_id)
-
-    canon_forest = WindowForest(nodes)
-    canon_forest.validate_laminar_partition()
-    job_node = {
-        jid: n.index for n in canon_forest.nodes for jid in n.job_ids
-    }
-    new_jobs = tuple(jobs_by_id[j.id] for j in instance.jobs)
+    canon_forest = WindowForest(start, end, children, jobs, virtual=virtual)
+    job_node = {jid: i for i, ids in enumerate(jobs) for jid in ids}
     canon_instance = Instance(
-        jobs=new_jobs, g=instance.g, name=instance.name or "canonical"
+        jobs=tuple(jobs_by_id.values()), g=instance.g, name=instance.name or "canonical"
     )
     return CanonicalInstance(
         instance=canon_instance,
@@ -147,13 +136,13 @@ def canonicalize(instance: Instance) -> CanonicalInstance:
 
 def is_canonical(forest: WindowForest, jobs_by_id: dict[int, Job]) -> bool:
     """Check Definition 2.1: binary tree with rigid leaves."""
-    for node in forest.nodes:
-        if len(node.children) > 2:
+    for i, kids in enumerate(forest.children):
+        if len(kids) > 2:
             return False
-        if node.is_leaf:
-            if not node.job_ids:
+        if not kids:
+            ids = forest.jobs[i]
+            if not ids:
                 return False
-            longest = max(jobs_by_id[j].processing for j in node.job_ids)
-            if longest != node.interval.length:
+            if max(jobs_by_id[j].processing for j in ids) != forest.length[i]:
                 return False
     return True

@@ -2,14 +2,14 @@
 
 One tree node per *distinct* job window; node ``i'`` is a child of ``i``
 when ``K(i') ⊊ K(i)`` with no window strictly between.  Jobs map onto nodes
-via ``k(j)``.
+via ``k(j)``.  All of it comes from the instance's one sweep of its windows
+(:attr:`Instance.nest <repro.instances.jobs.Instance.nest>`).
 """
 
 from __future__ import annotations
 
 from repro.instances.jobs import Instance
-from repro.tree.node import TreeNode, WindowForest
-from repro.util.intervals import Interval
+from repro.tree.node import WindowForest
 
 
 def build_forest(instance: Instance) -> tuple[WindowForest, dict[int, int]]:
@@ -26,40 +26,25 @@ def build_forest(instance: Instance) -> tuple[WindowForest, dict[int, int]]:
     NotLaminarError
         If the instance windows cross.
     """
-    nodes, job_node = forest_nodes(instance)
-    forest = WindowForest(nodes)
-    forest.validate_laminar_partition()
-    return forest, job_node
+    start, end, children, jobs = window_lists(instance)
+    job_node = {job.id: k for job, k in zip(instance.jobs, instance.nest.of_item)}
+    return WindowForest(start, end, children, jobs), job_node
 
 
-def forest_nodes(instance: Instance) -> tuple[list[TreeNode], dict[int, int]]:
-    """The nodes :func:`build_forest` makes a forest of, and ``job_node``.
-
-    The nodes are fresh, so a caller that transforms them further
-    (:func:`~repro.tree.canonical.canonicalize`) builds and validates
-    one forest, of its own result.
-    """
+def window_lists(
+    instance: Instance,
+) -> tuple[list[int], list[int], list[list[int]], list[list[int]]]:
+    """Fresh ``start``, ``end``, ``children`` and ``jobs`` lists of the
+    window forest, which a caller may extend
+    (:func:`~repro.tree.canonical.canonicalize`)."""
     instance.require_laminar()
-    windows = instance.windows  # sorted by (start, -end): parents precede children
-    nodes: list[TreeNode] = []
-    node_of_window: dict[Interval, int] = {}
-    # Stack sweep: the sort order guarantees every ancestor of a window is
-    # seen before it, so the containment stack top is its parent.
-    stack: list[int] = []
-    for iv in windows:
-        while stack and nodes[stack[-1]].interval.end <= iv.start:
-            stack.pop()
-        parent = stack[-1] if stack else None
-        idx = len(nodes)
-        nodes.append(TreeNode(index=idx, interval=iv, parent=parent))
-        node_of_window[iv] = idx
-        if parent is not None:
-            nodes[parent].children.append(idx)
-        stack.append(idx)
-
-    job_node: dict[int, int] = {}
-    for job in instance.jobs:
-        idx = node_of_window[job.window]
-        nodes[idx].job_ids.append(job.id)
-        job_node[job.id] = idx
-    return nodes, job_node
+    nest = instance.nest
+    children: list[list[int]] = [[] for _ in nest.start]
+    # Windows come in (start, -end) order, so each child list is sorted.
+    for i, p in enumerate(nest.parent):
+        if p >= 0:
+            children[p].append(i)
+    jobs: list[list[int]] = [[] for _ in nest.start]
+    for job, k in zip(instance.jobs, nest.of_item):
+        jobs[k].append(job.id)
+    return list(nest.start), list(nest.end), children, jobs

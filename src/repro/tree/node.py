@@ -1,4 +1,4 @@
-"""Tree node and forest structures for laminar window families.
+"""The window forest of a laminar instance, as flat int lists.
 
 Nodes follow Section 2 of the paper: each node ``i`` carries an interval
 ``K(i)`` equal to some job window (or a virtual interval introduced by
@@ -6,132 +6,130 @@ canonicalization), and its *length* ``L(i)`` is the number of slots in
 ``K(i)`` that belong to no child interval.  The windows of a laminar
 instance in general form a *forest*; the paper assumes a single tree
 w.l.o.g., while we handle forests directly (all definitions are per-tree).
+
+Node ``i`` is position ``i`` of every list:
+
+* ``start[i]``, ``end[i]``: ``K(i) = [start, end)``;
+* ``parent[i]`` (``-1`` at a root), ``children[i]`` (sorted by start),
+  ``roots``;
+* ``length[i]``: ``L(i)``, computed once;
+* ``depth[i]``: edges to the root;
+* ``jobs[i]``: ids of the jobs ``j`` with ``k(j) = i``;
+* ``preorder``, ``postorder``, and ``tin[i]``/``tout[i]``: subtree ``i``
+  is ``preorder[tin[i]:tout[i]]``, so ``Des(i)`` is one slice, ``i`` first;
+  ``Anc(i)`` is the walk up ``parent``;
+* ``virtual``: the range of node indices canonicalization added as hulls.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
-
 from repro.util.errors import InvalidInstanceError
-from repro.util.intervals import Interval
-
-
-@dataclass
-class TreeNode:
-    """One node of a window forest.
-
-    Attributes
-    ----------
-    index:
-        Position in :attr:`WindowForest.nodes` (the paper's node id).
-    interval:
-        The node interval ``K(i)``.
-    parent:
-        Index of the parent node, or ``None`` for roots.
-    children:
-        Indices of child nodes, ordered by interval start.
-    job_ids:
-        Ids of jobs ``j`` with ``k(j) = i`` (window equal to ``K(i)``).
-    virtual:
-        True for nodes introduced by canonicalization (no job has this
-        exact window originally).
-    """
-
-    index: int
-    interval: Interval
-    parent: int | None = None
-    children: list[int] = field(default_factory=list)
-    job_ids: list[int] = field(default_factory=list)
-    virtual: bool = False
-
-    @property
-    def start(self) -> int:
-        return self.interval.start
-
-    @property
-    def end(self) -> int:
-        return self.interval.end
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
 
 
 class WindowForest:
-    """A laminar forest of window nodes with fast ancestor/descendant queries.
+    """A laminar forest of window nodes over flat lists (see the module).
 
-    The structure is immutable after construction; canonicalization builds a
-    new forest.  Descendant sets use Euler-tour intervals (``tin``/``tout``)
-    so membership tests are O(1) and subtree iteration is contiguous.
+    The forest takes ownership of the lists it is given and checks them
+    once: every child index in range and listed once, every child strictly
+    inside its parent, siblings (and roots) sorted by start and disjoint.
+    The structure is not modified afterwards.
     """
 
-    def __init__(self, nodes: Sequence[TreeNode]) -> None:
-        self.nodes: list[TreeNode] = list(nodes)
-        self.roots: list[int] = [n.index for n in self.nodes if n.parent is None]
-        self._validate()
+    def __init__(
+        self,
+        start: list[int],
+        end: list[int],
+        children: list[list[int]],
+        jobs: list[list[int]] | None = None,
+        *,
+        virtual: range = range(0),
+    ) -> None:
+        m = len(start)
+        if len(end) != m or len(children) != m:
+            raise InvalidInstanceError("start, end and children differ in length")
+        self.start = start
+        self.end = end
+        self.children = children
+        self.jobs = jobs if jobs is not None else [[] for _ in range(m)]
+        self.virtual = virtual
+        parent = [-1] * m
+        for i, kids in enumerate(children):
+            for c in kids:
+                if not 0 <= c < m or c == i or parent[c] >= 0:
+                    raise InvalidInstanceError(
+                        f"node {c} is out of place as a child of node {i}"
+                    )
+                parent[c] = i
+        self.parent = parent
+        self.roots = [i for i, p in enumerate(parent) if p < 0]
         self._build_orders()
 
-    # -- construction-time checks and indexes ---------------------------
-
-    def _validate(self) -> None:
-        for k, node in enumerate(self.nodes):
-            if node.index != k:
-                raise InvalidInstanceError(
-                    f"node index {node.index} does not match position {k}"
-                )
-            for c in node.children:
-                child = self.nodes[c]
-                if child.parent != node.index:
-                    raise InvalidInstanceError(
-                        f"child {c} of node {k} has parent {child.parent}"
-                    )
-                if not node.interval.strictly_contains(child.interval):
-                    raise InvalidInstanceError(
-                        f"child interval {child.interval} not strictly inside "
-                        f"{node.interval} (nodes {c} <- {k})"
-                    )
-
     def _build_orders(self) -> None:
-        m = len(self.nodes)
-        self.preorder: list[int] = []
-        self.postorder: list[int] = []
-        self.tin = [0] * m
-        self.tout = [0] * m
-        self.depth = [0] * m
-        clock = 0
-        for root in self.roots:
-            # Iterative DFS; (node, expanded?) entries.
-            stack: list[tuple[int, bool]] = [(root, False)]
-            while stack:
-                idx, expanded = stack.pop()
-                if expanded:
-                    self.postorder.append(idx)
-                    self.tout[idx] = clock
-                    continue
-                node = self.nodes[idx]
-                self.depth[idx] = (
-                    0 if node.parent is None else self.depth[node.parent] + 1
-                )
-                self.tin[idx] = clock
-                clock += 1
-                self.preorder.append(idx)
-                stack.append((idx, True))
-                for c in reversed(node.children):
-                    stack.append((c, False))
+        """One preorder walk (depth, ``L``, the nesting checks), then one
+        pass back over it for subtree sizes and the postorder."""
+        start, end, children = self.start, self.end, self.children
+        m = len(start)
+        lo = -float("inf")
+        for r in self.roots:
+            if not lo <= start[r] < end[r]:
+                raise InvalidInstanceError(f"root {r} is empty or overlaps the root before it")
+            lo = end[r]
+        depth = [0] * m
+        length = [0] * m
+        preorder: list[int] = []
+        stack = self.roots[::-1]
+        while stack:
+            i = stack.pop()
+            preorder.append(i)
+            kids = children[i]
+            lo, hi = start[i], end[i]
+            free = hi - lo
+            if kids:
+                d = depth[i] + 1
+                for c in kids:
+                    if not lo <= start[c] < end[c] <= hi:
+                        raise InvalidInstanceError(
+                            f"node {c} is empty, not inside node {i} or overlaps "
+                            "the sibling before it"
+                        )
+                    lo = end[c]
+                    free -= end[c] - start[c]
+                    depth[c] = d
+                if free == 0 and len(kids) == 1:
+                    raise InvalidInstanceError(f"node {kids[0]} equals its parent {i}")
+                stack.extend(reversed(kids))
+            length[i] = free
+        if len(preorder) != m:
+            raise InvalidInstanceError("the parent links of the forest form a cycle")
+        tin = [0] * m
+        for t, i in enumerate(preorder):
+            tin[i] = t
+        # Subtree sizes children first; node i ends the postorder of its
+        # subtree, after the nodes before it that are not its ancestors.
+        tout = [t + 1 for t in tin]
+        postorder = [0] * m
+        parent = self.parent
+        for i in reversed(preorder):
+            p = parent[i]
+            if p >= 0 and tout[p] < tout[i]:
+                tout[p] = tout[i]
+            postorder[tout[i] - depth[i] - 1] = i
+        self.depth = depth
+        self.length = length
+        self.preorder = preorder
+        self.postorder = postorder
+        self.tin = tin
+        self.tout = tout
 
     # -- shape -----------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.start)
 
     @property
     def m(self) -> int:
         """Number of nodes."""
-        return len(self.nodes)
-
-    def __iter__(self) -> Iterator[TreeNode]:
-        return iter(self.nodes)
+        return len(self.start)
 
     # -- queries (Section 2 notation) -------------------------------------
 
@@ -142,10 +140,10 @@ class WindowForest:
     def ancestors(self, i: int) -> list[int]:
         """``Anc(i)``: ancestors of ``i`` including ``i``, bottom-up."""
         out = [i]
-        p = self.nodes[i].parent
-        while p is not None:
+        p = self.parent[i]
+        while p >= 0:
             out.append(p)
-            p = self.nodes[p].parent
+            p = self.parent[p]
         return out
 
     def strict_ancestors(self, i: int) -> list[int]:
@@ -153,38 +151,19 @@ class WindowForest:
         return self.ancestors(i)[1:]
 
     def descendants(self, i: int) -> list[int]:
-        """``Des(i)``: descendants of ``i`` including ``i``, preorder.
-
-        The clock only ticks at pre-visits, so a subtree occupies the
-        contiguous preorder range ``[tin[i], tout[i])``.
-        """
+        """``Des(i)``: descendants of ``i`` including ``i``, preorder."""
         return self.preorder[self.tin[i] : self.tout[i]]
 
     def strict_descendants(self, i: int) -> list[int]:
         """``Des+(i)``: descendants excluding ``i``."""
-        return self.descendants(i)[1:]
-
-    def parent(self, i: int) -> int | None:
-        return self.nodes[i].parent
+        return self.preorder[self.tin[i] + 1 : self.tout[i]]
 
     def leaves(self, i: int | None = None) -> list[int]:
-        """Leaf nodes under ``i`` (or of the whole forest)."""
+        """Leaf nodes under ``i`` in preorder (or of the whole forest, by index)."""
         pool = self.descendants(i) if i is not None else range(self.m)
-        return [k for k in pool if self.nodes[k].is_leaf]
+        return [k for k in pool if not self.children[k]]
 
-    # -- lengths and exclusive slots --------------------------------------
-
-    def length(self, i: int) -> int:
-        """``L(i)``: slots in ``K(i)`` outside every child interval.
-
-        Computed from intervals (for virtual hull nodes this counts the gap
-        slots between children, generalizing the paper's ``L = 0``
-        convention for contiguous virtual nodes).
-        """
-        node = self.nodes[i]
-        return node.interval.length - sum(
-            self.nodes[c].interval.length for c in node.children
-        )
+    # -- exclusive slots ----------------------------------------------------
 
     def exclusive_runs(
         self, i: int, limit: int | None = None
@@ -195,22 +174,18 @@ class WindowForest:
         With ``limit``, only the first ``limit`` slots.  The cost is
         O(children), whatever ``L(i)`` or ``limit`` is.
         """
-        node = self.nodes[i]
-        children = sorted(
-            (self.nodes[c].interval.start, self.nodes[c].interval.end)
-            for c in node.children
-        )
-        # An empty sentinel child at the end closes the last gap.
-        children.append((node.interval.end, node.interval.end))
-        room = node.interval.length if limit is None else limit
+        start, end, kids = self.start, self.end, self.children[i]
+        room = end[i] - start[i] if limit is None else limit
         out: list[tuple[int, int]] = []
-        t = node.interval.start
-        for child_start, child_end in children:
-            take = min(child_start - t, room)
+        # Gap k runs from the end of child k - 1 (or the node's start) to
+        # the start of child k (or the node's end).
+        for a, b in zip(
+            [start[i]] + [end[c] for c in kids], [start[c] for c in kids] + [end[i]]
+        ):
+            take = min(b - a, room)
             if take > 0:
-                out.append((t, t + take))
+                out.append((a, a + take))
                 room -= take
-            t = child_end
         return out
 
     def exclusive_slots(self, i: int, *, limit: int | None = None) -> list[int]:
@@ -225,27 +200,10 @@ class WindowForest:
         found: int | None = None
         candidates = self.roots
         while True:
-            nxt = None
-            for idx in candidates:
-                if t in self.nodes[idx].interval:
-                    nxt = idx
-                    break
+            nxt = next(
+                (i for i in candidates if self.start[i] <= t < self.end[i]), None
+            )
             if nxt is None:
                 return found
             found = nxt
-            candidates = self.nodes[nxt].children
-
-    def bottom_up(self) -> list[int]:
-        """Nodes in bottom-to-top order (reverse preorder is not enough;
-        postorder guarantees children before parents)."""
-        return list(self.postorder)
-
-    def validate_laminar_partition(self) -> None:
-        """Assert siblings are pairwise disjoint (defensive check)."""
-        for node in self.nodes:
-            kids = sorted(node.children, key=lambda c: self.nodes[c].start)
-            for a, b in zip(kids, kids[1:]):
-                if self.nodes[a].end > self.nodes[b].start:
-                    raise InvalidInstanceError(
-                        f"sibling intervals overlap under node {node.index}"
-                    )
+            candidates = self.children[nxt]

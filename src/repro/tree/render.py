@@ -25,13 +25,12 @@ def render_forest(
     lines: list[str] = []
 
     def describe(i: int) -> str:
-        node = forest.nodes[i]
         bits = [
-            f"[{node.start},{node.end})",
-            f"L={forest.length(i)}",
-            f"jobs={len(node.job_ids)}",
+            f"[{forest.start[i]},{forest.end[i]})",
+            f"L={forest.length[i]}",
+            f"jobs={len(forest.jobs[i])}",
         ]
-        if node.virtual:
+        if i in forest.virtual:
             bits.append("virtual")
         if annotate is not None:
             extra = annotate(i)
@@ -47,7 +46,7 @@ def render_forest(
             connector = "└── " if is_last else "├── "
             lines.append(prefix + connector + describe(i))
             child_prefix = prefix + ("    " if is_last else "│   ")
-        kids = forest.nodes[i].children
+        kids = forest.children[i]
         for k, c in enumerate(kids):
             walk(c, child_prefix, k == len(kids) - 1, False)
 
@@ -63,17 +62,12 @@ def forest_stats(forest: WindowForest) -> dict[str, float]:
     m = forest.m
     if m == 0:
         return {"nodes": 0, "leaves": 0, "max_depth": 0, "virtual": 0}
-    leaves = forest.leaves()
-    internal = [n for n in forest.nodes if n.children]
+    internal = [len(kids) for kids in forest.children if kids]
     return {
         "nodes": m,
-        "leaves": len(leaves),
-        "max_depth": max(forest.depth[i] for i in range(m)),
-        "virtual": sum(1 for n in forest.nodes if n.virtual),
-        "mean_branching": (
-            sum(len(n.children) for n in internal) / len(internal)
-            if internal
-            else 0.0
-        ),
-        "total_length": sum(forest.length(i) for i in range(m)),
+        "leaves": m - len(internal),
+        "max_depth": max(forest.depth),
+        "virtual": len(forest.virtual),
+        "mean_branching": sum(internal) / len(internal) if internal else 0.0,
+        "total_length": sum(forest.length),
     }

@@ -8,7 +8,7 @@ pair of windows is either disjoint or nested.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -63,30 +63,55 @@ def intervals_nested(a: Interval, b: Interval) -> bool:
     return a.contains_interval(b) or b.contains_interval(a)
 
 
-def crossing_pair(
-    intervals: Iterable[Interval],
-) -> tuple[Interval, Interval] | None:
-    """Return a properly crossing pair, or ``None`` when laminar.
+class Nest(NamedTuple):
+    """A family of windows swept once into its containment forest.
 
-    Uses a single sorted sweep with a containment stack: sort by
-    ``(start, -end)`` so that at each new interval, every open ancestor is on
-    the stack; the family is laminar iff each new interval nests inside the
-    innermost open one (or starts after it ends).  Runs in ``O(k log k)``.
+    ``start``/``end`` are the distinct windows sorted by ``(start, -end)``
+    (outermost first), ``parent[w]`` is the index of the smallest window
+    strictly containing window ``w`` (``-1`` at a root), and ``of_item[k]``
+    is the window of the ``k``-th input pair.  ``crossing`` is the first
+    properly crossing pair ``((r1, d1), (r2, d2))`` the sweep meets, and
+    ``None`` when the family is laminar; the sweep stops there, so
+    ``parent`` is complete only for a laminar family.
     """
-    items = sorted(set(intervals), key=lambda iv: (iv.start, -iv.end))
-    stack: list[Interval] = []
-    for iv in items:
-        while stack and stack[-1].end <= iv.start:
+
+    start: list[int]
+    end: list[int]
+    parent: list[int]
+    of_item: list[int]
+    crossing: tuple[tuple[int, int], tuple[int, int]] | None
+
+
+def nest(pairs: Sequence[tuple[int, int]]) -> Nest:
+    """Sort the distinct ``(start, end)`` pairs once and sweep them.
+
+    In ``(start, -end)`` order every window that contains a window comes
+    before it, so a stack of the open windows holds its ancestors: pop the
+    ones that end before it starts, and the top, if any, must contain it
+    (its parent) or the two cross.  Runs in ``O(k log k)``.
+    """
+    keys = sorted((s, -e) for s, e in set(pairs))
+    start = [s for s, _ in keys]
+    end = [-e for _, e in keys]
+    index = {window: w for w, window in enumerate(zip(start, end))}
+    parent: list[int] = []
+    stack: list[int] = []
+    crossing = None
+    for w, s in enumerate(start):
+        while stack and end[stack[-1]] <= s:
             stack.pop()
-        if stack and not stack[-1].contains_interval(iv):
-            return stack[-1], iv
-        stack.append(iv)
-    return None
+        if stack and end[stack[-1]] < end[w]:
+            top = stack[-1]
+            crossing = ((start[top], end[top]), (s, end[w]))
+            break
+        parent.append(stack[-1] if stack else -1)
+        stack.append(w)
+    return Nest(start, end, parent, list(map(index.__getitem__, pairs)), crossing)
 
 
 def is_laminar(intervals: Iterable[Interval]) -> bool:
     """True when every pair of intervals is disjoint or nested."""
-    return crossing_pair(intervals) is None
+    return nest([(iv.start, iv.end) for iv in intervals]).crossing is None
 
 
 def union_length(intervals: Sequence[Interval]) -> int:

@@ -213,7 +213,7 @@ def reference_nested_lp(
     forest = canonical.forest
     g = inst.g
     classes = job_classes(canonical)
-    length = [forest.length(i) for i in range(forest.m)]
+    length = forest.length
     # Des⁺(k_C): a node with L(i) = 0 has x(i) = 0 and no Y columns.
     class_nodes = [
         [i for i in forest.descendants(k) if length[i] > 0]

@@ -143,7 +143,7 @@ class TestScheduleFromNodeCounts:
     def test_full_pipeline_produces_valid_schedule(self, seed):
         inst = random_laminar(9, 2, horizon=22, seed=seed)
         canon = canonicalize(inst)
-        x = [canon.forest.length(i) for i in range(canon.forest.m)]
+        x = [canon.forest.length[i] for i in range(canon.forest.m)]
         y = node_assignment(canon.instance, canon.forest, canon.job_node, x)
         assert y is not None
         sched = schedule_from_node_counts(
@@ -155,7 +155,7 @@ class TestScheduleFromNodeCounts:
         inst = random_laminar(7, 3, horizon=18, seed=12)
         canon = canonicalize(inst)
         forest = canon.forest
-        x = [forest.length(i) for i in range(forest.m)]
+        x = [forest.length[i] for i in range(forest.m)]
         y = node_assignment(canon.instance, forest, canon.job_node, x)
         sched = schedule_from_node_counts(
             canon.instance, forest, canon.job_node, x, y

@@ -14,9 +14,8 @@ class TestBinarization:
             [(0, 9, 1), (0, 3, 1), (3, 6, 1), (6, 9, 1)], g=2
         )
         canon = canonicalize(inst)
-        for node in canon.forest.nodes:
-            assert len(node.children) <= 2
-        assert any(n.virtual for n in canon.forest.nodes)
+        assert all(len(kids) <= 2 for kids in canon.forest.children)
+        assert len(canon.forest.virtual) > 0
 
     def test_virtual_hull_preserves_total_length(self):
         inst = Instance.from_triples(
@@ -24,7 +23,7 @@ class TestBinarization:
         )
         canon = canonicalize(inst)
         # Sum of L over all nodes must equal the horizon slots covered.
-        total = sum(canon.forest.length(i) for i in range(canon.forest.m))
+        total = sum(canon.forest.length[i] for i in range(canon.forest.m))
         assert total == 12
 
     def test_gap_slots_live_in_virtual_hull(self):
@@ -33,9 +32,9 @@ class TestBinarization:
             [(0, 12, 1), (0, 3, 1), (4, 6, 1), (8, 11, 1)], g=2
         )
         canon = canonicalize(inst)
-        virtuals = [n for n in canon.forest.nodes if n.virtual]
+        virtuals = canon.forest.virtual
         assert virtuals
-        assert any(canon.forest.length(v.index) > 0 for v in virtuals)
+        assert any(canon.forest.length[v] > 0 for v in virtuals)
 
 
 class TestRigidLeaves:
@@ -85,15 +84,15 @@ class TestCanonicalInvariants:
         inst = wide_star(4, 2, seed=1)
         canon = canonicalize(inst)
         for job in canon.instance.jobs:
-            node = canon.forest.nodes[canon.job_node[job.id]]
-            assert node.interval.start == job.release
-            assert node.interval.end == job.deadline
+            node = canon.job_node[job.id]
+            assert canon.forest.start[node] == job.release
+            assert canon.forest.end[node] == job.deadline
 
     def test_every_leaf_has_jobs(self):
         inst = random_laminar(15, 3, horizon=30, seed=9)
         canon = canonicalize(inst)
         for leaf in canon.forest.leaves():
-            assert canon.forest.nodes[leaf].job_ids
+            assert canon.forest.jobs[leaf]
 
     def test_total_length_preserved(self):
         inst = random_laminar(14, 2, horizon=28, seed=5)
@@ -101,5 +100,5 @@ class TestCanonicalInvariants:
             {t for j in inst.jobs for t in range(j.release, j.deadline)}
         )
         canon = canonicalize(inst)
-        total = sum(canon.forest.length(i) for i in range(canon.forest.m))
+        total = sum(canon.forest.length[i] for i in range(canon.forest.m))
         assert total == len(raw_cover)

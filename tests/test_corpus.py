@@ -255,7 +255,7 @@ def _drifting_push_down(forest, x, y):
     tr = transform_mod.push_down(forest, x, y)
     for i in tr.topmost:
         for d in sorted(forest.strict_descendants(i)):
-            length = forest.length(d)
+            length = forest.length[d]
             if length % 2 == 1 and abs(tr.x[d] - length) <= 1e-9:
                 tr.x[d] -= 0.5
                 return tr

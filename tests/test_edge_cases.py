@@ -90,7 +90,7 @@ class TestEmptyAndDegenerate:
     def test_empty_transform_and_rounding(self):
         from repro.tree.node import WindowForest
 
-        forest = WindowForest([])
+        forest = WindowForest([], [], [])
         tr = push_down(forest, np.zeros(0), np.zeros((0, 0)))
         assert tr.topmost == []
         rr = round_solution(forest, tr.x, tr.topmost)

@@ -242,7 +242,7 @@ class TestNodeFeasibility:
 
     def test_full_lengths_always_feasible(self):
         canon = self._setup()
-        x = [canon.forest.length(i) for i in range(canon.forest.m)]
+        x = [canon.forest.length[i] for i in range(canon.forest.m)]
         assert node_feasible(canon.instance, canon.forest, canon.job_node, x)
 
     def test_zero_vector_infeasible(self):
@@ -252,7 +252,7 @@ class TestNodeFeasibility:
 
     def test_node_assignment_totals(self):
         canon = self._setup(seed=4)
-        x = [canon.forest.length(i) for i in range(canon.forest.m)]
+        x = [canon.forest.length[i] for i in range(canon.forest.m)]
         y = node_assignment(canon.instance, canon.forest, canon.job_node, x)
         assert y is not None
         per_job: dict[int, int] = {}
@@ -264,7 +264,7 @@ class TestNodeFeasibility:
 
     def test_node_capacity_respected(self):
         canon = self._setup(seed=7)
-        x = [canon.forest.length(i) for i in range(canon.forest.m)]
+        x = [canon.forest.length[i] for i in range(canon.forest.m)]
         y = node_assignment(canon.instance, canon.forest, canon.job_node, x)
         load: dict[int, int] = {}
         for (i, _), units in y.items():
@@ -281,7 +281,7 @@ class TestNodeFeasibility:
 
         rng = random.Random(seed)
         x = [
-            rng.randint(0, forest.length(i)) for i in range(forest.m)
+            rng.randint(0, forest.length[i]) for i in range(forest.m)
         ]
         node_ok = node_feasible(canon.instance, forest, canon.job_node, x)
         slots: list[int] = []
@@ -312,8 +312,8 @@ def _forest_cases(count):
             m = forest.m
             for x in (
                 [0] * m,
-                [forest.length(i) for i in range(m)],
-                [rng.choice((0, 0, 1, forest.length(i))) for i in range(m)],
+                [forest.length[i] for i in range(m)],
+                [rng.choice((0, 0, 1, forest.length[i])) for i in range(m)],
             ):
                 yield instance, forest, job_node, x
 
@@ -377,8 +377,8 @@ def _corpus_node_cases():
         forest = canon.forest
         m = forest.m
         for x in (
-            [forest.length(i) for i in range(m)],
-            [rng.choice((0, 1, forest.length(i))) for i in range(m)],
+            [forest.length[i] for i in range(m)],
+            [rng.choice((0, 1, forest.length[i])) for i in range(m)],
         ):
             yield canon.instance, forest, canon.job_node, x
 
@@ -441,7 +441,7 @@ class TestNodeAssignmentNetwork:
         canon = canonicalize(instance)
         forest = canon.forest
         if x is None:
-            x = [forest.length(i) if i % 2 else 0 for i in range(forest.m)]
+            x = [forest.length[i] if i % 2 else 0 for i in range(forest.m)]
         monkeypatch.setattr(feasibility, "ClassFlowProber", _Spy)
         monkeypatch.setattr(_Spy, "built", [])
         node_assignment(canon.instance, forest, canon.job_node, x)

@@ -4,14 +4,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import crossing_pair
 from repro.util.intervals import (
     Interval,
-    crossing_pair,
     intervals_disjoint,
     intervals_nested,
     is_laminar,
+    nest,
     union_length,
 )
+
+
+def witness(family):
+    """The library's crossing pair of a family, as ``Interval``s."""
+    crossing = nest([(iv.start, iv.end) for iv in family]).crossing
+    return None if crossing is None else tuple(Interval(*w) for w in crossing)
 
 intervals = st.tuples(
     st.integers(0, 30), st.integers(1, 15)
@@ -65,8 +72,9 @@ class TestLaminarity:
         assert is_laminar([Interval(0, 10), Interval(3, 5)])
 
     def test_crossing_pair_detected(self):
-        pair = crossing_pair([Interval(0, 3), Interval(2, 5)])
-        assert pair is not None
+        family = [Interval(0, 3), Interval(2, 5)]
+        assert witness(family) == (Interval(0, 3), Interval(2, 5))
+        assert witness(family) == crossing_pair(family)
 
     def test_duplicates_ignored(self):
         assert is_laminar([Interval(0, 3), Interval(0, 3)])
@@ -94,7 +102,8 @@ class TestLaminarity:
 
     @given(st.lists(intervals, min_size=1, max_size=8))
     def test_crossing_pair_is_a_real_witness(self, family):
-        pair = crossing_pair(family)
+        pair = witness(family)
+        assert pair == crossing_pair(family)
         if pair is not None:
             a, b = pair
             assert not intervals_disjoint(a, b)

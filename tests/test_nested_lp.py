@@ -86,7 +86,7 @@ class TestLPSolutionStructure:
         jobs = canon.instance.jobs
         # (4) length caps
         for i in range(forest.m):
-            assert sol.x[i] <= forest.length(i) + SUM_EPS
+            assert sol.x[i] <= forest.length[i] + SUM_EPS
         # (2) volume per job; (5)+(6) admissibility
         for pos, job in enumerate(jobs):
             total = sol.y[:, pos].sum()
@@ -182,7 +182,7 @@ def per_job_lp(canonical, thresholds) -> LinearProgram:
         coeffs[x(i)] = -float(inst.g)
         lp.add_constraint(coeffs, "<=", 0.0, label=f"capacity[{i}]")
         lp.add_constraint(
-            {x(i): 1.0}, "<=", float(forest.length(i)), label=f"length[{i}]"
+            {x(i): 1.0}, "<=", float(forest.length[i]), label=f"length[{i}]"
         )
         for jid in per_node_jobs[i]:
             lp.add_constraint(
@@ -244,7 +244,7 @@ def literal_lp(canonical, thresholds) -> LinearProgram:
         coeffs[x(i)] = -float(inst.g)
         lp.add_constraint(coeffs, "<=", 0.0, label=f"capacity[{i}]")
         lp.add_constraint(
-            {x(i): 1.0}, "<=", float(forest.length(i)), label=f"length[{i}]"
+            {x(i): 1.0}, "<=", float(forest.length[i]), label=f"length[{i}]"
         )
         for c in per_node[i]:
             key = classes.keys[c]
@@ -287,7 +287,7 @@ def _assert_reduction_exact(inst) -> bool:
     assert slack.min() >= -1e-9, (inst.name, float(slack.min()))
 
     bounds = lp.compile()["bounds"][: forest.m]
-    lengths = np.array([forest.length(i) for i in range(forest.m)], dtype=float)
+    lengths = np.array([forest.length[i] for i in range(forest.m)], dtype=float)
     fixed = (bounds[:, 0] == bounds[:, 1]) & (lengths > 0)
     assert (bounds[:, 1] == lengths).all()
     assert np.allclose(want.x[: forest.m][fixed], lengths[fixed], rtol=0, atol=1e-9)
@@ -427,11 +427,11 @@ class TestJobClasses:
             for job in canon.instance.jobs
         }
         des_pos = sum(
-            sum(forest.length(i) > 0 for i in forest.descendants(k))
+            sum(forest.length[i] > 0 for i in forest.descendants(k))
             for k, _ in keys
         )
         assert len(keys) < canon.instance.n
-        assert any(forest.length(i) == 0 for i in range(forest.m))
+        assert any(forest.length[i] == 0 for i in range(forest.m))
         # One Y column per positive-length admissible node of each class.
         assert lp.num_vars == forest.m + des_pos
         literal = literal_lp(canon, thresholds)

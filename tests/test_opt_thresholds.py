@@ -94,7 +94,7 @@ class TestAgainstExactSolver:
             subtree_jobs = [
                 jobs_by_id[jid]
                 for k in forest.descendants(i)
-                for jid in forest.nodes[k].job_ids
+                for jid in forest.jobs[k]
             ]
             if not subtree_jobs:
                 assert th.value(i) == 0

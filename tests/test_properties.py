@@ -136,5 +136,5 @@ def test_canonicalization_preserves_optimum(inst):
 def test_tree_lengths_partition_cover(inst):
     canon = canonicalize(inst)
     covered = {t for j in inst.jobs for t in range(j.release, j.deadline)}
-    total = sum(canon.forest.length(i) for i in range(canon.forest.m))
+    total = sum(canon.forest.length[i] for i in range(canon.forest.m))
     assert total == len(covered)

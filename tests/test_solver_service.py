@@ -334,7 +334,7 @@ class TestRepairBound:
 
         canonical = canonicalize(rigid_chain(3))
         capacity = sum(
-            canonical.forest.length(i) for i in range(canonical.forest.m)
+            canonical.forest.length[i] for i in range(canonical.forest.m)
         )
         calls = {"n": 0}
 

@@ -56,7 +56,7 @@ class TestPushDown:
         forest = canon.forest
         g = canon.instance.g
         for i in range(forest.m):
-            assert tr.x[i] <= forest.length(i) + SUM_EPS
+            assert tr.x[i] <= forest.length[i] + SUM_EPS
             assert tr.y[i, :].sum() <= g * tr.x[i] + SUM_EPS
             for pos in range(canon.instance.n):
                 assert tr.y[i, pos] <= tr.x[i] + SUM_EPS
@@ -102,7 +102,7 @@ class TestPushDown:
         assert verify_pushdown_invariant(forest, tr.x)
         # Root mass moved into the child region (child has length 2).
         assert tr.x[root] == 0.0 or all(
-            tr.x[d] == forest.length(d) for d in forest.strict_descendants(root)
+            tr.x[d] == forest.length[d] for d in forest.strict_descendants(root)
         )
 
 
@@ -111,7 +111,7 @@ def _moving_push_down(forest, x, y):
     in one loop."""
     x = x.astype(float).copy()
     y = y.astype(float).copy()
-    lengths = np.array([forest.length(i) for i in range(forest.m)], dtype=float)
+    lengths = np.array([forest.length[i] for i in range(forest.m)], dtype=float)
     for i1 in forest.preorder:
         if x[i1] <= EPS:
             continue
@@ -188,7 +188,7 @@ class TestPerJobYOnDemand:
             ))
             canon = canonicalize(inst)
             forest, classes = canon.forest, job_classes(canon)
-            lengths = [forest.length(i) for i in range(forest.m)]
+            lengths = [forest.length[i] for i in range(forest.m)]
             cls = dict(zip(
                 (job.id for job in canon.instance.jobs),
                 classes.job_class.tolist(),

@@ -6,9 +6,14 @@ from repro.instances.generators import random_laminar
 from repro.instances.jobs import Instance
 from repro.tree.canonical import canonicalize
 from repro.tree.laminar import build_forest
-from repro.tree.node import TreeNode, WindowForest
+from repro.tree.node import WindowForest
 from repro.util.errors import InvalidInstanceError, NotLaminarError
 from repro.util.intervals import Interval
+
+
+def interval(forest, i):
+    """``K(i)`` of forest node ``i``."""
+    return Interval(forest.start[i], forest.end[i])
 
 
 @pytest.fixture()
@@ -33,8 +38,8 @@ class TestBuildForest:
     def test_parent_child_relations(self, three_level):
         _, forest, _ = three_level
         root = forest.roots[0]
-        assert forest.nodes[root].interval == Interval(0, 10)
-        kids = {forest.nodes[c].interval for c in forest.nodes[root].children}
+        assert interval(forest, root) == Interval(0, 10)
+        kids = {interval(forest, c) for c in forest.children[root]}
         assert kids == {Interval(0, 4), Interval(5, 9)}
 
     def test_duplicate_windows_share_a_node(self):
@@ -46,7 +51,7 @@ class TestBuildForest:
     def test_job_node_mapping(self, three_level):
         inst, forest, job_node = three_level
         for job in inst.jobs:
-            assert forest.nodes[job_node[job.id]].interval == job.window
+            assert interval(forest, job_node[job.id]) == job.window
 
     def test_forest_with_multiple_roots(self):
         inst = Instance.from_triples([(0, 2, 1), (5, 7, 1)], g=1)
@@ -73,15 +78,13 @@ class TestForestQueries:
         deepest = max(range(forest.m), key=lambda i: forest.depth[i])
         anc = forest.ancestors(deepest)
         assert anc[0] == deepest
-        assert forest.nodes[anc[-1]].parent is None
+        assert forest.parent[anc[-1]] == -1
 
     def test_is_ancestor_matches_interval_containment(self, three_level):
         _, forest, _ = three_level
         for a in range(forest.m):
             for b in range(forest.m):
-                expected = forest.nodes[a].interval.contains_interval(
-                    forest.nodes[b].interval
-                )
+                expected = interval(forest, a).contains_interval(interval(forest, b))
                 # For laminar distinct windows containment == ancestry.
                 assert forest.is_ancestor(a, b) == expected
 
@@ -89,18 +92,17 @@ class TestForestQueries:
         _, forest, _ = three_level
         root = forest.roots[0]
         # |[0,10)| - |[0,4)| - |[5,9)| = 10 - 4 - 4 = 2
-        assert forest.length(root) == 2
+        assert forest.length[root] == 2
 
     def test_exclusive_slots_match_length(self, three_level):
         _, forest, _ = three_level
         for i in range(forest.m):
             slots = forest.exclusive_slots(i)
-            assert len(slots) == forest.length(i)
-            node = forest.nodes[i]
+            assert len(slots) == forest.length[i]
             for t in slots:
-                assert t in node.interval
-                for c in node.children:
-                    assert t not in forest.nodes[c].interval
+                assert t in interval(forest, i)
+                for c in forest.children[i]:
+                    assert t not in interval(forest, c)
 
     def test_exclusive_slots_limit_is_a_prefix(self, three_level):
         _, forest, _ = three_level
@@ -121,37 +123,62 @@ class TestForestQueries:
                 # Non-empty, sorted, and split only where a child sits.
                 assert all(a < b for a, b in runs)
                 assert all(x[1] < y[0] for x, y in zip(runs, runs[1:]))
-                assert len(runs) <= len(forest.nodes[i].children) + 1
+                assert len(runs) <= len(forest.children[i]) + 1
 
     def test_node_at_slot_deepest(self, three_level):
         _, forest, _ = three_level
         # Slot 2 lies in [0,10) ⊃ [0,4) ⊃ [1,3).
         idx = forest.node_at_slot(2)
-        assert forest.nodes[idx].interval == Interval(1, 3)
+        assert interval(forest, idx) == Interval(1, 3)
         assert forest.node_at_slot(99) is None
 
     def test_postorder_children_before_parents(self, three_level):
         _, forest, _ = three_level
         pos = {i: k for k, i in enumerate(forest.postorder)}
-        for node in forest.nodes:
-            for c in node.children:
-                assert pos[c] < pos[node.index]
+        for i, kids in enumerate(forest.children):
+            for c in kids:
+                assert pos[c] < pos[i]
 
     def test_preorder_parents_before_children(self, three_level):
         _, forest, _ = three_level
         pos = {i: k for k, i in enumerate(forest.preorder)}
-        for node in forest.nodes:
-            for c in node.children:
-                assert pos[c] > pos[node.index]
+        for i, kids in enumerate(forest.children):
+            for c in kids:
+                assert pos[c] > pos[i]
 
 
 class TestWindowForestValidation:
+    """The list constructor rejects a malformed forest as invalid input."""
+
     def test_index_mismatch_rejected(self):
+        # A child index outside the node lists, and a node listed as the
+        # child of two parents.
         with pytest.raises(InvalidInstanceError):
-            WindowForest([TreeNode(index=1, interval=Interval(0, 2))])
+            WindowForest([0], [2], [[1]])
+        with pytest.raises(InvalidInstanceError):
+            WindowForest([0, 0, 0], [8, 6, 2], [[2], [2], []])
 
     def test_child_not_inside_parent_rejected(self):
-        a = TreeNode(index=0, interval=Interval(0, 2), children=[1])
-        b = TreeNode(index=1, interval=Interval(1, 5), parent=0)
         with pytest.raises(InvalidInstanceError):
-            WindowForest([a, b])
+            WindowForest([0, 1], [2, 5], [[1], []])
+        # Equal to the parent is not strictly inside either.
+        with pytest.raises(InvalidInstanceError):
+            WindowForest([0, 0], [4, 4], [[1], []])
+
+    def test_overlapping_siblings_rejected(self):
+        with pytest.raises(InvalidInstanceError):
+            WindowForest([0, 0, 2], [10, 4, 6], [[1, 2], [], []])
+        # Roots are siblings too.
+        with pytest.raises(InvalidInstanceError):
+            WindowForest([0, 3], [4, 6], [[], []])
+
+    def test_cycle_rejected(self):
+        with pytest.raises(InvalidInstanceError):
+            WindowForest([0, 1], [4, 3], [[1], [0]])
+
+    def test_well_formed_lists_accepted(self):
+        forest = WindowForest([0, 0, 5, 1], [10, 4, 9, 3], [[1, 2], [3], [], []])
+        assert forest.parent == [-1, 0, 0, 1]
+        assert forest.length == [2, 2, 4, 2]
+        assert forest.preorder == [0, 1, 3, 2]
+        assert forest.postorder == [3, 1, 2, 0]

@@ -53,7 +53,7 @@ class TestForestStats:
         assert stats["leaves"] == len(canon.forest.leaves())
         assert stats["max_depth"] >= 0
         assert stats["total_length"] == sum(
-            canon.forest.length(i) for i in range(canon.forest.m)
+            canon.forest.length[i] for i in range(canon.forest.m)
         )
 
     def test_virtual_count(self):
