@@ -250,19 +250,6 @@ class MaxFlow:
     def flows(self, edge_ids: Iterable[int]) -> list[float]:
         return [self.edge_flow(e) for e in edge_ids]
 
-    def min_cut_source_side(self, s: int) -> set[int]:
-        """Nodes reachable from ``s`` in the residual graph (after max_flow)."""
-        seen = {s}
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for eid in self.head[u]:
-                v = self.to[eid]
-                if self.cap[eid] > 0 and v not in seen:
-                    seen.add(v)
-                    q.append(v)
-        return seen
-
 
 def _as_list(values: Iterable) -> list:
     """``values`` as a list of Python scalars (arrays via ``tolist``)."""

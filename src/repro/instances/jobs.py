@@ -133,12 +133,6 @@ class Instance:
         """Distinct windows, sorted by ``(start, -end)`` (outermost first)."""
         return tuple(map(Interval, self.nest.start, self.nest.end))
 
-    def job_by_id(self, job_id: int) -> Job:
-        for job in self.jobs:
-            if job.id == job_id:
-                return job
-        raise KeyError(job_id)
-
     # -- structure predicates -------------------------------------------
 
     @property

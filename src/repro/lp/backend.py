@@ -1,26 +1,23 @@
 """Generic linear-program model and its HiGHS backend.
 
-:class:`LinearProgram` is a small modelling layer: named variables, linear
-constraints, minimization objective.  It compiles to sparse arrays;
-``solve()`` routes through the solver service
+:class:`LinearProgram` is a small modelling layer over positional
+columns: ``add_var``/``add_vars`` return column indices, constraints
+name their columns by index, and the objective is minimized.  It
+compiles to sparse arrays; ``solve()`` routes through the solver service
 (:mod:`repro.solver.service`), which adds a content-addressed solve
 cache and instrumentation around the one backend, HiGHS, called through
 the bindings bundled with scipy (``scipy.optimize._highspy._core``).
 The from-scratch simplex in :mod:`repro.verify.simplex` and scipy's
 ``linprog`` solve the same compiled form, as test oracles only.
 
-Column names and row labels may be given as strings or as a
-:class:`NameFamily`: the layout arrays and the formatter that produce
-them.  A family is formatted only when its names are read, so a bulk
-builder (:mod:`repro.lp.nested_lp`) whose solve reads values by column
-index never formats a string.
+A solution is read by position too: ``x[k]`` is column ``k`` and the
+row marginals follow the compiled ``A_ub``/``A_eq`` row order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix, vstack
@@ -45,78 +42,11 @@ _FAILURE_KINDS = {
     _highs.HighsModelStatus.kUnbounded: "unbounded",
 }
 
-
-class NameFamily:
-    """The names of a run of columns or rows, formatted when first read.
-
-    ``format(*arrays)`` returns the ``count`` names in order; ``arrays``
-    are numpy arrays or plain ints.
-    """
-
-    __slots__ = ("count", "arrays", "_format", "_names")
-
-    def __init__(
-        self, count: int, format: Callable[..., Sequence[str]], *arrays
-    ) -> None:
-        self.count = count
-        self.arrays = arrays
-        self._format = format
-        self._names: tuple[str, ...] | None = None
-
-    def names(self) -> tuple[str, ...]:
-        if self._names is None:
-            names = tuple(self._format(*self.arrays))
-            if len(names) != self.count:
-                raise ValueError(
-                    f"name family formatted {len(names)} names for "
-                    f"{self.count} entries"
-                )
-            self._names = names
-        return self._names
-
-
-class Names:
-    """Column names or row labels in segments: tuples of strings and
-    :class:`NameFamily` runs, joined on first read of :meth:`all`."""
-
-    __slots__ = ("segments", "_all")
-
-    def __init__(self, segments: Sequence[tuple[str, ...] | NameFamily] = ()) -> None:
-        self.segments = tuple(segments)
-        self._all: tuple[str, ...] | None = None
-
-    def all(self) -> tuple[str, ...]:
-        if self._all is None:
-            self._all = tuple(
-                chain.from_iterable(
-                    seg.names() if isinstance(seg, NameFamily) else seg
-                    for seg in self.segments
-                )
-            )
-        return self._all
-
-
-class ModelNames(NamedTuple):
-    """What a solution's by-name views read: the column names, the row
-    labels of the compiled ``A_ub`` and ``A_eq`` blocks, and which
-    ``A_ub`` rows are negated ``>=`` rows."""
-
-    columns: Names = Names()
-    labels_ub: Names = Names()
-    negated_ub: np.ndarray | None = None
-    labels_eq: Names = Names()
+_SENSES = ("<=", ">=", "==")
 
 
 class LPSolution:
-    """Result of an LP solve.
-
-    A solution is the solution *vector* ``x`` (one entry per column, in
-    :meth:`LinearProgram.variable_names` order) and the row marginals as
-    arrays, bound to the model's :class:`ModelNames`.  The by-name views
-    :attr:`values` and :attr:`duals` are plain dicts built from them on
-    first read, and the names themselves are formatted only then, so a
-    caller that reads neither (LP (1) reads ``x`` by column index) never
-    builds them.
+    """Result of an LP solve, by position.
 
     Attributes
     ----------
@@ -125,32 +55,17 @@ class LPSolution:
     status:
         Backend status string (``"optimal"`` on success).
     x:
-        Column values.
+        Column values, one per column in ``add_var``/``add_vars`` order.
     marginals_ub / marginals_eq:
         Row marginals of the inequality / equality block as compiled
-        (scipy's convention, ``dφ/db``), or ``None`` when the backend
-        reports none.
-    values:
-        Variable name → optimal value.
-    duals:
-        Constraint label → dual value.  Duals of ``>=`` rows are
-        reported for the row as modelled (nonnegative when binding), so
-        weak duality reads ``Σ dual·rhs ≤ primal value`` for
-        covering-style models.  The simplex oracle reports inequality
-        duals under the same labels and convention and omits
-        equality-row duals.  Unlabelled rows are left out.
+        (scipy's convention, ``dφ/db``), or ``None`` when the model has
+        no such rows or the backend reports none.  ``>=`` rows are
+        compiled negated into ``A_ub`` (``compile()["negated_ub"]``
+        marks them), so their marginal is the negated dual of the row
+        as modelled.
     """
 
-    __slots__ = (
-        "value",
-        "status",
-        "x",
-        "marginals_ub",
-        "marginals_eq",
-        "_names",
-        "_values",
-        "_duals",
-    )
+    __slots__ = ("value", "status", "x", "marginals_ub", "marginals_eq")
 
     def __init__(
         self,
@@ -158,7 +73,6 @@ class LPSolution:
         status: str = "optimal",
         *,
         x: np.ndarray,
-        names: ModelNames = ModelNames(),
         marginals_ub: np.ndarray | None = None,
         marginals_eq: np.ndarray | None = None,
     ) -> None:
@@ -167,9 +81,6 @@ class LPSolution:
         self.x = x
         self.marginals_ub = marginals_ub
         self.marginals_eq = marginals_eq
-        self._names = names
-        self._values: dict[str, float] | None = None
-        self._duals: dict[str, float] | None = None
 
     def __repr__(self) -> str:
         return (
@@ -177,56 +88,15 @@ class LPSolution:
             f"columns={self.x.size})"
         )
 
-    @property
-    def values(self) -> Mapping[str, float]:
-        if self._values is None:
-            self._values = dict(zip(self._names.columns.all(), self.x.tolist()))
-        return self._values
-
-    @property
-    def duals(self) -> Mapping[str, float]:
-        if self._duals is None:
-            names = self._names
-            duals: dict[str, float] = {}
-            if self.marginals_ub is not None:
-                # ``>=`` rows were negated when compiled, so their dual
-                # flips sign back: nonnegative when binding.
-                margs = self.marginals_ub
-                if names.negated_ub is not None:
-                    margs = np.where(names.negated_ub, -margs, margs)
-                for label, marg in zip(names.labels_ub.all(), margs.tolist()):
-                    if label:
-                        duals[label] = marg
-            if self.marginals_eq is not None:
-                for label, marg in zip(
-                    names.labels_eq.all(), self.marginals_eq.tolist()
-                ):
-                    if label:
-                        duals[label] = marg
-            self._duals = duals
-        return self._duals
-
-    def copy(self, names: ModelNames = ModelNames()) -> "LPSolution":
-        """A copy that shares no mutable state with this solution: copies
-        of ``x`` and the marginals, bound to the given names (by default
-        none: only the arrays are kept)."""
+    def copy(self) -> "LPSolution":
+        """A copy that shares no array with this solution."""
         return LPSolution(
             self.value,
             self.status,
             x=self.x.copy(),
-            names=names,
             marginals_ub=_copied(self.marginals_ub),
             marginals_eq=_copied(self.marginals_eq),
         )
-
-    def __getitem__(self, name: str) -> float:
-        return self.values[name]
-
-    def get(self, name: str, default: float = 0.0) -> float:
-        return self.values.get(name, default)
-
-    def dual(self, label: str, default: float = 0.0) -> float:
-        return self.duals.get(label, default)
 
 
 def _copied(a: np.ndarray | None) -> np.ndarray | None:
@@ -238,7 +108,6 @@ class _Constraint:
     coeffs: dict[int, float]
     sense: str  # "<=", ">=", "=="
     rhs: float
-    label: str
 
 
 @dataclass
@@ -256,42 +125,10 @@ class _ConstraintBlock:
     indptr: np.ndarray  # row k occupies data[indptr[k]:indptr[k+1]]
     sense: str  # "<=", ">=", "=="
     rhs: np.ndarray
-    labels: tuple[str, ...] | NameFamily
 
     @property
     def nrows(self) -> int:
         return self.indptr.size - 1
-
-
-class _Segments:
-    """Names appended one at a time or as whole runs, kept as a list of
-    segments: runs as given, single names gathered into tuples."""
-
-    def __init__(self) -> None:
-        self._done: list[tuple[str, ...] | NameFamily] = []
-        self._pending: list[str] = []
-        self._names: Names | None = None
-
-    def one(self, name: str) -> None:
-        self._pending.append(name)
-        self._names = None
-
-    def run(self, names: tuple[str, ...] | NameFamily) -> None:
-        self._flush()
-        self._done.append(names)
-        self._names = None
-
-    def _flush(self) -> None:
-        if self._pending:
-            self._done.append(tuple(self._pending))
-            self._pending = []
-
-    def names(self) -> Names:
-        """The names so far; later appends leave the result unchanged."""
-        if self._names is None:
-            self._flush()
-            self._names = Names(self._done)
-        return self._names
 
 
 class _CsrAccumulator:
@@ -302,7 +139,7 @@ class _CsrAccumulator:
     as whole array segments, so bulk-built families never pay per-entry
     Python cost.  ``build`` concatenates everything in insertion order,
     reproducing exactly the matrix the historical per-row path built,
-    with the rows' labels and which rows were negated.
+    with which rows were negated.
     """
 
     def __init__(self) -> None:
@@ -312,7 +149,6 @@ class _CsrAccumulator:
         self._lens: list[int] = []
         self._rhs: list[float] = []
         self._negated: list[bool] = []
-        self.labels = _Segments()
 
     def row(self, con: _Constraint, negate: bool) -> None:
         if negate:
@@ -327,7 +163,6 @@ class _CsrAccumulator:
             self._rhs.append(con.rhs)
         self._lens.append(len(con.coeffs))
         self._negated.append(negate)
-        self.labels.one(con.label)
 
     def block(self, con: _ConstraintBlock, negate: bool) -> None:
         self._flush()
@@ -340,7 +175,6 @@ class _CsrAccumulator:
                 np.full(con.nrows, negate),
             )
         )
-        self.labels.run(con.labels)
 
     def _flush(self) -> None:
         if self._rhs:
@@ -372,14 +206,14 @@ class _CsrAccumulator:
 
 
 class LinearProgram:
-    """A minimization LP over named nonnegative (by default) variables."""
+    """A minimization LP over nonnegative (by default) columns.
+
+    Columns are numbered in the order they are added; constraints refer
+    to them by that index.
+    """
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        self._names = _Segments()
-        # Name → column; ``None`` until a lookup needs it once a name
-        # family was added (a family is not formatted to index it).
-        self._var_index: dict[str, int] | None = {}
         self._objective: list[float] = []
         self._lower: list[float] = []
         self._upper: list[float] = []
@@ -398,65 +232,35 @@ class LinearProgram:
             for con in self._constraints
         )
 
-    def _index(self) -> dict[str, int]:
-        """Name → column, formatting the name families on first use."""
-        if self._var_index is None:
-            names = self.variable_names()
-            index = {name: k for k, name in enumerate(names)}
-            if len(index) != len(names):
-                raise ValueError(f"duplicate variable names in {self.name!r}")
-            self._var_index = index
-        return self._var_index
-
     def add_var(
         self,
-        name: str,
         *,
         objective: float = 0.0,
         lower: float = 0.0,
         upper: float = np.inf,
-    ) -> str:
-        """Declare a variable; returns its name for convenience."""
-        index = self._index()
-        if name in index:
-            raise ValueError(f"duplicate variable {name!r}")
-        index[name] = len(self._objective)
-        self._names.one(name)
+    ) -> int:
+        """Add one column; returns its index."""
         self._objective.append(objective)
         self._lower.append(lower)
         self._upper.append(upper)
-        return name
+        return len(self._objective) - 1
 
     def add_vars(
         self,
-        names: Sequence[str] | NameFamily,
+        count: int,
         *,
         objective: float | Sequence[float] = 0.0,
         lower: float | Sequence[float] = 0.0,
         upper: float | Sequence[float] = np.inf,
-    ) -> Sequence[str] | NameFamily:
-        """Bulk :meth:`add_var`; scalars broadcast over the batch.
+    ) -> range:
+        """Add ``count`` columns; returns their indices.
 
-        Column order follows ``names`` order, so a model built with one
-        ``add_vars`` call compiles identically to the equivalent
-        ``add_var`` loop.  Raises before mutating anything on duplicate
-        names (within the batch or against existing variables) or on
-        length-mismatched per-variable sequences.  A :class:`NameFamily`
-        is neither formatted nor checked for duplicates here: its
-        builder makes its names unique, and a duplicate surfaces at the
-        first lookup by name.
+        Scalars broadcast over the batch; a sequence gives one value per
+        column.  Raises before changing the model on a negative
+        ``count`` or a sequence of the wrong length.
         """
-        if isinstance(names, NameFamily):
-            count = names.count
-        else:
-            names = tuple(str(name) for name in names)
-            count = len(names)
-            if len(set(names)) != count:
-                raise ValueError("duplicate variable in add_vars batch")
-            index = self._index()
-            for name in names:
-                if name in index:
-                    raise ValueError(f"duplicate variable {name!r}")
+        if count < 0:
+            raise ValueError(f"cannot add {count} variables")
 
         def broadcast(value, what: str) -> list[float]:
             if isinstance(value, (int, float)):
@@ -472,83 +276,57 @@ class LinearProgram:
         lowers = broadcast(lower, "lower")
         uppers = broadcast(upper, "upper")
         base = len(self._objective)
-        if isinstance(names, NameFamily):
-            self._var_index = None
-        else:
-            for k, name in enumerate(names):
-                self._var_index[name] = base + k
-        self._names.run(names)
         self._objective.extend(objectives)
         self._lower.extend(lowers)
         self._upper.extend(uppers)
-        return names
+        return range(base, base + count)
 
     def add_constraint(
-        self,
-        coeffs: Mapping[str, float],
-        sense: str,
-        rhs: float,
-        label: str = "",
+        self, coeffs: Mapping[int, float], sense: str, rhs: float
     ) -> None:
-        """Add ``Σ coeffs[v]·v  (sense)  rhs`` with sense in {<=, >=, ==}."""
-        if sense not in ("<=", ">=", "=="):
+        """Add ``Σ coeffs[k]·x[k]  (sense)  rhs`` with sense in {<=, >=, ==}.
+
+        ``coeffs`` maps column indices to coefficients; zero
+        coefficients are dropped.  An index that is not a column raises
+        before the model changes.
+        """
+        if sense not in _SENSES:
             raise ValueError(f"bad sense {sense!r}")
-        var_index = self._index()
-        indexed: dict[int, float] = {}
-        for var, c in coeffs.items():
-            if c == 0.0:
-                continue
-            try:
-                idx = var_index[var]
-            except KeyError:
-                # `from None` keeps the traceback to one frame with a
-                # plain (not repr-quoted) message; the partially built
-                # `indexed` dict is discarded, so a failed call leaves
-                # the model unchanged.
+        n = self.num_vars
+        for col in coeffs:
+            if not (isinstance(col, (int, np.integer)) and 0 <= col < n):
                 raise ValueError(
-                    f"unknown variable {var!r} in constraint {label!r}"
-                ) from None
-            indexed[idx] = indexed.get(idx, 0.0) + c
-        self._constraints.append(_Constraint(indexed, sense, float(rhs), label))
+                    f"unknown column {col!r} in a constraint of {self.name!r}"
+                )
+        indexed = {int(col): c for col, c in coeffs.items() if c != 0.0}
+        self._constraints.append(_Constraint(indexed, sense, float(rhs)))
 
     def add_constraint_block(
-        self,
-        data,
-        indices,
-        indptr,
-        sense: str,
-        rhs,
-        labels: Sequence[str] | NameFamily,
+        self, data, indices, indptr, sense: str, rhs
     ) -> None:
         """Add a bank of same-sense rows as raw CSR fragments.
 
         ``data``/``indices``/``indptr`` describe the rows exactly as a
         ``csr_matrix`` would (``indptr`` has one more entry than rows);
-        ``indices`` are *column* indices into the current variable order
-        (``add_var`` / ``add_vars`` insertion order).  Rows compile in
-        place, interleaved with ordinary :meth:`add_constraint` rows in
-        call order, so a vectorized builder reproduces the historical
-        matrix bit-for-bit as long as it emits the same entries in the
-        same order.  ``labels`` may be a :class:`NameFamily`, formatted
-        only when the labels are read.
+        ``indices`` are column indices.  Rows compile in place,
+        interleaved with ordinary :meth:`add_constraint` rows in call
+        order, so a vectorized builder reproduces a per-row build
+        bit-for-bit as long as it emits the same entries in the same
+        order.
         """
-        if sense not in ("<=", ">=", "=="):
+        if sense not in _SENSES:
             raise ValueError(f"bad sense {sense!r}")
         data = np.ascontiguousarray(data, dtype=float)
         indices = np.ascontiguousarray(indices, dtype=np.int64)
         indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         rhs = np.ascontiguousarray(rhs, dtype=float)
-        if isinstance(labels, NameFamily):
-            nrows = labels.count
-        else:
-            labels = tuple(str(lab) for lab in labels)
-            nrows = len(labels)
+        nrows = rhs.size
+        if rhs.shape != (nrows,):
+            raise ValueError("rhs must be one-dimensional")
         if indptr.shape != (nrows + 1,):
             raise ValueError(
                 f"indptr has {indptr.size} entries for {nrows} rows"
             )
-        if rhs.shape != (nrows,):
-            raise ValueError(f"rhs has {rhs.size} entries for {nrows} rows")
         if indptr[0] != 0 or (np.diff(indptr) < 0).any():
             raise ValueError("indptr must start at 0 and be nondecreasing")
         nnz = int(indptr[-1])
@@ -561,7 +339,7 @@ class LinearProgram:
         ):
             raise ValueError("column index out of range in constraint block")
         self._constraints.append(
-            _ConstraintBlock(data, indices, indptr, sense, rhs, labels)
+            _ConstraintBlock(data, indices, indptr, sense, rhs)
         )
 
     # -- compilation --------------------------------------------------------
@@ -569,8 +347,8 @@ class LinearProgram:
     def compile(self) -> dict:
         """Compile to ``linprog``'s arrays: ``>=`` rows negated into ``A_ub``.
 
-        ``names`` is the :class:`ModelNames` a solution of the compiled
-        model is bound to; compiling formats no name family.
+        ``negated_ub`` marks those rows (a bool per ``A_ub`` row, or
+        ``None`` without ``A_ub`` rows).
         """
         n = self.num_vars
         c = np.asarray(self._objective, dtype=float)
@@ -599,12 +377,7 @@ class LinearProgram:
             "A_eq": a_eq,
             "b_eq": b_eq,
             "bounds": bounds,
-            "names": ModelNames(
-                self._names.names(),
-                acc_ub.labels.names(),
-                negated_ub,
-                acc_eq.labels.names(),
-            ),
+            "negated_ub": negated_ub,
         }
 
     # -- solving -----------------------------------------------------------
@@ -618,11 +391,10 @@ class LinearProgram:
     def _solution(
         self, parts: dict, value: float, x, marginals_ub, marginals_eq
     ) -> LPSolution:
-        """A backend's answer, bound to this model's names and labels."""
+        """A backend's answer as an :class:`LPSolution`."""
         return LPSolution(
             float(value),
             x=np.asarray(x, dtype=float),
-            names=parts["names"],
             marginals_ub=marginals_ub if parts["b_ub"] is not None else None,
             marginals_eq=marginals_eq if parts["b_eq"] is not None else None,
         )
@@ -699,17 +471,3 @@ class LinearProgram:
             duals[: b_ub.size],
             duals[b_ub.size :],
         )
-
-    # -- introspection --------------------------------------------------------
-
-    def variable_names(self) -> Sequence[str]:
-        return self._names.names().all()
-
-    def constraint_labels(self) -> Sequence[str]:
-        labels = _Segments()
-        for con in self._constraints:
-            if isinstance(con, _ConstraintBlock):
-                labels.run(con.labels)
-            else:
-                labels.one(con.label)
-        return labels.names().all()

@@ -20,12 +20,7 @@ import numpy as np
 
 from repro.instances.jobs import Instance, Job
 from repro.lp.backend import LinearProgram
-from repro.lp.natural_lp import (
-    SlotLPSolution,
-    _solve_slot_lp,
-    _xname,
-    build_natural_lp,
-)
+from repro.lp.natural_lp import SlotLPSolution, _solve_slot_lp, build_natural_lp
 from repro.util.intervals import Interval
 
 
@@ -92,29 +87,18 @@ def _add_ceiling_block(lp: LinearProgram, instance: Instance) -> None:
     if not sel_a.size:
         return
     rhs_int = -(-forced[sel_a, sel_b] // int(instance.g))  # ceil div
-    t1s = (start + sel_a).tolist()
-    t2s = (start + 1 + sel_b).tolist()
     lens = sel_b - sel_a + 1  # slots in [t1, t2)
     total = int(lens.sum())
     within = np.arange(total, dtype=np.int64) - np.repeat(
         np.cumsum(lens) - lens, lens
     )
-    var_index = lp._index()
-    xcol = np.fromiter(
-        (var_index[_xname(t)] for t in range(start, end)),
-        dtype=np.int64,
-        count=h,
-    )
+    # x of slot t is column t - start (build_natural_lp's layout).
     lp.add_constraint_block(
         np.ones(total),
-        xcol[np.repeat(sel_a, lens) + within],
+        np.repeat(sel_a, lens) + within,
         np.concatenate(([0], np.cumsum(lens))),
         ">=",
         rhs_int.astype(float),
-        [
-            f"ceil[{a},{b})>={r}"
-            for a, b, r in zip(t1s, t2s, rhs_int.tolist())
-        ],
     )
 
 

@@ -25,46 +25,29 @@ class SlotLPSolution:
     y: dict[tuple[int, int], float]  # (slot, job id) -> extent
 
 
-def _xname(t: int) -> str:
-    return f"x[{t}]"
-
-
-def _yname(t: int, jid: int) -> str:
-    return f"y[{t},{jid}]"
-
-
 def build_natural_lp(instance: Instance) -> LinearProgram:
-    """Build the natural LP (no ceiling constraints)."""
+    """Build the natural LP (no ceiling constraints).
+
+    ``x`` of slot ``t`` is column ``t - horizon.start``; the ``y``
+    columns follow, job by job in ``instance.jobs`` order, each job's
+    window slots in time order.
+    """
     lp = LinearProgram(name=f"natural_lp({instance.name})")
-    slots = list(instance.slots())
-    for t in slots:
-        lp.add_var(_xname(t), objective=1.0, upper=1.0)
-    for job in instance.jobs:
-        for t in range(job.release, job.deadline):
-            lp.add_var(_yname(t, job.id))
-    for job in instance.jobs:
-        lp.add_constraint(
-            {_yname(t, job.id): 1.0 for t in range(job.release, job.deadline)},
-            ">=",
-            job.processing,
-            label=f"volume[{job.id}]",
-        )
-        for t in range(job.release, job.deadline):
-            lp.add_constraint(
-                {_yname(t, job.id): 1.0, _xname(t): -1.0},
-                "<=",
-                0.0,
-                label=f"spread[{t},{job.id}]",
-            )
-    jobs_at: dict[int, list[int]] = {t: [] for t in slots}
-    for job in instance.jobs:
-        for t in range(job.release, job.deadline):
-            jobs_at[t].append(job.id)
-    for t in slots:
-        if jobs_at[t]:
-            coeffs = {_yname(t, jid): 1.0 for jid in jobs_at[t]}
-            coeffs[_xname(t)] = -float(instance.g)
-            lp.add_constraint(coeffs, "<=", 0.0, label=f"capacity[{t}]")
+    slots = instance.slots()
+    start = slots.start
+    lp.add_vars(len(slots), objective=1.0, upper=1.0)
+    ycols = [lp.add_vars(job.deadline - job.release) for job in instance.jobs]
+    jobs_at: list[list[int]] = [[] for _ in slots]  # y columns per slot
+    for job, ys in zip(instance.jobs, ycols):
+        lp.add_constraint(dict.fromkeys(ys, 1.0), ">=", job.processing)
+        for t, y in zip(range(job.release, job.deadline), ys):
+            lp.add_constraint({y: 1.0, t - start: -1.0}, "<=", 0.0)
+            jobs_at[t - start].append(y)
+    for k, ys in enumerate(jobs_at):
+        if ys:
+            coeffs = dict.fromkeys(ys, 1.0)
+            coeffs[k] = -float(instance.g)
+            lp.add_constraint(coeffs, "<=", 0.0)
     return lp
 
 
@@ -74,16 +57,18 @@ def solve_natural_lp(instance: Instance) -> SlotLPSolution:
 
 
 def _solve_slot_lp(instance: Instance, lp: LinearProgram) -> SlotLPSolution:
-    """Solve a per-slot LP over ``x[t]``/``y[t,j]`` columns and read it
-    back: ``x`` snapped within tolerance, ``y`` above ``1e-9`` only."""
+    """Solve a per-slot LP laid out by :func:`build_natural_lp` and read
+    it back: ``x`` snapped within tolerance, ``y`` above ``1e-9`` only."""
     sol = lp.solve()
-    slots = list(instance.slots())
-    xs = snap_vector(sol.get(_xname(t)) for t in slots)
-    x = {t: float(v) for t, v in zip(slots, xs)}
+    slots = instance.slots()
+    x = dict(zip(slots, snap_vector(sol.x[: len(slots)]).tolist()))
     y = {}
+    base = len(slots)
     for job in instance.jobs:
-        for t in range(job.release, job.deadline):
-            v = sol.get(_yname(t, job.id))
+        window = range(job.release, job.deadline)
+        values = sol.x[base : base + len(window)].tolist()
+        base += len(window)
+        for t, v in zip(window, values):
             if v > 1e-9:
-                y[(t, job.id)] = float(v)
+                y[(t, job.id)] = v
     return SlotLPSolution(value=float(sol.value), x=x, y=y)

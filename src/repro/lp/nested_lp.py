@@ -16,6 +16,10 @@ class gives a class solution, and ``y(i, j) = Y(i, C)/c`` gives a per-job
 solution back with the same ``x``, so both models have the same optimum
 and the same feasible ``x``.
 
+The model is positional, like every :class:`~repro.lp.backend.LinearProgram`:
+``x(i)`` is column ``i``, the ``Y`` columns follow class-major
+(:class:`JobClasses`), and rows are read back by their compiled order.
+
 HiGHS gets the class model already presolved (:func:`_build`), so its
 own presolve, which would find almost nothing left, is off.  Every rule
 keeps the feasible ``(x, Y)`` region of LP (1) over ``Des(k_C)``, ``c``
@@ -44,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.opt_thresholds import OptThresholds, compute_thresholds
-from repro.lp.backend import LinearProgram, LPSolution, NameFamily
+from repro.lp.backend import LinearProgram, LPSolution
 from repro.tree.canonical import CanonicalInstance
 from repro.util.errors import SolverError
 from repro.util.numeric import snap_vector
@@ -197,50 +201,6 @@ def job_classes(canonical: CanonicalInstance) -> JobClasses:
     )
 
 
-def _xname(i: int) -> str:
-    return f"x[{i}]"
-
-
-def _yname(i: int, key: tuple[int, int]) -> str:
-    """Column ``Y(i, C)`` of the class ``C`` with ``key = (k, p)``."""
-    return f"Y[{i},{key[0]},{key[1]}]"
-
-
-# Formatters of the model's name families (:class:`NameFamily`): each
-# maps the layout arrays :func:`_build` hands over to the names of one
-# run of columns or rows, and runs only when those names are read.
-
-
-def _xnames(m: int) -> list[str]:
-    return [_xname(i) for i in range(m)]
-
-
-def _ynames(col_node: np.ndarray, col_class: np.ndarray, keys: np.ndarray) -> list[str]:
-    key_list = [tuple(key) for key in keys.tolist()]
-    return [
-        _yname(i, key_list[c])
-        for i, c in zip(col_node.tolist(), col_class.tolist())
-    ]
-
-
-def _volume_labels(keys: np.ndarray) -> list[str]:
-    return [f"volume[{k},{p}]" for k, p in keys.tolist()]
-
-
-def _node_labels(row_node: np.ndarray, row_class: np.ndarray, keys: np.ndarray) -> list[str]:
-    """One label per row of the node block: ``capacity[i]`` where
-    ``row_class`` is -1, else ``spread[i,k,p]`` of that class."""
-    key_list = keys.tolist()
-    return [
-        f"capacity[{i}]" if c < 0 else "spread[{},{},{}]".format(i, *key_list[c])
-        for i, c in zip(row_node.tolist(), row_class.tolist())
-    ]
-
-
-def _ceiling_labels(nodes: np.ndarray, omegas: np.ndarray) -> list[str]:
-    return [f"ceiling[{i}]>={w}" for i, w in zip(nodes.tolist(), omegas.tolist())]
-
-
 def build_nested_lp(
     canonical: CanonicalInstance,
     *,
@@ -262,15 +222,13 @@ def build_nested_lp(
         demand otherwise).
 
     The model is LP (1) in reduced form (see :func:`_build`): the same
-    feasible ``(x, Y)`` and the same optimum, with the rows the
+    feasible ``(x, Y)`` and the same optimum as the unreduced
+    :func:`repro.verify.reference.literal_lp`, with the rows the
     structure decides written as column bounds or left out.  The
     constraint families are assembled as bulk CSR blocks
-    (:meth:`~repro.lp.backend.LinearProgram.add_constraint_block`); the
-    model compiles bit-for-bit like the per-row reference build
-    :func:`repro.verify.reference.reference_nested_lp`, with the same
-    column names and row labels.  Names and labels are
-    :class:`~repro.lp.backend.NameFamily` runs over the class layout,
-    formatted only when read.
+    (:meth:`~repro.lp.backend.LinearProgram.add_constraint_block`).
+    Columns are positions: ``x(i)`` is column ``i`` and the ``Y``
+    column ``t`` of ``classes`` is column ``m + t``.
     """
     inst = canonical.instance
     forest = canonical.forest
@@ -291,19 +249,17 @@ def _build(inst, forest, classes: JobClasses, thresholds, ceiling) -> LinearProg
     volume family is one ``>=`` block; the capacity/spread family is
     one ``<=`` block laid out node by node ``[capacity (Y's + x),
     spread…]``, classes in class order; the ceilings are one ``>=``
-    block.  Names and labels are handed over as the arrays that
-    determine them.
+    block.
     """
     m = forest.m
     g = float(inst.g)
     n_classes = len(classes.keys)
-    key_array = np.array(classes.keys, dtype=np.int64).reshape(n_classes, 2)
     total_y = classes.num_columns
     node_of = classes.col_node
     cls_of = classes.col_class
     lengths = classes.lengths
     sizes = classes.sizes.astype(float)
-    p = key_array[:, 1].astype(float)
+    p = np.array([key[1] for key in classes.keys], dtype=float)
     y_cols = m + np.arange(total_y, dtype=np.int64)
 
     counts = np.bincount(cls_of, minlength=n_classes)
@@ -316,11 +272,9 @@ def _build(inst, forest, classes: JobClasses, thresholds, ceiling) -> LinearProg
     fixed = x_lower == lengths
 
     lp = LinearProgram(name=f"nested_lp({inst.name})")
+    lp.add_vars(m, objective=1.0, lower=x_lower, upper=lengths)
     lp.add_vars(
-        NameFamily(m, _xnames, m), objective=1.0, lower=x_lower, upper=lengths
-    )
-    lp.add_vars(
-        NameFamily(total_y, _ynames, node_of, cls_of, key_array),
+        total_y,
         lower=y_lower,
         upper=sizes[cls_of] * lengths[node_of],
     )
@@ -335,7 +289,6 @@ def _build(inst, forest, classes: JobClasses, thresholds, ceiling) -> LinearProg
             np.concatenate(([0], np.cumsum(counts[multi]))),
             ">=",
             (sizes * p)[multi],
-            NameFamily(int(multi.sum()), _volume_labels, key_array[multi]),
         )
 
     # (3) and (5) as one <= block.  Rows are keyed node-major, K classes:
@@ -363,20 +316,13 @@ def _build(inst, forest, classes: JobClasses, thresholds, ceiling) -> LinearProg
                 -sizes[cls_of[spread]],
             )
         )
-        row_key, row_lens = np.unique(key, return_counts=True)
+        _, row_lens = np.unique(key, return_counts=True)
         lp.add_constraint_block(
             val[order],
             col[order],
             np.concatenate(([0], np.cumsum(row_lens))),
             "<=",
-            np.zeros(row_key.size),
-            NameFamily(
-                row_key.size,
-                _node_labels,
-                row_key // stride,
-                row_key % stride - 1,
-                key_array,
-            ),
+            np.zeros(row_lens.size),
         )
 
     # (7)-(8) as one >= block over the positive-length descendants.
@@ -396,7 +342,6 @@ def _build(inst, forest, classes: JobClasses, thresholds, ceiling) -> LinearProg
                 np.concatenate(([0], np.cumsum(lens))),
                 ">=",
                 omegas[sel].astype(float),
-                NameFamily(sel.size, _ceiling_labels, sel, omegas[sel]),
             )
     return lp
 

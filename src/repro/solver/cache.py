@@ -8,11 +8,9 @@ built independently (e.g. the same instance re-solved by a later
 battery run, or the transform→round pipeline re-deriving the same LP)
 hash identically and share one backend solve.
 
-Columns and rows are keyed by position, not by name.  An entry holds
-only the objective value, the solution vector and the row marginals;
-each hit binds them to the requesting model's names and labels, so two
-models with equal numbers and different names share an entry and each
-reads its answer under its own names.
+Models have no names: columns and rows are positions, so two models
+with equal arrays share one entry whatever built them.  An entry holds
+only the objective value, the solution vector and the row marginals.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.lp.backend import LPSolution, ModelNames
+from repro.lp.backend import LPSolution
 
 
 def model_fingerprint(parts: dict) -> str:
@@ -53,7 +51,7 @@ def model_fingerprint(parts: dict) -> str:
     arr(parts["b_eq"])
     bounds = np.asarray(parts["bounds"], dtype=float)
     arr(bounds if bounds.size else None)
-    negated = parts["names"].negated_ub
+    negated = parts["negated_ub"]
     h.update(b"\x00none" if negated is None else negated.tobytes())
     return h.hexdigest()
 
@@ -65,8 +63,8 @@ class SolveCache:
     vector and copies of the row marginals; it references neither the
     model nor its compiled parts, so a cached solve keeps no model
     alive.  :meth:`get` returns a fresh :class:`LPSolution` with its own
-    copies, bound to the names and labels it is given, so a caller
-    mutating ``sol.x`` or ``sol.values`` cannot poison the cache.
+    copies, so a caller mutating ``sol.x`` or the marginals cannot
+    poison the cache.
     """
 
     def __init__(self, max_entries: int = 1024) -> None:
@@ -78,15 +76,13 @@ class SolveCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: str, names: ModelNames = ModelNames()) -> LPSolution | None:
-        """The cached answer for ``key``, bound to the requesting model's
-        ``names`` (``parts["names"]`` of its compiled parts, formatted
-        only when the answer is read by name), or ``None``."""
+    def get(self, key: str) -> LPSolution | None:
+        """A copy of the cached answer for ``key``, or ``None``."""
         sol = self._entries.get(key)
         if sol is None:
             return None
         self._entries.move_to_end(key)
-        return sol.copy(names)
+        return sol.copy()
 
     def put(self, key: str, sol: LPSolution) -> None:
         self._entries[key] = sol.copy()

@@ -67,7 +67,7 @@ class SolverService:
         if self.cache is not None:
             key = model_fingerprint(parts)
             with self._lock:
-                hit = self.cache.get(key, parts["names"])
+                hit = self.cache.get(key)
             if hit is not None:
                 self.stats.add(
                     solves=1, cache_hits=1, wall_time=perf_counter() - t0
@@ -98,9 +98,6 @@ class SolverService:
 
     def stats_snapshot(self) -> dict:
         return self.stats.snapshot()
-
-    def reset_stats(self) -> None:
-        self.stats.reset()
 
     def clear_cache(self) -> None:
         with self._lock:

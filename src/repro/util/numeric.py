@@ -34,18 +34,3 @@ def snap_vector(values: Iterable[float], eps: float = EPS) -> np.ndarray:
     arr = np.where(mask, nearest, arr)
     arr[np.abs(arr) <= eps] = 0.0
     return arr
-
-
-def leq(a: float, b: float, eps: float = EPS) -> bool:
-    """``a <= b`` up to tolerance."""
-    return a <= b + eps
-
-
-def geq(a: float, b: float, eps: float = EPS) -> bool:
-    """``a >= b`` up to tolerance."""
-    return a >= b - eps
-
-
-def feq(a: float, b: float, eps: float = EPS) -> bool:
-    """``a == b`` up to tolerance."""
-    return abs(a - b) <= eps

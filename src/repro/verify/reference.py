@@ -4,9 +4,10 @@ Production code has one path per layer; the implementations those paths
 replaced live here as test oracles: the from-scratch flow probers
 (:class:`ReferenceFlowProber`, and :class:`DifferentialFlowProber`,
 which runs both and raises :class:`FlowMismatchError` on disagreement),
-the per-row LP builds, which must compile to the same model as
-:func:`~repro.lp.nested_lp.build_nested_lp` /
-:func:`~repro.lp.cw_lp.build_cw_lp`, and the per-slot schedule paths:
+the LP oracles: :func:`literal_lp`, LP (1) unreduced, whose optimum
+:func:`~repro.lp.nested_lp.build_nested_lp` must match, and the
+per-interval :func:`reference_cw_lp`, which must compile to the same
+model as :func:`~repro.lp.cw_lp.build_cw_lp`, and the per-slot schedule paths:
 :func:`spread_units` / :func:`reference_slot_assignment` (the per-unit
 wrap-around rule :func:`~repro.flow.assignment.schedule_from_node_counts`
 must match) and :func:`reference_violations` (the per-slot validator
@@ -52,8 +53,7 @@ from repro.instances.jobs import Instance, Job
 from repro.lp.backend import LinearProgram
 from repro.lp.cw_lp import forced_occupancy
 from repro.lp.natural_lp import build_natural_lp
-from repro.lp.natural_lp import _xname as _slot_xname
-from repro.lp.nested_lp import _xname, _yname, job_classes
+from repro.lp.nested_lp import job_classes
 from repro.tree.canonical import CanonicalInstance
 from repro.tree.node import WindowForest
 from repro.twin.events import JobArrived, TwinEvent, WindowSlipped
@@ -200,91 +200,57 @@ class DifferentialFlowProber:
 # ---------------------------------------------------------------------------
 
 
-def reference_nested_lp(
+def literal_lp(
     canonical: CanonicalInstance, thresholds: OptThresholds
 ) -> LinearProgram:
-    """Per-row build of LP (1) over job classes, one dict per constraint.
+    """LP (1) over job classes as the paper writes it: rows (2)–(8) over
+    ``Des(k_C)``, nothing reduced, every column a plain nonnegative
+    variable.
 
-    Applies :func:`~repro.lp.nested_lp.build_nested_lp`'s reductions
-    node by node and class by class; that build must compile to the same
-    model (pass it the same ``thresholds``).
+    The columns begin with :func:`~repro.lp.nested_lp.build_nested_lp`'s
+    layout (``x(i)`` at column ``i``, then ``Y(i, C)`` over ``Des⁺(k_C)``
+    class-major), so a production solution maps onto it by index; the
+    ``Y(i, C)`` at nodes with ``L(i) = 0``, which production leaves out,
+    come last.  The reduced model must have the same optimum and its
+    solutions, padded with zeros, must be feasible here.
     """
     inst = canonical.instance
     forest = canonical.forest
-    g = inst.g
     classes = job_classes(canonical)
-    length = forest.length
-    # Des⁺(k_C): a node with L(i) = 0 has x(i) = 0 and no Y columns.
-    class_nodes = [
-        [i for i in forest.descendants(k) if length[i] > 0]
-        for k, _ in classes.keys
-    ]
-    lp = LinearProgram(name=f"nested_lp({inst.name})")
-    # A class with one column has that column's volume row as its lower
-    # bound, and that column's node at least p open.
-    x_lower = [0] * forest.m
-    for (_, p), nodes in zip(classes.keys, class_nodes):
-        if len(nodes) == 1:
-            x_lower[nodes[0]] = max(x_lower[nodes[0]], p)
-    fixed = [x_lower[i] == length[i] for i in range(forest.m)]
-    for i in range(forest.m):
-        lp.add_var(
-            _xname(i), objective=1.0, lower=x_lower[i], upper=length[i]
+    lp = LinearProgram(name=f"literal_lp({inst.name})")
+    lp.add_vars(forest.m, objective=1.0)
+    admissible = [forest.descendants(k) for k, _ in classes.keys]
+    col: dict[tuple[int, int], int] = {}
+    for positive in (True, False):
+        for c, nodes in enumerate(admissible):
+            for i in nodes:
+                if (forest.length[i] > 0) == positive:
+                    col[i, c] = lp.add_var()
+    # (2) every class fully scheduled.
+    for c, (nodes, (_, p)) in enumerate(zip(admissible, classes.keys)):
+        lp.add_constraint(
+            {col[i, c]: 1.0 for i in nodes}, ">=", float(classes.sizes[c] * p)
         )
-    for key, nodes, size in zip(classes.keys, class_nodes, classes.sizes):
+    # (3) capacity; (4) length; (5) spread.
+    per_node: list[list[int]] = [[] for _ in range(forest.m)]
+    for c, nodes in enumerate(admissible):
         for i in nodes:
-            lp.add_var(
-                _yname(i, key),
-                lower=float(size * key[1]) if len(nodes) == 1 else 0.0,
-                upper=float(size) * length[i],
-            )
-
-    # (2) every class fully scheduled: Σ_i Y(i,C) >= c·p.
-    for key, nodes, size in zip(classes.keys, class_nodes, classes.sizes):
-        k, p = key
-        if len(nodes) != 1:
-            lp.add_constraint(
-                {_yname(i, key): 1.0 for i in nodes},
-                ">=",
-                float(size * p),
-                label=f"volume[{k},{p}]",
-            )
-    # (3) node capacity g·x(i) where the classes there could exceed it;
-    # (5) class cap c·x(i) where neither a bound nor (3) implies it.
-    per_node_classes: dict[int, list[int]] = {i: [] for i in range(forest.m)}
-    for c, nodes in enumerate(class_nodes):
-        for i in nodes:
-            per_node_classes[i].append(c)
+            per_node[i].append(c)
     for i in range(forest.m):
-        at_node = per_node_classes[i]
-        capacity = sum(int(classes.sizes[c]) for c in at_node) > g
-        if capacity:
-            coeffs = {_yname(i, classes.keys[c]): 1.0 for c in at_node}
-            coeffs[_xname(i)] = -float(g)
-            lp.add_constraint(coeffs, "<=", 0.0, label=f"capacity[{i}]")
-        if fixed[i]:
-            continue
-        for c in at_node:
-            if classes.sizes[c] >= g and capacity:
-                continue
-            k, p = classes.keys[c]
+        coeffs = {col[i, c]: 1.0 for c in per_node[i]}
+        coeffs[i] = -float(inst.g)
+        lp.add_constraint(coeffs, "<=", 0.0)
+        lp.add_constraint({i: 1.0}, "<=", float(forest.length[i]))
+        for c in per_node[i]:
             lp.add_constraint(
-                {_yname(i, (k, p)): 1.0, _xname(i): -float(classes.sizes[c])},
-                "<=",
-                0.0,
-                label=f"spread[{i},{k},{p}]",
+                {col[i, c]: 1.0, i: -float(classes.sizes[c])}, "<=", 0.0
             )
-    # (7)-(8) ceiling constraints from OPT_i thresholds, where the open
-    # lower bounds below i do not already reach them.
+    # (7)-(8) ceiling constraints.
     for i in range(forest.m):
         omega = thresholds.value(i)
-        below = forest.descendants(i)
-        if omega >= 2 and sum(x_lower[k] for k in below) < omega:
+        if omega >= 2:
             lp.add_constraint(
-                {_xname(k): 1.0 for k in below if length[k] > 0},
-                ">=",
-                float(omega),
-                label=f"ceiling[{i}]>={omega}",
+                dict.fromkeys(forest.descendants(i), 1.0), ">=", float(omega)
             )
     return lp
 
@@ -294,10 +260,8 @@ def same_compiled_model(a: LinearProgram, b: LinearProgram) -> bool:
 
     Compares the compiled objective, both constraint blocks (CSR data,
     indices and pointers), right-hand sides, bounds and negated ``>=``
-    rows, and the column names and row labels as strings.  This is the
-    property equal :func:`~repro.solver.cache.model_fingerprint` keys
-    imply, checked without the hash: a model named by name families and
-    one named by strings key apart even when their names agree.
+    rows: what equal :func:`~repro.solver.cache.model_fingerprint` keys
+    imply, checked without the hash.
     """
     pa, pb = a.compile(), b.compile()
 
@@ -314,12 +278,12 @@ def same_compiled_model(a: LinearProgram, b: LinearProgram) -> bool:
         )
 
     return (
-        all(same(pa[k], pb[k]) for k in ("c", "b_ub", "b_eq", "bounds"))
+        all(
+            same(pa[k], pb[k])
+            for k in ("c", "b_ub", "b_eq", "bounds", "negated_ub")
+        )
         and same_csr(pa["A_ub"], pb["A_ub"])
         and same_csr(pa["A_eq"], pb["A_eq"])
-        and same(pa["names"].negated_ub, pb["names"].negated_ub)
-        and a.variable_names() == b.variable_names()
-        and a.constraint_labels() == b.constraint_labels()
     )
 
 
@@ -331,6 +295,7 @@ def reference_cw_lp(instance: Instance) -> LinearProgram:
     lp = build_natural_lp(instance)
     lp.name = f"cw_lp({instance.name})"
     horizon = instance.horizon
+    start = horizon.start  # x of slot t is column t - start
     for t1 in range(horizon.start, horizon.end):
         for t2 in range(t1 + 1, horizon.end + 1):
             interval = Interval(t1, t2)
@@ -339,10 +304,9 @@ def reference_cw_lp(instance: Instance) -> LinearProgram:
                 continue
             rhs = math.ceil(forced / instance.g)
             lp.add_constraint(
-                {_slot_xname(t): 1.0 for t in range(t1, t2)},
+                dict.fromkeys(range(t1 - start, t2 - start), 1.0),
                 ">=",
                 float(rhs),
-                label=f"ceil[{t1},{t2})>={rhs}",
             )
     return lp
 

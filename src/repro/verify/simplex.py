@@ -83,7 +83,7 @@ class SimplexSolver:
         solver._objective_shift = float(c @ lower)
         # Slack bookkeeping for dual extraction: slack column of ub row i
         # sits at n + i; only the first len(b_ub) rows are the
-        # caller's labelled constraints (bound rows follow).
+        # caller's constraints (bound rows follow).
         solver._slack_offset = n
         solver._n_ub_rows = m_ub
         return solver
@@ -214,10 +214,10 @@ class SimplexSolver:
 
 
 def simplex_solve(lp: LinearProgram) -> LPSolution:
-    """Solve ``lp`` on the dense tableau, bound to its names and labels.
+    """Solve ``lp`` on the dense tableau.
 
-    Reports the duals of the inequality rows under the same labels and
-    sign convention as HiGHS; equality-row duals are left out.
+    Reports the marginals of the ``A_ub`` rows in the same order and
+    sign convention as HiGHS; equality-row marginals are left out.
     """
     parts = lp.compile()
     solver = SimplexSolver.from_compiled(parts)

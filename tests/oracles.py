@@ -3,6 +3,7 @@
 Each is written for obviousness, not speed: pairwise containment instead
 of a sweep, slot enumeration instead of interval arithmetic, and the
 push-down and rounding loops over subtree lists as first written.
+:func:`ub_duals` reads an LP solution's inequality duals as modelled.
 """
 
 from __future__ import annotations
@@ -127,3 +128,13 @@ def reference_round(forest, x, topmost):
             x_tilde[candidate] = ceil(x[candidate] - EPS)
             rounded_up.append(candidate)
     return x_tilde, rounded_up
+
+
+def ub_duals(parts, sol) -> np.ndarray:
+    """The duals of the compiled ``A_ub`` rows of ``parts = lp.compile()``
+    in ``sol``, with the ``>=`` rows (compiled negated) flipped back: a
+    binding ``>=`` row has a nonnegative dual, a binding ``<=`` row a
+    nonpositive one."""
+    if sol.marginals_ub is None:
+        return np.zeros(0)
+    return np.where(parts["negated_ub"], -sol.marginals_ub, sol.marginals_ub)

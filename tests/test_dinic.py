@@ -61,11 +61,12 @@ class TestBasics:
 
     def test_min_cut_after_flow(self):
         net = MaxFlow(3)
-        net.add_edge(0, 1, 1)
-        net.add_edge(1, 2, 10)
-        net.max_flow(0, 2)
-        side = net.min_cut_source_side(0)
-        assert side == {0}
+        cut = net.add_edge(0, 1, 1)
+        rest = net.add_edge(1, 2, 10)
+        assert net.max_flow(0, 2) == 1
+        # The min cut {0} | {1, 2} is the saturated source edge.
+        assert net.edge_flow(cut) == 1 and net.cap[cut] == 0
+        assert net.edge_flow(rest) == 1 and net.cap[rest] == 9
 
     def test_rejects_negative_capacity(self):
         net = MaxFlow(2)

@@ -2,10 +2,13 @@
 
 Weak/strong duality is an independent correctness oracle for the LP
 layer: the dual objective computed from HiGHS marginals must equal the
-primal optimum, and complementary slackness must hold.
+primal optimum, and complementary slackness must hold.  Rows are read by
+their position in the compiled ``A_ub`` block (:func:`oracles.ub_duals`).
 """
 
+import numpy as np
 import pytest
+from oracles import ub_duals
 
 from repro.instances.families import natural_gap
 from repro.instances.generators import random_laminar
@@ -14,75 +17,71 @@ from repro.lp.nested_lp import build_nested_lp
 from repro.tree.canonical import canonicalize
 
 
-def _dual_objective(lp: LinearProgram, sol) -> float:
-    """Σ dual·rhs over rows + Σ (reduced-bound contributions).
-
-    For models whose variables have bounds, strong duality needs the
-    bound multipliers too; we avoid that by testing models with free
-    upper bounds and computing the bound term for the x ≤ 1 rows where
-    they exist.  Here we simply check weak duality on covering rows.
-    """
-    total = 0.0
-    for con in lp._constraints:
-        if con.label and con.sense == ">=":
-            total += sol.dual(con.label) * con.rhs
-        elif con.label and con.sense == "<=":
-            total += sol.dual(con.label) * con.rhs
-    return total
+def _solved(lp: LinearProgram):
+    """``(parts, sol, duals)`` of ``lp``: its compiled arrays, its
+    solution and its ``A_ub`` duals as modelled."""
+    parts = lp.compile()
+    sol = lp.solve()
+    return parts, sol, ub_duals(parts, sol)
 
 
 class TestToyDuality:
     def test_strong_duality_pure_covering(self):
         lp = LinearProgram("cover")
-        lp.add_var("x", objective=2.0)
-        lp.add_var("y", objective=3.0)
-        lp.add_constraint({"x": 1, "y": 2}, ">=", 4, label="c1")
-        lp.add_constraint({"x": 2, "y": 1}, ">=", 4, label="c2")
-        sol = lp.solve()
-        dual_obj = sol.dual("c1") * 4 + sol.dual("c2") * 4
-        assert dual_obj == pytest.approx(sol.value)
+        x = lp.add_var(objective=2.0)
+        y = lp.add_var(objective=3.0)
+        lp.add_constraint({x: 1, y: 2}, ">=", 4)
+        lp.add_constraint({x: 2, y: 1}, ">=", 4)
+        _, sol, duals = _solved(lp)
+        assert duals @ [4.0, 4.0] == pytest.approx(sol.value)
 
     def test_complementary_slackness(self):
         lp = LinearProgram("cs")
-        lp.add_var("x", objective=1.0)
-        lp.add_var("y", objective=5.0)
-        lp.add_constraint({"x": 1, "y": 1}, ">=", 2, label="tight")
-        lp.add_constraint({"y": 1}, ">=", 0, label="slack")
-        sol = lp.solve()
-        # y stays 0, the 'slack' row is not binding → dual 0.
-        assert sol.dual("slack") == pytest.approx(0.0)
-        assert sol.dual("tight") > 0
+        x = lp.add_var(objective=1.0)
+        y = lp.add_var(objective=5.0)
+        lp.add_constraint({x: 1, y: 1}, ">=", 2)  # tight
+        lp.add_constraint({y: 1}, ">=", 0)  # slack
+        _, _, (tight, slack) = _solved(lp)
+        # y stays 0, the second row is not binding → dual 0.
+        assert slack == pytest.approx(0.0)
+        assert tight > 0
 
     def test_nonbinding_cap_has_zero_dual(self):
         lp = LinearProgram()
-        lp.add_var("x", objective=1.0)
-        lp.add_constraint({"x": 1}, ">=", 1, label="need")
-        lp.add_constraint({"x": 1}, "<=", 100, label="cap")
-        sol = lp.solve()
-        assert sol.dual("cap") == pytest.approx(0.0)
+        x = lp.add_var(objective=1.0)
+        lp.add_constraint({x: 1}, ">=", 1)
+        lp.add_constraint({x: 1}, "<=", 100)
+        _, _, (_, cap) = _solved(lp)
+        assert cap == pytest.approx(0.0)
+
+
+def _nested_rows(canonical):
+    """LP (1)'s ``A_ub`` duals and masks of its ceiling and volume rows:
+    ``>=`` rows over ``x`` columns only are ceilings (7)–(8), ``>=`` rows
+    over ``Y`` columns are volumes (2); the ``<=`` rows are capacity and
+    spread rows."""
+    lp, _ = build_nested_lp(canonical)
+    parts, _, duals = _solved(lp)
+    a_ub = parts["A_ub"]
+    touches_y = np.diff(a_ub[:, canonical.forest.m :].indptr) > 0
+    ge = parts["negated_ub"]
+    return duals, ge & ~touches_y, ge & touches_y
 
 
 class TestNestedLPDuality:
     def test_ceiling_duals_carry_the_gap_family(self):
         """On natural_gap the optimum is supported by a ceiling row."""
-        canonical = canonicalize(natural_gap(4))
-        lp, _ = build_nested_lp(canonical)
-        sol = lp.solve()
-        ceiling_duals = {
-            label: v
-            for label, v in sol.duals.items()
-            if label.startswith("ceiling") and abs(v) > 1e-9
-        }
-        assert ceiling_duals, "the ceiling constraint must be binding"
+        duals, ceiling, _ = _nested_rows(canonicalize(natural_gap(4)))
+        assert ceiling.any()
+        assert (np.abs(duals[ceiling]) > 1e-9).any(), (
+            "the ceiling constraint must be binding"
+        )
 
     @pytest.mark.parametrize("seed", range(4))
     def test_duals_sign_conventions(self, seed):
         inst = random_laminar(8, 2, horizon=18, seed=seed)
-        canonical = canonicalize(inst)
-        lp, _ = build_nested_lp(canonical)
-        sol = lp.solve()
-        for label, v in sol.duals.items():
-            if label.startswith(("volume", "ceiling")):
-                assert v >= -1e-9, f"covering row {label} has negative dual"
-            if label.startswith(("capacity", "length", "spread")):
-                assert v <= 1e-9, f"packing row {label} has positive dual"
+        duals, ceiling, volume = _nested_rows(canonicalize(inst))
+        covering = ceiling | volume
+        assert covering.any() and (~covering).any()
+        assert (duals[covering] >= -1e-9).all(), "covering row with negative dual"
+        assert (duals[~covering] <= 1e-9).all(), "packing row with positive dual"

@@ -5,9 +5,11 @@ Four contracts:
 * the ``csr`` and ``object`` max-flow kernels agree exactly — values,
   per-edge flows, misuse guards — on random networks and on the real
   feasibility reductions;
-* the vectorized LP builders compile bit-identically to the per-row
-  reference builds in :mod:`repro.verify.reference` (same compiled
-  arrays, column names and row labels: :func:`same_compiled_model`);
+* the vectorized LP builders agree with the per-row references in
+  :mod:`repro.verify.reference`: LP (1) reaches the optimum of the
+  unreduced :func:`literal_lp` (and rebuilds to the same compiled
+  model), and the CW LP compiles bit-identically to
+  :func:`reference_cw_lp`;
 * the simplex oracle returns HiGHS's optimum on LP (1) and goes
   through neither the solve cache nor the ``solver_stats()`` counters;
 * the misuse guards introduced in PR 4 survive the CSR migration with
@@ -43,8 +45,8 @@ from repro.solver.service import (
 )
 from repro.tree.canonical import canonicalize
 from repro.verify.reference import (
+    literal_lp,
     reference_cw_lp,
-    reference_nested_lp,
     reference_slot_network,
     same_compiled_model,
 )
@@ -246,29 +248,32 @@ class TestGuardParity:
         assert net.edge_flow(a) == 5
 
 
+def _assert_nested_matches_literal(inst) -> None:
+    """LP (1) of ``inst`` rebuilt from scratch compiles to the same
+    model, under the same cache key, and its optimum is the unreduced
+    :func:`literal_lp`'s (1e-9 relative)."""
+    can = canonicalize(inst)
+    lp_vec, th = build_nested_lp(can)
+    again, _ = build_nested_lp(canonicalize(inst))
+    assert same_compiled_model(lp_vec, again)
+    assert model_fingerprint(lp_vec.compile()) == model_fingerprint(again.compile())
+    literal = literal_lp(can, th)
+    assert literal.num_constraints > lp_vec.num_constraints
+    want = SolverService(cache_size=0).solve(literal).value
+    got = SolverService(cache_size=0).solve(lp_vec).value
+    assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
 class TestVectorizedLPBuilds:
-    # LP (1) names its columns and rows by name families, which the cache
-    # key hashes as layout arrays, so its fingerprint differs from the
-    # string-named reference by design; the model itself must not.
     @pytest.mark.parametrize("seed", range(8))
     def test_nested_lp_fingerprint_identical(self, seed):
         inst = random_laminar(
             4 + 2 * seed, 1 + seed % 3, horizon=30 + 5 * seed, seed=seed
         )
-        can = canonicalize(inst)
-        lp_vec, th = build_nested_lp(can)
-        lp_ref = reference_nested_lp(can, th)
-        assert same_compiled_model(lp_vec, lp_ref)
-        assert lp_vec.constraint_labels() == lp_ref.constraint_labels()
-        assert lp_vec.variable_names() == lp_ref.variable_names()
-        assert lp_vec.num_constraints == lp_ref.num_constraints
+        _assert_nested_matches_literal(inst)
 
     def test_nested_lp_fingerprint_identical_deep_chain(self):
-        can = canonicalize(deep_chain(25, 2, seed=3))
-        lp_vec, th = build_nested_lp(can)
-        lp_ref = reference_nested_lp(can, th)
-        assert same_compiled_model(lp_vec, lp_ref)
-        assert lp_vec.variable_names() == lp_ref.variable_names()
+        _assert_nested_matches_literal(deep_chain(25, 2, seed=3))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_cw_lp_fingerprint_identical(self, seed):
@@ -278,45 +283,36 @@ class TestVectorizedLPBuilds:
         lp_vec = build_cw_lp(inst)
         lp_ref = reference_cw_lp(inst)
         assert model_fingerprint(lp_vec.compile()) == model_fingerprint(lp_ref.compile())
-        assert lp_vec.constraint_labels() == lp_ref.constraint_labels()
+        assert same_compiled_model(lp_vec, lp_ref)
+        assert lp_vec.num_constraints == lp_ref.num_constraints
 
     def test_constraint_block_validation(self):
         lp = LinearProgram("t")
-        lp.add_vars(["a", "b"])
+        lp.add_vars(2)
         with pytest.raises(ValueError, match="bad sense"):
             lp.add_constraint_block(
                 np.ones(1), np.zeros(1, dtype=int), np.array([0, 1]), "<",
-                np.ones(1), ["r"],
+                np.ones(1),
             )
         with pytest.raises(ValueError, match="out of range"):
             lp.add_constraint_block(
-                np.ones(1), np.array([5]), np.array([0, 1]), "<=",
-                np.ones(1), ["r"],
+                np.ones(1), np.array([5]), np.array([0, 1]), "<=", np.ones(1)
             )
         with pytest.raises(ValueError, match="indptr"):
             lp.add_constraint_block(
                 np.ones(1), np.zeros(1, dtype=int), np.array([0]), "<=",
-                np.ones(1), ["r"],
+                np.ones(1),
             )
-
-    def test_add_vars_atomic_on_duplicates(self):
-        lp = LinearProgram("t")
-        lp.add_var("a")
-        with pytest.raises(ValueError, match="duplicate"):
-            lp.add_vars(["b", "a"])
-        assert lp.num_vars == 1  # nothing was half-added
-        with pytest.raises(ValueError, match="duplicate"):
-            lp.add_vars(["c", "c"])
-        assert lp.num_vars == 1
+        assert lp.num_constraints == 0
 
 
 class TestSimplexOracle:
     def _model(self, c2=3.0):
         lp = LinearProgram("oracle")
-        lp.add_vars(["x", "y", "z"], objective=[1.0, 2.0, c2])
-        lp.add_constraint({"x": 1, "y": 1, "z": 1}, ">=", 4, "cover")
-        lp.add_constraint({"x": 1}, "<=", 2, "capx")
-        lp.add_constraint({"y": 1, "z": 2}, "<=", 6, "capyz")
+        x, y, z = lp.add_vars(3, objective=[1.0, 2.0, c2])
+        lp.add_constraint({x: 1, y: 1, z: 1}, ">=", 4)
+        lp.add_constraint({x: 1}, "<=", 2)
+        lp.add_constraint({y: 1, z: 2}, "<=", 6)
         return lp
 
     def test_perturbed_objective_changes_the_key(self):

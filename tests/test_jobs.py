@@ -73,11 +73,6 @@ class TestInstance:
         assert Instance.from_triples([(0, 2, 1), (0, 3, 1)], g=1).is_unit
         assert not Instance.from_triples([(0, 2, 2)], g=1).is_unit
 
-    def test_job_by_id(self, single_job_instance):
-        assert single_job_instance.job_by_id(7).processing == 4
-        with pytest.raises(KeyError):
-            single_job_instance.job_by_id(0)
-
     def test_renumbered(self):
         inst = Instance(
             jobs=(Job(id=10, release=0, deadline=2, processing=1),), g=1

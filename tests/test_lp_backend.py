@@ -23,51 +23,61 @@ ROOT = Path(__file__).resolve().parents[1]
 def _toy_lp():
     """min x + 2y  s.t.  x + y >= 3,  y <= 5,  x <= 2  → x=2, y=1, obj=4."""
     lp = LinearProgram("toy")
-    lp.add_var("x", objective=1.0, upper=2.0)
-    lp.add_var("y", objective=2.0, upper=5.0)
-    lp.add_constraint({"x": 1, "y": 1}, ">=", 3)
+    x = lp.add_var(objective=1.0, upper=2.0)
+    y = lp.add_var(objective=2.0, upper=5.0)
+    lp.add_constraint({x: 1, y: 1}, ">=", 3)
     return lp
 
 
 class TestModelling:
-    def test_duplicate_var_rejected(self):
+    def test_columns_are_positions(self):
         lp = LinearProgram()
-        lp.add_var("x")
-        with pytest.raises(ValueError):
-            lp.add_var("x")
+        assert lp.add_var() == 0
+        assert lp.add_vars(3, upper=[1.0, 2.0, 3.0]) == range(1, 4)
+        assert lp.add_var(objective=5.0) == 4
+        assert lp.add_vars(0) == range(5, 5)
+        bounds = lp.compile()["bounds"]
+        assert bounds[1:4, 1].tolist() == [1.0, 2.0, 3.0]
 
     def test_unknown_var_in_constraint_rejected(self):
-        lp = LinearProgram()
-        lp.add_var("x")
-        with pytest.raises(ValueError, match="unknown variable 'zz'") as exc:
-            lp.add_constraint({"zz": 1}, "<=", 1, label="cover")
-        assert "cover" in str(exc.value)
-        # `from None`: the internal KeyError must not leak as context.
-        assert exc.value.__suppress_context__
+        lp = LinearProgram("m")
+        lp.add_var()
+        for col in (1, -1, "x", 0.0):
+            with pytest.raises(ValueError, match="unknown column") as exc:
+                lp.add_constraint({col: 1}, "<=", 1)
+            assert repr(col) in str(exc.value) and "'m'" in str(exc.value)
 
     def test_failed_constraint_leaves_model_unchanged(self):
-        # The unknown variable is hit midway, after part of the
-        # constraint has been indexed; the partial row must be discarded.
+        # The unknown column comes after a valid one; the row must not
+        # be added in part.
         lp = LinearProgram()
-        lp.add_var("x")
-        lp.add_var("y")
+        x, y = lp.add_vars(2)
         with pytest.raises(ValueError):
-            lp.add_constraint({"x": 1, "zz": 2, "y": 3}, "<=", 1)
+            lp.add_constraint({x: 1, 7: 2, y: 3}, "<=", 1)
         assert lp.num_constraints == 0
-        lp.add_constraint({"x": 1, "y": 1}, "<=", 5)
+        lp.add_constraint({x: 1, y: 1}, "<=", 5)
         assert lp.num_constraints == 1
         assert lp.compile()["A_ub"].nnz == 2
 
+    def test_add_vars_atomic_on_bad_input(self):
+        lp = LinearProgram()
+        lp.add_var()
+        with pytest.raises(ValueError, match="entries for 2"):
+            lp.add_vars(2, upper=[1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="cannot add -1"):
+            lp.add_vars(-1)
+        assert lp.num_vars == 1  # nothing was half-added
+
     def test_bad_sense_rejected(self):
         lp = LinearProgram()
-        lp.add_var("x")
+        x = lp.add_var()
         with pytest.raises(ValueError):
-            lp.add_constraint({"x": 1}, "<", 1)
+            lp.add_constraint({x: 1}, "<", 1)
 
     def test_zero_coefficients_dropped(self):
         lp = LinearProgram()
-        lp.add_var("x")
-        lp.add_constraint({"x": 0.0}, "<=", 1)
+        x = lp.add_var()
+        lp.add_constraint({x: 0.0}, "<=", 1)
         parts = lp.compile()
         assert parts["A_ub"].nnz == 0
 
@@ -76,28 +86,37 @@ class TestModelling:
         assert lp.num_vars == 2
         assert lp.num_constraints == 1
 
+    def test_ge_rows_compile_negated(self):
+        lp = _toy_lp()
+        lp.add_constraint({0: 1}, "<=", 2)
+        parts = lp.compile()
+        assert parts["negated_ub"].tolist() == [True, False]
+        assert parts["A_ub"].toarray().tolist() == [[-1.0, -1.0], [1.0, 0.0]]
+        assert parts["b_ub"].tolist() == [-3.0, 2.0]
+        assert LinearProgram().compile()["negated_ub"] is None
+
 
 class TestHighsBackend:
     def test_toy_optimum(self):
         sol = _toy_lp().solve()
         assert sol.value == pytest.approx(4.0)
-        assert sol["x"] == pytest.approx(2.0)
-        assert sol["y"] == pytest.approx(1.0)
+        assert sol.x.tolist() == pytest.approx([2.0, 1.0])
 
     def test_infeasible_raises(self):
         lp = LinearProgram()
-        lp.add_var("x", objective=1.0, upper=1.0)
-        lp.add_constraint({"x": 1}, ">=", 2)
+        x = lp.add_var(objective=1.0, upper=1.0)
+        lp.add_constraint({x: 1}, ">=", 2)
         with pytest.raises(SolverError):
             lp.solve()
 
     def test_equality_constraint(self):
         lp = LinearProgram()
-        lp.add_var("x", objective=1.0)
-        lp.add_var("y", objective=1.0)
-        lp.add_constraint({"x": 1, "y": 2}, "==", 4)
+        x, y = lp.add_vars(2, objective=1.0)
+        lp.add_constraint({x: 1, y: 2}, "==", 4)
         sol = lp.solve()
         assert sol.value == pytest.approx(2.0)  # y=2 is cheapest
+        assert sol.marginals_ub is None
+        assert sol.marginals_eq.tolist() == pytest.approx([0.5])
 
 
 class TestSimplexBackend:
@@ -107,16 +126,16 @@ class TestSimplexBackend:
 
     def test_equality_and_lower_bounds(self):
         lp = LinearProgram()
-        lp.add_var("x", objective=3.0, lower=1.0)
-        lp.add_var("y", objective=1.0)
-        lp.add_constraint({"x": 1, "y": 1}, "==", 5)
+        x = lp.add_var(objective=3.0, lower=1.0)
+        y = lp.add_var(objective=1.0)
+        lp.add_constraint({x: 1, y: 1}, "==", 5)
         sol = simplex_solve(lp)
         assert sol.value == pytest.approx(3 * 1 + 4)
 
     def test_infeasible_detected(self):
         lp = LinearProgram()
-        lp.add_var("x", upper=1.0, objective=1.0)
-        lp.add_constraint({"x": 1}, ">=", 3)
+        x = lp.add_var(upper=1.0, objective=1.0)
+        lp.add_constraint({x: 1}, ">=", 3)
         with pytest.raises(SolverError):
             simplex_solve(lp)
 
@@ -130,11 +149,10 @@ class TestSimplexBackend:
     def test_degenerate_lp_terminates(self):
         # Multiple constraints active at the optimum (Bland must not cycle).
         lp = LinearProgram()
-        for name in "xyz":
-            lp.add_var(name, objective=1.0)
-        lp.add_constraint({"x": 1, "y": 1}, ">=", 1)
-        lp.add_constraint({"y": 1, "z": 1}, ">=", 1)
-        lp.add_constraint({"x": 1, "z": 1}, ">=", 1)
+        x, y, z = lp.add_vars(3, objective=1.0)
+        lp.add_constraint({x: 1, y: 1}, ">=", 1)
+        lp.add_constraint({y: 1, z: 1}, ">=", 1)
+        lp.add_constraint({x: 1, z: 1}, ">=", 1)
         sol = simplex_solve(lp)
         assert sol.value == pytest.approx(1.5)
 
@@ -161,12 +179,9 @@ class TestBackendAgreement:
     def test_simplex_matches_highs(self, spec):
         costs, rows = spec
         lp = LinearProgram()
-        for i, c in enumerate(costs):
-            lp.add_var(f"v{i}", objective=float(c))
-        for k, (coeffs, rhs) in enumerate(rows):
-            lp.add_constraint(
-                {f"v{i}": float(c) for i, c in enumerate(coeffs)}, ">=", rhs
-            )
+        lp.add_vars(len(costs), objective=costs)
+        for coeffs, rhs in rows:
+            lp.add_constraint(dict(enumerate(map(float, coeffs))), ">=", rhs)
         a = lp.solve()
         b = simplex_solve(lp)
         assert a.value == pytest.approx(b.value, abs=1e-6)
@@ -236,10 +251,10 @@ class TestBundledHighs:
 
     def test_matches_linprog_with_equalities_and_bounds(self):
         lp = LinearProgram("mixed")
-        lp.add_var("x", objective=1.0, lower=-2.0, upper=3.0)
-        lp.add_var("y", objective=2.0, lower=1.0)
-        lp.add_var("z", objective=-1.0, upper=4.0)
-        lp.add_constraint({"x": 1, "y": 1, "z": 1}, "==", 5, label="total")
-        lp.add_constraint({"x": 1, "z": -1}, "<=", 1, label="gap")
-        lp.add_constraint({"y": 1, "z": 2}, ">=", 3, label="cover")
+        x = lp.add_var(objective=1.0, lower=-2.0, upper=3.0)
+        y = lp.add_var(objective=2.0, lower=1.0)
+        z = lp.add_var(objective=-1.0, upper=4.0)
+        lp.add_constraint({x: 1, y: 1, z: 1}, "==", 5)
+        lp.add_constraint({x: 1, z: -1}, "<=", 1)
+        lp.add_constraint({y: 1, z: 2}, ">=", 3)
         _assert_matches_linprog(lp)

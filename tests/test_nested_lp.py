@@ -29,6 +29,7 @@ from repro.lp.perturbed import solve_with_weights
 from repro.tree.canonical import canonicalize
 from repro.util.errors import SolverError
 from repro.util.numeric import SUM_EPS
+from repro.verify.reference import literal_lp
 from repro.verify.simplex import simplex_solve
 
 CORPUS = Path(__file__).resolve().parents[1] / "data" / "corpus_smoke"
@@ -143,34 +144,23 @@ def per_job_lp(canonical, thresholds) -> LinearProgram:
 
     The production model aggregates interchangeable jobs into classes;
     this row-by-row build of the literal LP is the oracle its optimum is
-    compared against.
+    compared against.  ``x(i)`` is column ``i``.
     """
     inst = canonical.instance
     forest = canonical.forest
     lp = LinearProgram(name=f"per_job_lp({inst.name})")
-
-    def x(i):
-        return f"x[{i}]"
-
-    def y(i, jid):
-        return f"y[{i},{jid}]"
-
-    for i in range(forest.m):
-        lp.add_var(x(i), objective=1.0)
+    lp.add_vars(forest.m, objective=1.0)
     admissible = {
         job.id: forest.descendants(canonical.job_node[job.id])
         for job in inst.jobs
     }
-    for job in inst.jobs:
-        for i in admissible[job.id]:
-            lp.add_var(y(i, job.id))
+    y = {
+        (i, job.id): lp.add_var() for job in inst.jobs for i in admissible[job.id]
+    }
     # (2) every job fully scheduled.
     for job in inst.jobs:
         lp.add_constraint(
-            {y(i, job.id): 1.0 for i in admissible[job.id]},
-            ">=",
-            job.processing,
-            label=f"volume[{job.id}]",
+            {y[i, job.id]: 1.0 for i in admissible[job.id]}, ">=", job.processing
         )
     # (3) node capacity g·x(i); (4) length cap; (5) per-job cap x(i).
     per_node_jobs = {i: [] for i in range(forest.m)}
@@ -178,87 +168,18 @@ def per_job_lp(canonical, thresholds) -> LinearProgram:
         for i in nodes:
             per_node_jobs[i].append(jid)
     for i in range(forest.m):
-        coeffs = {y(i, jid): 1.0 for jid in per_node_jobs[i]}
-        coeffs[x(i)] = -float(inst.g)
-        lp.add_constraint(coeffs, "<=", 0.0, label=f"capacity[{i}]")
-        lp.add_constraint(
-            {x(i): 1.0}, "<=", float(forest.length[i]), label=f"length[{i}]"
-        )
+        coeffs = {y[i, jid]: 1.0 for jid in per_node_jobs[i]}
+        coeffs[i] = -float(inst.g)
+        lp.add_constraint(coeffs, "<=", 0.0)
+        lp.add_constraint({i: 1.0}, "<=", float(forest.length[i]))
         for jid in per_node_jobs[i]:
-            lp.add_constraint(
-                {y(i, jid): 1.0, x(i): -1.0},
-                "<=",
-                0.0,
-                label=f"spread[{i},{jid}]",
-            )
+            lp.add_constraint({y[i, jid]: 1.0, i: -1.0}, "<=", 0.0)
     # (7)-(8) ceiling constraints.
     for i in range(forest.m):
         omega = thresholds.value(i)
         if omega >= 2:
             lp.add_constraint(
-                {x(k): 1.0 for k in forest.descendants(i)},
-                ">=",
-                float(omega),
-                label=f"ceiling[{i}]>={omega}",
-            )
-    return lp
-
-
-def literal_lp(canonical, thresholds) -> LinearProgram:
-    """LP (1) over job classes with nothing reduced: rows (2)–(8) over
-    ``Des(k_C)``, every column a plain nonnegative variable.
-
-    Column names are the production model's, so a production solution
-    maps onto it by name (a column production leaves out is 0).
-    """
-    inst = canonical.instance
-    forest = canonical.forest
-    classes = job_classes(canonical)
-    lp = LinearProgram(name=f"literal_lp({inst.name})")
-
-    def x(i):
-        return f"x[{i}]"
-
-    def y(i, key):
-        return f"Y[{i},{key[0]},{key[1]}]"
-
-    admissible = [forest.descendants(k) for k, _ in classes.keys]
-    for i in range(forest.m):
-        lp.add_var(x(i), objective=1.0)
-    for key, nodes in zip(classes.keys, admissible):
-        for i in nodes:
-            lp.add_var(y(i, key))
-    # (2) every class fully scheduled.
-    for key, nodes, size in zip(classes.keys, admissible, classes.sizes):
-        lp.add_constraint(
-            {y(i, key): 1.0 for i in nodes}, ">=", float(size * key[1]),
-            label=f"volume[{key[0]},{key[1]}]",
-        )
-    # (3) capacity; (4) length; (5) spread.
-    per_node = {i: [] for i in range(forest.m)}
-    for c, nodes in enumerate(admissible):
-        for i in nodes:
-            per_node[i].append(c)
-    for i in range(forest.m):
-        coeffs = {y(i, classes.keys[c]): 1.0 for c in per_node[i]}
-        coeffs[x(i)] = -float(inst.g)
-        lp.add_constraint(coeffs, "<=", 0.0, label=f"capacity[{i}]")
-        lp.add_constraint(
-            {x(i): 1.0}, "<=", float(forest.length[i]), label=f"length[{i}]"
-        )
-        for c in per_node[i]:
-            key = classes.keys[c]
-            lp.add_constraint(
-                {y(i, key): 1.0, x(i): -float(classes.sizes[c])}, "<=", 0.0,
-                label=f"spread[{i},{key[0]},{key[1]}]",
-            )
-    # (7)-(8) ceiling constraints.
-    for i in range(forest.m):
-        omega = thresholds.value(i)
-        if omega >= 2:
-            lp.add_constraint(
-                {x(k): 1.0 for k in forest.descendants(i)}, ">=", float(omega),
-                label=f"ceiling[{i}]>={omega}",
+                dict.fromkeys(forest.descendants(i), 1.0), ">=", float(omega)
             )
     return lp
 
@@ -266,10 +187,11 @@ def literal_lp(canonical, thresholds) -> LinearProgram:
 def _assert_reduction_exact(inst) -> bool:
     """The reduced model against :func:`literal_lp` on one instance.
 
-    Checks the optimum (1e-9 relative), that the production ``(x, Y)``
-    satisfies every literal row (1e-9), and that every ``x(i)`` the
-    reduced model fixes is ``L(i)`` at the literal optimum.  Returns
-    whether the instance had any fixed-open node.
+    Checks the optimum (1e-9 relative), that the production ``(x, Y)``,
+    padded with zeros for the columns production leaves out, satisfies
+    every literal row (1e-9), and that every ``x(i)`` the reduced model
+    fixes is ``L(i)`` at the literal optimum.  Returns whether the
+    instance had any fixed-open node.
     """
     canon = canonicalize(inst)
     forest = canon.forest
@@ -279,8 +201,8 @@ def _assert_reduction_exact(inst) -> bool:
     got = lp.solve()
     assert got.value == pytest.approx(want.value, rel=1e-9, abs=1e-9), inst.name
 
-    values = got.values
-    point = np.array([values.get(name, 0.0) for name in literal.variable_names()])
+    point = np.zeros(literal.num_vars)
+    point[: lp.num_vars] = got.x  # literal starts with production's columns
     parts = literal.compile()
     assert (point >= -1e-9).all(), inst.name
     slack = parts["b_ub"] - parts["A_ub"] @ point
@@ -493,77 +415,44 @@ class TestJobClasses:
             assert sol.y.any()
 
 
-def _planted(n: int, seed: int = 0):
-    """A planted laminar instance at a ``batch-dense`` shape."""
-    import importlib.util
-
-    from repro.instances.io import instance_from_dict
-
-    root = Path(__file__).resolve().parents[1]
-    spec = importlib.util.spec_from_file_location(
-        "planted", root / "perfbench" / "planted.py"
-    )
-    planted = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(planted)
-    return instance_from_dict(
-        planted.planted_instance(
-            seed, n=n, horizon=3 * n, g=2, windows=n // 4, p_max=3
-        )
-    )
-
-
-def _formatted(*args):
-    """Stands in for LP (1)'s name formatters: reading a name fails."""
-    raise AssertionError("a name or label was formatted")
-
-
 class TestLazyNames:
-    """LP (1)'s column names and row labels are formatted only when read."""
-
-    def test_solve_formats_no_name(self, monkeypatch):
-        import repro.lp.nested_lp as nested_lp
-        from repro.solver.service import SolverService, set_service
-
-        for name in (
-            "_xname", "_yname", "_volume_labels", "_node_labels", "_ceiling_labels"
-        ):
-            monkeypatch.setattr(nested_lp, name, _formatted)
-        inst = _planted(300)
-        previous = set_service(SolverService())
-        try:
-            for _ in range(2):  # a miss, then a hit bound to the new model
-                result = solve_nested(inst)
-        finally:
-            set_service(previous)
-        assert result.schedule.is_valid
-        assert result.repairs == 0
+    """LP (1) has no names: a solution is read by position, and its
+    columns line up with the reference model's (:func:`literal_lp`)."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_names_read_after_a_solve_match_the_reference(self, seed):
         inst = random_laminar(
             4 + 2 * seed, 1 + seed % 3, horizon=30 + 5 * seed, seed=seed
         )
-        self._assert_names_match(canonicalize(inst))
+        self._assert_columns_match(canonicalize(inst))
 
     def test_names_read_after_a_solve_match_the_reference_deep_chain(self):
-        self._assert_names_match(canonicalize(deep_chain(25, 2, seed=3)))
+        self._assert_columns_match(canonicalize(deep_chain(25, 2, seed=3)))
 
     @staticmethod
-    def _assert_names_match(can):
-        from repro.verify.reference import reference_nested_lp
-
+    def _assert_columns_match(can):
+        """One value per column (``x(i)`` at ``i``, class column ``t`` at
+        ``m + t``) and one marginal per compiled ``A_ub`` row; padded
+        with zeros, the solution satisfies every row of the reference."""
         lp, thresholds = build_nested_lp(can)
         sol = lp.solve()
-        ref = reference_nested_lp(can, thresholds)
-        names = ref.variable_names()
-        labels = ref.constraint_labels()
-        assert lp.variable_names() == names
-        assert lp.constraint_labels() == labels
-        assert tuple(sol.values) == names
-        assert set(sol.duals) == set(labels)
-        # The families also answer lookups by name.
-        lp.add_constraint({names[-1]: 1.0}, "<=", 1e9, label="extra")
-        assert lp.constraint_labels() == labels + ("extra",)
+        parts = lp.compile()
+        literal = literal_lp(can, thresholds)
+        classes = job_classes(can)
+        m = can.forest.m
+        assert sol.x.shape == (lp.num_vars,) == (m + classes.num_columns,)
+        assert literal.num_vars >= lp.num_vars
+        rows = 0 if parts["b_ub"] is None else parts["b_ub"].size
+        if rows:
+            assert sol.marginals_ub.shape == (rows,)
+        else:
+            assert sol.marginals_ub is None
+        # Padded onto the literal model by index it is feasible there.
+        point = np.zeros(literal.num_vars)
+        point[: lp.num_vars] = sol.x
+        literal_parts = literal.compile()
+        slack = literal_parts["b_ub"] - literal_parts["A_ub"] @ point
+        assert slack.min() >= -1e-9
 
     def test_rebuilt_models_share_one_cache_entry(self):
         from repro.solver.service import SolverService, set_service
@@ -579,4 +468,4 @@ class TestLazyNames:
         assert service.stats_snapshot()["cache_hits"] == 1
         assert len(service.cache) == 1
         assert np.array_equal(first.x, again.x)
-        assert again.values == first.values
+        assert np.array_equal(first.marginals_ub, again.marginals_ub)

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.numeric import EPS, feq, geq, leq, snap, snap_vector
+from repro.util.numeric import EPS, snap, snap_vector
 
 
 class TestSnap:
@@ -41,12 +41,3 @@ class TestSnapVector:
         out = snap_vector(values)
         for a, b in zip(out, values):
             assert abs(a - b) <= 2 * EPS
-
-
-class TestComparisons:
-    def test_leq_geq_feq(self):
-        assert leq(1.0, 1.0 + EPS / 2)
-        assert geq(1.0, 1.0 - EPS / 2)
-        assert feq(1.0, 1.0 + EPS / 2)
-        assert not feq(1.0, 1.1)
-        assert not leq(1.0 + 1e-3, 1.0)

@@ -1,8 +1,8 @@
 """Solver service layer: cache, the one HiGHS backend, instrumentation.
 
 Also regression tests for the hardening pass riding along: the bounded
-``_repair`` loop, the ``LPSolution.duals`` default, and ``run_battery``
-failure context.
+``_repair`` loop, the ``LPSolution`` marginals default, and
+``run_battery`` failure context.
 """
 
 from __future__ import annotations
@@ -12,13 +12,14 @@ import weakref
 
 import numpy as np
 import pytest
+from oracles import ub_duals
 
 from repro import obs
 from repro.analysis.parallel import register_task, run_battery
 from repro.core.algorithm import solve_nested
 from repro.instances.families import rigid_chain, section5_gap
 from repro.instances.generators import laminar_suite, random_laminar
-from repro.lp.backend import LinearProgram, LPSolution, NameFamily
+from repro.lp.backend import LinearProgram, LPSolution
 from repro.lp.nested_lp import build_nested_lp
 from repro.solver import (
     BACKENDS,
@@ -45,29 +46,18 @@ def fresh_service():
 
 
 def _toy_lp(name: str = "toy") -> LinearProgram:
+    """``min x + 2y`` s.t. ``x + y >= 3`` (the one ``A_ub`` row),
+    ``x <= 2``, ``y <= 5``: ``x = 2``, ``y = 1``, row dual 2."""
     lp = LinearProgram(name)
-    lp.add_var("x", objective=1.0, upper=2.0)
-    lp.add_var("y", objective=2.0, upper=5.0)
-    lp.add_constraint({"x": 1, "y": 1}, ">=", 3, label="cover")
+    x = lp.add_var(objective=1.0, upper=2.0)
+    y = lp.add_var(objective=2.0, upper=5.0)
+    lp.add_constraint({x: 1, y: 1}, ">=", 3)
     return lp
 
 
-def _column_names(layout: np.ndarray) -> list[str]:
-    return [f"v[{k}]" for k in layout.tolist()]
-
-
-def _row_labels() -> list[str]:
-    return ["cover"]
-
-
-def _cover_lp(columns, labels) -> LinearProgram:
-    """``min v0 + 2·v1`` s.t. ``v0 + v1 >= 1``, under the given names."""
-    lp = LinearProgram("cover")
-    lp.add_vars(columns, objective=[1.0, 2.0])
-    lp.add_constraint_block(
-        np.ones(2), np.arange(2), np.array([0, 2]), ">=", np.ones(1), labels
-    )
-    return lp
+def _cover_dual(lp: LinearProgram, sol: LPSolution) -> float:
+    """The dual of ``lp``'s first ``A_ub`` row in ``sol``, as modelled."""
+    return float(ub_duals(lp.compile(), sol)[0])
 
 
 class TestCache:
@@ -84,29 +74,37 @@ class TestCache:
     def test_different_models_miss(self, fresh_service):
         _toy_lp().solve()
         other = _toy_lp()
-        other.add_constraint({"x": 1}, "<=", 1.5, label="cap")
+        other.add_constraint({0: 1}, "<=", 1.5)
         other.solve()
         assert fresh_service.stats_snapshot()["cache_hits"] == 0
 
     def test_hit_returns_a_copy(self, fresh_service):
         first = _toy_lp().solve()
-        first.values["x"] = 999.0  # poison attempt
+        first.x[0] = 999.0  # poison attempt
         second = _toy_lp().solve()
-        assert second["x"] == pytest.approx(2.0)
+        assert second.x[0] == pytest.approx(2.0)
 
-    def test_variable_names_are_not_part_of_the_key(self, fresh_service):
-        """The key is positional: models that differ only in their names
-        share one entry, and the hit reads the requester's names."""
-        first = _cover_lp(["a", "b"], ["r"]).solve()
-        renamed = _cover_lp(["b", "a"], ["s"]).solve()
+    def test_equal_arrays_share_one_entry(self, fresh_service):
+        """The key is the compiled arrays: a model built another way
+        (by rows or as a block, under another model name) with equal
+        arrays is answered from the same entry."""
+        by_rows = _toy_lp("by rows")
+        block = LinearProgram("as a block")
+        block.add_vars(2, objective=[1.0, 2.0], upper=[2.0, 5.0])
+        block.add_constraint_block(
+            np.ones(2), np.arange(2), np.array([0, 2]), ">=", np.array([3.0])
+        )
+        assert model_fingerprint(by_rows.compile()) == model_fingerprint(
+            block.compile()
+        )
+        first = by_rows.solve()
+        hit = block.solve()
         snap = fresh_service.stats_snapshot()
         assert snap["backend_solves"] == 1
         assert snap["cache_hits"] == 1
-        assert first.values == pytest.approx({"a": 1.0, "b": 0.0})
-        assert list(renamed.values) == ["b", "a"]
-        assert renamed.values == pytest.approx({"b": 1.0, "a": 0.0})
-        assert first.dual("r") > 0
-        assert renamed.duals == {"s": first.dual("r")}
+        assert np.array_equal(hit.x, first.x)
+        assert np.array_equal(hit.marginals_ub, first.marginals_ub)
+        assert _cover_dual(block, hit) == _cover_dual(by_rows, first) > 0
 
     def test_lru_eviction(self):
         cache = SolveCache(max_entries=2)
@@ -142,18 +140,18 @@ def _failing_backend(kind="backend", calls=None):
 
 
 class TestVectorEntries:
-    """Solutions are vectors bound to names; cache entries hold no model."""
+    """Solutions are vectors; cache entries hold no model."""
 
     def test_cache_holds_no_model(self, fresh_service):
         lp, _ = build_nested_lp(canonicalize(section5_gap(3)))
         sol = lp.solve()
-        names = lp.variable_names()
+        columns = lp.num_vars
         model = weakref.ref(lp)
         del lp
         gc.collect()
         assert model() is None
         assert len(fresh_service.cache) == 1
-        assert list(sol.values) == list(names)
+        assert sol.x.shape == (columns,)
 
     def test_hit_on_a_rebuilt_model_matches_a_fresh_highs_solve(
         self, fresh_service
@@ -162,47 +160,33 @@ class TestVectorEntries:
         build_nested_lp(canon)[0].solve()
         hit = build_nested_lp(canon)[0].solve()
         assert fresh_service.stats_snapshot()["cache_hits"] == 1
-        fresh = SolverService(cache_size=0).solve(build_nested_lp(canon)[0])
+        lp = build_nested_lp(canon)[0]
+        fresh = SolverService(cache_size=0).solve(lp)
         assert hit.value == fresh.value
-        assert hit.values == fresh.values
-        assert hit.duals == fresh.duals
-        ge_rows = [
-            label
-            for label in hit.duals
-            if label.startswith(("volume[", "ceiling["))
-        ]
-        assert ge_rows
-        assert all(hit.duals[label] >= -1e-9 for label in ge_rows)
-        assert any(hit.duals[label] > 1e-9 for label in ge_rows)
+        assert np.array_equal(hit.x, fresh.x)
+        assert np.array_equal(hit.marginals_ub, fresh.marginals_ub)
+        parts = lp.compile()
+        ge_duals = ub_duals(parts, hit)[parts["negated_ub"]]
+        assert ge_duals.size
+        assert (ge_duals >= -1e-9).all()
+        assert (ge_duals > 1e-9).any()
 
     def test_entries_are_copies_of_the_vectors(self, fresh_service):
         first = _toy_lp().solve()
         first.x[:] = 999.0  # poison attempts on the arrays
         first.marginals_ub[:] = 999.0
         second = _toy_lp().solve()
-        assert second["x"] == pytest.approx(2.0)
-        assert second.dual("cover") == pytest.approx(2.0)
+        assert second.x[0] == pytest.approx(2.0)
+        assert _cover_dual(_toy_lp(), second) == pytest.approx(2.0)
         second.x[:] = 999.0
-        assert _toy_lp().solve()["y"] == pytest.approx(1.0)
+        assert _toy_lp().solve().x[1] == pytest.approx(1.0)
 
     def test_ge_dual_sign_survives_a_hit(self, fresh_service):
-        first = _toy_lp().solve()
+        lp = _toy_lp()
+        first = lp.solve()
         hit = _toy_lp().solve()
         assert fresh_service.stats_snapshot()["cache_hits"] == 1
-        assert hit.dual("cover") == first.dual("cover") > 0
-
-    def test_the_pipeline_reads_no_by_name_view(
-        self, fresh_service, monkeypatch
-    ):
-        def unread(self):
-            raise AssertionError("a by-name view was built")
-
-        monkeypatch.setattr(LPSolution, "values", property(unread))
-        monkeypatch.setattr(LPSolution, "duals", property(unread))
-        for _ in range(2):  # a miss, then a hit
-            result = solve_nested(section5_gap(3))
-        assert fresh_service.stats_snapshot()["cache_hits"] == 1
-        assert result.repairs == 0
+        assert _cover_dual(lp, hit) == _cover_dual(lp, first) > 0
 
 
 class TestOneBackend:
@@ -252,11 +236,11 @@ class TestOneBackend:
         self, fresh_service
     ):
         infeasible = LinearProgram("infeasible")
-        infeasible.add_var("x", objective=1.0, upper=1.0)
-        infeasible.add_constraint({"x": 1}, ">=", 2, label="impossible")
+        x = infeasible.add_var(objective=1.0, upper=1.0)
+        infeasible.add_constraint({x: 1}, ">=", 2)
         unbounded = LinearProgram("unbounded")
-        unbounded.add_var("x", objective=-1.0)
-        unbounded.add_constraint({"x": 1}, ">=", 0, label="floor")
+        x = unbounded.add_var(objective=-1.0)
+        unbounded.add_constraint({x: 1}, ">=", 0)
         kinds = []
         for lp in (infeasible, unbounded):
             with pytest.raises(SolverError) as err:
@@ -281,7 +265,7 @@ class TestStats:
         snap = fresh_service.stats_snapshot()
         assert snap["rows"] == 1 and snap["cols"] == 2
         assert snap["wall_time"] > 0
-        fresh_service.reset_stats()
+        fresh_service.stats.reset()
         cleared = fresh_service.stats_snapshot()
         assert cleared["solves"] == 0 and cleared["backend_solves"] == 0
 
@@ -354,40 +338,43 @@ class TestRepairBound:
 class TestDualsDefaults:
     def test_default_duals_is_empty_dict(self):
         sol = LPSolution(value=0.0, x=np.zeros(0))
-        assert sol.duals == {}
-        assert sol.dual("anything") == 0.0
+        assert sol.marginals_ub is None and sol.marginals_eq is None
+        assert ub_duals({"negated_ub": None}, sol).size == 0
 
     def test_default_duals_not_shared_between_instances(self):
-        """Regression: a shared default dict leaked between solutions;
-        each solution must build its own."""
-        a = LPSolution(value=0.0, x=np.zeros(0))
-        b = LPSolution(value=0.0, x=np.zeros(0))
-        assert a.duals is not b.duals
+        """Regression: solutions shared a default container; a copy now
+        shares no array with its source."""
+        a = LPSolution(
+            value=0.0, x=np.zeros(2), marginals_ub=np.ones(1), marginals_eq=None
+        )
+        b = a.copy()
+        assert b.x is not a.x and b.marginals_ub is not a.marginals_ub
+        assert np.array_equal(b.marginals_ub, a.marginals_ub)
+        assert b.marginals_eq is None
 
     def test_ge_duals_agree_across_backends(self, fresh_service):
-        """HiGHS and the simplex oracle report the same labelled ``>=``
-        duals."""
+        """HiGHS and the simplex oracle report the same ``>=`` duals."""
         lp = LinearProgram("cover2")
-        lp.add_var("x", objective=2.0)
-        lp.add_var("y", objective=3.0)
-        lp.add_constraint({"x": 1, "y": 2}, ">=", 4, label="c1")
-        lp.add_constraint({"x": 2, "y": 1}, ">=", 4, label="c2")
-        hi = lp.solve()
-        si = simplex_solve(lp)
-        for label in ("c1", "c2"):
-            assert si.dual(label) == pytest.approx(hi.dual(label), abs=1e-7)
-            assert si.dual(label) >= -1e-9
-        dual_obj = si.dual("c1") * 4 + si.dual("c2") * 4
-        assert dual_obj == pytest.approx(si.value)
+        x = lp.add_var(objective=2.0)
+        y = lp.add_var(objective=3.0)
+        lp.add_constraint({x: 1, y: 2}, ">=", 4)
+        lp.add_constraint({x: 2, y: 1}, ">=", 4)
+        parts = lp.compile()
+        hi = ub_duals(parts, lp.solve())
+        si_sol = simplex_solve(lp)
+        si = ub_duals(parts, si_sol)
+        assert si == pytest.approx(hi, abs=1e-7)
+        assert (si >= -1e-9).all()
+        assert si @ [4.0, 4.0] == pytest.approx(si_sol.value)
 
     def test_simplex_nonbinding_row_zero_dual(self, fresh_service):
         lp = LinearProgram()
-        lp.add_var("x", objective=1.0)
-        lp.add_constraint({"x": 1}, ">=", 1, label="need")
-        lp.add_constraint({"x": 1}, "<=", 100, label="cap")
-        sol = simplex_solve(lp)
-        assert sol.dual("cap") == pytest.approx(0.0)
-        assert sol.dual("need") == pytest.approx(1.0)
+        x = lp.add_var(objective=1.0)
+        lp.add_constraint({x: 1}, ">=", 1)  # need
+        lp.add_constraint({x: 1}, "<=", 100)  # cap
+        need, cap = ub_duals(lp.compile(), simplex_solve(lp))
+        assert cap == pytest.approx(0.0)
+        assert need == pytest.approx(1.0)
 
 
 @register_task("always_fails")
@@ -441,41 +428,3 @@ class TestCLIStats:
         assert code == 0
         assert "solver stats" in out
         assert "cache hits" in out
-
-
-class TestNameFamilyKeys:
-    """A model named by name families keys on its numbers alone; a hit
-    reads the requesting model's families."""
-
-    @staticmethod
-    def _family_lp(layout) -> LinearProgram:
-        family = NameFamily(2, _column_names, np.array(layout))
-        return _cover_lp(family, NameFamily(1, _row_labels))
-
-    def test_same_and_other_layout_both_hit(self, fresh_service):
-        first = self._family_lp([0, 1]).solve()
-        hit = self._family_lp([0, 1]).solve()
-        other = self._family_lp([1, 0]).solve()  # same numbers, other names
-        snap = fresh_service.stats_snapshot()
-        assert snap["cache_hits"] == 2
-        assert snap["backend_solves"] == 1
-        assert list(hit.values) == list(first.values) == ["v[0]", "v[1]"]
-        assert list(other.values) == ["v[1]", "v[0]"]
-        assert other["v[1]"] == hit["v[0]"] == pytest.approx(1.0)
-        assert other.dual("cover") == hit.dual("cover")
-
-    def test_string_and_family_names_share_a_key(self, fresh_service):
-        strings = _cover_lp(["v[0]", "v[1]"], ["cover"])
-        family = self._family_lp([0, 1])
-        assert strings.variable_names() == family.variable_names()
-        assert strings.constraint_labels() == family.constraint_labels()
-        assert model_fingerprint(strings.compile()) == model_fingerprint(
-            family.compile()
-        )
-        by_strings = strings.solve()
-        by_family = self._family_lp([0, 1]).solve()
-        snap = fresh_service.stats_snapshot()
-        assert snap["cache_hits"] == 1
-        assert snap["backend_solves"] == 1
-        assert by_family.values == pytest.approx(by_strings.values)
-        assert by_family.duals == by_strings.duals
