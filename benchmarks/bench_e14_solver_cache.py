@@ -51,11 +51,11 @@ def run_cold_warm(sizes=_FULL_SIZES, seed=2022, task="solve_nested"):
         deltas = []
         walls = []
         for phase in ("cold", "warm"):
-            before = solver_stats()
-            t0 = perf_counter()
-            run_battery(instances, task, max_workers=1)
-            wall = perf_counter() - t0
-            delta = obs.delta(solver_stats(), before)
+            with obs.scope() as counted:
+                t0 = perf_counter()
+                run_battery(instances, task, max_workers=1)
+                wall = perf_counter() - t0
+            delta = counted["solver"]
             rows.append(_phase_row(phase, wall, delta))
             deltas.append(delta)
             walls.append(wall)

@@ -28,10 +28,10 @@ import pytest
 from _bench_util import run_once
 from repro import obs
 from repro.analysis.tables import print_table
-from repro.baselines.exact import BudgetExceeded, solve_exact
+from repro.baselines.exact import BudgetExceeded, exact_or_incumbent, solve_exact
 from repro.baselines.minimal_feasible import minimal_feasible_slots
 from repro.benchkit import bench_main, register
-from repro.flow.incremental import ClassFlowProber, flow_stats
+from repro.flow.incremental import ClassFlowProber
 from repro.instances.generators import random_laminar
 from repro.util.errors import InfeasibleInstanceError
 from repro.verify.fuzz import FuzzConfig, sample_instance
@@ -72,13 +72,13 @@ def _timed(prober: type, fn):
         result = None
         delta: dict = {}
         for _ in range(_REPS):
-            before = flow_stats()
-            t0 = perf_counter()
-            result = fn()
-            wall = perf_counter() - t0
+            with obs.scope() as counted:
+                t0 = perf_counter()
+                result = fn()
+                wall = perf_counter() - t0
             if wall < best:
                 best = wall
-                delta = obs.delta(flow_stats(), before)
+                delta = counted["flow"]
         return best, result, delta
 
 
@@ -126,10 +126,7 @@ def run_exact_workload(configs=_EXACT_FULL, seed_shift: int = 0):
         )
 
         def run():
-            try:
-                result = solve_exact(instance, node_budget=budget)
-            except BudgetExceeded as exc:
-                result = exc.incumbent()
+            result, _ = exact_or_incumbent(instance, node_budget=budget)
             return (result.optimum, result.nodes_explored)
 
         ref_wall, ref_result, _ = _timed(ReferenceFlowProber, run)
@@ -156,11 +153,10 @@ def run_agreement_sweep(per_family=_SWEEP_FULL, seed: int = 2022):
     on the differential prober, which raises on any verdict
     disagreement between the incremental engine and the from-scratch
     reference.  Returns (instances checked, probe count, mismatches)."""
-    before = flow_stats()
     checked = 0
     mismatches = 0
     try:
-        with flow_prober(DifferentialFlowProber):
+        with obs.scope() as counted, flow_prober(DifferentialFlowProber):
             for family in _SWEEP_FAMILIES:
                 config = FuzzConfig(
                     n_instances=per_family,
@@ -182,8 +178,7 @@ def run_agreement_sweep(per_family=_SWEEP_FULL, seed: int = 2022):
     except Exception:
         mismatches += 1
         raise
-    delta = obs.delta(flow_stats(), before)
-    return checked, delta.get("probes", 0), mismatches
+    return checked, counted["flow"]["probes"], mismatches
 
 
 _HEADERS = [

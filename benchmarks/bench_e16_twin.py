@@ -33,7 +33,6 @@ from _bench_util import run_once
 from repro import obs
 from repro.analysis.tables import print_table
 from repro.benchkit import bench_main, register
-from repro.flow.incremental import flow_stats
 from repro.simulate.machine import BatchMachine
 from repro.twin import TwinSession, random_trace, twin_fingerprint
 from repro.verify.fuzz import TwinFuzzConfig, run_twin_fuzz
@@ -79,14 +78,14 @@ def _timed_replay(trace, session_cls):
     delta: dict = {}
     for _ in range(_REPS):
         fresh = session_cls(trace.g, start=trace.start)
-        before = flow_stats()
-        t0 = perf_counter()
-        fresh.replay(trace)
-        wall = perf_counter() - t0
+        with obs.scope() as counted:
+            t0 = perf_counter()
+            fresh.replay(trace)
+            wall = perf_counter() - t0
         if wall < best:
             best = wall
             session = fresh
-            delta = obs.delta(flow_stats(), before)
+            delta = counted["flow"]
     return best, session, delta
 
 

@@ -8,15 +8,19 @@ with ``active-time solve [--algorithm greedy]`` on the same instance, that a ``d
 body and a body at exactly the ``Σ p_j`` cap are answered, that a
 ``Σ p_j`` over the cap is refused with a JSON 413, that a ``backend``
 field (the LP solver is not selectable) is refused with a JSON 400, that
-``/metrics`` keeps the solve-cache counters, and that the pooled
-``/metrics`` solver/flow counters equal the sum of the ``solver``/``flow``
-deltas in the responses received.  Exits non-zero on any
-failure; the boot itself is bounded by ``--boot-timeout`` (CI uses the
-default 60s).
+``/metrics`` keeps the solve-cache counters, and that after a burst of
+concurrent ``/solve`` requests the ``/metrics`` solver/flow counters
+equal the sum of the ``solver``/``flow`` blocks in the responses
+received.  That last check holds at any pool width: pooled, ``/metrics``
+folds the blocks the workers return; in process (``--workers 1``) it
+reads the process's own counters, and each response counts its own
+request only.  Exits non-zero on any failure; the boot itself is
+bounded by ``--boot-timeout`` (CI uses the default 60s and runs both
+widths).
 
 Run from the repository root::
 
-    python scripts/service_smoke.py [--instance data/section5_gap_g4.json]
+    python scripts/service_smoke.py [--workers 1] [--instance data/section5_gap_g4.json]
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import sys
 import tempfile
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,8 +42,13 @@ SRC = ROOT / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
+from repro.instances.generators import random_laminar  # noqa: E402
+from repro.instances.io import instance_to_dict  # noqa: E402
 from repro.service.client import ClientError, ServiceClient  # noqa: E402
 from repro.service.server import MAX_SOLVE_VOLUME  # noqa: E402
+
+#: Distinct instances sent to ``/solve`` at once.
+CONCURRENT_SOLVES = 8
 
 
 def _env() -> dict[str, str]:
@@ -261,15 +271,27 @@ def main() -> int:
         if not fuzz.get("ok"):
             failures.append(f"served fuzz campaign failed: {fuzz}")
 
+        with ThreadPoolExecutor(CONCURRENT_SOLVES) as pool:
+            burst = list(
+                pool.map(
+                    lambda seed: client.solve(
+                        instance_to_dict(random_laminar(300, 3, seed=seed))
+                    ),
+                    range(CONCURRENT_SOLVES),
+                )
+            )
+        print(f"solve x{len(burst)} concurrent: answered")
+
         metrics = client.metrics()
-        # Every solve ran in a pool worker, so the server's counters are
-        # exactly the fold of the worker deltas its responses carried.
+        # Every solve this server ran was for one of these responses, so
+        # its counters are exactly the sum of the blocks they carried.
+        received = (
+            served, *served_greedy, served_huge, served_cap, verify, fuzz, *burst
+        )
         for family, counter in (("solver", "solves"), ("flow", "probes")):
             name = f'repro_{family}_stats{{counter="{counter}"}}'
             served_total = sum(
-                r[family][counter]
-                for r in (served, *served_greedy, served_huge, served_cap, verify, fuzz)
-                if r is not None
+                r[family][counter] for r in received if r is not None
             )
             scraped = [
                 int(line.rpartition(" ")[2])
@@ -279,10 +301,10 @@ def main() -> int:
             if scraped != [served_total]:
                 failures.append(
                     f"/metrics {name} reads {scraped}, but the responses' "
-                    f"{family} deltas sum to {served_total}"
+                    f"{family} blocks sum to {served_total}"
                 )
             else:
-                print(f"metrics: {name} = {served_total} (sum of deltas)")
+                print(f"metrics: {name} = {served_total} (sum of blocks)")
         for needle in (
             'repro_requests_total{endpoint="solve"}',
             "repro_request_latency_seconds",

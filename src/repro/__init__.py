@@ -15,7 +15,7 @@ Subpackages
 ``repro.flow``       Dinic max-flow and feasibility tests
 ``repro.lp``         the strengthened tree LP, natural LP, CW LP
 ``repro.solver``     solver service: solve cache and stats around HiGHS
-``repro.obs``        counters: snapshot, delta, merge, render
+``repro.obs``        counters: named groups, scopes, merge, render
 ``repro.core``       the 9/5-approximation pipeline (the paper's result)
 ``repro.baselines``  greedy 3-/2-approximations, exact search, bounds
 ``repro.hardness``   Section 6: prefix sum cover and both reductions

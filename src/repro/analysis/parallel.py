@@ -175,9 +175,9 @@ def stream_battery(
     ``max_workers=1`` runs the task in the calling process with no
     serialization round-trip (useful under debuggers and on single-core
     CI); it is also the deterministic-timing path the E17 benchmark
-    measures.  To attribute solver work to a battery, take
-    :func:`repro.obs.delta` of :func:`repro.solver.solver_stats` around
-    an in-process call.
+    measures.  To attribute solver work to a battery, read the
+    ``"solver"`` block of a :func:`repro.obs.scope` opened around an
+    in-process call.
     """
     if task not in _TASKS:
         raise ValueError(f"unknown task {task!r}; have {sorted(_TASKS)}")

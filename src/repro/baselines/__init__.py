@@ -4,6 +4,7 @@ from repro.baselines.exact import (
     BudgetExceeded,
     ExactResult,
     class_prober,
+    exact_or_incumbent,
     slot_classes,
     solve_exact,
 )
@@ -37,6 +38,7 @@ __all__ = [
     "kumar_khuller_schedule",
     "kk_tight_family",
     "solve_exact",
+    "exact_or_incumbent",
     "slot_classes",
     "class_prober",
     "ExactResult",

@@ -88,7 +88,8 @@ class BudgetExceeded(SolverError):
     The search seeds its incumbent from the greedy 3-approximation, so
     even a budget-killed run has a feasible solution in hand; it is
     attached here so callers can degrade to the best-known answer
-    instead of discarding all search progress.
+    (:func:`exact_or_incumbent`) instead of discarding all search
+    progress.
 
     Attributes
     ----------
@@ -118,19 +119,6 @@ class BudgetExceeded(SolverError):
         return (
             _rebuild_budget_exceeded,
             (str(self), self.best_cost, self.best_slots, self.nodes_explored),
-        )
-
-    def incumbent(self) -> "ExactResult | None":
-        """The best-known solution as an :class:`ExactResult`, if any.
-
-        ``optimum`` is an *upper bound* here, not a proven optimum.
-        """
-        if self.best_cost is None:
-            return None
-        return ExactResult(
-            optimum=self.best_cost,
-            slots=self.best_slots,
-            nodes_explored=self.nodes_explored,
         )
 
 
@@ -245,3 +233,19 @@ def solve_exact(
     return ExactResult(
         optimum=best_cost, slots=best_slots, nodes_explored=explored
     )
+
+
+def exact_or_incumbent(
+    instance: Instance, *, node_budget: int = DEFAULT_NODE_BUDGET
+) -> tuple[ExactResult, str | None]:
+    """:func:`solve_exact`, degrading a blown budget to the incumbent.
+
+    Returns ``(result, None)`` or ``(incumbent, budget message)``; with
+    no incumbent the :class:`BudgetExceeded` propagates."""
+    try:
+        return solve_exact(instance, node_budget=node_budget), None
+    except BudgetExceeded as exc:
+        if exc.best_cost is None:
+            raise
+        incumbent = ExactResult(exc.best_cost, exc.best_slots, exc.nodes_explored)
+        return incumbent, str(exc)

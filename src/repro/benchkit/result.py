@@ -12,8 +12,8 @@ payload, so artifacts from different sources diff cleanly:
 * ``checks``: named boolean claim assertions (all must hold);
 * ``timings``: named wall-clock measurements in seconds (the comparator
   applies ``--tolerance-pct`` to these);
-* ``solver``: the :func:`repro.solver.solver_stats` delta attributable
-  to the run (solves, cache hits, per-backend mix);
+* ``solver``: the counters of the fresh default solver service the run
+  is given (solves, cache hits, backend work, in any thread);
 * ``environment``: interpreter/platform/library fingerprint.
 
 Floats stored in ``metrics`` are rounded to 9 decimals at record time so

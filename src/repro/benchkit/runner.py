@@ -59,8 +59,7 @@ def execute(
     """Run one registered benchmark and return its filled artifact."""
     if tier not in TIERS:
         raise ValueError(f"tier {tier!r} not in {TIERS}")
-    from repro import obs
-    from repro.solver import SolverService, set_service, solver_stats
+    from repro.solver import SolverService, get_service, set_service
 
     result = BenchResult(
         bench_id=spec.bench_id,
@@ -72,11 +71,11 @@ def execute(
     ctx = BenchContext(result=result, tier=tier, seed=seed)
     previous = set_service(SolverService())
     try:
-        before = solver_stats()
         start = perf_counter()
         spec.fn(ctx)
         wall = perf_counter() - start
-        result.solver = obs.delta(solver_stats(), before)
+        # The fresh service counts every solve of the run, in any thread.
+        result.solver = get_service().stats.snapshot()
     finally:
         set_service(previous)
     result.add_timing("wall_s", wall)

@@ -71,14 +71,7 @@ from repro.util.errors import SolverError
 # Instrumentation
 # ---------------------------------------------------------------------------
 
-_STATS = obs.Counters(
-    networks_built=0,  # incremental networks constructed
-    probes=0,  # feasibility probes answered by the engine
-    rebuilds_avoided=0,  # probes answered warm (no fresh network)
-    augmenting_paths=0,  # paths pushed while re-augmenting
-    units_repaired=0,  # flow units cancelled by capacity drops
-    units_augmented=0,  # flow units pushed by re-augmentation
-)
+_STATS = obs.Counters("flow")  # fields declared in repro.obs
 
 
 def flow_stats() -> dict[str, int]:
@@ -192,6 +185,13 @@ class IncrementalFlow:
         forwards), lowering :attr:`value` by exactly the excess.  Returns
         the number of flow units repaired (0.0 for pure increases).
         """
+        repaired = self._rebase(eid, capacity)
+        if repaired:
+            _STATS.add(units_repaired=int(repaired))
+        return repaired
+
+    def _rebase(self, eid: int, capacity: float) -> float:
+        """:meth:`set_capacity` uncounted (a probe adds its repairs)."""
         if eid & 1:
             raise ValueError(
                 f"edge id {eid} is a reverse edge; set_capacity() takes "
@@ -232,7 +232,6 @@ class IncrementalFlow:
                 net.cap[e ^ 1] -= slack
             remaining -= slack
         self.value -= excess
-        _STATS.add(units_repaired=int(excess))
 
     def _flow_path(self, start: int, goal: int, *, incoming: bool) -> list[int]:
         """Original-edge ids of a flow-carrying path ``start`` → ``goal``.
@@ -278,14 +277,19 @@ class IncrementalFlow:
 
         Returns the increment; :attr:`value` is updated in place.
         """
+        before = self.value
+        _STATS.add(**self._push())
+        return self.value - before
+
+    def _push(self) -> dict[str, int]:
+        """:meth:`augment` uncounted; returns its counts."""
         before_paths = self.net.augment_paths
         pushed = self.net.augment(self.source, self.sink)
         self.value += pushed
-        _STATS.add(
-            augmenting_paths=self.net.augment_paths - before_paths,
-            units_augmented=int(pushed),
-        )
-        return pushed
+        return {
+            "augmenting_paths": self.net.augment_paths - before_paths,
+            "units_augmented": int(pushed),
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -462,22 +466,24 @@ class ClassFlowProber:
                 f"got {len(counts)}"
             )
         engine = self.engine
-        _STATS.add(probes=1, rebuilds_avoided=int(self._probed))
-        if self._probed or not isinstance(engine.net, CSRMaxFlow):
-            self._write_changed(counts)
+        warm = self._probed
+        repaired = 0
+        if warm or not isinstance(engine.net, CSRMaxFlow):
+            repaired = self._write_changed(counts)
         else:
             self._write_all(counts)
         self._probed = True
         # Exact cut-based rejects (the reference answers False in both
         # cases too): the sink cut caps the flow at Σ g·c(i); the cut
         # isolating a single job caps it at Σp − p_j + Σ_{i∋j} c(i).
-        if self._sink_total < self.total or self._deficient:
-            return False
+        cut_ok = self._sink_total >= self.total and not self._deficient
         # Source capacities sum to `total`, so value never exceeds it;
         # when it already matches, the flow is maximum and feasible.
-        if engine.value < self.total:
-            engine.augment()
-        return engine.value == self.total
+        pushed = engine._push() if cut_ok and engine.value < self.total else {}
+        _STATS.add(
+            probes=1, rebuilds_avoided=int(warm), units_repaired=repaired, **pushed
+        )
+        return cut_ok and engine.value == self.total
 
     def member_flows(self) -> np.ndarray:
         """The flow on each job→bucket arc, in ``buckets.members`` order.
@@ -512,10 +518,10 @@ class ClassFlowProber:
         self._sink_total = self.g * int(c.sum())
         self._counts = c.tolist()
 
-    def _write_changed(self, counts: Sequence[int]) -> None:
+    def _write_changed(self, counts: Sequence[int]) -> int:
         """Rebase the buckets whose count changed, one edge at a time
         (a drop goes through :meth:`IncrementalFlow.set_capacity`, which
-        repairs flow)."""
+        repairs flow); returns the flow units repaired."""
         if isinstance(counts, np.ndarray):
             counts = counts.tolist()
         if self._lists is None:
@@ -529,6 +535,7 @@ class ClassFlowProber:
         engine = self.engine
         icap, cap = engine.net._initial_cap, engine.net.cap
         room, p, g = self._room, self._p, self.g
+        repaired = 0
         for ci, c in enumerate(counts):
             c = max(0, c)
             dc = c - self._counts[ci]
@@ -547,8 +554,8 @@ class ClassFlowProber:
                 cap[eid] += g * dc
             else:
                 for eid in job_eids[lo:hi]:
-                    engine.set_capacity(eid, c)
-                engine.set_capacity(sink_eids[ci], g * c)
+                    repaired += int(engine._rebase(eid, c))
+                repaired += int(engine._rebase(sink_eids[ci], g * c))
             self._sink_total += g * dc
             for k in members[lo:hi]:
                 before = room[k]
@@ -558,6 +565,7 @@ class ClassFlowProber:
                 elif room[k] < p[k] <= before:
                     self._deficient += 1
             self._counts[ci] = c
+        return repaired
 
 
 class DynamicFlowProber:
@@ -757,11 +765,10 @@ class DynamicFlowProber:
 
     def probe(self) -> bool:
         """Feasibility of the current (jobs, windows, open slots) state."""
-        _STATS.add(probes=1, rebuilds_avoided=int(self._probed))
-        self._probed = True
         engine = self.engine
-        if engine.value < self.total:
-            engine.augment()
+        pushed = engine._push() if engine.value < self.total else {}
+        _STATS.add(probes=1, rebuilds_avoided=int(self._probed), **pushed)
+        self._probed = True
         return engine.value == self.total
 
     def job_slots(self, handle: int) -> list[int]:

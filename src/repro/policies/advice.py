@@ -37,7 +37,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from repro.baselines.exact import BudgetExceeded, solve_exact
+from repro.baselines.exact import exact_or_incumbent
 from repro.core.algorithm import _repair, solve_nested
 from repro.core.schedule import Schedule
 from repro.flow.assignment import schedule_from_node_counts
@@ -62,13 +62,7 @@ def perfect_advice(
     incumbent's counts are used — still valid advice, just not provably
     optimal.
     """
-    try:
-        result = solve_exact(canonical.instance, node_budget=node_budget)
-    except BudgetExceeded as exc:
-        incumbent = exc.incumbent()
-        if incumbent is None:
-            raise
-        result = incumbent
+    result, _ = exact_or_incumbent(canonical.instance, node_budget=node_budget)
     forest = canonical.forest
     counts: dict[int, int] = {}
     for t in result.slots:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.baselines.exact import BudgetExceeded, solve_exact
+from repro.baselines.exact import exact_or_incumbent
 from repro.instances.families import ALL_FAMILIES
 from repro.instances.io import load_instance
 from repro.instances.jobs import Instance, Job
@@ -199,14 +199,9 @@ def run_leaderboard(
     optima: list[int] = []
     certified = True
     for inst in instances:
-        try:
-            optima.append(solve_exact(inst, node_budget=node_budget).optimum)
-        except BudgetExceeded as exc:
-            incumbent = exc.incumbent()
-            if incumbent is None:
-                raise
-            optima.append(incumbent.optimum)
-            certified = False
+        result, reason = exact_or_incumbent(inst, node_budget=node_budget)
+        optima.append(result.optimum)
+        certified = certified and reason is None
 
     rows: dict[str, PolicyRow] = {}
     defects: list[str] = []

@@ -9,7 +9,7 @@ wrappers by name.
 
 from __future__ import annotations
 
-from repro.baselines.exact import BudgetExceeded, solve_exact
+from repro.baselines.exact import exact_or_incumbent
 from repro.baselines.kumar_khuller import kumar_khuller_schedule
 from repro.baselines.minimal_feasible import minimal_feasible_schedule
 from repro.core.algorithm import solve_nested
@@ -80,13 +80,9 @@ class ExactPolicy(Policy):
         self.node_budget = node_budget
 
     def solve(self, instance: Instance) -> Schedule:
-        reason = None
-        try:
-            result = solve_exact(instance, node_budget=self.node_budget)
-        except BudgetExceeded as exc:
-            result, reason = exc.incumbent(), str(exc)
-            if result is None:
-                raise
+        result, reason = exact_or_incumbent(
+            instance, node_budget=self.node_budget
+        )
         self.note(
             nodes_explored=result.nodes_explored,
             degraded=reason is not None,

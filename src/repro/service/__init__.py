@@ -9,7 +9,7 @@ it with :class:`ServiceClient`.
 """
 
 from repro.service.client import ClientError, ServiceClient
-from repro.service.metrics import RequestStats, render_prometheus
+from repro.service.metrics import render_prometheus
 from repro.service.server import (
     DEFAULT_MAX_BODY,
     DEFAULT_SPLIT_JOBS,
@@ -27,7 +27,6 @@ __all__ = [
     "ServiceClient",
     "ServiceError",
     "ClientError",
-    "RequestStats",
     "render_prometheus",
     "serve",
     "start_service",

@@ -1,11 +1,9 @@
-"""Request instrumentation and Prometheus text exposition.
+"""Request counters and the ``/metrics`` Prometheus text (format 0.0.4).
 
-The service keeps one :class:`RequestStats` (guarded by its own lock —
-handler threads record concurrently) and renders ``/metrics`` in the
-Prometheus text format, version 0.0.4: solver service counters
-(:func:`repro.solver.solver_stats`), flow engine counters
-(:func:`repro.flow.incremental.flow_stats`) and per-endpoint request
-counters/latency quantiles, all under the ``repro_`` prefix.
+The service's :func:`request_counters` group is an
+:class:`repro.obs.Counters` that handler threads record into under its
+one lock; ``/metrics`` renders it next to the solver and flow counters,
+all under the ``repro_`` prefix.
 
 Latency quantiles are computed at scrape time from a bounded
 per-endpoint reservoir (the most recent :data:`LATENCY_WINDOW`
@@ -16,9 +14,9 @@ exact over a sliding window, O(1) memory forever.
 from __future__ import annotations
 
 import math
-import threading
-from collections import deque
 from typing import Any, Iterable, Mapping
+
+from repro import obs
 
 #: Observations kept per endpoint for quantile estimation.
 LATENCY_WINDOW = 2048
@@ -43,78 +41,64 @@ def quantile(sorted_values: list[float], q: float) -> float:
     return sorted_values[min(n - 1, max(0, rank - 1))]
 
 
-class RequestStats:
-    """Thread-safe per-endpoint request counters for one service."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.requests: dict[str, int] = {}
-        self.errors: dict[tuple[str, str], int] = {}  # (endpoint, class)
-        self.degraded: dict[str, int] = {}
-        self.parts: dict[str, int] = {}  # fan-out units dispatched
-        self.latency_sum: dict[str, float] = {}
-        self.latency: dict[str, deque] = {}
-        self.in_flight = 0
-
-    def enter(self) -> None:
-        with self._lock:
-            self.in_flight += 1
-
-    def exit(self) -> None:
-        with self._lock:
-            self.in_flight -= 1
-
-    def record(
-        self,
-        endpoint: str,
-        status: int,
-        elapsed_s: float,
-        *,
-        degraded: bool = False,
-        parts: int = 0,
-    ) -> None:
-        with self._lock:
-            self.requests[endpoint] = self.requests.get(endpoint, 0) + 1
-            if status >= 400:
-                key = (endpoint, f"{status // 100}xx")
-                self.errors[key] = self.errors.get(key, 0) + 1
-            if degraded:
-                self.degraded[endpoint] = self.degraded.get(endpoint, 0) + 1
-            if parts:
-                self.parts[endpoint] = self.parts.get(endpoint, 0) + parts
-            self.latency_sum[endpoint] = (
-                self.latency_sum.get(endpoint, 0.0) + elapsed_s
-            )
-            self.latency.setdefault(
-                endpoint, deque(maxlen=LATENCY_WINDOW)
-            ).append(elapsed_s)
-
-    def snapshot(self) -> dict[str, Any]:
-        """Plain-dict copy, safe to render without holding the lock."""
-        with self._lock:
-            return {
-                "requests": dict(self.requests),
-                "errors": {
-                    f"{ep}:{cls}": n for (ep, cls), n in self.errors.items()
-                },
-                "degraded": dict(self.degraded),
-                "parts": dict(self.parts),
-                "latency_sum": dict(self.latency_sum),
-                "latency": {
-                    ep: sorted(obs) for ep, obs in self.latency.items()
-                },
-                "in_flight": self.in_flight,
-            }
+def request_counters() -> obs.Counters:
+    """A service's request counters by endpoint (``errors`` by ``endpoint:Nxx``)."""
+    return obs.Counters(
+        "requests",
+        requests={},
+        errors={},
+        degraded={},
+        parts={},  # fan-out units dispatched
+        latency_sum={},
+        latency=obs.Window(LATENCY_WINDOW),
+        in_flight=0,  # handler threads inside a request
+    )
 
 
-def _lines_for_counters(
-    prefix: str, snap: Mapping[str, Any], help_text: str
+def record_request(
+    stats: obs.Counters,
+    endpoint: str,
+    status: int,
+    elapsed_s: float,
+    *,
+    degraded: bool = False,
+    parts: int = 0,
+) -> None:
+    """Count one answered request in ``stats`` (one atomic add)."""
+    stats.add(
+        requests={endpoint: 1},
+        errors={f"{endpoint}:{status // 100}xx": 1} if status >= 400 else {},
+        degraded={endpoint: 1} if degraded else {},
+        parts={endpoint: parts} if parts else {},
+        latency_sum={endpoint: elapsed_s},
+        latency={endpoint: elapsed_s},
+    )
+
+
+#: The request group's counter families: (metric, field, labels, help).
+#: A key holds one value per label, joined by ``:``.
+_REQUEST_FAMILIES = (
+    ("repro_requests_total", "requests", ("endpoint",),
+     "HTTP requests by endpoint."),
+    ("repro_request_errors_total", "errors", ("endpoint", "class"),
+     "Non-2xx responses by endpoint and status class."),
+    ("repro_degraded_total", "degraded", ("endpoint",),
+     "Responses that degraded to a budget-limited incumbent."),
+    ("repro_fanout_parts_total", "parts", ("endpoint",),
+     "Worker-pool units dispatched (sub-instances, fuzz shards)."),
+)
+
+
+def _counter_lines(
+    metric: str, labels: tuple[str, ...], help_text: str, values: Mapping
 ) -> Iterable[str]:
-    """Flatten a solver/flow-style snapshot into Prometheus lines."""
-    yield f"# HELP {prefix} {help_text}"
-    yield f"# TYPE {prefix} counter"
-    for key, value in sorted(snap.items()):
-        yield f'{prefix}{{counter="{key}"}} {value}'
+    """One counter family in Prometheus lines, keys sorted."""
+    yield f"# HELP {metric} {help_text}"
+    yield f"# TYPE {metric} counter"
+    for key, n in sorted(values.items()):
+        split = key.split(":", len(labels) - 1)
+        text = ",".join(f'{lbl}="{v}"' for lbl, v in zip(labels, split))
+        yield f"{metric}{{{text}}} {n}"
 
 
 def render_prometheus(
@@ -141,48 +125,22 @@ def render_prometheus(
     lines.append("# TYPE repro_queue_depth gauge")
     lines.append(f"repro_queue_depth {request_snap.get('in_flight', 0)}")
 
-    lines.append("# HELP repro_requests_total HTTP requests by endpoint.")
-    lines.append("# TYPE repro_requests_total counter")
-    for ep, n in sorted(request_snap.get("requests", {}).items()):
-        lines.append(f'repro_requests_total{{endpoint="{ep}"}} {n}')
-
-    lines.append(
-        "# HELP repro_request_errors_total Non-2xx responses by "
-        "endpoint and status class."
-    )
-    lines.append("# TYPE repro_request_errors_total counter")
-    for key, n in sorted(request_snap.get("errors", {}).items()):
-        ep, _, cls = key.partition(":")
-        lines.append(
-            f'repro_request_errors_total{{endpoint="{ep}",class="{cls}"}} {n}'
+    for metric, field, labels, help_text in _REQUEST_FAMILIES:
+        lines.extend(
+            _counter_lines(metric, labels, help_text, request_snap.get(field, {}))
         )
-
-    lines.append(
-        "# HELP repro_degraded_total Responses that degraded to a "
-        "budget-limited incumbent."
-    )
-    lines.append("# TYPE repro_degraded_total counter")
-    for ep, n in sorted(request_snap.get("degraded", {}).items()):
-        lines.append(f'repro_degraded_total{{endpoint="{ep}"}} {n}')
-
-    lines.append(
-        "# HELP repro_fanout_parts_total Worker-pool units dispatched "
-        "(sub-instances, fuzz shards)."
-    )
-    lines.append("# TYPE repro_fanout_parts_total counter")
-    for ep, n in sorted(request_snap.get("parts", {}).items()):
-        lines.append(f'repro_fanout_parts_total{{endpoint="{ep}"}} {n}')
 
     lines.append(
         "# HELP repro_request_latency_seconds Request wall time "
         "(summary over a sliding window)."
     )
     lines.append("# TYPE repro_request_latency_seconds summary")
-    for ep, obs in sorted(request_snap.get("latency", {}).items()):
+    for ep, window in sorted(request_snap.get("latency", {}).items()):
+        ordered = sorted(window)
         for q in QUANTILES:
             lines.append(
                 f'repro_request_latency_seconds{{endpoint="{ep}",'
-                f'quantile="{q}"}} {quantile(obs, q):.6f}'
+                f'quantile="{q}"}} {quantile(ordered, q):.6f}'
             )
         lines.append(
             f'repro_request_latency_seconds_sum{{endpoint="{ep}"}} '
@@ -190,21 +148,14 @@ def render_prometheus(
         )
         lines.append(
             f'repro_request_latency_seconds_count{{endpoint="{ep}"}} '
-            f"{request_snap.get('requests', {}).get(ep, len(obs))}"
+            f"{request_snap.get('requests', {}).get(ep, len(window))}"
         )
 
-    lines.extend(
-        _lines_for_counters(
-            "repro_solver_stats",
-            solver_snap,
-            "Solver service counters (local process + pooled worker deltas).",
-        )
-    )
-    lines.extend(
-        _lines_for_counters(
-            "repro_flow_stats",
-            flow_snap,
-            "Incremental flow engine counters (local + pooled worker deltas).",
-        )
-    )
+    for metric, help_text, snap in (
+        ("repro_solver_stats", "Solver service counters (local process + "
+         "pooled worker deltas).", solver_snap),
+        ("repro_flow_stats", "Incremental flow engine counters (local + "
+         "pooled worker deltas).", flow_snap),
+    ):
+        lines.extend(_counter_lines(metric, ("counter",), help_text, snap))
     return "\n".join(lines) + "\n"

@@ -36,11 +36,13 @@ from typing import Any
 from repro import obs
 from repro.analysis.parallel import WorkerPool
 from repro.baselines.exact import BudgetExceeded
+from repro.flow.incremental import flow_stats
 from repro.instances.io import instance_from_dict, instance_to_dict
 from repro.instances.jobs import Instance
 from repro.instances.transforms import split_independent
-from repro.service.metrics import RequestStats, render_prometheus
-from repro.service.workers import SOLVE_ALGORITHMS, process_counters
+from repro.service import metrics
+from repro.service.workers import SOLVE_ALGORITHMS
+from repro.solver import solver_stats
 from repro.util.errors import (
     InfeasibleInstanceError,
     InvalidInstanceError,
@@ -166,18 +168,18 @@ class SchedulingService:
         self.max_body = max_body
         self.split_jobs = split_jobs
         self.started = time.monotonic()
-        self.request_stats = RequestStats()
-        # Counter deltas returned by pool workers, whose own process-wide
+        self.request_stats = metrics.request_counters()
+        # Counter blocks returned by pool workers, whose own process-wide
         # counters this process cannot read.
-        self._pooled = obs.Counters(solver={}, flow={})
+        self._pooled = obs.Counters("pooled", solver={}, flow={})
 
     # -- worker-pool plumbing -----------------------------------------
 
     def _map(self, worker: str, payloads: list[Any]) -> list[Any]:
-        """Fan payloads out and fold worker stat deltas into /metrics.
+        """Fan payloads out and fold worker counter blocks into /metrics.
 
         In-process maps skip the fold: their solves already hit this
-        process's own counters, and folding the returned deltas on top
+        process's own counters, and folding the returned blocks on top
         would double-count.
         """
         results = self.pool.map(worker, payloads)
@@ -372,11 +374,11 @@ class SchedulingService:
         }
 
     def metrics_text(self) -> str:
-        counters = obs.merge(process_counters(), self._pooled.snapshot())
-        return render_prometheus(
+        pooled = self._pooled.snapshot()
+        return metrics.render_prometheus(
             self.request_stats.snapshot(),
-            counters["solver"],
-            counters["flow"],
+            obs.merge(solver_stats(), pooled["solver"]),
+            obs.merge(flow_stats(), pooled["flow"]),
             uptime_s=time.monotonic() - self.started,
             workers=self.pool.width,
         )
@@ -455,7 +457,8 @@ class _Handler(BaseHTTPRequestHandler):
         client that scrapes ``/metrics`` immediately after a response
         always sees that response counted — no handler-thread race.
         """
-        self.service.request_stats.record(
+        metrics.record_request(
+            self.service.request_stats,
             endpoint,
             status,
             time.perf_counter() - t0,
@@ -493,15 +496,18 @@ class _Handler(BaseHTTPRequestHandler):
         path = self.path.split("?", 1)[0]
         endpoint = path.lstrip("/") or "root"
         t0 = time.perf_counter()
-        self.service.request_stats.enter()
+        self.service.request_stats.add(in_flight=1)
         try:
             if path == "/healthz":
                 self._send_json(
                     200, self.service.healthz(), endpoint="healthz", t0=t0
                 )
             elif path == "/metrics":
-                self.service.request_stats.record(
-                    "metrics", 200, time.perf_counter() - t0
+                metrics.record_request(
+                    self.service.request_stats,
+                    "metrics",
+                    200,
+                    time.perf_counter() - t0,
                 )
                 self._send(
                     200,
@@ -520,13 +526,13 @@ class _Handler(BaseHTTPRequestHandler):
                     t0=t0,
                 )
         finally:
-            self.service.request_stats.exit()
+            self.service.request_stats.add(in_flight=-1)
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         path, _, raw_query = self.path.partition("?")
         endpoint = path.lstrip("/") or "root"
         t0 = time.perf_counter()
-        self.service.request_stats.enter()
+        self.service.request_stats.add(in_flight=1)
         try:
             handler = {
                 "/solve": self.service.solve,
@@ -587,7 +593,7 @@ class _Handler(BaseHTTPRequestHandler):
                 parts=response.get("parts", response.get("shards", 0)),
             )
         finally:
-            self.service.request_stats.exit()
+            self.service.request_stats.add(in_flight=-1)
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):

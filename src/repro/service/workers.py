@@ -6,11 +6,11 @@ Every function here is addressed by its dotted
 JSON-shaped payload dicts cross the process boundary — the same pool
 the benchmark harness fans whole benchmarks out on.
 
-Each worker returns a result dict that always carries ``solver`` and
-``flow`` counter *deltas* (:func:`repro.obs.delta` of
-:func:`process_counters` around that unit of work, in whichever process
-ran it).  The server merges pooled deltas into its own aggregate so
-``/metrics`` reflects work done in worker processes, whose
+Each worker returns a result dict that always carries the ``solver``
+and ``flow`` blocks of that unit of work, read from an
+:func:`repro.obs.scope` around it, so concurrent requests never see
+each other's counts.  The server merges pooled blocks into its own
+aggregate so ``/metrics`` reflects work done in worker processes, whose
 process-global counters would otherwise be invisible.
 
 :func:`solve_part` runs every ``/solve`` part through the policy
@@ -29,9 +29,7 @@ from typing import Any
 
 from repro import obs
 from repro.baselines.exact import DEFAULT_NODE_BUDGET
-from repro.flow.incremental import flow_stats
 from repro.instances.io import instance_from_dict, schedule_to_dict
-from repro.solver import solver_stats
 
 #: Conversion rate from a request deadline to a branch-and-bound node
 #: budget.  Deliberately conservative (the search expands well over
@@ -61,9 +59,11 @@ def node_budget_for(
     return max(1, int(deadline_ms * NODES_PER_MS))
 
 
-def process_counters() -> dict[str, Any]:
-    """This process's ``solver`` and ``flow`` counter snapshots."""
-    return {"solver": solver_stats(), "flow": flow_stats()}
+def _counted(work: Any, *args: Any) -> dict[str, Any]:
+    """``work(*args)`` with the ``solver``/``flow`` blocks it counted."""
+    with obs.scope() as counted:
+        result = work(*args)
+    return {**result, "solver": counted["solver"], "flow": counted["flow"]}
 
 
 def _solve(doc: dict[str, Any], options: dict[str, Any]) -> dict[str, Any]:
@@ -88,10 +88,7 @@ def _solve(doc: dict[str, Any], options: dict[str, Any]) -> dict[str, Any]:
 
 def solve_part(payload: tuple[dict, dict]) -> dict[str, Any]:
     """Solve one (sub-)instance; the ``/solve`` fan-out unit."""
-    doc, options = payload
-    before = process_counters()
-    result = _solve(doc, options)
-    return {**result, **obs.delta(process_counters(), before)}
+    return _counted(_solve, *payload)
 
 
 def _verify(doc: dict[str, Any], options: dict[str, Any]) -> dict[str, Any]:
@@ -117,10 +114,7 @@ def _verify(doc: dict[str, Any], options: dict[str, Any]) -> dict[str, Any]:
 
 def verify_part(payload: tuple[dict, dict]) -> dict[str, Any]:
     """Run the differential oracle on one instance."""
-    doc, options = payload
-    before = process_counters()
-    result = _verify(doc, options)
-    return {**result, **obs.delta(process_counters(), before)}
+    return _counted(_verify, *payload)
 
 
 def fuzz_shard(payload: dict[str, Any]) -> dict[str, Any]:
@@ -135,7 +129,6 @@ def fuzz_shard(payload: dict[str, Any]) -> dict[str, Any]:
     """
     from repro.verify.fuzz import FuzzConfig, fuzz_report_dict, run_fuzz
 
-    config = FuzzConfig(**payload)
-    before = process_counters()
-    report = fuzz_report_dict(run_fuzz(config, out_dir=None))
-    return {"report": report, **obs.delta(process_counters(), before)}
+    # The campaign reads its own solver/flow blocks into the report.
+    report = fuzz_report_dict(run_fuzz(FuzzConfig(**payload)))
+    return {"report": report, "solver": report["solver"], "flow": report["flow"]}

@@ -46,17 +46,7 @@ class SolverService:
         self.cache: SolveCache | None = (
             SolveCache(cache_size) if cache_size > 0 else None
         )
-        self.stats = obs.Counters(
-            solves=0,  # solve requests (hits + misses)
-            cache_hits=0,
-            cache_misses=0,
-            failures=0,  # requests the backend answered with an error
-            rows=0,  # constraint rows actually sent to the backend
-            cols=0,  # variable columns actually sent to the backend
-            wall_time=0.0,  # total time inside SolverService.solve
-            backend_solves=0,  # successful backend solves
-            backend_time=0.0,  # time inside those solves
-        )
+        self.stats = obs.Counters("solver")  # fields declared in repro.obs
         self._lock = threading.Lock()  # guards the cache
 
     def solve(self, lp: LinearProgram) -> LPSolution:
@@ -96,9 +86,6 @@ class SolverService:
 
     # -- introspection / control ------------------------------------------
 
-    def stats_snapshot(self) -> dict:
-        return self.stats.snapshot()
-
     def clear_cache(self) -> None:
         with self._lock:
             if self.cache is not None:
@@ -132,7 +119,7 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
 
 def solver_stats() -> dict:
     """Snapshot of the default service's counters (plain dict)."""
-    return get_service().stats_snapshot()
+    return get_service().stats.snapshot()
 
 
 def clear_solver_cache() -> None:

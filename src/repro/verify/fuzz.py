@@ -317,21 +317,17 @@ def run_fuzz(
     to rebuild their reports — so a rerun after a mid-campaign kill
     produces the identical :class:`FuzzResult`.
     """
-    from repro.flow.incremental import flow_stats
     from repro.instances.io import dump_instance
-    from repro.solver.service import solver_stats
     from repro.verify.reference import DifferentialFlowProber, flow_prober
 
     result = FuzzResult(config=config)
-    before = solver_stats()
-    flow_before = flow_stats()
-    scope = (
+    prober = (
         flow_prober(DifferentialFlowProber)
         if config.cross_check_flow
         else nullcontext()
     )
     t0 = time.perf_counter()
-    with scope:
+    with obs.scope() as counted, prober:
         FUZZ_CAMPAIGN.run(
             result,
             campaign_instances(config),
@@ -341,8 +337,8 @@ def run_fuzz(
             progress=progress,
         )
     result.wall_time_s = time.perf_counter() - t0
-    result.solver = obs.delta(solver_stats(), before)
-    result.flow = obs.delta(flow_stats(), flow_before)
+    result.solver = counted["solver"]
+    result.flow = counted["flow"]
 
     if out_dir is not None and result.failures:
         out = Path(out_dir)
@@ -554,7 +550,6 @@ def run_twin_fuzz(
     the way :func:`run_fuzz` does: finished traces are skipped and the
     recorded failing traces are replayed to rebuild their records.
     """
-    from repro.flow.incremental import flow_stats
     from repro.simulate.machine import BatchMachine
     from repro.twin import TwinSession, twin_fingerprint
     from repro.util.errors import InvalidInstanceError
@@ -606,18 +601,18 @@ def run_twin_fuzz(
         for index in shard_range(config, config.n_traces)
     )
     result = TwinFuzzResult(config=config)
-    flow_before = flow_stats()
     t0 = time.perf_counter()
-    TWIN_FUZZ_CAMPAIGN.run(
-        result,
-        traces,
-        check,
-        checkpoint=checkpoint,
-        every=checkpoint_every,
-        progress=progress,
-    )
+    with obs.scope() as counted:
+        TWIN_FUZZ_CAMPAIGN.run(
+            result,
+            traces,
+            check,
+            checkpoint=checkpoint,
+            every=checkpoint_every,
+            progress=progress,
+        )
     result.wall_time_s = time.perf_counter() - t0
-    result.flow = obs.delta(flow_stats(), flow_before)
+    result.flow = counted["flow"]
     return result
 
 

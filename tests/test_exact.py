@@ -5,6 +5,7 @@ import pytest
 from repro.baselines.exact import (
     BudgetExceeded,
     SlotClass,
+    exact_or_incumbent,
     slot_classes,
     solve_exact,
 )
@@ -81,10 +82,10 @@ class TestSolveExact:
         with pytest.raises(BudgetExceeded) as exc:
             solve_exact(medium_laminar, node_budget=2)
         err = exc.value
-        incumbent = err.incumbent()
         # The search seeds from the greedy 3-approximation, so even a
         # budget of 2 nodes has a feasible solution in hand.
-        assert incumbent is not None
+        incumbent, reason = exact_or_incumbent(medium_laminar, node_budget=2)
+        assert reason == str(err)
         assert incumbent.optimum == err.best_cost == len(err.best_slots)
         assert incumbent.optimum >= solve_exact(medium_laminar).optimum
         assert slot_feasible(medium_laminar, sorted(err.best_slots))

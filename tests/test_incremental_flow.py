@@ -36,7 +36,6 @@ from repro.flow.incremental import (
     ClassFlowProber,
     DynamicFlowProber,
     IncrementalFlow,
-    flow_stats,
     make_prober,
 )
 from repro.instances.generators import random_laminar
@@ -143,12 +142,12 @@ class TestIncrementalFlow:
             engine.set_capacity(ids["s1"], -1)
 
     def test_stats_count_repairs_and_augmentation(self):
-        before = flow_stats()
-        engine, ids = _diamond()
-        engine.augment()
-        engine.set_capacity(ids["1t"], 0)
-        engine.augment()
-        delta = obs.delta(flow_stats(), before)
+        with obs.scope() as counted:
+            engine, ids = _diamond()
+            engine.augment()
+            engine.set_capacity(ids["1t"], 0)
+            engine.augment()
+        delta = counted["flow"]
         assert delta["networks_built"] == 1
         assert delta["units_repaired"] == 2
         assert delta["units_augmented"] == 4
@@ -327,11 +326,11 @@ class TestClassFlowProber:
 
     def test_warm_probes_counted_as_rebuilds_avoided(self):
         inc, _ = self._probers()
-        before = flow_stats()
-        inc.probe((2, 3))
-        inc.probe((1, 3))
-        inc.probe((1, 2))
-        delta = obs.delta(flow_stats(), before)
+        with obs.scope() as counted:
+            inc.probe((2, 3))
+            inc.probe((1, 3))
+            inc.probe((1, 2))
+        delta = counted["flow"]
         assert delta["probes"] == 3
         assert delta["rebuilds_avoided"] == 2  # first probe builds
 
@@ -380,9 +379,8 @@ class TestDifferentialSweep:
                 cross_checked += 1
                 return super().probe(counts)
 
-        before = flow_stats()
         checked = 0
-        with flow_prober(CountingProber):
+        with obs.scope() as counted, flow_prober(CountingProber):
             for instance in _sweep_instances(40):
                 try:
                     minimal_feasible_slots(instance, order="densest_first")
@@ -391,7 +389,7 @@ class TestDifferentialSweep:
                 except (InfeasibleInstanceError, BudgetExceeded):
                     pass
                 checked += 1
-        delta = obs.delta(flow_stats(), before)
+        delta = counted["flow"]
         assert checked == 120
         assert delta["probes"] > 500
         assert cross_checked == delta["probes"]  # every one cross-checked

@@ -16,7 +16,6 @@ from repro.baselines.minimal_feasible import (
 )
 from repro.corpus.store import iter_corpus
 from repro.flow.feasibility import coverage_segments
-from repro.flow.incremental import flow_stats
 from repro.instances.generators import laminar_suite, random_general
 from repro.instances.jobs import Instance, Job
 from repro.util.errors import InfeasibleInstanceError
@@ -81,9 +80,9 @@ class TestMinimality:
             math.ceil(math.log2(length + 1))
             for length in (ends - starts).tolist()
         )
-        before = flow_stats()
-        slots = minimal_feasible_slots(inst, "right_to_left")
-        probes = obs.delta(flow_stats(), before)["probes"]
+        with obs.scope() as counted:
+            slots = minimal_feasible_slots(inst, "right_to_left")
+        probes = counted["flow"]["probes"]
         assert probes <= 1 + bound < 1_000
         assert len(slots) >= inst.total_volume / inst.g
 

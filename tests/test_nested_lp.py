@@ -465,7 +465,7 @@ class TestLazyNames:
             again = build_nested_lp(canonicalize(inst))[0].solve()
         finally:
             set_service(previous)
-        assert service.stats_snapshot()["cache_hits"] == 1
+        assert service.stats.snapshot()["cache_hits"] == 1
         assert len(service.cache) == 1
         assert np.array_equal(first.x, again.x)
         assert np.array_equal(first.marginals_ub, again.marginals_ub)

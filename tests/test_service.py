@@ -41,7 +41,13 @@ from repro.service import (
     node_budget_for,
     start_service,
 )
-from repro.service.metrics import RequestStats, quantile, render_prometheus
+from repro.service.metrics import (
+    quantile,
+    record_request,
+    render_prometheus,
+    request_counters,
+)
+from repro.solver import clear_solver_cache
 from repro.verify.fuzz import FuzzConfig, fuzz_report_dict, run_fuzz
 
 
@@ -610,7 +616,7 @@ class TestMetricsEndpoint:
         start = scrape()
         single = client._post_json(path, body)
         mid = scrape()
-        one = obs.delta(mid, start)
+        one = {key: mid[key] - start[key] for key in mid}
         assert one['repro_flow_stats{counter="probes"}'] > 0
         n = 8
         previous = sys.getswitchinterval()
@@ -625,7 +631,8 @@ class TestMetricsEndpoint:
         assert [a["active_time"] for a in answers] == [
             single["active_time"]
         ] * n
-        assert obs.delta(scrape(), mid) == {
+        end = scrape()
+        assert {key: end[key] - mid[key] for key in end} == {
             key: n * value for key, value in one.items()
         }
 
@@ -659,9 +666,9 @@ class TestMetricsEndpoint:
         assert quantile([float(v) for v in range(1, 31)], 0.99) == 30.0
 
     def test_render_prometheus_shape(self):
-        stats = RequestStats()
-        stats.record("solve", 200, 0.05, degraded=True, parts=3)
-        stats.record("solve", 504, 0.01)
+        stats = request_counters()
+        record_request(stats, "solve", 200, 0.05, degraded=True, parts=3)
+        record_request(stats, "solve", 504, 0.01)
         # Two pooled deltas folded the way the server folds them.
         part = {"solves": 1, "backend_solves": 1, "backend_time": 0.05}
         text = render_prometheus(
@@ -682,6 +689,48 @@ class TestMetricsEndpoint:
             'repro_solver_stats{counter="backend_solves"} 2' in text
         )
         assert text.endswith("\n")
+
+
+class TestPerRequestCounters:
+    """A response's ``solver``/``flow`` blocks count that request only."""
+
+    def test_blocks_are_exact_under_concurrent_requests(self):
+        service = SchedulingService(workers=1)
+        calls = [
+            (service.solve, random_laminar(40, 3, seed=seed))
+            for seed in range(8)
+        ] + [
+            (service.verify, random_laminar(8, 2, seed=100 + seed))
+            for seed in range(4)
+        ]
+
+        def blocks(call) -> dict:
+            endpoint, instance = call
+            response = endpoint({"instance": instance_to_dict(instance)})
+            return {
+                family: {
+                    key: value
+                    for key, value in response[family].items()
+                    if "time" not in key
+                }
+                for family in ("solver", "flow")
+            }
+
+        try:
+            clear_solver_cache()
+            solo = [blocks(call) for call in calls]
+            assert all(b["flow"]["probes"] > 0 for b in solo)
+            clear_solver_cache()
+            previous = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with ThreadPoolExecutor(len(calls)) as pool:
+                    concurrent = list(pool.map(blocks, calls))
+            finally:
+                sys.setswitchinterval(previous)
+        finally:
+            service.shutdown()
+        assert concurrent == solo
 
 
 class TestWorkerPoolPath:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-import repro.policies.offline as offline
+import repro.baselines.exact as exact
 from repro.baselines.exact import solve_exact
 from repro.baselines.kumar_khuller import kumar_khuller_schedule
 from repro.baselines.minimal_feasible import minimal_feasible_schedule
@@ -145,7 +145,7 @@ class TestExactBudgetPerSpelling:
             seen.append(node_budget)
             return solve_exact(instance, node_budget=node_budget)
 
-        monkeypatch.setattr(offline, "solve_exact", recording_solve_exact)
+        monkeypatch.setattr(exact, "solve_exact", recording_solve_exact)
         return seen
 
     INSTANCE = next(inst for inst in SAMPLE if inst.n > 0 and inst.is_laminar)

@@ -27,7 +27,6 @@ from repro.solver import (
     SolverService,
     model_fingerprint,
     set_service,
-    solver_stats,
 )
 from repro.tree.canonical import canonicalize
 from repro.util.errors import BatteryTaskError, SolverError
@@ -65,7 +64,7 @@ class TestCache:
         a = _toy_lp().solve()
         b = _toy_lp().solve()  # rebuilt from scratch → same fingerprint
         assert b.value == pytest.approx(a.value)
-        snap = fresh_service.stats_snapshot()
+        snap = fresh_service.stats.snapshot()
         assert snap["solves"] == 2
         assert snap["cache_hits"] == 1
         assert snap["cache_misses"] == 1
@@ -76,7 +75,7 @@ class TestCache:
         other = _toy_lp()
         other.add_constraint({0: 1}, "<=", 1.5)
         other.solve()
-        assert fresh_service.stats_snapshot()["cache_hits"] == 0
+        assert fresh_service.stats.snapshot()["cache_hits"] == 0
 
     def test_hit_returns_a_copy(self, fresh_service):
         first = _toy_lp().solve()
@@ -99,7 +98,7 @@ class TestCache:
         )
         first = by_rows.solve()
         hit = block.solve()
-        snap = fresh_service.stats_snapshot()
+        snap = fresh_service.stats.snapshot()
         assert snap["backend_solves"] == 1
         assert snap["cache_hits"] == 1
         assert np.array_equal(hit.x, first.x)
@@ -123,7 +122,7 @@ class TestCache:
         try:
             _toy_lp().solve()
             _toy_lp().solve()
-            snap = service.stats_snapshot()
+            snap = service.stats.snapshot()
             assert snap["cache_hits"] == 0
             assert snap["backend_solves"] == 2
         finally:
@@ -159,7 +158,7 @@ class TestVectorEntries:
         canon = canonicalize(random_laminar(12, 2, horizon=30, seed=5))
         build_nested_lp(canon)[0].solve()
         hit = build_nested_lp(canon)[0].solve()
-        assert fresh_service.stats_snapshot()["cache_hits"] == 1
+        assert fresh_service.stats.snapshot()["cache_hits"] == 1
         lp = build_nested_lp(canon)[0]
         fresh = SolverService(cache_size=0).solve(lp)
         assert hit.value == fresh.value
@@ -185,7 +184,7 @@ class TestVectorEntries:
         lp = _toy_lp()
         first = lp.solve()
         hit = _toy_lp().solve()
-        assert fresh_service.stats_snapshot()["cache_hits"] == 1
+        assert fresh_service.stats.snapshot()["cache_hits"] == 1
         assert _cover_dual(lp, hit) == _cover_dual(lp, first) > 0
 
 
@@ -203,7 +202,7 @@ class TestOneBackend:
         assert exc.kind == "numerical"
         assert str(exc) == "injected failure"
         assert calls == ["doomed"]  # one attempt, no second backend
-        snap = fresh_service.stats_snapshot()
+        snap = fresh_service.stats.snapshot()
         assert snap["failures"] == 1
         assert snap["backend_solves"] == 0
         assert len(fresh_service.cache) == 0
@@ -249,7 +248,7 @@ class TestOneBackend:
             assert err.value.model == lp.name
             kinds.append(err.value.kind)
         assert kinds == ["infeasible", "unbounded"]
-        assert fresh_service.stats_snapshot()["failures"] == 2
+        assert fresh_service.stats.snapshot()["failures"] == 2
 
     def test_solve_takes_no_backend(self, fresh_service):
         with pytest.raises(TypeError):
@@ -262,18 +261,18 @@ class TestStats:
     def test_counters_and_reset(self, fresh_service):
         lp = _toy_lp()
         lp.solve()
-        snap = fresh_service.stats_snapshot()
+        snap = fresh_service.stats.snapshot()
         assert snap["rows"] == 1 and snap["cols"] == 2
         assert snap["wall_time"] > 0
         fresh_service.stats.reset()
-        cleared = fresh_service.stats_snapshot()
+        cleared = fresh_service.stats.snapshot()
         assert cleared["solves"] == 0 and cleared["backend_solves"] == 0
 
     def test_stats_delta(self, fresh_service):
         _toy_lp().solve()
-        before = solver_stats()
-        _toy_lp().solve()  # hit
-        delta = obs.delta(solver_stats(), before)
+        with obs.scope() as counted:
+            _toy_lp().solve()  # hit
+        delta = counted["solver"]
         assert delta["solves"] == 1
         assert delta["cache_hits"] == 1
         assert delta["backend_solves"] == 0  # no new backend work
@@ -284,9 +283,9 @@ class TestWarmBattery:
         """Acceptance: a warm-cache battery re-run never hits a backend."""
         instances = laminar_suite(seed=11, sizes=(5, 9))
         run_battery(instances, "solve_nested", max_workers=1)
-        before = solver_stats()
-        results = run_battery(instances, "solve_nested", max_workers=1)
-        delta = obs.delta(solver_stats(), before)
+        with obs.scope() as counted:
+            results = run_battery(instances, "solve_nested", max_workers=1)
+        delta = counted["solver"]
         assert len(results) == len(instances)
         assert delta["solves"] == delta["cache_hits"] > 0
         assert delta["cache_misses"] == 0
