@@ -17,9 +17,10 @@ networks the probers actually build:
 Instances are the benchmark's planted laminar shapes (T = 3n, n/4
 windows, p <= 3), so the arc counts cover the corpus, ``verify-campaign``
 and ``batch-dense`` sizes.  It then checks that every prober network of
-three ``batch-dense`` cycles, the precheck's segment network and
-``node_assignment``'s open-node network, is at or above the constant,
-so that workload stays on the CSR kernel.  Run from the repository
+three ``batch-dense`` cycles, the all-slots segment network (built by
+the traced replay and by a failed solve) and ``node_assignment``'s
+open-node network, is at or above the constant, so that workload stays
+on the CSR kernel.  Run from the repository
 root::
 
     PYTHONPATH=src python scripts/flow_kernel_sizing.py [--quick]
@@ -176,9 +177,9 @@ def main(argv=None) -> int:
         times = _per_kernel(lambda: node_assignment(*case), repeats)
         _row(n, node_arcs(*case), times)
 
-    # batch-dense: every prober network it builds (the precheck's and
-    # node_assignment's) must stay on the CSR kernel, so that workload
-    # does not move.
+    # batch-dense: every prober network it can build (the all-slots
+    # segment network and node_assignment's) must stay on the CSR
+    # kernel, so that workload does not move.
     segments, nodes = [], []
     for seed in (1, 2, 3):
         for k in range(len(BATCH_DENSE)):

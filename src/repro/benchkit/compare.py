@@ -14,7 +14,8 @@ directories of ``BENCH_*.json`` artifacts:
   skipped as noise; ``--skip-timings`` disables the gate entirely for
   cross-machine comparisons.
 * **coverage** — every baseline artifact needs a current counterpart
-  with matching schema version, tier and seed.
+  with matching schema version, tier and seed; after ``run --only``,
+  give ``compare`` the same ``--only`` list.
 
 The comparator itself only touches the artifact JSON — it never re-runs
 benchmarks, so the CI regression job stays cheap.
@@ -158,6 +159,7 @@ def compare_dirs(
         findings.append(
             Finding("-", FAIL, "coverage", "baseline directory has no artifacts")
         )
+    ran = ",".join(sorted(current, key=lambda i: int(i[1:])))
     for bench_id in sorted(baseline, key=lambda i: int(i[1:])):
         if bench_id not in current:
             findings.append(
@@ -165,7 +167,9 @@ def compare_dirs(
                     bench_id,
                     FAIL,
                     "coverage",
-                    "baseline artifact has no current counterpart",
+                    "baseline artifact has no current counterpart (to compare "
+                    "a subset, give compare the same --only as run: --only "
+                    f"{ran or 'E3,E4,...'})",
                 )
             )
             continue

@@ -9,9 +9,14 @@ Pipeline (Theorem 4.15):
 5. extract an integral schedule through the Lemma 4.1 flow network and the
    wrap-around slot assignment.
 
-The produced schedule is re-validated independently; a defensive repair
-loop exists for numerical corner cases but is expected never to fire
-(tests assert ``repairs == 0``).
+The produced schedule is re-validated independently, so a schedule that
+comes out is its own feasibility certificate and no up-front feasibility
+test runs.  The all-slots flow probe runs only to explain a failure (a
+stage raising :class:`SolverError`, as an infeasible LP (1) does, or the
+flow rejecting ``x̃``): on an instance with no schedule at all it raises
+:class:`InfeasibleInstanceError`.  A defensive repair loop exists for
+numerical corner cases but is expected never to fire (tests assert
+``repairs == 0``).
 """
 
 from __future__ import annotations
@@ -104,20 +109,21 @@ def _repair(
     return x, repairs
 
 
-def solve_nested(
-    instance: Instance,
-    *,
-    check_feasibility: bool = True,
-) -> NestedResult:
+def _require_feasible(instance: Instance) -> None:
+    """Explain a failed stage: raise if no schedule exists at all."""
+    if not all_slots_feasible(instance):
+        raise InfeasibleInstanceError(
+            f"instance {instance.name!r} cannot be scheduled at all"
+        )
+
+
+def solve_nested(instance: Instance) -> NestedResult:
     """Solve a laminar instance with the paper's 9/5-approximation.
 
-    Parameters
-    ----------
-    instance:
-        A laminar instance (raises :class:`NotLaminarError` otherwise).
-    check_feasibility:
-        Run the all-slots flow test first and raise
-        :class:`InfeasibleInstanceError` on infeasible input.
+    Raises :class:`NotLaminarError` on a non-laminar instance and
+    :class:`InfeasibleInstanceError` on one with no schedule at all; the
+    latter is diagnosed by the all-slots flow probe only after a stage
+    fails, since a feasible instance always yields a valid schedule.
 
     Returns
     -------
@@ -125,32 +131,32 @@ def solve_nested(
     and all intermediate artifacts.
     """
     instance.require_laminar()
-    if check_feasibility and not all_slots_feasible(instance):
-        raise InfeasibleInstanceError(
-            f"instance {instance.name!r} cannot be scheduled at all"
-        )
     canonical = canonicalize(instance)
-    if instance.n == 0:
-        # Degenerate but legal: nothing to schedule, zero-variable LP.
-        # Short-circuit the solve (backends reject empty models) and run
-        # the rest of the pipeline on all-zero artifacts.
-        from repro.core.opt_thresholds import compute_thresholds
+    try:
+        if instance.n == 0:
+            # Degenerate but legal: nothing to schedule, zero-variable LP.
+            # Short-circuit the solve (backends reject empty models) and
+            # run the rest of the pipeline on all-zero artifacts.
+            from repro.core.opt_thresholds import compute_thresholds
 
-        lp_sol = NestedLPSolution(
-            value=0.0,
-            x=np.zeros(canonical.forest.m),
-            y=np.zeros((canonical.forest.m, 0)),
-            thresholds=compute_thresholds(
-                canonical.forest, canonical.job_node, {}, instance.g
-            ),
+            lp_sol = NestedLPSolution(
+                value=0.0,
+                x=np.zeros(canonical.forest.m),
+                y=np.zeros((canonical.forest.m, 0)),
+                thresholds=compute_thresholds(
+                    canonical.forest, canonical.job_node, {}, instance.g
+                ),
+            )
+        else:
+            lp_sol = solve_nested_lp(canonical)
+        # Per-job y is built only if a caller reads ``transformed.y``.
+        transformed = push_down(canonical.forest, lp_sol.x, lambda: lp_sol.y)
+        rounding = round_solution(
+            canonical.forest, transformed.x, transformed.topmost
         )
-    else:
-        lp_sol = solve_nested_lp(canonical)
-    # Per-job y is built only if a caller reads ``transformed.y``.
-    transformed = push_down(canonical.forest, lp_sol.x, lambda: lp_sol.y)
-    rounding = round_solution(
-        canonical.forest, transformed.x, transformed.topmost
-    )
+    except SolverError:
+        _require_feasible(instance)
+        raise
 
     x_tilde = rounding.x_tilde.astype(int)
     repairs = 0
@@ -158,6 +164,7 @@ def solve_nested(
         canonical.instance, canonical.forest, canonical.job_node, x_tilde
     )
     if y_int is None:
+        _require_feasible(instance)
         x_repaired, repairs = _repair(canonical, x_tilde)
         x_tilde = x_repaired.astype(int)
         y_int = node_assignment(

@@ -106,7 +106,7 @@ def coverage_segments(instance: Instance) -> Segments:
     covered by the same windows, so they are interchangeable.
 
     The segments depend only on the instance, so they are computed once
-    per instance and every caller (precheck, greedy, extraction, exact)
+    per instance and every caller (all-slots test, greedy, extraction, exact)
     shares them; their arrays are read-only.
     """
     segments = instance.__dict__.get(_SEGMENTS_KEY)

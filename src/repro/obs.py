@@ -116,6 +116,8 @@ class Counters:
         self.name = name
         self._zero = declared
         self._values = _copy(declared)
+        # No keyed family: every amount is a number, added as is.
+        self._flat = not any(isinstance(z, (dict, Window)) for z in declared.values())
 
     def add(self, **amounts: Any) -> None:
         """Add ``amounts`` (numbers, dicts for keyed families) atomically.
@@ -124,12 +126,25 @@ class Counters:
         """
         scopes = _SCOPES.get()
         with self._lock:
-            _apply(self._zero, self._values, amounts)
-            for opened in scopes:
-                block = opened.get(self.name)
-                if block is None:
-                    block = opened[self.name] = _copy(self._zero)
-                _apply(self._zero, block, amounts)
+            if self._flat:
+                values = self._values
+                for key, amount in amounts.items():
+                    values[key] += amount
+                for opened in scopes:
+                    block = self._block(opened)
+                    for key, amount in amounts.items():
+                        block[key] += amount
+            else:
+                _apply(self._zero, self._values, amounts)
+                for opened in scopes:
+                    _apply(self._zero, self._block(opened), amounts)
+
+    def _block(self, opened: Scope) -> dict[str, Any]:
+        """This group's block in ``opened``, made on first use."""
+        block = opened.get(self.name)
+        if block is None:
+            block = opened[self.name] = _copy(self._zero)
+        return block
 
     def snapshot(self) -> dict[str, Any]:
         """A consistent copy, safe to keep across further updates."""

@@ -136,7 +136,7 @@ class AdviceAugmentedPolicy(Policy):
         ).require_valid()
 
         # Robustness: never worse than the advice-free 9/5 pipeline.
-        fallback = solve_nested(instance, check_feasibility=False)
+        fallback = solve_nested(instance)
         use_advice = advised.active_time <= fallback.active_time
         self.note(
             advice_cost=advised.active_time,

@@ -1,15 +1,55 @@
 """End-to-end tests for the 9/5-approximation (Theorem 4.15)."""
 
+import hashlib
+import random
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+from repro import obs
 from repro.baselines.exact import solve_exact
+from repro.core import algorithm
 from repro.core.algorithm import solve_nested
 from repro.core.rounding import APPROX_FACTOR
+from repro.corpus import iter_corpus
+from repro.flow.feasibility import all_slots_feasible
 from repro.instances.families import natural_gap, rigid_chain, section5_gap
-from repro.instances.generators import random_laminar
+from repro.instances.generators import _sample_laminar_windows, random_laminar
 from repro.instances.jobs import Instance, Job
-from repro.util.errors import InfeasibleInstanceError, NotLaminarError
+from repro.lp.nested_lp import NestedLPSolution
+from repro.util.errors import (
+    InfeasibleInstanceError,
+    NotLaminarError,
+    SolverError,
+)
 from repro.util.numeric import SUM_EPS
+
+CORPUS = Path(__file__).resolve().parents[1] / "data" / "corpus_smoke"
+
+#: sha256 (first 128 bits) of the schedules of the feasible draws of
+#: ``unchecked_laminar(0..2999)``, recorded while ``solve_nested`` ran
+#: the all-slots probe up front: where the probe runs moves no schedule.
+FAMILY_RUNS_DIGEST = "ee3bd6417f136b49148068c075c05e56"
+
+
+def unchecked_laminar(seed: int) -> Instance:
+    """A small random laminar instance, feasible or not.
+
+    The windows come from ``random_laminar``'s sampler, but no job is
+    dropped to make the instance feasible: about 3 in 5 draws have no
+    schedule at all.
+    """
+    rng = random.Random(seed)
+    g = rng.randint(1, 3)
+    horizon = rng.randint(4, 20)
+    windows = _sample_laminar_windows(rng, horizon, rng.randint(1, 6), 3)
+    jobs = []
+    for k in range(rng.randint(1, 10)):
+        w = rng.choice(windows)
+        p = rng.randint(1, w.length)
+        jobs.append(Job(id=k, release=w.start, deadline=w.end, processing=p))
+    return Instance(jobs=tuple(jobs), g=g, name=f"unchecked_laminar({seed})")
 
 
 class TestEndToEnd:
@@ -41,6 +81,14 @@ class TestEndToEnd:
         )
         with pytest.raises(InfeasibleInstanceError):
             solve_nested(inst)
+
+    def test_feasible_solve_builds_one_flow_network(self, tiny_instance):
+        """No up-front probe: the Lemma 4.1 flow is the only network."""
+        with obs.scope() as counted:
+            result = solve_nested(tiny_instance)
+        assert result.repairs == 0
+        assert counted["flow"]["networks_built"] == 1
+        assert counted["flow"]["probes"] == 1
 
     def test_summary_mentions_ratio(self, tiny_instance):
         assert "ratio" in solve_nested(tiny_instance).summary()
@@ -113,3 +161,64 @@ class TestScheduleMapsToOriginal:
             set_service(previous)
         assert result.active_time == 2
         assert result.schedule.is_valid
+
+
+class TestInfeasibleVerdict:
+    """``solve_nested`` raises :class:`InfeasibleInstanceError` exactly
+    where the all-slots probe rejects, though it runs the probe only
+    after a stage fails."""
+
+    def test_corpus_and_unchecked_family(self):
+        corpus = [entry.instance() for entry in iter_corpus(CORPUS)]
+        instances = [inst for inst in corpus if inst.is_laminar]
+        family = [unchecked_laminar(seed) for seed in range(3000)]
+        runs = hashlib.sha256()
+        routes = {"lp": 0, "flow": 0}
+        for inst in instances + family:
+            feasible = all_slots_feasible(inst)
+            try:
+                result = solve_nested(inst)
+            except InfeasibleInstanceError as exc:
+                assert not feasible, inst.name
+                assert str(exc) == (
+                    f"instance {inst.name!r} cannot be scheduled at all"
+                )
+                # Raised while handling the failed stage's SolverError,
+                # or after the flow rejected x̃ (no error in flight).
+                if isinstance(exc.__context__, SolverError):
+                    routes["lp"] += 1
+                else:
+                    routes["flow"] += 1
+                continue
+            assert feasible, inst.name
+            assert result.repairs == 0
+            if inst.name.startswith("unchecked_laminar"):
+                runs.update(repr(sorted(result.schedule.runs.items())).encode())
+        # Every infeasible draw has an infeasible LP (1); none reaches
+        # the flow (test_flow_rejection_is_diagnosed_before_repair).
+        assert routes == {"lp": 1778, "flow": 0}
+        assert runs.hexdigest()[:32] == FAMILY_RUNS_DIGEST
+
+    def test_flow_rejection_is_diagnosed_before_repair(self, monkeypatch):
+        """An infeasible instance whose LP stage passes (stubbed here to
+        open every slot) is rejected by the flow, and the probe raises
+        before the repair loop runs."""
+        inst = Instance.from_triples([(0, 1, 1), (0, 1, 1)], g=1)
+
+        def every_slot(canonical):
+            m = canonical.forest.m
+            return NestedLPSolution(
+                value=float(sum(canonical.forest.length)),
+                x=np.array(canonical.forest.length, dtype=float),
+                y=np.zeros((m, canonical.instance.n)),
+                thresholds=None,
+            )
+
+        def no_repair(*args):
+            raise AssertionError("repair loop ran on an infeasible instance")
+
+        monkeypatch.setattr(algorithm, "solve_nested_lp", every_slot)
+        monkeypatch.setattr(algorithm, "_repair", no_repair)
+        with pytest.raises(InfeasibleInstanceError) as raised:
+            solve_nested(inst)
+        assert raised.value.__context__ is None

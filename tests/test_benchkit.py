@@ -274,6 +274,18 @@ class TestCompareDirs:
         assert has_failures(findings)
         assert any(f.kind == "coverage" for f in findings)
 
+    def test_missing_artifact_says_how_to_compare_a_subset(self, tmp_path):
+        self._write(tmp_path / "base", [_doc("E1"), _doc("E2"), _doc("E3"), _doc("E10")])
+        self._write(tmp_path / "cur", [_doc("E10"), _doc("E3")])
+        findings = compare_dirs(tmp_path / "base", tmp_path / "cur")
+        missing = [f for f in findings if f.kind == "coverage"]
+        assert [f.bench_id for f in missing] == ["E1", "E2"]
+        assert all(f.severity == "fail" for f in missing)
+        assert all("--only E3,E10" in f.message for f in missing)
+        assert not has_failures(
+            compare_dirs(tmp_path / "base", tmp_path / "cur", only="E3,E10")
+        )
+
     def test_extra_current_artifact_warns(self, tmp_path):
         self._write(tmp_path / "base", [_doc("E1")])
         self._write(tmp_path / "cur", [_doc("E1"), _doc("E2")])
