@@ -159,7 +159,6 @@ def compare_dirs(
         findings.append(
             Finding("-", FAIL, "coverage", "baseline directory has no artifacts")
         )
-    ran = ",".join(sorted(current, key=lambda i: int(i[1:])))
     for bench_id in sorted(baseline, key=lambda i: int(i[1:])):
         if bench_id not in current:
             findings.append(
@@ -167,9 +166,7 @@ def compare_dirs(
                     bench_id,
                     FAIL,
                     "coverage",
-                    "baseline artifact has no current counterpart (to compare "
-                    "a subset, give compare the same --only as run: --only "
-                    f"{ran or 'E3,E4,...'})",
+                    "baseline artifact has no current counterpart",
                 )
             )
             continue
@@ -188,6 +185,16 @@ def compare_dirs(
                 WARN,
                 "coverage",
                 "current artifact has no baseline (commit one on merge)",
+            )
+        )
+    if set(baseline) - set(current):
+        findings.append(
+            Finding(
+                "-",
+                WARN,
+                "coverage",
+                "if you ran a subset with run --only, pass the same --only "
+                "to compare",
             )
         )
     return findings

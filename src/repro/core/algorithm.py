@@ -123,7 +123,9 @@ def solve_nested(instance: Instance) -> NestedResult:
     Raises :class:`NotLaminarError` on a non-laminar instance and
     :class:`InfeasibleInstanceError` on one with no schedule at all; the
     latter is diagnosed by the all-slots flow probe only after a stage
-    fails, since a feasible instance always yields a valid schedule.
+    fails, since a feasible instance always yields a valid schedule.  An
+    infeasible instance therefore pays an LP (1) solve before it is
+    answered (see docs/PERFORMANCE.md).
 
     Returns
     -------

@@ -48,7 +48,7 @@ _GROUPS: dict[str, tuple[dict[str, Any], threading.Lock]] = {
             solves=0,  # solve requests (hits + misses)
             cache_hits=0,
             cache_misses=0,
-            failures=0,  # requests the backend answered with an error
+            failures=0,  # backend errors other than an infeasible verdict
             rows=0,  # constraint rows actually sent to the backend
             cols=0,  # variable columns actually sent to the backend
             wall_time=0.0,  # total time inside SolverService.solve
@@ -116,8 +116,6 @@ class Counters:
         self.name = name
         self._zero = declared
         self._values = _copy(declared)
-        # No keyed family: every amount is a number, added as is.
-        self._flat = not any(isinstance(z, (dict, Window)) for z in declared.values())
 
     def add(self, **amounts: Any) -> None:
         """Add ``amounts`` (numbers, dicts for keyed families) atomically.
@@ -126,25 +124,12 @@ class Counters:
         """
         scopes = _SCOPES.get()
         with self._lock:
-            if self._flat:
-                values = self._values
-                for key, amount in amounts.items():
-                    values[key] += amount
-                for opened in scopes:
-                    block = self._block(opened)
-                    for key, amount in amounts.items():
-                        block[key] += amount
-            else:
-                _apply(self._zero, self._values, amounts)
-                for opened in scopes:
-                    _apply(self._zero, self._block(opened), amounts)
-
-    def _block(self, opened: Scope) -> dict[str, Any]:
-        """This group's block in ``opened``, made on first use."""
-        block = opened.get(self.name)
-        if block is None:
-            block = opened[self.name] = _copy(self._zero)
-        return block
+            _apply(self._zero, self._values, amounts)
+            for opened in scopes:
+                block = opened.get(self.name)
+                if block is None:
+                    block = opened[self.name] = _copy(self._zero)
+                _apply(self._zero, block, amounts)
 
     def snapshot(self) -> dict[str, Any]:
         """A consistent copy, safe to keep across further updates."""

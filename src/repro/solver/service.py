@@ -5,7 +5,8 @@ content-addressed :class:`~repro.solver.cache.SolveCache`, and on a miss
 calls HiGHS.  A HiGHS failure reaches the caller as the typed
 :class:`~repro.util.errors.SolverError` it raised; its ``kind`` tells an
 infeasible or unbounded model from a numerical failure.  Every request
-is counted in a :class:`repro.obs.Counters` group.
+is counted in a :class:`repro.obs.Counters` group; ``failures`` counts
+the solves HiGHS could not answer, not the models it proved infeasible.
 
 ``LinearProgram.solve`` delegates here, so all existing call sites — the
 9/5 pipeline, the lower bounds, the gap studies, the benchmarks — get
@@ -72,8 +73,10 @@ class SolverService:
         t_backend = perf_counter()
         try:
             sol = BACKENDS["highs"](lp, parts)
-        except SolverError:
-            self.stats.add(failures=1, wall_time=perf_counter() - t0)
+        except SolverError as exc:
+            # An infeasible model is a verdict on the input, not a fault.
+            failed = int(exc.kind != "infeasible")
+            self.stats.add(failures=failed, wall_time=perf_counter() - t0)
             raise
         if key is not None:
             with self._lock:

@@ -278,10 +278,14 @@ class TestCompareDirs:
         self._write(tmp_path / "base", [_doc("E1"), _doc("E2"), _doc("E3"), _doc("E10")])
         self._write(tmp_path / "cur", [_doc("E10"), _doc("E3")])
         findings = compare_dirs(tmp_path / "base", tmp_path / "cur")
-        missing = [f for f in findings if f.kind == "coverage"]
-        assert [f.bench_id for f in missing] == ["E1", "E2"]
-        assert all(f.severity == "fail" for f in missing)
-        assert all("--only E3,E10" in f.message for f in missing)
+        coverage = [f for f in findings if f.kind == "coverage"]
+        assert [(f.bench_id, f.severity) for f in coverage] == [
+            ("E1", "fail"),
+            ("E2", "fail"),
+            ("-", "warn"),
+        ]
+        assert "--only" not in coverage[0].message
+        assert "pass the same --only to compare" in coverage[-1].message
         assert not has_failures(
             compare_dirs(tmp_path / "base", tmp_path / "cur", only="E3,E10")
         )

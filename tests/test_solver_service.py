@@ -19,6 +19,7 @@ from repro.analysis.parallel import register_task, run_battery
 from repro.core.algorithm import solve_nested
 from repro.instances.families import rigid_chain, section5_gap
 from repro.instances.generators import laminar_suite, random_laminar
+from repro.instances.jobs import Instance
 from repro.lp.backend import LinearProgram, LPSolution
 from repro.lp.nested_lp import build_nested_lp
 from repro.solver import (
@@ -29,7 +30,7 @@ from repro.solver import (
     set_service,
 )
 from repro.tree.canonical import canonicalize
-from repro.util.errors import BatteryTaskError, SolverError
+from repro.util.errors import BatteryTaskError, InfeasibleInstanceError, SolverError
 from repro.verify.simplex import simplex_solve
 
 
@@ -248,7 +249,19 @@ class TestOneBackend:
             assert err.value.model == lp.name
             kinds.append(err.value.kind)
         assert kinds == ["infeasible", "unbounded"]
-        assert fresh_service.stats.snapshot()["failures"] == 2
+        # An infeasible verdict is not a failure of the solve.
+        assert fresh_service.stats.snapshot()["failures"] == 1
+
+    def test_infeasible_instance_is_no_solver_failure(self, fresh_service):
+        """Infeasible input reaches LP (1) and is answered as such; the
+        ``failures`` counter keeps to faults of the solve."""
+        inst = Instance.from_triples([(0, 1, 1), (0, 1, 1)], g=1)
+        with obs.scope() as counted:
+            with pytest.raises(InfeasibleInstanceError):
+                solve_nested(inst)
+        assert counted["solver"]["cache_misses"] == 1
+        assert counted["solver"]["failures"] == 0
+        assert fresh_service.stats.snapshot()["failures"] == 0
 
     def test_solve_takes_no_backend(self, fresh_service):
         with pytest.raises(TypeError):
