@@ -42,6 +42,28 @@ _FAILURE_KINDS = {
     _highs.HighsModelStatus.kUnbounded: "unbounded",
 }
 
+#: Options of every HiGHS solve: quiet, dual simplex, no scaling, no
+#: presolve.  LP (1)'s data are small integers (1, -g, -|C|, |C|·p_C,
+#: the OPT ceilings), and on its g = 8 models dual simplex needs 30-45%
+#: fewer iterations without HiGHS's equilibration scaling.
+HIGHS_OPTIONS = {
+    "output_flag": False,
+    "log_to_console": False,
+    "simplex_strategy": int(
+        _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    ),
+    "simplex_scale_strategy": 0,
+    "presolve": "off",
+}
+
+#: Columns from which HiGHS runs its presolve.  LP (1) arrives already
+#: reduced (:func:`repro.lp.nested_lp._build`), and presolve pays only on
+#: models larger than every ``batch-dense`` one (<= ~9.4k columns).  The
+#: rule counts columns, not rows: a Călinescu–Wang LP has ~17 rows per
+#: column, and presolve doubles its time (docs/PERFORMANCE.md, "HiGHS
+#: configuration").
+PRESOLVE_MIN_COLS = 20_000
+
 _SENSES = ("<=", ">=", "==")
 
 
@@ -402,16 +424,12 @@ class LinearProgram:
     def _solve_highs(self, parts: dict) -> LPSolution:
         """Solve the compiled ``parts`` with HiGHS (the service's backend).
 
-        HiGHS gets the model ``linprog(method="highs-ds",
-        options={"presolve": False})`` would give it: the rows ``A_ub``
-        then ``A_eq`` (as row-wise CSR), ``-inf <= row <= b_ub`` and
-        ``b_eq <= row <= b_eq``, dual simplex, no output, presolve off
-        (LP (1) arrives already reduced, see
-        :func:`repro.lp.nested_lp._build`, and a presolve pass costs more
-        than the little it would still find).  The arrays go to
-        ``passModel`` as they are (no ``HighsLp``, no Python lists).
-        Each call runs a fresh solver object, so concurrent solves share
-        no state.
+        HiGHS gets the rows ``A_ub`` then ``A_eq`` (as row-wise CSR),
+        ``-inf <= row <= b_ub`` and ``b_eq <= row <= b_eq``, and the
+        options :data:`HIGHS_OPTIONS`, with presolve on from
+        :data:`PRESOLVE_MIN_COLS` columns.  The arrays go to ``passModel``
+        as they are (no ``HighsLp``, no Python lists).  Each call runs a
+        fresh solver object, so concurrent solves share no state.
         """
         c, bounds = parts["c"], parts["bounds"]
         b_ub = np.empty(0) if parts["b_ub"] is None else parts["b_ub"]
@@ -423,13 +441,14 @@ class LinearProgram:
             a = mats[0] if mats else csr_matrix((0, c.size))
         num_col = c.size
         highs = _highs._Highs()
-        highs.setOptionValue("output_flag", False)
-        highs.setOptionValue("log_to_console", False)
-        highs.setOptionValue("presolve", "off")
-        highs.setOptionValue(
-            "simplex_strategy",
-            int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
-        )
+        presolve = "on" if num_col >= PRESOLVE_MIN_COLS else "off"
+        for option, value in {**HIGHS_OPTIONS, "presolve": presolve}.items():
+            if highs.setOptionValue(option, value) != _highs.HighsStatus.kOk:
+                raise SolverError(
+                    f"HiGHS rejected option {option}={value!r}",
+                    model=self.name,
+                    backend="highs",
+                )
         # kHighsInf is IEEE infinity, so the bounds go in as compiled.
         status = highs.passModel(
             num_col,

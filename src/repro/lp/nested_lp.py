@@ -21,7 +21,8 @@ The model is positional, like every :class:`~repro.lp.backend.LinearProgram`:
 (:class:`JobClasses`), and rows are read back by their compiled order.
 
 HiGHS gets the class model already presolved (:func:`_build`), so its
-own presolve, which would find almost nothing left, is off.  Every rule
+own presolve, which would find almost nothing left, runs only on large
+models (:data:`repro.lp.backend.PRESOLVE_MIN_COLS`).  Every rule
 keeps the feasible ``(x, Y)`` region of LP (1) over ``Des(k_C)``, ``c``
 and ``p`` being a class's size and processing time:
 

@@ -11,7 +11,7 @@ from scipy.optimize import linprog
 
 from repro.corpus.store import iter_corpus
 from repro.instances.io import instance_from_dict
-from repro.lp.backend import LinearProgram
+from repro.lp.backend import HIGHS_OPTIONS, PRESOLVE_MIN_COLS, LinearProgram
 from repro.lp.nested_lp import build_nested_lp
 from repro.tree.canonical import canonicalize
 from repro.util.errors import SolverError
@@ -187,22 +187,33 @@ class TestBackendAgreement:
         assert a.value == pytest.approx(b.value, abs=1e-6)
 
 
-def _planted_instances():
-    """Planted laminar instances at the benchmark's LP (1) sizes."""
+def _planted(seed, n, g):
     spec = importlib.util.spec_from_file_location(
         "planted", ROOT / "perfbench" / "planted.py"
     )
     planted = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(planted)
-    for seed, (n, g) in enumerate(((300, 2), (700, 4), (1200, 8), (2000, 8))):
-        yield instance_from_dict(
-            planted.planted_instance(
-                seed, n=n, horizon=3 * n, g=g, windows=n // 4, p_max=3
-            )
+    return instance_from_dict(
+        planted.planted_instance(
+            seed, n=n, horizon=3 * n, g=g, windows=n // 4, p_max=3
         )
+    )
 
 
-def _assert_matches_linprog(lp):
+def _planted_instances():
+    """Planted laminar instances at the benchmark's LP (1) sizes."""
+    for seed, (n, g) in enumerate(((300, 2), (700, 4), (1200, 8), (2000, 8))):
+        yield _planted(seed, n, g)
+
+
+def _assert_optimal(lp):
+    """The backend's answer is optimal: ``linprog``'s value, and certified.
+
+    ``linprog`` scales the model, the backend does not, so the two may
+    stop at different optimal vertices; the value must agree to a
+    relative 1e-9, ``x`` must be feasible within 1e-9, and the
+    marginals must be dual feasible and complementary to ``x``.
+    """
     parts = lp.compile()
     res = linprog(
         parts["c"],
@@ -212,18 +223,31 @@ def _assert_matches_linprog(lp):
         b_eq=parts["b_eq"],
         bounds=parts["bounds"],
         method="highs-ds",
-        options={"presolve": False},
     )
     assert res.success, res.message
     sol = lp._solve_highs(parts)
-    assert sol.value == res.fun
-    assert np.array_equal(sol.x, res.x)
-    if sol.marginals_ub is None:  # every row became a bound
-        assert res.ineqlin.marginals.size == 0
+    assert abs(sol.value - res.fun) <= 1e-9 * max(1.0, abs(res.fun))
+    c, x = parts["c"], sol.x
+    assert abs(c @ x - sol.value) <= 1e-9 * max(1.0, abs(sol.value))
+    lower, upper = parts["bounds"].T
+    assert (x >= lower - 1e-9).all() and (x <= upper + 1e-9).all()
+    reduced = c.copy()
+    if parts["A_ub"] is None:  # every row became a bound
+        assert sol.marginals_ub is None
     else:
-        assert np.array_equal(sol.marginals_ub, res.ineqlin.marginals)
-    if sol.marginals_eq is not None:
-        assert np.array_equal(sol.marginals_eq, res.eqlin.marginals)
+        slack = parts["b_ub"] - parts["A_ub"] @ x
+        y = sol.marginals_ub
+        assert (slack >= -1e-9).all()
+        assert (y <= 1e-9).all()  # dφ/db of a <= row
+        assert (np.abs(y) * slack <= 1e-9).all()
+        reduced -= parts["A_ub"].T @ y
+    if parts["A_eq"] is not None:
+        assert np.abs(parts["A_eq"] @ x - parts["b_eq"]).max() <= 1e-9
+        reduced -= parts["A_eq"].T @ sol.marginals_eq
+    # A column off its lower bound has reduced cost <= 0, one off its
+    # upper bound >= 0 (within HiGHS's dual feasibility tolerance).
+    assert (reduced[x > lower + 1e-9] <= 1e-7).all()
+    assert (reduced[x < upper - 1e-9] >= -1e-7).all()
 
 
 class TestBundledHighs:
@@ -241,13 +265,34 @@ class TestBundledHighs:
         for entry in iter_corpus(ROOT / "data" / "corpus_smoke"):
             inst = entry.instance()
             if inst.is_laminar:
-                _assert_matches_linprog(build_nested_lp(canonicalize(inst))[0])
+                _assert_optimal(build_nested_lp(canonicalize(inst))[0])
                 checked += 1
         assert checked == 347
 
     def test_matches_linprog_on_planted_instances(self):
         for inst in _planted_instances():
-            _assert_matches_linprog(build_nested_lp(canonicalize(inst))[0])
+            _assert_optimal(build_nested_lp(canonicalize(inst))[0])
+
+    def test_matches_linprog_with_presolve_on(self):
+        lp = build_nested_lp(canonicalize(_planted(4, 5000, 8)))[0]
+        assert lp.num_vars >= PRESOLVE_MIN_COLS
+        _assert_optimal(lp)
+
+    def test_every_option_is_accepted(self):
+        from scipy.optimize._highspy import _core
+
+        options = [*HIGHS_OPTIONS.items(), ("presolve", "on")]
+        for option, value in options:
+            status = _core._Highs().setOptionValue(option, value)
+            assert status == _core.HighsStatus.kOk, (option, value)
+
+    def test_rejected_option_raises(self, monkeypatch):
+        from repro.lp import backend
+
+        monkeypatch.setitem(backend.HIGHS_OPTIONS, "no_such_option", 1)
+        with pytest.raises(SolverError, match="no_such_option") as exc:
+            _toy_lp()._solve_highs(_toy_lp().compile())
+        assert exc.value.kind == "backend"
 
     def test_matches_linprog_with_equalities_and_bounds(self):
         lp = LinearProgram("mixed")
@@ -257,4 +302,4 @@ class TestBundledHighs:
         lp.add_constraint({x: 1, y: 1, z: 1}, "==", 5)
         lp.add_constraint({x: 1, z: -1}, "<=", 1)
         lp.add_constraint({y: 1, z: 2}, ">=", 3)
-        _assert_matches_linprog(lp)
+        _assert_optimal(lp)

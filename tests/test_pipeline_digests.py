@@ -12,6 +12,10 @@ sha256 digests of:
 * the rounded ``x̃``;
 * the schedule's per-job runs.
 
+``planted-1600`` (g = 8) is one where HiGHS's dual simplex stops at
+another optimal vertex when the model is scaled, so a change to the
+solver options moves its ``x̃`` and runs.
+
 A change to how the pipeline computes (array layouts, loop orders, float
 summation) must leave all four unchanged.  Regenerate the file only for a
 change meant to move an output::
@@ -99,7 +103,7 @@ def corpus_digests() -> dict[str, dict[str, str]]:
         inst = entry.instance()
         if inst.is_laminar:
             out[str(entry.offset)] = pipeline_digests(inst)
-    for seed, (n, g) in enumerate(((300, 2), (700, 4), (1200, 8))):
+    for seed, (n, g) in enumerate(((300, 2), (700, 4), (1200, 8), (1600, 8))):
         out[f"planted-{n}"] = pipeline_digests(_planted(n, g, seed))
     return out
 
@@ -107,7 +111,7 @@ def corpus_digests() -> dict[str, dict[str, str]]:
 def test_pipeline_is_byte_identical_on_the_corpus():
     expected = json.loads(DIGESTS.read_text())
     got = corpus_digests()
-    assert len(got) == 347 + 3
+    assert len(got) == 347 + 4
     assert got.keys() == expected.keys()
     moved = {
         key: [part for part in got[key] if got[key][part] != expected[key][part]]
